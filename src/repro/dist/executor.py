@@ -1,8 +1,9 @@
 """Driver-side scheduler of the multi-host sweep fabric.
 
-:class:`DistExecutor` satisfies the executor surface
-:meth:`repro.sim.sweep.SweepRunner.run` already dispatches on — the
-``run_points(spec, indexed_points, chunksize, on_record)`` duck type of
+:class:`DistExecutor` implements the executor contract
+:meth:`repro.sim.sweep.SweepRunner.run` dispatches on — ``run_points(runner,
+indexed_points, chunksize, on_record)``, shared with
+:class:`~repro.sim.sweep.SerialExecutor` and
 :class:`~repro.store.PersistentPool` — so ``runner.run(points,
 pool=DistExecutor([...]))`` fans a grid out across machines with the
 store, streaming hook and failure protocol unchanged.  The division of
@@ -24,7 +25,7 @@ labour mirrors the local pool exactly:
 * **host death costs time, never bytes** — a dead connection (agent
   SIGKILLed mid-chunk, network gone) marks the host lost and requeues its
   chunk under a bounded reassignment budget, the distributed analogue of
-  :class:`~repro.resilience.SupervisedExecutor`'s respawn budget.
+  :class:`~repro.store.PersistentPool`'s respawn budget.
   Exhausting the budget (or losing every host) raises the usual labelled
   :class:`~repro.exceptions.SweepPointError` naming the lowest lost
   point.
@@ -52,7 +53,6 @@ from repro.exceptions import (
     ConfigurationError,
     HostLostError,
     SimulationError,
-    SweepPointError,
 )
 from repro.dist.protocol import (
     DIST_PROTOCOL_VERSION,
@@ -66,6 +66,8 @@ from repro.serve.protocol import point_to_wire
 from repro.sim.sweep import (
     SweepPoint,
     SweepRecord,
+    SweepRunner,
+    _raise_lost_points,
     _raise_lowest_failure,
 )
 
@@ -300,7 +302,7 @@ class DistExecutor:
 
     # -- the executor surface ------------------------------------------------
 
-    def run_points(self, spec: tuple,
+    def run_points(self, runner: SweepRunner,
                    indexed_points: List[Tuple[int, SweepPoint]],
                    chunksize: Optional[int] = None,
                    on_record: Optional[Callable[[int, SweepRecord], None]]
@@ -322,8 +324,8 @@ class DistExecutor:
         if not indexed_points:
             return []
         with self._run_lock:
-            return self._run_locked(spec, list(indexed_points), chunksize,
-                                    on_record)
+            return self._run_locked(runner.spec(), list(indexed_points),
+                                    chunksize, on_record)
 
     def _run_locked(self, spec, indexed_points, chunksize, on_record):
         wire_spec = spec_to_wire(spec)
@@ -390,17 +392,11 @@ class DistExecutor:
         if failures:
             _raise_lowest_failure(failures, indexed_points)
         if not finished:
-            missing = sorted(index for index, _ in indexed_points
-                             if index not in delivered)
-            points = dict(indexed_points)
-            label = points[missing[0]].describe() if missing else ""
-            where = f" (first lost point: {label})" if label else ""
-            error = SweepPointError(
-                f"sweep hosts kept dying: {len(missing)} point(s) lost "
-                f"after {state['reassigns']} chunk reassignment(s) across "
-                f"{self.hosts_lost} host death(s){where}")
-            error.point_label = label
-            raise error
+            _raise_lost_points(
+                (index for index, _ in indexed_points
+                 if index not in delivered), indexed_points, "hosts",
+                f"{state['reassigns']} chunk reassignment(s) across "
+                f"{self.hosts_lost} host death(s)")
         return sorted(delivered.items())
 
     # -- per-host scheduling loop --------------------------------------------

@@ -15,20 +15,21 @@ it ever serves — a dataset is materialised at most once per agent (or, at
 ``--workers N``, once per pool worker) no matter how many drivers or grids
 connect.
 
-Execution is serial on the connection thread at ``workers<=1``; at
-``workers>=2`` the agent owns a supervised :class:`PersistentPool`, so one
+Every chunk is one ``run_points`` call on the agent's executor: the serial
+executor on the connection thread at ``workers<=1``, or, at
+``workers>=2``, an agent-owned supervised :class:`PersistentPool`, so one
 agent fans a chunk out over local processes and inherits the kill/respawn
 recovery contract.  Either way results are byte-identical: per-point
 seeding (:meth:`~repro.sim.sweep.SweepRunner.point_seed`) is independent
 of scheduling, worker count and host placement.
 
-Failures never tear the connection down: a point that raises travels back
-as a ``point_error`` frame (message + worker traceback), and the chunk
-still completes with a ``chunk_done`` barrier — the driver folds errors
-into the ordinary sweep failure protocol.  The agent keeps no store: hits
-are resolved driver-side, and the driver writes results back, so agents
-are storage-free by construction (the same parent-side-only store rule
-the local pool follows).
+Failures never tear the connection down: every point that raises travels
+back as its own ``point_error`` frame (its message + traceback), and the
+chunk still completes with a ``chunk_done`` barrier — the driver folds
+errors into the ordinary sweep failure protocol.  The agent keeps no
+store: hits are resolved driver-side, and the driver writes results back,
+so agents are storage-free by construction (the same parent-side-only
+store rule the local pool follows).
 
 :class:`LocalWorkerFleet` spawns agents as localhost subprocesses — the
 harness the dist tests, ``tools/dist_check.py`` and the CI ``dist`` leg
@@ -45,17 +46,19 @@ import socket
 import subprocess
 import sys
 import threading
+import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SweepPointError
 from repro.dist.protocol import (
     DIST_PROTOCOL_VERSION,
     recv_frame,
     send_frame,
     spec_from_wire,
 )
-from repro.sim.sweep import clamp_workers, _execute_point_task
+from repro.sim.sweep import SERIAL_EXECUTOR, clamp_workers
 from repro.serve.protocol import point_from_wire
+from repro.store.pool import PersistentPool, _worker_runner
 
 #: Stdout line an agent prints (flushed) once its socket is bound; the
 #: fleet spawner parses the address out of it, which is how ``--listen
@@ -73,7 +76,8 @@ class DistWorker:
             serially on the connection thread; ``N>=2`` runs chunks
             through an agent-owned supervised
             :class:`~repro.store.PersistentPool` (clamped to the core
-            count, like every worker knob).
+            count, like every worker knob), whose processes spawn on the
+            first chunk.
 
     Use :meth:`serve_forever` from the CLI, or :meth:`start` /
     :meth:`close` (also a context manager) from tests, which serve on a
@@ -85,8 +89,9 @@ class DistWorker:
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
         self._workers = clamp_workers(workers) if workers else 0
-        self._pool = None  # built lazily: only if a chunk ever needs it
-        self._pool_lock = threading.Lock()
+        self._pool = (PersistentPool(self._workers)
+                      if self._workers >= 2 else None)
+        self._executor = SERIAL_EXECUTOR if self._pool is None else self._pool
         self._listener = socket.create_server((host, port))
         self._closed = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
@@ -137,13 +142,17 @@ class DistWorker:
             return
         self._closed.set()
         try:
+            # Wake the thread blocked in accept() first: on Linux a bare
+            # close() from another thread leaves it blocked.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close(drain=False)
+        if self._pool is not None:
+            self._pool.close(drain=False)
         if self._accept_thread is not None:
             self._accept_thread.join(5.0)
             self._accept_thread = None
@@ -210,15 +219,6 @@ class DistWorker:
 
     # -- chunk execution -----------------------------------------------------
 
-    def _shared_pool(self):
-        """The agent's local pool, built on first pooled chunk."""
-        from repro.store.pool import PersistentPool  # local: import cycle
-
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = PersistentPool(self._workers)
-            return self._pool
-
     def _run_chunk(self, conn: socket.socket, frame: Dict[str, Any]) -> None:
         chunk_id = frame.get("id")
         try:
@@ -241,75 +241,37 @@ class DistWorker:
                               "ok": 0, "failed": max(1, len(indices))})
             return
 
-        ok = 0
-        failed = 0
         delivered = set()
 
         def stream(index: int, record) -> None:
-            nonlocal ok
             delivered.add(index)
-            ok += 1
             send_frame(conn, {
                 "type": "record", "id": chunk_id, "index": index,
                 "snapshot": record.snapshot(include_timeline=True)})
 
-        if self._workers >= 2 and len(tasks) > 1:
-            failed = self._run_pooled(conn, chunk_id, spec, tasks,
-                                      stream, delivered)
-        else:
-            failed = self._run_serial(conn, chunk_id, spec, tasks, stream)
+        try:
+            self._executor.run_points(_worker_runner(spec), tasks,
+                                      on_record=stream)
+        except SweepPointError as error:
+            # Every success is already streamed, so the undelivered
+            # indices are exactly the failed (or lost) ones; each reports
+            # its own exception, and lost points the run's error.
+            for index, _point in tasks:
+                if index in delivered:
+                    continue
+                exc, text = error.failures.get(
+                    index, (error, error.child_traceback))
+                send_frame(conn, {
+                    "type": "point_error", "id": chunk_id, "index": index,
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "traceback": text or "".join(
+                        traceback.format_exception(exc))})
+        ok = len(delivered)
         with self._stats_lock:
             self.chunks_served += 1
             self.points_served += ok
         send_frame(conn, {"type": "chunk_done", "id": chunk_id,
-                          "ok": ok, "failed": failed})
-
-    def _run_serial(self, conn, chunk_id, spec, tasks, stream) -> int:
-        """Execute a chunk on this thread via the pool's worker-side caches."""
-        from repro.store.pool import _worker_runner  # local: import cycle
-
-        runner = _worker_runner(spec)
-        failed = 0
-        for index, point in tasks:
-            index, record, failure = _execute_point_task(runner, index, point)
-            if failure is not None:
-                exc, traceback_text = failure
-                failed += 1
-                send_frame(conn, {
-                    "type": "point_error", "id": chunk_id, "index": index,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback_text or ""})
-            else:
-                stream(index, record)
-        return failed
-
-    def _run_pooled(self, conn, chunk_id, spec, tasks, stream,
-                    delivered) -> int:
-        """Fan a chunk out over the agent's local supervised pool.
-
-        The pool raises its usual lowest-failure
-        :class:`~repro.exceptions.SweepPointError` *after* draining, with
-        every success already streamed through ``on_record`` — so the
-        undelivered indices are exactly the failed (or lost) ones, and
-        each travels back as a ``point_error`` carrying the pool's
-        diagnosis.
-        """
-        from repro.exceptions import SweepPointError
-
-        try:
-            self._shared_pool().run_points(spec, tasks, on_record=stream)
-            return 0
-        except SweepPointError as exc:
-            failed = 0
-            for index, _point in tasks:
-                if index in delivered:
-                    continue
-                failed += 1
-                send_frame(conn, {
-                    "type": "point_error", "id": chunk_id, "index": index,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": exc.child_traceback or ""})
-            return failed
+                          "ok": ok, "failed": len(tasks) - ok})
 
 
 class LocalWorkerFleet:

@@ -54,12 +54,17 @@ class SweepPointError(ReproError):
         child_traceback: Formatted traceback from the worker process, when
             the point failed in one (``None`` for in-process failures, whose
             traceback is the chained exception's own).
+        failures: Every failing input index of the run, as ``{index:
+            (exception, child traceback or None)}`` — the error itself names
+            the lowest one; empty when points were lost with their workers
+            or hosts rather than raising.
     """
 
     def __init__(self, message: str) -> None:
         super().__init__(message)
         self.point_label: str = ""
         self.child_traceback: str | None = None
+        self.failures: dict[int, tuple] = {}
 
 
 class ProfilingError(ReproError):
@@ -68,31 +73,6 @@ class ProfilingError(ReproError):
 
 class ResilienceError(ReproError):
     """Base class for runtime-resilience failures (fault injection/recovery)."""
-
-
-class WorkerLostError(ResilienceError):
-    """A pool worker died and the respawn budget could not recover the run.
-
-    Raised by :class:`repro.resilience.SupervisedExecutor` once a single
-    ``run_chunks`` call has rebuilt the worker pool ``max_respawns`` times
-    and chunks are still being lost.  :class:`repro.store.PersistentPool`
-    converts it into a labelled
-    :class:`~repro.exceptions.SweepPointError` naming the lowest lost
-    point, so sweep callers see the same failure protocol whether a point
-    raised or its worker was killed.
-
-    Attributes:
-        pending_chunks: The task chunks that were still unfinished when the
-            budget ran out (opaque to the executor; the pool reads the task
-            indices back out of them).
-        respawns: How many pool rebuilds this run burned before giving up.
-    """
-
-    def __init__(self, message: str, pending_chunks: list | None = None,
-                 respawns: int = 0) -> None:
-        super().__init__(message)
-        self.pending_chunks: list = pending_chunks or []
-        self.respawns = respawns
 
 
 class HostLostError(ResilienceError):

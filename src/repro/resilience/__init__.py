@@ -1,6 +1,6 @@
 """Runtime resilience: deterministic fault injection and recovery.
 
-Three small layers, composable and individually inert when unused:
+Two small layers, composable and individually inert when unused:
 
 * :mod:`repro.resilience.faults` — :class:`FaultPlan` (a declarative,
   JSON-round-trippable chaos schedule) and :class:`FaultInjector` (its
@@ -8,11 +8,12 @@ Three small layers, composable and individually inert when unused:
   process-wide via the ``REPRO_FAULT_PLAN`` environment variable;
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` /
   :func:`call_with_retry` / :func:`is_transient`, the store's
-  retry-with-backoff for transient backend errors;
-* :mod:`repro.resilience.supervise` — :class:`SupervisedExecutor`, the
-  process pool that detects dead workers, rebuilds itself, and re-runs
-  lost chunks byte-identically under a bounded respawn budget
-  (:class:`~repro.exceptions.WorkerLostError` when it runs out).
+  retry-with-backoff for transient backend errors.
+
+Worker-death recovery lives in the pool itself
+(:class:`repro.store.PersistentPool`): it detects dead workers, rebuilds
+itself, and re-runs lost chunks byte-identically under a bounded respawn
+budget.
 
 See docs/ARCHITECTURE.md ("Failure domains & recovery") for the fault
 matrix: which faults are injected where, how each is detected, what
@@ -23,7 +24,6 @@ from repro.exceptions import (
     PermanentFaultError,
     ResilienceError,
     TransientFaultError,
-    WorkerLostError,
 )
 from repro.resilience.faults import (
     FAULT_PLAN_ENV_VAR,
@@ -43,14 +43,9 @@ from repro.resilience.retry import (
     call_with_retry,
     is_transient,
 )
-from repro.resilience.supervise import (
-    DEFAULT_MAX_RESPAWNS,
-    SupervisedExecutor,
-)
 
 __all__ = [
     "FAULT_PLAN_ENV_VAR",
-    "DEFAULT_MAX_RESPAWNS",
     "NO_RETRY",
     "FaultCounters",
     "FaultInjector",
@@ -61,9 +56,7 @@ __all__ = [
     "RetryPolicy",
     "ServeStall",
     "StoreFault",
-    "SupervisedExecutor",
     "TransientFaultError",
-    "WorkerLostError",
     "active_injector",
     "call_with_retry",
     "clear_installed",

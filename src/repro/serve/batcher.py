@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.resilience.faults import FaultInjector, active_injector
@@ -162,10 +162,10 @@ class CoalescingBatcher:
         store: Shared :class:`~repro.store.SweepStore` every batch runs
             against (hits resolve without simulating); ``None`` disables
             persistence (in-flight dedup still applies).
-        pool: Shared :class:`~repro.store.PersistentPool` the batches'
-            simulations fan out over; ``None`` simulates on the batch
-            thread (``workers`` processes per run, 0 = in-process).
-        workers: Per-run worker count when no pool is given.
+        pool: Shared executor the batches' simulations fan out over — a
+            :class:`~repro.store.PersistentPool` or a
+            :class:`~repro.dist.DistExecutor`; ``None`` simulates
+            in-process on the batch thread.
         window_s: Coalescing window (see :data:`DEFAULT_WINDOW_S`).
         max_attempts: Simulation attempts per point before its future
             carries the error (see :data:`DEFAULT_MAX_ATTEMPTS`);
@@ -185,7 +185,6 @@ class CoalescingBatcher:
 
     def __init__(self, store: Optional[SweepStore] = None,
                  pool: Optional[PersistentPool] = None,
-                 workers: int = 0,
                  window_s: float = DEFAULT_WINDOW_S,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  fault_injector: Optional[FaultInjector] = None) -> None:
@@ -195,7 +194,6 @@ class CoalescingBatcher:
             raise ConfigurationError("max_attempts must be >= 1")
         self._store = store
         self._pool = pool
-        self._workers = workers
         self._window_s = window_s
         self._max_attempts = max_attempts
         self._injector = (fault_injector if fault_injector is not None
@@ -320,9 +318,9 @@ class CoalescingBatcher:
             if stall_s > 0:
                 time.sleep(stall_s)
         try:
-            runner.run([point for point, _ in entries],
-                       workers=self._workers, store=self._store,
-                       pool=self._pool, on_record=on_record)
+            runner.run([point for point, _ in entries], workers=0,
+                       store=self._store, pool=self._pool,
+                       on_record=on_record)
             return None
         except Exception as exc:
             return exc
@@ -346,8 +344,8 @@ class CoalescingBatcher:
             if error is None:
                 break
         # Final attempt, point by point: a deterministically-failing point
-        # must fail alone, not poison unrelated points that happened to
-        # share its batch (the serial executor stops at the first failure).
+        # must fail with its own error, not the lowest failing point's
+        # error that a shared run raises.
         if remaining and self._max_attempts > 1:
             for entry in remaining:
                 point, future = entry

@@ -190,9 +190,8 @@ class ServeDaemon:
                                          fault_injector=self._injector)
                           if workers else None)
         self._batcher = CoalescingBatcher(
-            store=self._store, pool=self._pool, workers=0,
-            window_s=window_s, max_attempts=max_attempts,
-            fault_injector=self._injector)
+            store=self._store, pool=self._pool, window_s=window_s,
+            max_attempts=max_attempts, fault_injector=self._injector)
         self._default_deadline_s = default_deadline_s
         self._max_inflight = max_inflight
         self._started = time.monotonic()

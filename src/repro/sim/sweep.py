@@ -44,9 +44,10 @@ store (:mod:`repro.store`): :meth:`SweepRunner.point_spec` renders the
 record's fully-invertible snapshot (:meth:`SweepRecord.snapshot` with
 embedded timelines, inverted by :meth:`SweepRecord.from_snapshot`) under a
 BLAKE2 digest of it, and :meth:`SweepRunner.run` partitions a grid into
-store hits (rehydrated, byte-identical) and misses (simulated — serially,
-through a per-call spawn pool, or through a long-lived
-:class:`repro.store.PersistentPool` — then written back).
+store hits (rehydrated, byte-identical) and misses (simulated through one
+executor — :class:`SerialExecutor` in process, a one-shot or long-lived
+:class:`repro.store.PersistentPool`, or a :class:`repro.dist.DistExecutor`
+— then written back).
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ import hashlib
 import itertools
 import math
 import os
-import pickle
 import sys
-import traceback
 from dataclasses import dataclass, fields
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Tuple)
@@ -71,7 +70,7 @@ from repro.compute.model_zoo import ModelSpec, get_model
 from repro.datasets.catalog import get_dataset_spec
 from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import CachingSampler, RandomSampler, Sampler
-from repro.exceptions import ConfigurationError, SimulationError, SweepPointError
+from repro.exceptions import ConfigurationError, SweepPointError
 from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.storage.iostats import IOStats
 from repro.coordl.failure import FailureEvent
@@ -885,10 +884,10 @@ class SweepRunner:
     def spec(self) -> tuple:
         """Picklable runner configuration (enough to rebuild this runner).
 
-        Workers — the per-``run()`` spawn pool and
-        :class:`repro.store.PersistentPool` alike — reconstruct an
-        equivalent runner from exactly this tuple, so anything that can
-        change a simulated bit must be in it.
+        :class:`repro.store.PersistentPool` workers and
+        :mod:`repro.dist` agents reconstruct an equivalent runner from
+        exactly this tuple, so anything that can change a simulated bit
+        must be in it.
         """
         return (self._server_factory, self._scale, self._seed,
                 self._queue_depth, self._fast_path)
@@ -1007,9 +1006,8 @@ class SweepRunner:
                 disables the store even when the variable is set.  Results
                 are byte-identical with and without a store.
             pool: A :class:`repro.store.PersistentPool` whose workers
-                outlive this call, or any object with the same
-                ``run_points(spec, indexed_points, chunksize,
-                on_record=...)`` surface — :class:`repro.dist.DistExecutor`
+                outlive this call, or any other executor with the same
+                ``run_points`` surface — :class:`repro.dist.DistExecutor`
                 satisfies it to fan the grid out over remote worker
                 agents.  Takes precedence over ``workers`` for the points
                 that actually need simulating; store hits never touch the
@@ -1025,13 +1023,14 @@ class SweepRunner:
                 raise.
 
         Raises:
-            SweepPointError: A point failed to simulate.  The failing
-                point's label/description is in the message and the
-                original exception — re-raised from a worker when the point
-                ran in one — is chained as ``__cause__``.  Failed points
-                are never written to the store, but points that finished
-                *before* the failure (or an interruption) already are —
-                the retry resumes from them.
+            SweepPointError: A point failed to simulate.  Every other point
+                still runs first; the error then names the lowest failing
+                input index, with its label/description in the message and
+                the original exception — re-raised from a worker when the
+                point ran in one — chained as ``__cause__``.  Failed points
+                are never written to the store, but every point that
+                finished (before the failure is raised, or before an
+                interruption) already is — the retry resumes from them.
         """
         from repro.store import (  # local: repro.store imports us
             resolve_store,
@@ -1090,18 +1089,24 @@ class SweepRunner:
                 on_record(index, record)
 
         if to_run:
-            if pool is not None:
-                pool.run_points(self.spec(), to_run, chunksize,
-                                on_record=commit)
-            elif workers <= 1 or len(to_run) <= 1:
+            executor = pool
+            one_shot = None
+            if executor is None and (workers <= 1 or len(to_run) <= 1):
                 # workers<=1 degrades to the serial executor outright: a
                 # clamped-to-1 spawn pool still pays the full spawn +
                 # substrate-rebuild cost for zero parallelism.
-                for index, point in to_run:
-                    commit(index, self._run_point_guarded(point))
-            else:
-                self._run_parallel(to_run, workers, chunksize,
-                                   on_record=commit)
+                executor = SERIAL_EXECUTOR
+            elif executor is None:
+                from repro.store.pool import PersistentPool  # import cycle
+
+                executor = one_shot = PersistentPool(min(workers,
+                                                         len(to_run)))
+            try:
+                executor.run_points(self, to_run, chunksize,
+                                    on_record=commit)
+            finally:
+                if one_shot is not None:
+                    one_shot.close(drain=False)
         return SweepResult(records)  # type: ignore[arg-type]  # all slots filled
 
     def _resolve_workers(self, workers: Optional[int]) -> int:
@@ -1115,48 +1120,6 @@ class SweepRunner:
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
         return clamp_workers(workers)
-
-    def _run_point_guarded(self, point: SweepPoint) -> SweepRecord:
-        """Run one point, attaching its label to any failure."""
-        try:
-            return self._run_point(point)
-        except SweepPointError:
-            raise
-        except Exception as exc:
-            raise _point_error(point, exc) from exc
-
-    def _run_parallel(self, indexed_points: List[Tuple[int, SweepPoint]],
-                      workers: int, chunksize: Optional[int],
-                      on_record: Optional[Callable[[int, SweepRecord], None]]
-                      = None) -> List[Tuple[int, SweepRecord]]:
-        """Fan indexed points out over a spawn pool, one pool per call.
-
-        ``spawn`` (never ``fork``) is used on every platform: workers start
-        from a clean interpreter and rebuild datasets/samplers from the
-        pickled runner configuration, so no shared mutable substrate state
-        can leak across processes and the execution model is identical on
-        Linux/macOS/Windows.  (For worker reuse across calls, pass a
-        :class:`repro.store.PersistentPool` to :meth:`run` instead.)
-
-        The pool is a single-run :class:`repro.store.PersistentPool`, so
-        both executors share one supervised implementation: a worker that
-        dies mid-chunk is detected, the pool is rebuilt, and the lost
-        points are re-run byte-identically instead of hanging the run.
-
-        ``on_record`` is invoked per record in completion order while the
-        pool drains (the store write-back hook), including before a
-        failure is eventually raised.
-        """
-        # Imported here: repro.store.pool imports this module at top level.
-        from repro.store.pool import PersistentPool
-
-        workers = min(workers, len(indexed_points))
-        pool = PersistentPool(workers, chunksize)
-        try:
-            return pool.run_points(self.spec(), indexed_points,
-                                   on_record=on_record)
-        finally:
-            pool.close(drain=False)
 
     def _run_point(self, point: SweepPoint) -> SweepRecord:
         if point.is_hp_search:
@@ -1247,6 +1210,50 @@ class SweepRunner:
                            loader_name=failure.loader_name, failure=failure)
 
 
+class SerialExecutor:
+    """The in-process executor: every point on the calling thread.
+
+    It implements the executor contract every ``SweepRunner.run`` dispatch
+    goes through — ``run_points(runner, indexed_points, chunksize=None,
+    on_record=None)``: run every point, stream each success through
+    ``on_record``, then raise the lowest failing input index as a labelled
+    :class:`SweepPointError` (:func:`_raise_lowest_failure`).
+    :class:`repro.store.PersistentPool` and
+    :class:`repro.dist.DistExecutor` implement the same contract across
+    processes and hosts.
+
+    Points run through ``runner._run_point`` looked up on the caller's
+    runner, so they share that runner's dataset and sampler memos, and
+    the only per-point overhead is the call itself.  ``chunksize`` has no
+    meaning in-process and is ignored.  Stateless, hence thread-safe:
+    :data:`SERIAL_EXECUTOR` is the one shared instance.
+    """
+
+    def run_points(self, runner: SweepRunner,
+                   indexed_points: List[Tuple[int, SweepPoint]],
+                   chunksize: Optional[int] = None,
+                   on_record: Optional[Callable[[int, SweepRecord], None]]
+                   = None) -> List[Tuple[int, SweepRecord]]:
+        ran: List[Tuple[int, SweepRecord]] = []
+        failures: Dict[int, tuple] = {}
+        for index, point in indexed_points:
+            try:
+                record = runner._run_point(point)
+            except Exception as exc:
+                failures[index] = (exc, None)
+                continue
+            ran.append((index, record))
+            if on_record is not None:
+                on_record(index, record)
+        if failures:
+            _raise_lowest_failure(failures, indexed_points)
+        return ran
+
+
+#: The shared in-process executor (see :class:`SerialExecutor`).
+SERIAL_EXECUTOR = SerialExecutor()
+
+
 def _point_error(point: SweepPoint, original: BaseException,
                  child_traceback: Optional[str] = None) -> SweepPointError:
     """Build the labelled sweep failure raised to the caller."""
@@ -1261,43 +1268,38 @@ def _point_error(point: SweepPoint, original: BaseException,
 
 def _raise_lowest_failure(failures: Dict[int, tuple],
                           indexed_points: List[Tuple[int, SweepPoint]]) -> None:
-    """Raise the pooled failure a serial run would have raised.
+    """Raise the failure of the lowest failing input index.
 
-    Pools drain everything before raising: ``imap_unordered`` yields in
-    completion order, so raising on the first failure *seen* would name a
-    scheduling-dependent point.  Raising for the lowest failing input
-    index reports exactly the point a serial run would have raised for —
-    shared by the per-call pool here and :class:`repro.store.PersistentPool`
-    so the two executors cannot drift.
+    Every executor drains all of its points before raising: completion
+    order depends on scheduling, so raising on the first failure *seen*
+    would name a scheduling-dependent point.  The lowest input index names
+    the same point at any worker count and on any host.  ``failures`` maps
+    index -> (exception, worker traceback text or ``None``) and rides
+    along on the raised error for callers that report every failing point.
     """
     index = min(failures)
     exc, child_traceback = failures[index]
-    raise _point_error(dict(indexed_points)[index], exc, child_traceback) from exc
+    error = _point_error(dict(indexed_points)[index], exc, child_traceback)
+    error.failures = failures
+    raise error from exc
 
 
-def _execute_point_task(runner: SweepRunner, index: int, point: SweepPoint):
-    """Simulate one indexed point; never raise across a pool pipe.
+def _raise_lost_points(lost: Iterable[int],
+                       indexed_points: List[Tuple[int, SweepPoint]],
+                       what: str, recovery: str) -> None:
+    """Raise the failure of work whose workers or hosts kept dying.
 
-    Failures travel back as ``(index, None, (exception, traceback_text))``
-    so the parent can re-raise the *original* exception chained under a
-    labelled :class:`SweepPointError` instead of a bare multiprocessing
-    traceback.  Exceptions that cannot survive pickling are substituted
-    with a :class:`SimulationError` carrying their repr.  Shared by both
-    pool executors' worker-side task functions.
+    Names the lowest *input-order* point still unfinished, like
+    :func:`_raise_lowest_failure` does for points that raised, so callers
+    handle both kinds of failure identically.  ``what`` names the dead
+    parts (``"workers"``, ``"hosts"``) and ``recovery`` the recovery
+    already spent on them.
     """
-    try:
-        return index, runner._run_point(point), None
-    except Exception as exc:
-        text = traceback.format_exc()
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = SimulationError(
-                f"worker exception could not be pickled: {exc!r}")
-        return index, None, (exc, text)
-
-
-# Worker-pool plumbing lives in repro.store.pool: both the per-call path
-# (via a single-run PersistentPool) and the long-lived pool share one
-# supervised executor and one worker-side task protocol
-# (_execute_point_task above), so the executors cannot drift.
+    lost = sorted(lost)
+    label = dict(indexed_points)[lost[0]].describe() if lost else ""
+    where = f" (first lost point: {label})" if label else ""
+    error = SweepPointError(
+        f"sweep {what} kept dying: {len(lost)} point(s) lost after "
+        f"{recovery}{where}")
+    error.point_label = label
+    raise error

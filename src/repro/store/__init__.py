@@ -33,16 +33,12 @@ subcommands (``stats`` / ``gc`` / ``invalidate`` / ``migrate``).
 """
 
 from repro.store.backend import (
-    STORE_CODEC_ENV_VAR,
-    STORE_CODECS,
     EntryInvalid,
     JsonDirBackend,
     RunnerStats,
     SqliteBackend,
     StoreBackend,
-    default_codec,
     open_backend,
-    resolve_codec,
 )
 from repro.store.pool import PersistentPool
 from repro.store.store import (
@@ -72,18 +68,14 @@ __all__ = [
     "StoreArg",
     "StoreTraceEvent",
     "PersistentPool",
-    "default_codec",
     "merge_store_traces",
     "migrate_store",
     "open_backend",
-    "resolve_codec",
     "resolve_store",
     "runner_spec_digest",
     "source_digest",
     "store_key",
     "verify_store_trace",
-    "STORE_CODEC_ENV_VAR",
-    "STORE_CODECS",
     "STORE_ENV_VAR",
     "STORE_SCHEMA_VERSION",
 ]

@@ -13,13 +13,9 @@ owns the bytes.  Two backends implement the contract:
 * :class:`SqliteBackend` — one WAL-mode SQLite database holding an
   *index* (key, point label, runner-spec digest, schema version,
   created-at timestamp, payload size, codec) next to *packed payloads*
-  (the record snapshot as canonical JSON, zstd-compressed when a module
-  provides it — stdlib ``compression.zstd`` on Python 3.14+, else the
-  ``zstandard`` package — zlib otherwise; ``REPRO_STORE_CODEC`` forces a
-  choice, validated loudly at construction).  Reads go by each entry's
-  recorded codec column, so old zlib entries keep serving whatever new
-  puts use, and ``repro store migrate`` round-trips record bytes
-  identically between codecs.  The index/payload split is the classic
+  (the record snapshot as zlib-compressed canonical JSON; a row naming
+  any other codec reads as an invalid entry, which the store deletes and
+  re-simulates).  The index/payload split is the classic
   storage-engine move: ``stats`` / ``gc`` / ``invalidate`` become SQL
   queries instead of directory scans (``gc`` also checkpoints the WAL
   and ``VACUUM``\\ s so the file really shrinks), the write-once check is
@@ -58,83 +54,16 @@ import sqlite3
 import threading
 import zlib
 from datetime import datetime, timezone
-from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, \
-    Tuple, Union
+from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Tuple, \
+    Union
 
 from repro.exceptions import ConfigurationError
-
-try:  # optional: packed payloads use zstd when a module provides it
-    import zstandard  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - depends on the environment
-    zstandard = None
 
 #: Version of the on-disk entry format.  It participates in every content
 #: address (see :func:`repro.store.store_key`), so bumping it orphans
 #: (never corrupts) all previous entries — a stale-schema entry can
 #: simply never be looked up again.
 STORE_SCHEMA_VERSION = 1
-
-#: Environment variable forcing the SQLite backend's payload codec
-#: (``zlib`` or ``zstd``).  Unset means "the best available": zstd when a
-#: module provides it, zlib otherwise.  Codecs only affect how *new*
-#: entries are packed — reads always go by each entry's recorded codec
-#: column, so stores mixing both codecs (e.g. after an interpreter
-#: upgrade) keep serving every entry.
-STORE_CODEC_ENV_VAR = "REPRO_STORE_CODEC"
-
-#: Payload codecs the SQLite backend can write.
-STORE_CODECS = ("zlib", "zstd")
-
-
-def _zstd_functions() -> Optional[Tuple[Callable[[bytes], bytes],
-                                        Callable[[bytes], bytes]]]:
-    """``(compress, decompress)`` for zstd, or ``None`` when unavailable.
-
-    Prefers the stdlib module (``compression.zstd``, Python 3.14+), falls
-    back to the third-party ``zstandard`` package; both produce standard
-    zstd frames, so entries written through either read back through the
-    other.
-    """
-    try:  # pragma: no cover - stdlib module needs Python >= 3.14
-        from compression import zstd  # type: ignore[import-not-found]
-
-        return zstd.compress, zstd.decompress
-    except ImportError:
-        pass
-    if zstandard is not None:
-        return (lambda data: zstandard.ZstdCompressor().compress(data),
-                lambda blob: zstandard.ZstdDecompressor().decompress(blob))
-    return None
-
-
-def default_codec() -> str:
-    """The codec new SQLite entries get when none is forced."""
-    return "zstd" if _zstd_functions() is not None else "zlib"
-
-
-def resolve_codec(codec: Optional[str] = None) -> str:
-    """Validate a codec choice (explicit arg, else the environment).
-
-    Raises :class:`~repro.exceptions.ConfigurationError` for unknown
-    codecs and for ``zstd`` when no module provides it — loudly at
-    *backend construction* time, never from inside ``put`` where the
-    store's degradation ladder would silently absorb it.
-    """
-    if codec is None:
-        codec = os.environ.get(STORE_CODEC_ENV_VAR, "").strip() or None
-    if codec is None:
-        return default_codec()
-    if codec not in STORE_CODECS:
-        raise ConfigurationError(
-            f"unknown store codec {codec!r}: pick one of {STORE_CODECS} "
-            f"(${STORE_CODEC_ENV_VAR} or the codec= argument)")
-    if codec == "zstd" and _zstd_functions() is None:
-        raise ConfigurationError(
-            "store codec 'zstd' requested but no module provides it "
-            "(needs the stdlib compression.zstd, Python 3.14+, or the "
-            "zstandard package); unset the override to fall back to zlib")
-    return codec
-
 
 class RunnerStats(NamedTuple):
     """One ``stats --by-runner`` row: a runner spec's share of the store."""
@@ -386,28 +315,21 @@ class JsonDirBackend(StoreBackend):
         return removed
 
 
-def _pack(data: bytes, codec: str) -> bytes:
-    """Compress one payload with a codec :func:`resolve_codec` validated."""
-    if codec == "zstd":
-        functions = _zstd_functions()
-        if functions is None:  # validated at construction; belt-and-braces
-            raise ValueError("zstd codec configured but unavailable")
-        return functions[0](data)
+#: The payload codec every SQLite entry is packed with, recorded in each
+#: row's ``codec`` column.
+_CODEC = "zlib"
+
+
+def _pack(data: bytes) -> bytes:
+    """Compress one payload."""
     return zlib.compress(data, 6)
 
 
 def _unpack(codec: str, blob: bytes) -> bytes:
-    """Invert :func:`_pack` by each entry's *recorded* codec name —
-    old zlib entries stay readable whatever codec new puts use."""
-    if codec == "zlib":
-        return zlib.decompress(blob)
-    if codec == "zstd":
-        functions = _zstd_functions()
-        if functions is None:
-            raise ValueError("entry packed with zstd but no module "
-                             "provides it (compression.zstd / zstandard)")
-        return functions[1](blob)
-    raise ValueError(f"unknown payload codec {codec!r}")
+    """Invert :func:`_pack`; a row naming any other codec is unreadable."""
+    if codec != _CODEC:
+        raise ValueError(f"unknown payload codec {codec!r}")
+    return zlib.decompress(blob)
 
 
 class SqliteBackend(StoreBackend):
@@ -440,25 +362,15 @@ class SqliteBackend(StoreBackend):
     )
     """
 
-    def __init__(self, database: Union[str, os.PathLike],
-                 codec: Optional[str] = None) -> None:
+    def __init__(self, database: Union[str, os.PathLike]) -> None:
         self._db_path = pathlib.Path(database)
         if self._db_path.parent != pathlib.Path(""):
             self._db_path.parent.mkdir(parents=True, exist_ok=True)
-        # Codec misconfiguration must surface here, not inside put() —
-        # the frontend's degradation ladder treats put exceptions as
-        # storage trouble and would silently flip the store read-only.
-        self._codec = resolve_codec(codec)
         self._local = threading.local()
         self._lock = threading.Lock()
         self._connections: List[sqlite3.Connection] = []
         self._generation = 0
         self._connect()  # create the schema eagerly, fail fast on bad paths
-
-    @property
-    def codec(self) -> str:
-        """Codec new entries are packed with (reads follow each entry)."""
-        return self._codec
 
     @property
     def path(self) -> pathlib.Path:
@@ -512,8 +424,7 @@ class SqliteBackend(StoreBackend):
             runner_digest: str = "") -> Optional[bytes]:
         data = json.dumps(snapshot, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        codec = self._codec
-        blob = _pack(data, codec)
+        blob = _pack(data)
         created = datetime.now(timezone.utc).isoformat(timespec="seconds")
         cursor = self._connect().execute(
             "INSERT INTO entries (key, label, runner_digest, schema_version,"
@@ -521,7 +432,7 @@ class SqliteBackend(StoreBackend):
             " VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
             " ON CONFLICT(key) DO NOTHING",
             (key, label, runner_digest, STORE_SCHEMA_VERSION, created,
-             len(blob), codec, blob))
+             len(blob), _CODEC, blob))
         return blob if cursor.rowcount else None
 
     def delete(self, key: str) -> None:

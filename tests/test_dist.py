@@ -31,6 +31,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -56,6 +57,7 @@ from repro.dist import (
     spec_to_wire,
 )
 from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.serve.protocol import point_to_wire
 from repro.sim.sweep import SweepPoint, SweepRunner
 from repro.store import SweepStore
 
@@ -91,6 +93,25 @@ def agent():
 def two_agents():
     with DistWorker() as first, DistWorker() as second:
         yield first, second
+
+
+def _chunk_frames(agent: DistWorker, points) -> list:
+    """Drive one ``run_chunk`` by hand; every frame up to ``chunk_done``."""
+    sock = socket.create_connection(agent.address, timeout=60)
+    try:
+        send_frame(sock, {"type": "hello", "protocol": DIST_PROTOCOL_VERSION})
+        assert recv_frame(sock)["type"] == "hello"
+        send_frame(sock, {
+            "type": "run_chunk", "id": 7,
+            "spec": spec_to_wire(_runner().spec()),
+            "points": [[index, point_to_wire(point)]
+                       for index, point in enumerate(points)]})
+        frames = [recv_frame(sock)]
+        while frames[-1]["type"] != "chunk_done":
+            frames.append(recv_frame(sock))
+        return frames
+    finally:
+        sock.close()
 
 
 def _free_port() -> int:
@@ -199,14 +220,13 @@ class TestExecutorValidation:
 
     def test_empty_point_list_is_a_noop(self):
         executor = DistExecutor("127.0.0.1:1")
-        assert executor.run_points(_runner().spec(), []) == []
+        assert executor.run_points(_runner(), []) == []
         assert executor.runs == 0
 
     def test_unreachable_fabric_raises_host_lost_error(self):
         executor = DistExecutor(f"127.0.0.1:{_free_port()}")
         with pytest.raises(HostLostError, match="no worker agent reachable"):
-            executor.run_points(_runner().spec(),
-                                list(enumerate(_grid())))
+            executor.run_points(_runner(), list(enumerate(_grid())))
 
 
 class TestWorkerAgent:
@@ -223,6 +243,15 @@ class TestWorkerAgent:
             assert "protocol" in reply["error"]
         finally:
             sock.close()
+
+    def test_close_wakes_the_accept_thread_at_once(self):
+        agent = DistWorker().start()
+        accept_thread = agent._accept_thread
+        time.sleep(0.1)  # let the thread block in accept()
+        began = time.monotonic()
+        agent.close()
+        assert time.monotonic() - began < 1.0
+        assert not accept_thread.is_alive()
 
     def test_ping_pong_and_orderly_shutdown(self, agent):
         sock = socket.create_connection(agent.address, timeout=5)
@@ -303,8 +332,7 @@ class TestByteIdentity:
 
         with DistExecutor([agent.endpoint]) as executor:
             results = executor.run_points(
-                _runner().spec(), list(enumerate(points)),
-                on_record=on_record)
+                _runner(), list(enumerate(points)), on_record=on_record)
         assert sorted(seen) == list(range(len(points)))
         assert [index for index, _ in results] == list(range(len(points)))
 
@@ -360,9 +388,32 @@ class TestFailureProtocol:
         with DistExecutor([agent.endpoint], chunksize=1) as executor:
             with pytest.raises(SweepPointError):
                 executor.run_points(
-                    _runner().spec(), [(0, good), (1, bad)],
+                    _runner(), [(0, good), (1, bad)],
                     on_record=lambda i, r: delivered.append(i))
         assert delivered == [0]
+
+    def test_each_failing_point_reports_its_own_error_at_any_fan_out(
+            self, monkeypatch):
+        """A serial and a pooled agent send the same frames for a chunk
+        of two points failing differently: each index its own error text
+        and a traceback."""
+        monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real local pool
+        points = [SweepPoint(model=ALEXNET, loader="hp-baseline", num_jobs=n,
+                             label=f"overcommitted-{n}") for n in (64, 48)]
+        reports = {}
+        for workers in (0, 2):
+            with DistWorker(workers=workers) as agent:
+                frames = _chunk_frames(agent, points)
+            for frame in frames:
+                if frame["type"] == "point_error":
+                    assert frame.pop("traceback")
+            reports[workers] = frames
+        assert reports[0] == reports[2]
+        errors = [frame for frame in reports[0]
+                  if frame["type"] == "point_error"]
+        assert [frame["index"] for frame in errors] == [0, 1]
+        assert "64 jobs" in errors[0]["error"]
+        assert "48 jobs" in errors[1]["error"]
 
 
 class TestFaultPlanHostKills:

@@ -114,38 +114,33 @@ def test_fig9d_dali_side_reproduces_golden_without_fast_path():
 
 @pytest.mark.parametrize("backend", ["json", "sqlite"])
 @pytest.mark.parametrize("name", FAILURE_GRIDS)
-def test_failure_grid_cold_then_warm_through_store(name, backend, tmp_path,
-                                                   monkeypatch):
+def test_failure_grid_cold_then_warm_through_store(name, backend, tmp_path):
     """Failure traces survive the content-addressed store bit for bit.
 
     A cold store-backed run must match the committed snapshot (all misses),
     and a warm second run must rehydrate every record — events included —
-    without a single simulation, on both store backends.
+    without a single simulation, on both store backends.  Simulations are
+    counted as store misses: a run simulates exactly its misses, whether in
+    process or in pool workers (the ``REPRO_SWEEP_WORKERS=2`` leg).
     """
-    from repro.sim.sweep import SweepRunner
+    from repro.store import SweepStore
 
     location = (f"sqlite://{tmp_path / 'store.db'}" if backend == "sqlite"
                 else str(tmp_path / "store"))
     expected = load_golden(name, GOLDEN_DIR)
     grid = GOLDEN_GRIDS[name]
 
-    simulations = []
-    original = SweepRunner._run_point
-
-    def counting(self, point):
-        simulations.append(point)
-        return original(self, point)
-
-    monkeypatch.setattr(SweepRunner, "_run_point", counting)
-    cold = grid.build_runner().run(grid.points(), store=location).snapshot()
+    cold_store = SweepStore(location)
+    cold = grid.build_runner().run(grid.points(), store=cold_store).snapshot()
     assert not snapshot_diff(expected, cold)
-    assert len(simulations) == len(grid.points())
+    assert cold_store.misses == cold_store.puts == len(grid.points())
 
-    simulations.clear()
-    warm = grid.build_runner().run(grid.points(), store=location).snapshot()
+    warm_store = SweepStore(location)
+    warm = grid.build_runner().run(grid.points(), store=warm_store).snapshot()
     assert not snapshot_diff(expected, warm)
-    assert simulations == [], (
-        f"{name}: warm store pass re-simulated {len(simulations)} points")
+    assert warm_store.misses == 0, (
+        f"{name}: warm store pass re-simulated {warm_store.misses} points")
+    assert warm_store.hits == len(grid.points())
 
 
 @pytest.mark.parametrize("name", GRID_NAMES)

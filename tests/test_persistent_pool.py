@@ -122,6 +122,7 @@ class TestLifecycle:
 
     def test_empty_point_list_is_a_noop(self):
         pool = PersistentPool(1)
-        assert pool.run_points((config_ssd_v100, SCALE, 0, 4, True), []) == []
+        runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+        assert pool.run_points(runner, []) == []
         assert pool.runs == 0
         pool.close()

@@ -39,9 +39,13 @@ does — the byte-identity contract is the same either way.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import shutil
+import signal
 import socket
+import struct
+import sys
 import tempfile
 import threading
 import time
@@ -67,7 +71,6 @@ from repro.resilience import (
     RetryPolicy,
     ServeStall,
     StoreFault,
-    SupervisedExecutor,
     active_injector,
     call_with_retry,
     clear_installed,
@@ -289,6 +292,23 @@ class TestRetry:
 # -- supervised pool recovery -------------------------------------------------
 
 
+def _torn_result_server(**_kwargs):
+    """A server factory whose pool worker dies halfway through sending a
+    large result: it writes a 1 MiB message header and 64 bytes of body to
+    the executor's result pipe, then SIGKILLs itself."""
+    frame = sys._getframe()
+    while frame.f_code.co_name != "_process_worker":
+        frame = frame.f_back
+    writer = frame.f_locals["result_queue"]._writer
+    os.write(writer.fileno(), struct.pack("!i", 1 << 20) + bytes(64))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _executor_threads() -> set:
+    return {thread for thread in threading.enumerate()
+            if type(thread).__name__ == "_ExecutorManagerThread"}
+
+
 class TestSupervisedPoolRecovery:
     def test_killed_worker_is_respawned_and_results_stay_exact(self):
         serial = _runner().run(_grid(), workers=0, store=False).snapshot()
@@ -324,11 +344,27 @@ class TestSupervisedPoolRecovery:
                 _runner().run(_grid(), pool=pool, store=False)
         assert injector.snapshot()["worker_kills"] == 1
 
-    def test_supervised_executor_rejects_bad_budget(self):
+    def test_worker_killed_mid_result_neither_hangs_the_run_nor_exit(self):
+        """The executor's management thread blocks for good reading the
+        torn result, so it never reports the death: the pool's own worker
+        check must, and shutdown must unblock that thread, which interpreter
+        exit would otherwise join forever."""
+        before = _executor_threads()
+        runner = SweepRunner(_torn_result_server, scale=SCALE, seed=0)
+        with PersistentPool(1, chunksize=1, max_respawns=0) as pool:
+            with pytest.raises(SweepPointError, match="kept dying"):
+                runner.run([_point(0.4), _point(0.6)], pool=pool,
+                           store=False)
+        leftover = _executor_threads() - before
+        for thread in leftover:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in leftover)
+
+    def test_pool_rejects_bad_respawn_budget(self):
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(2, max_respawns=-1)
+            PersistentPool(2, max_respawns=-1)
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(0)
+            PersistentPool(0)
 
 
 # -- golden grids under chaos -------------------------------------------------

@@ -38,18 +38,14 @@ from repro.exceptions import ConfigurationError, SweepPointError
 from repro.sim.harness import GOLDEN_GRIDS, load_golden, snapshot_diff
 from repro.sim.sweep import WORKERS_ENV_VAR, SweepPoint, SweepRecord, SweepRunner
 from repro.store import (
-    STORE_CODEC_ENV_VAR,
-    STORE_CODECS,
     STORE_ENV_VAR,
     SqliteBackend,
     SweepStore,
-    default_codec,
     migrate_store,
     resolve_store,
     source_digest,
     store_key,
 )
-from repro.store.backend import _zstd_functions
 
 SCALE = 1 / 500.0
 
@@ -623,83 +619,36 @@ class TestGoldenGridsThroughStore:
 
 
 class TestPayloadCodec:
-    """The SQLite backend's pluggable payload codec: zstd when a module
-    provides it, zlib otherwise, always validated at construction and
-    always read back by each entry's recorded codec column."""
+    """SQLite payloads are zlib-packed, and each row records its codec."""
 
-    def _sqlite(self, tmp_path, **kwargs) -> SweepStore:
-        return SweepStore(SqliteBackend(tmp_path / "store.db", **kwargs))
-
-    def test_default_codec_is_valid_and_used(self, tmp_path):
-        store = self._sqlite(tmp_path)
-        assert default_codec() in STORE_CODECS
-        assert store.backend.codec == default_codec()
-
-    def test_environment_variable_forces_the_codec(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv(STORE_CODEC_ENV_VAR, "zlib")
-        assert self._sqlite(tmp_path).backend.codec == "zlib"
-
-    def test_explicit_argument_wins_over_the_environment(self, tmp_path,
-                                                         monkeypatch):
-        monkeypatch.setenv(STORE_CODEC_ENV_VAR, "definitely-not-a-codec")
-        # The env value would raise; the explicit argument pre-empts it.
-        assert self._sqlite(tmp_path, codec="zlib").backend.codec == "zlib"
-
-    @pytest.mark.parametrize("source", ["argument", "environment"])
-    def test_unknown_codec_fails_at_construction(self, tmp_path,
-                                                 monkeypatch, source):
-        if source == "environment":
-            monkeypatch.setenv(STORE_CODEC_ENV_VAR, "lz5")
-            with pytest.raises(ConfigurationError, match="unknown store codec"):
-                self._sqlite(tmp_path)
-        else:
-            with pytest.raises(ConfigurationError, match="unknown store codec"):
-                self._sqlite(tmp_path, codec="lz5")
-
-    @pytest.mark.skipif(_zstd_functions() is not None,
-                        reason="a zstd module is available here")
-    def test_unavailable_zstd_fails_at_construction_not_in_put(
+    def test_a_row_naming_another_codec_is_invalid_and_repaired(
             self, tmp_path):
-        """Requesting zstd with no module must raise while building the
-        backend — a put-time failure would be absorbed by the store's
-        degradation ladder and silently flip the store read-only."""
-        with pytest.raises(ConfigurationError, match="no module provides"):
-            self._sqlite(tmp_path, codec="zstd")
-
-    @pytest.mark.skipif(_zstd_functions() is None,
-                        reason="no zstd module in this interpreter")
-    def test_zstd_entries_round_trip_bit_identically(self, tmp_path):
-        store = self._sqlite(tmp_path, codec="zstd")
+        """A row whose codec column names anything but zlib (a store
+        written by a build with another codec) reads as an invalid entry:
+        deleted, re-simulated and rewritten byte-identically."""
+        location = f"sqlite://{tmp_path / 'store.db'}"
+        store = SweepStore(location)
         runner = _runner()
         runner.run(_points(), store=store)
-        warm = SweepStore(SqliteBackend(tmp_path / "store.db", codec="zstd"))
-        for point in _points():
-            key = store.key_for(runner, point)
-            a = store.get(key, point).snapshot(include_timeline=True)
-            b = warm.get(key, point).snapshot(include_timeline=True)
-            assert a == b
+        key = store.key_for(runner, _points()[0])
+        intact = _read_raw(store, key)
+        con = sqlite3.connect(str(store.backend.path))
+        try:
+            con.execute("UPDATE entries SET codec = 'zstd' WHERE key = ?",
+                        (key,))
+            con.commit()
+        finally:
+            con.close()
 
-    @pytest.mark.skipif(_zstd_functions() is None,
-                        reason="no zstd module in this interpreter")
-    def test_old_zlib_entries_stay_readable_under_a_zstd_writer(
-            self, tmp_path):
-        """Reads go by each entry's recorded codec column, so a store
-        written before the codec switch keeps serving."""
-        runner = _runner()
-        zlib_store = self._sqlite(tmp_path, codec="zlib")
-        runner.run(_points(), store=zlib_store)
-        mixed = SweepStore(SqliteBackend(tmp_path / "store.db", codec="zstd"))
-        for point in _points():
-            key = zlib_store.key_for(runner, point)
-            assert (mixed.get(key, point).snapshot(include_timeline=True)
-                    == zlib_store.get(key, point)
-                    .snapshot(include_timeline=True))
+        repair = SweepStore(location)
+        _runner().run(_points(), store=repair)
+        assert repair.invalid == 1 and repair.hits == 1
+        assert repair.puts == 1
+        assert _read_raw(store, key) == intact
 
-    def test_migrate_round_trips_across_codecs(self, tmp_path, monkeypatch):
-        """sqlite -> json -> sqlite under whatever codec is configured:
-        the rehydrated snapshots are bit-identical."""
-        monkeypatch.setenv(STORE_CODEC_ENV_VAR, "zlib")
+    def test_migrate_round_trips_across_codecs(self, tmp_path):
+        """sqlite (zlib) -> json -> sqlite: the rehydrated snapshots are
+        bit-identical."""
         src = SweepStore(f"sqlite://{tmp_path / 'src.db'}")
         runner = _runner()
         runner.run(_points(), store=src)

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from repro.cluster.configs import config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.exceptions import ConfigurationError, SweepPointError
-from repro.sim.sweep import WORKERS_ENV_VAR, SweepPoint, SweepRunner
+from repro.sim.sweep import (
+    SERIAL_EXECUTOR,
+    WORKERS_ENV_VAR,
+    SweepPoint,
+    SweepRunner,
+)
+from repro.store import PersistentPool, SweepStore
 
 SCALE = 1 / 500.0
 
@@ -65,11 +71,10 @@ class TestParallelExecution:
         def boom(method):  # pragma: no cover - would mean a pool was built
             raise AssertionError("pool spawned for a single-point grid")
 
-        # Every pool (per-call and persistent) is built by the supervised
-        # executor, so patching its context factory catches any spawn.
-        import repro.resilience.supervise as supervise_module
-        monkeypatch.setattr(supervise_module.multiprocessing,
-                            "get_context", boom)
+        # Every pool (one-shot and persistent) is a PersistentPool, so
+        # patching its context factory catches any spawn.
+        import repro.store.pool as pool_module
+        monkeypatch.setattr(pool_module.multiprocessing, "get_context", boom)
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         (record,) = runner.run([SweepPoint(model=RESNET18, loader="coordl",
                                            dataset="openimages",
@@ -91,9 +96,8 @@ class TestParallelExecution:
         def boom(method):  # pragma: no cover
             raise AssertionError("pool spawned despite workers=0")
 
-        import repro.resilience.supervise as supervise_module
-        monkeypatch.setattr(supervise_module.multiprocessing,
-                            "get_context", boom)
+        import repro.store.pool as pool_module
+        monkeypatch.setattr(pool_module.multiprocessing, "get_context", boom)
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         assert len(runner.run(_mixed_grid()[:2], workers=0)) == 2
 
@@ -216,9 +220,8 @@ class TestWorkerClamp:
         def boom(method):  # pragma: no cover - would mean a pool was built
             raise AssertionError("pool spawned for workers<=1")
 
-        import repro.resilience.supervise as supervise_module
-        monkeypatch.setattr(supervise_module.multiprocessing,
-                            "get_context", boom)
+        import repro.store.pool as pool_module
+        monkeypatch.setattr(pool_module.multiprocessing, "get_context", boom)
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         points = _mixed_grid()[:2]
         assert len(runner.run(points, workers=1)) == 2
@@ -270,6 +273,26 @@ class TestWorkerErrorPropagation:
         assert isinstance(error.__cause__, ConfigurationError)
         assert error.child_traceback is None
 
+    def test_the_rest_of_the_grid_is_stored_at_any_worker_count(
+            self, monkeypatch, tmp_path):
+        """Serial runs, like pooled ones, finish the grid before raising:
+        a store-backed [ok, bad, ok'] grid leaves the same two entries."""
+        monkeypatch.setattr("os.cpu_count", lambda: 2)  # force a real pool
+        good, bad = self._failing_grid()
+        points = [good, bad, SweepPoint(model=RESNET18, loader="coordl",
+                                        dataset="openimages",
+                                        cache_fraction=0.8)]
+        entries = {}
+        for workers in (0, 2):
+            store = SweepStore(tmp_path / f"store-{workers}")
+            runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+            with pytest.raises(SweepPointError,
+                               match="overcommitted-hp-point"):
+                runner.run(points, workers=workers, store=store)
+            entries[workers] = store.backend.entries()
+        assert len(entries[0]) == 2
+        assert entries[0] == entries[2]
+
     def test_unlabelled_points_get_a_synthesised_description(self):
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         bad = SweepPoint(model=ALEXNET, loader="hp-baseline", num_jobs=64)
@@ -289,6 +312,40 @@ class TestWorkerErrorPropagation:
         with pytest.raises(SweepPointError) as excinfo:
             runner.run([first, second], workers=2)
         assert excinfo.value.point_label == "first-bad"
+
+
+class TestExecutorContract:
+    """``run_points`` means the same on every executor: run every point,
+    stream each success, then raise the lowest failing input index with
+    every failure attached."""
+
+    @pytest.mark.parametrize("kind", ["serial", "pool"])
+    def test_successes_stream_then_the_lowest_failure_raises(
+            self, kind, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real pool
+        runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+        points = [
+            (3, SweepPoint(model=RESNET18, loader="coordl",
+                           dataset="openimages", cache_fraction=0.5)),
+            (5, SweepPoint(model=ALEXNET, loader="hp-baseline", num_jobs=64,
+                           label="bad-64")),
+            (8, SweepPoint(model=RESNET18, loader="coordl",
+                           dataset="openimages", cache_fraction=0.8)),
+            (9, SweepPoint(model=ALEXNET, loader="hp-baseline", num_jobs=48,
+                           label="bad-48")),
+        ]
+        streamed = []
+        with PersistentPool(2, chunksize=1) as pool:
+            executor = SERIAL_EXECUTOR if kind == "serial" else pool
+            with pytest.raises(SweepPointError) as excinfo:
+                executor.run_points(runner, points,
+                                    on_record=lambda i, _: streamed.append(i))
+        assert sorted(streamed) == [3, 8]
+        error = excinfo.value
+        assert error.point_label == "bad-64"
+        assert sorted(error.failures) == [5, 9]
+        assert "48 jobs" in str(error.failures[9][0])
+        assert (error.child_traceback is None) == (kind == "serial")
 
 
 # -- property tests ----------------------------------------------------------
