@@ -44,6 +44,7 @@ SIGKILLs a real agent process mid-chunk.
 from __future__ import annotations
 
 import math
+import select
 import socket
 import threading
 from collections import deque
@@ -100,6 +101,15 @@ class _Chunk:
         self.stolen = False
 
 
+def _peer_closed(sock: socket.socket) -> bool:
+    """Whether the agent behind an idle connection has closed it."""
+    try:
+        readable, _, _ = select.select([sock], [], [], 0)
+        return bool(readable) and not sock.recv(1, socket.MSG_PEEK)
+    except OSError:  # reset by a killed peer
+        return True
+
+
 class _Host:
     """Driver-side state of one worker agent connection."""
 
@@ -147,6 +157,10 @@ class DistExecutor:
     Dead hosts are retried at the start of every :meth:`run_points` call,
     so an agent restarted by an operator rejoins the fabric on the next
     grid without driver restarts.
+
+    An agent that dies after its last frame of a run (no chunk left to
+    fail over) is still counted in ``hosts_lost`` and dropped before the
+    call returns.
     """
 
     def __init__(self, hosts: HostsArg, chunksize: Optional[int] = None,
@@ -383,6 +397,13 @@ class DistExecutor:
                 # the thread unblocks; the host reconnects next run.
                 self._drop(host)
                 thread.join(5.0)
+            elif host.sock is not None and _peer_closed(host.sock):
+                # The agent died after its last frame (a kill that landed
+                # once its work had drained): count it now rather than
+                # spending a reassignment on it at the next run's first send.
+                self._drop(host)
+                with self._cond:
+                    self.hosts_lost += 1
 
         self.runs += 1
         delivered: Dict[int, SweepRecord] = state["delivered"]

@@ -28,7 +28,8 @@ Payload shapes are **reused from the serve layer**
 (:mod:`repro.serve.protocol`): the runner spec travels as the whitelisted
 ``module:qualname`` factory token plus four scalars, points by model zoo
 name, and records as ``SweepRecord.snapshot(include_timeline=True)`` — the
-byte-exact wire form the store and the HTTP daemon already use.  The same
+byte-exact wire form the store and the HTTP daemon already use, with each
+disk timeline as base64 of its little-endian float64 columns.  The same
 security posture applies: a worker agent resolves factory tokens only from
 :data:`repro.serve.protocol.ALLOWED_FACTORY_MODULES`, because the token is
 imported and *called* — accepting arbitrary tokens from the network would
@@ -51,8 +52,9 @@ from repro.serve.protocol import (
 from repro.sim.sweep import SweepRunner
 
 #: Version tag exchanged in ``hello`` frames; bumped on breaking protocol
-#: changes so a stale agent fails loudly instead of misparsing.
-DIST_PROTOCOL_VERSION = 1
+#: changes so a stale agent fails loudly instead of misparsing.  Version 2
+#: carries each record's disk timelines as base64 float64 columns.
+DIST_PROTOCOL_VERSION = 2
 
 #: Environment variable supplying the default worker-host list of the
 #: sweep-running CLI commands (``run-experiment`` / ``report`` / ``serve``)

@@ -6,6 +6,8 @@ where one exists — :meth:`ServeClient.whatif` rehydrates served records
 into byte-identical :class:`~repro.sim.sweep.SweepRecord` objects via
 :func:`repro.serve.protocol.record_from_wire`.  The golden round-trip
 gate and ``repro query`` both drive the daemon through this client.
+A response stamped with another :data:`~repro.serve.protocol.PROTOCOL_VERSION`
+raises :class:`~repro.exceptions.ConfigurationError` instead of being parsed.
 
 Idempotent requests retry transparently: every endpoint the client
 exposes is safe to re-send (GETs trivially; the sweep POSTs because the
@@ -28,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
     RETRY_AFTER_HEADER,
     point_to_wire,
     record_from_wire,
@@ -172,6 +175,11 @@ class ServeClient:
                 f"cannot reach serve daemon at {self._url}: {exc.reason}")
             error._retryable = _is_retryable_url_error(exc)
             raise error from None
+        protocol = payload.get("protocol") if isinstance(payload, dict) else None
+        if protocol != PROTOCOL_VERSION:
+            raise ConfigurationError(
+                f"serve daemon at {self._url} speaks protocol {protocol!r}; "
+                f"this client speaks {PROTOCOL_VERSION}")
         return payload
 
     def health(self) -> Dict[str, Any]:

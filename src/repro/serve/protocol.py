@@ -16,8 +16,10 @@ defined here so the two sides (and the tests) cannot drift:
   ``SweepPoint.__post_init__`` normalises them back to the canonical
   sorted tuples, so wire points and native points hash/compare equal;
 * a **result record** travels as the fully-invertible snapshot form
-  (:meth:`~repro.sim.sweep.SweepRecord.snapshot` with embedded
-  timelines), so a client rehydrates byte-identical records with
+  (:meth:`~repro.sim.sweep.SweepRecord.snapshot` with
+  ``include_timeline=True``: each disk timeline is ``timeline_len`` plus
+  base64 of its little-endian float64 columns), so a client rehydrates
+  byte-identical records with
   :meth:`~repro.sim.sweep.SweepRecord.from_snapshot` — the golden
   round-trip gate (``tools/store_check.py --serve``) pins exactly that.
 
@@ -45,8 +47,10 @@ from repro.sim.sweep import SweepPoint, SweepRecord, SweepRunner
 ALLOWED_FACTORY_MODULES = ("repro.cluster.configs",)
 
 #: Version tag carried in every response envelope, bumped on breaking
-#: protocol changes so a stale client fails loudly instead of misparsing.
-PROTOCOL_VERSION = 1
+#: protocol changes so a stale client fails loudly instead of misparsing
+#: (:class:`~repro.serve.ServeClient` refuses any other version).  Version 2
+#: carries each record's disk timelines as base64 float64 columns.
+PROTOCOL_VERSION = 2
 
 #: Header carried by 503 responses (admission rejection, draining): how
 #: many seconds the client should wait before retrying.  The client's
@@ -144,7 +148,8 @@ def points_from_wire(data: Any) -> List[SweepPoint]:
 
 
 def record_to_wire(record: SweepRecord) -> Dict[str, Any]:
-    """Wire form of one result record: the fully-invertible snapshot."""
+    """Wire form of one result record: the fully-invertible snapshot
+    (disk timelines as base64 float64 columns)."""
     return record.snapshot(include_timeline=True)
 
 

@@ -52,6 +52,7 @@ executor — :class:`SerialExecutor` in process, a one-shot or long-lived
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import math
@@ -60,6 +61,8 @@ import sys
 from dataclasses import dataclass, fields
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Tuple)
+
+import numpy as np
 
 if TYPE_CHECKING:  # repro.store imports this module; annotation-only here
     from repro.store import PersistentPool, StoreArg
@@ -391,18 +394,18 @@ def _jsonable(value: Any) -> Any:
 def _io_snapshot(io: IOStats, include_timeline: bool = False) -> Dict[str, Any]:
     """Canonical byte-exact form of one epoch's I/O counters.
 
-    The (possibly long) per-read disk timeline is folded into a digest: two
-    timelines agree on the digest iff they agree sample-for-sample on the
-    exact float bits, which keeps golden files small without weakening the
-    byte-identical guarantee.  ``include_timeline`` additionally embeds the
-    raw ``(time, bytes)`` samples in hex form — the self-contained variant
-    the result store persists so a hit can be rehydrated losslessly
-    (:meth:`SweepRecord.from_snapshot`); the digest form alone cannot be
-    inverted.
+    The (possibly long) per-read disk timeline is folded into a digest of
+    its ``"<t hex>:<bytes hex>;"`` rendering: two timelines agree on the
+    digest iff they agree sample for sample on the exact float bits, which
+    keeps golden files small without weakening the byte-identical
+    guarantee; the digest form cannot be inverted.  ``include_timeline``
+    replaces the digest with the timeline itself — the self-contained
+    variant the result store and both wire protocols carry, so a record
+    can be rehydrated losslessly (:meth:`SweepRecord.from_snapshot`).  It
+    is base64 of the little-endian float64 columns, all times then all
+    cumulative bytes: exact bits, and no per-sample work on either side.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    for t, b in io.timeline:
-        digest.update(f"{_hex(t)}:{_hex(b)};".encode("ascii"))
+    times, cumulative = io.timeline_columns
     data: Dict[str, Any] = {
         "disk_bytes": _hex(io.disk_bytes),
         "disk_requests": io.disk_requests,
@@ -410,24 +413,39 @@ def _io_snapshot(io: IOStats, include_timeline: bool = False) -> Dict[str, Any]:
         "cache_requests": io.cache_requests,
         "remote_bytes": _hex(io.remote_bytes),
         "remote_requests": io.remote_requests,
-        "timeline_len": len(io.timeline),
-        "timeline_digest": digest.hexdigest(),
+        "timeline_len": int(times.size),
     }
     if include_timeline:
-        # Same rendering the digest hashes: one compact delimited string
-        # parses several times faster than nested JSON arrays and keeps
-        # store entries ~40% smaller.
-        data["timeline"] = ";".join(f"{_hex(t)}:{_hex(b)}"
-                                    for t, b in io.timeline)
+        columns = np.concatenate((times, cumulative)).astype("<f8", copy=False)
+        data["timeline"] = base64.b64encode(columns.tobytes()).decode("ascii")
+    else:
+        # One update over the whole rendering hashes the same stream as
+        # one update per sample.
+        rendered = "".join(f"{t.hex()}:{b.hex()};" for t, b
+                           in zip(times.tolist(), cumulative.tolist()))
+        data["timeline_digest"] = hashlib.blake2b(
+            rendered.encode("ascii"), digest_size=16).hexdigest()
     return data
 
 
 def _io_from_snapshot(data: Dict[str, Any]) -> IOStats:
-    """Inverse of :func:`_io_snapshot` (requires the embedded timeline)."""
-    if data.get("timeline_len", 0) and "timeline" not in data:
+    """Inverse of :func:`_io_snapshot` (requires the embedded timeline).
+
+    Raises:
+        ConfigurationError: The snapshot is digest-only with a non-empty
+            timeline, or its timeline does not hold exactly
+            ``timeline_len`` samples.
+    """
+    count = int(data["timeline_len"])
+    if count and "timeline" not in data:
         raise ConfigurationError(
             "I/O snapshot carries only the timeline digest; rehydration needs "
             "the full-timeline form (snapshot(include_timeline=True))")
+    raw = base64.b64decode(data.get("timeline", ""), validate=True)
+    if len(raw) != 16 * count:
+        raise ConfigurationError(
+            f"I/O snapshot timeline holds {len(raw)} bytes, but "
+            f"timeline_len {count} needs {16 * count}")
     io = IOStats(
         disk_bytes=float.fromhex(data["disk_bytes"]),
         disk_requests=int(data["disk_requests"]),
@@ -436,11 +454,8 @@ def _io_from_snapshot(data: Dict[str, Any]) -> IOStats:
         remote_bytes=float.fromhex(data["remote_bytes"]),
         remote_requests=int(data["remote_requests"]),
     )
-    fromhex = float.fromhex
-    io.timeline = [(fromhex(t), fromhex(b))
-                   for t, _, b in (sample.partition(":") for sample
-                                   in data.get("timeline", "").split(";")
-                                   if sample)]
+    columns = np.frombuffer(raw, dtype="<f8")
+    io.timeline_columns = (columns[:count], columns[count:])
     return io
 
 
@@ -563,11 +578,12 @@ class SweepRecord:
         bit-identical.  This is what the golden regression tests and the
         serial-vs-parallel determinism tests diff.
 
-        With ``include_timeline`` the per-read disk timelines are embedded
-        sample by sample (hex floats) instead of digest-only, which makes
+        With ``include_timeline`` each per-read disk timeline is embedded
+        whole (base64 float64 columns) instead of as a digest, which makes
         the snapshot fully invertible — :meth:`from_snapshot` rehydrates a
-        bit-identical record from it.  The result store persists this form;
-        the committed goldens keep the compact digest-only default.
+        bit-identical record from it.  The result store and both wire
+        protocols carry this form; the committed goldens keep the compact
+        digest-only default.
         """
         point = {
             f.name: (self.point.model.name if f.name == "model"
@@ -630,8 +646,10 @@ class SweepRecord:
         """Rehydrate a record from :meth:`snapshot(include_timeline=True)`.
 
         The inverse is exact: floats come back bit for bit from their hex
-        form, the model is resolved by name from the zoo, and the disk
-        timelines are rebuilt from the embedded samples — so
+        form, the model is resolved by name from the zoo, and each disk
+        timeline is installed from its embedded float64 columns (a wrong
+        sample count raises :class:`~repro.exceptions.ConfigurationError`)
+        — so
         ``SweepRecord.from_snapshot(r.snapshot(include_timeline=True))``
         snapshots byte-identically to ``r``.  A digest-only snapshot with a
         non-empty timeline cannot be inverted and raises

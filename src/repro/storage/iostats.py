@@ -8,7 +8,11 @@ to reproduce the disk-I/O-over-time plots (Fig. 11).
 The timeline is materialised lazily: the vectorised fetch path records whole
 epochs as numpy array chunks, and the per-sample ``(time, bytes)`` tuples are
 only built when :attr:`IOStats.timeline` is actually read (the Fig. 11
-experiment; most sweeps never look).
+experiment and :meth:`IOStats.merged_with`; most sweeps never look).
+:attr:`IOStats.timeline_columns` reads and installs the same samples as two
+float64 columns without building a tuple.  The record snapshot codec
+(:mod:`repro.sim.sweep`) goes through it, so a store hit, a store put or a
+wire hop handles each timeline as two arrays, never sample by sample.
 
 Recording is single-threaded (it happens inside one simulation), but
 *reading* is not: concurrent store writers snapshot the same finished
@@ -35,6 +39,8 @@ class IOStats:
         remote_bytes / remote_requests: Reads served from a remote server.
         timeline: ``(virtual time, cumulative disk bytes)`` samples, one per
             disk read recorded with a timestamp (lazily materialised).
+        timeline_columns: The same samples as ``(times, cumulative disk
+            bytes)`` float64 arrays (no tuples built).
     """
 
     def __init__(self, disk_bytes: float = 0.0, disk_requests: int = 0,
@@ -79,6 +85,32 @@ class IOStats:
     @timeline.setter
     def timeline(self, samples: Sequence[Tuple[float, float]]) -> None:
         self._timeline_state = (list(samples), [])
+
+    @property
+    def timeline_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The timeline as ``(times, cumulative disk bytes)`` float64 arrays.
+
+        Same samples, same order and same bits as :attr:`timeline`, read
+        without building a tuple or materialising pending chunks.
+        """
+        samples, chunks = self._timeline_state
+        if samples:
+            pairs = np.array(samples, dtype=np.float64)
+            chunks = [(pairs[:, 0], pairs[:, 1])] + chunks
+        if not chunks:
+            return np.empty(0), np.empty(0)
+        return (np.concatenate([times for times, _ in chunks]),
+                np.concatenate([cumulative for _, cumulative in chunks]))
+
+    @timeline_columns.setter
+    def timeline_columns(self, columns: Tuple[np.ndarray, np.ndarray]) -> None:
+        """Install the timeline as one pending chunk (tuples built on read)."""
+        times, cumulative = (np.asarray(c, dtype=np.float64) for c in columns)
+        if times.shape != cumulative.shape or times.ndim != 1:
+            raise ValueError("timeline columns must be two equal-length "
+                             "1-D arrays")
+        self._timeline_state = ([], [(times, cumulative)] if times.size
+                                else [])
 
     def record_disk(self, nbytes: float, at_time: float | None = None) -> None:
         """Account one read served by the storage device."""

@@ -62,8 +62,9 @@ from repro.exceptions import ConfigurationError
 #: Version of the on-disk entry format.  It participates in every content
 #: address (see :func:`repro.store.store_key`), so bumping it orphans
 #: (never corrupts) all previous entries — a stale-schema entry can
-#: simply never be looked up again.
-STORE_SCHEMA_VERSION = 1
+#: simply never be looked up again.  Version 2 embeds each disk timeline
+#: as base64 float64 columns.
+STORE_SCHEMA_VERSION = 2
 
 class RunnerStats(NamedTuple):
     """One ``stats --by-runner`` row: a runner spec's share of the store."""

@@ -453,6 +453,24 @@ class TestHostDeath:
                 assert injector.counters.host_kills == 1
                 assert len(fleet.alive) == 1
 
+    def test_agent_killed_after_its_work_drained_is_counted_by_run_end(self):
+        """One point, two agents, a kill after the only record: no chunk
+        is left to fail over, yet the run reports the death and stops
+        offering the dead agent's slot."""
+        points = _grid()[:1]
+        injector = FaultInjector(FaultPlan(host_kills=(1,)))
+        with LocalWorkerFleet(2) as fleet:
+            with DistExecutor(fleet.endpoints, chunksize=1,
+                              fault_injector=injector,
+                              kill_hook=fleet.kill_one) as executor:
+                distributed = _runner().run(points, pool=executor,
+                                            store=False).snapshot()
+                assert distributed == _serial_snapshot(points)
+                assert injector.counters.host_kills == 1
+                assert executor.hosts_lost == 1
+                assert executor.workers == 1
+                assert executor.reassignments == 0
+
 
 class TestServeIntegration:
     def test_daemon_rejects_hosts_plus_workers(self):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
+from repro.compute.model_zoo import RESNET18
 from repro.coordl.coordinated_prep import CoordinatedPrepPlan
 from repro.coordl.staging import StagingArea
 from repro.datasets.catalog import DatasetSpec
@@ -22,7 +27,10 @@ from repro.datasets.sampler import (
     ShuffleBufferSampler,
     verify_epoch_invariant,
 )
+from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.sim.engine import pipeline_makespan, pipeline_makespan_reference
+from repro.sim.sweep import SweepPoint, SweepRecord
+from repro.storage.iostats import IOStats
 
 # Shared strategies ---------------------------------------------------------
 
@@ -504,3 +512,62 @@ class TestMakespanProperties:
             assert bulk.evictions == scalar.evictions
             for field in ("hits", "misses", "insertions", "rejected"):
                 assert getattr(bulk.stats, field) == getattr(scalar.stats, field)
+
+
+# Record snapshot codec --------------------------------------------------------
+
+#: Any finite float64, with the edge cases drawn often: signed zero,
+#: subnormals and integers beyond 2**53 (where float spacing exceeds 1).
+finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, -2.2250738585072004e-308,
+                                    2.0**53 + 2.0, -(2.0**60) + 256.0]))
+#: Read sizes stay small enough that running byte totals cannot overflow.
+read_sizes = finite_floats.filter(lambda x: abs(x) < 1e300)
+single_reads = st.tuples(st.just("one"), read_sizes,
+                         st.none() | finite_floats)
+bulk_reads = st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just("bulk"), st.lists(read_sizes, min_size=n, max_size=n),
+    st.none() | st.lists(finite_floats, min_size=n, max_size=n)))
+
+
+def _timeline_bits(timeline) -> bytes:
+    return struct.pack(f"<{2 * len(timeline)}d",
+                       *(value for sample in timeline for value in sample))
+
+
+class TestSnapshotCodecProperties:
+    @given(reads=st.lists(single_reads | bulk_reads, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_timeline_round_trips_bit_for_bit_and_keeps_its_digest(self, reads):
+        io = IOStats()
+        for kind, size, at_time in reads:
+            if kind == "one":
+                io.record_disk(size, at_time=at_time)
+            else:
+                io.record_disk_bulk(size, at_times=at_time)
+        run = TrainingRunStats()
+        run.add(EpochStats(epoch_time_s=1.0, gpu_time_s=0.5,
+                           prep_limited_time_s=0.75, samples=1, io=io))
+        record = SweepRecord(
+            point=SweepPoint(model=RESNET18, loader="coordl",
+                             dataset="openimages"),
+            dataset_name="openimages", loader_name="coordl", run=run)
+
+        # Encoded while the recorded chunks are still pending, and passed
+        # through JSON text as the store and both wire protocols pass it.
+        full = json.loads(json.dumps(record.snapshot(include_timeline=True)))
+        digest = record.snapshot()["epochs"][0]["io"]["timeline_digest"]
+
+        reference = hashlib.blake2b(digest_size=16)
+        for t, b in io.timeline:
+            reference.update(f"{t.hex()}:{b.hex()};".encode("ascii"))
+        assert digest == reference.hexdigest()
+
+        rehydrated = SweepRecord.from_snapshot(full).run.epochs[0].io
+        assert (_timeline_bits(rehydrated.timeline)
+                == _timeline_bits(io.timeline))
+        assert (struct.pack("<3d", rehydrated.disk_bytes, rehydrated.cache_bytes,
+                            rehydrated.remote_bytes)
+                == struct.pack("<3d", io.disk_bytes, io.cache_bytes,
+                               io.remote_bytes))
+        assert rehydrated.disk_requests == io.disk_requests

@@ -164,6 +164,16 @@ class TestEndpoints:
             assert [r.status for r in warm] == ["ok", "ok"]
             assert simulated == []
 
+    def test_client_refuses_a_daemon_speaking_another_protocol(
+            self, client, monkeypatch):
+        from repro.serve import server as server_module
+        monkeypatch.setattr(server_module, "PROTOCOL_VERSION", 999)
+        with pytest.raises(ConfigurationError, match="protocol 999"):
+            client.health()
+        with pytest.raises(ConfigurationError, match="protocol 999"):
+            client.whatif(_runner(), _points()[:1])
+        assert client.retries_used == 0
+
     def test_unknown_endpoint_is_404(self, client):
         with pytest.raises(ServeError) as excinfo:
             client._request("GET", "/v1/nope")

@@ -24,9 +24,11 @@ parametrized ``location`` fixture:
 
 from __future__ import annotations
 
+import base64
 import json
 import pathlib
 import sqlite3
+import struct
 import zlib
 
 import pytest
@@ -35,6 +37,7 @@ from repro.cache.warm_kernel import WARM_KERNEL_ENV_VAR
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.exceptions import ConfigurationError, SweepPointError
+from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.sim.harness import GOLDEN_GRIDS, load_golden, snapshot_diff
 from repro.sim.sweep import WORKERS_ENV_VAR, SweepPoint, SweepRecord, SweepRunner
 from repro.store import (
@@ -271,6 +274,18 @@ class TestSnapshotRoundTrip:
                 == record.snapshot(include_timeline=True))
         assert rehydrated.point == record.point
 
+    def test_full_form_embeds_timelines_as_base64_float64_columns(self):
+        run = TrainingRunStats()
+        run.add(EpochStats(epoch_time_s=2.0, gpu_time_s=1.0,
+                           prep_limited_time_s=1.5, samples=2))
+        run.epochs[0].io.record_disk_bulk([10.0, 20.0], at_times=[0.5, 1.5])
+        record = SweepRecord(point=_points()[0], dataset_name="openimages",
+                             loader_name="coordl", run=run)
+        io = record.snapshot(include_timeline=True)["epochs"][0]["io"]
+        assert io["timeline_len"] == 2 and "timeline_digest" not in io
+        assert base64.b64decode(io["timeline"]) == struct.pack(
+            "<4d", 0.5, 1.5, 10.0, 30.0)  # all times, then cumulative bytes
+
     def test_digest_only_snapshot_with_timeline_cannot_be_inverted(self):
         point = SweepPoint(model=RESNET18, loader="dali-shuffle",
                            dataset="openimages", cache_fraction=0.5)
@@ -384,9 +399,30 @@ class TestCorruptionAndInvalidation:
         data = b"{}" if store.backend.kind == "json" else zlib.compress(b"{}")
         _write_raw(store, key, data)
 
+    @staticmethod
+    def _short_timeline(store, key):
+        # Well-formed JSON (and, for SQLite, a valid blob) whose first
+        # non-empty disk timeline lost its last sample while its recorded
+        # timeline_len still counts it.
+        sqlite = store.backend.kind == "sqlite"
+        raw = _read_raw(store, key)
+        entry = json.loads(zlib.decompress(raw) if sqlite else raw)
+        snapshot = entry if sqlite else entry["record"]
+        record = SweepRecord.from_snapshot(snapshot)
+        index = next(i for i, epoch in enumerate(record.run.epochs)
+                     if epoch.io.timeline)
+        io = record.run.epochs[index].io
+        io.timeline = io.timeline[:-1]
+        snapshot["epochs"][index]["io"]["timeline"] = record.snapshot(
+            include_timeline=True)["epochs"][index]["io"]["timeline"]
+        data = json.dumps(entry, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        _write_raw(store, key, zlib.compress(data) if sqlite else data)
+
     @pytest.mark.parametrize("corruption", [
-        "_truncate", "_garbage", "_binary", "_empty_object",
-    ], ids=["truncated", "garbage-json", "binary-garbage", "empty-object"])
+        "_truncate", "_garbage", "_binary", "_empty_object", "_short_timeline",
+    ], ids=["truncated", "garbage-json", "binary-garbage", "empty-object",
+            "short-timeline"])
     def test_corrupt_entries_are_misses_and_get_repaired(
             self, location, corruption):
         store, keys = self._primed(location)

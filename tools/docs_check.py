@@ -11,11 +11,19 @@ Run as ``make docs-check`` (or ``PYTHONPATH=src python tools/docs_check.py``).
 The check is textual on purpose: a symbol counts as documented when its name
 appears anywhere in docs/API.md, so tables, prose and code snippets all
 qualify, and renames/removals surface immediately.
+
+Documented constant values are checked too: every ``| `NAME` | constant |
+`literal` |`` table row must name a symbol one of the checked surfaces
+exports, and ``ast.literal_eval(literal)`` must equal its value (so a
+version bump cannot drift from its row).  Rows whose value is not a Python
+literal (an expression, or prose such as "64 MiB") are skipped.
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
+import re
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -45,6 +53,32 @@ CHECKED_SURFACES = (
 )
 
 
+#: One documented constant: ``| `NAME` | constant | `value` | ...``.
+CONSTANT_ROW = re.compile(r"^\| `(\w+)` \| constant \| `([^`]+)` \|",
+                          re.MULTILINE)
+
+
+def constant_mismatches(text: str) -> list[str]:
+    """Problems with the documented values of exported constants."""
+    problems = []
+    for name, literal in CONSTANT_ROW.findall(text):
+        try:
+            documented = ast.literal_eval(literal)
+        except (ValueError, SyntaxError):
+            continue  # not a literal: nothing to compare
+        owners = [(label, module) for label, module in CHECKED_SURFACES
+                  if name in module.__all__]
+        if not owners:
+            problems.append(f"{name}: documented as a constant, but no "
+                            f"checked surface exports it")
+        for label, module in owners:
+            value = getattr(module, name)
+            if type(value) is not type(documented) or value != documented:
+                problems.append(f"{label}.{name} is {value!r}; docs/API.md "
+                                f"says {literal}")
+    return problems
+
+
 def main() -> int:
     api_doc = REPO_ROOT / "docs" / "API.md"
     if not api_doc.exists():
@@ -63,10 +97,18 @@ def main() -> int:
                   "docs/API.md:", file=sys.stderr)
             for name in missing:
                 print(f"  - {name}", file=sys.stderr)
+    mismatches = constant_mismatches(text)
+    if mismatches:
+        failed = True
+        print("docs-check: documented constant values out of date:",
+              file=sys.stderr)
+        for problem in mismatches:
+            print(f"  - {problem}", file=sys.stderr)
     if failed:
         return 1
     print(f"docs-check: all {total} public symbols across "
-          f"{len(CHECKED_SURFACES)} surfaces documented in docs/API.md")
+          f"{len(CHECKED_SURFACES)} surfaces documented in docs/API.md, "
+          f"documented constant values match")
     return 0
 
 
