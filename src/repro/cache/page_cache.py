@@ -23,18 +23,111 @@ DNN access streams:
 
 An "effective" cache for DNN training would instead deliver exactly
 capacity-many hits per epoch — that is MinIO (:mod:`repro.cache.minio`).
+
+Points of one sweep often drive the *same* cache trajectory: the HP-search
+interleave and a loader's epoch streams depend on the dataset, sampler,
+batch size and capacity, not on the model.  A :class:`ReplayMemo`, active
+while a :class:`~repro.sim.sweep.SweepRunner` runs a point, lets
+:meth:`PageCache.bulk_stream_hits` replay each distinct trajectory once.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
 from collections import OrderedDict
-from typing import Iterable, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.base import Cache
-from repro.cache.warm_kernel import simulate_segmented_lru, warm_kernel_enabled
+from repro.cache.warm_kernel import (
+    SegmentedLRUResult,
+    simulate_segmented_lru,
+    warm_kernel_enabled,
+)
 from repro.exceptions import ConfigurationError
+
+#: Byte budget of one :class:`ReplayMemo`: the hit masks and final list
+#: arrays it keeps never exceed it, and a result larger than it is not kept.
+REPLAY_MEMO_BUDGET_BYTES = 64 * 2**20
+
+_ACTIVE_REPLAY_MEMO: ContextVar[Optional["ReplayMemo"]] = ContextVar(
+    "repro_replay_memo", default=None)
+
+
+class ReplayMemo:
+    """Bounded, thread-safe memo of segmented-LRU replays, by input digest.
+
+    :meth:`PageCache.bulk_stream_hits` consults the memo active in the
+    calling context (see :meth:`activated`) before replaying a stream
+    through :func:`~repro.cache.warm_kernel.simulate_segmented_lru`.  The
+    key is a BLAKE2 digest of every kernel input — the stream's ids and
+    sizes, capacity, page size and active-list limit, both resident lists
+    in order with their stored sizes, both occupancies and the prior hit
+    bytes — and the kernel is pure, so a hit is the very result a replay
+    would compute.  Kept arrays are made read-only, since every hit hands
+    out the same objects.  Least-recently-used entries are evicted so the
+    kept arrays stay within :data:`REPLAY_MEMO_BUDGET_BYTES` (read at
+    construction); a result larger than the budget is returned but not
+    kept.  ``hits`` and ``misses`` count lookups.
+    """
+
+    def __init__(self) -> None:
+        self._budget = REPLAY_MEMO_BUDGET_BYTES
+        self._entries: "OrderedDict[bytes, Tuple[SegmentedLRUResult, int]]" = (
+            OrderedDict())
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays currently kept."""
+        return self._bytes
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @contextmanager
+    def activated(self) -> Iterator["ReplayMemo"]:
+        """Make this the memo page caches consult in the current context."""
+        token = _ACTIVE_REPLAY_MEMO.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE_REPLAY_MEMO.reset(token)
+
+    def get(self, key: bytes) -> Optional[SegmentedLRUResult]:
+        """The result kept under ``key`` (now most recent), else ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry[0]
+
+    def put(self, key: bytes, result: SegmentedLRUResult) -> None:
+        """Keep ``result`` under ``key`` if it fits in the budget."""
+        arrays = (result.hit_mask, *result.inactive, *result.active)
+        size = sum(array.nbytes for array in arrays)
+        if size > self._budget:
+            return
+        for array in arrays:
+            array.setflags(write=False)
+        with self._lock:
+            if key in self._entries:
+                return
+            while self._bytes + size > self._budget:
+                _key, (_result, evicted) = self._entries.popitem(last=False)
+                self._bytes -= evicted
+            self._entries[key] = (result, size)
+            self._bytes += size
 
 
 class PageCache(Cache):
@@ -309,20 +402,33 @@ class PageCache(Cache):
         (``REPRO_WARM_KERNEL=0``) or cannot certify float-exactness
         (degenerate page sizes, stored sizes that are not page multiples);
         side effects are all-or-nothing, as for the other bulk paths.
+
+        When a :class:`ReplayMemo` is active (a
+        :class:`~repro.sim.sweep.SweepRunner` running a point), a stream
+        already replayed from the identical state is not replayed again:
+        the memoised result is committed instead, with the same hit mask,
+        counters, byte totals and list order.  The returned mask is then
+        read-only.  With no active memo every call runs the kernel.
         """
         if not warm_kernel_enabled():
             return None
-        result = simulate_segmented_lru(
-            item_ids, sizes,
-            capacity_bytes=self._capacity,
-            page_bytes=self._page_bytes,
-            active_limit_bytes=self._capacity * self._active_target,
-            inactive=self._inactive, active=self._active,
-            inactive_bytes=self._inactive_bytes,
-            active_bytes=self._active_bytes,
-            prior_hit_bytes=self._stats.hit_bytes)
+        memo = _ACTIVE_REPLAY_MEMO.get()
+        key = None if memo is None else self._replay_key(item_ids, sizes)
+        result = None if key is None else memo.get(key)
         if result is None:
-            return None
+            result = simulate_segmented_lru(
+                item_ids, sizes,
+                capacity_bytes=self._capacity,
+                page_bytes=self._page_bytes,
+                active_limit_bytes=self._capacity * self._active_target,
+                inactive=self._inactive, active=self._active,
+                inactive_bytes=self._inactive_bytes,
+                active_bytes=self._active_bytes,
+                prior_hit_bytes=self._stats.hit_bytes)
+            if result is None:
+                return None
+            if key is not None:
+                memo.put(key, result)
         page = self._page_bytes
         in_ids, in_pages = result.inactive
         act_ids, act_pages = result.active
@@ -341,6 +447,35 @@ class PageCache(Cache):
         self._stats.rejected += result.rejected
         self._stats.hit_bytes += float(result.hit_pages) * page
         return result.hit_mask
+
+    def _replay_key(self, item_ids: np.ndarray,
+                    sizes: np.ndarray) -> Optional[bytes]:
+        """BLAKE2 digest of every kernel input of one replay from this state.
+
+        Arrays enter as the kernel reads them (int64 ids, float64 sizes),
+        scalars by ``repr`` (exact for floats), and the lengths up front
+        delimit the variable-length parts.  ``None`` for a stream whose
+        shape alone makes the kernel decline.
+        """
+        ids = np.asarray(item_ids, dtype=np.int64)
+        size_arr = np.asarray(sizes, dtype=np.float64)
+        if ids.ndim != 1 or ids.shape != size_arr.shape:
+            return None
+        inactive, active = self._inactive, self._active
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(repr((
+            ids.size, len(inactive), len(active), self._capacity,
+            self._page_bytes, self._capacity * self._active_target,
+            self._inactive_bytes, self._active_bytes,
+            self._stats.hit_bytes)).encode())
+        digest.update(np.ascontiguousarray(ids))
+        digest.update(np.ascontiguousarray(size_arr))
+        for members in (inactive, active):
+            digest.update(np.fromiter(members.keys(), np.int64,
+                                      count=len(members)))
+            digest.update(np.fromiter(members.values(), np.float64,
+                                      count=len(members)))
+        return digest.digest()
 
     def _warm_epoch_hits(self, item_ids: np.ndarray,
                          sizes: np.ndarray) -> np.ndarray:

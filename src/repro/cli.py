@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -398,6 +399,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"(store: {daemon.store.directory if daemon.store else 'off'}, "
           f"pool workers: {backend})",
           flush=True)
+    _unwind_on_sigterm()
     daemon.serve_forever()
     return 0
 
@@ -409,8 +411,26 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     ((host, port),) = parse_hosts(args.listen)
     agent = DistWorker(host, port, workers=max(0, args.workers))
     print(f"{LISTENING_PREFIX}{agent.endpoint}", flush=True)
+    _unwind_on_sigterm()
     agent.serve_forever()
     return 0
+
+
+def _unwind_on_sigterm() -> None:
+    """Make SIGTERM unwind a serving loop the way Ctrl-C does.
+
+    The loop's ``finally: close()`` then runs, so a daemon drains its
+    in-flight requests and an agent stops its pool's workers, instead of
+    the default action killing the process and orphaning them.  The
+    handler only raises: calling ``close()`` from it would wait for the
+    ``serve_forever`` frame it interrupted.  Later SIGTERMs are ignored
+    so they cannot cut that cleanup short.
+    """
+    def interrupt(signum, frame):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, interrupt)
 
 
 def _parse_pair(spec: str, flag: str) -> tuple:

@@ -159,8 +159,11 @@ class CoordinatedEpochRunner:
 
     def produce_batch(self, assignment: BatchAssignment, now: float = 0.0) -> None:
         """Prep one assigned batch and stage it."""
-        prepared = sum(self._prep.prepared_bytes(self._dataset.item_size(int(i)))
-                       for i in assignment.item_ids)
+        # A sequential cumsum adds left to right, as ``sum`` over the items
+        # would, so the total is the same float bit for bit.
+        sizes = self._prep.prepared_bytes(
+            self._dataset.item_sizes(assignment.item_ids))
+        prepared = float(np.cumsum(sizes)[-1]) if sizes.size else 0
         self._staging.stage(
             batch_id=assignment.batch_id,
             epoch=self._plan.epoch,

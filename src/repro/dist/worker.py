@@ -46,6 +46,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -131,7 +132,7 @@ class DistWorker:
         """Accept connections on the calling thread (the CLI path)."""
         try:
             self._accept_loop()
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
+        except KeyboardInterrupt:  # Ctrl-C, or SIGTERM under the CLI
             pass
         finally:
             self.close()
@@ -328,6 +329,50 @@ class LocalWorkerFleet:
     @property
     def alive(self) -> List[subprocess.Popen]:
         return [proc for proc in self._procs if proc.poll() is None]
+
+    def descendant_pids(self) -> List[int]:
+        """Every process the live agents started, at any depth.
+
+        Read from the ppid fields of ``/proc/*/stat`` (Linux; empty
+        elsewhere).  Taken before :meth:`close`, it is what a leak check
+        waits on with :meth:`survivors`: an agent's pool workers and its
+        resource tracker must exit with it.
+        """
+        parents: Dict[int, int] = {}
+        for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+            try:
+                parents[int(stat.parent.name)] = int(
+                    stat.read_text().rpartition(")")[2].split()[1])
+            except (OSError, IndexError, ValueError):
+                continue
+        found: List[int] = []
+        frontier = {proc.pid for proc in self.alive}
+        while frontier:
+            frontier = {pid for pid, ppid in parents.items()
+                        if ppid in frontier}
+            found.extend(sorted(frontier))
+        return found
+
+    @staticmethod
+    def survivors(pids: List[int], timeout_s: float = 10.0) -> List[int]:
+        """Those of ``pids`` still running after up to ``timeout_s``.
+
+        A zombie counts as exited: it runs nothing, and whether it is
+        reaped depends on the reaper it was reparented to.
+        """
+        deadline = time.monotonic() + timeout_s
+        while True:
+            running = []
+            for pid in pids:
+                try:
+                    stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+                except OSError:
+                    continue
+                if stat.rpartition(")")[2].split()[0] != "Z":
+                    running.append(pid)
+            if not running or time.monotonic() >= deadline:
+                return running
+            time.sleep(0.05)
 
     def kill_one(self) -> Optional[int]:
         """SIGKILL one live agent (the host-death fault); returns its pid."""

@@ -261,7 +261,7 @@ class ServeDaemon:
         """Serve on the calling thread until interrupted (the CLI path)."""
         try:
             self._http.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
+        except KeyboardInterrupt:  # Ctrl-C, or SIGTERM under the CLI
             pass
         finally:
             self.close()

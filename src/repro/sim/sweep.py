@@ -67,6 +67,7 @@ import numpy as np
 if TYPE_CHECKING:  # repro.store imports this module; annotation-only here
     from repro.store import PersistentPool, StoreArg
 
+from repro.cache.page_cache import ReplayMemo
 from repro.cache.warm_kernel import warm_kernel_enabled
 from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec, get_model
@@ -794,6 +795,17 @@ class SweepRunner:
             rematerialising datasets across successive ``run()`` calls and
             runner configurations.  ``None`` keeps a private per-runner
             cache (the default, and the previous behaviour).
+
+    Besides those two memos every runner owns a
+    :class:`~repro.cache.page_cache.ReplayMemo`, active only while
+    :meth:`_run_point` runs a point.  Points whose page caches replay an
+    identical segmented-LRU trajectory — HP-search grids over models
+    with one batch size, loader sweeps that differ only in the model —
+    then replay it once per runner.  The memo lives as long as the
+    runner: one experiment in a report, one request batch in serve, one
+    runner spec for a pool worker's or dist agent's whole life.  It is
+    bounded by :data:`~repro.cache.page_cache.REPLAY_MEMO_BUDGET_BYTES`
+    and thread-safe, since agents share a runner across connections.
     """
 
     def __init__(self, server_factory: Callable[..., ServerConfig], *,
@@ -810,6 +822,7 @@ class SweepRunner:
         self._fast_path = fast_path
         self._datasets = {} if dataset_cache is None else dataset_cache
         self._samplers = {} if sampler_cache is None else sampler_cache
+        self._replays = ReplayMemo()
 
     @staticmethod
     def grid(models: Sequence[ModelSpec], loaders: Sequence[str],
@@ -1140,12 +1153,16 @@ class SweepRunner:
         return clamp_workers(workers)
 
     def _run_point(self, point: SweepPoint) -> SweepRecord:
-        if point.is_hp_search:
-            return self._run_hp_point(point)
-        if point.is_distributed:
-            return self._run_distributed_point(point)
-        if point.is_failure:
-            return self._run_failure_point(point)
+        with self._replays.activated():
+            if point.is_hp_search:
+                return self._run_hp_point(point)
+            if point.is_distributed:
+                return self._run_distributed_point(point)
+            if point.is_failure:
+                return self._run_failure_point(point)
+            return self._run_training_point(point)
+
+    def _run_training_point(self, point: SweepPoint) -> SweepRecord:
         dataset, server = self._resolve(point)
         seed = self.point_seed(point)
         # dali-seq builds its own shuffle-buffer sampler (the storage-visible

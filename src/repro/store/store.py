@@ -23,10 +23,10 @@ deleted, and is repaired by re-simulation — it can cost time, never
 correctness.
 
 The store key covers, besides the runner/point/env spec, a digest of the
-``repro.sim`` and ``repro.cache`` *source trees* (:func:`source_digest`):
-editing the simulator orphans every previously stored entry instead of
-serving bytes computed by different code — stale hits are structurally
-impossible, not a discipline.
+simulator's *source* — all of ``repro`` outside the service layers
+(:func:`source_digest`): editing the simulator orphans every previously
+stored entry instead of serving bytes computed by different code — stale
+hits are structurally impossible, not a discipline.
 
 The store is **concurrency-safe** — the contract the serve layer
 (:mod:`repro.serve`) builds on:
@@ -91,17 +91,40 @@ __all__ = [
 #: means "no store".
 STORE_ENV_VAR = "REPRO_SWEEP_STORE"
 
+#: Top-level ``repro`` packages and modules :func:`source_digest` leaves
+#: out: the service layers around the simulator, whose code moves no
+#: simulated byte.
+SERVICE_LAYERS = ("cli", "dist", "experiments", "resilience", "serve",
+                  "store")
+
 #: Memoised :func:`source_digest` value (the source tree cannot change
 #: under a running process in any way the digest should chase).
 _SOURCE_DIGEST: Optional[str] = None
 
 
+def _source_files() -> Dict[str, pathlib.Path]:
+    """Every ``.py`` file of ``repro`` outside :data:`SERVICE_LAYERS`,
+    keyed by its path relative to the package, in sorted order."""
+    import repro
+    root = pathlib.Path(repro.__file__).resolve().parent
+    files = {}
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative.parts[0].removesuffix(".py") not in SERVICE_LAYERS:
+            files[str(relative)] = path
+    return files
+
+
 def source_digest() -> str:
     """Digest of the simulator's source code, folded into every store key.
 
-    Covers every ``.py`` file under the ``repro.sim`` and ``repro.cache``
-    packages (the two trees whose code determines simulated bytes), as
-    relative path plus contents, so *any* simulator edit moves every
+    Covers every ``.py`` file of the ``repro`` package outside the
+    service layers (:data:`SERVICE_LAYERS`: store, serve, dist,
+    resilience, experiments and the CLI).  That is every module a
+    simulated point can run — the simulator, caches, loaders, prep,
+    storage, datasets, compute and cluster models, CoorDL, DS-Analyzer,
+    units and exceptions.  Each file enters as its path relative to the
+    package plus its contents, so *any* simulator edit moves every
     content address: a store can never serve a hit computed by code that
     no longer exists.  This replaces "remember to ``repro store
     invalidate`` after simulator changes" with a structural guarantee
@@ -111,19 +134,15 @@ def source_digest() -> str:
     """
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is None:
-        import repro.cache
-        import repro.sim
         digest = hashlib.blake2b(digest_size=8)
-        for package in (repro.cache, repro.sim):
-            root = pathlib.Path(package.__file__).resolve().parent
-            for path in sorted(root.rglob("*.py")):
-                digest.update(str(path.relative_to(root.parent)).encode())
-                digest.update(b"\0")
-                try:
-                    digest.update(path.read_bytes())
-                except OSError:
-                    pass
-                digest.update(b"\0")
+        for relative, path in _source_files().items():
+            digest.update(relative.encode())
+            digest.update(b"\0")
+            try:
+                digest.update(path.read_bytes())
+            except OSError:
+                pass
+            digest.update(b"\0")
         _SOURCE_DIGEST = digest.hexdigest()
     return _SOURCE_DIGEST
 

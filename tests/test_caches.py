@@ -1,11 +1,15 @@
 """Unit tests for the cache substrates: LRU, page cache, MinIO, partitioned."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.cache import page_cache
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
-from repro.cache.page_cache import PageCache
+from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
 from repro.datasets.sampler import RandomSampler
 from repro.exceptions import ConfigurationError
@@ -210,6 +214,139 @@ class TestPageCacheBulkStream:
         assert hits.tolist() == expected
         assert bulk.stats.rejected == scalar.stats.rejected == 1
         assert list(bulk.cached_items()) == list(scalar.cached_items())
+
+
+class TestReplayMemo:
+    """The runner-scoped replay memo behind `PageCache.bulk_stream_hits`;
+    its exactness is property-tested in tests/test_properties.py."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = page_cache.simulate_segmented_lru
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(page_cache, "simulate_segmented_lru", counting)
+        return calls
+
+    @staticmethod
+    def _replay(tiny_dataset, epochs=1, seed=0):
+        """One thrashing replay from a fresh half-dataset page cache."""
+        cache = PageCache(tiny_dataset.total_bytes * 0.5)
+        sampler = RandomSampler(len(tiny_dataset), seed=seed)
+        stream = np.concatenate([sampler.epoch(e) for e in range(epochs)])
+        return cache.bulk_stream_hits(stream, tiny_dataset.item_sizes(stream))
+
+    def test_without_an_active_memo_every_call_runs_the_kernel(
+            self, tiny_dataset, kernel_calls):
+        for _ in range(3):
+            assert self._replay(tiny_dataset) is not None
+        assert len(kernel_calls) == 3
+        memo = ReplayMemo()
+        with memo.activated():
+            self._replay(tiny_dataset)
+            self._replay(tiny_dataset)
+        self._replay(tiny_dataset)          # the memo is no longer active
+        assert len(kernel_calls) == 5
+        assert (memo.hits, memo.misses) == (1, 1)
+
+    def test_a_memo_is_active_only_in_the_context_that_activated_it(
+            self, tiny_dataset, kernel_calls):
+        memo = ReplayMemo()
+        with memo.activated():
+            self._replay(tiny_dataset)
+            worker = threading.Thread(target=self._replay,
+                                      args=(tiny_dataset,))
+            worker.start()
+            worker.join()
+        assert len(kernel_calls) == 2
+        assert (memo.hits, memo.misses) == (0, 1)
+
+    def test_kept_arrays_are_read_only(self, tiny_dataset):
+        memo = ReplayMemo()
+        with memo.activated():
+            first = self._replay(tiny_dataset)
+            again = self._replay(tiny_dataset)
+        assert again is first
+        (result, _size), = memo._entries.values()
+        for array in (result.hit_mask, *result.inactive, *result.active):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = not first[0]
+
+    def test_budget_evicts_least_recently_used_and_skips_oversized(
+            self, tiny_dataset, kernel_calls, monkeypatch):
+        memo = ReplayMemo()
+        with memo.activated():
+            self._replay(tiny_dataset)
+        one = memo.nbytes
+        budget = 2 * one + one // 2         # room for two one-epoch results
+        monkeypatch.setattr(page_cache, "REPLAY_MEMO_BUDGET_BYTES", budget)
+        memo = ReplayMemo()
+        with memo.activated():
+            for seed in (0, 1, 0, 2):       # seed 1 is least recent at seed 2
+                self._replay(tiny_dataset, seed=seed)
+                assert memo.nbytes <= budget
+            assert len(kernel_calls) == 1 + 3
+            assert len(memo) == 2
+            self._replay(tiny_dataset, seed=1)   # evicted: replayed again
+            assert len(kernel_calls) == 1 + 4
+            hits = self._replay(tiny_dataset, epochs=60)
+            assert hits.nbytes > budget     # its hit mask alone is too large
+            assert hits.flags.writeable     # returned, but not kept
+            assert len(memo) == 2 and memo.nbytes <= budget
+            self._replay(tiny_dataset, epochs=60)
+        assert len(kernel_calls) == 1 + 6
+
+    def test_threads_sharing_a_memo_get_exact_results(self, monkeypatch):
+        """Dist agents share one runner's memo across connection threads:
+        lookups, inserts and evictions racing under a tiny switch interval
+        lose no count, break no budget and never cross-serve a result.
+        Streams are tiny so the threads spend their time in the memo."""
+        rng = np.random.default_rng(0)
+        sizes = np.maximum(rng.lognormal(9.0, 1.0, 8), 1.0)
+        streams = [np.concatenate([rng.permutation(8) for _ in range(2)])
+                   for _ in range(4)]
+
+        def replay(stream):
+            cache = PageCache(float(sizes.sum()) * 0.5)
+            return cache.bulk_stream_hits(stream, sizes[stream])
+
+        expected = [replay(stream).tolist() for stream in streams]
+        memo = ReplayMemo()
+        with memo.activated():
+            replay(streams[0])
+        budget = 2 * memo.nbytes + memo.nbytes // 2
+        monkeypatch.setattr(page_cache, "REPLAY_MEMO_BUDGET_BYTES", budget)
+        memo = ReplayMemo()
+        wrong = []
+
+        def replay_many(offset: int) -> None:
+            with memo.activated():
+                for step in range(300):
+                    index = (offset + step) % len(streams)
+                    if replay(streams[index]).tolist() != expected[index]:
+                        wrong.append(index)
+
+        threads = [threading.Thread(target=replay_many, args=(offset,))
+                   for offset in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert memo.hits + memo.misses == 8 * 300
+        assert memo.nbytes == sum(size for _result, size
+                                  in memo._entries.values()) <= budget
 
 
 class TestMinIOCache:

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.coordl.coordinated_prep import CoordinatedEpochRunner, CoordinatedPrepPlan
+from repro.coordl.coordinated_prep import (
+    BatchAssignment,
+    CoordinatedEpochRunner,
+    CoordinatedPrepPlan,
+)
 from repro.coordl.failure import (
     FailureDetector,
     JobState,
@@ -12,7 +16,7 @@ from repro.coordl.failure import (
 )
 from repro.coordl.loader import CoorDL
 from repro.coordl.staging import StagingArea
-from repro.exceptions import ConfigurationError, JobFailedError
+from repro.exceptions import ConfigurationError, JobFailedError, UnknownItemError
 from repro.prep.pipeline import PrepPipeline
 
 
@@ -75,6 +79,30 @@ class TestCoordinatedEpochRunner:
         prepared_dataset_bytes = sum(
             prep.prepared_bytes(tiny_dataset.item_size(i)) for i in range(len(tiny_dataset)))
         assert runner.staging.peak_bytes < 0.1 * prepared_dataset_bytes
+
+    def test_staged_bytes_are_the_left_to_right_item_sum(self, plan, prep,
+                                                         tiny_dataset):
+        """The vectorised staging total is the per-item sum, bit for bit."""
+        runner = CoordinatedEpochRunner(plan, prep, tiny_dataset)
+        for assignment in plan.assignments:
+            runner.produce_batch(assignment)
+            staged = runner.staging.consume(0, assignment.batch_id)
+            assert staged.prepared_bytes == sum(
+                prep.prepared_bytes(tiny_dataset.item_size(int(i)))
+                for i in assignment.item_ids)
+
+    def test_empty_and_out_of_range_assignments(self, plan, prep,
+                                                tiny_dataset):
+        runner = CoordinatedEpochRunner(plan, prep, tiny_dataset)
+        runner.produce_batch(BatchAssignment(
+            batch_id=10_000, producer_job=0,
+            item_ids=np.array([], dtype=np.int64)))
+        assert runner.staging.consume(0, 10_000).prepared_bytes == 0
+        for bad in (len(tiny_dataset), -1):
+            with pytest.raises(UnknownItemError):
+                runner.produce_batch(BatchAssignment(
+                    batch_id=10_001, producer_job=0,
+                    item_ids=np.array([0, bad], dtype=np.int64)))
 
     def test_missing_batch_without_detector_raises(self, plan, prep, tiny_dataset):
         runner = CoordinatedEpochRunner(plan, prep, tiny_dataset)

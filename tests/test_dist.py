@@ -28,6 +28,8 @@ The scale-out contract this PR is pinned by:
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import socket
 import struct
 import threading
@@ -470,6 +472,25 @@ class TestHostDeath:
                 assert executor.hosts_lost == 1
                 assert executor.workers == 1
                 assert executor.reassignments == 0
+
+
+class TestAgentShutdown:
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists()
+                        or (os.cpu_count() or 1) < 2,
+                        reason="needs /proc and two cores for an agent pool")
+    def test_sigterm_stops_a_pooled_agents_processes(self):
+        """SIGTERM (what ``LocalWorkerFleet.close`` sends) unwinds the
+        agent like Ctrl-C, so its pool closes: no spawn worker or resource
+        tracker outlives it."""
+        points = _grid()[:2]
+        with LocalWorkerFleet(1, workers=2) as fleet:
+            with DistExecutor(fleet.endpoints) as executor:
+                distributed = _runner().run(points, pool=executor,
+                                            store=False).snapshot()
+            assert distributed == _serial_snapshot(points)
+            descendants = fleet.descendant_pids()
+            assert descendants, "the agent's pool never spawned"
+        assert LocalWorkerFleet.survivors(descendants) == []
 
 
 class TestServeIntegration:

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
+from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import page_cache
 from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
-from repro.cache.page_cache import PageCache
+from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
+from repro.cache.warm_kernel import simulate_segmented_lru
 from repro.compute.model_zoo import RESNET18
 from repro.coordl.coordinated_prep import CoordinatedPrepPlan
 from repro.coordl.staging import StagingArea
@@ -512,6 +517,115 @@ class TestMakespanProperties:
             assert bulk.evictions == scalar.evictions
             for field in ("hits", "misses", "insertions", "rejected"):
                 assert getattr(bulk.stats, field) == getattr(scalar.stats, field)
+
+
+# Replay memo -------------------------------------------------------------------
+
+#: One-input changes to a replay; each must miss the memo and replay.
+REPLAY_CHANGES = ("size", "capacity", "order", "stored", "prior_hit_bytes")
+
+
+def _cache_copy(cache: PageCache, capacity: float | None = None) -> PageCache:
+    """A page cache in exactly ``cache``'s state (optionally resized)."""
+    copy = PageCache(cache.capacity_bytes if capacity is None else capacity,
+                     page_bytes=cache.page_bytes,
+                     active_target_fraction=cache._active_target)
+    copy._inactive = OrderedDict(cache._inactive)
+    copy._active = OrderedDict(cache._active)
+    copy._inactive_bytes = cache.inactive_bytes
+    copy._active_bytes = cache.active_bytes
+    copy.stats.hit_bytes = cache.stats.hit_bytes
+    return copy
+
+
+def _replay_state(cache: PageCache, hits) -> tuple:
+    """Everything a replay leaves behind: mask, list order, counters."""
+    return (None if hits is None else hits.tolist(),
+            list(cache._inactive.items()), list(cache._active.items()),
+            cache.inactive_bytes, cache.active_bytes,
+            cache.pressure_evictions, dataclasses.astuple(cache.stats))
+
+
+class TestReplayMemoProperties:
+    @pytest.mark.parametrize("change", REPLAY_CHANGES)
+    @given(num_items=st.integers(2, 60), seed=seeds,
+           capacity_fraction=st.floats(0.1, 1.2),
+           # A zero target keeps the active-list limit fixed when the
+           # capacity changes, so the capacity alone must move the key.
+           active_target=st.just(0.0) | st.floats(0.0, 1.0),
+           passes=st.integers(1, 3),
+           warm_fraction=st.floats(0.3, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_a_memo_hit_equals_a_replay_and_any_changed_input_replays(
+            self, change, num_items, seed, capacity_fraction, active_target,
+            passes, warm_fraction):
+        """Under an active memo, replaying one input twice runs the kernel
+        once and leaves the cache exactly as an unmemoised replay does;
+        changing any single kernel input misses the memo and replays."""
+        page = 4096.0
+        rng = np.random.default_rng(seed)
+        item_sizes = np.maximum(rng.lognormal(9.0, 1.0, num_items), 1.0)
+        base = PageCache(float(item_sizes.sum() * capacity_fraction),
+                         active_target_fraction=active_target)
+        warm = rng.permutation(num_items)[:max(2, int(num_items
+                                                      * warm_fraction))]
+        for item in warm.tolist():
+            if not base.lookup(item):
+                base.admit(item, float(item_sizes[item]))
+        for item in warm.tolist()[::3]:
+            base.lookup(item)               # promote a third to active
+        base.reset_stats()
+        base.stats.hit_bytes = page * int(rng.integers(0, 4))
+        stream = np.concatenate([rng.permutation(num_items)
+                                 for _ in range(passes)]).astype(np.int64)
+        sizes = item_sizes[stream]
+
+        changed, changed_sizes = _cache_copy(base), sizes
+        if change == "size":
+            changed_sizes = sizes.copy()
+            changed_sizes[int(rng.integers(0, sizes.size))] += page
+        elif change == "capacity":
+            changed = _cache_copy(base, base.capacity_bytes + page)
+        elif change == "order":
+            members = max((changed._inactive, changed._active), key=len)
+            assume(len(members) >= 2)
+            order = list(members.items())
+            order[0], order[1] = order[1], order[0]
+            members.clear()
+            members.update(order)
+        elif change == "stored":
+            # One resident's stored size grows by a page and another's
+            # shrinks by one, so the occupancies (also keyed) stay put.
+            members = max((changed._inactive, changed._active), key=len)
+            donors = [item for item, stored in members.items()
+                      if stored >= 2 * page]
+            assume(donors and len(members) >= 2)
+            receiver = next(item for item in members if item != donors[0])
+            members[donors[0]] -= page
+            members[receiver] += page
+        else:
+            changed.stats.hit_bytes += page
+
+        plain = _cache_copy(base)
+        expected = _replay_state(plain, plain.bulk_stream_hits(stream, sizes))
+        reference = _cache_copy(changed)
+        expected_changed = _replay_state(
+            reference, reference.bulk_stream_hits(stream, changed_sizes))
+
+        memo = ReplayMemo()
+        with mock.patch.object(page_cache, "simulate_segmented_lru",
+                               wraps=simulate_segmented_lru) as kernel, \
+                memo.activated():
+            for _ in range(2):
+                cache = _cache_copy(base)
+                hits = cache.bulk_stream_hits(stream, sizes)
+                assert hits is not None
+                assert _replay_state(cache, hits) == expected
+            assert kernel.call_count == 1
+            assert (memo.hits, memo.misses) == (1, 1)
+            hits = changed.bulk_stream_hits(stream, changed_sizes)
+            assert kernel.call_count == 2
+            assert _replay_state(changed, hits) == expected_changed
 
 
 # Record snapshot codec --------------------------------------------------------

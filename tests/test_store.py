@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import pathlib
 import sqlite3
 import struct
@@ -246,14 +247,49 @@ class TestSourceDigest:
 
     def test_source_digest_participates_in_the_key(self, monkeypatch):
         """Editing the simulator must orphan every stored entry: the key
-        embeds a digest of ``repro.sim``/``repro.cache`` source, so a
-        store can never serve bytes computed by a different simulator."""
+        embeds a digest of the simulator's source, so a store can never
+        serve bytes computed by a different simulator."""
         import repro.store.store as store_module
         runner, point = _runner(), _points()[0]
         current = store_key(runner.point_spec(point))
         monkeypatch.setattr(store_module, "_SOURCE_DIGEST",
                             "0123456789abcdef")
         assert store_module.store_key(runner.point_spec(point)) != current
+
+    def test_digest_covers_every_module_a_simulated_point_loads(self):
+        """Any module a point runs can move its bytes, so the digest must
+        hash it: run one point of each golden grid in a fresh interpreter
+        and check every loaded ``repro`` module outside the service layers
+        is a file the digest covers."""
+        import subprocess
+        import sys
+
+        from repro.store.store import SERVICE_LAYERS, _source_files
+
+        code = (
+            "import json, sys\n"
+            "from repro.sim.harness import GOLDEN_GRIDS\n"
+            "for grid in GOLDEN_GRIDS.values():\n"
+            "    grid.build_runner().run(grid.points()[:1], workers=0,\n"
+            "                            store=False)\n"
+            "print(json.dumps({name: getattr(module, '__file__', None)\n"
+            "                  for name, module in list(sys.modules.items())\n"
+            "                  if name.split('.')[0] == 'repro'}))\n")
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=240).stdout
+        loaded = json.loads(out.splitlines()[-1])
+        simulated = {pathlib.Path(path).resolve()
+                     for name, path in loaded.items()
+                     if path and (name == "repro"
+                                  or name.split(".")[1] not in SERVICE_LAYERS)}
+        assert len(simulated) > 40
+        covered = set(_source_files().values())
+        assert not sorted(str(path) for path in simulated - covered)
 
 
 class TestSnapshotRoundTrip:

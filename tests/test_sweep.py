@@ -126,6 +126,36 @@ class TestSweepRunner:
         # scaled specs carry an "@scale" suffix on the catalog name
         assert sweep.records[0].dataset_name.startswith(ALEXNET.default_dataset)
 
+    def test_points_differing_only_in_model_replay_each_stream_once(
+            self, monkeypatch):
+        """Both models train at one batch size, so their HP-search points
+        interleave the same streams through the same page cache: the
+        runner's replay memo runs the kernel once per stream (warm-up and
+        measured epoch), and each record is byte-identical to simulating
+        its point in a runner of its own."""
+        from repro.cache import page_cache
+
+        kernel = page_cache.simulate_segmented_lru
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(page_cache, "simulate_segmented_lru", counting)
+        points = SweepRunner.grid(models=[ALEXNET, RESNET18],
+                                  loaders=["hp-baseline"],
+                                  cache_fractions=(0.65,), num_jobs=8)
+        runner = SweepRunner(config_ssd_v100, scale=1 / 400.0, seed=0)
+        shared = runner.run(points, workers=0, store=False)
+        assert len(calls) == 2
+        for point, record in zip(points, shared):
+            alone = SweepRunner(config_ssd_v100, scale=1 / 400.0, seed=0).run(
+                [point], workers=0, store=False).records[0]
+            assert (alone.snapshot(include_timeline=True)
+                    == record.snapshot(include_timeline=True))
+        assert len(calls) == 6
+
 
 class TestFastPathEquivalence:
     """The vectorised epoch collection must be bit-faithful to the loop."""

@@ -19,7 +19,11 @@ scale-out contract:
   SIGKILLs one live agent after the first delivered record.  The grid
   must still complete byte-identical with exactly one host lost, and at
   least one chunk must be reassigned somewhere across the pass (a gate
-  that kills nothing mid-flight proves nothing).
+  that kills nothing mid-flight proves nothing);
+* **stopped agents leave nothing running** — every agent's descendants
+  (pool workers, resource trackers) are recorded before its fleet
+  closes, and each must have exited (zombies count as exited) within
+  ``ORPHAN_WAIT_S`` of the close.
 
 Per-topology timings, steal/reassignment counters and delivered-fault
 counts land in ``BENCH_dist.json`` at the repository root (the CI
@@ -32,6 +36,7 @@ tools/dist_check.py [--grids NAME ...] [--skip-fault-pass]``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import shutil
@@ -65,6 +70,24 @@ TOPOLOGIES = tuple((hosts, workers)
 #: record of every grid.
 FAULT_PLAN = FaultPlan(host_kills=(1,))
 
+#: Seconds a closed fleet's agent descendants get to exit.
+ORPHAN_WAIT_S = 10.0
+
+
+@contextlib.contextmanager
+def checked_fleet(count: int, orphans: list, workers: int = 0):
+    """A ``LocalWorkerFleet`` whose agents' descendants must exit with it.
+
+    Descendants still running ``ORPHAN_WAIT_S`` after the close are
+    appended to ``orphans``.
+    """
+    with LocalWorkerFleet(count, workers=workers) as fleet:
+        try:
+            yield fleet
+        finally:
+            descendants = fleet.descendant_pids()
+    orphans.extend(LocalWorkerFleet.survivors(descendants, ORPHAN_WAIT_S))
+
 
 def run_grid(name: str, executor: DistExecutor, location: str,
              context: str) -> dict:
@@ -97,13 +120,14 @@ def run_grid(name: str, executor: DistExecutor, location: str,
     return {"points": len(points), "elapsed_s": round(elapsed, 6)}
 
 
-def run_clean_pass(grid_names, scratch: pathlib.Path) -> dict:
+def run_clean_pass(grid_names, scratch: pathlib.Path,
+                   orphans: list) -> dict:
     """Every grid at every (hosts, workers) topology, byte-identical."""
     results = {}
     for hosts, workers in TOPOLOGIES:
         key = f"hosts={hosts},workers={workers}"
         grids = {}
-        with LocalWorkerFleet(hosts, workers=workers) as fleet:
+        with checked_fleet(hosts, orphans, workers=workers) as fleet:
             with DistExecutor(fleet.endpoints, chunksize=1) as executor:
                 for name in grid_names:
                     root = scratch / "clean" / key / name
@@ -124,13 +148,14 @@ def run_clean_pass(grid_names, scratch: pathlib.Path) -> dict:
     return results
 
 
-def run_fault_pass(grid_names, scratch: pathlib.Path) -> dict:
+def run_fault_pass(grid_names, scratch: pathlib.Path,
+                   orphans: list) -> dict:
     """Every grid with one agent SIGKILLed mid-sweep, still byte-identical."""
     grids = {}
     for name in grid_names:
         injector = FaultInjector(FAULT_PLAN)
         # A fresh two-agent fleet per grid: every grid murders one.
-        with LocalWorkerFleet(2) as fleet:
+        with checked_fleet(2, orphans) as fleet:
             with DistExecutor(fleet.endpoints, chunksize=1,
                               fault_injector=injector,
                               kill_hook=fleet.kill_one) as executor:
@@ -192,10 +217,11 @@ def main() -> int:
                   else tuple(sorted(GOLDEN_GRIDS)))
 
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="dist-gate-"))
+    orphans: list = []
     try:
-        clean = run_clean_pass(grid_names, scratch)
+        clean = run_clean_pass(grid_names, scratch, orphans)
         fault = ({} if args.skip_fault_pass
-                 else run_fault_pass(grid_names, scratch))
+                 else run_fault_pass(grid_names, scratch, orphans))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -205,6 +231,7 @@ def main() -> int:
         "topologies": [f"hosts={h},workers={w}" for h, w in TOPOLOGIES],
         "clean": clean,
         "host_death": fault,
+        "orphans": len(orphans),
     }
     REPORT_PATH.write_text(
         json.dumps(payload, indent=1, sort_keys=True) + "\n",
@@ -225,6 +252,13 @@ def main() -> int:
               f"{totals['rerun_points']} re-shipped points; "
               f"{totals['elapsed_s']:.2f} s)")
     print(f"dist-check: counters -> {REPORT_PATH.name}")
+    if orphans:
+        print(f"dist-check: FAILED: {len(orphans)} agent descendant "
+              f"process(es) still running {ORPHAN_WAIT_S:.0f} s after their "
+              f"fleet closed (pids {sorted(orphans)})", file=sys.stderr)
+        return 1
+    print("dist-check: every agent's pool workers and resource tracker "
+          "exited with it")
     return 0
 
 
