@@ -42,8 +42,9 @@ bench-parallel:
 	$(PYTHON) -m pytest -q -s -k "parallel" benchmarks/test_sweep_speed.py
 
 ## Verify every public __all__ symbol (repro, repro.sim, repro.coordl,
-## repro.cache, repro.store, ...) is documented in docs/API.md, and that
-## every documented constant's literal value matches the exported one.
+## repro.cache, repro.store, ...) and every sweep-point kind (loader name)
+## in repro.sim.POINT_KINDS is documented in docs/API.md, and that every
+## documented constant's literal value matches the exported one.
 docs-check:
 	$(PYTHON) tools/docs_check.py
 

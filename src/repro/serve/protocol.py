@@ -9,8 +9,8 @@ defined here so the two sides (and the tests) cannot drift:
   or ``module:qualname`` token, plus scale / seed / queue depth /
   fast-path (:func:`runner_to_wire` / :func:`runner_from_wire`);
 * a **point** is one :class:`~repro.sim.sweep.SweepPoint` with the model
-  by zoo name (:func:`point_to_wire` / :func:`point_from_wire`) — the
-  same rendering :meth:`~repro.sim.sweep.SweepRecord.snapshot` uses.
+  by zoo name (:func:`point_to_wire` / :func:`point_from_wire`, defined in
+  :mod:`repro.sim.sweep`) — the codec record snapshots use too.
   Schedule-valued fields of the failure kinds (``crash_schedule``,
   ``membership_schedule``, ``straggler_factors``) arrive as JSON arrays;
   ``SweepPoint.__post_init__`` normalises them back to the canonical
@@ -33,13 +33,12 @@ remote code execution by configuration.
 from __future__ import annotations
 
 import importlib
-from dataclasses import fields
 from typing import Any, Callable, Dict, List
 
 from repro.cluster.server import ServerConfig
-from repro.compute.model_zoo import get_model
 from repro.exceptions import ConfigurationError
-from repro.sim.sweep import SweepPoint, SweepRecord, SweepRunner
+from repro.sim.sweep import (SweepPoint, SweepRecord, SweepRunner,
+                             point_from_wire, point_to_wire)
 
 #: Modules a wire runner spec may resolve its server factory from.  The
 #: cluster-config catalog is the only SKU source today; extend the tuple if
@@ -112,32 +111,6 @@ def runner_from_wire(data: Dict[str, Any]) -> SweepRunner:
                            fast_path=bool(data.get("fast_path", True)))
     except KeyError as exc:
         raise ConfigurationError(f"runner spec is missing {exc}") from None
-
-
-def point_to_wire(point: SweepPoint) -> Dict[str, Any]:
-    """Wire form of one sweep point (model by zoo name, like snapshots)."""
-    return {f.name: (point.model.name if f.name == "model"
-                     else getattr(point, f.name))
-            for f in fields(SweepPoint)}
-
-
-def point_from_wire(data: Dict[str, Any]) -> SweepPoint:
-    """Build the point a wire dict describes (inverse of
-    :func:`point_to_wire`; unknown fields are rejected, and
-    :class:`~repro.sim.sweep.SweepPoint` validation applies as usual)."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("each point must be a JSON object")
-    values = dict(data)
-    try:
-        model = get_model(str(values.pop("model")))
-    except KeyError:
-        raise ConfigurationError("each point needs a 'model' name") from None
-    known = {f.name for f in fields(SweepPoint)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigurationError(
-            f"unknown point fields {sorted(unknown)}; known: {sorted(known)}")
-    return SweepPoint(model=model, **values)
 
 
 def points_from_wire(data: Any) -> List[SweepPoint]:

@@ -1,4 +1,4 @@
-"""Simulation drivers: pipelined epoch engine and the three training scenarios."""
+"""Simulation drivers: the epoch engine, the scenarios and the sweep runner."""
 
 from repro.sim.accuracy import (
     AccuracyCurve,
@@ -6,8 +6,10 @@ from repro.sim.accuracy import (
     resnet50_imagenet_curve,
     time_to_accuracy,
 )
-from repro.sim.distributed import DistributedEpoch, DistributedResult, DistributedTraining
+from repro.sim.distributed import (DISTRIBUTED_KINDS, DistributedEpoch,
+                                   DistributedResult, DistributedTraining)
 from repro.sim.failures import (
+    FAILURE_KINDS,
     FailureEpoch,
     FailureScenario,
     FailureScenarioResult,
@@ -18,22 +20,16 @@ from repro.sim.engine import (
     pipeline_makespan,
     pipeline_makespan_reference,
 )
-from repro.sim.hp_search import HPSearchResult, HPSearchScenario
+from repro.sim.hp_search import (HP_SEARCH_KINDS, HPSearchResult,
+                                 HPSearchScenario)
 from repro.sim.single_server import (
     LOADER_KINDS,
     SingleServerResult,
     SingleServerTraining,
     build_loader,
 )
-from repro.sim.sweep import (
-    DISTRIBUTED_KINDS,
-    FAILURE_KINDS,
-    HP_SEARCH_KINDS,
-    SweepPoint,
-    SweepRecord,
-    SweepResult,
-    SweepRunner,
-)
+from repro.sim.sweep import (POINT_KINDS, SweepPoint, SweepRecord,
+                             SweepResult, SweepRunner)
 
 __all__ = [
     "PipelineSimulator",
@@ -44,6 +40,7 @@ __all__ = [
     "SweepPoint",
     "SweepRecord",
     "SweepResult",
+    "POINT_KINDS",
     "HP_SEARCH_KINDS",
     "DISTRIBUTED_KINDS",
     "FAILURE_KINDS",

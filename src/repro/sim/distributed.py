@@ -17,7 +17,8 @@ Two data-pipeline configurations are compared:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from functools import partial
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.cache.page_cache import PageCache
 from repro.cluster.server import ServerConfig
@@ -31,7 +32,10 @@ from repro.pipeline.dali import DALILoader
 from repro.pipeline.stats import EpochStats
 from repro.prep.pipeline import PrepPipeline
 from repro.sim.engine import PipelineSimulator
-from repro.sim.single_server import effective_batch_size
+from repro.sim.kinds import (PointContext, PointFamily, PointKind, named,
+                             require_servers)
+from repro.sim.single_server import (decode_epoch, effective_batch_size,
+                                     encode_epoch)
 from repro.storage.filestore import FileStore
 
 
@@ -188,3 +192,50 @@ class DistributedTraining:
         loaders = _build_coordl_loaders(self._dataset, self._servers, self._model,
                                         gpu_prep, seed)
         return self._run(list(loaders), "coordl-partitioned", gpu_prep)
+
+
+def _run_point(method: Callable[..., DistributedResult], point: Any,
+               context: PointContext) -> Tuple[str, DistributedResult]:
+    """Run ``point`` through ``method`` of its distributed job."""
+    # Homogeneous servers, as in the paper's distributed experiments.  The
+    # per-rank DistributedSampler shards (and the partitioned cache group's
+    # shard assignment) derive from the point's stable seed, so repeated
+    # sweeps are reproducible and ranks agree on each epoch's permutation.
+    training = DistributedTraining(
+        point.model, context.dataset, [context.server] * point.num_servers,
+        num_epochs=point.num_epochs, queue_depth=context.queue_depth,
+        fast_path=context.fast_path)
+    return named(method(training, gpu_prep=bool(point.gpu_prep),
+                        seed=context.seed))
+
+
+def _metrics(dist: DistributedResult) -> Dict[str, Any]:
+    steady = dist.steady_epochs()[-1]
+    return dict(epoch_time_s=steady.epoch_time_s,
+                throughput=steady.throughput,
+                disk_bytes=steady.total_disk_bytes,
+                remote_bytes=steady.total_remote_bytes)
+
+
+#: Distributed points: per-epoch, per-server stats of the whole job.
+DISTRIBUTED_FAMILY = PointFamily(
+    slot="dist", key="dist",
+    encode=lambda dist, full: [[encode_epoch(server, full)
+                                for server in epoch.per_server]
+                               for epoch in dist.epochs],
+    decode=lambda data, loader_name: DistributedResult(loader_name, [
+        DistributedEpoch([decode_epoch(server) for server in epoch])
+        for epoch in data]),
+    metrics=_metrics)
+
+#: Sweep-point kinds simulated through :class:`DistributedTraining`
+#: (``cache_fraction`` / ``cache_bytes`` are per-server budgets there).
+DISTRIBUTED_POINT_KINDS = {
+    loader: PointKind(DISTRIBUTED_FAMILY, ("gpu_prep", "num_servers"),
+                      partial(_run_point, method), require_servers)
+    for loader, method in (("dist-baseline", DistributedTraining.run_baseline),
+                           ("dist-coordl", DistributedTraining.run_coordl))
+}
+
+#: The distributed sweep-point kinds, in table order.
+DISTRIBUTED_KINDS = tuple(DISTRIBUTED_POINT_KINDS)

@@ -41,8 +41,9 @@ bit-identical results either way).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +62,9 @@ from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import DistributedSampler
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.sim.hp_search import HPSearchScenario
+from repro.sim.kinds import (PointContext, PointFamily, PointKind,
+                             dataclass_codec, named, require,
+                             require_measured_epoch, require_servers)
 from repro.storage.device import dram
 from repro.units import safe_div
 
@@ -434,3 +438,96 @@ class FailureScenario:
                 epoch_time_s=epoch_time, disk_bytes=disk_bytes,
                 cache_miss_ratio=cache.stats.miss_ratio, active=total_jobs))
         return result
+
+
+def _scenario(point: Any, context: PointContext) -> FailureScenario:
+    # The scenario seed doubles as the FailureDetector's replacement-picking
+    # seed, so crash traces are a pure function of the point spec.
+    return FailureScenario(point.model, context.dataset, context.server,
+                           seed=context.seed, fast_path=context.fast_path)
+
+
+def _check_crash(point: Any) -> None:
+    require_measured_epoch(point)
+    jobs = [job for _, job in point.crash_schedule]
+    for epoch, job in point.crash_schedule:
+        require(0 <= epoch < point.num_epochs,
+                f"crash epoch {epoch} outside [0, {point.num_epochs})")
+        require(0 <= job < point.num_jobs,
+                f"crashed job {job} outside [0, {point.num_jobs})")
+    require(len(set(jobs)) == len(jobs),
+            "a job can crash at most once (dead jobs stay dead)")
+    require(len(jobs) < point.num_jobs,
+            "crash schedule must leave at least one surviving job")
+
+
+def _check_elastic(point: Any) -> None:
+    require_servers(point)
+    epochs = [epoch for epoch, _ in point.membership_schedule]
+    for epoch, count in point.membership_schedule:
+        require(1 <= epoch < point.num_epochs,
+                f"membership change at epoch {epoch} outside "
+                f"[1, {point.num_epochs}) (epoch 0 is the initial membership)")
+        require(count >= 1, "membership cannot drop below one server")
+    require(len(set(epochs)) == len(epochs),
+            "at most one membership change per epoch")
+
+
+def _check_straggler(point: Any) -> None:
+    require_servers(point)
+    require(len(point.straggler_factors) <= point.num_servers,
+            f"{len(point.straggler_factors)} straggler factors for "
+            f"{point.num_servers} servers")
+    require(all(f > 0 and math.isfinite(f) for f in point.straggler_factors),
+            "straggler factors must be positive and finite")
+
+
+def _check_multitenant(point: Any) -> None:
+    require_measured_epoch(point)
+    require(point.tenants >= 1, "need at least one tenant")
+
+
+def _metrics(failure: FailureScenarioResult) -> Dict[str, Any]:
+    steady = failure.steady_epoch_time_s
+    return dict(epoch_time_s=steady,
+                throughput=(failure.samples_per_epoch / steady
+                            if steady else 0.0),
+                disk_bytes=failure.total_disk_bytes,
+                rewarm_bytes=failure.total_rewarm_bytes,
+                events=len(failure.events))
+
+
+#: Failure points: per-epoch figures plus the full event trace.
+FAILURE_FAMILY = PointFamily("failure", "failure",
+                             *dataclass_codec(FailureScenarioResult),
+                             metrics=_metrics)
+
+#: Sweep-point kinds simulated through :class:`FailureScenario` — the
+#: unhappy paths (crashes, elastic membership, stragglers, multi-tenant
+#: cache contention).  ``cache_fraction`` / ``cache_bytes`` are per-server
+#: budgets for the elastic/straggler kinds.
+FAILURE_POINT_KINDS = {
+    "coordl-crash": PointKind(
+        FAILURE_FAMILY, ("num_jobs", "crash_schedule"),
+        lambda point, context: named(_scenario(point, context).run_crash(
+            point.num_jobs, point.crash_schedule, point.num_epochs)),
+        _check_crash),
+    "coordl-elastic": PointKind(
+        FAILURE_FAMILY, ("num_servers", "membership_schedule"),
+        lambda point, context: named(_scenario(point, context).run_elastic(
+            point.num_servers, point.membership_schedule, point.num_epochs)),
+        _check_elastic),
+    "coordl-straggler": PointKind(
+        FAILURE_FAMILY, ("num_servers", "straggler_factors"),
+        lambda point, context: named(_scenario(point, context).run_straggler(
+            point.num_servers, point.straggler_factors, point.num_epochs)),
+        _check_straggler),
+    "hp-multitenant": PointKind(
+        FAILURE_FAMILY, ("num_jobs", "tenants"),
+        lambda point, context: named(_scenario(point, context).run_multitenant(
+            point.tenants, point.num_jobs, point.num_epochs)),
+        _check_multitenant),
+}
+
+#: The failure/elasticity sweep-point kinds, in table order.
+FAILURE_KINDS = tuple(FAILURE_POINT_KINDS)

@@ -22,7 +22,8 @@ The scenario is simulated in two parts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import RandomSampler
 from repro.exceptions import ConfigurationError
 from repro.prep.pipeline import PrepPipeline
+from repro.sim.kinds import (PointContext, PointFamily, PointKind,
+                             dataclass_codec, named)
 from repro.units import safe_div
 
 
@@ -347,3 +350,34 @@ class HPSearchScenario:
         baseline = self.run_baseline()
         coordl = self.run_coordl()
         return safe_div(baseline.epoch_time_s, coordl.epoch_time_s)
+
+
+def _run_point(method: Callable[[HPSearchScenario], HPSearchResult],
+               point: Any, context: PointContext) -> Tuple[str, HPSearchResult]:
+    """Run ``point`` through ``method`` of its scenario."""
+    return named(method(HPSearchScenario(
+        point.model, context.dataset, context.server,
+        num_jobs=point.num_jobs, gpus_per_job=point.gpus_per_job,
+        seed=context.seed, fast_path=context.fast_path)))
+
+
+#: HP-search points: the scenario's steady-state result.
+HP_SEARCH_FAMILY = PointFamily(
+    "hp", "hp", *dataclass_codec(HPSearchResult),
+    metrics=lambda hp: dict(epoch_time_s=hp.epoch_time_s,
+                            throughput=hp.per_job_throughput,
+                            disk_bytes=hp.disk_bytes_per_epoch,
+                            cache_miss_ratio=hp.cache_miss_ratio))
+
+#: Sweep-point kinds simulated through :class:`HPSearchScenario`.  They
+#: measure one steady-state epoch whatever ``num_epochs`` says, so there
+#: is nothing to range-check.
+HP_SEARCH_POINT_KINDS = {
+    loader: PointKind(HP_SEARCH_FAMILY, ("num_jobs", "gpus_per_job"),
+                      partial(_run_point, method), check=lambda point: None)
+    for loader, method in (("hp-baseline", HPSearchScenario.run_baseline),
+                           ("hp-coordl", HPSearchScenario.run_coordl))
+}
+
+#: The HP-search sweep-point kinds, in table order.
+HP_SEARCH_KINDS = tuple(HP_SEARCH_POINT_KINDS)

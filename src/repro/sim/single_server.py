@@ -9,7 +9,7 @@ measured epochs, Sec. 3.1).  This is the workhorse behind Figs. 2–6, 9(a),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec
@@ -20,8 +20,10 @@ from repro.exceptions import ConfigurationError
 from repro.pipeline.base import DataLoader
 from repro.pipeline.dali import DALILoader, best_dali_loader
 from repro.pipeline.pytorch_native import PyTorchNativeLoader
-from repro.pipeline.stats import TrainingRunStats
+from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.sim.engine import PipelineSimulator
+from repro.sim.kinds import (PointContext, PointFamily, PointKind,
+                             dataclass_codec)
 
 #: Loader names accepted by :func:`build_loader`.  "pycoordl" is Appendix E's
 #: Py-CoorDL: the native PyTorch DataLoader (Pillow prep) with the page cache
@@ -171,3 +173,54 @@ class SingleServerTraining:
                               num_gpus=num_gpus, cores=cores, cache_bytes=cache_bytes,
                               gpu_prep=gpu_prep, seed=seed, batch_size=batch_size)
         return self.run_with_loader(loader)
+
+
+def _run_training_point(point: Any,
+                        context: PointContext) -> Tuple[str, TrainingRunStats]:
+    # dali-seq builds its own shuffle-buffer sampler (the storage-visible
+    # order is what matters there); every other kind shares the memoised
+    # random permutations of its per-point seed.
+    sampler = None if point.loader == "dali-seq" else context.shared_sampler()
+    loader = build_loader(point.loader, context.dataset, context.server,
+                          point.model, num_gpus=point.num_gpus,
+                          cores=point.cores, gpu_prep=point.gpu_prep,
+                          seed=context.seed, batch_size=point.batch_size,
+                          sampler=sampler)
+    simulator = PipelineSimulator(point.model, context.server.gpu,
+                                  queue_depth=context.queue_depth,
+                                  fast_path=context.fast_path)
+    return loader.name, TrainingRunStats(
+        list(simulator.run_epochs(loader, point.num_epochs)))
+
+
+def _training_metrics(run: TrainingRunStats) -> Dict[str, Any]:
+    steady = run.steady_epoch()
+    return dict(epoch_time_s=steady.epoch_time_s,
+                throughput=steady.throughput,
+                fetch_stall_s=steady.fetch_stall_s,
+                prep_stall_s=steady.prep_stall_s,
+                disk_bytes=steady.io.disk_bytes,
+                cache_miss_ratio=steady.cache_miss_ratio)
+
+
+#: Snapshot codec of one epoch's stats (the ``io`` counters through
+#: :meth:`IOStats.snapshot <repro.storage.iostats.IOStats.snapshot>`),
+#: shared by the training and distributed families.
+encode_epoch, decode_epoch = dataclass_codec(EpochStats)
+
+#: Single-server training points: the full multi-epoch run of one loader.
+TRAINING_FAMILY = PointFamily(
+    slot="run", key="epochs",
+    encode=lambda run, full: [encode_epoch(epoch, full)
+                              for epoch in run.epochs],
+    decode=lambda data, _: TrainingRunStats(
+        [decode_epoch(epoch) for epoch in data]),
+    metrics=_training_metrics)
+
+#: Sweep-point kinds of the single-server training pipeline.
+TRAINING_POINT_KINDS = {
+    kind: PointKind(TRAINING_FAMILY,
+                    ("cores", "num_gpus", "batch_size", "gpu_prep"),
+                    _run_training_point)
+    for kind in LOADER_KINDS
+}

@@ -2,30 +2,21 @@
 
 Every figure/table reproduction walks a grid of configurations — cache
 sizes (Fig. 3), prep cores (Fig. 4), models (Figs. 6/9d), predictor
-validation points (Tab. 5) — and each experiment module used to hand-roll
-its own loops over :class:`~repro.sim.single_server.SingleServerTraining`
-or :class:`~repro.sim.hp_search.HPSearchScenario`.  :class:`SweepRunner`
-replaces those loops with one subsystem that
+validation points (Tab. 5).  :class:`SweepRunner` expands such a grid into
+:class:`SweepPoint`\\ s, **shares** dataset materialisation and per-epoch
+sampler permutations across all points of the same (dataset, seed) pair,
+runs every point through the simulator's vectorised fast path, and returns
+a tidy :class:`SweepResult` the experiment modules reduce into their
+:class:`~repro.experiments.base.ExperimentResult` tables.
 
-* expands a grid of (model, loader, cache size, cores, batch size)
-  into :class:`SweepPoint`\\ s,
-* **shares** dataset materialisation and per-epoch sampler permutations
-  across all points of the same (dataset, seed) pair,
-* runs every point through the simulator's vectorised fast path
-  (:meth:`repro.sim.engine.PipelineSimulator.collect_batch_times`), and
-* returns a tidy :class:`SweepResult` the experiment modules reduce into
-  their :class:`~repro.experiments.base.ExperimentResult` tables.
-
-Four point-kind families are supported: single-server training sweeps
-(``loader`` in :data:`~repro.sim.single_server.LOADER_KINDS`), HP-search
-scenario sweeps (``loader`` in :data:`HP_SEARCH_KINDS`, which run
-:class:`~repro.sim.hp_search.HPSearchScenario` per point), multi-server
-distributed sweeps (``loader`` in :data:`DISTRIBUTED_KINDS`, which run
-:class:`~repro.sim.distributed.DistributedTraining` per point), and
-failure/elasticity sweeps (``loader`` in :data:`FAILURE_KINDS`, which run
-:class:`~repro.sim.failures.FailureScenario` per point and fold a
-deterministic :class:`~repro.coordl.failure.FailureEvent` trace into the
-snapshot).
+Every ``loader`` name is a row of :data:`POINT_KINDS`, the point-kind
+table (:mod:`repro.sim.kinds`), covering four families: single-server
+training, HP search, multi-server distributed training and
+failure/elasticity scenarios.  Each scenario module defines its rows —
+the kind-specific fields a kind takes, its checks, how to run it, and its
+family's record attribute, snapshot codec and ``row()`` metrics — so point
+validation, :meth:`SweepRunner._run_point` and the :class:`SweepRecord`
+codec each make one table lookup.
 
 Because every point is an independent simulation, :meth:`SweepRunner.run`
 can fan a grid out over a spawn-safe ``multiprocessing`` worker pool
@@ -52,17 +43,13 @@ executor — :class:`SerialExecutor` in process, a one-shot or long-lived
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import itertools
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Tuple)
-
-import numpy as np
 
 if TYPE_CHECKING:  # repro.store imports this module; annotation-only here
     from repro.store import PersistentPool, StoreArg
@@ -76,40 +63,19 @@ from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import CachingSampler, RandomSampler, Sampler
 from repro.exceptions import ConfigurationError, SweepPointError
 from repro.pipeline.stats import EpochStats, TrainingRunStats
-from repro.storage.iostats import IOStats
-from repro.coordl.failure import FailureEvent
-from repro.sim.distributed import DistributedEpoch, DistributedResult, DistributedTraining
-from repro.sim.engine import PipelineSimulator
-from repro.sim.failures import (
-    FailureEpoch,
-    FailureScenario,
-    FailureScenarioResult,
-)
-from repro.sim.hp_search import HPSearchResult, HPSearchScenario
-from repro.sim.single_server import LOADER_KINDS, build_loader
+from repro.sim.distributed import (DISTRIBUTED_POINT_KINDS, DistributedEpoch,
+                                   DistributedResult)
+from repro.sim.failures import FAILURE_POINT_KINDS, FailureScenarioResult
+from repro.sim.hp_search import HP_SEARCH_POINT_KINDS, HPSearchResult
+from repro.sim.kinds import PointContext, PointFamily, PointKind
+from repro.sim.single_server import TRAINING_POINT_KINDS
 
-#: Sweep-point kinds simulated through :class:`HPSearchScenario` instead of
-#: the single-server epoch pipeline.
-HP_SEARCH_KINDS = ("hp-baseline", "hp-coordl")
-
-#: Sweep-point kinds simulated through :class:`DistributedTraining`
-#: (``cache_fraction`` / ``cache_bytes`` are per-server budgets there).
-DISTRIBUTED_KINDS = ("dist-baseline", "dist-coordl")
-
-#: Sweep-point kinds simulated through :class:`~repro.sim.failures.
-#: FailureScenario` — the unhappy paths (crashes, elastic membership,
-#: stragglers, multi-tenant cache contention).  ``cache_fraction`` /
-#: ``cache_bytes`` are per-server budgets for the elastic/straggler kinds.
-FAILURE_KINDS = ("coordl-crash", "coordl-elastic", "coordl-straggler",
-                 "hp-multitenant")
-
-#: Failure-kind → the scenario fields it plumbs through (anything else
-#: kind-specific must stay at its default, enforced by point validation).
-_FAILURE_FIELDS = {
-    "coordl-crash": ("num_jobs", "crash_schedule"),
-    "coordl-elastic": ("num_servers", "membership_schedule"),
-    "coordl-straggler": ("num_servers", "straggler_factors"),
-    "hp-multitenant": ("num_jobs", "tenants"),
+#: The point-kind table: every ``SweepPoint.loader`` name and its
+#: :class:`~repro.sim.kinds.PointKind`, training kinds first, then HP
+#: search, distributed and failure kinds.
+POINT_KINDS: Dict[str, PointKind] = {
+    **TRAINING_POINT_KINDS, **HP_SEARCH_POINT_KINDS,
+    **DISTRIBUTED_POINT_KINDS, **FAILURE_POINT_KINDS,
 }
 
 #: Environment variable supplying the default worker count of
@@ -142,10 +108,9 @@ class SweepPoint:
 
     Attributes:
         model: DNN trained at this point.
-        loader: One of :data:`~repro.sim.single_server.LOADER_KINDS` for
-            single-server training points, one of :data:`HP_SEARCH_KINDS`
-            for HP-search scenario points, or one of
-            :data:`DISTRIBUTED_KINDS` for multi-server points.
+        loader: A kind in :data:`POINT_KINDS`: one of
+            :data:`~repro.sim.single_server.LOADER_KINDS` for single-server
+            training points, or an HP-search, distributed or failure kind.
         dataset: Catalog name of the dataset; ``None`` uses the model's
             ``default_dataset`` (the Fig. 6/9 per-model convention).
         cache_fraction: Cache budget as a fraction of the dataset's bytes
@@ -161,23 +126,23 @@ class SweepPoint:
         gpu_prep: Force GPU prep on/off (``None``: faster variant; treated
             as off for distributed points, matching Fig. 9b).
         num_epochs: Epochs to simulate (first is the cold-cache warm-up).
-        num_jobs / gpus_per_job: HP-search points only (``num_jobs`` is
-            also the crash kind's job count and the per-tenant job count
-            of ``hp-multitenant``).
-        num_servers: Distributed and elastic/straggler points only
-            (homogeneous servers; the *initial* membership for
+        num_jobs / gpus_per_job: Concurrent jobs and GPUs per job (also
+            the crash kind's job count and the per-tenant job count of
+            ``hp-multitenant``).
+        num_servers: Homogeneous servers (the *initial* membership for
             ``coordl-elastic``).
-        crash_schedule: ``coordl-crash`` only — ``(epoch, job)`` pairs;
-            normalised to sorted order, so any permutation is the same
-            point (and the same store key).
-        membership_schedule: ``coordl-elastic`` only — ``(epoch, count)``
-            pairs applied at the start of that epoch; sorted, epochs
-            distinct.
-        straggler_factors: ``coordl-straggler`` only — positional
-            per-server fetch slowdowns (padded with 1.0).
-        tenants: ``hp-multitenant`` only — campaigns of ``num_jobs`` jobs
-            each sharing the server.
+        crash_schedule: ``(epoch, job)`` pairs; normalised to sorted
+            order, so any permutation is the same point (and store key).
+        membership_schedule: ``(epoch, count)`` pairs applied at the start
+            of that epoch; sorted, epochs distinct.
+        straggler_factors: Positional per-server fetch slowdowns (padded
+            with 1.0).
+        tenants: Campaigns of ``num_jobs`` jobs each sharing the server.
         label: Free-form tag carried through to the record.
+
+    ``cores`` to ``gpu_prep`` and ``num_jobs`` to ``tenants`` are
+    kind-specific: a point whose kind does not take one
+    (``POINT_KINDS[loader].fields``) must leave it at its default.
     """
 
     model: ModelSpec
@@ -209,141 +174,28 @@ class SweepPoint:
             (int(e), int(n)) for e, n in self.membership_schedule)))
         object.__setattr__(self, "straggler_factors", tuple(
             float(f) for f in self.straggler_factors))
-        known = (LOADER_KINDS + HP_SEARCH_KINDS + DISTRIBUTED_KINDS
-                 + FAILURE_KINDS)
-        if self.loader not in known:
+        kind = POINT_KINDS.get(self.loader)
+        if kind is None:
             raise ConfigurationError(
-                f"unknown sweep loader {self.loader!r}; expected one of {known}")
+                f"unknown sweep loader {self.loader!r}; expected one of "
+                f"{tuple(POINT_KINDS)}")
         if self.cache_fraction is not None and self.cache_bytes is not None:
             raise ConfigurationError(
                 "give cache_fraction or cache_bytes, not both")
-        if not self.is_hp_search and self.num_epochs < 2:
-            raise ConfigurationError(
-                "need at least two epochs (warm-up + one measured epoch)")
-        if self.is_distributed and self.num_servers < 2:
-            raise ConfigurationError(
-                "distributed sweep points need at least two servers")
-        # Fields that a point kind does not plumb through are rejected rather
-        # than silently ignored: a plausible-looking result simulated without
+        # Fields that a point kind does not take are rejected rather than
+        # silently ignored: a plausible-looking result simulated without
         # the requested knob is worse than an error.
-        scenario_fields = (("num_jobs", self.num_jobs, 8),
-                           ("gpus_per_job", self.gpus_per_job, 1),
-                           ("num_servers", self.num_servers, 2),
-                           ("crash_schedule", self.crash_schedule, ()),
-                           ("membership_schedule", self.membership_schedule, ()),
-                           ("straggler_factors", self.straggler_factors, ()),
-                           ("tenants", self.tenants, 2))
-        if self.is_failure:
-            inapplicable = [("batch_size", self.batch_size),
-                            ("cores", self.cores),
-                            ("num_gpus", self.num_gpus),
-                            ("gpu_prep", self.gpu_prep)]
-            bad = [name for name, value in inapplicable if value is not None]
-            if bad:
-                raise ConfigurationError(
-                    f"{self.loader!r} sweep points do not support {bad} "
-                    "(training-point-only fields)")
-            allowed = _FAILURE_FIELDS[self.loader]
-            bad = [name for name, value, default in scenario_fields
-                   if value != default and name not in allowed]
-            if bad:
-                raise ConfigurationError(
-                    f"{self.loader!r} sweep points do not support {bad} "
-                    "(fields of another scenario kind)")
-            self._validate_failure_point()
-        elif self.is_hp_search or self.is_distributed:
-            inapplicable = [("batch_size", self.batch_size),
-                            ("cores", self.cores),
-                            ("num_gpus", self.num_gpus)]
-            if self.is_hp_search:
-                inapplicable.append(("gpu_prep", self.gpu_prep))
-            bad = [name for name, value in inapplicable if value is not None]
-            if bad:
-                raise ConfigurationError(
-                    f"{self.loader!r} sweep points do not support {bad} "
-                    "(training-point-only fields)")
-            failure_only = ("crash_schedule", "membership_schedule",
-                            "straggler_factors", "tenants")
-            bad = [name for name, value, default in scenario_fields
-                   if value != default and name in failure_only]
-            if bad:
-                raise ConfigurationError(
-                    f"{self.loader!r} sweep points do not support {bad} "
-                    "(failure-point-only fields)")
-        else:
-            bad = [name for name, value, default in scenario_fields
-                   if value != default]
-            if bad:
-                raise ConfigurationError(
-                    f"training sweep points do not support {bad} "
-                    "(scenario-point-only fields)")
-
-    def _validate_failure_point(self) -> None:
-        """Range/shape checks of the failure kinds' schedule fields."""
-        if self.loader == "coordl-crash":
-            jobs = [job for _, job in self.crash_schedule]
-            for epoch, job in self.crash_schedule:
-                if not 0 <= epoch < self.num_epochs:
-                    raise ConfigurationError(
-                        f"crash epoch {epoch} outside [0, {self.num_epochs})")
-                if not 0 <= job < self.num_jobs:
-                    raise ConfigurationError(
-                        f"crashed job {job} outside [0, {self.num_jobs})")
-            if len(set(jobs)) != len(jobs):
-                raise ConfigurationError(
-                    "a job can crash at most once (dead jobs stay dead)")
-            if len(jobs) >= self.num_jobs:
-                raise ConfigurationError(
-                    "crash schedule must leave at least one surviving job")
-        elif self.loader == "coordl-elastic":
-            if self.num_servers < 2:
-                raise ConfigurationError(
-                    "elastic sweep points need at least two initial servers")
-            epochs = [epoch for epoch, _ in self.membership_schedule]
-            for epoch, count in self.membership_schedule:
-                if not 1 <= epoch < self.num_epochs:
-                    raise ConfigurationError(
-                        f"membership change at epoch {epoch} outside "
-                        f"[1, {self.num_epochs}) (epoch 0 is the initial "
-                        "membership)")
-                if count < 1:
-                    raise ConfigurationError(
-                        "membership cannot drop below one server")
-            if len(set(epochs)) != len(epochs):
-                raise ConfigurationError(
-                    "at most one membership change per epoch")
-        elif self.loader == "coordl-straggler":
-            if self.num_servers < 2:
-                raise ConfigurationError(
-                    "straggler sweep points need at least two servers")
-            if len(self.straggler_factors) > self.num_servers:
-                raise ConfigurationError(
-                    f"{len(self.straggler_factors)} straggler factors for "
-                    f"{self.num_servers} servers")
-            for factor in self.straggler_factors:
-                if not (factor > 0 and math.isfinite(factor)):
-                    raise ConfigurationError(
-                        "straggler factors must be positive and finite")
-        elif self.tenants < 1:
-            raise ConfigurationError("need at least one tenant")
-
-    @property
-    def is_hp_search(self) -> bool:
-        """Whether this point runs through the HP-search scenario."""
-        return self.loader in HP_SEARCH_KINDS
-
-    @property
-    def is_distributed(self) -> bool:
-        """Whether this point runs through the distributed scenario."""
-        return self.loader in DISTRIBUTED_KINDS
-
-    @property
-    def is_failure(self) -> bool:
-        """Whether this point runs through the failure/elasticity scenario."""
-        return self.loader in FAILURE_KINDS
+        bad = [name for name, default in _KIND_FIELDS[self.loader][1]
+               if getattr(self, name) != default]
+        if bad:
+            raise ConfigurationError(
+                f"{self.loader!r} sweep points do not support {bad} "
+                f"(their kind-specific fields are {list(kind.fields)})")
+        kind.check(self)
 
     def describe(self) -> str:
-        """The point's label, or a synthesised short description.
+        """The point's label, or else its model, loader, dataset, cache
+        budget and every non-default field its kind takes.
 
         Used in error messages (:class:`~repro.exceptions.SweepPointError`)
         so a failing point can be located in its grid.
@@ -357,16 +209,67 @@ class SweepPoint:
             parts.append(f"cache={self.cache_fraction:g}")
         if self.cache_bytes is not None:
             parts.append(f"cache_bytes={self.cache_bytes:g}")
-        if self.cores is not None:
-            parts.append(f"cores={self.cores:g}")
-        if self.batch_size is not None:
-            parts.append(f"batch={self.batch_size}")
+        for name, default in _KIND_FIELDS[self.loader][0]:
+            value = getattr(self, name)
+            if value != default:
+                shown = format(value, "g") if isinstance(value, float) else value
+                parts.append(f"{name}={shown}")
         return "/".join(parts)
 
 
-def _hex(value: float) -> str:
-    """Lossless, byte-exact float representation for snapshots."""
-    return float(value).hex()
+#: ``(name, default)`` of every kind-specific field (one some kind takes),
+#: in :class:`SweepPoint` field order.
+_SPECIFIC_FIELDS = tuple(
+    (f.name, f.default) for f in fields(SweepPoint)
+    if any(f.name in kind.fields for kind in POINT_KINDS.values()))
+
+#: Loader -> (kind-specific fields its kind takes, those it does not),
+#: precomputed so validating a point costs one lookup per field.
+_KIND_FIELDS = {
+    loader: (tuple(item for item in _SPECIFIC_FIELDS if item[0] in kind.fields),
+             tuple(item for item in _SPECIFIC_FIELDS
+                   if item[0] not in kind.fields))
+    for loader, kind in POINT_KINDS.items()
+}
+
+#: Every :class:`SweepPoint` field name.
+_POINT_FIELDS = frozenset(f.name for f in fields(SweepPoint))
+
+
+def point_to_wire(point: SweepPoint) -> Dict[str, Any]:
+    """JSON form of one sweep point (the model by zoo name, tuples as
+    lists) that record snapshots, the serve protocol and dist frames carry;
+    it compares equal to its own JSON round trip."""
+    return {f.name: (point.model.name if f.name == "model"
+                     else _jsonable(getattr(point, f.name)))
+            for f in fields(SweepPoint)}
+
+
+def _jsonable(value: Any) -> Any:
+    """Tuple-free rendering of a point field for snapshots (JSON round-trip
+    stable: what comes back from ``json.loads`` compares equal)."""
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def point_from_wire(data: Dict[str, Any]) -> SweepPoint:
+    """Build the point a wire dict describes (inverse of
+    :func:`point_to_wire`; unknown fields are rejected, and
+    :class:`SweepPoint` validation applies as usual)."""
+    if not isinstance(data, dict):
+        raise ConfigurationError("each point must be a JSON object")
+    values = dict(data)
+    try:
+        model = get_model(str(values.pop("model")))
+    except KeyError:
+        raise ConfigurationError("each point needs a 'model' name") from None
+    unknown = set(values) - _POINT_FIELDS
+    if unknown:
+        raise ConfigurationError(
+            f"unknown point fields {sorted(unknown)}; known: "
+            f"{sorted(_POINT_FIELDS)}")
+    return SweepPoint(model=model, **values)
 
 
 def _canonical(value: Any) -> Any:
@@ -381,120 +284,18 @@ def _canonical(value: Any) -> Any:
     # bool before float: isinstance(True, int) but bools are JSON-stable.
     if isinstance(value, bool) or not isinstance(value, float):
         return value
-    return _hex(value)
-
-
-def _jsonable(value: Any) -> Any:
-    """Tuple-free rendering of a point field for snapshots (JSON round-trip
-    stable: what comes back from ``json.loads`` compares equal)."""
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _io_snapshot(io: IOStats, include_timeline: bool = False) -> Dict[str, Any]:
-    """Canonical byte-exact form of one epoch's I/O counters.
-
-    The (possibly long) per-read disk timeline is folded into a digest of
-    its ``"<t hex>:<bytes hex>;"`` rendering: two timelines agree on the
-    digest iff they agree sample for sample on the exact float bits, which
-    keeps golden files small without weakening the byte-identical
-    guarantee; the digest form cannot be inverted.  ``include_timeline``
-    replaces the digest with the timeline itself — the self-contained
-    variant the result store and both wire protocols carry, so a record
-    can be rehydrated losslessly (:meth:`SweepRecord.from_snapshot`).  It
-    is base64 of the little-endian float64 columns, all times then all
-    cumulative bytes: exact bits, and no per-sample work on either side.
-    """
-    times, cumulative = io.timeline_columns
-    data: Dict[str, Any] = {
-        "disk_bytes": _hex(io.disk_bytes),
-        "disk_requests": io.disk_requests,
-        "cache_bytes": _hex(io.cache_bytes),
-        "cache_requests": io.cache_requests,
-        "remote_bytes": _hex(io.remote_bytes),
-        "remote_requests": io.remote_requests,
-        "timeline_len": int(times.size),
-    }
-    if include_timeline:
-        columns = np.concatenate((times, cumulative)).astype("<f8", copy=False)
-        data["timeline"] = base64.b64encode(columns.tobytes()).decode("ascii")
-    else:
-        # One update over the whole rendering hashes the same stream as
-        # one update per sample.
-        rendered = "".join(f"{t.hex()}:{b.hex()};" for t, b
-                           in zip(times.tolist(), cumulative.tolist()))
-        data["timeline_digest"] = hashlib.blake2b(
-            rendered.encode("ascii"), digest_size=16).hexdigest()
-    return data
-
-
-def _io_from_snapshot(data: Dict[str, Any]) -> IOStats:
-    """Inverse of :func:`_io_snapshot` (requires the embedded timeline).
-
-    Raises:
-        ConfigurationError: The snapshot is digest-only with a non-empty
-            timeline, or its timeline does not hold exactly
-            ``timeline_len`` samples.
-    """
-    count = int(data["timeline_len"])
-    if count and "timeline" not in data:
-        raise ConfigurationError(
-            "I/O snapshot carries only the timeline digest; rehydration needs "
-            "the full-timeline form (snapshot(include_timeline=True))")
-    raw = base64.b64decode(data.get("timeline", ""), validate=True)
-    if len(raw) != 16 * count:
-        raise ConfigurationError(
-            f"I/O snapshot timeline holds {len(raw)} bytes, but "
-            f"timeline_len {count} needs {16 * count}")
-    io = IOStats(
-        disk_bytes=float.fromhex(data["disk_bytes"]),
-        disk_requests=int(data["disk_requests"]),
-        cache_bytes=float.fromhex(data["cache_bytes"]),
-        cache_requests=int(data["cache_requests"]),
-        remote_bytes=float.fromhex(data["remote_bytes"]),
-        remote_requests=int(data["remote_requests"]),
-    )
-    columns = np.frombuffer(raw, dtype="<f8")
-    io.timeline_columns = (columns[:count], columns[count:])
-    return io
-
-
-def _epoch_snapshot(stats: EpochStats,
-                    include_timeline: bool = False) -> Dict[str, Any]:
-    """Canonical byte-exact form of one :class:`EpochStats`."""
-    return {
-        "epoch_time_s": _hex(stats.epoch_time_s),
-        "gpu_time_s": _hex(stats.gpu_time_s),
-        "prep_limited_time_s": _hex(stats.prep_limited_time_s),
-        "samples": stats.samples,
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "io": _io_snapshot(stats.io, include_timeline),
-    }
-
-
-def _epoch_from_snapshot(data: Dict[str, Any]) -> EpochStats:
-    """Inverse of :func:`_epoch_snapshot`."""
-    return EpochStats(
-        epoch_time_s=float.fromhex(data["epoch_time_s"]),
-        gpu_time_s=float.fromhex(data["gpu_time_s"]),
-        prep_limited_time_s=float.fromhex(data["prep_limited_time_s"]),
-        samples=int(data["samples"]),
-        io=_io_from_snapshot(data["io"]),
-        cache_hits=int(data["cache_hits"]),
-        cache_misses=int(data["cache_misses"]),
-    )
+    return float(value).hex()
 
 
 @dataclass
 class SweepRecord:
     """Outcome of one sweep point.
 
-    Training points carry the full multi-epoch ``run``; HP-search points
-    carry the scenario's steady-state ``hp`` result; distributed points
-    carry the multi-epoch, multi-server ``dist`` result; failure points
-    carry the multi-epoch ``failure`` result with its event trace.
+    The result sits in the attribute its kind's family names: training
+    points carry the full multi-epoch ``run``, HP-search points the
+    steady-state ``hp`` result, distributed points the multi-server
+    ``dist`` result, and failure points the ``failure`` result with its
+    event trace.
     """
 
     point: SweepPoint
@@ -506,12 +307,16 @@ class SweepRecord:
     failure: Optional[FailureScenarioResult] = None
 
     @property
+    def _family(self) -> PointFamily:
+        return POINT_KINDS[self.point.loader].family
+
+    @property
     def steady(self) -> EpochStats:
         """Representative steady-state epoch (training points)."""
         if self.run is None:
             raise ConfigurationError(
-                f"sweep point {self.point.loader!r} has no epoch run "
-                "(HP-search points expose .hp, distributed points .dist)")
+                f"sweep point {self.point.loader!r} has no epoch run (its "
+                f"result is .{self._family.slot})")
         return self.run.steady_epoch()
 
     @property
@@ -534,41 +339,8 @@ class SweepRecord:
             "batch_size": self.point.batch_size,
             "label": self.point.label,
         }
-        if self.hp is not None:
-            values.update(
-                epoch_time_s=self.hp.epoch_time_s,
-                throughput=self.hp.per_job_throughput,
-                disk_bytes=self.hp.disk_bytes_per_epoch,
-                cache_miss_ratio=self.hp.cache_miss_ratio,
-            )
-        elif self.failure is not None:
-            steady = self.failure.steady_epoch_time_s
-            values.update(
-                epoch_time_s=steady,
-                throughput=(self.failure.samples_per_epoch / steady
-                            if steady else 0.0),
-                disk_bytes=self.failure.total_disk_bytes,
-                rewarm_bytes=self.failure.total_rewarm_bytes,
-                events=len(self.failure.events),
-            )
-        elif self.dist is not None:
-            steady = self.dist_steady
-            values.update(
-                epoch_time_s=steady.epoch_time_s,
-                throughput=steady.throughput,
-                disk_bytes=steady.total_disk_bytes,
-                remote_bytes=steady.total_remote_bytes,
-            )
-        else:
-            steady = self.steady
-            values.update(
-                epoch_time_s=steady.epoch_time_s,
-                throughput=steady.throughput,
-                fetch_stall_s=steady.fetch_stall_s,
-                prep_stall_s=steady.prep_stall_s,
-                disk_bytes=steady.io.disk_bytes,
-                cache_miss_ratio=steady.cache_miss_ratio,
-            )
+        family = self._family
+        values.update(family.metrics(getattr(self, family.slot)))
         return values
 
     def snapshot(self, include_timeline: bool = False) -> Dict[str, Any]:
@@ -586,61 +358,14 @@ class SweepRecord:
         protocols carry this form; the committed goldens keep the compact
         digest-only default.
         """
-        point = {
-            f.name: (self.point.model.name if f.name == "model"
-                     else _jsonable(getattr(self.point, f.name)))
-            for f in fields(SweepPoint)
-        }
-        data: Dict[str, Any] = {
-            "point": point,
+        family = self._family
+        return {
+            "point": point_to_wire(self.point),
             "dataset": self.dataset_name,
             "loader_name": self.loader_name,
+            family.key: family.encode(getattr(self, family.slot),
+                                      include_timeline),
         }
-        if self.run is not None:
-            data["epochs"] = [_epoch_snapshot(e, include_timeline)
-                              for e in self.run.epochs]
-        if self.hp is not None:
-            data["hp"] = {
-                "loader_name": self.hp.loader_name,
-                "num_jobs": self.hp.num_jobs,
-                "gpus_per_job": self.hp.gpus_per_job,
-                "epoch_time_s": _hex(self.hp.epoch_time_s),
-                "per_job_throughput": _hex(self.hp.per_job_throughput),
-                "disk_bytes_per_epoch": _hex(self.hp.disk_bytes_per_epoch),
-                "cache_miss_ratio": _hex(self.hp.cache_miss_ratio),
-                "prep_bound": self.hp.prep_bound,
-                "fetch_bound": self.hp.fetch_bound,
-                "gpu_bound": self.hp.gpu_bound,
-                "staging_peak_bytes": _hex(self.hp.staging_peak_bytes),
-            }
-        if self.dist is not None:
-            data["dist"] = [
-                [_epoch_snapshot(server, include_timeline)
-                 for server in epoch.per_server]
-                for epoch in self.dist.epochs
-            ]
-        if self.failure is not None:
-            data["failure"] = {
-                "loader_name": self.failure.loader_name,
-                "samples_per_epoch": self.failure.samples_per_epoch,
-                "epochs": [{
-                    "epoch_time_s": _hex(e.epoch_time_s),
-                    "disk_bytes": _hex(e.disk_bytes),
-                    "remote_bytes": _hex(e.remote_bytes),
-                    "rewarm_bytes": _hex(e.rewarm_bytes),
-                    "stall_s": _hex(e.stall_s),
-                    "cache_miss_ratio": _hex(e.cache_miss_ratio),
-                    "active": e.active,
-                } for e in self.failure.epochs],
-                "events": [{
-                    "kind": ev.kind,
-                    "failed_job": ev.failed_job,
-                    "detected_at": _hex(ev.detected_at),
-                    "reassigned_to": ev.reassigned_to,
-                    "missing_batch_id": ev.missing_batch_id,
-                } for ev in self.failure.events],
-            }
-        return data
 
     @classmethod
     def from_snapshot(cls, data: Dict[str, Any]) -> "SweepRecord":
@@ -655,7 +380,7 @@ class SweepRecord:
         snapshots byte-identically to ``r``.  A digest-only snapshot with a
         non-empty timeline cannot be inverted and raises
         :class:`~repro.exceptions.ConfigurationError` (the store never
-        writes that form).
+        writes that form), as does a point with unknown fields.
 
         The model resolves through the zoo by name, so records simulated
         under a *custom* :class:`ModelSpec` rehydrate to the zoo spec (or
@@ -664,61 +389,12 @@ class SweepRecord:
         (They can never be *served wrongly* either: the content address
         covers every ``ModelSpec`` field, not just the name.)
         """
-        point_data = dict(data["point"])
-        model = get_model(point_data.pop("model"))
-        point = SweepPoint(model=model, **point_data)
-        record = cls(point=point, dataset_name=data["dataset"],
-                     loader_name=data["loader_name"])
-        if "epochs" in data:
-            run = TrainingRunStats()
-            for epoch in data["epochs"]:
-                run.add(_epoch_from_snapshot(epoch))
-            record.run = run
-        if "hp" in data:
-            hp = data["hp"]
-            record.hp = HPSearchResult(
-                loader_name=hp["loader_name"],
-                num_jobs=int(hp["num_jobs"]),
-                gpus_per_job=int(hp["gpus_per_job"]),
-                epoch_time_s=float.fromhex(hp["epoch_time_s"]),
-                per_job_throughput=float.fromhex(hp["per_job_throughput"]),
-                disk_bytes_per_epoch=float.fromhex(hp["disk_bytes_per_epoch"]),
-                cache_miss_ratio=float.fromhex(hp["cache_miss_ratio"]),
-                prep_bound=bool(hp["prep_bound"]),
-                fetch_bound=bool(hp["fetch_bound"]),
-                gpu_bound=bool(hp["gpu_bound"]),
-                staging_peak_bytes=float.fromhex(hp["staging_peak_bytes"]),
-            )
-        if "dist" in data:
-            record.dist = DistributedResult(
-                loader_name=data["loader_name"],
-                epochs=[DistributedEpoch(per_server=[
-                    _epoch_from_snapshot(server) for server in epoch])
-                    for epoch in data["dist"]],
-            )
-        if "failure" in data:
-            failure = data["failure"]
-            record.failure = FailureScenarioResult(
-                loader_name=failure["loader_name"],
-                samples_per_epoch=int(failure["samples_per_epoch"]),
-                epochs=[FailureEpoch(
-                    epoch_time_s=float.fromhex(e["epoch_time_s"]),
-                    disk_bytes=float.fromhex(e["disk_bytes"]),
-                    remote_bytes=float.fromhex(e["remote_bytes"]),
-                    rewarm_bytes=float.fromhex(e["rewarm_bytes"]),
-                    stall_s=float.fromhex(e["stall_s"]),
-                    cache_miss_ratio=float.fromhex(e["cache_miss_ratio"]),
-                    active=int(e["active"]),
-                ) for e in failure["epochs"]],
-                events=[FailureEvent(
-                    kind=ev["kind"],
-                    failed_job=int(ev["failed_job"]),
-                    detected_at=float.fromhex(ev["detected_at"]),
-                    reassigned_to=int(ev["reassigned_to"]),
-                    missing_batch_id=int(ev["missing_batch_id"]),
-                ) for ev in failure["events"]],
-            )
-        return record
+        point = point_from_wire(data["point"])
+        family = POINT_KINDS[point.loader].family
+        return cls(point=point, dataset_name=data["dataset"],
+                   loader_name=data["loader_name"],
+                   **{family.slot: family.decode(data[family.key],
+                                                 data["loader_name"])})
 
 
 class SweepResult:
@@ -740,8 +416,7 @@ class SweepResult:
 
     def filter(self, **attrs: Any) -> "SweepResult":
         """Records whose :class:`SweepPoint` matches every given attribute."""
-        point_fields = {f.name for f in fields(SweepPoint)}
-        unknown = set(attrs) - point_fields
+        unknown = set(attrs) - _POINT_FIELDS
         if unknown:
             raise ConfigurationError(f"unknown sweep-point fields {sorted(unknown)}")
         kept = [r for r in self._records
@@ -951,19 +626,15 @@ class SweepRunner:
         to change results (the golden tests), so serial and pooled runs
         share entries.
         """
-        point_fields: Dict[str, Any] = {}
-        for f in fields(SweepPoint):
-            value = getattr(point, f.name)
-            if f.name == "model":
-                value = {mf.name: _canonical(getattr(point.model, mf.name))
-                         for mf in fields(ModelSpec)}
-            else:
-                value = _canonical(value)
-            point_fields[f.name] = value
+        point_fields = {name: _canonical(value)
+                        for name, value in point_to_wire(point).items()}
+        point_fields["model"] = {
+            mf.name: _canonical(getattr(point.model, mf.name))
+            for mf in fields(ModelSpec)}
         return {
             "runner": {
                 "server_factory": self._factory_identity(),
-                "scale": _hex(self._scale),
+                "scale": float(self._scale).hex(),
                 "seed": self._seed,
                 "queue_depth": self._queue_depth,
                 "fast_path": bool(self._fast_path),
@@ -1153,96 +824,17 @@ class SweepRunner:
         return clamp_workers(workers)
 
     def _run_point(self, point: SweepPoint) -> SweepRecord:
+        kind = POINT_KINDS[point.loader]
         with self._replays.activated():
-            if point.is_hp_search:
-                return self._run_hp_point(point)
-            if point.is_distributed:
-                return self._run_distributed_point(point)
-            if point.is_failure:
-                return self._run_failure_point(point)
-            return self._run_training_point(point)
-
-    def _run_training_point(self, point: SweepPoint) -> SweepRecord:
-        dataset, server = self._resolve(point)
-        seed = self.point_seed(point)
-        # dali-seq builds its own shuffle-buffer sampler (the storage-visible
-        # order is what matters there); every other kind shares the memoised
-        # random permutations of its per-point seed.
-        sampler = (None if point.loader == "dali-seq"
-                   else self._shared_sampler(dataset, seed))
-        loader = build_loader(point.loader, dataset, server, point.model,
-                              num_gpus=point.num_gpus, cores=point.cores,
-                              gpu_prep=point.gpu_prep, seed=seed,
-                              batch_size=point.batch_size, sampler=sampler)
-        simulator = PipelineSimulator(point.model, server.gpu,
-                                      queue_depth=self._queue_depth,
-                                      fast_path=self._fast_path)
-        run = TrainingRunStats()
-        for stats in simulator.run_epochs(loader, point.num_epochs):
-            run.add(stats)
+            dataset, server = self._resolve(point)
+            seed = self.point_seed(point)
+            context = PointContext(
+                dataset, server, seed, self._queue_depth, self._fast_path,
+                lambda: self._shared_sampler(dataset, seed))
+            loader_name, result = kind.run(point, context)
         return SweepRecord(point=point, dataset_name=dataset.spec.name,
-                           loader_name=loader.name, run=run)
-
-    def _run_hp_point(self, point: SweepPoint) -> SweepRecord:
-        dataset, server = self._resolve(point)
-        scenario = HPSearchScenario(point.model, dataset, server,
-                                    num_jobs=point.num_jobs,
-                                    gpus_per_job=point.gpus_per_job,
-                                    seed=self.point_seed(point),
-                                    fast_path=self._fast_path)
-        if point.loader == "hp-baseline":
-            hp = scenario.run_baseline()
-        else:
-            hp = scenario.run_coordl()
-        return SweepRecord(point=point, dataset_name=dataset.spec.name,
-                           loader_name=hp.loader_name, hp=hp)
-
-    def _run_distributed_point(self, point: SweepPoint) -> SweepRecord:
-        dataset, server = self._resolve(point)
-        # Homogeneous servers, as in the paper's distributed experiments.
-        servers = [server for _ in range(point.num_servers)]
-        training = DistributedTraining(point.model, dataset, servers,
-                                       num_epochs=point.num_epochs,
-                                       queue_depth=self._queue_depth,
-                                       fast_path=self._fast_path)
-        # Per-rank DistributedSampler shards (and the shard assignment of the
-        # partitioned cache group) must derive from the point's stable seed
-        # so repeated sweeps are reproducible and ranks agree on each epoch's
-        # permutation (drawing disjoint slices of it, never identical ones).
-        seed = self.point_seed(point)
-        if point.loader == "dist-baseline":
-            dist = training.run_baseline(gpu_prep=bool(point.gpu_prep),
-                                         seed=seed)
-        else:
-            dist = training.run_coordl(gpu_prep=bool(point.gpu_prep),
-                                       seed=seed)
-        return SweepRecord(point=point, dataset_name=dataset.spec.name,
-                           loader_name=dist.loader_name, dist=dist)
-
-    def _run_failure_point(self, point: SweepPoint) -> SweepRecord:
-        dataset, server = self._resolve(point)
-        # The scenario seed doubles as the FailureDetector's replacement-
-        # picking seed, so crash traces are a pure function of the point
-        # spec — byte-identical at any worker count.
-        scenario = FailureScenario(point.model, dataset, server,
-                                   seed=self.point_seed(point),
-                                   fast_path=self._fast_path)
-        if point.loader == "coordl-crash":
-            failure = scenario.run_crash(point.num_jobs, point.crash_schedule,
-                                         point.num_epochs)
-        elif point.loader == "coordl-elastic":
-            failure = scenario.run_elastic(point.num_servers,
-                                           point.membership_schedule,
-                                           point.num_epochs)
-        elif point.loader == "coordl-straggler":
-            failure = scenario.run_straggler(point.num_servers,
-                                             point.straggler_factors,
-                                             point.num_epochs)
-        else:
-            failure = scenario.run_multitenant(point.tenants, point.num_jobs,
-                                               point.num_epochs)
-        return SweepRecord(point=point, dataset_name=dataset.spec.name,
-                           loader_name=failure.loader_name, failure=failure)
+                           loader_name=loader_name,
+                           **{kind.family.slot: result})
 
 
 class SerialExecutor:

@@ -10,9 +10,10 @@ epochs as numpy array chunks, and the per-sample ``(time, bytes)`` tuples are
 only built when :attr:`IOStats.timeline` is actually read (the Fig. 11
 experiment and :meth:`IOStats.merged_with`; most sweeps never look).
 :attr:`IOStats.timeline_columns` reads and installs the same samples as two
-float64 columns without building a tuple.  The record snapshot codec
-(:mod:`repro.sim.sweep`) goes through it, so a store hit, a store put or a
-wire hop handles each timeline as two arrays, never sample by sample.
+float64 columns without building a tuple.  The snapshot codec
+(:meth:`IOStats.snapshot` / :meth:`IOStats.from_snapshot`) goes through it,
+so a store hit, a store put or a wire hop handles each timeline as two
+arrays, never sample by sample.
 
 Recording is single-threaded (it happens inside one simulation), but
 *reading* is not: concurrent store writers snapshot the same finished
@@ -25,9 +26,17 @@ materialised or double-extended timeline.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import base64
+import hashlib
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.exceptions import ConfigurationError
+
+#: The counters, in constructor order (the ``*_bytes`` ones are floats).
+_COUNTERS = ("disk_bytes", "disk_requests", "cache_bytes", "cache_requests",
+             "remote_bytes", "remote_requests")
 
 
 class IOStats:
@@ -219,3 +228,59 @@ class IOStats:
         self.remote_bytes = 0.0
         self.remote_requests = 0
         self._timeline_state = ([], [])
+
+    def snapshot(self, include_timeline: bool = False) -> Dict[str, Any]:
+        """Canonical byte-exact form of the counters (floats as ``float.hex``).
+
+        The (possibly long) per-read disk timeline is folded into a digest of
+        its ``"<t hex>:<bytes hex>;"`` rendering: two timelines agree on the
+        digest iff they agree sample for sample on the exact float bits, which
+        keeps golden files small without weakening the byte-identical
+        guarantee; the digest form cannot be inverted.  ``include_timeline``
+        replaces the digest with the timeline itself — the self-contained
+        variant the result store and both wire protocols carry, so the
+        counters can be rehydrated losslessly (:meth:`from_snapshot`).  It
+        is base64 of the little-endian float64 columns, all times then all
+        cumulative bytes: exact bits, and no per-sample work on either side.
+        """
+        times, cumulative = self.timeline_columns
+        data: Dict[str, Any] = {
+            name: float(getattr(self, name)).hex() if name.endswith("_bytes")
+            else getattr(self, name) for name in _COUNTERS}
+        data["timeline_len"] = int(times.size)
+        if include_timeline:
+            columns = np.concatenate((times, cumulative)).astype("<f8", copy=False)
+            data["timeline"] = base64.b64encode(columns.tobytes()).decode("ascii")
+        else:
+            # One update over the whole rendering hashes the same stream as
+            # one update per sample.
+            rendered = "".join(f"{t.hex()}:{b.hex()};" for t, b
+                               in zip(times.tolist(), cumulative.tolist()))
+            data["timeline_digest"] = hashlib.blake2b(
+                rendered.encode("ascii"), digest_size=16).hexdigest()
+        return data
+
+    @classmethod
+    def from_snapshot(cls, data: Dict[str, Any]) -> "IOStats":
+        """Inverse of :meth:`snapshot` (requires the embedded timeline).
+
+        Raises:
+            ConfigurationError: The snapshot is digest-only with a non-empty
+                timeline, or its timeline does not hold exactly
+                ``timeline_len`` samples.
+        """
+        count = int(data["timeline_len"])
+        if count and "timeline" not in data:
+            raise ConfigurationError(
+                "I/O snapshot carries only the timeline digest; rehydration "
+                "needs the full-timeline form (snapshot(include_timeline=True))")
+        raw = base64.b64decode(data.get("timeline", ""), validate=True)
+        if len(raw) != 16 * count:
+            raise ConfigurationError(
+                f"I/O snapshot timeline holds {len(raw)} bytes, but "
+                f"timeline_len {count} needs {16 * count}")
+        io = cls(*(float.fromhex(data[name]) if name.endswith("_bytes")
+                   else int(data[name]) for name in _COUNTERS))
+        columns = np.frombuffer(raw, dtype="<f8")
+        io.timeline_columns = (columns[:count], columns[count:])
+        return io

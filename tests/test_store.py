@@ -9,9 +9,9 @@ parametrized ``location`` fixture:
   the schema version, the simulator source digest), and proven-bit-neutral
   knobs (worker count) do not;
 * **exact rehydration** — ``SweepRecord.from_snapshot`` inverts
-  ``snapshot(include_timeline=True)`` bit for bit for all three record
-  kinds, pinned against the committed golden grids at workers=0/1/4 with
-  the warm pass fenced off from simulating anything;
+  ``snapshot(include_timeline=True)`` bit for bit for every point kind
+  in ``POINT_KINDS``, pinned against the committed golden grids at
+  workers=0/1/4 with the warm pass fenced off from simulating anything;
 * **corruption degrades to misses** — truncated/garbage/mis-keyed/
   wrong-point entries are re-simulated and repaired, never served —
   whether the damage is a mangled entry file or a mangled payload blob;
@@ -40,7 +40,15 @@ from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.exceptions import ConfigurationError, SweepPointError
 from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.sim.harness import GOLDEN_GRIDS, load_golden, snapshot_diff
-from repro.sim.sweep import WORKERS_ENV_VAR, SweepPoint, SweepRecord, SweepRunner
+from repro.sim.sweep import (
+    POINT_KINDS,
+    WORKERS_ENV_VAR,
+    SweepPoint,
+    SweepRecord,
+    SweepRunner,
+    point_from_wire,
+    point_to_wire,
+)
 from repro.store import (
     STORE_ENV_VAR,
     SqliteBackend,
@@ -292,23 +300,41 @@ class TestSourceDigest:
         assert not sorted(str(path) for path in simulated - covered)
 
 
+#: Kind-specific settings of the one small point per kind the round-trip
+#: test simulates (the defaults ask ``hp-multitenant`` for 16 GPUs on an
+#: 8-GPU server); the failure kinds get schedules that emit events.
+ROUND_TRIP_SETTINGS = {
+    "hp-multitenant": dict(num_jobs=2),
+    "coordl-crash": dict(num_jobs=4, crash_schedule=((1, 1),)),
+    "coordl-elastic": dict(membership_schedule=((1, 3),)),
+    "coordl-straggler": dict(straggler_factors=(2.0,)),
+}
+
+
 class TestSnapshotRoundTrip:
-    @pytest.mark.parametrize("point", [
-        SweepPoint(model=RESNET18, loader="coordl", dataset="openimages",
-                   cache_fraction=0.5, num_epochs=3),
-        SweepPoint(model=ALEXNET, loader="hp-baseline",
-                   dataset="imagenet-1k", cache_fraction=1.2, num_jobs=4),
-        SweepPoint(model=RESNET18, loader="dist-coordl", dataset="openimages",
-                   cache_fraction=0.6, num_servers=2),
-    ], ids=["training", "hp-search", "distributed"])
-    def test_from_snapshot_is_exact_for_every_record_kind(self, point):
-        record = _runner().run([point]).records[0]
-        rehydrated = SweepRecord.from_snapshot(
-            record.snapshot(include_timeline=True))
+    @pytest.mark.parametrize("loader", list(POINT_KINDS))
+    def test_from_snapshot_is_exact_for_every_record_kind(self, loader):
+        point = SweepPoint(model=RESNET18, loader=loader,
+                           dataset="openimages", cache_fraction=0.5,
+                           num_epochs=3, **ROUND_TRIP_SETTINGS.get(loader, {}))
+        record = _runner().run([point], store=False).records[0]
+        assert getattr(record, POINT_KINDS[loader].family.slot) is not None
+        # Through JSON text, as the store and both wire protocols carry it.
+        full = json.loads(json.dumps(record.snapshot(include_timeline=True)))
+        rehydrated = SweepRecord.from_snapshot(full)
         assert rehydrated.snapshot() == record.snapshot()
-        assert (rehydrated.snapshot(include_timeline=True)
-                == record.snapshot(include_timeline=True))
+        assert rehydrated.snapshot(include_timeline=True) == full
         assert rehydrated.point == record.point
+        assert rehydrated.row() == record.row()
+        assert point_from_wire(json.loads(json.dumps(
+            point_to_wire(point)))) == point
+
+    def test_rehydration_rejects_unknown_point_fields(self):
+        record = _runner().run(_points()[:1], store=False).records[0]
+        data = record.snapshot(include_timeline=True)
+        data["point"]["rm_rf"] = "/"
+        with pytest.raises(ConfigurationError, match="unknown point fields"):
+            SweepRecord.from_snapshot(data)
 
     def test_full_form_embeds_timelines_as_base64_float64_columns(self):
         run = TrainingRunStats()

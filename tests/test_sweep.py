@@ -1,5 +1,7 @@
 """Unit tests for the SweepRunner subsystem and the vectorised fast path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,17 @@ from repro.cluster.configs import config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.exceptions import ConfigurationError
 from repro.sim.engine import PipelineSimulator
+from repro.sim.harness import GOLDEN_GRIDS
 from repro.sim.single_server import build_loader
-from repro.sim.sweep import SweepPoint, SweepRunner
+from repro.sim.sweep import POINT_KINDS, SweepPoint, SweepRunner
 
 SCALE = 1 / 500.0
+
+#: A valid non-default value for every kind-specific SweepPoint field.
+NON_DEFAULT = dict(cores=4.0, num_gpus=4, batch_size=64, gpu_prep=True,
+                   num_jobs=3, gpus_per_job=2, num_servers=3,
+                   crash_schedule=((1, 0),), membership_schedule=((1, 3),),
+                   straggler_factors=(2.0,), tenants=3)
 
 
 class TestSweepPoint:
@@ -30,20 +39,41 @@ class TestSweepPoint:
 
     def test_rejects_fields_the_point_kind_does_not_plumb(self):
         """Inapplicable knobs error out instead of silently simulating without them."""
-        for kind in ("hp-baseline", "dist-coordl"):
-            for field in ("batch_size", "cores", "num_gpus"):
-                with pytest.raises(ConfigurationError):
-                    SweepPoint(model=RESNET18, loader=kind, **{field: 4})
-        with pytest.raises(ConfigurationError):
-            SweepPoint(model=RESNET18, loader="hp-coordl", gpu_prep=True)
-        with pytest.raises(ConfigurationError):
-            SweepPoint(model=RESNET18, loader="coordl", num_jobs=4)
-        with pytest.raises(ConfigurationError):
-            SweepPoint(model=RESNET18, loader="coordl", num_servers=3)
-        # ...while each kind keeps its own knobs.
-        SweepPoint(model=RESNET18, loader="hp-coordl", num_jobs=4, gpus_per_job=2)
-        SweepPoint(model=RESNET18, loader="dist-coordl", num_servers=3, gpu_prep=True)
-        SweepPoint(model=RESNET18, loader="coordl", batch_size=64, cores=4.0)
+        specific = {name for kind in POINT_KINDS.values() for name in kind.fields}
+        assert specific == set(NON_DEFAULT)
+        for loader, kind in POINT_KINDS.items():
+            for field in sorted(specific - set(kind.fields)):
+                with pytest.raises(ConfigurationError, match="do not support"):
+                    SweepPoint(model=RESNET18, loader=loader,
+                               **{field: NON_DEFAULT[field]})
+            # ...while each kind keeps its own knobs.
+            SweepPoint(model=RESNET18, loader=loader,
+                       **{field: NON_DEFAULT[field] for field in kind.fields})
+
+    def test_distinct_points_describe_distinctly(self, monkeypatch):
+        """Without labels, every point of a grid still has its own
+        description, so an error message locates the failing point."""
+        grids = [[dataclasses.replace(point, label="")
+                  for point in grid.points()]
+                 for grid in GOLDEN_GRIDS.values()]
+
+        class Captured(Exception):
+            pass
+
+        def capture(runner, points, **kwargs):
+            raise Captured(list(points))
+
+        from repro.experiments import fig9e_hp_multigpu
+        monkeypatch.setattr(SweepRunner, "run", capture)
+        with pytest.raises(Captured) as captured:
+            fig9e_hp_multigpu.run()
+        grids.append(captured.value.args[0])
+        for points in grids:
+            descriptions = [point.describe() for point in points]
+            assert len(set(descriptions)) == len(points), descriptions
+        assert (SweepPoint(model=RESNET18, loader="hp-coordl", num_jobs=4,
+                           gpus_per_job=2, dataset="openimages").describe()
+                == "resnet18/hp-coordl/openimages/num_jobs=4/gpus_per_job=2")
 
     def test_rejects_too_few_distributed_servers(self):
         with pytest.raises(ConfigurationError):

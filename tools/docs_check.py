@@ -17,6 +17,11 @@ Documented constant values are checked too: every ``| `NAME` | constant |
 exports, and ``ast.literal_eval(literal)`` must equal its value (so a
 version bump cannot drift from its row).  Rows whose value is not a Python
 literal (an expression, or prose such as "64 MiB") are skipped.
+
+So is the sweep-point kind list: every loader name in
+``repro.sim.POINT_KINDS`` must appear in docs/API.md in backticks or
+double quotes (`` `coordl` `` or ``"hp-coordl"``), so a kind added to the
+table cannot go undocumented.
 """
 
 from __future__ import annotations
@@ -97,6 +102,14 @@ def main() -> int:
                   "docs/API.md:", file=sys.stderr)
             for name in missing:
                 print(f"  - {name}", file=sys.stderr)
+    kinds = [name for name in repro.sim.POINT_KINDS
+             if not re.search(f"[`\"]{re.escape(name)}[`\"]", text)]
+    if kinds:
+        failed = True
+        print("docs-check: sweep-point kinds in repro.sim.POINT_KINDS "
+              "missing from docs/API.md:", file=sys.stderr)
+        for name in kinds:
+            print(f"  - {name}", file=sys.stderr)
     mismatches = constant_mismatches(text)
     if mismatches:
         failed = True
@@ -107,8 +120,9 @@ def main() -> int:
     if failed:
         return 1
     print(f"docs-check: all {total} public symbols across "
-          f"{len(CHECKED_SURFACES)} surfaces documented in docs/API.md, "
-          f"documented constant values match")
+          f"{len(CHECKED_SURFACES)} surfaces and all "
+          f"{len(repro.sim.POINT_KINDS)} sweep-point kinds documented in "
+          f"docs/API.md, documented constant values match")
     return 0
 
 
