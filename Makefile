@@ -44,7 +44,10 @@ bench-parallel:
 ## Verify every public __all__ symbol (repro, repro.sim, repro.coordl,
 ## repro.cache, repro.store, ...) and every sweep-point kind (loader name)
 ## in repro.sim.POINT_KINDS is documented in docs/API.md, and that every
-## documented constant's literal value matches the exported one.
+## documented constant's literal value matches the exported one.  Also the
+## reverse: every repro.<name> in docs/ARCHITECTURE.md and docs/API.md must
+## resolve, and every key type in an ARCHITECTURE.md module row must be an
+## attribute of that row's module.
 docs-check:
 	$(PYTHON) tools/docs_check.py
 

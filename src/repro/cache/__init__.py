@@ -1,7 +1,6 @@
-"""Cache substrate: LRU / OS page cache, MinIO, and partitioned caching."""
+"""Cache substrate: OS page cache, MinIO, and partitioned caching."""
 
 from repro.cache.base import Cache
-from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache
 from repro.cache.partitioned import (
@@ -19,7 +18,6 @@ from repro.cache.warm_kernel import (
 __all__ = [
     "Cache",
     "CacheStats",
-    "LRUCache",
     "PageCache",
     "MinIOCache",
     "PartitionedCacheGroup",

@@ -214,8 +214,3 @@ class PartitionedCacheGroup:
         self._caches[server].clear()
         self._owners[self._owners == server] = -1
         return lost
-
-    def cached_fraction(self) -> float:
-        """Fraction of dataset bytes currently cached somewhere in the group."""
-        cached = sum(c.used_bytes for c in self._caches)
-        return cached / self._dataset.total_bytes

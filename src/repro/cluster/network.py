@@ -62,10 +62,6 @@ class NetworkLink:
         """
         return self.rtt_s + np.asarray(sizes, dtype=np.float64) / self.effective_bandwidth
 
-    def transfer_rate(self, nbytes: float) -> float:
-        """Observed bytes/second for a request of the given size."""
-        return units.safe_div(nbytes, self.transfer_time(nbytes))
-
     def utilisation(self, bytes_moved: float, duration_s: float) -> float:
         """Fraction of link bandwidth used over an interval (Sec. 5.5)."""
         if duration_s <= 0:

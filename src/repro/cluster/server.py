@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro import units
-from repro.cluster.network import NetworkLink, forty_gbps_ethernet
+from repro.cluster.network import NetworkLink
 from repro.compute.gpu import GPUSpec
 from repro.exceptions import ConfigurationError
 from repro.prep.workers import WorkerPool
@@ -60,26 +59,20 @@ class ServerConfig:
         """Physical cores available per GPU (3 on both paper SKUs)."""
         return self.physical_cores / self.num_gpus
 
-    def worker_pool(self, cores: float | None = None, gpu_offload: bool = False,
-                    use_hyperthreads: bool = False) -> WorkerPool:
-        """Build a prep worker pool drawing on this server's CPUs.
+    def worker_pool(self, cores: float | None = None,
+                    gpu_offload: bool = False) -> WorkerPool:
+        """Build a prep worker pool on this server's physical CPU cores.
 
         Args:
             cores: Physical cores to dedicate (defaults to all of them).
             gpu_offload: Enable DALI-style GPU prep on this server's GPUs.
-            use_hyperthreads: Also use the hyper-threads beyond the physical
-                cores (Appendix B.1 experiments).
         """
         physical = self.physical_cores if cores is None else cores
         if physical > self.physical_cores:
             raise ConfigurationError(
                 f"requested {physical} cores but server has {self.physical_cores}")
-        hyper = 0.0
-        if use_hyperthreads and cores is None:
-            hyper = float(self.vcpus - self.physical_cores)
         return WorkerPool(
             physical_cores=float(physical),
-            hyperthreads=hyper,
             gpu_offload=gpu_offload,
             gpu_decode_rate_scale=self.gpu.gpu_prep_scale,
         )
@@ -91,10 +84,6 @@ class ServerConfig:
         budget rather than growing the dataset.
         """
         return replace(self, cache_bytes=cache_bytes)
-
-    def with_storage(self, storage: StorageDevice) -> "ServerConfig":
-        """Copy of this server with a different storage device."""
-        return replace(self, storage=storage)
 
     def with_gpus(self, num_gpus: int) -> "ServerConfig":
         """Copy of this server with a different GPU count."""

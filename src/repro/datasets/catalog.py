@@ -17,7 +17,7 @@ Sizes and counts follow the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro import units
@@ -54,8 +54,8 @@ class DatasetSpec:
         """Approximate total on-disk footprint of the dataset."""
         return self.num_items * self.mean_item_bytes
 
-    def scaled(self, fraction: float, min_items: int = 64) -> "DatasetSpec":
-        """Return a proportionally smaller copy of this spec.
+    def scaled(self, fraction: float) -> "DatasetSpec":
+        """Return a proportionally smaller copy of this spec (at least 64 items).
 
         Simulating every one of the 14 M ImageNet-22K items at item
         granularity is unnecessary for the statistics we need; experiments
@@ -67,7 +67,7 @@ class DatasetSpec:
         return DatasetSpec(
             name=f"{self.name}@{fraction:g}",
             task=self.task,
-            num_items=max(min_items, int(round(self.num_items * fraction))),
+            num_items=max(64, int(round(self.num_items * fraction))),
             mean_item_bytes=self.mean_item_bytes,
             item_size_cv=self.item_size_cv,
             prep_cost_scale=self.prep_cost_scale,

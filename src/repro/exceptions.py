@@ -16,14 +16,6 @@ class ConfigurationError(ReproError):
     """A component was configured with inconsistent or out-of-range values."""
 
 
-class CacheError(ReproError):
-    """Base class for cache-related failures."""
-
-
-class CacheCapacityError(CacheError):
-    """An item larger than the total cache capacity was offered to the cache."""
-
-
 class UnknownItemError(ReproError):
     """A dataset item id was requested that does not exist in the dataset."""
 

@@ -12,13 +12,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.cluster.configs import config_high_cpu_v100, config_ssd_v100
 from repro.compute.model_zoo import IMAGE_MODELS, MOBILENET_V2, RESNET18, ModelSpec
 from repro.experiments.base import ExperimentResult, SWEEP_SCALE, scaled_dataset
 from repro.pipeline.dali import DALILoader
+from repro.prep.workers import WorkerPool
 from repro.sim.engine import PipelineSimulator
+from repro.sim.single_server import effective_batch_size
 from repro.sim.sweep import SweepPoint, SweepRunner
 from repro.store import PersistentPool, StoreArg
 
@@ -40,14 +43,11 @@ def run_fig12(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
         physical = min(total_threads, server.physical_cores)
         hyper = max(0, total_threads - server.physical_cores)
         for gpu_prep in (False, True):
-            pool = server.worker_pool(cores=physical, gpu_offload=gpu_prep)
             # Explicitly add the hyper-thread share for thread counts beyond
             # the physical cores (Appendix B.1's 30% marginal efficiency).
-            from repro.prep.workers import WorkerPool
             pool = WorkerPool(physical_cores=float(physical), hyperthreads=float(hyper),
                               gpu_offload=gpu_prep,
                               gpu_decode_rate_scale=server.gpu.gpu_prep_scale)
-            from repro.sim.single_server import effective_batch_size
             batch_size = effective_batch_size(
                 dataset, RESNET18.batch_size_for(server.gpu) * server.num_gpus)
             loader = DALILoader.build(dataset, server, batch_size, mode="shuffle",
@@ -123,7 +123,6 @@ def run_fig14(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
         # Larger batches reduce per-step synchronisation overhead; model it as
         # a communication overhead inversely proportional to the batch size.
         sync_scale = 512.0 / batch
-        from dataclasses import replace
         scaled_model = replace(model,
                                comm_overhead_per_gpu=model.comm_overhead_per_gpu * sync_scale)
         loader = DALILoader.build(dataset, server, batch * server.num_gpus,

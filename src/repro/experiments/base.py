@@ -4,8 +4,8 @@ Every experiment module exposes a ``run(...) -> ExperimentResult`` function.
 An :class:`ExperimentResult` is a small, self-describing table: the paper
 figure/table it reproduces, named columns, one row per configuration, and
 free-form notes about scaling or substitutions.  The benchmark harness prints
-these tables and asserts their qualitative shape; EXPERIMENTS.md records them
-against the paper's numbers.
+these tables and asserts their qualitative shape; ``repro report`` sets them
+beside the paper's numbers.
 
 Experiments run on *scaled* synthetic datasets: simulating every one of the
 millions of items in the real corpora is unnecessary because cache-fraction
@@ -17,7 +17,7 @@ minibatches per epoch at the paper's batch sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.datasets.catalog import get_dataset_spec
 from repro.datasets.dataset import SyntheticDataset
@@ -35,7 +35,8 @@ class ExperimentResult:
     """Tabular result of one reproduced figure or table.
 
     Attributes:
-        experiment_id: Identifier matching DESIGN.md ("fig2", "tab6", ...).
+        experiment_id: Registry identifier ("fig2", "tab6", ...), as
+            ``repro run-experiment`` takes it.
         title: Human-readable description of what is reproduced.
         columns: Ordered column names of the table.
         rows: One mapping per row; keys are column names.

@@ -20,7 +20,7 @@ from repro.experiments.base import DEFAULT_SCALE, ExperimentResult, scaled_datas
 DEFAULT_FRACTIONS = (0.5, 0.35, 0.25)
 
 
-def _scan_epoch(layout: RecordLayout, cache: PageCache, order, readers_seed: int = 0) -> float:
+def _scan_epoch(layout: RecordLayout, cache: PageCache, order) -> float:
     """One sequential pass over the record files; returns disk bytes read."""
     disk_bytes = 0.0
     for chunk_id in order:

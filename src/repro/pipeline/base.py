@@ -20,7 +20,7 @@ from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import BatchSampler
 from repro.prep.pipeline import PrepPipeline
 from repro.prep.workers import WorkerPool
-from repro.storage.device import StorageDevice, dram
+from repro.storage.device import dram
 from repro.storage.filestore import FileStore
 from repro.storage.iostats import IOStats
 
@@ -49,17 +49,16 @@ class DataLoader:
         workers: CPU worker pool (and GPU offload setting) used for prep.
         num_gpus: GPUs consuming this loader's output (used only to size GPU
             prep offload capacity).
-        dram_device: Device model used to charge cache hits.
-        sequential_storage: Whether misses are charged at sequential read
-            bandwidth (DALI-seq / record files) instead of random-read.
+
+    Cache hits are charged at DRAM speed and misses at the store's
+    random-read rate.
     """
 
     name = "base"
 
     def __init__(self, dataset: SyntheticDataset, store: FileStore, cache: Cache,
                  batch_sampler: BatchSampler, prep: PrepPipeline, workers: WorkerPool,
-                 num_gpus: int = 1, dram_device: Optional[StorageDevice] = None,
-                 sequential_storage: bool = False) -> None:
+                 num_gpus: int = 1) -> None:
         self._dataset = dataset
         self._store = store
         self._cache = cache
@@ -67,8 +66,7 @@ class DataLoader:
         self._prep = prep
         self._workers = workers
         self._num_gpus = num_gpus
-        self._dram = dram_device or dram()
-        self._sequential_storage = sequential_storage
+        self._dram = dram()
         self._io = IOStats()
 
     # -- accessors ---------------------------------------------------------
@@ -149,9 +147,7 @@ class DataLoader:
             else:
                 misses += 1
                 disk_bytes += size
-                duration += self._store.read_bytes(
-                    size, at_time=at_time + duration,
-                    sequential=self._sequential_storage)
+                duration += self._store.read_bytes(size, at_time=at_time + duration)
                 self._io.record_disk(size, at_time=at_time + duration)
                 if self.should_admit_on_miss(item_id):
                     self._cache.admit(item_id, size)
@@ -200,8 +196,7 @@ class DataLoader:
         item_times = np.where(
             hits,
             self._dram.read_times_array(sizes),
-            self._store.bulk_read_times(sizes,
-                                        sequential=self._sequential_storage))
+            self._store.bulk_read_times(sizes))
         clock = np.cumsum(item_times)
         misses = ~hits
         if misses.any():

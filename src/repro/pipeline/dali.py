@@ -2,9 +2,10 @@
 
 Two access modes are modelled (Sec. 5.1):
 
-* ``DALI-seq`` — DALI's default ``FileReader``: files are read sequentially
-  off storage and shuffled in a bounded in-memory buffer.  Sequential reads
-  are faster per request but are a pathological access pattern for the LRU
+* ``DALI-seq`` — DALI's default ``FileReader``: files are visited in storage
+  order and shuffled in a bounded in-memory buffer.  The dataset is millions
+  of small files, so each miss is still charged at the random-read rate; the
+  storage order is what hurts, as a pathological access pattern for the LRU
   page cache (near-zero hit rate once the dataset exceeds the cache).
 * ``DALI-shuffle`` — fully randomised reads, like the native PyTorch loader
   (the stronger baseline the paper uses for most comparisons).
@@ -54,7 +55,6 @@ class DALILoader(DataLoader):
               batch_size: int, mode: str = "shuffle", gpu_prep: bool = False,
               num_gpus: Optional[int] = None, cores: Optional[float] = None,
               cache: Optional[Cache] = None, seed: int = 0,
-              use_hyperthreads: bool = False,
               sampler: Optional[Sampler] = None) -> "DALILoader":
         """Construct a DALI loader for one training job on one server.
 
@@ -62,15 +62,13 @@ class DALILoader(DataLoader):
             dataset: Dataset to train on.
             server: Server the job runs on.
             batch_size: Per-iteration (per-job) batch size.
-            mode: "seq" (sequential storage reads + shuffle buffer) or
+            mode: "seq" (storage-order reads + shuffle buffer) or
                 "shuffle" (random reads).
             gpu_prep: Offload decode/augmentation to the GPUs.
             num_gpus: GPUs used by the job (default: all on the server).
             cores: Physical prep cores for this job (default: all).
             cache: Shared page cache (fresh one when omitted).
             seed: Sampler seed.
-            use_hyperthreads: Let prep use hyper-threads beyond the physical
-                cores (Appendix B.1).
             sampler: Ready-made item-order sampler to reuse (parameter sweeps
                 share one memoised sampler across loaders); the mode-specific
                 default is built when omitted.
@@ -80,8 +78,7 @@ class DALILoader(DataLoader):
         gpus = num_gpus if num_gpus is not None else server.num_gpus
         prep = PrepPipeline.for_task(dataset.spec.task, library="dali")
         prep = prep.with_scaled_cost(dataset.spec.prep_cost_scale)
-        workers = server.worker_pool(cores=cores, gpu_offload=gpu_prep,
-                                     use_hyperthreads=use_hyperthreads)
+        workers = server.worker_pool(cores=cores, gpu_offload=gpu_prep)
         page_cache = cache if cache is not None else PageCache(server.cache_bytes)
         if sampler is None and mode == "seq":
             # DALI-seq walks the (small, per-sample) files in storage order.
@@ -96,7 +93,6 @@ class DALILoader(DataLoader):
                                            seed=seed)
         elif sampler is None:
             sampler = RandomSampler(len(dataset), seed=seed)
-        sequential = False
         return cls(
             dataset=dataset,
             store=FileStore(dataset, server.storage),
@@ -105,7 +101,6 @@ class DALILoader(DataLoader):
             prep=prep,
             workers=workers,
             num_gpus=gpus,
-            sequential_storage=sequential,
             mode=mode,
         )
 

@@ -10,7 +10,7 @@ stalls) and against pure GPU ingestion (isolates prep stalls).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from repro.storage.iostats import IOStats
 from repro.units import safe_div
@@ -82,11 +82,6 @@ class EpochStats:
         return safe_div(self.samples, self.epoch_time_s)
 
     @property
-    def gpu_utilisation(self) -> float:
-        """Fraction of the epoch the GPUs spend computing."""
-        return safe_div(self.gpu_time_s, self.epoch_time_s)
-
-    @property
     def cache_hit_ratio(self) -> float:
         """Item-level cache hit ratio for the epoch."""
         total = self.cache_hits + self.cache_misses
@@ -119,47 +114,31 @@ class TrainingRunStats:
         """Number of epochs recorded."""
         return len(self.epochs)
 
-    def steady_state(self, skip_first: int = 1) -> List[EpochStats]:
-        """Epochs after the warm-up epochs."""
-        if len(self.epochs) <= skip_first:
+    def steady_state(self) -> List[EpochStats]:
+        """Epochs after the warm-up epoch (every epoch if there is only one)."""
+        if len(self.epochs) <= 1:
             return list(self.epochs)
-        return self.epochs[skip_first:]
+        return self.epochs[1:]
 
-    def mean_epoch_time(self, skip_first: int = 1) -> float:
+    def mean_epoch_time(self) -> float:
         """Average epoch time over the steady-state epochs."""
-        steady = self.steady_state(skip_first)
+        steady = self.steady_state()
         if not steady:
             return 0.0
         return sum(e.epoch_time_s for e in steady) / len(steady)
 
-    def mean_throughput(self, skip_first: int = 1) -> float:
+    def mean_throughput(self) -> float:
         """Average throughput (samples/s) over the steady-state epochs."""
-        steady = self.steady_state(skip_first)
+        steady = self.steady_state()
         if not steady:
             return 0.0
         return sum(e.throughput for e in steady) / len(steady)
 
-    def steady_epoch(self, skip_first: int = 1) -> EpochStats:
+    def steady_epoch(self) -> EpochStats:
         """A representative steady-state epoch (the last one recorded)."""
-        steady = self.steady_state(skip_first)
+        steady = self.steady_state()
         return steady[-1] if steady else self.epochs[-1]
 
     def total_disk_bytes(self) -> float:
         """Disk bytes summed over every recorded epoch."""
         return sum(e.io.disk_bytes for e in self.epochs)
-
-    def disk_timeline(self) -> List[Tuple[float, float]]:
-        """Concatenated (time, cumulative disk bytes) samples across epochs.
-
-        Each epoch's timeline is shifted by the end time of the previous
-        epoch so the series is monotone in both coordinates (Fig. 11).
-        """
-        series: List[Tuple[float, float]] = []
-        t_offset = 0.0
-        bytes_offset = 0.0
-        for epoch in self.epochs:
-            for t, b in epoch.io.timeline:
-                series.append((t_offset + t, bytes_offset + b))
-            t_offset += epoch.epoch_time_s
-            bytes_offset += epoch.io.disk_bytes
-        return series

@@ -8,6 +8,10 @@ from typing import Sequence, Tuple
 from repro.exceptions import ConfigurationError
 from repro.prep.transforms import Transform, expansion_factor, pipeline_for_task
 
+# One second of CPU work on an offloaded stage becomes this many seconds of
+# GPU work: GPUs decode JPEGs several times faster than a core.
+GPU_OFFLOAD_EFFICIENCY = 0.25
+
 
 @dataclass(frozen=True)
 class PrepCost:
@@ -27,20 +31,14 @@ class PrepPipeline:
     Args:
         stages: Transform stages in application order.
         task: Task family, used for the decoded-size expansion factor.
-        gpu_offload_efficiency: When a stage is offloaded to the GPU, one
-            second of CPU work becomes ``gpu_offload_efficiency`` seconds of
-            GPU work (GPUs decode JPEGs several times faster than a core).
     """
 
-    def __init__(self, stages: Sequence[Transform], task: str = "image_classification",
-                 gpu_offload_efficiency: float = 0.25) -> None:
+    def __init__(self, stages: Sequence[Transform],
+                 task: str = "image_classification") -> None:
         if not stages:
             raise ConfigurationError("a prep pipeline needs at least one stage")
-        if gpu_offload_efficiency <= 0:
-            raise ConfigurationError("offload efficiency must be positive")
         self._stages = tuple(stages)
         self._task = task
-        self._gpu_offload_efficiency = gpu_offload_efficiency
 
     @classmethod
     def for_task(cls, task: str, library: str = "dali") -> "PrepPipeline":
@@ -80,14 +78,10 @@ class PrepPipeline:
         for stage in self._stages:
             cost = stage.cpu_cost(raw_bytes)
             if gpu_offload and stage.gpu_offloadable:
-                gpu += cost * self._gpu_offload_efficiency
+                gpu += cost * GPU_OFFLOAD_EFFICIENCY
             else:
                 cpu += cost
         return PrepCost(cpu_core_seconds=cpu, gpu_seconds=gpu)
-
-    def cpu_seconds_per_sample(self, raw_bytes: float, gpu_offload: bool = False) -> float:
-        """CPU core-seconds per sample (convenience wrapper)."""
-        return self.sample_cost(raw_bytes, gpu_offload=gpu_offload).cpu_core_seconds
 
     def prepared_bytes(self, raw_bytes: float) -> float:
         """Size of the pre-processed (decoded, augmented) sample in memory."""
@@ -111,5 +105,4 @@ class PrepPipeline:
             )
             for s in self._stages
         )
-        return PrepPipeline(scaled, task=self._task,
-                            gpu_offload_efficiency=self._gpu_offload_efficiency)
+        return PrepPipeline(scaled, task=self._task)

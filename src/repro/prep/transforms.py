@@ -139,6 +139,8 @@ def pipeline_for_task(task: str, library: str = "dali") -> Tuple[Transform, ...]
             "audio_classification".
         library: "dali" (nvJPEG) or "pytorch" (Pillow).
     """
+    if library not in ("dali", "pytorch"):
+        raise ConfigurationError(f"unknown prep library {library!r}")
     if task == "audio_classification":
         return audio_pipeline()
     if task == "object_detection":

@@ -78,9 +78,9 @@ class DistributedResult:
     loader_name: str
     epochs: List[DistributedEpoch]
 
-    def steady_epochs(self, skip_first: int = 1) -> List[DistributedEpoch]:
-        """Epochs after the cold-cache warm-up."""
-        return self.epochs[skip_first:] if len(self.epochs) > skip_first else self.epochs
+    def steady_epochs(self) -> List[DistributedEpoch]:
+        """Epochs after the cold-cache warm-up (every epoch if there is only one)."""
+        return self.epochs[1:] if len(self.epochs) > 1 else self.epochs
 
     @property
     def steady_epoch_time_s(self) -> float:
@@ -93,13 +93,6 @@ class DistributedResult:
         """Mean steady-state aggregate throughput."""
         steady = self.steady_epochs()
         return sum(e.throughput for e in steady) / len(steady)
-
-    @property
-    def steady_disk_bytes_per_server(self) -> float:
-        """Mean per-server disk bytes per steady-state epoch."""
-        steady = self.steady_epochs()
-        servers = len(steady[0].per_server)
-        return sum(e.total_disk_bytes for e in steady) / (len(steady) * servers)
 
 
 def _build_baseline_loaders(dataset: SyntheticDataset, servers: List[ServerConfig],

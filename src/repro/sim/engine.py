@@ -302,9 +302,8 @@ class PipelineSimulator:
             cache_misses=loader.cache.stats.misses - misses_before,
         )
 
-    def run_epochs(self, loader: DataLoader, num_epochs: int,
-                   start_epoch: int = 0) -> List[EpochStats]:
-        """Simulate several consecutive epochs (cache state carries over)."""
+    def run_epochs(self, loader: DataLoader, num_epochs: int) -> List[EpochStats]:
+        """Simulate epochs ``0 .. num_epochs-1`` (cache state carries over)."""
         if num_epochs <= 0:
             raise ConfigurationError("need at least one epoch")
-        return [self.run_epoch(loader, start_epoch + e) for e in range(num_epochs)]
+        return [self.run_epoch(loader, e) for e in range(num_epochs)]

@@ -70,11 +70,6 @@ class HPSearchResult:
     gpu_bound: bool
     staging_peak_bytes: float = 0.0
 
-    @property
-    def aggregate_throughput(self) -> float:
-        """Samples/second summed across all jobs."""
-        return self.per_job_throughput * self.num_jobs
-
 
 class HPSearchScenario:
     """Simulate ``num_jobs`` concurrent HP-search jobs on one server.
@@ -169,8 +164,7 @@ class HPSearchScenario:
             self._rounded_totals[page] = cached
         return cached
 
-    def _simulate_shared_page_cache_epoch(self, cache: PageCache, epoch: int,
-                                          sequential_jobs: bool = False) -> float:
+    def _simulate_shared_page_cache_epoch(self, cache: PageCache, epoch: int) -> float:
         """Interleave the jobs' access streams; return disk bytes for the epoch.
 
         Per-item reference path, kept as the executable specification the
@@ -241,15 +235,13 @@ class HPSearchScenario:
                 admit(item_id, size)
         return disk_bytes
 
-    def run_baseline(self, measured_epoch: int = 1,
-                     library: str = "dali") -> HPSearchResult:
+    def run_baseline(self, library: str = "dali") -> HPSearchResult:
         """Simulate uncoordinated HP search (DALI or PyTorch DL per job)."""
         cache = PageCache(self._server.cache_bytes)
-        # Warm-up epoch populates the cache; the next epoch is measured.
-        for epoch in range(measured_epoch):
-            self._shared_page_cache_epoch(cache, epoch)
+        # Warm-up epoch 0 populates the cache; epoch 1 is measured.
+        self._shared_page_cache_epoch(cache, 0)
         cache.reset_stats()
-        disk_bytes = self._shared_page_cache_epoch(cache, measured_epoch)
+        disk_bytes = self._shared_page_cache_epoch(cache, 1)
         miss_ratio = cache.stats.miss_ratio
 
         num_items = len(self._dataset)
@@ -312,13 +304,13 @@ class HPSearchScenario:
         runner.run_epoch_in_lockstep()
         return runner.staging.peak_bytes
 
-    def run_coordl(self, measured_epoch: int = 1) -> HPSearchResult:
+    def run_coordl(self) -> HPSearchResult:
         """Simulate coordinated HP search (MinIO cache + coordinated prep)."""
         cache = MinIOCache(self._server.cache_bytes)
-        for epoch in range(measured_epoch):
-            self._minio_epoch(cache, epoch)
+        # Warm-up epoch 0 populates the cache; epoch 1 is measured.
+        self._minio_epoch(cache, 0)
         cache.reset_stats()
-        disk_bytes = self._minio_epoch(cache, measured_epoch)
+        disk_bytes = self._minio_epoch(cache, 1)
         miss_ratio = cache.stats.miss_ratio
 
         num_items = len(self._dataset)

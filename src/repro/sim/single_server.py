@@ -36,8 +36,7 @@ LOADER_KINDS = ("pytorch", "dali-seq", "dali-shuffle", "coordl", "pycoordl")
 MIN_BATCHES_PER_EPOCH = 40
 
 
-def effective_batch_size(dataset: SyntheticDataset, nominal_batch_size: int,
-                         min_batches: int = MIN_BATCHES_PER_EPOCH) -> int:
+def effective_batch_size(dataset: SyntheticDataset, nominal_batch_size: int) -> int:
     """Clamp a batch size so a (scaled) dataset still yields many batches.
 
     Stall fractions and speedups are insensitive to the absolute batch size,
@@ -45,7 +44,7 @@ def effective_batch_size(dataset: SyntheticDataset, nominal_batch_size: int,
     two giant batches (no pipelining).  The clamp preserves the real batch
     size whenever the dataset is large enough.
     """
-    cap = max(32, len(dataset) // min_batches)
+    cap = max(32, len(dataset) // MIN_BATCHES_PER_EPOCH)
     return max(1, min(nominal_batch_size, cap))
 
 

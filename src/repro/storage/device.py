@@ -25,8 +25,9 @@ class StorageDevice:
         name: Human-readable device name ("sata-ssd", "hdd", "dram").
         random_read_bw: Bytes/second for small random reads (the rate that
             matters for per-file image datasets).
-        sequential_read_bw: Bytes/second for large sequential reads (the rate
-            that matters for TFRecord chunks and DALI-seq).
+        sequential_read_bw: Bytes/second for large sequential reads
+            (TFRecord-style chunks); the per-sample loaders, DALI-seq
+            included, never reach it.
         request_overhead_s: Fixed per-read overhead (seek + submission).
         capacity_bytes: Usable capacity of the device.
     """

@@ -26,15 +26,15 @@ class FileStore:
     Args:
         dataset: The dataset stored on this device.
         device: The storage device model.
-        sequential_hint: When true, reads are charged at the device's
-            sequential bandwidth (TFRecord chunks / DALI-seq whole-file scans).
+
+    Every read is charged at the device's random-read rate: the loaders read
+    one small file per sample, far from the large transfers sequential
+    bandwidth needs.
     """
 
-    def __init__(self, dataset: SyntheticDataset, device: StorageDevice,
-                 sequential_hint: bool = False) -> None:
+    def __init__(self, dataset: SyntheticDataset, device: StorageDevice) -> None:
         self._dataset = dataset
         self._device = device
-        self._sequential_hint = sequential_hint
         self._stats = IOStats()
 
     @property
@@ -52,29 +52,23 @@ class FileStore:
         """Cumulative I/O counters for this store."""
         return self._stats
 
-    def read_item(self, item_id: int, at_time: Optional[float] = None,
-                  sequential: Optional[bool] = None) -> float:
+    def read_item(self, item_id: int, at_time: Optional[float] = None) -> float:
         """Read one item from storage; returns the read duration in seconds."""
-        nbytes = self._dataset.item_size(item_id)
-        return self.read_bytes(nbytes, at_time=at_time, sequential=sequential)
+        return self.read_bytes(self._dataset.item_size(item_id), at_time=at_time)
 
-    def read_bytes(self, nbytes: float, at_time: Optional[float] = None,
-                   sequential: Optional[bool] = None) -> float:
-        """Read an arbitrary byte extent (used for record chunks)."""
-        seq = self._sequential_hint if sequential is None else sequential
-        duration = self._device.read_time(nbytes, sequential=seq)
+    def read_bytes(self, nbytes: float, at_time: Optional[float] = None) -> float:
+        """Read an arbitrary byte extent; returns the read duration."""
+        duration = self._device.read_time(nbytes)
         self._stats.record_disk(nbytes, at_time=at_time)
         return duration
 
-    def bulk_read_times(self, sizes: "np.ndarray",
-                        sequential: Optional[bool] = None) -> "np.ndarray":
+    def bulk_read_times(self, sizes: "np.ndarray") -> "np.ndarray":
         """Per-read durations for many reads, without recording them.
 
         The vectorised fetch path needs the durations *before* it can place
         the reads on the virtual timeline; pair with :meth:`record_bulk`.
         """
-        seq = self._sequential_hint if sequential is None else sequential
-        return self._device.read_times_array(sizes, sequential=seq)
+        return self._device.read_times_array(sizes)
 
     def record_bulk(self, sizes: Sequence[float],
                     at_times: Optional[Sequence[float]] = None) -> None:

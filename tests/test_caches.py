@@ -1,4 +1,4 @@
-"""Unit tests for the cache substrates: LRU, page cache, MinIO, partitioned."""
+"""Unit tests for the cache substrates: page cache, MinIO, partitioned."""
 
 import sys
 import threading
@@ -7,56 +7,11 @@ import numpy as np
 import pytest
 
 from repro.cache import page_cache
-from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
 from repro.datasets.sampler import RandomSampler
 from repro.exceptions import ConfigurationError
-
-
-class TestLRUCache:
-    def test_hit_after_admit(self):
-        cache = LRUCache(100.0)
-        assert not cache.lookup(1)
-        assert cache.admit(1, 10.0)
-        assert cache.lookup(1)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-
-    def test_eviction_order_is_least_recently_used(self):
-        cache = LRUCache(30.0)
-        for item in (1, 2, 3):
-            cache.admit(item, 10.0)
-        cache.lookup(1)            # 1 becomes most recently used
-        cache.admit(4, 10.0)       # evicts 2 (the LRU entry)
-        assert 1 in cache and 3 in cache and 4 in cache
-        assert 2 not in cache
-        assert cache.stats.evictions == 1
-
-    def test_oversized_item_rejected(self):
-        cache = LRUCache(10.0)
-        assert not cache.admit(1, 100.0)
-        assert cache.stats.rejected == 1
-
-    def test_used_bytes_tracks_contents(self):
-        cache = LRUCache(100.0)
-        cache.admit(1, 30.0)
-        cache.admit(2, 20.0)
-        assert cache.used_bytes == 50.0
-        cache.evict(1)
-        assert cache.used_bytes == 20.0
-
-    def test_clear(self):
-        cache = LRUCache(100.0)
-        cache.admit(1, 30.0)
-        cache.clear()
-        assert cache.used_bytes == 0.0
-        assert len(cache) == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LRUCache(-1.0)
 
 
 class TestPageCache:
@@ -72,6 +27,17 @@ class TestPageCache:
         cache.lookup(1)
         assert cache.active_bytes == 4096.0
         assert cache.inactive_bytes == 0.0
+
+    def test_inactive_list_evicts_least_recently_admitted_first(self):
+        cache = PageCache(3 * 4096.0)
+        for item in (1, 2, 3):
+            cache.admit(item, 4096.0)
+        cache.admit(4, 4096.0)              # evicts 1, the oldest page
+        assert list(cache.cached_items()) == [2, 3, 4]
+        assert cache.pressure_evictions == 1
+        assert cache.lookup(2)              # promoted: 3 is now the oldest
+        cache.admit(5, 4096.0)
+        assert 2 in cache and 3 not in cache
 
     def test_active_list_protected_from_streaming_evictions(self):
         # Capacity for 4 pages; items 1 and 2 are promoted (hot), then a
@@ -145,6 +111,10 @@ class TestPageCache:
         assert 1 not in cache and 2 in cache and 3 in cache
 
     def test_invalid_parameters_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PageCache(-1.0)
+        with pytest.raises(ConfigurationError):
+            MinIOCache(-1.0)
         with pytest.raises(ConfigurationError):
             PageCache(100.0, page_bytes=0)
         with pytest.raises(ConfigurationError):

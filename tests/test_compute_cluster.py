@@ -147,6 +147,16 @@ class TestServerConfigs:
         with pytest.raises(ConfigurationError):
             server.worker_pool(cores=100)
 
+    def test_worker_pool_uses_physical_cores_only(self):
+        server = config_ssd_v100()
+        assert server.vcpus > server.physical_cores
+        pool = server.worker_pool(gpu_offload=True)
+        assert pool.physical_cores == server.physical_cores
+        assert pool.hyperthreads == 0.0
+        assert pool.effective_cores == server.physical_cores
+        assert pool.gpu_offload
+        assert pool.gpu_decode_rate_scale == server.gpu.gpu_prep_scale
+
     def test_invalid_server_rejected(self):
         server = config_ssd_v100()
         with pytest.raises(ConfigurationError):

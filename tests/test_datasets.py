@@ -44,6 +44,11 @@ class TestCatalog:
         assert scaled.mean_item_bytes == OPENIMAGES.mean_item_bytes
         assert scaled.task == OPENIMAGES.task
 
+    def test_scaled_spec_keeps_at_least_64_items(self):
+        tiny = OPENIMAGES.scaled(1e-9)
+        assert tiny.num_items == 64
+        assert tiny.name == "openimages@1e-09"
+
     def test_scaled_spec_rejects_bad_fraction(self):
         with pytest.raises(ConfigurationError):
             OPENIMAGES.scaled(0.0)

@@ -6,6 +6,7 @@ from repro.compute.gpu import V100
 from repro.compute.model_zoo import RESNET18, RESNET50
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.pipeline.dali import DALILoader
+from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.sim.engine import PipelineSimulator, pipeline_makespan
 
 
@@ -93,3 +94,41 @@ class TestPipelineSimulator:
         sim = PipelineSimulator(RESNET18, V100)
         with pytest.raises(ConfigurationError):
             sim.run_epochs(loader, 0)
+
+    def test_run_epochs_numbers_epochs_from_zero(self, tiny_dataset, hdd_server):
+        sim = PipelineSimulator(RESNET18, hdd_server.gpu)
+        together = sim.run_epochs(self._loader(tiny_dataset, hdd_server), 2)
+        loader = self._loader(tiny_dataset, hdd_server)
+        one_by_one = [sim.run_epoch(loader, 0), sim.run_epoch(loader, 1)]
+        assert ([(e.epoch_time_s, e.cache_hits) for e in together]
+                == [(e.epoch_time_s, e.cache_hits) for e in one_by_one])
+
+
+class TestTrainingRunStats:
+    """The paper's convention (Sec. 3.1): drop the cold-cache first epoch."""
+
+    @staticmethod
+    def _epoch(epoch_time_s):
+        return EpochStats(epoch_time_s=epoch_time_s, gpu_time_s=1.0,
+                          prep_limited_time_s=1.0, samples=100)
+
+    def test_steady_state_skips_only_the_warmup_epoch(self):
+        run = TrainingRunStats()
+        for epoch_time_s in (10.0, 4.0, 2.0):
+            run.add(self._epoch(epoch_time_s))
+        assert run.num_epochs == 3
+        assert run.steady_state() == run.epochs[1:]
+        assert run.mean_epoch_time() == pytest.approx(3.0)
+        assert run.mean_throughput() == pytest.approx((25.0 + 50.0) / 2)
+        assert run.steady_epoch() is run.epochs[-1]
+
+    def test_single_epoch_run_is_its_own_steady_state(self):
+        run = TrainingRunStats()
+        assert run.steady_state() == []
+        assert run.mean_epoch_time() == 0.0
+        assert run.mean_throughput() == 0.0
+        only = self._epoch(5.0)
+        run.add(only)
+        assert run.steady_state() == [only]
+        assert run.mean_epoch_time() == 5.0
+        assert run.steady_epoch() is only

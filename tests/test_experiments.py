@@ -7,11 +7,19 @@ where the crossovers are.  The full-size runs live in ``benchmarks/``.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import registry
-from repro.experiments.base import ExperimentResult, relative, scaled_dataset
+from repro.experiments import report_generator
+from repro.experiments.base import (
+    SWEEP_SCALE,
+    ExperimentResult,
+    relative,
+    scaled_dataset,
+)
 
 #: Scale used by the fast test runs of the heavier experiments.
 TEST_SCALE = 1.0 / 400.0
@@ -265,3 +273,40 @@ class TestAppendixExperiments:
         assert (hdd_rows["py-coordl"]["epoch_time_s"]
                 <= hdd_rows["coordinated-prep"]["epoch_time_s"]
                 <= hdd_rows["pytorch-dl"]["epoch_time_s"])
+        # Full Py-CoorDL wins by well over 1.5x on both server types.
+        for storage in ("hdd", "sata-ssd"):
+            pycoordl = next(r for r in result.rows if r["storage"] == storage
+                            and r["configuration"] == "py-coordl")
+            assert pycoordl["speedup_vs_baseline"] > 1.5
+
+
+class TestReport:
+    #: The timing line ``bench/workloads.py`` strips before hashing tables.
+    TIMING_LINE = re.compile(r"^\*\(regenerated in .*\)\*$", re.MULTILINE)
+
+    def test_report_is_identical_once_timing_lines_are_stripped(self, tmp_path):
+        texts = [report_generator.generate(str(tmp_path / f"report{run}.md"),
+                                           scale=TEST_SCALE, only=["tab5", "tab6"])
+                 for run in (0, 1)]
+        assert (tmp_path / "report1.md").read_text(encoding="utf-8") == texts[1]
+        timing = self.TIMING_LINE.findall(texts[0])
+        assert len(timing) == 2
+        assert "`python -m repro run-experiment tab6`" in timing[1]
+        stripped = [self.TIMING_LINE.sub("", text) for text in texts]
+        assert stripped[0] == stripped[1]
+
+    def test_expectations_and_deviations_name_registered_experiments(self):
+        ids = set(registry.experiment_ids())
+        assert set(report_generator.PAPER_EXPECTATIONS) == ids
+        assert set(report_generator.KNOWN_DEVIATIONS) <= ids
+
+    def test_tab5_and_tab6_deviations_quote_the_measured_tables(self):
+        """The prose is written from a 1/100-scale run; it must move with it."""
+        tab5_note = report_generator.KNOWN_DEVIATIONS["tab5"]
+        errors = registry.run_experiment("tab5", scale=SWEEP_SCALE).column("error_pct")
+        assert f"{min(errors):.1f}-{max(errors):.1f}%" in tab5_note
+        assert max(errors) < 4.0        # "within the paper's bound"
+        tab6_note = report_generator.KNOWN_DEVIATIONS["tab6"]
+        for row in registry.run_experiment("tab6", scale=SWEEP_SCALE).rows:
+            assert f"{row['cache_miss_pct']:.1f}%" in tab6_note
+            assert f"{row['disk_io_gb']:.0f} GB" in tab6_note

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.prep.pipeline import PrepPipeline
+from repro.prep.pipeline import GPU_OFFLOAD_EFFICIENCY, PrepPipeline
 from repro.prep.transforms import (
     Transform,
     audio_pipeline,
@@ -38,6 +38,8 @@ class TestTransforms:
         assert pipeline_for_task("image_classification", "pytorch") == pillow_image_pipeline()
         with pytest.raises(ConfigurationError):
             pipeline_for_task("quantum_chromodynamics")
+        with pytest.raises(ConfigurationError):
+            pipeline_for_task("audio_classification", "tf-data")
 
     def test_expansion_factor_matches_paper_range(self):
         # Pre-processed items are 5-7x larger than raw (Sec. 4.3).
@@ -61,6 +63,17 @@ class TestPrepPipeline:
         assert offloaded.cpu_core_seconds < cpu_only.cpu_core_seconds
         assert offloaded.gpu_seconds > 0
         assert cpu_only.gpu_seconds == 0
+
+    def test_offloaded_cpu_work_costs_a_quarter_on_the_gpu(self):
+        for pipeline in (PrepPipeline.for_task("image_classification"),
+                         PrepPipeline.for_task("image_classification")
+                         .with_scaled_cost(3.0)):
+            cpu_only = pipeline.sample_cost(150_000, gpu_offload=False)
+            offloaded = pipeline.sample_cost(150_000, gpu_offload=True)
+            moved = cpu_only.cpu_core_seconds - offloaded.cpu_core_seconds
+            assert GPU_OFFLOAD_EFFICIENCY == 0.25
+            assert offloaded.gpu_seconds == pytest.approx(
+                GPU_OFFLOAD_EFFICIENCY * moved, rel=1e-12)
 
     def test_stochastic_flag_propagates(self):
         pipeline = PrepPipeline.for_task("image_classification")

@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import page_cache
-from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
@@ -90,16 +89,6 @@ class TestSamplerProperties:
 # Caches ----------------------------------------------------------------------
 
 class TestCacheProperties:
-    @given(capacity=st.floats(min_value=100.0, max_value=1e5),
-           accesses=st.lists(st.tuples(st.integers(0, 50), sizes), min_size=1, max_size=200))
-    @settings(max_examples=60, deadline=None)
-    def test_lru_never_exceeds_capacity(self, capacity, accesses):
-        cache = LRUCache(capacity)
-        for item, size in accesses:
-            if not cache.lookup(item):
-                cache.admit(item, size)
-            assert cache.used_bytes <= capacity + 1e-9
-
     @given(capacity=st.floats(min_value=100.0, max_value=1e5),
            accesses=st.lists(st.tuples(st.integers(0, 50), sizes), min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)

@@ -7,13 +7,24 @@ from repro.compute.model_zoo import ALEXNET, AUDIO_M5, RESNET18, RESNET50
 from repro.exceptions import ConfigurationError
 from repro.sim.accuracy import AccuracyCurve, resnet50_imagenet_curve, time_to_accuracy
 from repro.sim.distributed import DistributedTraining
+from repro.pipeline.stats import EpochStats
+from repro.sim.distributed import (
+    DistributedEpoch,
+    DistributedResult,
+    DistributedTraining,
+)
 from repro.sim.hp_search import HPSearchScenario
-from repro.sim.single_server import LOADER_KINDS, SingleServerTraining, build_loader
+from repro.sim.single_server import (
+    LOADER_KINDS,
+    MIN_BATCHES_PER_EPOCH,
+    SingleServerTraining,
+    build_loader,
+    effective_batch_size,
+)
 
 
 class TestSingleServerTraining:
     def test_all_loader_kinds_build(self, small_dataset, ssd_server):
-        from repro.sim.single_server import effective_batch_size
         expected = effective_batch_size(small_dataset,
                                         RESNET18.batch_size * ssd_server.num_gpus)
         for kind in LOADER_KINDS:
@@ -45,6 +56,16 @@ class TestSingleServerTraining:
     def test_requires_warmup_plus_measured_epoch(self, small_dataset, ssd_server):
         with pytest.raises(ConfigurationError):
             SingleServerTraining(RESNET18, small_dataset, ssd_server, num_epochs=1)
+
+    def test_batch_size_clamped_to_keep_batches_per_epoch(self, small_dataset,
+                                                          tiny_dataset):
+        # 2 000 items: at most 2 000 / 40 = 50 per batch; smaller sizes stay.
+        cap = len(small_dataset) // MIN_BATCHES_PER_EPOCH
+        assert effective_batch_size(small_dataset, 256) == cap == 50
+        assert effective_batch_size(small_dataset, 16) == 16
+        # Tiny datasets still get 32-sample batches, and never an empty one.
+        assert effective_batch_size(tiny_dataset, 256) == 32
+        assert effective_batch_size(tiny_dataset, 0) == 1
 
     def test_fully_cached_run_has_no_fetch_stall(self, small_dataset, ssd_server):
         server = ssd_server.with_cache_bytes(small_dataset.total_bytes * 1.5)
@@ -86,6 +107,22 @@ class TestDistributedTraining:
             DistributedTraining(RESNET18, small_dataset, [hdd_server, hdd_server],
                                 num_epochs=1)
 
+    def test_steady_epochs_skip_only_the_warmup_epoch(self):
+        def epoch(*times):
+            return DistributedEpoch([
+                EpochStats(epoch_time_s=t, gpu_time_s=1.0,
+                           prep_limited_time_s=1.0, samples=100)
+                for t in times])
+
+        warm, first, second = epoch(9.0, 8.0), epoch(4.0, 5.0), epoch(3.0, 2.0)
+        result = DistributedResult("dist-coordl", [warm, first, second])
+        assert result.steady_epochs() == [first, second]
+        assert result.steady_epoch_time_s == pytest.approx((5.0 + 3.0) / 2)
+        assert result.steady_throughput == pytest.approx((200 / 5 + 200 / 3) / 2)
+        single = DistributedResult("dist-coordl", [warm])
+        assert single.steady_epochs() == [warm]
+        assert single.steady_epoch_time_s == 9.0
+
 
 class TestHPSearchScenario:
     def test_coordl_faster_than_baseline_with_partial_cache(self, small_dataset,
@@ -105,6 +142,26 @@ class TestHPSearchScenario:
         assert baseline.disk_bytes_per_epoch > 3 * coordl.disk_bytes_per_epoch
         assert coordl.staging_peak_bytes > 0
 
+    def test_pytorch_baseline_is_slowest_and_coordl_fastest(self, small_dataset,
+                                                             ssd_server):
+        """Fig. 23's ranking: Pillow prep makes the PyTorch DL slower than
+        DALI; both share the page cache, so they read the same bytes."""
+        scenario = HPSearchScenario(ALEXNET, small_dataset, ssd_server, num_jobs=8,
+                                    gpus_per_job=1,
+                                    cache_bytes=small_dataset.total_bytes * 0.5)
+        pytorch = scenario.run_baseline(library="pytorch")
+        dali = scenario.run_baseline(library="dali")
+        coordl = scenario.run_coordl()
+        assert pytorch.loader_name == "pytorch-uncoordinated"
+        assert dali.loader_name == "dali-uncoordinated"
+        assert coordl.epoch_time_s < dali.epoch_time_s < pytorch.epoch_time_s
+        assert pytorch.disk_bytes_per_epoch == dali.disk_bytes_per_epoch
+
+    def test_unknown_baseline_library_rejected(self, small_dataset, ssd_server):
+        scenario = HPSearchScenario(ALEXNET, small_dataset, ssd_server, num_jobs=8)
+        with pytest.raises(ConfigurationError):
+            scenario.run_baseline(library="tf-data")
+
     def test_fully_cached_speedup_comes_from_prep_only(self, small_dataset, ssd_server):
         scenario = HPSearchScenario(ALEXNET, small_dataset, ssd_server, num_jobs=8,
                                     gpus_per_job=1,
@@ -119,6 +176,12 @@ class TestHPSearchScenario:
         with pytest.raises(ConfigurationError):
             HPSearchScenario(ALEXNET, small_dataset, ssd_server, num_jobs=8,
                              gpus_per_job=2)
+
+    def test_non_positive_jobs_or_gpus_rejected(self, small_dataset, ssd_server):
+        for jobs, gpus in ((0, 1), (8, 0)):
+            with pytest.raises(ConfigurationError):
+                HPSearchScenario(ALEXNET, small_dataset, ssd_server,
+                                 num_jobs=jobs, gpus_per_job=gpus)
 
     def test_audio_model_is_io_bound_then_fixed_by_coordl(self, ssd_server):
         from repro.datasets.catalog import FMA

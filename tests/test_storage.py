@@ -1,5 +1,6 @@
 """Unit tests for storage devices, the file store, and I/O accounting."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -125,10 +126,27 @@ class TestFileStore:
         assert store.stats.disk_bytes == pytest.approx(tiny_dataset.item_size(0))
         assert store.stats.disk_requests == 1
 
-    def test_sequential_hint_changes_duration(self, tiny_dataset):
-        random_store = FileStore(tiny_dataset, hdd(), sequential_hint=False)
-        seq_store = FileStore(tiny_dataset, hdd(), sequential_hint=True)
-        assert seq_store.read_item(0) < random_store.read_item(0)
+    def test_reads_are_charged_at_the_random_read_rate(self, tiny_dataset):
+        """One small file per sample never reaches sequential bandwidth,
+        DALI-seq's storage-order scan included."""
+        disk = hdd()
+        store = FileStore(tiny_dataset, disk)
+        size = tiny_dataset.item_size(0)
+        assert store.read_item(0) == disk.read_time(size, sequential=False)
+        assert store.read_item(0) > disk.read_time(size, sequential=True)
+        assert store.read_bytes(size) == store.read_item(0)
+
+    def test_bulk_read_times_match_single_reads_and_record_nothing(
+            self, tiny_dataset):
+        store = FileStore(tiny_dataset, hdd())
+        sizes = tiny_dataset.item_sizes(np.arange(8))
+        times = store.bulk_read_times(sizes)
+        assert store.stats.disk_requests == 0
+        store.record_bulk(sizes.tolist())
+        assert store.stats.disk_requests == 8
+        assert store.stats.disk_bytes == pytest.approx(sizes.sum())
+        assert times.tolist() == pytest.approx(
+            [store.read_item(i) for i in range(8)], rel=1e-12)
 
     def test_reset_stats(self, tiny_dataset):
         store = FileStore(tiny_dataset, sata_ssd())

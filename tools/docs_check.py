@@ -22,12 +22,19 @@ So is the sweep-point kind list: every loader name in
 ``repro.sim.POINT_KINDS`` must appear in docs/API.md in backticks or
 double quotes (`` `coordl` `` or ``"hp-coordl"``), so a kind added to the
 table cannot go undocumented.
+
+The docs are checked against the code as well: every dotted
+``repro.<name>`` token in docs/ARCHITECTURE.md and docs/API.md must
+resolve to a module or attribute, and every backticked name in the "Key
+types" column of an ARCHITECTURE.md module row must be an attribute of
+that row's module, so a deleted or moved name cannot linger in the docs.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import pkgutil
 import re
 import sys
 
@@ -84,12 +91,60 @@ def constant_mismatches(text: str) -> list[str]:
     return problems
 
 
+#: A dotted ``repro.<name>`` reference anywhere in the docs.
+DOTTED_NAME = re.compile(r"\brepro(?:\.\w+)+")
+
+#: Docs whose ``repro.<name>`` references must resolve.
+RESOLVED_DOCS = ("ARCHITECTURE.md", "API.md")
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an importable module or one of its attributes."""
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError, ValueError):
+        return False
+    return True
+
+
+def unresolved_names(docs: dict[str, str]) -> list[str]:
+    """``repro.<name>`` tokens in the docs that name nothing in the code."""
+    return [f"{doc}: {name}" for doc, text in docs.items()
+            for name in sorted(set(DOTTED_NAME.findall(text)))
+            if not resolves(name)]
+
+
+def key_type_mismatches(architecture: str) -> list[str]:
+    """Key types in ARCHITECTURE.md module rows that their module lacks.
+
+    A module row is a row of a table whose last header cell is "Key types"
+    and whose first cell is a backticked module name.
+    """
+    problems = []
+    in_table = False
+    for line in architecture.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            in_table = False
+        elif cells[-1] == "Key types":
+            in_table = True
+        elif in_table and (row := re.fullmatch(r"`(repro[\w.]*)`", cells[0])):
+            module = row.group(1)
+            for name in re.findall(r"`([\w.]+)`", cells[-1]):
+                dotted = name if name.startswith("repro.") else f"{module}.{name}"
+                if not resolves(dotted):
+                    problems.append(f"{module}: {name}")
+    return problems
+
+
 def main() -> int:
     api_doc = REPO_ROOT / "docs" / "API.md"
     if not api_doc.exists():
         print(f"docs-check: {api_doc} does not exist", file=sys.stderr)
         return 1
-    text = api_doc.read_text(encoding="utf-8")
+    docs = {name: (REPO_ROOT / "docs" / name).read_text(encoding="utf-8")
+            for name in RESOLVED_DOCS}
+    text = docs["API.md"]
     failed = False
     total = 0
     for label, module in CHECKED_SURFACES:
@@ -110,19 +165,27 @@ def main() -> int:
               "missing from docs/API.md:", file=sys.stderr)
         for name in kinds:
             print(f"  - {name}", file=sys.stderr)
-    mismatches = constant_mismatches(text)
-    if mismatches:
-        failed = True
-        print("docs-check: documented constant values out of date:",
-              file=sys.stderr)
-        for problem in mismatches:
-            print(f"  - {problem}", file=sys.stderr)
+    for heading, problems in (
+            ("documented constant values out of date",
+             constant_mismatches(text)),
+            ("repro.<name> references in the docs that name nothing",
+             unresolved_names(docs)),
+            ("key types in docs/ARCHITECTURE.md missing from their row's "
+             "module", key_type_mismatches(docs["ARCHITECTURE.md"]))):
+        if problems:
+            failed = True
+            print(f"docs-check: {heading}:", file=sys.stderr)
+            for problem in problems:
+                print(f"  - {problem}", file=sys.stderr)
     if failed:
         return 1
+    references = sum(len(set(DOTTED_NAME.findall(t))) for t in docs.values())
     print(f"docs-check: all {total} public symbols across "
           f"{len(CHECKED_SURFACES)} surfaces and all "
           f"{len(repro.sim.POINT_KINDS)} sweep-point kinds documented in "
-          f"docs/API.md, documented constant values match")
+          f"docs/API.md, documented constant values match, and all "
+          f"{references} repro.<name> references in "
+          f"{' and '.join(RESOLVED_DOCS)} resolve")
     return 0
 
 
