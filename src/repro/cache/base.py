@@ -9,7 +9,7 @@ hits and how many bytes move.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -67,22 +67,34 @@ class Cache(ABC):
     def cached_items(self) -> Iterable[int]:
         """Ids of all currently cached items."""
 
+    def walk(self, item_ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Look up each access in order, admitting it on a miss; the hit mask.
+
+        The per-item reference every bulk path reproduces exactly, and the
+        path the bulk entries fall back to when they cannot apply a stream
+        analytically.  ``sizes`` is aligned with ``item_ids``.
+        """
+        lookup, admit = self.lookup, self.admit
+        hits = np.zeros(len(item_ids), dtype=bool)
+        for i, (item_id, size) in enumerate(zip(np.asarray(item_ids).tolist(),
+                                                np.asarray(sizes).tolist())):
+            if lookup(item_id):
+                hits[i] = True
+            else:
+                admit(item_id, size)
+        return hits
+
     def bulk_epoch_hits(self, item_ids: np.ndarray,
-                        sizes: np.ndarray) -> Optional[np.ndarray]:
-        """Apply one single-pass epoch of accesses in bulk, if analytic.
+                        sizes: np.ndarray) -> np.ndarray:
+        """Apply one single-pass epoch of accesses; return the hit mask.
 
         ``item_ids`` must be pairwise distinct (the DNN epoch invariant: every
-        item at most once per epoch).  When the policy's trajectory over such
-        a pass is analytically known, the cache applies *exactly* the
-        mutations and counter updates that per-item ``lookup`` + ``admit``
-        calls would have produced and returns the boolean hit mask.  When the
-        trajectory depends on state that must be mutated step by step, the
-        method returns ``None`` **without side effects** and the caller falls
-        back to the per-item path.
-
-        The default policy-agnostic answer is ``None``.
+        item at most once per epoch).  Where the policy's trajectory over
+        such a pass is analytically known, a cache overrides this to apply
+        *exactly* the mutations and counter updates of :meth:`walk` in
+        bulk; this policy-agnostic default walks.
         """
-        return None
+        return self.walk(item_ids, sizes)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.cached_items())

@@ -84,7 +84,7 @@ class MinIOCache(Cache):
         return self._membership_table(int(item_ids.max(initial=0)))[item_ids]
 
     def bulk_epoch_hits(self, item_ids: np.ndarray, sizes: np.ndarray,
-                        admit: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+                        admit: Optional[np.ndarray] = None) -> np.ndarray:
         """One whole epoch of distinct accesses, vectorised.
 
         MinIO's trajectory over a single-pass epoch is always analytic: it

@@ -274,7 +274,7 @@ class PageCache(Cache):
         return True
 
     def bulk_epoch_hits(self, item_ids: np.ndarray,
-                        sizes: np.ndarray) -> Optional[np.ndarray]:
+                        sizes: np.ndarray) -> np.ndarray:
         """One single-pass epoch of distinct accesses, in bulk.
 
         The *cold* trajectory (empty cache) is closed-form: distinct items
@@ -283,17 +283,12 @@ class PageCache(Cache):
         exactly the maximal suffix of the admitted stream whose rounded sizes
         fit in the capacity.  A *warm* page cache has no closed form — hits
         promote pages and reshape both lists — so the warm branch replays
-        the state machine through the bulk kernel
-        (:meth:`bulk_stream_hits`), falling back to the per-item
-        ``lookup``/``admit`` reference walk when the kernel declines; either
-        way the caller derives timings and I/O accounting from the returned
-        mask vectorised.
+        the state machine through :meth:`bulk_stream_hits`, which walks when
+        the kernel declines; either way the caller derives timings and I/O
+        accounting from the returned mask vectorised.
         """
         if self._inactive or self._active:
-            hits = self.bulk_stream_hits(item_ids, sizes)
-            if hits is not None:
-                return hits
-            return self._warm_epoch_hits(item_ids, sizes)
+            return self.bulk_stream_hits(item_ids, sizes)
         item_ids = np.asarray(item_ids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.float64)
         rounded = np.maximum(np.ceil(sizes / self._page_bytes), 1.0) * self._page_bytes
@@ -339,7 +334,8 @@ class PageCache(Cache):
         page cache per dataset and run).
 
         Returns ``None`` without side effects when the no-eviction
-        precondition does not hold and the caller must walk item by item.
+        precondition does not hold; the caller then replays the stream
+        through :meth:`bulk_stream_hits`.
         """
         item_ids = np.asarray(item_ids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.float64)
@@ -382,26 +378,26 @@ class PageCache(Cache):
         return ~miss
 
     def bulk_stream_hits(self, item_ids: np.ndarray,
-                         sizes: np.ndarray) -> Optional[np.ndarray]:
-        """Any warm/thrashing access stream in bulk, exactly.
+                         sizes: np.ndarray) -> np.ndarray:
+        """Any access stream, replayed exactly; the hit mask.
 
-        The general entry of the fast-path lattice: the stream may revisit
-        items (the HP-search baseline interleaves several jobs' epochs over
-        one shared page cache) and the cache may start warm, below the
-        working set, and evicting on every admission — the segmented-LRU
-        thrashing regime of Sec. 3.3.1.  The whole stream is replayed
-        through :func:`repro.cache.warm_kernel.simulate_segmented_lru`,
-        which reproduces the per-item ``lookup`` + ``admit`` walk bit for
-        bit: hit mask, every stats counter (including ``hit_bytes``), the
+        The page cache's one replay entry: the stream may revisit items
+        (the HP-search baseline interleaves several jobs' epochs over one
+        shared page cache, Table 3's jobs interleave record files) and the
+        cache may start warm, below the working set, and evicting on every
+        admission — the segmented-LRU thrashing regime of Sec. 3.3.1.  The
+        whole stream is replayed through
+        :func:`repro.cache.warm_kernel.simulate_segmented_lru`, which
+        reproduces the per-item ``lookup`` + ``admit`` walk bit for bit:
+        hit mask, every stats counter (including ``hit_bytes``), the
         pressure-eviction count, byte occupancies and the exact order of
         both lists (observable through future evictions and demotions).
 
         Every miss is admitted, as the kernel page cache does — callers
-        with an admission *policy* must walk item by item.  Returns ``None``
-        without side effects when the kernel is disabled
-        (``REPRO_WARM_KERNEL=0``) or cannot certify float-exactness
-        (degenerate page sizes, stored sizes that are not page multiples);
-        side effects are all-or-nothing, as for the other bulk paths.
+        with an admission *policy* must walk item by item.  When the kernel
+        is disabled (``REPRO_WARM_KERNEL=0``) or declines the stream
+        (uncertifiable page arithmetic, an item whose rounded size varies
+        or exceeds the capacity), this entry applies :meth:`walk` instead.
 
         When a :class:`ReplayMemo` is active (a
         :class:`~repro.sim.sweep.SweepRunner` running a point), a stream
@@ -411,7 +407,7 @@ class PageCache(Cache):
         read-only.  With no active memo every call runs the kernel.
         """
         if not warm_kernel_enabled():
-            return None
+            return self.walk(item_ids, sizes)
         memo = _ACTIVE_REPLAY_MEMO.get()
         key = None if memo is None else self._replay_key(item_ids, sizes)
         result = None if key is None else memo.get(key)
@@ -426,7 +422,7 @@ class PageCache(Cache):
                 active_bytes=self._active_bytes,
                 prior_hit_bytes=self._stats.hit_bytes)
             if result is None:
-                return None
+                return self.walk(item_ids, sizes)
             if key is not None:
                 memo.put(key, result)
         page = self._page_bytes
@@ -443,8 +439,7 @@ class PageCache(Cache):
         self._pressure_evictions += result.pressure_evictions
         self._stats.hits += result.hits
         self._stats.misses += result.misses
-        self._stats.insertions += result.insertions
-        self._stats.rejected += result.rejected
+        self._stats.insertions += result.misses  # every miss was admitted
         self._stats.hit_bytes += float(result.hit_pages) * page
         return result.hit_mask
 
@@ -476,21 +471,6 @@ class PageCache(Cache):
             digest.update(np.fromiter(members.values(), np.float64,
                                       count=len(members)))
         return digest.digest()
-
-    def _warm_epoch_hits(self, item_ids: np.ndarray,
-                         sizes: np.ndarray) -> np.ndarray:
-        """Exact warm-epoch sweep: per-item ``lookup`` + ``admit`` on miss."""
-        lookup = self.lookup
-        admit = self.admit
-        hits = np.empty(len(item_ids), dtype=bool)
-        for i, (item_id, size) in enumerate(zip(np.asarray(item_ids).tolist(),
-                                                np.asarray(sizes).tolist())):
-            if lookup(item_id):
-                hits[i] = True
-            else:
-                hits[i] = False
-                admit(item_id, size)
-        return hits
 
     def evict(self, item_id: int) -> bool:
         """Drop one item (posix_fadvise(DONTNEED)); True if it was present.

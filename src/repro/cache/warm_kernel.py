@@ -161,8 +161,6 @@ class SegmentedLRUResult:
     hit_mask: np.ndarray
     hits: int
     misses: int
-    insertions: int
-    rejected: int
     pressure_evictions: int
     hit_pages: int
     inactive: Tuple[np.ndarray, np.ndarray]
@@ -179,8 +177,10 @@ def simulate_segmented_lru(
 
     The stream may revisit items (interleaved multi-job epochs) and the
     cache may start in any warm state.  Returns ``None`` — never partially
-    evaluated state — when any float-exactness guard fails; callers then
-    walk item by item.
+    evaluated state — when any float-exactness guard fails, when an item's
+    rounded size differs between its accesses or from its resident stored
+    size, or when an item is larger than the cache; callers then walk item
+    by item.
     """
     ids = np.asarray(item_ids, dtype=np.int64)
     size_arr = np.asarray(sizes, dtype=np.float64)
@@ -241,29 +241,30 @@ def simulate_segmented_lru(
         dense_stream = dense[:n]
         dense_in_arr = dense[n:n + init_in_ids.size]
         dense_act_arr = dense[n + init_in_ids.size:]
-    stream = dense_stream.tolist()
-    dense_in = dense_in_arr.tolist()
-    dense_act = dense_act_arr.tolist()
 
-    # The lean loop below defers all hit/eviction accounting to vectorised
+    # The loop below defers all hit/eviction accounting to vectorised
     # epilogue algebra.  That is exact when no stream item is over-capacity
     # (so every miss admits) and every item's rounded size is consistent —
     # one value across its stream accesses, matching its resident stored
     # size — so a hit's stored bytes can be read off the stream itself.
-    # Real datasets always satisfy this; adversarial streams take the
-    # general loop with in-loop accounting instead.
+    # Real datasets always satisfy this; any other stream is declined and
+    # walked item by item.
+    if n and int(stream_pages.max()) > cap_pages:
+        return None
     rep = np.zeros(num_dense, dtype=np.int64)
     rep[dense_stream] = stream_pages
-    consistent = bool((rep[dense_stream] == stream_pages).all())
-    if consistent and resident_ids.size:
+    if not (rep[dense_stream] == stream_pages).all():
+        return None
+    if resident_ids.size:
         appears = np.zeros(num_dense, dtype=bool)
         appears[dense_stream] = True
         res_dense = np.concatenate([dense_in_arr, dense_act_arr])
         res_pages = np.concatenate([init_in_pages, init_act_pages])
-        consistent = bool((~appears[res_dense]
-                           | (rep[res_dense] == res_pages)).all())
-    lean = consistent and (n == 0
-                           or int(stream_pages.max(initial=1)) <= cap_pages)
+        if not (~appears[res_dense] | (rep[res_dense] == res_pages)).all():
+            return None
+    stream = dense_stream.tolist()
+    dense_in = dense_in_arr.tolist()
+    dense_act = dense_act_arr.tolist()
 
     # Recency is tracked with lazily-invalidated deques instead of linked
     # lists: every queue entry is an (item, stamp) pair split across two
@@ -282,10 +283,9 @@ def simulate_segmented_lru(
     # is popped instead of accumulating behind an iterator.
     loc = [0] * num_dense          # 0 absent, 1 inactive, 2 active
     stamp: List[int] = [-1] * num_dense
-    # Lean streams have one rounded size per item, so stored sizes can be
-    # prefilled in bulk and admissions never write them; the general loop
-    # records the admitted size per miss instead.
-    pages_of = rep.tolist() if lean else [0] * num_dense
+    # Every item has one rounded size, so stored sizes are prefilled in
+    # bulk and admissions never write them.
+    pages_of = rep.tolist()
     seeds = (-np.arange(1, num_dense + 1)).tolist()
     # The queues are pre-seeded with the initially-resident members in one
     # bulk copy each instead of per-member appends.
@@ -301,7 +301,6 @@ def simulate_segmented_lru(
             stamp[d] = seeds[d]
             pages_of[d] = p
 
-    pg = None if lean else stream_pages.tolist()
     miss_at: List[int] = []
     miss_append = miss_at.append
     iq_append = iq.append
@@ -314,151 +313,75 @@ def simulate_segmented_lru(
     iqs_pop = iqs.popleft
     aq_pop = aq.popleft
     aqs_pop = aqs.popleft
-    hit_pages = 0
-    insertions = 0
-    rejected = 0
-    evictions = 0
-    used = in_total + act_total
-    act = act_total
 
-    # Both hot loops pop queue entries and let the (rare) exhaustion
-    # exception signal a truly empty queue — Python 3.11 try blocks are
-    # free unless they raise, while an explicit bound check would cost a
-    # len() call per popped entry.  A popped entry whose stamp is no
-    # longer the item's current stamp *object* is stale garbage from a
-    # later move and is skipped; a live victim's entry is consumed by the
-    # pop itself, so eviction needs no re-stamping.
-    if lean:
-        # Lean variant: every miss admits, stored sizes equal the stream's
-        # own rounded sizes (prefilled into ``pages_of`` vectorised), and
-        # hit bytes / insertions / evictions are recovered from the miss
-        # positions and the final occupancy afterwards — so the loop body
-        # touches nothing but the recency state itself.  Occupancy is
-        # tracked as *headroom* (``room``/``aroom``), which stays a small
-        # interned int in the thrashing steady state.
-        room = cap_pages - used      # pages before the next eviction
-        aroom = lim_pages - act      # pages before the next demotion
-        for t, d in enumerate(stream):
-            w = loc[d]
-            if not w:
-                # Miss: evict from the inactive front, then the active.
-                miss_append(t)
-                p = pages_of[d]
-                try:
-                    while p > room:
-                        g = iq_pop()
-                        s = iqs_pop()
-                        if stamp[g] is not s:
-                            continue
-                        room += pages_of[g]
-                        loc[g] = 0
-                except IndexError:
-                    while p > room:
-                        try:
-                            g = aq_pop()
-                            s = aqs_pop()
-                        except IndexError:
-                            break
-                        if stamp[g] is not s:
-                            continue
-                        aroom += pages_of[g]
-                        room += pages_of[g]
-                        loc[g] = 0
-                loc[d] = 1
-                stamp[d] = t
-                iq_append(d)
-                iqs_append(t)
-                room -= p
-            elif w == 2:
-                # Active hit: re-stamp to the active MRU end.
-                stamp[d] = t
-                aq_append(d)
-                aqs_append(t)
-            else:
-                # Inactive hit: promote, then demote while over target.
-                loc[d] = 2
-                stamp[d] = t
-                aq_append(d)
-                aqs_append(t)
-                aroom -= pages_of[d]
-                try:
-                    while aroom < 0:
+    # The eviction and demotion sweeps pop queue entries and let the (rare)
+    # exhaustion exception signal a truly empty queue — Python 3.11 try
+    # blocks are free unless they raise, while an explicit bound check
+    # would cost a len() call per popped entry.  A popped entry whose
+    # stamp is no longer the item's current stamp *object* is stale
+    # garbage from a later move and is skipped; a live victim's entry is
+    # consumed by the pop itself, so eviction needs no re-stamping.  The
+    # loop body touches nothing but the recency state itself; occupancy
+    # is tracked as *headroom* (``room``/``aroom``), which stays a small
+    # interned int in the thrashing steady state.
+    room = cap_pages - in_total - act_total   # pages before the next eviction
+    aroom = lim_pages - act_total             # pages before the next demotion
+    for t, d in enumerate(stream):
+        w = loc[d]
+        if not w:
+            # Miss: evict from the inactive front, then the active.
+            miss_append(t)
+            p = pages_of[d]
+            try:
+                while p > room:
+                    g = iq_pop()
+                    s = iqs_pop()
+                    if stamp[g] is not s:
+                        continue
+                    room += pages_of[g]
+                    loc[g] = 0
+            except IndexError:
+                while p > room:
+                    try:
                         g = aq_pop()
                         s = aqs_pop()
-                        if stamp[g] is not s:
-                            continue
-                        loc[g] = 1
-                        stamp[g] = t
-                        iq_append(g)
-                        iqs_append(t)
-                        aroom += pages_of[g]
-                except IndexError:
-                    pass  # active queue empty (unreachable while pages remain)
-    else:
-        # General variant: mixed/oversized or inconsistent stream sizes —
-        # identical state machine, with per-access accounting.
-        for t, d in enumerate(stream):
-            w = loc[d]
-            if not w:
-                miss_append(t)
-                p = pg[t]
-                if p > cap_pages:
-                    rejected += 1
-                    continue
-                try:
-                    while used + p > cap_pages:
-                        g = iq_pop()
-                        s = iqs_pop()
-                        if stamp[g] is not s:
-                            continue
-                        used -= pages_of[g]
-                        loc[g] = 0
-                        evictions += 1
-                except IndexError:
-                    while used + p > cap_pages:
-                        try:
-                            g = aq_pop()
-                            s = aqs_pop()
-                        except IndexError:
-                            break
-                        if stamp[g] is not s:
-                            continue
-                        act -= pages_of[g]
-                        used -= pages_of[g]
-                        loc[g] = 0
-                        evictions += 1
-                loc[d] = 1
-                stamp[d] = t
-                pages_of[d] = p
-                iq_append(d)
-                iqs_append(t)
-                used += p
-                insertions += 1
-            elif w == 2:
-                hit_pages += pages_of[d]
-                stamp[d] = t
-                aq_append(d)
-                aqs_append(t)
-            else:
-                hit_pages += pages_of[d]
-                loc[d] = 2
-                stamp[d] = t
-                aq_append(d)
-                aqs_append(t)
-                act += pages_of[d]
-                try:
-                    while act > lim_pages:
-                        g = aq_pop()
-                        s = aqs_pop()
-                        if stamp[g] is not s:
-                            continue
-                        loc[g] = 1
-                        stamp[g] = t
-                        iq_append(g)
-                        iqs_append(t)
-                        act -= pages_of[g]
-                except IndexError:
-                    pass  # active queue empty (unreachable while act > 0)
+                    except IndexError:
+                        break
+                    if stamp[g] is not s:
+                        continue
+                    aroom += pages_of[g]
+                    room += pages_of[g]
+                    loc[g] = 0
+            loc[d] = 1
+            stamp[d] = t
+            iq_append(d)
+            iqs_append(t)
+            room -= p
+        elif w == 2:
+            # Active hit: re-stamp to the active MRU end.
+            stamp[d] = t
+            aq_append(d)
+            aqs_append(t)
+        else:
+            # Inactive hit: promote, then demote while over target.
+            loc[d] = 2
+            stamp[d] = t
+            aq_append(d)
+            aqs_append(t)
+            aroom -= pages_of[d]
+            try:
+                while aroom < 0:
+                    g = aq_pop()
+                    s = aqs_pop()
+                    if stamp[g] is not s:
+                        continue
+                    loc[g] = 1
+                    stamp[g] = t
+                    iq_append(g)
+                    iqs_append(t)
+                    aroom += pages_of[g]
+            except IndexError:
+                pass  # active queue empty (unreachable while pages remain)
     # Whatever the queues still hold after the replay is the tail the
     # final live sweep filters (consumed garbage was freed by the pops).
     tail_in, tail_ins = list(iq), list(iqs)
@@ -480,23 +403,17 @@ def simulate_segmented_lru(
 
     final_inactive = _collect(tail_in, tail_ins)
     final_active = _collect(tail_act, tail_acts)
-    if lean:
-        # Epilogue algebra for the lean loop: every miss was admitted, hit
-        # bytes are the stream's own (consistent) rounded sizes, and the
-        # eviction count is the occupancy balance of the replay.
-        insertions = len(miss_at)
-        hit_pages = int(stream_pages[hit_mask].sum())
-        evictions = (insertions + init_in_ids.size + init_act_ids.size
-                     - final_inactive[0].size - final_active[0].size)
-
+    # Epilogue algebra: every miss was admitted, hit bytes are the stream's
+    # own (consistent) rounded sizes, and the eviction count is the
+    # occupancy balance of the replay.
+    misses = len(miss_at)
     return SegmentedLRUResult(
         hit_mask=hit_mask,
-        hits=n - len(miss_at),
-        misses=len(miss_at),
-        insertions=insertions,
-        rejected=rejected,
-        pressure_evictions=evictions,
-        hit_pages=hit_pages,
+        hits=n - misses,
+        misses=misses,
+        pressure_evictions=(misses + resident_ids.size
+                            - final_inactive[0].size - final_active[0].size),
+        hit_pages=int(stream_pages[hit_mask].sum()),
         inactive=final_inactive,
         active=final_active,
     )

@@ -273,28 +273,24 @@ def _cmd_list_experiments() -> int:
     return 0
 
 
+#: What ``run-experiment`` tells the user when an experiment does not take
+#: a setting they passed (``scale`` is dropped silently).
+_IGNORED_SETTING_WARNINGS = {
+    "workers": "parallelise; ignoring --workers",
+    "store": "memoise; ignoring --store/--no-store",
+    "pool": "distribute; ignoring --hosts",
+}
+
+
 def _cmd_run_experiment(experiment_id: str, scale: float,
                         workers: Optional[int], store: StoreArg,
                         executor=None) -> int:
-    kwargs = {} if experiment_id == "fig8" else {"scale": scale}
-    if workers is not None:
-        if not registry.accepts_kwarg(experiment_id, "workers"):
-            print(f"{experiment_id} has no sweep grid to parallelise; "
-                  "ignoring --workers", file=sys.stderr)
-        else:
-            kwargs["workers"] = workers
-    if store is not None:
-        if not registry.accepts_kwarg(experiment_id, "store"):
-            print(f"{experiment_id} has no sweep grid to memoise; "
-                  "ignoring --store/--no-store", file=sys.stderr)
-        else:
-            kwargs["store"] = store
-    if executor is not None:
-        if not registry.accepts_kwarg(experiment_id, "pool"):
-            print(f"{experiment_id} has no sweep grid to distribute; "
-                  "ignoring --hosts", file=sys.stderr)
-        else:
-            kwargs["pool"] = executor
+    kwargs, ignored = registry.experiment_kwargs(
+        experiment_id, scale=scale, workers=workers, store=store, pool=executor)
+    for name in ignored:
+        if name in _IGNORED_SETTING_WARNINGS:
+            print(f"{experiment_id} has no sweep grid to "
+                  f"{_IGNORED_SETTING_WARNINGS[name]}", file=sys.stderr)
     try:
         result = registry.run_experiment(experiment_id, **kwargs)
     finally:

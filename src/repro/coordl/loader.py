@@ -99,8 +99,7 @@ class CoorDL:
         plan = CoordinatedPrepPlan(dataset, num_jobs, batch_size, epoch=0, seed=seed)
         staging = StagingArea(num_jobs, batch_timeout_s=10.0 * iteration_time_s)
         detector = FailureDetector(num_jobs, iteration_time_s)
-        prep = PrepPipeline.for_task(dataset.spec.task, library="dali")
-        prep = prep.with_scaled_cost(dataset.spec.prep_cost_scale)
+        prep = PrepPipeline.for_dataset(dataset, "dali")
         runner = CoordinatedEpochRunner(plan, prep, dataset, staging=staging,
                                         failure_detector=detector)
         minio = MinIOCache(server.cache_bytes)

@@ -47,8 +47,7 @@ class CoorDLLoader(DataLoader):
                 share one memoised sampler across loaders).
         """
         gpus = num_gpus if num_gpus is not None else server.num_gpus
-        prep = PrepPipeline.for_task(dataset.spec.task, library="dali")
-        prep = prep.with_scaled_cost(dataset.spec.prep_cost_scale)
+        prep = PrepPipeline.for_dataset(dataset, "dali")
         workers = server.worker_pool(cores=cores, gpu_offload=gpu_prep)
         minio = cache if cache is not None else MinIOCache(server.cache_bytes)
         if sampler is None:

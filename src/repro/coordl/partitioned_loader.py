@@ -73,8 +73,7 @@ class PartitionedCoorDLLoader(DataLoader):
                 f"group has {group.num_servers} caches for {len(servers)} servers")
         loaders: List[PartitionedCoorDLLoader] = []
         for rank, server in enumerate(servers):
-            prep = PrepPipeline.for_task(dataset.spec.task, library="dali")
-            prep = prep.with_scaled_cost(dataset.spec.prep_cost_scale)
+            prep = PrepPipeline.for_dataset(dataset, "dali")
             workers = server.worker_pool(gpu_offload=gpu_prep)
             sampler = DistributedSampler(len(dataset), num_replicas=len(servers),
                                          rank=rank, seed=seed)

@@ -114,16 +114,10 @@ class RecordLayout:
 
         tf.data typically interleaves several record files; the resulting
         storage stream is still (piecewise) sequential, it just rotates among
-        ``num_readers`` open files.
+        ``num_readers`` open files.  Each file is one chunk, so a round-robin
+        over groups of ``num_readers`` files visits the shuffled file order
+        unchanged: the order is that permutation, whatever ``num_readers``.
         """
         if num_readers <= 0:
             raise ConfigurationError("need at least one reader")
-        rng = np.random.default_rng(seed)
-        files = rng.permutation(self.num_chunks)
-        order: List[int] = []
-        # Round-robin over groups of num_readers files.
-        for group_start in range(0, self.num_chunks, num_readers):
-            group = list(files[group_start:group_start + num_readers])
-            while group:
-                order.append(int(group.pop(0)))
-        return np.asarray(order, dtype=np.int64)
+        return np.random.default_rng(seed).permutation(self.num_chunks)

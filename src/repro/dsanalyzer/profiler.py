@@ -88,8 +88,7 @@ class DSAnalyzerProfiler:
         """Phase 2: prep rate with the data cached and compute disabled."""
         gpus = num_gpus if num_gpus is not None else self._server.num_gpus
         pool = self._server.worker_pool(cores=cores, gpu_offload=self._gpu_prep)
-        prep = PrepPipeline.for_task(self._dataset.spec.task, library=self._library)
-        prep = prep.with_scaled_cost(self._dataset.spec.prep_cost_scale)
+        prep = PrepPipeline.for_dataset(self._dataset, self._library)
         rate = pool.prep_rate(prep, self._dataset.mean_item_bytes,
                               num_gpus_for_offload=gpus)
         if rate <= 0:

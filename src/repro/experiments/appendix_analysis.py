@@ -15,14 +15,18 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.cache.page_cache import PageCache
 from repro.cluster.configs import config_high_cpu_v100, config_ssd_v100
 from repro.compute.model_zoo import IMAGE_MODELS, MOBILENET_V2, RESNET18, ModelSpec
+from repro.datasets.sampler import BatchSampler, RandomSampler
 from repro.experiments.base import ExperimentResult, SWEEP_SCALE, scaled_dataset
 from repro.pipeline.dali import DALILoader
+from repro.prep.pipeline import PrepPipeline
 from repro.prep.workers import WorkerPool
 from repro.sim.engine import PipelineSimulator
 from repro.sim.single_server import effective_batch_size
 from repro.sim.sweep import SweepPoint, SweepRunner
+from repro.storage.filestore import FileStore
 from repro.store import PersistentPool, StoreArg
 
 
@@ -50,9 +54,19 @@ def run_fig12(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
                               gpu_decode_rate_scale=server.gpu.gpu_prep_scale)
             batch_size = effective_batch_size(
                 dataset, RESNET18.batch_size_for(server.gpu) * server.num_gpus)
-            loader = DALILoader.build(dataset, server, batch_size, mode="shuffle",
-                                      gpu_prep=gpu_prep, seed=seed)
-            loader._workers = pool  # inject the hyper-threaded pool
+            # What DALILoader.build gives a shuffle job, but prepping on the
+            # hyper-threaded pool.
+            loader = DALILoader(
+                dataset=dataset,
+                store=FileStore(dataset, server.storage),
+                cache=PageCache(server.cache_bytes),
+                batch_sampler=BatchSampler(RandomSampler(len(dataset), seed=seed),
+                                           batch_size),
+                prep=PrepPipeline.for_dataset(dataset, "dali"),
+                workers=pool,
+                num_gpus=server.num_gpus,
+                mode="shuffle",
+            )
             sim = PipelineSimulator(RESNET18, server.gpu)
             stats = sim.run_epochs(loader, 2)[-1]
             result.add_row(

@@ -229,12 +229,9 @@ def run_fig23(scale: float = SWEEP_SCALE, cache_fraction: float = 0.75,
         full = scenario.run_coordl()
         # "Coordinated prep alone" keeps the page cache's disk traffic but
         # shares one prep sweep across the jobs.
-        coordinated_only_time = max(
-            baseline.disk_bytes_per_epoch / server.storage.random_read_bw,
-            len(dataset) / scenario._best_prep_rate(float(server.physical_cores),
-                                                    server.num_gpus),
-            len(dataset) / scenario._gpu_rate_per_job(),
-        )
+        coordinated_only_time = scenario.rate_model(
+            baseline.disk_bytes_per_epoch, baseline.cache_miss_ratio,
+            coordinated=True).time_s
         for name, epoch_time in (("pytorch-dl", baseline.epoch_time_s),
                                  ("coordinated-prep", coordinated_only_time),
                                  ("py-coordl", full.epoch_time_s)):

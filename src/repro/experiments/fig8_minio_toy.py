@@ -9,10 +9,9 @@ epoch for both policies.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
+from repro.cache.base import Cache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache
 from repro.datasets.catalog import DatasetSpec
@@ -21,14 +20,8 @@ from repro.datasets.sampler import RandomSampler
 from repro.experiments.base import ExperimentResult
 
 
-def _epoch_misses(cache, order: Sequence[int], dataset: SyntheticDataset) -> int:
-    misses = 0
-    for item in order:
-        item = int(item)
-        if not cache.lookup(item):
-            misses += 1
-            cache.admit(item, dataset.item_size(item))
-    return misses
+def _epoch_misses(cache: Cache, order: np.ndarray, dataset: SyntheticDataset) -> int:
+    return int((~cache.walk(order, dataset.item_sizes(order))).sum())
 
 
 def run(num_items: int = 4, cache_items: int = 2, num_epochs: int = 2,

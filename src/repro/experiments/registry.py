@@ -12,7 +12,7 @@ hand::
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
@@ -90,16 +90,29 @@ def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
             f"unknown experiment {experiment_id!r}; known: {known}") from None
 
 
-def accepts_kwarg(experiment_id: str, name: str) -> bool:
-    """Whether an experiment's ``run`` callable takes the given keyword.
+def experiment_kwargs(experiment_id: str, **settings: Any
+                      ) -> Tuple[Dict[str, Any], List[str]]:
+    """Split run settings into what an experiment takes and what it does not.
 
-    Used by the CLI and the report generator to thread optional knobs
-    (``workers=`` for the sweep-backed experiments) without forcing every
-    experiment to grow them: toy experiments like ``fig8`` take neither
-    ``scale`` nor ``workers``.
+    ``settings`` are the knobs a caller may thread into any experiment
+    (``scale``, ``workers``, ``store``, ``pool``); ``None`` means unset.
+    Returns the keyword arguments for :func:`run_experiment` — the set
+    settings the experiment's ``run`` callable takes — and the names of
+    the set settings it does not take, in argument order.  Toy experiments
+    like ``fig8`` take neither ``scale`` nor ``workers``; experiments
+    without a sweep grid take no ``workers``, ``store`` or ``pool``.
     """
     parameters = inspect.signature(get_experiment(experiment_id)).parameters
-    return name in parameters
+    kwargs: Dict[str, Any] = {}
+    ignored: List[str] = []
+    for name, value in settings.items():
+        if value is None:
+            continue
+        if name in parameters:
+            kwargs[name] = value
+        else:
+            ignored.append(name)
+    return kwargs, ignored
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:

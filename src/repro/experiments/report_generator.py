@@ -170,13 +170,8 @@ def generate(output_path: str = "EXPERIMENTS.md", scale: float = SWEEP_SCALE,
     ]
     for experiment_id in wanted:
         start = time.time()
-        kwargs = {} if experiment_id == "fig8" else {"scale": scale}
-        if workers is not None and registry.accepts_kwarg(experiment_id, "workers"):
-            kwargs["workers"] = workers
-        if store is not None and registry.accepts_kwarg(experiment_id, "store"):
-            kwargs["store"] = store
-        if pool is not None and registry.accepts_kwarg(experiment_id, "pool"):
-            kwargs["pool"] = pool
+        kwargs, _ignored = registry.experiment_kwargs(
+            experiment_id, scale=scale, workers=workers, store=store, pool=pool)
         result = registry.run_experiment(experiment_id, **kwargs)
         elapsed = time.time() - start
         lines.append(f"## {result.title}")

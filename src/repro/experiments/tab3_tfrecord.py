@@ -13,23 +13,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.cache.page_cache import PageCache
 from repro.datasets.records import RecordLayout
 from repro.experiments.base import DEFAULT_SCALE, ExperimentResult, scaled_dataset
 
 DEFAULT_FRACTIONS = (0.5, 0.35, 0.25)
-
-
-def _scan_epoch(layout: RecordLayout, cache: PageCache, order) -> float:
-    """One sequential pass over the record files; returns disk bytes read."""
-    disk_bytes = 0.0
-    for chunk_id in order:
-        chunk_id = int(chunk_id)
-        size = layout.chunk_size(chunk_id)
-        if not cache.lookup(chunk_id):
-            disk_bytes += size
-            cache.admit(chunk_id, size)
-    return disk_bytes
 
 
 def run(scale: float = DEFAULT_SCALE, fractions: Sequence[float] = DEFAULT_FRACTIONS,
@@ -47,41 +37,30 @@ def run(scale: float = DEFAULT_SCALE, fractions: Sequence[float] = DEFAULT_FRACT
                f"{dataset_name} size",
                "paper: 91/94/97 % misses and 6.1-7.3x read amplification"],
     )
-    full_dataset_bytes = dataset.total_bytes / scale
+    chunk_sizes = np.array([chunk.size_bytes for chunk in layout.chunks])
+    # Eight HP-search jobs, each scanning its own shuffled file order, all
+    # sharing the page cache: they advance in lockstep, one chunk per job
+    # per step, so the shared stream is the orders' columns read in turn.
+    orders = [layout.interleaved_chunk_order(8, seed=seed + 10 + j)
+              for j in range(num_hp_jobs)]
+    hp_stream = np.stack(orders).T.reshape(-1)
+    hp_sizes = chunk_sizes[hp_stream]
     for fraction in fractions:
         capacity = dataset.total_bytes * fraction
         # (a) one 8-GPU training job scanning the records sequentially.
         train_cache = PageCache(capacity)
-        _scan_epoch(layout, train_cache, layout.interleaved_chunk_order(8, seed=seed))
-        train_cache.reset_stats()
-        _scan_epoch(layout, train_cache, layout.interleaved_chunk_order(8, seed=seed + 1))
+        for scan_seed in (seed, seed + 1):
+            train_cache.reset_stats()
+            order = layout.interleaved_chunk_order(8, seed=scan_seed)
+            train_cache.bulk_stream_hits(order, chunk_sizes[order])
         train_miss = train_cache.stats.miss_ratio
 
-        # (b) eight HP-search jobs, each scanning its own shuffled file order,
-        # all sharing the page cache.
+        # (b) the HP-search jobs: a warm-up epoch, then the measured epoch.
         hp_cache = PageCache(capacity)
-        orders = [layout.interleaved_chunk_order(8, seed=seed + 10 + j)
-                  for j in range(num_hp_jobs)]
-        # warm-up epoch, then the measured epoch
-        for epoch_offset in range(2):
-            disk_bytes = 0.0
-            positions = [0] * num_hp_jobs
-            done = 0
-            while done < num_hp_jobs:
-                done = 0
-                for job in range(num_hp_jobs):
-                    pos = positions[job]
-                    if pos >= layout.num_chunks:
-                        done += 1
-                        continue
-                    chunk_id = int(orders[job][pos])
-                    size = layout.chunk_size(chunk_id)
-                    if not hp_cache.lookup(chunk_id):
-                        disk_bytes += size
-                        hp_cache.admit(chunk_id, size)
-                    positions[job] = pos + 1
-            if epoch_offset == 0:
-                hp_cache.reset_stats()
+        hp_cache.bulk_stream_hits(hp_stream, hp_sizes)
+        hp_cache.reset_stats()
+        miss_sizes = hp_sizes[~hp_cache.bulk_stream_hits(hp_stream, hp_sizes)]
+        disk_bytes = float(np.cumsum(miss_sizes)[-1]) if miss_sizes.size else 0.0
         single_job_bytes = dataset.total_bytes  # one full read of the dataset
         read_amp = disk_bytes / single_job_bytes
         result.add_row(

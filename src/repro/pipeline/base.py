@@ -171,9 +171,8 @@ class DataLoader:
         the segmented-LRU bulk kernel inside
         :meth:`repro.cache.page_cache.PageCache.bulk_epoch_hits`.  Returns
         ``None``, without side effects, when the epoch must be simulated
-        item by item: a subclass customises the fetch policy, the epoch
-        revisits an item, or the cache cannot apply the epoch in bulk (see
-        :meth:`repro.cache.base.Cache.bulk_epoch_hits`).
+        batch by batch: a subclass customises the fetch policy, or the
+        epoch revisits an item.
         """
         cls = type(self)
         if (cls.fetch_batch is not DataLoader.fetch_batch
@@ -186,13 +185,10 @@ class DataLoader:
             return None
         batches, order, sizes = plan
         hits = self._cache.bulk_epoch_hits(order, sizes)
-        if hits is None:
-            return None
 
         # Point of no return: the cache has applied its epoch mutations, so
         # everything below is unconditional — a fallback from here on would
-        # double-apply counters and disk timelines (see the all-or-nothing
-        # contract of Cache.bulk_epoch_hits).
+        # double-apply counters and disk timelines.
         item_times = np.where(
             hits,
             self._dram.read_times_array(sizes),

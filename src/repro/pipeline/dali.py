@@ -76,8 +76,7 @@ class DALILoader(DataLoader):
         if mode not in ("seq", "shuffle"):
             raise ConfigurationError(f"unknown DALI mode {mode!r}")
         gpus = num_gpus if num_gpus is not None else server.num_gpus
-        prep = PrepPipeline.for_task(dataset.spec.task, library="dali")
-        prep = prep.with_scaled_cost(dataset.spec.prep_cost_scale)
+        prep = PrepPipeline.for_dataset(dataset, "dali")
         workers = server.worker_pool(cores=cores, gpu_offload=gpu_prep)
         page_cache = cache if cache is not None else PageCache(server.cache_bytes)
         if sampler is None and mode == "seq":

@@ -51,8 +51,7 @@ class PyTorchNativeLoader(DataLoader):
                 share one memoised sampler across loaders).
         """
         gpus = num_gpus if num_gpus is not None else server.num_gpus
-        prep = PrepPipeline.for_task(dataset.spec.task, library="pytorch")
-        prep = prep.with_scaled_cost(dataset.spec.prep_cost_scale)
+        prep = PrepPipeline.for_dataset(dataset, "pytorch")
         workers = server.worker_pool(cores=cores, gpu_offload=False)
         page_cache = cache if cache is not None else PageCache(server.cache_bytes)
         if sampler is None:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.prep.transforms import Transform, expansion_factor, pipeline_for_task
+
+if TYPE_CHECKING:
+    from repro.datasets.dataset import SyntheticDataset
 
 # One second of CPU work on an offloaded stage becomes this many seconds of
 # GPU work: GPUs decode JPEGs several times faster than a core.
@@ -44,6 +47,18 @@ class PrepPipeline:
     def for_task(cls, task: str, library: str = "dali") -> "PrepPipeline":
         """Build the standard pipeline for a task and dataloader library."""
         return cls(pipeline_for_task(task, library=library), task=task)
+
+    @classmethod
+    def for_dataset(cls, dataset: "SyntheticDataset",
+                    library: str = "dali") -> "PrepPipeline":
+        """The standard pipeline for a dataset's task, at its prep cost.
+
+        Every loader and scenario builds its prep pipeline here: the task's
+        stages for ``library`` (:meth:`for_task`), scaled by the dataset's
+        ``prep_cost_scale``.
+        """
+        spec = dataset.spec
+        return cls.for_task(spec.task, library).with_scaled_cost(spec.prep_cost_scale)
 
     @property
     def stages(self) -> Tuple[Transform, ...]:

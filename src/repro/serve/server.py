@@ -132,12 +132,11 @@ class ServeDaemon:
             of a local pool — results are byte-identical either way.
             Mutually exclusive with ``workers`` (pick the fabric or the
             local pool, not both).
-        window_s / max_attempts: Batcher knobs (see
+        window_s: Batcher coalescing window (see
             :class:`~repro.serve.batcher.CoalescingBatcher`).
-        point_retries: Alternative spelling of the batcher's retry
-            budget: the number of *re-runs* a failing point gets before
-            its error is served (``max_attempts = point_retries + 1``).
-            Mutually exclusive with ``max_attempts``.
+        point_retries: The batcher's retry budget: the number of *re-runs*
+            a failing point gets before its error is served (the batcher's
+            ``max_attempts`` is ``point_retries + 1``).
         default_deadline_s: Applied to queries that carry no
             ``deadline_s``.
         max_inflight: Admission limit on concurrently-running sweep
@@ -156,8 +155,7 @@ class ServeDaemon:
                  store: StoreArg = None, workers: int = 0,
                  hosts: Optional[Sequence[Any]] = None,
                  window_s: float = DEFAULT_WINDOW_S,
-                 max_attempts: Optional[int] = None,
-                 point_retries: Optional[int] = None,
+                 point_retries: int = DEFAULT_MAX_ATTEMPTS - 1,
                  default_deadline_s: float = DEFAULT_DEADLINE_S,
                  max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  fault_injector: Optional[FaultInjector] = None) -> None:
@@ -167,15 +165,8 @@ class ServeDaemon:
             raise ConfigurationError(
                 "pass hosts (remote worker agents) or workers (a local "
                 "pool), not both")
-        if max_attempts is not None and point_retries is not None:
-            raise ConfigurationError(
-                "pass max_attempts or point_retries, not both")
-        if point_retries is not None:
-            if point_retries < 0:
-                raise ConfigurationError("point_retries must be >= 0")
-            max_attempts = point_retries + 1
-        if max_attempts is None:
-            max_attempts = DEFAULT_MAX_ATTEMPTS
+        if point_retries < 0:
+            raise ConfigurationError("point_retries must be >= 0")
         if max_inflight < 1:
             raise ConfigurationError("max_inflight must be >= 1")
         self._injector = (fault_injector if fault_injector is not None
@@ -191,7 +182,7 @@ class ServeDaemon:
                           if workers else None)
         self._batcher = CoalescingBatcher(
             store=self._store, pool=self._pool, window_s=window_s,
-            max_attempts=max_attempts, fault_injector=self._injector)
+            max_attempts=point_retries + 1, fault_injector=self._injector)
         self._default_deadline_s = default_deadline_s
         self._max_inflight = max_inflight
         self._started = time.monotonic()
@@ -492,12 +483,10 @@ class ServeDaemon:
         experiment_id = str(body.get("id", ""))
         if not experiment_id:
             raise ConfigurationError("'id' names the experiment to run")
-        kwargs: Dict[str, Any] = {}
-        if "scale" in body and registry.accepts_kwarg(experiment_id, "scale"):
-            kwargs["scale"] = float(body["scale"])
-        for knob, value in (("store", self._store), ("pool", self._pool)):
-            if value is not None and registry.accepts_kwarg(experiment_id, knob):
-                kwargs[knob] = value
+        kwargs, _ignored = registry.experiment_kwargs(
+            experiment_id,
+            scale=float(body["scale"]) if "scale" in body else None,
+            store=self._store, pool=self._pool)
         result = registry.run_experiment(experiment_id, **kwargs)
         return 200, {
             "id": result.experiment_id,

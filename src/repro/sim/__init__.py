@@ -20,8 +20,8 @@ from repro.sim.engine import (
     pipeline_makespan,
     pipeline_makespan_reference,
 )
-from repro.sim.hp_search import (HP_SEARCH_KINDS, HPSearchResult,
-                                 HPSearchScenario)
+from repro.sim.hp_search import (HP_SEARCH_KINDS, HPSearchEpoch,
+                                 HPSearchResult, HPSearchScenario)
 from repro.sim.single_server import (
     LOADER_KINDS,
     SingleServerResult,
@@ -56,6 +56,7 @@ __all__ = [
     "DistributedEpoch",
     "HPSearchScenario",
     "HPSearchResult",
+    "HPSearchEpoch",
     "AccuracyCurve",
     "resnet50_imagenet_curve",
     "time_to_accuracy",

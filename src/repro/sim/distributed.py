@@ -103,8 +103,7 @@ def _build_baseline_loaders(dataset: SyntheticDataset, servers: List[ServerConfi
     for rank, server in enumerate(servers):
         batch_size = effective_batch_size(
             dataset, model.batch_size_for(server.gpu) * server.num_gpus)
-        prep = PrepPipeline.for_task(dataset.spec.task, library="dali")
-        prep = prep.with_scaled_cost(dataset.spec.prep_cost_scale)
+        prep = PrepPipeline.for_dataset(dataset, "dali")
         workers = server.worker_pool(gpu_offload=gpu_prep)
         sampler = DistributedSampler(len(dataset), num_replicas=len(servers),
                                      rank=rank, seed=seed)

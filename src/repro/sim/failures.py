@@ -61,6 +61,7 @@ from repro.coordl.failure import (
 from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import DistributedSampler
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.prep.pipeline import PrepPipeline
 from repro.sim.hp_search import HPSearchScenario
 from repro.sim.kinds import (PointContext, PointFamily, PointKind,
                              dataclass_codec, named, require,
@@ -168,17 +169,16 @@ class FailureScenario:
     # -- shared rate-model helpers ------------------------------------------
 
     def _hp(self, num_jobs: int) -> HPSearchScenario:
-        """The HP-search substrate the crash/multi-tenant kinds delegate to."""
+        """The HP-search epoch model the crash/multi-tenant kinds price with."""
         return HPSearchScenario(self._model, self._dataset, self._server,
                                 num_jobs=num_jobs, gpus_per_job=1,
                                 seed=self._seed, fast_path=self._fast_path)
 
     def _server_prep_rate(self) -> float:
         """CPU-only DALI prep rate of one whole server (distributed kinds)."""
-        hp = self._hp(1)
-        prep = hp._prep_pipeline()
         pool = self._server.worker_pool(gpu_offload=False)
-        return pool.prep_rate(prep, self._dataset.mean_item_bytes)
+        return pool.prep_rate(PrepPipeline.for_dataset(self._dataset),
+                              self._dataset.mean_item_bytes)
 
     def _server_gpu_rate(self) -> float:
         """Aggregate GPU ingestion rate of one whole server."""
@@ -202,11 +202,9 @@ class FailureScenario:
         hp = self._hp(num_jobs)
         schedule = sorted((int(e), int(j)) for e, j in crash_schedule)
         num_items = len(self._dataset)
-        batch = hp._batch_size()
-        gpu_rate = hp._gpu_rate_per_job()
-        prep_rate = hp._best_prep_rate(float(self._server.physical_cores),
-                                       self._server.num_gpus)
-        iteration_time = safe_div(batch, gpu_rate)
+        batch = hp.batch_size
+        prep_rate = hp.prep_rate(coordinated=True)
+        iteration_time = safe_div(batch, hp.gpu_rate_per_job)
         crashed: set = set()
         detector = FailureDetector(
             num_jobs, iteration_time_s=iteration_time,
@@ -216,12 +214,8 @@ class FailureScenario:
                                        samples_per_epoch=num_items)
         elapsed = 0.0
         for epoch in range(num_epochs):
-            cache.reset_stats()
-            disk_bytes = hp._minio_epoch(cache, epoch)
-            miss_ratio = cache.stats.miss_ratio
-            base = max(safe_div(disk_bytes, self._server.storage.random_read_bw),
-                       safe_div(num_items, prep_rate),
-                       safe_div(num_items, gpu_rate))
+            healthy = hp.run_epoch(cache, epoch, coordinated=True)
+            base = healthy.time_s
             stall = 0.0
             rewarm = 0.0
             crash_time = elapsed + 0.5 * base
@@ -255,9 +249,9 @@ class FailureScenario:
                 stall += safe_div(num_items / num_jobs, prep_rate)
             epoch_time = base + stall
             result.epochs.append(FailureEpoch(
-                epoch_time_s=epoch_time, disk_bytes=disk_bytes,
+                epoch_time_s=epoch_time, disk_bytes=healthy.disk_bytes,
                 rewarm_bytes=rewarm, stall_s=stall,
-                cache_miss_ratio=miss_ratio,
+                cache_miss_ratio=healthy.miss_ratio,
                 active=len(detector.alive_jobs())))
             elapsed += epoch_time
         result.events = detector.events
@@ -420,23 +414,14 @@ class FailureScenario:
         """
         total_jobs = tenants * num_jobs
         hp = self._hp(total_jobs)
-        num_items = len(self._dataset)
-        cores_per_job = self._server.physical_cores / total_jobs
-        prep_rate = hp._best_prep_rate(cores_per_job, 1)
-        gpu_rate = hp._gpu_rate_per_job()
         cache = PageCache(self._server.cache_bytes)
         result = FailureScenarioResult(loader_name="hp-multitenant",
-                                       samples_per_epoch=num_items)
+                                       samples_per_epoch=len(self._dataset))
         for epoch in range(num_epochs):
-            cache.reset_stats()
-            disk_bytes = hp._shared_page_cache_epoch(cache, epoch)
-            epoch_time = max(
-                safe_div(disk_bytes, self._server.storage.random_read_bw),
-                safe_div(num_items, prep_rate),
-                safe_div(num_items, gpu_rate))
+            contended = hp.run_epoch(cache, epoch)
             result.epochs.append(FailureEpoch(
-                epoch_time_s=epoch_time, disk_bytes=disk_bytes,
-                cache_miss_ratio=cache.stats.miss_ratio, active=total_jobs))
+                epoch_time_s=contended.time_s, disk_bytes=contended.disk_bytes,
+                cache_miss_ratio=contended.miss_ratio, active=total_jobs))
         return result
 
 

@@ -27,6 +27,7 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.base import Cache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache
 from repro.cluster.server import ServerConfig
@@ -71,8 +72,40 @@ class HPSearchResult:
     staging_peak_bytes: float = 0.0
 
 
+@dataclass(frozen=True)
+class HPSearchEpoch:
+    """One HP-search epoch priced by the rate model.
+
+    Attributes:
+        disk_bytes: Bytes read from storage this epoch (all jobs).
+        miss_ratio: Item-level miss ratio of the cache this epoch.
+        disk_time_s: Time the shared disk needs for ``disk_bytes``.
+        prep_time_s: Time the prep sweep (per job, or shared) needs.
+        gpu_time_s: Time each job's GPUs need to ingest the dataset.
+    """
+
+    disk_bytes: float
+    miss_ratio: float
+    disk_time_s: float
+    prep_time_s: float
+    gpu_time_s: float
+
+    @property
+    def time_s(self) -> float:
+        """Epoch time: the slowest of disk, prep and GPU bounds it."""
+        return max(self.disk_time_s, self.prep_time_s, self.gpu_time_s)
+
+
 class HPSearchScenario:
     """Simulate ``num_jobs`` concurrent HP-search jobs on one server.
+
+    The epoch model has two halves that other scenarios reuse:
+    :meth:`run_epoch` replays one epoch's accesses through a cache and
+    prices it, and :meth:`rate_model` prices given disk traffic.  Both
+    take ``coordinated``: the uncoordinated baseline interleaves the
+    jobs' streams through a shared page cache and preps per job on
+    ``cores / num_jobs``; coordinated prep sweeps the dataset once through
+    a MinIO cache and preps once on every core and GPU.
 
     Args:
         model: Model trained by every job.
@@ -107,30 +140,84 @@ class HPSearchScenario:
         self._fast_path = fast_path
         self._rounded_totals: dict = {}
 
-    # -- shared helpers ----------------------------------------------------
+    # -- the epoch model ---------------------------------------------------
 
-    def _prep_pipeline(self, library: str = "dali") -> PrepPipeline:
-        prep = PrepPipeline.for_task(self._dataset.spec.task, library=library)
-        return prep.with_scaled_cost(self._dataset.spec.prep_cost_scale)
+    @property
+    def batch_size(self) -> int:
+        """Per-job batch size (per-GPU batch times the job's GPUs)."""
+        return self._model.batch_size_for(self._server.gpu) * self._gpus_per_job
 
-    def _best_prep_rate(self, cores: float, gpus_for_offload: int,
-                        library: str = "dali") -> float:
-        """Best of CPU-only and GPU-offloaded prep for the given resources."""
-        prep = self._prep_pipeline(library)
+    @property
+    def gpu_rate_per_job(self) -> float:
+        """Samples/second one job's GPUs can ingest."""
+        return self._model.aggregate_gpu_rate(self._server.gpu, self._gpus_per_job)
+
+    def prep_rate(self, coordinated: bool = False, library: str = "dali") -> float:
+        """Best of CPU-only and GPU-offloaded prep, in samples/second.
+
+        Per job (``cores / num_jobs`` and the job's GPUs) for the baseline;
+        for coordinated prep, one shared sweep on every core and GPU.  Only
+        DALI can offload prep to the GPUs.
+        """
+        if coordinated:
+            cores, gpus = float(self._server.physical_cores), self._server.num_gpus
+        else:
+            cores, gpus = self._server.physical_cores / self._num_jobs, self._gpus_per_job
+        prep = PrepPipeline.for_dataset(self._dataset, library)
         cpu_pool = self._server.worker_pool(cores=cores, gpu_offload=False)
         rates = [cpu_pool.prep_rate(prep, self._dataset.mean_item_bytes)]
         if library == "dali":
             gpu_pool = self._server.worker_pool(cores=cores, gpu_offload=True)
             gpu_rate = gpu_pool.prep_rate(prep, self._dataset.mean_item_bytes,
-                                          num_gpus_for_offload=gpus_for_offload)
+                                          num_gpus_for_offload=gpus)
             rates.append(gpu_rate * (1.0 - self._model.gpu_prep_interference))
         return max(rates)
 
-    def _gpu_rate_per_job(self) -> float:
-        return self._model.aggregate_gpu_rate(self._server.gpu, self._gpus_per_job)
+    def rate_model(self, disk_bytes: float, miss_ratio: float,
+                   coordinated: bool = False,
+                   library: str = "dali") -> HPSearchEpoch:
+        """Price one epoch that read ``disk_bytes`` from storage."""
+        num_items = len(self._dataset)
+        return HPSearchEpoch(
+            disk_bytes=disk_bytes,
+            miss_ratio=miss_ratio,
+            disk_time_s=safe_div(disk_bytes, self._server.storage.random_read_bw),
+            prep_time_s=safe_div(num_items, self.prep_rate(coordinated, library)),
+            gpu_time_s=safe_div(num_items, self.gpu_rate_per_job))
 
-    def _batch_size(self) -> int:
-        return self._model.batch_size_for(self._server.gpu) * self._gpus_per_job
+    def run_epoch(self, cache: Cache, epoch: int, coordinated: bool = False,
+                  library: str = "dali") -> HPSearchEpoch:
+        """Replay epoch ``epoch`` through ``cache`` and price it.
+
+        The baseline replays the jobs' lockstep-interleaved streams (a
+        shared page cache), coordinated prep one shared sweep (a MinIO
+        cache).  The cache's counters are reset first, so the miss ratio
+        is this epoch's.
+        """
+        cache.reset_stats()
+        if coordinated:
+            disk_bytes = self._minio_epoch(cache, epoch)
+        else:
+            disk_bytes = self._shared_page_cache_epoch(cache, epoch)
+        return self.rate_model(disk_bytes, cache.stats.miss_ratio,
+                               coordinated, library)
+
+    def _result(self, loader_name: str, epoch: HPSearchEpoch,
+                staging_peak_bytes: float = 0.0) -> HPSearchResult:
+        time_s = epoch.time_s
+        return HPSearchResult(
+            loader_name=loader_name,
+            num_jobs=self._num_jobs,
+            gpus_per_job=self._gpus_per_job,
+            epoch_time_s=time_s,
+            per_job_throughput=safe_div(len(self._dataset), time_s),
+            disk_bytes_per_epoch=epoch.disk_bytes,
+            cache_miss_ratio=epoch.miss_ratio,
+            prep_bound=time_s == epoch.prep_time_s,
+            fetch_bound=time_s == epoch.disk_time_s,
+            gpu_bound=time_s == epoch.gpu_time_s,
+            staging_peak_bytes=staging_peak_bytes,
+        )
 
     # -- baseline: independent pipelines through the shared page cache ------
 
@@ -148,7 +235,7 @@ class HPSearchScenario:
             RandomSampler(num_items, seed=(self._seed, job)).epoch(epoch)
             for job in range(self._num_jobs)
         ])
-        batch = self._batch_size()
+        batch = self.batch_size
         full = (num_items // batch) * batch
         head = orders[:, :full].reshape(self._num_jobs, -1, batch)
         head = head.transpose(1, 0, 2).reshape(-1)
@@ -176,7 +263,7 @@ class HPSearchScenario:
             sampler = RandomSampler(num_items, seed=(self._seed, job))
             orders.append(sampler.epoch(epoch))
         disk_bytes = 0.0
-        batch = self._batch_size()
+        batch = self.batch_size
         # Jobs advance in lockstep one minibatch at a time, which is how the
         # per-iteration GPU synchronisation interleaves their IO in practice.
         for start in range(0, num_items, batch):
@@ -192,20 +279,17 @@ class HPSearchScenario:
     def _shared_page_cache_epoch(self, cache: PageCache, epoch: int) -> float:
         """One interleaved epoch over the shared page cache (fast when allowed).
 
-        Two bulk paths cover every regime the experiments exercise: when the
-        cache can never evict during the stream
+        When the cache can never evict during the stream
         (:meth:`~repro.cache.page_cache.PageCache.bulk_saturating_hits` —
-        the fully-cached Table 7 regime) the trajectory is closed-form; in
-        the *thrashing* regime (cache below the working set, the dali side
-        of Fig. 9d) the whole interleaved stream is replayed through the
-        segmented-LRU bulk kernel
-        (:meth:`~repro.cache.page_cache.PageCache.bulk_stream_hits`).  If
-        both decline, the exact sweep drives the same ``lookup``/``admit``
-        state machine over the bulk-built interleaving, with the per-access
-        size lookups vectorised away.  Every path yields the identical
-        cache mutations, counters and disk bytes as the per-item reference
-        (the miss bytes are reduced with a sequential ``cumsum``, matching
-        the reference's left-to-right accumulation bit for bit).
+        the fully-cached Table 7 regime) the trajectory is closed-form;
+        otherwise — the *thrashing* regime of a cache below the working
+        set, the dali side of Fig. 9d — the whole interleaved stream goes
+        through the page cache's replay entry
+        (:meth:`~repro.cache.page_cache.PageCache.bulk_stream_hits`).
+        Either yields the identical cache mutations, counters and disk
+        bytes as the per-item reference (the miss bytes are reduced with a
+        sequential ``cumsum``, matching the reference's left-to-right
+        accumulation bit for bit).
         """
         if not self._fast_path:
             return self._simulate_shared_page_cache_epoch(cache, epoch)
@@ -221,51 +305,16 @@ class HPSearchScenario:
             hits = cache.bulk_saturating_hits(order, sizes)
             if hits is not None:
                 return float(sizes[~hits].sum())
-        hits = cache.bulk_stream_hits(order, sizes)
-        if hits is not None:
-            miss_sizes = sizes[~hits]
-            if miss_sizes.size == 0:
-                return 0.0
-            return float(np.cumsum(miss_sizes)[-1])
-        disk_bytes = 0.0
-        lookup, admit = cache.lookup, cache.admit
-        for item_id, size in zip(order.tolist(), sizes.tolist()):
-            if not lookup(item_id):
-                disk_bytes += size
-                admit(item_id, size)
-        return disk_bytes
+        miss_sizes = sizes[~cache.bulk_stream_hits(order, sizes)]
+        return float(np.cumsum(miss_sizes)[-1]) if miss_sizes.size else 0.0
 
     def run_baseline(self, library: str = "dali") -> HPSearchResult:
         """Simulate uncoordinated HP search (DALI or PyTorch DL per job)."""
         cache = PageCache(self._server.cache_bytes)
         # Warm-up epoch 0 populates the cache; epoch 1 is measured.
         self._shared_page_cache_epoch(cache, 0)
-        cache.reset_stats()
-        disk_bytes = self._shared_page_cache_epoch(cache, 1)
-        miss_ratio = cache.stats.miss_ratio
-
-        num_items = len(self._dataset)
-        cores_per_job = self._server.physical_cores / self._num_jobs
-        prep_rate_per_job = self._best_prep_rate(cores_per_job, self._gpus_per_job,
-                                                 library=library)
-        gpu_rate = self._gpu_rate_per_job()
-
-        disk_time = safe_div(disk_bytes, self._server.storage.random_read_bw)
-        prep_time = safe_div(num_items, prep_rate_per_job)
-        gpu_time = safe_div(num_items, gpu_rate)
-        epoch_time = max(disk_time, prep_time, gpu_time)
-        return HPSearchResult(
-            loader_name=f"{library}-uncoordinated",
-            num_jobs=self._num_jobs,
-            gpus_per_job=self._gpus_per_job,
-            epoch_time_s=epoch_time,
-            per_job_throughput=safe_div(num_items, epoch_time),
-            disk_bytes_per_epoch=disk_bytes,
-            cache_miss_ratio=miss_ratio,
-            prep_bound=epoch_time == prep_time,
-            fetch_bound=epoch_time == disk_time,
-            gpu_bound=epoch_time == gpu_time,
-        )
+        return self._result(f"{library}-uncoordinated",
+                            self.run_epoch(cache, 1, library=library))
 
     # -- CoorDL: MinIO + coordinated prep -----------------------------------
 
@@ -287,20 +336,18 @@ class HPSearchScenario:
 
     def _minio_epoch(self, cache: MinIOCache, epoch: int) -> float:
         """One coordinated sweep, vectorised when allowed (MinIO is analytic)."""
-        if self._fast_path:
-            sampler = RandomSampler(len(self._dataset), seed=(self._seed, 0xC0))
-            order = sampler.epoch(epoch)
-            sizes = self._dataset.item_sizes(order)
-            hits = cache.bulk_epoch_hits(order, sizes)
-            if hits is not None:
-                return float(sizes[~hits].sum())
-        return self._simulate_minio_epoch(cache, epoch)
+        if not self._fast_path:
+            return self._simulate_minio_epoch(cache, epoch)
+        order = RandomSampler(len(self._dataset), seed=(self._seed, 0xC0)).epoch(epoch)
+        sizes = self._dataset.item_sizes(order)
+        return float(sizes[~cache.bulk_epoch_hits(order, sizes)].sum())
 
     def _staging_peak_bytes(self) -> float:
         """Peak staging-area memory for one coordinated epoch."""
-        plan = CoordinatedPrepPlan(self._dataset, self._num_jobs, self._batch_size(),
+        plan = CoordinatedPrepPlan(self._dataset, self._num_jobs, self.batch_size,
                                    epoch=0, seed=self._seed)
-        runner = CoordinatedEpochRunner(plan, self._prep_pipeline(), self._dataset)
+        runner = CoordinatedEpochRunner(plan, PrepPipeline.for_dataset(self._dataset),
+                                        self._dataset)
         runner.run_epoch_in_lockstep()
         return runner.staging.peak_bytes
 
@@ -309,33 +356,8 @@ class HPSearchScenario:
         cache = MinIOCache(self._server.cache_bytes)
         # Warm-up epoch 0 populates the cache; epoch 1 is measured.
         self._minio_epoch(cache, 0)
-        cache.reset_stats()
-        disk_bytes = self._minio_epoch(cache, 1)
-        miss_ratio = cache.stats.miss_ratio
-
-        num_items = len(self._dataset)
-        # Coordinated prep uses every core on the server for one shared sweep.
-        prep_rate = self._best_prep_rate(float(self._server.physical_cores),
-                                         self._server.num_gpus)
-        gpu_rate = self._gpu_rate_per_job()
-
-        disk_time = safe_div(disk_bytes, self._server.storage.random_read_bw)
-        prep_time = safe_div(num_items, prep_rate)
-        gpu_time = safe_div(num_items, gpu_rate)
-        epoch_time = max(disk_time, prep_time, gpu_time)
-        return HPSearchResult(
-            loader_name="coordl",
-            num_jobs=self._num_jobs,
-            gpus_per_job=self._gpus_per_job,
-            epoch_time_s=epoch_time,
-            per_job_throughput=safe_div(num_items, epoch_time),
-            disk_bytes_per_epoch=disk_bytes,
-            cache_miss_ratio=miss_ratio,
-            prep_bound=epoch_time == prep_time,
-            fetch_bound=epoch_time == disk_time,
-            gpu_bound=epoch_time == gpu_time,
-            staging_peak_bytes=self._staging_peak_bytes(),
-        )
+        return self._result("coordl", self.run_epoch(cache, 1, coordinated=True),
+                            staging_peak_bytes=self._staging_peak_bytes())
 
     def speedup(self) -> float:
         """CoorDL speedup over the uncoordinated baseline (epoch-time ratio)."""

@@ -14,6 +14,21 @@ from repro.datasets.sampler import RandomSampler
 from repro.exceptions import ConfigurationError
 
 
+@pytest.fixture
+def kernel_results(monkeypatch):
+    """What each `simulate_segmented_lru` call through the page cache
+    returned (``None`` when the kernel declined), in call order."""
+    results = []
+    kernel = page_cache.simulate_segmented_lru
+
+    def recording(*args, **kwargs):
+        results.append(kernel(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(page_cache, "simulate_segmented_lru", recording)
+    return results
+
+
 class TestPageCache:
     def test_rounds_items_up_to_whole_pages(self):
         cache = PageCache(100 * 4096.0)
@@ -121,86 +136,100 @@ class TestPageCache:
             PageCache(100.0, active_target_fraction=1.5)
 
 
+class TestCacheWalk:
+    """`Cache.walk`, the per-item reference every bulk path reproduces."""
+
+    def test_looks_up_each_access_and_admits_each_miss(self):
+        for cache in (PageCache(2 * 4096.0), MinIOCache(2 * 4096.0)):
+            stream = np.array([0, 1, 0, 2, 0], dtype=np.int64)
+            hits = cache.walk(stream, np.full(5, 4096.0))
+            assert hits.tolist() == [False, False, True, False, True]
+            assert (cache.stats.hits, cache.stats.misses) == (2, 3)
+            assert 0 in cache
+
+    def test_misses_a_cache_cannot_hold_are_rejected(self):
+        for cache in (PageCache(4096.0), MinIOCache(4096.0)):
+            hits = cache.walk(np.array([0, 0]), np.array([2 * 4096.0] * 2))
+            assert hits.tolist() == [False, False]
+            assert cache.stats.rejected == 2
+            assert cache.used_bytes == 0.0
+
+
 class TestPageCacheBulkStream:
-    """Unit coverage of the segmented-LRU bulk kernel entry point
-    (`PageCache.bulk_stream_hits`); the exhaustive equivalence is
-    property-tested in tests/test_properties.py."""
+    """Unit coverage of the page cache's replay entry
+    (`PageCache.bulk_stream_hits`); the exhaustive equivalence with
+    `Cache.walk` is property-tested in tests/test_properties.py."""
 
-    def _walk(self, cache, stream, sizes):
-        hits = []
-        for item, size in zip(stream.tolist(), sizes.tolist()):
-            hit = cache.lookup(item)
-            hits.append(hit)
-            if not hit:
-                cache.admit(item, size)
-        return hits
+    @staticmethod
+    def _assert_same_state(bulk, scalar):
+        assert list(bulk._inactive.items()) == list(scalar._inactive.items())
+        assert list(bulk._active.items()) == list(scalar._active.items())
+        assert bulk.used_bytes == scalar.used_bytes
+        assert bulk.evictions == scalar.evictions
+        assert bulk.stats == scalar.stats
 
-    def test_thrashing_stream_matches_walk_bit_for_bit(self, tiny_dataset):
+    def test_thrashing_stream_matches_walk_bit_for_bit(self, tiny_dataset,
+                                                       kernel_results):
         capacity = tiny_dataset.total_bytes * 0.5
         scalar, bulk = PageCache(capacity), PageCache(capacity)
         sampler = RandomSampler(len(tiny_dataset), seed=0)
         stream = np.concatenate([sampler.epoch(e) for e in range(3)])
         sizes = tiny_dataset.item_sizes(stream)
-        expected = self._walk(scalar, stream, sizes)
+        expected = scalar.walk(stream, sizes)
         hits = bulk.bulk_stream_hits(stream, sizes)
-        assert hits is not None
-        assert hits.tolist() == expected
-        assert list(bulk.cached_items()) == list(scalar.cached_items())
-        assert bulk.used_bytes == scalar.used_bytes
+        assert kernel_results[0] is not None
+        assert hits.tolist() == expected.tolist()
+        self._assert_same_state(bulk, scalar)
         assert bulk.active_bytes == scalar.active_bytes
-        assert bulk.evictions == scalar.evictions > 0
-        assert bulk.stats.hit_bytes == scalar.stats.hit_bytes
+        assert bulk.evictions > 0
 
-    def test_env_kill_switch_declines_without_side_effects(self, monkeypatch):
+    def test_env_kill_switch_declines_without_side_effects(
+            self, monkeypatch, kernel_results):
+        """With the kernel off the entry never calls it, and walks."""
         from repro.cache.warm_kernel import WARM_KERNEL_ENV_VAR
-        cache = PageCache(8 * 4096.0)
-        cache.admit(1, 4096.0)
+        scalar, bulk = PageCache(8 * 4096.0), PageCache(8 * 4096.0)
+        for cache in (scalar, bulk):
+            cache.admit(1, 4096.0)
         monkeypatch.setenv(WARM_KERNEL_ENV_VAR, "0")
         stream = np.arange(4, dtype=np.int64)
-        assert cache.bulk_stream_hits(stream, np.full(4, 4096.0)) is None
-        assert cache.stats.accesses == 0
-        assert cache.used_bytes == 4096.0
+        sizes = np.full(4, 4096.0)
+        expected = scalar.walk(stream, sizes)
+        assert bulk.bulk_stream_hits(stream, sizes).tolist() == expected.tolist()
+        assert kernel_results == []
+        self._assert_same_state(bulk, scalar)
 
-    def test_unprovable_page_arithmetic_declines_without_side_effects(self):
+    def test_unprovable_page_arithmetic_declines_without_side_effects(
+            self, kernel_results):
         # A page size with a fully-dense significand certifies almost no
         # exact multiples, so the kernel must decline rather than guess.
-        cache = PageCache(1e9, page_bytes=4096.0 * (1 + 2.0**-52))
-        cache.admit(1, 5000.0)
-        before = dict(used=cache.used_bytes, hits=cache.stats.hits)
+        page = 4096.0 * (1 + 2.0**-52)
+        scalar, bulk = PageCache(1e9, page_bytes=page), PageCache(1e9, page_bytes=page)
+        for cache in (scalar, bulk):
+            cache.admit(1, 5000.0)
         stream = np.arange(64, dtype=np.int64)
         sizes = np.full(64, 5000.0)
-        assert cache.bulk_stream_hits(stream, sizes) is None
-        assert cache.used_bytes == before["used"]
-        assert cache.stats.hits == before["hits"]
+        expected = scalar.walk(stream, sizes)
+        assert bulk.bulk_stream_hits(stream, sizes).tolist() == expected.tolist()
+        assert kernel_results == [None]
+        self._assert_same_state(bulk, scalar)
 
-    def test_oversized_items_are_rejected_like_the_walk(self):
+    def test_oversized_items_are_rejected_like_the_walk(self, kernel_results):
+        """The kernel declines a stream with an item larger than the
+        cache; the entry walks it, rejecting that item."""
         capacity = 4 * 4096.0
         scalar, bulk = PageCache(capacity), PageCache(capacity)
         stream = np.array([0, 1, 0, 2], dtype=np.int64)
         sizes = np.array([4096.0, 10 * 4096.0, 4096.0, 2 * 4096.0])
-        expected = self._walk(scalar, stream, sizes)
-        hits = bulk.bulk_stream_hits(stream, sizes)
-        assert hits is not None
-        assert hits.tolist() == expected
+        expected = scalar.walk(stream, sizes)
+        assert bulk.bulk_stream_hits(stream, sizes).tolist() == expected.tolist()
+        assert kernel_results == [None]
         assert bulk.stats.rejected == scalar.stats.rejected == 1
-        assert list(bulk.cached_items()) == list(scalar.cached_items())
+        self._assert_same_state(bulk, scalar)
 
 
 class TestReplayMemo:
     """The runner-scoped replay memo behind `PageCache.bulk_stream_hits`;
     its exactness is property-tested in tests/test_properties.py."""
-
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        calls = []
-        kernel = page_cache.simulate_segmented_lru
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(page_cache, "simulate_segmented_lru", counting)
-        return calls
 
     @staticmethod
     def _replay(tiny_dataset, epochs=1, seed=0):
@@ -211,20 +240,20 @@ class TestReplayMemo:
         return cache.bulk_stream_hits(stream, tiny_dataset.item_sizes(stream))
 
     def test_without_an_active_memo_every_call_runs_the_kernel(
-            self, tiny_dataset, kernel_calls):
+            self, tiny_dataset, kernel_results):
         for _ in range(3):
             assert self._replay(tiny_dataset) is not None
-        assert len(kernel_calls) == 3
+        assert len(kernel_results) == 3
         memo = ReplayMemo()
         with memo.activated():
             self._replay(tiny_dataset)
             self._replay(tiny_dataset)
         self._replay(tiny_dataset)          # the memo is no longer active
-        assert len(kernel_calls) == 5
+        assert len(kernel_results) == 5
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_a_memo_is_active_only_in_the_context_that_activated_it(
-            self, tiny_dataset, kernel_calls):
+            self, tiny_dataset, kernel_results):
         memo = ReplayMemo()
         with memo.activated():
             self._replay(tiny_dataset)
@@ -232,7 +261,7 @@ class TestReplayMemo:
                                       args=(tiny_dataset,))
             worker.start()
             worker.join()
-        assert len(kernel_calls) == 2
+        assert len(kernel_results) == 2
         assert (memo.hits, memo.misses) == (0, 1)
 
     def test_kept_arrays_are_read_only(self, tiny_dataset):
@@ -248,7 +277,7 @@ class TestReplayMemo:
             first[0] = not first[0]
 
     def test_budget_evicts_least_recently_used_and_skips_oversized(
-            self, tiny_dataset, kernel_calls, monkeypatch):
+            self, tiny_dataset, kernel_results, monkeypatch):
         memo = ReplayMemo()
         with memo.activated():
             self._replay(tiny_dataset)
@@ -260,16 +289,16 @@ class TestReplayMemo:
             for seed in (0, 1, 0, 2):       # seed 1 is least recent at seed 2
                 self._replay(tiny_dataset, seed=seed)
                 assert memo.nbytes <= budget
-            assert len(kernel_calls) == 1 + 3
+            assert len(kernel_results) == 1 + 3
             assert len(memo) == 2
             self._replay(tiny_dataset, seed=1)   # evicted: replayed again
-            assert len(kernel_calls) == 1 + 4
+            assert len(kernel_results) == 1 + 4
             hits = self._replay(tiny_dataset, epochs=60)
             assert hits.nbytes > budget     # its hit mask alone is too large
             assert hits.flags.writeable     # returned, but not kept
             assert len(memo) == 2 and memo.nbytes <= budget
             self._replay(tiny_dataset, epochs=60)
-        assert len(kernel_calls) == 1 + 6
+        assert len(kernel_results) == 1 + 6
 
     def test_threads_sharing_a_memo_get_exact_results(self, monkeypatch):
         """Dist agents share one runner's memo across connection threads:

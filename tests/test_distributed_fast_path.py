@@ -196,7 +196,7 @@ class TestHPSearchFastPathEquivalence:
         num_items = len(dataset)
         orders = [RandomSampler(num_items, seed=(3, job)).epoch(1)
                   for job in range(3)]
-        batch = scenario._batch_size()
+        batch = scenario.batch_size
         expected = []
         for start in range(0, num_items, batch):
             for job in range(3):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -144,6 +145,39 @@ class TestAnalysisExperiments:
         for row in result.rows:
             assert row["train_miss_pct"] > 80.0
             assert row["read_amplification"] > 4.0
+
+    def test_tab3_lockstep_stream_is_the_nested_loop_order(self, monkeypatch):
+        """The HP-search jobs' one-array lockstep stream visits the chunks
+        in exactly the order of the per-step, per-job nested loop."""
+        from repro.cache.page_cache import PageCache
+        from repro.datasets.records import RecordLayout
+        from repro.experiments.base import scaled_dataset
+
+        streams = []
+        replay = PageCache.bulk_stream_hits
+
+        def recording(cache, item_ids, sizes):
+            streams.append(np.array(item_ids))
+            return replay(cache, item_ids, sizes)
+
+        monkeypatch.setattr(PageCache, "bulk_stream_hits", recording)
+        scale, jobs, seed = 1 / 2000, 3, 5
+        registry.run_experiment("tab3", scale=scale, fractions=(0.5,),
+                                num_hp_jobs=jobs, seed=seed)
+        layout = RecordLayout(scaled_dataset("imagenet-1k", scale, seed),
+                              chunk_bytes=150e6 * scale, shuffle_seed=seed)
+        orders = [layout.interleaved_chunk_order(8, seed=seed + 10 + j)
+                  for j in range(jobs)]
+        expected, positions = [], [0] * jobs
+        while any(pos < layout.num_chunks for pos in positions):
+            for job in range(jobs):
+                if positions[job] < layout.num_chunks:
+                    expected.append(int(orders[job][positions[job]]))
+                    positions[job] += 1
+        # Two training scans, then the HP-search warm-up and measured epochs.
+        assert [stream.size for stream in streams] == [
+            layout.num_chunks] * 2 + [len(expected)] * 2
+        assert streams[2].tolist() == streams[3].tolist() == expected
 
     def test_fig8_minio_matches_capacity_misses(self):
         result = registry.run_experiment("fig8")

@@ -33,6 +33,7 @@ from repro.coordl.failure import (
 )
 from repro.exceptions import ConfigurationError
 from repro.sim.failures import FailureScenario
+from repro.sim.hp_search import HPSearchScenario
 from repro.sim.sweep import SweepPoint, SweepRunner
 
 SCALE = 1.0 / 400.0
@@ -187,6 +188,31 @@ def _failure_points():
                    dataset="openimages", cache_fraction=0.65, num_epochs=2,
                    num_jobs=2, tenants=3),
     ]
+
+
+class TestMultitenantIsTheHPSearchBaseline:
+    """One tenant's campaign is the uncoordinated HP-search baseline: both
+    replay and price their epochs through HPSearchScenario's epoch model,
+    so they cannot drift apart."""
+
+    @pytest.mark.parametrize("fraction", [0.3, 1.5])
+    @pytest.mark.parametrize("num_jobs", [2, 4])
+    def test_one_tenant_epoch_one_equals_run_baseline(self, fraction, num_jobs):
+        from repro.cluster.configs import config_ssd_v100
+        dataset = SweepRunner(config_ssd_v100, scale=SCALE,
+                              seed=0).dataset("openimages")
+        server = config_ssd_v100(cache_bytes=dataset.total_bytes * fraction)
+        tenant = FailureScenario(RESNET18, dataset, server,
+                                 seed=17).run_multitenant(1, num_jobs, 2)
+        baseline = HPSearchScenario(RESNET18, dataset, server,
+                                    num_jobs=num_jobs, gpus_per_job=1,
+                                    seed=17).run_baseline()
+        epoch = tenant.epochs[1]
+        assert epoch.disk_bytes == baseline.disk_bytes_per_epoch
+        assert epoch.cache_miss_ratio == baseline.cache_miss_ratio
+        assert epoch.epoch_time_s == baseline.epoch_time_s
+        if fraction < 1.0:
+            assert epoch.disk_bytes > 0.0   # the thrashing regime
 
 
 class TestFailureSweepPoints:

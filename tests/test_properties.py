@@ -48,6 +48,36 @@ def _access_pattern(num_items: int, length: int, seed: int) -> list[int]:
     return rng.integers(0, num_items, size=length).tolist()
 
 
+def _replay_state(cache: PageCache, hits) -> tuple:
+    """Everything a replay leaves behind: mask, list order, counters."""
+    return (None if hits is None else hits.tolist(),
+            list(cache._inactive.items()), list(cache._active.items()),
+            cache.inactive_bytes, cache.active_bytes,
+            cache.pressure_evictions, dataclasses.astuple(cache.stats))
+
+
+def _kernel_replay(cache: PageCache, stream, sizes):
+    """``simulate_segmented_lru`` over ``cache``'s state (pure)."""
+    return simulate_segmented_lru(
+        stream, sizes, capacity_bytes=cache.capacity_bytes,
+        page_bytes=cache.page_bytes,
+        active_limit_bytes=cache.capacity_bytes * cache._active_target,
+        inactive=cache._inactive, active=cache._active,
+        inactive_bytes=cache.inactive_bytes, active_bytes=cache.active_bytes,
+        prior_hit_bytes=cache.stats.hit_bytes)
+
+
+def _size_consistent(cache: PageCache, stream, sizes) -> bool:
+    """Whether every access of an item rounds to one size, that size is
+    the item's resident stored size, and no item outgrows the cache."""
+    known = {**cache._inactive, **cache._active}
+    for item, size in zip(stream.tolist(), sizes.tolist()):
+        rounded = cache._rounded(size)
+        if rounded > cache.capacity_bytes or known.setdefault(item, rounded) != rounded:
+            return False
+    return True
+
+
 # Samplers -------------------------------------------------------------------
 
 class TestSamplerProperties:
@@ -377,15 +407,18 @@ class TestMakespanProperties:
                                               capacity_fraction, active_target,
                                               passes, page_pow, warm_fraction,
                                               jitter):
-        """The segmented-LRU bulk kernel ≡ the lookup/admit walk, bit for bit.
+        """The replay entry ≡ the lookup/admit walk, bit for bit.
 
         Random multi-pass streams over random capacities, page sizes and
         ``active_target_fraction`` values, from warm starts with promoted
         pages; ``jitter`` perturbs per-access sizes so the same item shows
-        different rounded sizes (the kernel's general/mixed-size loop).
-        The hit mask, every stats counter (including exact ``hit_bytes``),
-        the split eviction counters, the byte occupancies and the *order*
-        of both lists — what future evictions observe — must all be equal.
+        different rounded sizes.  A size-consistent stream (one rounded
+        size per item, matching its resident size, none over capacity) must
+        run the kernel; any other stream must make the kernel decline with
+        no side effects, so the entry walks.  Either way the hit mask,
+        every stats counter (including exact ``hit_bytes``), the split
+        eviction counters, the byte occupancies and the *order* of both
+        lists — what future evictions observe — must all be equal.
         """
         page = float(2 ** page_pow)
         rng = np.random.default_rng(seed)
@@ -407,15 +440,18 @@ class TestMakespanProperties:
         sizes = item_sizes[stream]
         if jitter:
             sizes = sizes * rng.choice([0.5, 1.0, 1.0, 2.0], size=sizes.size)
-        scalar_hits = []
-        for item, size in zip(stream.tolist(), sizes.tolist()):
-            hit = scalar.lookup(item)
-            scalar_hits.append(hit)
-            if not hit:
-                scalar.admit(item, size)
+        before = _replay_state(bulk, None)
+        kernel = _kernel_replay(bulk, stream, sizes)
+        assert _replay_state(bulk, None) == before      # the kernel is pure
+        if _size_consistent(bulk, stream, sizes):
+            assert kernel is not None, "kernel declined a realisable stream"
+        else:
+            assert kernel is None
+        scalar_hits = scalar.walk(stream, sizes)
         bulk_hits = bulk.bulk_stream_hits(stream, sizes)
-        assert bulk_hits is not None, "kernel declined a realisable stream"
-        assert bulk_hits.tolist() == scalar_hits
+        assert bulk_hits.tolist() == scalar_hits.tolist()
+        if kernel is not None:
+            assert kernel.hit_mask.tolist() == scalar_hits.tolist()
         # List *order* equality: ordering is observable through future
         # evictions and demotions, so the kernel must reproduce it exactly.
         assert list(bulk._inactive.items()) == list(scalar._inactive.items())
@@ -433,15 +469,9 @@ class TestMakespanProperties:
         # caches churn again and re-compare the hit masks.
         tail = rng.permutation(num_items).astype(np.int64)
         tail_sizes = item_sizes[tail]
-        tail_scalar = []
-        for item, size in zip(tail.tolist(), tail_sizes.tolist()):
-            hit = scalar.lookup(item)
-            tail_scalar.append(hit)
-            if not hit:
-                scalar.admit(item, size)
+        tail_scalar = scalar.walk(tail, tail_sizes)
         tail_bulk = bulk.bulk_stream_hits(tail, tail_sizes)
-        assert tail_bulk is not None
-        assert tail_bulk.tolist() == tail_scalar
+        assert tail_bulk.tolist() == tail_scalar.tolist()
         assert list(bulk._inactive.items()) == list(scalar._inactive.items())
         assert list(bulk._active.items()) == list(scalar._active.items())
 
@@ -449,8 +479,8 @@ class TestMakespanProperties:
     @settings(max_examples=20, deadline=None)
     def test_warm_kernel_mixed_size_fallback_is_exact(self, num_items, seed):
         """When the kernel declines (unprovable page arithmetic), the warm
-        branch of ``bulk_epoch_hits`` falls back to the per-item walk with
-        identical results and no double-applied side effects."""
+        branch of ``bulk_epoch_hits`` walks with identical results and no
+        double-applied side effects."""
         page = 4096.0 * (1 + 2.0 ** -52)    # dense significand: no exact multiples
         rng = np.random.default_rng(seed)
         item_sizes = np.maximum(rng.lognormal(8.0, 1.0, num_items), 1.0)
@@ -464,15 +494,10 @@ class TestMakespanProperties:
         for epoch in range(2):
             order = RandomSampler(num_items, seed=seed).epoch(epoch)
             sizes = item_sizes[order]
-            scalar_hits = []
-            for item, size in zip(order.tolist(), sizes.tolist()):
-                hit = scalar.lookup(item)
-                scalar_hits.append(hit)
-                if not hit:
-                    scalar.admit(item, size)
-            assert bulk.bulk_stream_hits(order, sizes) is None
+            scalar_hits = scalar.walk(order, sizes)
+            assert _kernel_replay(bulk, order, sizes) is None
             bulk_hits = bulk.bulk_epoch_hits(order, sizes)
-            assert bulk_hits.tolist() == scalar_hits
+            assert bulk_hits.tolist() == scalar_hits.tolist()
             assert list(bulk.cached_items()) == list(scalar.cached_items())
             for field in ("hits", "misses", "insertions", "rejected"):
                 assert getattr(bulk.stats, field) == getattr(scalar.stats, field)
@@ -527,14 +552,6 @@ def _cache_copy(cache: PageCache, capacity: float | None = None) -> PageCache:
     return copy
 
 
-def _replay_state(cache: PageCache, hits) -> tuple:
-    """Everything a replay leaves behind: mask, list order, counters."""
-    return (None if hits is None else hits.tolist(),
-            list(cache._inactive.items()), list(cache._active.items()),
-            cache.inactive_bytes, cache.active_bytes,
-            cache.pressure_evictions, dataclasses.astuple(cache.stats))
-
-
 class TestReplayMemoProperties:
     @pytest.mark.parametrize("change", REPLAY_CHANGES)
     @given(num_items=st.integers(2, 60), seed=seeds,
@@ -550,7 +567,10 @@ class TestReplayMemoProperties:
             passes, warm_fraction):
         """Under an active memo, replaying one input twice runs the kernel
         once and leaves the cache exactly as an unmemoised replay does;
-        changing any single kernel input misses the memo and replays."""
+        changing any single kernel input misses the memo and replays.  A
+        stream the kernel declines (an item over capacity, or a size or
+        stored-size change that makes an item's rounded size inconsistent)
+        is walked on every call and never kept."""
         page = 4096.0
         rng = np.random.default_rng(seed)
         item_sizes = np.maximum(rng.lognormal(9.0, 1.0, num_items), 1.0)
@@ -601,6 +621,7 @@ class TestReplayMemoProperties:
         expected_changed = _replay_state(
             reference, reference.bulk_stream_hits(stream, changed_sizes))
 
+        replayable = _kernel_replay(base, stream, sizes) is not None
         memo = ReplayMemo()
         with mock.patch.object(page_cache, "simulate_segmented_lru",
                                wraps=simulate_segmented_lru) as kernel, \
@@ -608,12 +629,16 @@ class TestReplayMemoProperties:
             for _ in range(2):
                 cache = _cache_copy(base)
                 hits = cache.bulk_stream_hits(stream, sizes)
-                assert hits is not None
                 assert _replay_state(cache, hits) == expected
-            assert kernel.call_count == 1
-            assert (memo.hits, memo.misses) == (1, 1)
+            if replayable:
+                assert kernel.call_count == 1
+                assert (memo.hits, memo.misses, len(memo)) == (1, 1, 1)
+            else:
+                assert kernel.call_count == 2
+                assert (memo.hits, memo.misses, len(memo)) == (0, 2, 0)
+            calls = kernel.call_count
             hits = changed.bulk_stream_hits(stream, changed_sizes)
-            assert kernel.call_count == 2
+            assert kernel.call_count == calls + 1
             assert _replay_state(changed, hits) == expected_changed
 
 

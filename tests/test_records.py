@@ -37,6 +37,17 @@ class TestRecordLayout:
         order = layout.interleaved_chunk_order(num_readers=4, seed=1)
         assert sorted(order.tolist()) == list(range(layout.num_chunks))
 
+    @pytest.mark.parametrize("num_readers", [1, 4, 8, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_interleaved_order_is_the_shuffled_file_order(self, layout,
+                                                          num_readers, seed):
+        """Each file is one chunk, so rotating among ``num_readers`` open
+        files visits the shuffled file order unchanged."""
+        expected = np.random.default_rng(seed).permutation(layout.num_chunks)
+        order = layout.interleaved_chunk_order(num_readers, seed=seed)
+        assert order.dtype == np.int64
+        assert order.tolist() == expected.tolist()
+
     def test_interleaved_rejects_bad_reader_count(self, layout):
         with pytest.raises(ConfigurationError):
             layout.interleaved_chunk_order(0)

@@ -77,7 +77,7 @@ from repro.resilience import (
     install_plan,
     is_transient,
 )
-from repro.serve import ServeClient, ServeDaemon, ServeError
+from repro.serve import DEFAULT_MAX_ATTEMPTS, ServeClient, ServeDaemon, ServeError
 from repro.sim.harness import GOLDEN_GRIDS, load_golden, snapshot_diff
 from repro.sim.sweep import SweepPoint, SweepRunner, clamp_workers
 from repro.store import PersistentPool, SweepStore, verify_store_trace
@@ -586,10 +586,13 @@ class TestServeDaemonResilience:
     def test_point_retries_configures_the_batcher_budget(self):
         with ServeDaemon(port=0, store=False, point_retries=2) as daemon:
             assert daemon.batcher._max_attempts == 3
+        with ServeDaemon(port=0, store=False) as daemon:
+            assert daemon.batcher._max_attempts == DEFAULT_MAX_ATTEMPTS
 
     def test_conflicting_and_invalid_retry_knobs_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServeDaemon(port=0, store=False, max_attempts=2, point_retries=1)
+        # point_retries is the daemon's one spelling of the retry budget.
+        with pytest.raises(TypeError):
+            ServeDaemon(port=0, store=False, max_attempts=2)
         with pytest.raises(ConfigurationError):
             ServeDaemon(port=0, store=False, point_retries=-1)
         with pytest.raises(ConfigurationError):
