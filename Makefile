@@ -4,9 +4,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-workers bench bench-json bench-smoke bench-parallel \
-        bench-store docs-check store-check store-check-sqlite serve-check \
-        failure-check chaos-check dist-check check
+.PHONY: test test-workers bench bench-json bench-smoke bench-e2e-smoke \
+        bench-parallel bench-store docs-check store-check store-check-sqlite \
+        serve-check failure-check chaos-check dist-check check
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -35,6 +35,13 @@ bench-smoke:
 	$(PYTHON) -m pytest -q -s -k "not parallel" \
 	    benchmarks/test_sweep_speed.py \
 	    benchmarks/test_distributed_sweep_speed.py
+
+## End-to-end benchmark smoke: every bench/run.py workload (report cold and
+## warm, serve, dist) at --smoke size, untraced and traced, must pass its
+## correctness checks and emit every metric BENCHMARK.json names.  It also
+## fails when the library drops an attribute bench/tracing.py patches.
+bench-e2e-smoke:
+	$(PYTHON) -m pytest -q bench/test_bench_smoke.py
 
 ## Parallel-vs-serial sweep gate: a 16-point grid through workers=4 must be
 ## byte-identical to the serial run, and >=2x faster on a >=4-core machine.
@@ -119,4 +126,4 @@ dist-check:
 ## REPRO_SWEEP_WORKERS=2, `make test store-check` under REPRO_SWEEP_STORE,
 ## `make serve-check`, `make failure-check`, and `make chaos-check`
 ## respectively).
-check: test docs-check bench-smoke store-check
+check: test docs-check bench-smoke bench-e2e-smoke store-check

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from repro.cluster import config_ssd_v100
 from repro.compute import RESNET18
-from repro.coordl import CoorDL
+from repro.coordl import (CoordinatedEpochRunner, CoordinatedPrepPlan,
+                          FailureDetector, StagingArea)
 from repro.datasets import SyntheticDataset, get_dataset_spec
+from repro.prep.pipeline import PrepPipeline
 from repro.sim import HPSearchScenario
 from repro.units import speedup
 
@@ -54,29 +56,34 @@ def main() -> None:
     print(f"CoorDL speedup: {speedup(baseline.epoch_time_s, coordl.epoch_time_s):.2f}x\n")
 
     # --- 2. Coordination machinery, including a job failure ----------------
-    session = CoorDL.for_hp_search(dataset, server, num_jobs=NUM_JOBS, batch_size=256)
-    plan = session.plan
+    # One plan assigns each minibatch a producer job; the jobs share the
+    # staging area, and a consumer that waits ten iterations (1 s each)
+    # for a batch asks the failure detector about its producer.
+    plan = CoordinatedPrepPlan(dataset, NUM_JOBS, batch_size=256)
+    staging = StagingArea(NUM_JOBS, batch_timeout_s=10.0)
+    detector = FailureDetector(NUM_JOBS, iteration_time_s=1.0)
+    runner = CoordinatedEpochRunner(plan, PrepPipeline.for_dataset(dataset), dataset,
+                                    staging=staging, failure_detector=detector)
     print(f"coordinated epoch plan: {plan.total_batches()} minibatches, "
           f"{plan.unique_item_fetches():,} unique item fetches "
           f"(vs {NUM_JOBS * len(dataset):,} uncoordinated)")
 
     # Walk a few batches, then pretend the HP scheduler killed job 3 and the
     # remaining jobs hit a batch it owed.
-    runner = session.runner
     for assignment in plan.assignments[:4]:
         runner.produce_batch(assignment)
         for job in range(NUM_JOBS):
             runner.consume_batch(job, assignment.batch_id)
-    session.detector.mark_dead(3)
+    detector.mark_dead(3)
     victim = plan.batches_for_producer(3)[1]
     recovered = runner.consume_batch(0, victim.batch_id,
-                                     waited_s=session.detector.timeout_s + 1.0)
-    event = session.detector.events[-1]
+                                     waited_s=detector.timeout_s + 1.0)
+    event = detector.events[-1]
     print(f"job 3 killed mid-epoch -> detected at batch {event.missing_batch_id}, "
           f"its shard reassigned to job {event.reassigned_to} "
           f"(consumer retries: {'pending' if not recovered else 'done'})")
-    print(f"staging area currently holds {session.staging.staged_batches} batches, "
-          f"peak {session.staging.peak_bytes / 1e9:.2f} GB")
+    print(f"staging area currently holds {staging.staged_batches} batches, "
+          f"peak {staging.peak_bytes / 1e9:.2f} GB")
 
 
 if __name__ == "__main__":

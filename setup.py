@@ -1,9 +1,12 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package's only build configuration (there is
+no pyproject.toml).
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works in offline
-environments whose setuptools cannot build PEP 660 editable wheels (no
-``wheel`` package available); pip falls back to the legacy ``setup.py
-develop`` path in that case.
+Nothing needs installing to run the code: the Makefile, the tests and the
+examples use the in-tree sources with ``PYTHONPATH=src``.  ``pip install
+-e .`` makes ``repro`` importable without that; where setuptools cannot
+build PEP 660 editable wheels (no ``wheel`` package available, as in
+offline environments), pip falls back to the legacy ``setup.py develop``
+path.
 """
 
 from setuptools import find_packages, setup

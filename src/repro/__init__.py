@@ -9,8 +9,10 @@ The library has three layers:
   configurations (:mod:`repro.cluster`);
 * **contributions** — the CoorDL coordinated data loader
   (:mod:`repro.coordl`: MinIO cache, partitioned caching, coordinated prep)
-  and the DS-Analyzer profiler/predictor (:mod:`repro.dsanalyzer`), with the
-  DALI / native-PyTorch baselines in :mod:`repro.pipeline`;
+  and the DS-Analyzer profiler/predictor (:mod:`repro.dsanalyzer`).  The
+  single-server loader kinds, CoorDL and the DALI / native-PyTorch
+  baselines alike, are one :class:`~repro.pipeline.DataLoader` class built
+  from a recipe table by :func:`~repro.sim.single_server.build_loader`;
 * **scenarios** — the pipelined epoch simulator and the single-server,
   distributed-training and HP-search drivers (:mod:`repro.sim`), plus one
   module per paper figure/table in :mod:`repro.experiments`, all memoisable
@@ -20,10 +22,10 @@ The library has three layers:
 
 from repro.cluster import config_hdd_1080ti, config_ssd_v100, get_server_config
 from repro.compute import get_model, model_names
-from repro.coordl import CoorDL, CoorDLLoader, PartitionedCoorDLLoader
+from repro.coordl import PartitionedCoorDLLoader
 from repro.datasets import SyntheticDataset, get_dataset_spec
 from repro.dsanalyzer import DataStallPredictor, DSAnalyzerProfiler
-from repro.pipeline import DALILoader, PyTorchNativeLoader
+from repro.pipeline import DataLoader
 from repro.sim import (
     DistributedTraining,
     HPSearchScenario,
@@ -32,6 +34,7 @@ from repro.sim import (
     SweepPoint,
     SweepResult,
     SweepRunner,
+    build_loader,
 )
 from repro.store import PersistentPool, SweepStore
 
@@ -46,11 +49,9 @@ __all__ = [
     "config_ssd_v100",
     "config_hdd_1080ti",
     "get_server_config",
-    "CoorDL",
-    "CoorDLLoader",
+    "DataLoader",
+    "build_loader",
     "PartitionedCoorDLLoader",
-    "DALILoader",
-    "PyTorchNativeLoader",
     "DSAnalyzerProfiler",
     "DataStallPredictor",
     "PipelineSimulator",

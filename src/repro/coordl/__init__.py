@@ -1,4 +1,12 @@
-"""CoorDL: coordinated data loading (MinIO, partitioned caching, coordinated prep)."""
+"""CoorDL: coordinated data loading (MinIO, partitioned caching, coordinated prep).
+
+CoorDL's single-server loader is DALI with the page cache swapped for the
+MinIO cache (:class:`repro.cache.minio.MinIOCache`); it is the ``coordl``
+row of :data:`repro.sim.single_server.LOADER_RECIPES`.  This package holds
+what changes more than the cache: the partitioned loader of distributed
+jobs, coordinated prep for HP search with its staging area, and failure
+handling.
+"""
 
 from repro.coordl.coordinated_prep import (
     BatchAssignment,
@@ -12,17 +20,11 @@ from repro.coordl.failure import (
     RecoveryAction,
     TimeoutReport,
 )
-from repro.coordl.loader import CoorDL, HPSearchSession
-from repro.coordl.minio_loader import CoorDLLoader, best_coordl_loader
 from repro.coordl.partitioned_loader import PartitionedCoorDLLoader
 from repro.coordl.staging import StagedBatch, StagingArea
 
 __all__ = [
-    "CoorDL",
-    "CoorDLLoader",
-    "best_coordl_loader",
     "PartitionedCoorDLLoader",
-    "HPSearchSession",
     "CoordinatedPrepPlan",
     "CoordinatedEpochRunner",
     "BatchAssignment",

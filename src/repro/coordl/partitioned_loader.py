@@ -27,8 +27,6 @@ from repro.storage.filestore import FileStore
 class PartitionedCoorDLLoader(DataLoader):
     """Per-server CoorDL loader participating in a partitioned cache group."""
 
-    name = "coordl-partitioned"
-
     def __init__(self, *args, group: PartitionedCacheGroup, rank: int,
                  network: NetworkLink, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -85,6 +83,7 @@ class PartitionedCoorDLLoader(DataLoader):
                 prep=prep,
                 workers=workers,
                 num_gpus=server.num_gpus,
+                name="coordl-partitioned",
                 group=group,
                 rank=rank,
                 network=server.network,

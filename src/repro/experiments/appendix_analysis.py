@@ -20,11 +20,11 @@ from repro.cluster.configs import config_high_cpu_v100, config_ssd_v100
 from repro.compute.model_zoo import IMAGE_MODELS, MOBILENET_V2, RESNET18, ModelSpec
 from repro.datasets.sampler import BatchSampler, RandomSampler
 from repro.experiments.base import ExperimentResult, SWEEP_SCALE, scaled_dataset
-from repro.pipeline.dali import DALILoader
+from repro.pipeline.base import DataLoader
 from repro.prep.pipeline import PrepPipeline
 from repro.prep.workers import WorkerPool
 from repro.sim.engine import PipelineSimulator
-from repro.sim.single_server import effective_batch_size
+from repro.sim.single_server import build_loader, effective_batch_size
 from repro.sim.sweep import SweepPoint, SweepRunner
 from repro.storage.filestore import FileStore
 from repro.store import PersistentPool, StoreArg
@@ -54,9 +54,9 @@ def run_fig12(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
                               gpu_decode_rate_scale=server.gpu.gpu_prep_scale)
             batch_size = effective_batch_size(
                 dataset, RESNET18.batch_size_for(server.gpu) * server.num_gpus)
-            # What DALILoader.build gives a shuffle job, but prepping on the
-            # hyper-threaded pool.
-            loader = DALILoader(
+            # What build_loader gives a dali-shuffle job, but prepping on
+            # the hyper-threaded pool.
+            loader = DataLoader(
                 dataset=dataset,
                 store=FileStore(dataset, server.storage),
                 cache=PageCache(server.cache_bytes),
@@ -65,7 +65,6 @@ def run_fig12(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
                 prep=PrepPipeline.for_dataset(dataset, "dali"),
                 workers=pool,
                 num_gpus=server.num_gpus,
-                mode="shuffle",
             )
             sim = PipelineSimulator(RESNET18, server.gpu)
             stats = sim.run_epochs(loader, 2)[-1]
@@ -139,8 +138,9 @@ def run_fig14(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
         sync_scale = 512.0 / batch
         scaled_model = replace(model,
                                comm_overhead_per_gpu=model.comm_overhead_per_gpu * sync_scale)
-        loader = DALILoader.build(dataset, server, batch * server.num_gpus,
-                                  mode="shuffle", gpu_prep=True, seed=seed)
+        loader = build_loader("dali-shuffle", dataset, server, scaled_model,
+                              gpu_prep=True, seed=seed,
+                              batch_size=batch * server.num_gpus)
         sim = PipelineSimulator(scaled_model, server.gpu)
         stats = sim.run_epochs(loader, 2)[-1]
         result.add_row(

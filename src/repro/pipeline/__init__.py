@@ -1,16 +1,17 @@
-"""Data-loader layer: the shared abstraction and the DALI/PyTorch baselines."""
+"""Data-loader layer: the one loader class and its epoch statistics.
+
+Every training loader kind (the native PyTorch DataLoader, DALI-seq,
+DALI-shuffle, CoorDL and Py-CoorDL) is a :class:`DataLoader` assembled by
+:func:`repro.sim.single_server.build_loader` from its recipe: a prep
+library, a cache policy and an access order.
+"""
 
 from repro.pipeline.base import BatchFetchResult, DataLoader
-from repro.pipeline.dali import DALILoader, best_dali_loader
-from repro.pipeline.pytorch_native import PyTorchNativeLoader
 from repro.pipeline.stats import EpochStats, TrainingRunStats
 
 __all__ = [
     "DataLoader",
     "BatchFetchResult",
-    "DALILoader",
-    "best_dali_loader",
-    "PyTorchNativeLoader",
     "EpochStats",
     "TrainingRunStats",
 ]

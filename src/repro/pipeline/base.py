@@ -1,11 +1,15 @@
-"""Data-loader abstraction shared by the baselines and CoorDL.
+"""The data loader every training kind runs: baselines and CoorDL alike.
 
 A loader owns the *policy* side of the data pipeline for one training job on
 one server: which order items are visited in (sampler), which cache the items
 pass through, which prep pipeline and worker pool process them, and which
-storage device serves misses.  The simulation engine
-(:mod:`repro.sim.engine`) asks the loader for per-batch fetch/prep durations
-and drives the pipelined timeline.
+storage device serves misses.  The loader kinds differ only in those parts,
+so one class serves them all; :func:`repro.sim.single_server.build_loader`
+assembles each kind from its recipe.  Only CoorDL's distributed loader
+(:class:`~repro.coordl.partitioned_loader.PartitionedCoorDLLoader`) changes
+the fetch path itself.  The simulation engine (:mod:`repro.sim.engine`) asks
+the loader for per-batch fetch/prep durations and drives the pipelined
+timeline.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class BatchFetchResult:
 
 
 class DataLoader:
-    """Base loader: cache-mediated fetch + CPU/GPU prep over a file store.
+    """Cache-mediated fetch + CPU/GPU prep over a file store.
 
     Args:
         dataset: Dataset being trained on.
@@ -49,16 +53,16 @@ class DataLoader:
         workers: CPU worker pool (and GPU offload setting) used for prep.
         num_gpus: GPUs consuming this loader's output (used only to size GPU
             prep offload capacity).
+        name: Loader name results are reported under.
 
     Cache hits are charged at DRAM speed and misses at the store's
     random-read rate.
     """
 
-    name = "base"
-
     def __init__(self, dataset: SyntheticDataset, store: FileStore, cache: Cache,
                  batch_sampler: BatchSampler, prep: PrepPipeline, workers: WorkerPool,
-                 num_gpus: int = 1) -> None:
+                 num_gpus: int = 1, name: str = "loader") -> None:
+        self.name = name
         self._dataset = dataset
         self._store = store
         self._cache = cache
@@ -70,11 +74,6 @@ class DataLoader:
         self._io = IOStats()
 
     # -- accessors ---------------------------------------------------------
-
-    @property
-    def dataset(self) -> SyntheticDataset:
-        """Dataset being loaded."""
-        return self._dataset
 
     @property
     def cache(self) -> Cache:
@@ -90,16 +89,6 @@ class DataLoader:
     def batch_sampler(self) -> BatchSampler:
         """Per-epoch batch order."""
         return self._batch_sampler
-
-    @property
-    def prep(self) -> PrepPipeline:
-        """Pre-processing cost model."""
-        return self._prep
-
-    @property
-    def workers(self) -> WorkerPool:
-        """CPU worker pool used for prep."""
-        return self._workers
 
     @property
     def num_gpus(self) -> int:
@@ -120,10 +109,6 @@ class DataLoader:
         return self._batch_sampler.epoch(epoch_index)
 
     # -- fetch / prep ------------------------------------------------------
-
-    def should_admit_on_miss(self, item_id: int) -> bool:
-        """Whether a missed item is offered to the cache (policy hook)."""
-        return True
 
     def fetch_batch(self, batch: np.ndarray, at_time: float = 0.0) -> BatchFetchResult:
         """Fetch one minibatch through the cache, charging device times.
@@ -149,8 +134,7 @@ class DataLoader:
                 disk_bytes += size
                 duration += self._store.read_bytes(size, at_time=at_time + duration)
                 self._io.record_disk(size, at_time=at_time + duration)
-                if self.should_admit_on_miss(item_id):
-                    self._cache.admit(item_id, size)
+                self._cache.admit(item_id, size)
         return BatchFetchResult(
             duration_s=duration,
             hits=hits,
@@ -176,7 +160,6 @@ class DataLoader:
         """
         cls = type(self)
         if (cls.fetch_batch is not DataLoader.fetch_batch
-                or cls.should_admit_on_miss is not DataLoader.should_admit_on_miss
                 or cls.cached_fetch_time is not DataLoader.cached_fetch_time
                 or cls.prep_batch_time is not DataLoader.prep_batch_time):
             return None
@@ -253,12 +236,6 @@ class DataLoader:
         total_bytes = float(self._dataset.items_size(batch))
         return self._workers.prep_time_for_batch(
             self._prep, total_bytes, len(batch),
-            num_gpus_for_offload=self._num_gpus)
-
-    def prep_rate(self) -> float:
-        """Steady-state prep throughput in samples/second."""
-        return self._workers.prep_rate(
-            self._prep, self._dataset.mean_item_bytes,
             num_gpus_for_offload=self._num_gpus)
 
     @property

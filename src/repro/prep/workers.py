@@ -54,18 +54,6 @@ class WorkerPool:
         """Core-equivalents of the pool (hyperthreads discounted)."""
         return self.physical_cores + self.hyperthreads * self.hyperthread_efficiency
 
-    def split(self, num_jobs: int) -> "WorkerPool":
-        """Evenly divide the pool among ``num_jobs`` co-located jobs."""
-        if num_jobs <= 0:
-            raise ConfigurationError("need at least one job")
-        return WorkerPool(
-            physical_cores=self.physical_cores / num_jobs,
-            hyperthreads=self.hyperthreads / num_jobs,
-            hyperthread_efficiency=self.hyperthread_efficiency,
-            gpu_offload=self.gpu_offload,
-            gpu_decode_rate_scale=self.gpu_decode_rate_scale,
-        )
-
     def prep_rate(self, pipeline: PrepPipeline, mean_raw_bytes: float,
                   num_gpus_for_offload: int = 0) -> float:
         """Steady-state prep throughput in samples/second.

@@ -24,8 +24,10 @@ from repro.sim.hp_search import (HP_SEARCH_KINDS, HPSearchEpoch,
                                  HPSearchResult, HPSearchScenario)
 from repro.sim.single_server import (
     LOADER_KINDS,
+    LOADER_RECIPES,
     SingleServerResult,
     SingleServerTraining,
+    best_prep,
     build_loader,
 )
 from repro.sim.sweep import (POINT_KINDS, SweepPoint, SweepRecord,
@@ -50,7 +52,9 @@ __all__ = [
     "SingleServerTraining",
     "SingleServerResult",
     "build_loader",
+    "best_prep",
     "LOADER_KINDS",
+    "LOADER_RECIPES",
     "DistributedTraining",
     "DistributedResult",
     "DistributedEpoch",

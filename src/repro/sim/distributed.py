@@ -18,25 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.cache.page_cache import PageCache
 from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec
 from repro.coordl.partitioned_loader import PartitionedCoorDLLoader
 from repro.datasets.dataset import SyntheticDataset
-from repro.datasets.sampler import BatchSampler, DistributedSampler
+from repro.datasets.sampler import DistributedSampler
 from repro.exceptions import ConfigurationError
 from repro.pipeline.base import DataLoader
-from repro.pipeline.dali import DALILoader
 from repro.pipeline.stats import EpochStats
-from repro.prep.pipeline import PrepPipeline
 from repro.sim.engine import PipelineSimulator
 from repro.sim.kinds import (PointContext, PointFamily, PointKind, named,
                              require_servers)
-from repro.sim.single_server import (decode_epoch, effective_batch_size,
-                                     encode_epoch)
-from repro.storage.filestore import FileStore
+from repro.sim.single_server import (build_loader, decode_epoch,
+                                     effective_batch_size, encode_epoch)
 
 
 @dataclass
@@ -95,40 +91,6 @@ class DistributedResult:
         return sum(e.throughput for e in steady) / len(steady)
 
 
-def _build_baseline_loaders(dataset: SyntheticDataset, servers: List[ServerConfig],
-                            model: ModelSpec, gpu_prep: bool,
-                            seed: int) -> List[DataLoader]:
-    """Per-server DALI-shuffle loaders with local page caches and shard sampling."""
-    loaders: List[DataLoader] = []
-    for rank, server in enumerate(servers):
-        batch_size = effective_batch_size(
-            dataset, model.batch_size_for(server.gpu) * server.num_gpus)
-        prep = PrepPipeline.for_dataset(dataset, "dali")
-        workers = server.worker_pool(gpu_offload=gpu_prep)
-        sampler = DistributedSampler(len(dataset), num_replicas=len(servers),
-                                     rank=rank, seed=seed)
-        loaders.append(DALILoader(
-            dataset=dataset,
-            store=FileStore(dataset, server.storage),
-            cache=PageCache(server.cache_bytes),
-            batch_sampler=BatchSampler(sampler, batch_size),
-            prep=prep,
-            workers=workers,
-            num_gpus=server.num_gpus,
-            mode="shuffle",
-        ))
-    return loaders
-
-
-def _build_coordl_loaders(dataset: SyntheticDataset, servers: List[ServerConfig],
-                          model: ModelSpec, gpu_prep: bool,
-                          seed: int) -> List[PartitionedCoorDLLoader]:
-    batch_size = effective_batch_size(
-        dataset, model.batch_size_for(servers[0].gpu) * servers[0].num_gpus)
-    return PartitionedCoorDLLoader.build_group(dataset, servers, batch_size,
-                                               gpu_prep=gpu_prep, seed=seed)
-
-
 class DistributedTraining:
     """Simulate a data-parallel job across several servers.
 
@@ -157,8 +119,7 @@ class DistributedTraining:
         self._queue_depth = queue_depth
         self._fast_path = fast_path
 
-    def _run(self, loaders: List[DataLoader], name: str,
-             gpu_prep: bool) -> DistributedResult:
+    def _run(self, loaders: Sequence[DataLoader], name: str) -> DistributedResult:
         simulators = [
             PipelineSimulator(self._model, server.gpu, queue_depth=self._queue_depth,
                               fast_path=self._fast_path)
@@ -174,16 +135,27 @@ class DistributedTraining:
         return DistributedResult(loader_name=name, epochs=epochs)
 
     def run_baseline(self, gpu_prep: bool = False, seed: int = 0) -> DistributedResult:
-        """Simulate the job with per-server DALI-shuffle + local page caches."""
-        loaders = _build_baseline_loaders(self._dataset, self._servers, self._model,
-                                          gpu_prep, seed)
-        return self._run(loaders, "dali-shuffle", gpu_prep)
+        """Simulate the job with per-server DALI-shuffle + local page caches.
+
+        Each server reads its rank's shard of every epoch's permutation.
+        """
+        loaders = [
+            build_loader("dali-shuffle", self._dataset, server, self._model,
+                         gpu_prep=gpu_prep, sampler=DistributedSampler(
+                             len(self._dataset), num_replicas=len(self._servers),
+                             rank=rank, seed=seed))
+            for rank, server in enumerate(self._servers)
+        ]
+        return self._run(loaders, "dali-shuffle")
 
     def run_coordl(self, gpu_prep: bool = False, seed: int = 0) -> DistributedResult:
         """Simulate the job with CoorDL's partitioned caching."""
-        loaders = _build_coordl_loaders(self._dataset, self._servers, self._model,
-                                        gpu_prep, seed)
-        return self._run(list(loaders), "coordl-partitioned", gpu_prep)
+        server = self._servers[0]
+        batch_size = effective_batch_size(
+            self._dataset, self._model.batch_size_for(server.gpu) * server.num_gpus)
+        loaders = PartitionedCoorDLLoader.build_group(
+            self._dataset, self._servers, batch_size, gpu_prep=gpu_prep, seed=seed)
+        return self._run(loaders, "coordl-partitioned")
 
 
 def _run_point(method: Callable[..., DistributedResult], point: Any,

@@ -43,7 +43,7 @@ Python interpreter:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -61,27 +61,20 @@ _SCALAR_KERNEL_CUTOFF = 8192
 
 @dataclass
 class BatchTimes:
-    """Per-batch stage durations collected while simulating an epoch.
-
-    ``batch_sizes`` (samples per minibatch) is filled by both collection
-    paths of :meth:`PipelineSimulator.collect_batch_times`; it is optional so
-    that hand-built instances in older call sites keep working.
-    """
+    """Per-batch stage durations and sizes collected while simulating an epoch."""
 
     fetch_s: Sequence[float]
     cached_fetch_s: Sequence[float]
     prep_s: Sequence[float]
     gpu_s: Sequence[float]
-    batch_sizes: Optional[Sequence[int]] = None
+    batch_sizes: Sequence[int]
 
     def num_batches(self) -> int:
         """Number of batches in the epoch."""
         return len(self.gpu_s)
 
-    def num_samples(self) -> Optional[int]:
-        """Samples in the epoch, when the collection path recorded them."""
-        if self.batch_sizes is None:
-            return None
+    def num_samples(self) -> int:
+        """Samples in the epoch."""
         return int(np.sum(self.batch_sizes))
 
 
@@ -255,8 +248,7 @@ class PipelineSimulator:
                     self._gpu, loader.num_gpus,
                     gpu_prep_active=loader.uses_gpu_prep)
                 gpu_s = batch_sizes / rate
-                return BatchTimes(fetch_s, cached_fetch_s, prep_s, gpu_s,
-                                  batch_sizes=batch_sizes)
+                return BatchTimes(fetch_s, cached_fetch_s, prep_s, gpu_s, batch_sizes)
         fetch_s: List[float] = []
         cached_fetch_s: List[float] = []
         prep_s: List[float] = []
@@ -271,8 +263,7 @@ class PipelineSimulator:
             gpu_s.append(self.gpu_batch_time(loader, len(batch)))
             batch_sizes.append(len(batch))
             clock += result.duration_s
-        return BatchTimes(fetch_s, cached_fetch_s, prep_s, gpu_s,
-                          batch_sizes=batch_sizes)
+        return BatchTimes(fetch_s, cached_fetch_s, prep_s, gpu_s, batch_sizes)
 
     def run_epoch(self, loader: DataLoader, epoch_index: int) -> EpochStats:
         """Simulate one epoch and return its timing/IO breakdown."""
@@ -280,9 +271,6 @@ class PipelineSimulator:
         hits_before = loader.cache.stats.hits
         misses_before = loader.cache.stats.misses
         times = self.collect_batch_times(loader, epoch_index)
-        samples = times.num_samples()
-        if samples is None:
-            samples = sum(len(b) for b in loader.batches(epoch_index))
 
         epoch_time = pipeline_makespan(
             [times.fetch_s, times.prep_s, times.gpu_s], self._queue_depth)
@@ -296,7 +284,7 @@ class PipelineSimulator:
             epoch_time_s=epoch_time,
             gpu_time_s=gpu_time,
             prep_limited_time_s=min(prep_limited, epoch_time),
-            samples=samples,
+            samples=times.num_samples(),
             io=io,
             cache_hits=loader.cache.stats.hits - hits_before,
             cache_misses=loader.cache.stats.misses - misses_before,

@@ -39,6 +39,7 @@ from repro.exceptions import ConfigurationError
 from repro.prep.pipeline import PrepPipeline
 from repro.sim.kinds import (PointContext, PointFamily, PointKind,
                              dataclass_codec, named)
+from repro.sim.single_server import best_prep
 from repro.units import safe_div
 
 
@@ -153,25 +154,18 @@ class HPSearchScenario:
         return self._model.aggregate_gpu_rate(self._server.gpu, self._gpus_per_job)
 
     def prep_rate(self, coordinated: bool = False, library: str = "dali") -> float:
-        """Best of CPU-only and GPU-offloaded prep, in samples/second.
+        """Best of CPU-only and GPU-offloaded prep, in samples/second
+        (:func:`~repro.sim.single_server.best_prep`).
 
         Per job (``cores / num_jobs`` and the job's GPUs) for the baseline;
-        for coordinated prep, one shared sweep on every core and GPU.  Only
-        DALI can offload prep to the GPUs.
+        for coordinated prep, one shared sweep on every core and GPU.
         """
         if coordinated:
             cores, gpus = float(self._server.physical_cores), self._server.num_gpus
         else:
             cores, gpus = self._server.physical_cores / self._num_jobs, self._gpus_per_job
-        prep = PrepPipeline.for_dataset(self._dataset, library)
-        cpu_pool = self._server.worker_pool(cores=cores, gpu_offload=False)
-        rates = [cpu_pool.prep_rate(prep, self._dataset.mean_item_bytes)]
-        if library == "dali":
-            gpu_pool = self._server.worker_pool(cores=cores, gpu_offload=True)
-            gpu_rate = gpu_pool.prep_rate(prep, self._dataset.mean_item_bytes,
-                                          num_gpus_for_offload=gpus)
-            rates.append(gpu_rate * (1.0 - self._model.gpu_prep_interference))
-        return max(rates)
+        return best_prep(self._dataset, self._server, self._model, library,
+                         cores=cores, num_gpus=gpus)[1]
 
     def rate_model(self, disk_bytes: float, miss_ratio: float,
                    coordinated: bool = False,

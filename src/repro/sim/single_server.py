@@ -9,26 +9,73 @@ measured epochs, Sec. 3.1).  This is the workhorse behind Figs. 2–6, 9(a),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.cache.base import Cache
+from repro.cache.minio import MinIOCache
+from repro.cache.page_cache import PageCache
 from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec
-from repro.coordl.minio_loader import best_coordl_loader
 from repro.datasets.dataset import SyntheticDataset
-from repro.datasets.sampler import Sampler
+from repro.datasets.sampler import (BatchSampler, RandomSampler, Sampler,
+                                    ShuffleBufferSampler)
 from repro.exceptions import ConfigurationError
 from repro.pipeline.base import DataLoader
-from repro.pipeline.dali import DALILoader, best_dali_loader
-from repro.pipeline.pytorch_native import PyTorchNativeLoader
 from repro.pipeline.stats import EpochStats, TrainingRunStats
+from repro.prep.pipeline import PrepPipeline
 from repro.sim.engine import PipelineSimulator
 from repro.sim.kinds import (PointContext, PointFamily, PointKind,
                              dataclass_codec)
+from repro.storage.filestore import FileStore
 
-#: Loader names accepted by :func:`build_loader`.  "pycoordl" is Appendix E's
-#: Py-CoorDL: the native PyTorch DataLoader (Pillow prep) with the page cache
-#: swapped for CoorDL's MinIO policy.
-LOADER_KINDS = ("pytorch", "dali-seq", "dali-shuffle", "coordl", "pycoordl")
+#: Prep libraries that can offload decode and augmentation to the GPUs:
+#: DALI's nvJPEG path can; Pillow, the PyTorch DataLoader's, cannot.
+GPU_PREP_LIBRARIES = ("dali",)
+
+
+@dataclass(frozen=True)
+class LoaderRecipe:
+    """What one training loader kind is made of.
+
+    Attributes:
+        name: Loader name the run's record keeps.
+        library: Prep library: ``"dali"`` (nvJPEG; can offload decode and
+            augmentation to the GPUs) or ``"pytorch"`` (Pillow; CPU only).
+        cache: Cache class the fetch path goes through.
+        storage_order: Walk the files in storage order through a shuffle
+            buffer (DALI-seq's file reader) when no sampler is given.
+        gpu_name: Loader name when prepping on the GPUs (``name`` if empty).
+    """
+
+    name: str
+    library: str
+    cache: Callable[[float], Cache]
+    storage_order: bool = False
+    gpu_name: str = ""
+
+    @property
+    def offloads(self) -> bool:
+        """Whether the kind's prep library can run on the GPUs."""
+        return self.library in GPU_PREP_LIBRARIES
+
+
+#: The training loader kinds: two prep libraries times two cache policies,
+#: plus DALI-seq's storage order.  CoorDL is DALI with the page cache
+#: swapped for MinIO, sampling and prep unmodified (Sec. 4.1); "pycoordl"
+#: is Appendix E's Py-CoorDL, the native PyTorch DataLoader with the same
+#: swap.
+LOADER_RECIPES: Dict[str, LoaderRecipe] = {
+    "pytorch": LoaderRecipe("pytorch-dl", "pytorch", PageCache),
+    "dali-seq": LoaderRecipe("dali-seq", "dali", PageCache, storage_order=True,
+                             gpu_name="dali-seq-gpuprep"),
+    "dali-shuffle": LoaderRecipe("dali-shuffle", "dali", PageCache,
+                                 gpu_name="dali-shuffle-gpuprep"),
+    "coordl": LoaderRecipe("coordl", "dali", MinIOCache),
+    "pycoordl": LoaderRecipe("pytorch-dl", "pytorch", MinIOCache),
+}
+
+#: Loader names accepted by :func:`build_loader`.
+LOADER_KINDS = tuple(LOADER_RECIPES)
 
 #: Minimum number of minibatches per epoch the simulation keeps, so that the
 #: pipelined overlap of fetch/prep/compute remains realistic on the scaled
@@ -48,6 +95,30 @@ def effective_batch_size(dataset: SyntheticDataset, nominal_batch_size: int) -> 
     return max(1, min(nominal_batch_size, cap))
 
 
+def best_prep(dataset: SyntheticDataset, server: ServerConfig, model: ModelSpec,
+              library: str = "dali", cores: Optional[float] = None,
+              num_gpus: Optional[int] = None) -> Tuple[bool, float]:
+    """``(gpu_prep, samples/s)``: the faster of CPU-only and GPU prep.
+
+    The paper runs DALI in "best of CPU or GPU based prep" mode (Sec. 5).
+    GPU prep raises the prep rate but steals compute from the model, so its
+    rate is discounted by the model's ``gpu_prep_interference`` and it is
+    chosen only when strictly faster.  Prep runs on ``cores`` physical
+    cores (default: all) and offloads to ``num_gpus`` GPUs (default: all);
+    Pillow (``library="pytorch"``) always preps on the CPU.
+    """
+    prep = PrepPipeline.for_dataset(dataset, library)
+    cpu_rate = server.worker_pool(cores=cores).prep_rate(
+        prep, dataset.mean_item_bytes)
+    if library not in GPU_PREP_LIBRARIES:
+        return False, cpu_rate
+    gpu_rate = server.worker_pool(cores=cores, gpu_offload=True).prep_rate(
+        prep, dataset.mean_item_bytes,
+        num_gpus_for_offload=server.num_gpus if num_gpus is None else num_gpus)
+    gpu_rate *= 1.0 - model.gpu_prep_interference
+    return (True, gpu_rate) if gpu_rate > cpu_rate else (False, cpu_rate)
+
+
 def build_loader(kind: str, dataset: SyntheticDataset, server: ServerConfig,
                  model: ModelSpec, num_gpus: Optional[int] = None,
                  cores: Optional[float] = None, cache_bytes: Optional[float] = None,
@@ -57,60 +128,63 @@ def build_loader(kind: str, dataset: SyntheticDataset, server: ServerConfig,
     """Build a loader of the requested kind for one training job.
 
     Args:
-        kind: One of :data:`LOADER_KINDS`.
+        kind: One of :data:`LOADER_KINDS`; its :data:`LOADER_RECIPES` row
+            gives the prep library, the cache and the access order.
         dataset: Dataset to train on.
         server: Server the job runs on.
         model: Model being trained (supplies the per-GPU batch size and the
-            GPU-prep interference factor used by the best-of selection).
+            GPU-prep interference factor used by :func:`best_prep`).
         num_gpus: GPUs used by the job (defaults to all on the server).
         cores: Physical prep cores for the job (defaults to all).
         cache_bytes: Override the server's cache budget (cache-size sweeps).
         gpu_prep: Force GPU prep on/off; None selects the faster variant.
+            Only kinds whose library offloads accept ``True``.
         seed: Sampler seed.
         batch_size: Explicit per-iteration batch size; when omitted the
             model's per-GPU batch size times ``num_gpus`` is used, clamped by
             :func:`effective_batch_size` for scaled datasets.
-        sampler: Ready-made item-order sampler to reuse across loaders
-            (parameter sweeps share one memoised sampler per dataset/seed).
+        sampler: Ready-made item-order sampler (parameter sweeps share one
+            memoised sampler per dataset/seed; distributed jobs pass their
+            rank's shard).  When omitted, DALI-seq reads in storage order
+            and every other kind in a fresh random order per epoch.
     """
-    if kind not in LOADER_KINDS:
+    recipe = LOADER_RECIPES.get(kind)
+    if recipe is None:
         raise ConfigurationError(f"unknown loader kind {kind!r}; expected one of {LOADER_KINDS}")
+    if gpu_prep and not recipe.offloads:
+        raise ConfigurationError(
+            f"{kind!r} preps with {recipe.library}, which cannot run on the GPU")
     gpus = num_gpus if num_gpus is not None else server.num_gpus
     if cache_bytes is not None:
         server = server.with_cache_bytes(cache_bytes)
     if batch_size is None:
         batch_size = effective_batch_size(dataset, model.batch_size_for(server.gpu) * gpus)
-
-    if kind == "pytorch":
-        return PyTorchNativeLoader.build(dataset, server, batch_size,
-                                         num_gpus=gpus, cores=cores, seed=seed,
-                                         sampler=sampler)
-    if kind == "pycoordl":
-        from repro.cache.minio import MinIOCache
-        return PyTorchNativeLoader.build(dataset, server, batch_size,
-                                         num_gpus=gpus, cores=cores, seed=seed,
-                                         cache=MinIOCache(server.cache_bytes),
-                                         sampler=sampler)
-    if kind in ("dali-seq", "dali-shuffle"):
-        mode = "seq" if kind == "dali-seq" else "shuffle"
-        if gpu_prep is None:
-            return best_dali_loader(dataset, server, batch_size,
-                                    model_gpu_prep_interference=model.gpu_prep_interference,
-                                    mode=mode, num_gpus=gpus, cores=cores, seed=seed,
-                                    sampler=sampler)
-        return DALILoader.build(dataset, server, batch_size, mode=mode,
-                                gpu_prep=gpu_prep, num_gpus=gpus, cores=cores,
-                                seed=seed, sampler=sampler)
-    # CoorDL
     if gpu_prep is None:
-        return best_coordl_loader(dataset, server, batch_size,
-                                  model_gpu_prep_interference=model.gpu_prep_interference,
-                                  num_gpus=gpus, cores=cores, seed=seed,
-                                  sampler=sampler)
-    from repro.coordl.minio_loader import CoorDLLoader
-    return CoorDLLoader.build(dataset, server, batch_size, gpu_prep=gpu_prep,
-                              num_gpus=gpus, cores=cores, seed=seed,
-                              sampler=sampler)
+        gpu_prep, _ = best_prep(dataset, server, model, recipe.library,
+                                cores=cores, num_gpus=gpus)
+    if sampler is None and recipe.storage_order:
+        # DALI-seq walks the (small, per-sample) files in storage order.
+        # That order is pathological for the page cache, and because the
+        # dataset is millions of individual files the reads do not come
+        # close to the device's large-transfer sequential bandwidth, so
+        # misses are still charged at the random-read rate.  True
+        # sequential-bandwidth reads only apply to TFRecord-style chunked
+        # layouts (see repro.datasets.records / Table 3).
+        sampler = ShuffleBufferSampler(len(dataset),
+                                       buffer_size=max(1, 4 * batch_size),
+                                       seed=seed)
+    elif sampler is None:
+        sampler = RandomSampler(len(dataset), seed=seed)
+    return DataLoader(
+        dataset=dataset,
+        store=FileStore(dataset, server.storage),
+        cache=recipe.cache(server.cache_bytes),
+        batch_sampler=BatchSampler(sampler, batch_size),
+        prep=PrepPipeline.for_dataset(dataset, recipe.library),
+        workers=server.worker_pool(cores=cores, gpu_offload=gpu_prep),
+        num_gpus=gpus,
+        name=(recipe.gpu_name or recipe.name) if gpu_prep else recipe.name,
+    )
 
 
 @dataclass
@@ -176,10 +250,11 @@ class SingleServerTraining:
 
 def _run_training_point(point: Any,
                         context: PointContext) -> Tuple[str, TrainingRunStats]:
-    # dali-seq builds its own shuffle-buffer sampler (the storage-visible
+    # DALI-seq builds its own shuffle-buffer sampler (the storage-visible
     # order is what matters there); every other kind shares the memoised
     # random permutations of its per-point seed.
-    sampler = None if point.loader == "dali-seq" else context.shared_sampler()
+    sampler = (None if LOADER_RECIPES[point.loader].storage_order
+               else context.shared_sampler())
     loader = build_loader(point.loader, context.dataset, context.server,
                           point.model, num_gpus=point.num_gpus,
                           cores=point.cores, gpu_prep=point.gpu_prep,
@@ -216,10 +291,12 @@ TRAINING_FAMILY = PointFamily(
         [decode_epoch(epoch) for epoch in data]),
     metrics=_training_metrics)
 
-#: Sweep-point kinds of the single-server training pipeline.
+#: Sweep-point kinds of the single-server training pipeline: a kind takes
+#: ``gpu_prep`` only when its prep library can offload.
 TRAINING_POINT_KINDS = {
     kind: PointKind(TRAINING_FAMILY,
-                    ("cores", "num_gpus", "batch_size", "gpu_prep"),
+                    ("cores", "num_gpus", "batch_size")
+                    + (("gpu_prep",) if recipe.offloads else ()),
                     _run_training_point)
-    for kind in LOADER_KINDS
+    for kind, recipe in LOADER_RECIPES.items()
 }

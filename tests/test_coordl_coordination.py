@@ -14,7 +14,6 @@ from repro.coordl.failure import (
     RecoveryAction,
     TimeoutReport,
 )
-from repro.coordl.loader import CoorDL
 from repro.coordl.staging import StagingArea
 from repro.exceptions import ConfigurationError, JobFailedError, UnknownItemError
 from repro.prep.pipeline import PrepPipeline
@@ -165,25 +164,21 @@ class TestFailureDetector:
             FailureDetector(2, 0.0)
 
 
-class TestCoorDLFacade:
-    def test_hp_search_session_wiring(self, tiny_dataset, ssd_server):
-        session = CoorDL.for_hp_search(tiny_dataset, ssd_server, num_jobs=4,
-                                       batch_size=16)
-        assert session.plan.covers_dataset_exactly_once()
-        assert session.staging.num_jobs == 4
-        assert session.detector.timeout_s == pytest.approx(10.0)
-        later = session.plan_for_epoch(3)
+class TestHPSearchWiring:
+    """An HP-search session wired by hand: one plan, staging area and
+    failure detector shared by the runner."""
+
+    def test_runner_shares_the_staging_area_and_detector(self, tiny_dataset, prep):
+        plan = CoordinatedPrepPlan(tiny_dataset, num_jobs=4, batch_size=16)
+        staging = StagingArea(4, batch_timeout_s=10.0)
+        detector = FailureDetector(4, iteration_time_s=1.0)
+        runner = CoordinatedEpochRunner(plan, prep, tiny_dataset, staging=staging,
+                                        failure_detector=detector)
+        assert plan.covers_dataset_exactly_once()
+        assert runner.staging is staging and staging.num_jobs == 4
+        assert detector.timeout_s == pytest.approx(10.0)
+        consumed = runner.run_epoch_in_lockstep()
+        assert all(len(batches) == plan.total_batches()
+                   for batches in consumed.values())
+        later = CoordinatedPrepPlan(tiny_dataset, num_jobs=4, batch_size=16, epoch=3)
         assert later.epoch == 3
-
-    def test_single_server_returns_minio_loader(self, tiny_dataset, ssd_server):
-        loader = CoorDL.for_single_server(tiny_dataset, ssd_server, batch_size=32)
-        from repro.cache.minio import MinIOCache
-        assert isinstance(loader.cache, MinIOCache)
-
-    def test_distributed_requires_two_servers(self, tiny_dataset, ssd_server):
-        with pytest.raises(ConfigurationError):
-            CoorDL.for_distributed(tiny_dataset, [ssd_server], 64)
-
-    def test_hp_search_requires_jobs(self, tiny_dataset, ssd_server):
-        with pytest.raises(ConfigurationError):
-            CoorDL.for_hp_search(tiny_dataset, ssd_server, num_jobs=0, batch_size=16)

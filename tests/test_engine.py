@@ -5,9 +5,9 @@ import pytest
 from repro.compute.gpu import V100
 from repro.compute.model_zoo import RESNET18, RESNET50
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.pipeline.dali import DALILoader
 from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.sim.engine import PipelineSimulator, pipeline_makespan
+from repro.sim.single_server import build_loader
 
 
 class TestPipelineMakespan:
@@ -52,7 +52,8 @@ class TestPipelineMakespan:
 class TestPipelineSimulator:
     def _loader(self, dataset, server, cache_fraction=0.5, batch_size=32):
         server = server.with_cache_bytes(dataset.total_bytes * cache_fraction)
-        return DALILoader.build(dataset, server, batch_size, mode="shuffle")
+        return build_loader("dali-shuffle", dataset, server, RESNET18,
+                            gpu_prep=False, batch_size=batch_size)
 
     def test_epoch_stats_are_consistent(self, tiny_dataset, ssd_server):
         loader = self._loader(tiny_dataset, ssd_server)

@@ -6,12 +6,14 @@ import pytest
 
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, BERT_LARGE, RESNET18, RESNET50
-from repro.coordl.loader import CoorDL
+from repro.coordl import (CoordinatedEpochRunner, CoordinatedPrepPlan,
+                          FailureDetector, PartitionedCoorDLLoader, StagingArea)
 from repro.datasets.catalog import DatasetSpec
 from repro.datasets.dataset import SyntheticDataset
 from repro.dsanalyzer.predictor import Bottleneck, DataStallPredictor
 from repro.dsanalyzer.profiler import DSAnalyzerProfiler
 from repro.dsanalyzer.whatif import optimal_cache_fraction
+from repro.prep.pipeline import PrepPipeline
 from repro.sim.distributed import DistributedTraining
 from repro.sim.engine import PipelineSimulator
 from repro.sim.hp_search import HPSearchScenario
@@ -74,10 +76,10 @@ class TestEndToEndDistributed:
         assert coordl.steady_epochs()[-1].total_disk_bytes == 0
         assert coordl.steady_epoch_time_s < baseline.steady_epoch_time_s
 
-    def test_coordl_facade_builds_consistent_group(self, dataset):
+    def test_partitioned_group_is_consistent(self, dataset):
         servers = [config_hdd_1080ti(cache_bytes=dataset.total_bytes * 0.6)
                    for _ in range(2)]
-        loaders = CoorDL.for_distributed(dataset, servers, batch_size_per_server=256)
+        loaders = PartitionedCoorDLLoader.build_group(dataset, servers, 256)
         assert loaders[0].group.covers_dataset()
         sim = PipelineSimulator(RESNET18, servers[0].gpu)
         warm = sim.run_epoch(loaders[0], 0)
@@ -88,9 +90,13 @@ class TestEndToEndDistributed:
 class TestEndToEndHPSearch:
     def test_hp_search_workflow(self, dataset):
         server = config_ssd_v100(cache_bytes=dataset.total_bytes * 0.5)
-        session = CoorDL.for_hp_search(dataset, server, num_jobs=4, batch_size=64)
-        consumed = session.runner.run_epoch_in_lockstep()
-        assert all(len(batches) == session.plan.total_batches()
+        plan = CoordinatedPrepPlan(dataset, num_jobs=4, batch_size=64)
+        runner = CoordinatedEpochRunner(
+            plan, PrepPipeline.for_dataset(dataset), dataset,
+            staging=StagingArea(4, batch_timeout_s=10.0),
+            failure_detector=FailureDetector(4, iteration_time_s=1.0))
+        consumed = runner.run_epoch_in_lockstep()
+        assert all(len(batches) == plan.total_batches()
                    for batches in consumed.values())
         scenario = HPSearchScenario(ALEXNET, dataset, server, num_jobs=4,
                                     gpus_per_job=2)

@@ -1,31 +1,69 @@
-"""Unit tests for the data loaders (base, PyTorch DL, DALI, CoorDL variants)."""
+"""Unit tests for the data loaders: every `build_loader` kind, and CoorDL's
+partitioned loader."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache
-from repro.coordl.minio_loader import CoorDLLoader, best_coordl_loader
+from repro.compute.model_zoo import RESNET18
 from repro.coordl.partitioned_loader import PartitionedCoorDLLoader
 from repro.exceptions import ConfigurationError
-from repro.pipeline.dali import DALILoader, best_dali_loader
-from repro.pipeline.pytorch_native import PyTorchNativeLoader
+from repro.sim.single_server import (LOADER_KINDS, LOADER_RECIPES, best_prep,
+                                     build_loader)
 
 
-def _batch_size(server):
-    return 64
+def _loader(kind, dataset, server, model=RESNET18, **kwargs):
+    kwargs.setdefault("batch_size", 32)
+    return build_loader(kind, dataset, server, model, **kwargs)
 
 
-class TestPyTorchNativeLoader:
-    def test_build_uses_page_cache_and_pillow_prep(self, tiny_dataset, ssd_server):
-        loader = PyTorchNativeLoader.build(tiny_dataset, ssd_server, _batch_size(ssd_server))
+class TestRecipes:
+    def test_kinds_keep_their_order(self):
+        assert LOADER_KINDS == ("pytorch", "dali-seq", "dali-shuffle",
+                                "coordl", "pycoordl")
+
+    def test_each_kind_gets_its_cache_and_name(self, tiny_dataset, ssd_server):
+        expected = {
+            "pytorch": (PageCache, "pytorch-dl", "pytorch-dl"),
+            "dali-seq": (PageCache, "dali-seq", "dali-seq-gpuprep"),
+            "dali-shuffle": (PageCache, "dali-shuffle", "dali-shuffle-gpuprep"),
+            "coordl": (MinIOCache, "coordl", "coordl"),
+            "pycoordl": (MinIOCache, "pytorch-dl", "pytorch-dl"),
+        }
+        for kind, (cache, cpu_name, gpu_name) in expected.items():
+            cpu = _loader(kind, tiny_dataset, ssd_server, gpu_prep=False)
+            assert type(cpu.cache) is cache
+            assert (cpu.name, cpu.uses_gpu_prep) == (cpu_name, False)
+            if LOADER_RECIPES[kind].offloads:
+                gpu = _loader(kind, tiny_dataset, ssd_server, gpu_prep=True)
+                assert (gpu.name, gpu.uses_gpu_prep) == (gpu_name, True)
+
+    def test_unknown_kind_rejected(self, tiny_dataset, ssd_server):
+        with pytest.raises(ConfigurationError, match="unknown loader kind"):
+            _loader("dali-zigzag", tiny_dataset, ssd_server)
+
+    @pytest.mark.parametrize("kind", ["pytorch", "pycoordl"])
+    def test_pillow_kinds_refuse_gpu_prep(self, kind, tiny_dataset, ssd_server):
+        with pytest.raises(ConfigurationError, match="cannot run on the GPU"):
+            _loader(kind, tiny_dataset, ssd_server, gpu_prep=True)
+        assert not _loader(kind, tiny_dataset, ssd_server).uses_gpu_prep
+
+
+class TestPyTorchDataLoader:
+    def test_page_cache_and_slower_pillow_prep(self, tiny_dataset, ssd_server):
+        loader = _loader("pytorch", tiny_dataset, ssd_server, batch_size=64)
         assert isinstance(loader.cache, PageCache)
         assert not loader.uses_gpu_prep
-        dali = DALILoader.build(tiny_dataset, ssd_server, _batch_size(ssd_server))
-        assert loader.prep_rate() < dali.prep_rate()
+        dali = _loader("dali-shuffle", tiny_dataset, ssd_server, batch_size=64,
+                       gpu_prep=False)
+        batch = loader.batches(0)[0]
+        assert loader.prep_batch_time(batch) > dali.prep_batch_time(batch)
 
     def test_fetch_batch_accounts_io(self, tiny_dataset, ssd_server):
-        loader = PyTorchNativeLoader.build(tiny_dataset, ssd_server, 32)
+        loader = _loader("pytorch", tiny_dataset, ssd_server)
         batch = loader.batches(0)[0]
         result = loader.fetch_batch(batch)
         assert result.misses == len(batch)           # cold cache
@@ -36,14 +74,10 @@ class TestPyTorchNativeLoader:
         assert again.hits == len(batch)
 
 
-class TestDALILoader:
-    def test_mode_validation(self, tiny_dataset, ssd_server):
-        with pytest.raises(ConfigurationError):
-            DALILoader.build(tiny_dataset, ssd_server, 32, mode="zigzag")
-
-    def test_seq_mode_scans_files_in_storage_order(self, tiny_dataset, hdd_server):
-        seq = DALILoader.build(tiny_dataset, hdd_server, 32, mode="seq")
-        shuffle = DALILoader.build(tiny_dataset, hdd_server, 32, mode="shuffle")
+class TestDALI:
+    def test_seq_scans_files_in_storage_order(self, tiny_dataset, hdd_server):
+        seq = _loader("dali-seq", tiny_dataset, hdd_server)
+        shuffle = _loader("dali-shuffle", tiny_dataset, hdd_server)
         # The storage-visible order of DALI-seq is (windowed) file order: the
         # first batch only draws from the head of the file list.
         first_batch = seq.batches(0)[0]
@@ -56,48 +90,59 @@ class TestDALILoader:
         shuffle_t = shuffle.fetch_batch(batch).duration_s
         assert seq_t == pytest.approx(shuffle_t, rel=0.01)
 
-    def test_epoch_order_covers_dataset_once(self, tiny_dataset, ssd_server):
-        for mode in ("seq", "shuffle"):
-            loader = DALILoader.build(tiny_dataset, ssd_server, 32, mode=mode)
-            items = np.concatenate(loader.batches(0))
-            assert sorted(items.tolist()) == list(range(len(tiny_dataset)))
+    @pytest.mark.parametrize("kind", LOADER_KINDS)
+    def test_epoch_order_covers_dataset_once(self, kind, tiny_dataset, ssd_server):
+        loader = _loader(kind, tiny_dataset, ssd_server)
+        items = np.concatenate(loader.batches(0))
+        assert sorted(items.tolist()) == list(range(len(tiny_dataset)))
 
     def test_gpu_prep_raises_prep_rate(self, tiny_dataset, ssd_server):
-        cpu = DALILoader.build(tiny_dataset, ssd_server, 32, gpu_prep=False, cores=3)
-        gpu = DALILoader.build(tiny_dataset, ssd_server, 32, gpu_prep=True, cores=3)
-        assert gpu.prep_rate() > cpu.prep_rate()
+        cpu = _loader("dali-shuffle", tiny_dataset, ssd_server, gpu_prep=False,
+                      cores=3)
+        gpu = _loader("dali-shuffle", tiny_dataset, ssd_server, gpu_prep=True,
+                      cores=3)
+        batch = cpu.batches(0)[0]
+        assert gpu.prep_batch_time(batch) < cpu.prep_batch_time(batch)
         assert gpu.uses_gpu_prep
 
-    def test_best_dali_loader_respects_interference(self, tiny_dataset, ssd_server):
-        light = best_dali_loader(tiny_dataset, ssd_server, 32,
-                                 model_gpu_prep_interference=0.0, cores=3)
-        heavy = best_dali_loader(tiny_dataset, ssd_server, 32,
-                                 model_gpu_prep_interference=0.95, cores=3)
-        assert light.uses_gpu_prep
-        assert not heavy.uses_gpu_prep
+    @pytest.mark.parametrize("kind", ["dali-seq", "dali-shuffle", "coordl"])
+    def test_best_of_prep_respects_interference(self, kind, tiny_dataset,
+                                                ssd_server):
+        light = replace(RESNET18, gpu_prep_interference=0.0)
+        heavy = replace(RESNET18, gpu_prep_interference=0.95)
+        assert _loader(kind, tiny_dataset, ssd_server, light, cores=3).uses_gpu_prep
+        assert not _loader(kind, tiny_dataset, ssd_server, heavy,
+                           cores=3).uses_gpu_prep
+
+    def test_best_prep_returns_the_chosen_rate(self, tiny_dataset, ssd_server):
+        light = replace(RESNET18, gpu_prep_interference=0.0)
+        heavy = replace(RESNET18, gpu_prep_interference=0.95)
+        cpu_only = best_prep(tiny_dataset, ssd_server, light, "pytorch", cores=3)
+        light_choice = best_prep(tiny_dataset, ssd_server, light, cores=3)
+        heavy_choice = best_prep(tiny_dataset, ssd_server, heavy, cores=3)
+        assert cpu_only[0] is False and heavy_choice[0] is False
+        assert light_choice[0] is True
+        # The discounted GPU rate only wins when it beats CPU prep.
+        assert light_choice[1] > heavy_choice[1] > cpu_only[1]
 
 
-class TestCoorDLLoader:
+class TestCoorDL:
     def test_uses_minio_cache(self, tiny_dataset, ssd_server):
-        loader = CoorDLLoader.build(tiny_dataset, ssd_server, 32)
+        loader = _loader("coordl", tiny_dataset, ssd_server)
         assert isinstance(loader.cache, MinIOCache)
 
-    def test_no_evictions_across_epochs(self, tiny_dataset, ssd_server):
+    @pytest.mark.parametrize("kind", ["coordl", "pycoordl"])
+    def test_no_evictions_across_epochs(self, kind, tiny_dataset, ssd_server):
         server = ssd_server.with_cache_bytes(tiny_dataset.total_bytes * 0.5)
-        loader = CoorDLLoader.build(tiny_dataset, server, 32)
+        loader = _loader(kind, tiny_dataset, server)
         for epoch in range(2):
             for batch in loader.batches(epoch):
                 loader.fetch_batch(batch)
         assert loader.cache.stats.evictions == 0
 
-    def test_best_coordl_loader_picks_faster_prep(self, tiny_dataset, ssd_server):
-        loader = best_coordl_loader(tiny_dataset, ssd_server, 32,
-                                    model_gpu_prep_interference=0.0)
-        assert loader.uses_gpu_prep
-
     def test_cached_fetch_time_much_smaller_than_storage_fetch(self, tiny_dataset,
                                                                hdd_server):
-        loader = CoorDLLoader.build(tiny_dataset, hdd_server, 32)
+        loader = _loader("coordl", tiny_dataset, hdd_server)
         batch = loader.batches(0)[0]
         cold = loader.fetch_batch(batch).duration_s
         assert loader.cached_fetch_time(batch) < cold / 100
@@ -109,6 +154,7 @@ class TestPartitionedCoorDLLoader:
         loaders = PartitionedCoorDLLoader.build_group(small_dataset, servers, 64)
         assert len(loaders) == 2
         assert loaders[0].group is loaders[1].group
+        assert loaders[0].name == "coordl-partitioned"
 
     def test_remote_hits_replace_disk_reads_when_dataset_fits(self, small_dataset,
                                                               hdd_server):

@@ -117,13 +117,6 @@ class TestWorkerPool:
             pipeline, 150_000, num_gpus_for_offload=1)
         assert gpu > cpu
 
-    def test_split_divides_resources(self):
-        pool = WorkerPool(physical_cores=24)
-        per_job = pool.split(8)
-        assert per_job.physical_cores == pytest.approx(3.0)
-        with pytest.raises(ConfigurationError):
-            pool.split(0)
-
     def test_prep_time_for_batch(self):
         pipeline = PrepPipeline.for_task("image_classification")
         pool = WorkerPool(physical_cores=24)

@@ -49,6 +49,12 @@ class TestSweepPoint:
             # ...while each kind keeps its own knobs.
             SweepPoint(model=RESNET18, loader=loader,
                        **{field: NON_DEFAULT[field] for field in kind.fields})
+        # Pillow preps on the CPU only, so the PyTorch DataLoader kinds
+        # take no gpu_prep (it used to be accepted and ignored).
+        for loader in ("pytorch", "pycoordl"):
+            for gpu_prep in (True, False):
+                with pytest.raises(ConfigurationError, match="do not support"):
+                    SweepPoint(model=RESNET18, loader=loader, gpu_prep=gpu_prep)
 
     def test_distinct_points_describe_distinctly(self, monkeypatch):
         """Without labels, every point of a grid still has its own
