@@ -5,8 +5,9 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-workers bench bench-json bench-smoke bench-e2e-smoke \
-        bench-parallel bench-store docs-check store-check store-check-sqlite \
-        serve-check failure-check chaos-check dist-check check
+        bench-parallel bench-store docs-check tables-check store-check \
+        store-check-sqlite serve-check failure-check chaos-check dist-check \
+        check
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -57,6 +58,13 @@ bench-parallel:
 ## attribute of that row's module.
 docs-check:
 	$(PYTHON) tools/docs_check.py
+
+## Report byte-identity gate: regenerate every experiment at the bench
+## report scale (1/800, no store, no pool) and compare the digest of its
+## tables with bench/expected_tables.sha256, once with the warm kernel and
+## once with REPRO_WARM_KERNEL=0 (every replay walks item by item).
+tables-check:
+	$(PYTHON) tools/tables_check.py
 
 ## Result-store round-trip gate, run against BOTH backends (the JSON
 ## directory and the sqlite:// database): cold grid run populates the
@@ -126,4 +134,4 @@ dist-check:
 ## REPRO_SWEEP_WORKERS=2, `make test store-check` under REPRO_SWEEP_STORE,
 ## `make serve-check`, `make failure-check`, and `make chaos-check`
 ## respectively).
-check: test docs-check bench-smoke bench-e2e-smoke store-check
+check: test docs-check tables-check bench-smoke bench-e2e-smoke store-check

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -376,12 +375,13 @@ def test_warm_kernel_core_per_access_cost(benchmark, bench_report):
     stream = np.concatenate([rng.permutation(num_items) for _ in range(10)])
     sizes = (item_pages * page)[stream]
     capacity = float(int(item_pages.sum() * 0.6) * page)
+    empty = (np.zeros(0, dtype=np.int64),) * 2   # a cold cache's lists
 
     def replay():
         return simulate_segmented_lru(
             stream, sizes, capacity_bytes=capacity, page_bytes=page,
-            active_limit_bytes=capacity / 2, inactive=OrderedDict(),
-            active=OrderedDict(), inactive_bytes=0.0, active_bytes=0.0)
+            active_limit_bytes=capacity / 2, inactive=empty, active=empty,
+            inactive_bytes=0.0, active_bytes=0.0)
 
     best = float("inf")
     for _ in range(3):

@@ -24,11 +24,17 @@ DNN access streams:
 An "effective" cache for DNN training would instead deliver exactly
 capacity-many hits per epoch — that is MinIO (:mod:`repro.cache.minio`).
 
+The bulk paths keep both lists as the warm kernel's ``(item_ids,
+page_counts)`` arrays (:mod:`repro.cache.warm_kernel`), so replays chain
+without conversion; the per-item calls work on OrderedDicts, rebuilt from
+the arrays by the first such call.
+
 Points of one sweep often drive the *same* cache trajectory: the HP-search
 interleave and a loader's epoch streams depend on the dataset, sampler,
 batch size and capacity, not on the model.  A :class:`ReplayMemo`, active
 while a :class:`~repro.sim.sweep.SweepRunner` runs a point, lets
-:meth:`PageCache.bulk_stream_hits` replay each distinct trajectory once.
+:meth:`PageCache.bulk_stream_hits` replay each distinct trajectory once
+and commit the kept result by reference.
 """
 
 from __future__ import annotations
@@ -38,13 +44,15 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.base import Cache
 from repro.cache.warm_kernel import (
     SegmentedLRUResult,
+    max_exact_page_multiple,
+    rounded_pages,
     simulate_segmented_lru,
     warm_kernel_enabled,
 )
@@ -66,10 +74,11 @@ class ReplayMemo:
     through :func:`~repro.cache.warm_kernel.simulate_segmented_lru`.  The
     key is a BLAKE2 digest of every kernel input — the stream's ids and
     sizes, capacity, page size and active-list limit, both resident lists
-    in order with their stored sizes, both occupancies and the prior hit
-    bytes — and the kernel is pure, so a hit is the very result a replay
-    would compute.  Kept arrays are made read-only, since every hit hands
-    out the same objects.  Least-recently-used entries are evicted so the
+    in order as ``(item_ids, page_counts)`` arrays, both occupancies and
+    the prior hit bytes — and the kernel is pure, so a hit is the very
+    result a replay would compute.  Kept arrays are made read-only, since
+    every hit hands out the same objects and the caches it commits to
+    hold them as their state.  Least-recently-used entries are evicted so the
     kept arrays stay within :data:`REPLAY_MEMO_BUDGET_BYTES` (read at
     construction); a result larger than the budget is returned but not
     kept.  ``hits`` and ``misses`` count lookups.
@@ -130,8 +139,39 @@ class ReplayMemo:
             self._bytes += size
 
 
+#: The resident lists in the kernel's form: ``(inactive, active)``, each
+#: ``(item_ids, page_counts)`` int64 arrays ordered front to end.
+ResidentPages = Tuple[Tuple[np.ndarray, np.ndarray],
+                      Tuple[np.ndarray, np.ndarray]]
+
+
+def _exact_page_counts(stored: np.ndarray, page_bytes: float,
+                       max_pages: int) -> Optional[np.ndarray]:
+    """Integer page counts of resident stored sizes; ``None`` unless exact."""
+    counts = stored / page_bytes
+    rounded = np.rint(counts)
+    if (counts != rounded).any():
+        return None
+    if rounded.size and (float(rounded.min()) < 1.0
+                         or float(rounded.max()) >= max_pages):
+        return None
+    pages = rounded.astype(np.int64)
+    if (pages.astype(np.float64) * page_bytes != stored).any():
+        return None
+    return pages
+
+
 class PageCache(Cache):
     """Server-wide page cache shared by all training processes.
+
+    The two lists live in one of two forms.  The bulk paths keep them as
+    the warm kernel's ``(item_ids, page_counts)`` arrays, so replays chain
+    and memo hits commit without conversion; the first per-item call
+    (:meth:`lookup`, :meth:`admit`, :meth:`evict`, ``in``,
+    :meth:`cached_items`, :meth:`clear`, and so :meth:`~Cache.walk`)
+    turns them into the OrderedDicts it mutates and drops the arrays.
+    State arrays are never written in place: a memo hit hands the same
+    read-only arrays to every cache it commits to.
 
     Args:
         capacity_bytes: DRAM available for caching training data (the paper's
@@ -152,8 +192,11 @@ class PageCache(Cache):
             raise ConfigurationError("active-list target must be in [0, 1]")
         self._page_bytes = page_bytes
         self._active_target = active_target_fraction
-        self._inactive: "OrderedDict[int, float]" = OrderedDict()
-        self._active: "OrderedDict[int, float]" = OrderedDict()
+        # Item -> stored bytes, front to end; ``None`` while ``_pages``
+        # holds the lists.
+        self._inactive: Optional["OrderedDict[int, float]"] = OrderedDict()
+        self._active: Optional["OrderedDict[int, float]"] = OrderedDict()
+        self._pages: Optional[ResidentPages] = None
         self._inactive_bytes = 0.0
         self._active_bytes = 0.0
         self._pressure_evictions = 0
@@ -204,10 +247,57 @@ class PageCache(Cache):
         pages = max(1, int(-(-size_bytes // self._page_bytes)))  # ceil division
         return pages * self._page_bytes
 
+    def resident_lists(self) -> Tuple[List[Tuple[int, float]],
+                                      List[Tuple[int, float]]]:
+        """``(inactive, active)``, each front (next to evict or demote) to
+        end as ``(item_id, stored_bytes)`` pairs; reads either form of the
+        state without converting it."""
+        if self._pages is None:
+            return list(self._inactive.items()), list(self._active.items())
+        page = self._page_bytes
+        inactive, active = (list(zip(ids.tolist(), (pages * page).tolist()))
+                            for ids, pages in self._pages)
+        return inactive, active
+
+    def __len__(self) -> int:
+        if self._pages is None:
+            return len(self._inactive) + len(self._active)
+        return sum(ids.size for ids, _pages in self._pages)
+
+    def _to_dicts(self) -> None:
+        """Rebuild the OrderedDicts from the kernel's arrays; drop those."""
+        self._inactive, self._active = map(OrderedDict, self.resident_lists())
+        self._pages = None
+
+    def _resident_pages(self) -> Optional[ResidentPages]:
+        """The lists in the kernel's form: what the kernel replays from and
+        what the replay key hashes; ``None`` unless every stored size is an
+        exact page multiple.  A dict state is converted (and certified)
+        here, once."""
+        if self._pages is None:
+            page = self._page_bytes
+            max_pages = max_exact_page_multiple(page)
+            lists = []
+            for members in (self._inactive, self._active):
+                pages = _exact_page_counts(
+                    np.fromiter(members.values(), np.float64,
+                                count=len(members)), page, max_pages)
+                if pages is None:
+                    return None
+                lists.append((np.fromiter(members.keys(), np.int64,
+                                          count=len(members)), pages))
+            self._pages = (lists[0], lists[1])
+            self._inactive = self._active = None
+        return self._pages
+
     def __contains__(self, item_id: int) -> bool:
+        if self._pages is not None:
+            self._to_dicts()
         return item_id in self._inactive or item_id in self._active
 
     def cached_items(self) -> Iterable[int]:
+        if self._pages is not None:
+            self._to_dicts()
         return list(self._inactive.keys()) + list(self._active.keys())
 
     # -- list mechanics ------------------------------------------------------
@@ -244,6 +334,8 @@ class PageCache(Cache):
     # -- Cache interface -----------------------------------------------------
 
     def lookup(self, item_id: int) -> bool:
+        if self._pages is not None:
+            self._to_dicts()
         if item_id in self._active:
             size = self._active[item_id]
             self._active.move_to_end(item_id)
@@ -261,6 +353,8 @@ class PageCache(Cache):
     def admit(self, item_id: int, size_bytes: float) -> bool:
         # The kernel caches everything it reads; eviction pressure falls on
         # the inactive tail first.
+        if self._pages is not None:
+            self._to_dicts()
         size = self._rounded(size_bytes)
         if size > self._capacity:
             self._stats.rejected += 1
@@ -281,22 +375,29 @@ class PageCache(Cache):
         are never re-referenced within the epoch, so every access misses,
         nothing is promoted to the active list, and FIFO byte eviction leaves
         exactly the maximal suffix of the admitted stream whose rounded sizes
-        fit in the capacity.  A *warm* page cache has no closed form — hits
-        promote pages and reshape both lists — so the warm branch replays
-        the state machine through :meth:`bulk_stream_hits`, which walks when
-        the kernel declines; either way the caller derives timings and I/O
+        fit in the capacity; that suffix becomes the inactive list's arrays.
+        A *warm* page cache has no closed form — hits promote pages and
+        reshape both lists — so the warm branch replays the state machine
+        through :meth:`bulk_stream_hits`, which walks when the kernel
+        declines; a cold epoch whose page counts cannot be certified exact
+        walks too.  Either way the caller derives timings and I/O
         accounting from the returned mask vectorised.
         """
-        if self._inactive or self._active:
+        if len(self):
             return self.bulk_stream_hits(item_ids, sizes)
         item_ids = np.asarray(item_ids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.float64)
-        rounded = np.maximum(np.ceil(sizes / self._page_bytes), 1.0) * self._page_bytes
+        page = self._page_bytes
+        pages = rounded_pages(sizes, page, max_exact_page_multiple(page))
+        if pages is None:
+            return self.walk(item_ids, sizes)
+        rounded = pages * page
         fits = rounded <= self._capacity
 
         self._stats.misses += int(item_ids.size)
         self._stats.rejected += int((~fits).sum())
         inserted_ids = item_ids[fits]
+        inserted_pages = pages[fits]
         inserted_sizes = rounded[fits]
         self._stats.insertions += int(inserted_ids.size)
 
@@ -306,10 +407,12 @@ class PageCache(Cache):
         keep = int(np.searchsorted(suffix_bytes, self._capacity, side="right"))
         self._pressure_evictions += int(inserted_ids.size) - keep
         if keep:
-            for item_id, size in zip(inserted_ids[-keep:].tolist(),
-                                     inserted_sizes[-keep:].tolist()):
-                self._inactive[item_id] = size
-            self._inactive_bytes = float(inserted_sizes[-keep:].sum())
+            first = inserted_ids.size - keep
+            empty = np.zeros(0, dtype=np.int64)
+            self._pages = ((inserted_ids[first:], inserted_pages[first:]),
+                           (empty, empty))
+            self._inactive = self._active = None
+            self._inactive_bytes = float(inserted_sizes[first:].sum())
         return np.zeros(item_ids.size, dtype=bool)
 
     def bulk_saturating_hits(self, item_ids: np.ndarray,
@@ -325,6 +428,8 @@ class PageCache(Cache):
         or occurred earlier in the stream, every first-touch miss is
         admitted, and the hit/miss/insertion counters and residency after
         this call equal the per-item ``lookup`` + ``admit`` walk.
+        Residency and stored sizes are read off the lists' arrays, and the
+        first-touch misses are appended to the inactive list's arrays.
 
         The active/inactive list *ordering* is not reproduced (promotions
         are skipped): ordering is only observable through future evictions,
@@ -334,14 +439,19 @@ class PageCache(Cache):
         page cache per dataset and run).
 
         Returns ``None`` without side effects when the no-eviction
-        precondition does not hold; the caller then replays the stream
-        through :meth:`bulk_stream_hits`.
+        precondition does not hold, or when a page count cannot be
+        certified exact; the caller then replays the stream through
+        :meth:`bulk_stream_hits`.
         """
         item_ids = np.asarray(item_ids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.float64)
         if item_ids.size == 0:
             return np.zeros(0, dtype=bool)
-        rounded = np.maximum(np.ceil(sizes / self._page_bytes), 1.0) * self._page_bytes
+        page = self._page_bytes
+        pages = rounded_pages(sizes, page, max_exact_page_multiple(page))
+        if pages is None:
+            return None
+        rounded = pages * page
         distinct, first_pos, inverse = np.unique(item_ids, return_index=True,
                                                  return_inverse=True)
         # Cheap decline for thrashing streams: the newly admitted bytes are
@@ -349,14 +459,22 @@ class PageCache(Cache):
         # resident, so once that footprint alone exceeds the capacity (plus
         # one page of float slack) the no-eviction precondition cannot hold
         # and the per-distinct residency probe below would be wasted work.
-        if float(rounded[first_pos].sum()) > self._capacity + self._page_bytes:
+        if float(rounded[first_pos].sum()) > self._capacity + page:
             return None
-        resident = np.fromiter((item in self for item in distinct.tolist()),
-                               dtype=bool, count=distinct.size)
-        stored = rounded[first_pos].copy()
-        for i in np.flatnonzero(resident).tolist():
-            item = int(distinct[i])
-            stored[i] = self._inactive.get(item) or self._active[item]
+        lists = self._resident_pages()
+        if lists is None:
+            return None
+        (in_ids, in_pages), (act_ids, act_pages) = lists
+        resident_ids = np.concatenate([in_ids, act_ids])
+        # ``distinct`` is sorted: each resident's position in it, if any.
+        at = np.searchsorted(distinct, resident_ids)
+        accessed = at < distinct.size
+        accessed[accessed] = distinct[at[accessed]] == resident_ids[accessed]
+        resident = np.zeros(distinct.size, dtype=bool)
+        resident[at[accessed]] = True
+        stored = rounded[first_pos]
+        stored[at[accessed]] = (np.concatenate([in_pages, act_pages])[accessed]
+                                * page)
         new_rounded = rounded[first_pos[~resident]]
         # No eviction can ever trigger iff everything admitted still fits on
         # top of what is resident (re-admissions of resident items are no-ops,
@@ -372,8 +490,9 @@ class PageCache(Cache):
         self._stats.hit_bytes += float(per_access_stored[~miss].sum())
         self._stats.insertions += int((~resident).sum())
         new_first = np.sort(first_pos[~resident])
-        for pos in new_first.tolist():
-            self._inactive[int(item_ids[pos])] = float(rounded[pos])
+        self._pages = ((np.concatenate([in_ids, item_ids[new_first]]),
+                        np.concatenate([in_pages, pages[new_first]])),
+                       (act_ids, act_pages))
         self._inactive_bytes += float(rounded[new_first].sum())
         return ~miss
 
@@ -392,6 +511,8 @@ class PageCache(Cache):
         hit mask, every stats counter (including ``hit_bytes``), the
         pressure-eviction count, byte occupancies and the exact order of
         both lists (observable through future evictions and demotions).
+        The kernel reads and returns the lists as arrays, and the cache
+        keeps them in that form.
 
         Every miss is admitted, as the kernel page cache does — callers
         with an admission *policy* must walk item by item.  When the kernel
@@ -402,22 +523,29 @@ class PageCache(Cache):
         When a :class:`ReplayMemo` is active (a
         :class:`~repro.sim.sweep.SweepRunner` running a point), a stream
         already replayed from the identical state is not replayed again:
-        the memoised result is committed instead, with the same hit mask,
-        counters, byte totals and list order.  The returned mask is then
-        read-only.  With no active memo every call runs the kernel.
+        the memoised result is committed instead, by reference, with the
+        same hit mask, counters, byte totals and list order.  The returned
+        mask is then read-only.  With no active memo every call runs the
+        kernel.
         """
         if not warm_kernel_enabled():
             return self.walk(item_ids, sizes)
+        ids = np.asarray(item_ids, dtype=np.int64)
+        size_arr = np.asarray(sizes, dtype=np.float64)
+        lists = (self._resident_pages()
+                 if ids.ndim == 1 and ids.shape == size_arr.shape else None)
+        if lists is None:
+            return self.walk(item_ids, sizes)
         memo = _ACTIVE_REPLAY_MEMO.get()
-        key = None if memo is None else self._replay_key(item_ids, sizes)
+        key = None if memo is None else self._replay_key(ids, size_arr, lists)
         result = None if key is None else memo.get(key)
         if result is None:
             result = simulate_segmented_lru(
-                item_ids, sizes,
+                ids, size_arr,
                 capacity_bytes=self._capacity,
                 page_bytes=self._page_bytes,
                 active_limit_bytes=self._capacity * self._active_target,
-                inactive=self._inactive, active=self._active,
+                inactive=lists[0], active=lists[1],
                 inactive_bytes=self._inactive_bytes,
                 active_bytes=self._active_bytes,
                 prior_hit_bytes=self._stats.hit_bytes)
@@ -426,16 +554,9 @@ class PageCache(Cache):
             if key is not None:
                 memo.put(key, result)
         page = self._page_bytes
-        in_ids, in_pages = result.inactive
-        act_ids, act_pages = result.active
-        self._inactive = OrderedDict(
-            (item, pages * page)
-            for item, pages in zip(in_ids.tolist(), in_pages.tolist()))
-        self._active = OrderedDict(
-            (item, pages * page)
-            for item, pages in zip(act_ids.tolist(), act_pages.tolist()))
-        self._inactive_bytes = float(int(in_pages.sum())) * page
-        self._active_bytes = float(int(act_pages.sum())) * page
+        self._pages = (result.inactive, result.active)
+        self._inactive_bytes = float(int(result.inactive[1].sum())) * page
+        self._active_bytes = float(int(result.active[1].sum())) * page
         self._pressure_evictions += result.pressure_evictions
         self._stats.hits += result.hits
         self._stats.misses += result.misses
@@ -443,33 +564,24 @@ class PageCache(Cache):
         self._stats.hit_bytes += float(result.hit_pages) * page
         return result.hit_mask
 
-    def _replay_key(self, item_ids: np.ndarray,
-                    sizes: np.ndarray) -> Optional[bytes]:
+    def _replay_key(self, ids: np.ndarray, size_arr: np.ndarray,
+                    lists: ResidentPages) -> bytes:
         """BLAKE2 digest of every kernel input of one replay from this state.
 
-        Arrays enter as the kernel reads them (int64 ids, float64 sizes),
-        scalars by ``repr`` (exact for floats), and the lengths up front
-        delimit the variable-length parts.  ``None`` for a stream whose
-        shape alone makes the kernel decline.
+        Arrays enter as the kernel reads them (int64 ids, float64 sizes,
+        the lists' int64 ids and page counts), scalars by ``repr`` (exact
+        for floats), and the lengths up front delimit the variable-length
+        parts.
         """
-        ids = np.asarray(item_ids, dtype=np.int64)
-        size_arr = np.asarray(sizes, dtype=np.float64)
-        if ids.ndim != 1 or ids.shape != size_arr.shape:
-            return None
-        inactive, active = self._inactive, self._active
+        (in_ids, in_pages), (act_ids, act_pages) = lists
         digest = hashlib.blake2b(digest_size=16)
         digest.update(repr((
-            ids.size, len(inactive), len(active), self._capacity,
+            ids.size, in_ids.size, act_ids.size, self._capacity,
             self._page_bytes, self._capacity * self._active_target,
             self._inactive_bytes, self._active_bytes,
             self._stats.hit_bytes)).encode())
-        digest.update(np.ascontiguousarray(ids))
-        digest.update(np.ascontiguousarray(size_arr))
-        for members in (inactive, active):
-            digest.update(np.fromiter(members.keys(), np.int64,
-                                      count=len(members)))
-            digest.update(np.fromiter(members.values(), np.float64,
-                                      count=len(members)))
+        for array in (ids, size_arr, in_ids, in_pages, act_ids, act_pages):
+            digest.update(np.ascontiguousarray(array))
         return digest.digest()
 
     def evict(self, item_id: int) -> bool:
@@ -478,6 +590,8 @@ class PageCache(Cache):
         Counted in :attr:`explicit_evictions`, not in the pressure-driven
         :attr:`evictions` thrashing indicator.
         """
+        if self._pages is not None:
+            self._to_dicts()
         if item_id in self._inactive:
             self._inactive_bytes -= self._inactive.pop(item_id)
         elif item_id in self._active:
@@ -489,7 +603,8 @@ class PageCache(Cache):
 
     def clear(self) -> None:
         """Drop the whole cache (echo 3 > /proc/sys/vm/drop_caches)."""
-        self._inactive.clear()
-        self._active.clear()
+        self._pages = None
+        self._inactive = OrderedDict()
+        self._active = OrderedDict()
         self._inactive_bytes = 0.0
         self._active_bytes = 0.0

@@ -17,7 +17,7 @@ stats-object updates.  This kernel replays the identical state machine as
 
 * **vectorised prologue** — page rounding (exact ceiling division mirroring
   ``PageCache._rounded``), dense id mapping, initial-state gathering,
-  stored-size prefills and the float-exactness guards, all as numpy array
+  page-count prefills and the float-exactness guards, all as numpy array
   operations; then
 * an **integer flat-array core** — both LRU lists are lazily-invalidated
   FIFO deques (append at the back, bound C ``popleft`` at the front), all
@@ -40,16 +40,25 @@ per-item walk bit for bit.  The walk itself stays in
 :class:`~repro.cache.page_cache.PageCache` as the executable specification;
 ``tests/test_properties.py`` property-tests the equivalence.
 
+State enters and leaves as arrays: both lists, front to end, as
+``(item_ids, page_counts)`` int64 arrays.
+:class:`~repro.cache.page_cache.PageCache` keeps its lists in that form
+between bulk calls and certifies a per-item state's stored sizes as exact
+page multiples when it converts one, so the kernel reads no OrderedDict
+and writes none back.
+
 The kernel is pure: it reads the cache's state and returns a
-:class:`SegmentedLRUResult` without touching the cache, so callers get the
-all-or-nothing side-effect contract of the other bulk paths for free.
+:class:`SegmentedLRUResult` without touching the cache or writing into
+the arrays it was handed (a replay memo shares them between caches), so
+callers get the all-or-nothing side-effect contract of the other bulk
+paths for free.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -133,22 +142,6 @@ def pages_within(budget_bytes: float, page_bytes: float,
     return k
 
 
-def _exact_page_counts(stored: np.ndarray, page_bytes: float,
-                       max_pages: int) -> Optional[np.ndarray]:
-    """Integer page counts of resident stored sizes; ``None`` unless exact."""
-    counts = stored / page_bytes
-    rounded = np.rint(counts)
-    if (counts != rounded).any():
-        return None
-    if rounded.size and (float(rounded.min()) < 1.0
-                         or float(rounded.max()) >= max_pages):
-        return None
-    pages = rounded.astype(np.int64)
-    if (pages.astype(np.float64) * page_bytes != stored).any():
-        return None
-    return pages
-
-
 @dataclass
 class SegmentedLRUResult:
     """Outcome of one bulk segmented-LRU replay (pure; caller commits).
@@ -170,17 +163,22 @@ class SegmentedLRUResult:
 def simulate_segmented_lru(
         item_ids: Sequence[int], sizes: Sequence[float], *,
         capacity_bytes: float, page_bytes: float, active_limit_bytes: float,
-        inactive: "OrderedDict[int, float]", active: "OrderedDict[int, float]",
+        inactive: Tuple[np.ndarray, np.ndarray],
+        active: Tuple[np.ndarray, np.ndarray],
         inactive_bytes: float, active_bytes: float,
         prior_hit_bytes: float = 0.0) -> Optional[SegmentedLRUResult]:
     """Replay a whole access stream through the segmented-LRU state machine.
 
-    The stream may revisit items (interleaved multi-job epochs) and the
-    cache may start in any warm state.  Returns ``None`` — never partially
-    evaluated state — when any float-exactness guard fails, when an item's
-    rounded size differs between its accesses or from its resident stored
-    size, or when an item is larger than the cache; callers then walk item
-    by item.
+    ``inactive`` / ``active`` are the starting lists front to end as
+    ``(item_ids, page_counts)`` integer arrays, the form
+    :class:`SegmentedLRUResult` returns them in; they are only read.  The
+    stream may revisit items (interleaved multi-job epochs) and the cache
+    may start in any warm state.  Returns ``None`` — never partially
+    evaluated state — when any float-exactness guard fails (including a
+    page count below one, or byte totals that are not the page counts'
+    exact image), when an item's rounded size differs between its
+    accesses or from its resident page count, or when an item is larger
+    than the cache; callers then walk item by item.
     """
     ids = np.asarray(item_ids, dtype=np.int64)
     size_arr = np.asarray(sizes, dtype=np.float64)
@@ -196,15 +194,14 @@ def simulate_segmented_lru(
     if stream_pages is None:
         return None
 
-    # Initial state: stored sizes must be exact page multiples whose totals
-    # reproduce the cache's accumulated byte counters bit for bit.
-    init_in_ids = np.fromiter(inactive.keys(), np.int64, count=len(inactive))
-    init_in_sizes = np.fromiter(inactive.values(), np.float64, count=len(inactive))
-    init_act_ids = np.fromiter(active.keys(), np.int64, count=len(active))
-    init_act_sizes = np.fromiter(active.values(), np.float64, count=len(active))
-    init_in_pages = _exact_page_counts(init_in_sizes, page_bytes, max_pages)
-    init_act_pages = _exact_page_counts(init_act_sizes, page_bytes, max_pages)
-    if init_in_pages is None or init_act_pages is None:
+    # Initial state: positive page counts whose totals reproduce the
+    # cache's accumulated byte counters bit for bit.
+    init_in_ids, init_in_pages = (np.asarray(a, dtype=np.int64)
+                                  for a in inactive)
+    init_act_ids, init_act_pages = (np.asarray(a, dtype=np.int64)
+                                    for a in active)
+    if min(int(init_in_pages.min(initial=1)),
+           int(init_act_pages.min(initial=1))) < 1:
         return None
     in_total = int(init_in_pages.sum())
     act_total = int(init_act_pages.sum())

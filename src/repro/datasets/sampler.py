@@ -104,15 +104,22 @@ class ShuffleBufferSampler(Sampler):
 
     def epoch(self, epoch_index: int) -> np.ndarray:
         rng = np.random.default_rng((self._seed, epoch_index, 0xB0FF))
+        num_items, size = self._num_items, self._buffer_size
+        # Every pick's bound is known up front: the buffer holds ``size``
+        # items at each steady-state pick, then drains one item per pick.
+        # One bounded draw over those bounds yields the very values one
+        # draw per pick would.
+        bounds = np.concatenate([
+            np.full(max(0, num_items - size + 1), size, dtype=np.int64),
+            np.arange(min(num_items, size - 1), 0, -1, dtype=np.int64)])
+        picks = iter(rng.integers(0, bounds).tolist())
         order: List[int] = []
         buffer: List[int] = []
-        for item in range(self._num_items):
+        for item in range(num_items):
             buffer.append(item)
-            if len(buffer) >= self._buffer_size:
-                pick = int(rng.integers(len(buffer)))
-                order.append(buffer.pop(pick))
-        while buffer:
-            pick = int(rng.integers(len(buffer)))
+            if len(buffer) >= size:
+                order.append(buffer.pop(next(picks)))
+        for pick in picks:
             order.append(buffer.pop(pick))
         return np.asarray(order, dtype=np.int64)
 

@@ -543,6 +543,11 @@ class DistExecutor:
             self.hosts_lost += 1
             state["live"] -= 1
             chunk.runners.discard(host.endpoint)
+            delivered = state["delivered"]
+            if all(index in delivered for index, _point in chunk.tasks):
+                # Every record arrived before the host died, short of its
+                # chunk_done: nothing is left to re-run.
+                chunk.done = True
             if not chunk.done and not chunk.runners and not state["aborted"]:
                 # Nobody else is running (or stealing) this chunk: requeue
                 # it under the budget so a surviving host picks it up.

@@ -155,14 +155,8 @@ class DataLoader:
         the segmented-LRU bulk kernel inside
         :meth:`repro.cache.page_cache.PageCache.bulk_epoch_hits`.  Returns
         ``None``, without side effects, when the epoch must be simulated
-        batch by batch: a subclass customises the fetch policy, or the
-        epoch revisits an item.
+        batch by batch because it revisits an item.
         """
-        cls = type(self)
-        if (cls.fetch_batch is not DataLoader.fetch_batch
-                or cls.cached_fetch_time is not DataLoader.cached_fetch_time
-                or cls.prep_batch_time is not DataLoader.prep_batch_time):
-            return None
         plan = self._single_pass_epoch(epoch_index)
         if plan is None:
             return None

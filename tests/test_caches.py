@@ -162,8 +162,7 @@ class TestPageCacheBulkStream:
 
     @staticmethod
     def _assert_same_state(bulk, scalar):
-        assert list(bulk._inactive.items()) == list(scalar._inactive.items())
-        assert list(bulk._active.items()) == list(scalar._active.items())
+        assert bulk.resident_lists() == scalar.resident_lists()
         assert bulk.used_bytes == scalar.used_bytes
         assert bulk.evictions == scalar.evictions
         assert bulk.stats == scalar.stats
@@ -201,17 +200,23 @@ class TestPageCacheBulkStream:
     def test_unprovable_page_arithmetic_declines_without_side_effects(
             self, kernel_results):
         # A page size with a fully-dense significand certifies almost no
-        # exact multiples, so the kernel must decline rather than guess.
+        # exact multiples.  A resident's page count cannot be certified,
+        # so the page cache walks without handing its lists to the kernel;
+        # from an empty cache the kernel itself declines rather than guess.
         page = 4096.0 * (1 + 2.0**-52)
-        scalar, bulk = PageCache(1e9, page_bytes=page), PageCache(1e9, page_bytes=page)
-        for cache in (scalar, bulk):
-            cache.admit(1, 5000.0)
         stream = np.arange(64, dtype=np.int64)
         sizes = np.full(64, 5000.0)
-        expected = scalar.walk(stream, sizes)
-        assert bulk.bulk_stream_hits(stream, sizes).tolist() == expected.tolist()
-        assert kernel_results == [None]
-        self._assert_same_state(bulk, scalar)
+        for warm, declined in ((True, []), (False, [None])):
+            scalar = PageCache(1e9, page_bytes=page)
+            bulk = PageCache(1e9, page_bytes=page)
+            if warm:
+                for cache in (scalar, bulk):
+                    cache.admit(1, 5000.0)
+            expected = scalar.walk(stream, sizes)
+            hits = bulk.bulk_stream_hits(stream, sizes)
+            assert hits.tolist() == expected.tolist()
+            assert kernel_results == declined
+            self._assert_same_state(bulk, scalar)
 
     def test_oversized_items_are_rejected_like_the_walk(self, kernel_results):
         """The kernel declines a stream with an item larger than the
@@ -275,6 +280,31 @@ class TestReplayMemo:
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             first[0] = not first[0]
+
+    def test_per_item_calls_after_a_memo_hit_leave_the_memo_intact(
+            self, tiny_dataset):
+        """A memo hit commits the kept arrays by reference; mutating that
+        cache item by item must change neither the cache that produced
+        them nor what the next hit commits."""
+        memo = ReplayMemo()
+        capacity = tiny_dataset.total_bytes * 0.5
+        stream = np.concatenate([RandomSampler(len(tiny_dataset), seed=0)
+                                 .epoch(e) for e in range(2)])
+        sizes = tiny_dataset.item_sizes(stream)
+        caches = [PageCache(capacity) for _ in range(3)]
+        with memo.activated():
+            caches[0].bulk_stream_hits(stream, sizes)
+            lists = caches[0].resident_lists()
+            caches[1].bulk_stream_hits(stream, sizes)
+            front, back = lists[0][0][0], lists[0][-1][0]
+            assert caches[1].evict(front)
+            assert caches[1].admit(10**6, 3 * 4096.0)
+            assert caches[1].lookup(back)                # promote
+            caches[2].bulk_stream_hits(stream, sizes)
+        assert (memo.hits, memo.misses) == (2, 1)
+        assert caches[1].resident_lists() != lists
+        assert caches[0].resident_lists() == lists
+        assert caches[2].resident_lists() == lists
 
     def test_budget_evicts_least_recently_used_and_skips_oversized(
             self, tiny_dataset, kernel_results, monkeypatch):

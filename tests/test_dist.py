@@ -473,6 +473,42 @@ class TestHostDeath:
                 assert executor.workers == 1
                 assert executor.reassignments == 0
 
+    def test_a_host_lost_after_its_chunk_drained_reruns_nothing(self):
+        """A scripted agent streams the chunk's only record, then closes
+        without ``chunk_done``: every record arrived, so the chunk is done
+        and nothing is re-run."""
+        points = _grid()[:1]
+        serial = _runner().run(points, workers=0, store=False)
+        snapshot = serial.records[0].snapshot(include_timeline=True)
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def scripted_agent():
+            conn, _address = listener.accept()
+            with conn:
+                recv_frame(conn)                                # hello
+                send_frame(conn, {"type": "hello",
+                                  "protocol": DIST_PROTOCOL_VERSION})
+                chunk = recv_frame(conn)
+                for index, _wire in chunk["points"]:
+                    send_frame(conn, {"type": "record", "id": chunk["id"],
+                                      "index": index, "snapshot": snapshot})
+
+        thread = threading.Thread(target=scripted_agent, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()
+        try:
+            with DistExecutor([f"{host}:{port}"], chunksize=1) as executor:
+                distributed = _runner().run(points, pool=executor,
+                                            store=False).snapshot()
+                assert distributed == serial.snapshot()
+                assert executor.hosts_lost == 1
+                assert executor.reassignments == 0
+                assert executor.rerun_points == 0
+        finally:
+            listener.close()
+            thread.join(10)
+        assert not thread.is_alive()
+
 
 class TestAgentShutdown:
     @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists()

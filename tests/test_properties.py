@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
+import os
 import struct
-from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.cache import page_cache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
-from repro.cache.warm_kernel import simulate_segmented_lru
+from repro.cache.warm_kernel import WARM_KERNEL_ENV_VAR, simulate_segmented_lru
 from repro.compute.model_zoo import RESNET18
 from repro.coordl.coordinated_prep import CoordinatedPrepPlan
 from repro.coordl.staging import StagingArea
@@ -50,27 +51,36 @@ def _access_pattern(num_items: int, length: int, seed: int) -> list[int]:
 
 def _replay_state(cache: PageCache, hits) -> tuple:
     """Everything a replay leaves behind: mask, list order, counters."""
-    return (None if hits is None else hits.tolist(),
-            list(cache._inactive.items()), list(cache._active.items()),
+    return (None if hits is None else hits.tolist(), cache.resident_lists(),
             cache.inactive_bytes, cache.active_bytes,
             cache.pressure_evictions, dataclasses.astuple(cache.stats))
 
 
 def _kernel_replay(cache: PageCache, stream, sizes):
-    """``simulate_segmented_lru`` over ``cache``'s state (pure)."""
-    return simulate_segmented_lru(
-        stream, sizes, capacity_bytes=cache.capacity_bytes,
-        page_bytes=cache.page_bytes,
-        active_limit_bytes=cache.capacity_bytes * cache._active_target,
-        inactive=cache._inactive, active=cache._active,
-        inactive_bytes=cache.inactive_bytes, active_bytes=cache.active_bytes,
-        prior_hit_bytes=cache.stats.hit_bytes)
+    """What ``simulate_segmented_lru`` returns when a copy of ``cache``
+    replays the stream (``None``: it declined, or the copy walked without
+    it); ``cache`` is untouched.  Also checks the kernel leaves the lists
+    it is handed as they were."""
+    results = []
+
+    def recording(*args, **kwargs):
+        lists = [*kwargs["inactive"], *kwargs["active"]]
+        before = [array.copy() for array in lists]
+        results.append(simulate_segmented_lru(*args, **kwargs))
+        assert all(map(np.array_equal, before, lists)), "the kernel wrote"
+        return results[-1]
+
+    with mock.patch.object(page_cache, "simulate_segmented_lru", recording), \
+            mock.patch.dict(os.environ, {WARM_KERNEL_ENV_VAR: "1"}):
+        copy.deepcopy(cache).bulk_stream_hits(stream, sizes)
+    return results[0] if results else None
 
 
 def _size_consistent(cache: PageCache, stream, sizes) -> bool:
     """Whether every access of an item rounds to one size, that size is
     the item's resident stored size, and no item outgrows the cache."""
-    known = {**cache._inactive, **cache._active}
+    known = dict(pair for members in cache.resident_lists()
+                 for pair in members)
     for item, size in zip(stream.tolist(), sizes.tolist()):
         rounded = cache._rounded(size)
         if rounded > cache.capacity_bytes or known.setdefault(item, rounded) != rounded:
@@ -92,6 +102,25 @@ class TestSamplerProperties:
     def test_shuffle_buffer_sampler_preserves_the_epoch_invariant(self, n, buffer, seed):
         order = ShuffleBufferSampler(n, buffer_size=buffer, seed=seed).epoch(0)
         assert verify_epoch_invariant(order, n)
+
+    @given(n=item_counts, buffer=st.integers(1, 400), seed=seeds,
+           epoch=st.integers(0, 20))
+    @settings(max_examples=80, deadline=None)
+    def test_shuffle_buffer_sampler_equals_one_draw_per_pick(self, n, buffer,
+                                                             seed, epoch):
+        """The sampler's one bounded draw over every pick's bound equals
+        the loop it replaced, one draw per pick (kept here as the oracle),
+        including buffers at least as large as the epoch and of one item."""
+        rng = np.random.default_rng((seed, epoch, 0xB0FF))
+        expected, window = [], []
+        for item in range(n):
+            window.append(item)
+            if len(window) >= buffer:
+                expected.append(window.pop(int(rng.integers(len(window)))))
+        while window:
+            expected.append(window.pop(int(rng.integers(len(window)))))
+        sampler = ShuffleBufferSampler(n, buffer_size=buffer, seed=seed)
+        assert sampler.epoch(epoch).tolist() == expected
 
     @given(n=st.integers(2, 300), replicas=st.integers(1, 8), seed=seeds,
            epoch=st.integers(0, 5))
@@ -440,9 +469,7 @@ class TestMakespanProperties:
         sizes = item_sizes[stream]
         if jitter:
             sizes = sizes * rng.choice([0.5, 1.0, 1.0, 2.0], size=sizes.size)
-        before = _replay_state(bulk, None)
         kernel = _kernel_replay(bulk, stream, sizes)
-        assert _replay_state(bulk, None) == before      # the kernel is pure
         if _size_consistent(bulk, stream, sizes):
             assert kernel is not None, "kernel declined a realisable stream"
         else:
@@ -454,8 +481,7 @@ class TestMakespanProperties:
             assert kernel.hit_mask.tolist() == scalar_hits.tolist()
         # List *order* equality: ordering is observable through future
         # evictions and demotions, so the kernel must reproduce it exactly.
-        assert list(bulk._inactive.items()) == list(scalar._inactive.items())
-        assert list(bulk._active.items()) == list(scalar._active.items())
+        assert bulk.resident_lists() == scalar.resident_lists()
         assert bulk.used_bytes == scalar.used_bytes
         assert bulk.active_bytes == scalar.active_bytes
         assert bulk.inactive_bytes == scalar.inactive_bytes
@@ -472,8 +498,7 @@ class TestMakespanProperties:
         tail_scalar = scalar.walk(tail, tail_sizes)
         tail_bulk = bulk.bulk_stream_hits(tail, tail_sizes)
         assert tail_bulk.tolist() == tail_scalar.tolist()
-        assert list(bulk._inactive.items()) == list(scalar._inactive.items())
-        assert list(bulk._active.items()) == list(scalar._active.items())
+        assert bulk.resident_lists() == scalar.resident_lists()
 
     @given(num_items=st.integers(1, 60), seed=seeds)
     @settings(max_examples=20, deadline=None)
@@ -539,17 +564,24 @@ class TestMakespanProperties:
 REPLAY_CHANGES = ("size", "capacity", "order", "stored", "prior_hit_bytes")
 
 
-def _cache_copy(cache: PageCache, capacity: float | None = None) -> PageCache:
-    """A page cache in exactly ``cache``'s state (optionally resized)."""
-    copy = PageCache(cache.capacity_bytes if capacity is None else capacity,
+def _cache_copy(cache: PageCache, active_target: float,
+                capacity: float | None = None, lists=None) -> PageCache:
+    """A fresh page cache holding ``lists`` (default: ``cache``'s
+    resident lists) and ``cache``'s hit bytes, optionally resized; built
+    through per-item calls, so its lists are OrderedDicts."""
+    inactive, active = cache.resident_lists() if lists is None else lists
+    twin = PageCache(cache.capacity_bytes if capacity is None else capacity,
                      page_bytes=cache.page_bytes,
-                     active_target_fraction=cache._active_target)
-    copy._inactive = OrderedDict(cache._inactive)
-    copy._active = OrderedDict(cache._active)
-    copy._inactive_bytes = cache.inactive_bytes
-    copy._active_bytes = cache.active_bytes
-    copy.stats.hit_bytes = cache.stats.hit_bytes
-    return copy
+                     active_target_fraction=active_target)
+    for item, stored in active:
+        twin.admit(item, stored)
+        twin.lookup(item)                   # promote to the active end
+    for item, stored in inactive:
+        twin.admit(item, stored)
+    assert twin.resident_lists() == (inactive, active)
+    twin.reset_stats()
+    twin.stats.hit_bytes = cache.stats.hit_bytes
+    return twin
 
 
 class TestReplayMemoProperties:
@@ -589,35 +621,39 @@ class TestReplayMemoProperties:
                                  for _ in range(passes)]).astype(np.int64)
         sizes = item_sizes[stream]
 
-        changed, changed_sizes = _cache_copy(base), sizes
+        changed, changed_sizes = _cache_copy(base, active_target), sizes
+        lists = base.resident_lists()
+        # "order" and "stored" change either list that has two members.
+        candidates = [members for members in lists if len(members) >= 2]
+        assume(candidates or change not in ("order", "stored"))
+        members = (candidates[int(rng.integers(0, len(candidates)))]
+                   if candidates else [])
         if change == "size":
             changed_sizes = sizes.copy()
             changed_sizes[int(rng.integers(0, sizes.size))] += page
         elif change == "capacity":
-            changed = _cache_copy(base, base.capacity_bytes + page)
+            changed = _cache_copy(base, active_target,
+                                  capacity=base.capacity_bytes + page)
         elif change == "order":
-            members = max((changed._inactive, changed._active), key=len)
-            assume(len(members) >= 2)
-            order = list(members.items())
-            order[0], order[1] = order[1], order[0]
-            members.clear()
-            members.update(order)
+            members[0], members[1] = members[1], members[0]
+            changed = _cache_copy(base, active_target, lists=lists)
         elif change == "stored":
             # One resident's stored size grows by a page and another's
             # shrinks by one, so the occupancies (also keyed) stay put.
-            members = max((changed._inactive, changed._active), key=len)
-            donors = [item for item, stored in members.items()
+            donors = [i for i, (_item, stored) in enumerate(members)
                       if stored >= 2 * page]
-            assume(donors and len(members) >= 2)
-            receiver = next(item for item in members if item != donors[0])
-            members[donors[0]] -= page
-            members[receiver] += page
+            assume(donors)
+            donor = donors[0]
+            receiver = 1 if donor == 0 else 0
+            for i, delta in ((donor, -page), (receiver, page)):
+                members[i] = (members[i][0], members[i][1] + delta)
+            changed = _cache_copy(base, active_target, lists=lists)
         else:
             changed.stats.hit_bytes += page
 
-        plain = _cache_copy(base)
+        plain = _cache_copy(base, active_target)
         expected = _replay_state(plain, plain.bulk_stream_hits(stream, sizes))
-        reference = _cache_copy(changed)
+        reference = _cache_copy(changed, active_target)
         expected_changed = _replay_state(
             reference, reference.bulk_stream_hits(stream, changed_sizes))
 
@@ -627,7 +663,7 @@ class TestReplayMemoProperties:
                                wraps=simulate_segmented_lru) as kernel, \
                 memo.activated():
             for _ in range(2):
-                cache = _cache_copy(base)
+                cache = _cache_copy(base, active_target)
                 hits = cache.bulk_stream_hits(stream, sizes)
                 assert _replay_state(cache, hits) == expected
             if replayable:
@@ -640,6 +676,133 @@ class TestReplayMemoProperties:
             hits = changed.bulk_stream_hits(stream, changed_sizes)
             assert kernel.call_count == calls + 1
             assert _replay_state(changed, hits) == expected_changed
+
+
+# Page-cache state forms ---------------------------------------------------------
+
+#: What a random page-cache program does at one step.  Bulk entries keep
+#: the lists as the kernel's arrays; per-item calls turn them back into
+#: OrderedDicts.  ``epoch`` is a single pass over distinct items
+#: (``bulk_epoch_hits``), ``stream`` a stream with repeats
+#: (``bulk_stream_hits``); the walk-only twin walks both.
+PAGE_CACHE_STEPS = ("lookup", "admit", "evict", "clear", "reset_stats",
+                    "epoch", "stream")
+
+
+def _page_cache_step(cache: PageCache, step: str, seed: int, item_sizes,
+                     memo: ReplayMemo | None, walk_only: bool):
+    """Apply one program step; what it returns, as a plain value."""
+    rng = np.random.default_rng(seed)
+    num_items = item_sizes.size
+    item = int(rng.integers(0, num_items))
+    if step == "lookup":
+        return cache.lookup(item)
+    if step == "admit":
+        return cache.admit(item, float(item_sizes[item]))
+    if step == "evict":
+        return cache.evict(item)
+    if step in ("clear", "reset_stats"):
+        return getattr(cache, step)()
+    if step == "epoch":
+        length = int(rng.integers(1, num_items + 1))
+        stream = rng.permutation(num_items)[:length]
+    else:
+        length = int(rng.integers(1, 3 * num_items))
+        stream = rng.integers(0, num_items, size=length)
+    stream = stream.astype(np.int64)
+    sizes = item_sizes[stream]
+    if walk_only:
+        return cache.walk(stream, sizes).tolist()
+    bulk = cache.bulk_epoch_hits if step == "epoch" else cache.bulk_stream_hits
+    if memo is None:
+        return bulk(stream, sizes).tolist()
+    with memo.activated():
+        return bulk(stream, sizes).tolist()
+
+
+class TestPageCacheStateForms:
+    @given(num_items=st.integers(2, 40), seed=seeds,
+           capacity_fraction=st.floats(0.1, 1.2),
+           active_target=st.floats(0.0, 1.0),
+           program=st.lists(st.tuples(st.sampled_from(PAGE_CACHE_STEPS),
+                                      st.integers(0, 2**16), st.booleans()),
+                            min_size=1, max_size=14))
+    @settings(max_examples=80, deadline=None)
+    def test_any_interleaving_equals_a_cache_that_only_walks(
+            self, num_items, seed, capacity_fraction, active_target, program):
+        """Bulk entries (some under an active memo) interleaved with
+        per-item calls leave exactly what a twin that only walks leaves:
+        the same returned masks, counters, byte totals and list order
+        after every step.  The program runs on three fresh caches sharing
+        one memo: the later runs commit memo hits by reference and then
+        mutate item by item, so a write into the memo's arrays would show
+        in the run after it."""
+        rng = np.random.default_rng(seed)
+        item_sizes = np.maximum(rng.lognormal(9.0, 1.0, num_items), 1.0)
+        capacity = float(item_sizes.sum() * capacity_fraction)
+
+        def run(walk_only: bool, memo: ReplayMemo | None) -> list:
+            cache = PageCache(capacity, active_target_fraction=active_target)
+            trace = []
+            for step, step_seed, memoised in program:
+                result = _page_cache_step(cache, step, step_seed, item_sizes,
+                                          memo if memoised else None,
+                                          walk_only)
+                trace.append((step, result, _replay_state(cache, None),
+                              cache.explicit_evictions))
+            return trace
+
+        expected = run(walk_only=True, memo=None)
+        memo = ReplayMemo()
+        for _ in range(3):
+            assert run(walk_only=False, memo=memo) == expected
+
+    @given(num_items=st.integers(1, 60), num_passes=st.integers(1, 4),
+           headroom=st.floats(min_value=1.0, max_value=2.0), seed=seeds,
+           warm=st.sampled_from(["cold", "walked", "replayed"]))
+    @settings(max_examples=50, deadline=None)
+    def test_saturating_commit_keeps_arrays_that_per_item_calls_continue(
+            self, num_items, num_passes, headroom, seed, warm):
+        """``bulk_saturating_hits`` appends the stream's new items to the
+        inactive list in first-touch order and leaves the active list as
+        it was, whether the lists started as OrderedDicts (``walked``) or
+        as a replay's arrays (``replayed``); per-item calls then continue
+        exactly as on a cache that holds those lists as OrderedDicts."""
+        page = 4096.0
+        spec = DatasetSpec("satform", "image_classification", num_items,
+                           9_000.0, item_size_cv=0.5)
+        dataset = SyntheticDataset(spec, seed=seed)
+        item_sizes = dataset.item_sizes(np.arange(num_items))
+        pages = np.maximum(np.ceil(item_sizes / page), 1.0)
+        cache = PageCache(float(pages.sum()) * page * headroom)
+        rng = np.random.default_rng(seed)
+        warm_items = np.arange(0, num_items, 2, dtype=np.int64)
+        if warm == "walked":
+            cache.walk(warm_items, item_sizes[warm_items])
+            cache.lookup(0)                     # one active page
+        elif warm == "replayed":
+            revisit = np.concatenate([warm_items, warm_items[:1]])
+            cache.bulk_stream_hits(revisit, item_sizes[revisit])
+        stream = np.concatenate([rng.permutation(num_items)
+                                 for _ in range(num_passes)]).astype(np.int64)
+        inactive, active = cache.resident_lists()
+        resident = {item for item, _stored in inactive + active}
+        for item in stream.tolist():
+            if item not in resident:
+                resident.add(item)
+                inactive.append((item, float(pages[item]) * page))
+        assert cache.bulk_saturating_hits(stream, item_sizes[stream]) is not None
+        assert cache.resident_lists() == (inactive, active)
+
+        cache.reset_stats()
+        twin = _cache_copy(cache, 0.5)
+        for step_seed in rng.integers(0, 2**16, size=8).tolist():
+            step = ("lookup", "admit", "evict")[step_seed % 3]
+            assert (_page_cache_step(cache, step, step_seed, item_sizes,
+                                     None, walk_only=False)
+                    == _page_cache_step(twin, step, step_seed, item_sizes,
+                                        None, walk_only=True))
+            assert _replay_state(cache, None) == _replay_state(twin, None)
 
 
 # Record snapshot codec --------------------------------------------------------
