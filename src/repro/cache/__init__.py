@@ -12,6 +12,7 @@ from repro.cache.stats import CacheStats
 from repro.cache.warm_kernel import (
     WARM_KERNEL_ENV_VAR,
     SegmentedLRUResult,
+    native_core_loaded,
     simulate_segmented_lru,
 )
 
@@ -25,5 +26,6 @@ __all__ = [
     "LookupSource",
     "SegmentedLRUResult",
     "simulate_segmented_lru",
+    "native_core_loaded",
     "WARM_KERNEL_ENV_VAR",
 ]

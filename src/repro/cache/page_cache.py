@@ -518,7 +518,8 @@ class PageCache(Cache):
         with an admission *policy* must walk item by item.  When the kernel
         is disabled (``REPRO_WARM_KERNEL=0``) or declines the stream
         (uncertifiable page arithmetic, an item whose rounded size varies
-        or exceeds the capacity), this entry applies :meth:`walk` instead.
+        or exceeds the capacity, no working C compiler for its native
+        core), this entry applies :meth:`walk` instead.
 
         When a :class:`ReplayMemo` is active (a
         :class:`~repro.sim.sweep.SweepRunner` running a point), a stream

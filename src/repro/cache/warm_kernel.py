@@ -11,22 +11,35 @@ the working set, where every access can promote, demote or evict.
 
 That trajectory is inherently sequential (each admission's eviction victims
 depend on every earlier promotion), so no per-access-free closed form
-exists.  What *is* removable is all the per-access Python the OrderedDict
-walk pays: hashing, dict mutation, float page rounding, byte arithmetic and
-stats-object updates.  This kernel replays the identical state machine as
+exists.  What *is* removable is all the per-access interpreter work the
+OrderedDict walk pays: hashing, dict mutation, float page rounding, byte
+arithmetic and stats-object updates.  This kernel replays the identical
+state machine as
 
-* **vectorised prologue** — page rounding (exact ceiling division mirroring
-  ``PageCache._rounded``), dense id mapping, initial-state gathering,
-  page-count prefills and the float-exactness guards, all as numpy array
-  operations; then
-* an **integer flat-array core** — both LRU lists are lazily-invalidated
-  FIFO deques (append at the back, bound C ``popleft`` at the front), all
-  byte accounting is whole-page integer arithmetic held as interned
-  headroom counters, and each access costs a couple of deque writes
-  instead of OrderedDict mutation; then
-* **vectorised epilogue** — the hit mask, hit bytes, insertion/eviction
-  counters and final list contents are recovered with set algebra over the
-  miss positions, the stream's rounded sizes and the live queue tails.
+* a **vectorised prologue** — page rounding (exact ceiling division
+  mirroring ``PageCache._rounded``), dense id mapping, page-count
+  prefills, the initial lists linked into arrays and the float-exactness
+  guards, all as numpy array operations; then
+* a **native core** — one C loop (:data:`_CORE_SOURCE`) over two intrusive
+  doubly linked lists: ``prev``/``next`` int64 arrays indexed by dense id,
+  each list's head, tail and length, and an int8 location per item.  All
+  byte accounting is whole-page integer headroom, so an access costs a
+  few array writes.  The loop fills the hit mask and counts misses, and a
+  second C function walks each final list out front to end; then
+* a **vectorised epilogue** — hit bytes and the insertion/eviction
+  counters follow from the hit mask, the stream's rounded sizes and the
+  final list lengths.
+
+The core is compiled on the first replay that passes the guards, never at
+import, with the compiler CPython was built with (``cc`` when that is
+unknown or not installed), and loaded with :mod:`ctypes`.  The shared
+library is kept in this module's ``__pycache__`` directory, named by a
+digest of the C source, the compiler command and the platform, so later
+processes load it without compiling; when that directory is not ours to
+write, each process compiles into a private temporary directory.  The
+outcome is kept per process.  When no compiler works the kernel declines
+every replay — callers walk item by item, several times slower — and one
+``RuntimeWarning`` per process names the cause.
 
 Exactness rests on one invariant: every byte quantity the reference walk
 ever holds is an integer multiple of ``page_bytes``, and every such multiple
@@ -51,15 +64,29 @@ The kernel is pure: it reads the cache's state and returns a
 :class:`SegmentedLRUResult` without touching the cache or writing into
 the arrays it was handed (a replay memo shares them between caches), so
 callers get the all-or-nothing side-effect contract of the other bulk
-paths for free.
+paths for free.  The C code writes only arrays the kernel allocates for
+the call.
 """
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import hashlib
 import math
 import os
-from collections import deque
+import platform
+import shlex
+import shutil
+import stat
+import subprocess
+import sys
+import sysconfig
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +101,247 @@ WARM_KERNEL_ENV_VAR = "REPRO_WARM_KERNEL"
 def warm_kernel_enabled() -> bool:
     """Whether the bulk warm kernel is enabled (default yes)."""
     return os.environ.get(WARM_KERNEL_ENV_VAR, "").strip() != "0"
+
+
+#: The native core.  A list is three int64s — head, tail, length — and
+#: ``-1`` ends it; items are dense ids.  ``loc`` holds 0 (absent), 1
+#: (inactive) or 2 (active); ``room`` and ``aroom`` are the pages left
+#: before the next eviction and the next demotion.  Indices are not
+#: checked here: :func:`_replay` validates every array before the call.
+_CORE_SOURCE = r"""
+#include <stdint.h>
+
+static void take(int64_t *prev, int64_t *next, int64_t *list, int64_t d)
+{
+    int64_t p = prev[d], n = next[d];
+    if (p < 0) list[0] = n; else next[p] = n;
+    if (n < 0) list[1] = p; else prev[n] = p;
+    list[2]--;
+}
+
+static void put(int64_t *prev, int64_t *next, int64_t *list, int64_t d)
+{
+    int64_t t = list[1];
+    prev[d] = t;
+    next[d] = -1;
+    if (t < 0) list[0] = d; else next[t] = d;
+    list[1] = d;
+    list[2]++;
+}
+
+/* Replays stream[0..n): lists[0..3) is the inactive list, lists[3..6)
+   the active one.  Fills hit[0..n) and returns the number of misses. */
+int64_t slru_replay(int64_t n, const int64_t *stream, const int64_t *pages,
+                    int8_t *loc, int64_t *prev, int64_t *next,
+                    int64_t *lists, int64_t room, int64_t aroom,
+                    uint8_t *hit)
+{
+    int64_t *inactive = lists, *active = lists + 3, misses = 0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t d = stream[t], g;
+        hit[t] = loc[d] != 0;
+        if (loc[d] == 0) {
+            /* Miss: evict from the inactive front, then the active. */
+            misses++;
+            while (pages[d] > room) {
+                if (inactive[0] >= 0) {
+                    g = inactive[0];
+                    take(prev, next, inactive, g);
+                } else if (active[0] >= 0) {
+                    g = active[0];
+                    take(prev, next, active, g);
+                    aroom += pages[g];
+                } else {
+                    break;
+                }
+                loc[g] = 0;
+                room += pages[g];
+            }
+            loc[d] = 1;
+            put(prev, next, inactive, d);
+            room -= pages[d];
+        } else if (loc[d] == 2) {
+            /* Active hit: to the active MRU end. */
+            take(prev, next, active, d);
+            put(prev, next, active, d);
+        } else {
+            /* Inactive hit: promote, then demote while over target. */
+            take(prev, next, inactive, d);
+            loc[d] = 2;
+            put(prev, next, active, d);
+            aroom -= pages[d];
+            while (aroom < 0 && active[0] >= 0) {
+                g = active[0];
+                take(prev, next, active, g);
+                loc[g] = 1;
+                put(prev, next, inactive, g);
+                aroom += pages[g];
+            }
+        }
+    }
+    return misses;
+}
+
+/* Copies at most count items of the list starting at head into out,
+   front to end; returns how many it copied. */
+int64_t slru_walk(int64_t head, const int64_t *next, int64_t count,
+                  int64_t *out)
+{
+    int64_t k = 0;
+    for (int64_t d = head; d >= 0 && k < count; d = next[d])
+        out[k++] = d;
+    return k;
+}
+"""
+
+#: Seconds the compiler may take before the core counts as unavailable.
+_COMPILE_TIMEOUT_S = 120.0
+
+_INT64_IN = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+_INT64_OUT = np.ctypeslib.ndpointer(np.int64, ndim=1,
+                                    flags="C_CONTIGUOUS,WRITEABLE")
+_INT8_OUT = np.ctypeslib.ndpointer(np.int8, ndim=1,
+                                   flags="C_CONTIGUOUS,WRITEABLE")
+_BOOL_OUT = np.ctypeslib.ndpointer(np.bool_, ndim=1,
+                                   flags="C_CONTIGUOUS,WRITEABLE")
+
+
+def _compiler() -> List[str]:
+    """The command CPython was built with (``cc`` if unknown or absent)."""
+    command = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not command or shutil.which(command[0]) is None:
+        command = ["cc"]
+    return command
+
+
+def _library_dir() -> Path:
+    """This module's ``__pycache__`` when this process may write it and
+    others may not; otherwise a private directory removed at exit."""
+    cache = Path(__file__).resolve().parent / "__pycache__"
+    try:
+        cache.mkdir(exist_ok=True)
+        if (os.access(cache, os.W_OK)
+                and not cache.stat().st_mode & stat.S_IWOTH):
+            return cache
+    except OSError:
+        pass
+    private = tempfile.mkdtemp(prefix="repro-slru-")
+    atexit.register(shutil.rmtree, private, ignore_errors=True)
+    return Path(private)
+
+
+def _load_core(directory: Optional[Path] = None) -> ctypes.CDLL:
+    """Load the native core from ``directory`` (default
+    :func:`_library_dir`), compiling it there first unless a library
+    built from this source by this compiler for this platform is present.
+
+    A new library is written under a temporary name and renamed into
+    place, so processes that compile at the same moment never load a
+    partial file.  Raises :class:`OSError` or
+    :class:`subprocess.SubprocessError` when compiling or loading fails.
+    """
+    command = _compiler()
+    tag = hashlib.blake2b("\0".join(
+        [_CORE_SOURCE, *command, sys.platform, platform.machine()]).encode(),
+        digest_size=8).hexdigest()
+    directory = _library_dir() if directory is None else directory
+    path = directory / f"slru_core-{tag}.so"
+    if not path.exists():
+        fd, partial = tempfile.mkstemp(dir=directory, prefix=path.name + ".",
+                                       suffix=".part")
+        os.close(fd)
+        try:
+            done = subprocess.run(
+                [*command, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o",
+                 partial], input=_CORE_SOURCE, capture_output=True,
+                text=True, timeout=_COMPILE_TIMEOUT_S, check=False)
+            if done.returncode:
+                raise OSError(f"{shlex.join(command)} exited with status "
+                              f"{done.returncode}: {done.stderr.strip()}")
+            os.replace(partial, path)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    core = ctypes.CDLL(str(path))
+    core.slru_replay.argtypes = [
+        ctypes.c_int64, _INT64_IN, _INT64_IN, _INT8_OUT, _INT64_OUT,
+        _INT64_OUT, _INT64_OUT, ctypes.c_int64, ctypes.c_int64, _BOOL_OUT]
+    core.slru_replay.restype = ctypes.c_int64
+    core.slru_walk.argtypes = [ctypes.c_int64, _INT64_IN, ctypes.c_int64,
+                               _INT64_OUT]
+    core.slru_walk.restype = ctypes.c_int64
+    return core
+
+
+_core_lock = threading.Lock()
+_core_tried = False
+_core: Optional[ctypes.CDLL] = None
+
+
+def _native_core() -> Optional[ctypes.CDLL]:
+    """The native core, loaded by the process's first call (which warns
+    once when it cannot be); ``None`` when it is unavailable."""
+    global _core, _core_tried
+    with _core_lock:
+        if not _core_tried:
+            _core_tried = True
+            try:
+                _core = _load_core()
+            except (OSError, subprocess.SubprocessError) as exc:
+                warnings.warn(
+                    f"segmented-LRU native core unavailable "
+                    f"({type(exc).__name__}: {exc}); every page-cache "
+                    f"replay walks item by item", RuntimeWarning,
+                    stacklevel=3)
+        return _core
+
+
+def native_core_loaded() -> bool:
+    """Whether this process has loaded the native replay core: ``False``
+    before its first replay, and for good when no compiler works."""
+    return _core is not None
+
+
+def _replay(core: ctypes.CDLL, stream: np.ndarray, pages_of: np.ndarray,
+            inactive: np.ndarray, active: np.ndarray, room: int,
+            aroom: int) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Run the native core over dense ids; ``(hit_mask, misses,
+    final_inactive, final_active)``, the lists as dense ids front to end.
+
+    ``pages_of`` holds each dense id's page count; ``inactive`` and
+    ``active`` are the starting lists, which share no id.  Every id is
+    checked to lie in ``[0, pages_of.size)``, every other array C indexes
+    is allocated here at its length, and the argument types reject an
+    array that is not C-contiguous with the expected dtype, so a bad
+    input raises here instead of corrupting memory.
+    """
+    num_dense = pages_of.size
+    for ids in (stream, inactive, active):
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= num_dense):
+            raise ValueError("dense id outside [0, num_dense)")
+    loc = np.zeros(num_dense, dtype=np.int8)
+    prev = np.full(num_dense, -1, dtype=np.int64)
+    nxt = np.full(num_dense, -1, dtype=np.int64)
+    lists = np.full(6, -1, dtype=np.int64)
+    for at, tag, members in ((0, 1, inactive), (3, 2, active)):
+        loc[members] = tag
+        prev[members[1:]] = members[:-1]
+        nxt[members[:-1]] = members[1:]
+        lists[at + 2] = members.size
+        if members.size:
+            lists[at:at + 2] = members[0], members[-1]
+    if int(np.count_nonzero(loc)) != inactive.size + active.size:
+        raise ValueError("an item is listed twice")
+    hit_mask = np.empty(stream.size, dtype=bool)
+    misses = int(core.slru_replay(stream.size, stream, pages_of, loc, prev,
+                                  nxt, lists, room, aroom, hit_mask))
+    finals = []
+    for head, count in ((lists[0], lists[2]), (lists[3], lists[5])):
+        members = np.empty(int(count), dtype=np.int64)
+        if core.slru_walk(int(head), nxt, members.size, members) != count:
+            raise RuntimeError("native core left a broken list")
+        finals.append(members)
+    return hit_mask, misses, finals[0], finals[1]
 
 
 def max_exact_page_multiple(page_bytes: float) -> int:
@@ -100,12 +368,12 @@ def rounded_pages(sizes: np.ndarray, page_bytes: float,
 
     Mirrors ``PageCache._rounded`` in the real-number sense: the correct
     count ``p`` is the unique integer with ``(p - 1) * page < size <= p *
-    page`` (clamped to one page).  The float quotient is only an estimate,
-    so it is corrected against those exact product comparisons; ``None``
-    when a count cannot be certified below ``max_pages`` (where products
-    stop being exact).
+    page`` (clamped to one page).  The float quotient's ceiling is only an
+    estimate, so it is corrected against those exact product comparisons;
+    ``None`` when a count cannot be certified below ``max_pages`` (where
+    products stop being exact).
     """
-    pages = np.negative(np.floor_divide(-sizes, page_bytes))
+    pages = np.ceil(sizes / page_bytes)
     pages = np.where(np.isfinite(pages), pages, float(max_pages))
     np.clip(pages, 1.0, float(max_pages), out=pages)
     for _ in range(2):
@@ -177,8 +445,9 @@ def simulate_segmented_lru(
     evaluated state — when any float-exactness guard fails (including a
     page count below one, or byte totals that are not the page counts'
     exact image), when an item's rounded size differs between its
-    accesses or from its resident page count, or when an item is larger
-    than the cache; callers then walk item by item.
+    accesses or from its resident page count, when an item is larger
+    than the cache, or when the native core is unavailable; callers then
+    walk item by item.
     """
     ids = np.asarray(item_ids, dtype=np.int64)
     size_arr = np.asarray(sizes, dtype=np.float64)
@@ -239,9 +508,9 @@ def simulate_segmented_lru(
         dense_in_arr = dense[n:n + init_in_ids.size]
         dense_act_arr = dense[n + init_in_ids.size:]
 
-    # The loop below defers all hit/eviction accounting to vectorised
-    # epilogue algebra.  That is exact when no stream item is over-capacity
-    # (so every miss admits) and every item's rounded size is consistent —
+    # The core defers all hit/eviction accounting to vectorised epilogue
+    # algebra.  That is exact when no stream item is over-capacity (so
+    # every miss admits) and every item's rounded size is consistent —
     # one value across its stream accesses, matching its resident stored
     # size — so a hit's stored bytes can be read off the stream itself.
     # Real datasets always satisfy this; any other stream is declined and
@@ -259,158 +528,27 @@ def simulate_segmented_lru(
         res_pages = np.concatenate([init_in_pages, init_act_pages])
         if not (~appears[res_dense] | (rep[res_dense] == res_pages)).all():
             return None
-    stream = dense_stream.tolist()
-    dense_in = dense_in_arr.tolist()
-    dense_act = dense_act_arr.tolist()
+        # Every item has one rounded size, so the page counts are
+        # prefilled in bulk and admissions never write them.
+        rep[res_dense] = res_pages
 
-    # Recency is tracked with lazily-invalidated deques instead of linked
-    # lists: every queue entry is an (item, stamp) pair split across two
-    # parallel deques, and only the entry whose stamp is *the same object*
-    # as ``stamp[item]`` is live — moving an item re-stamps it and appends
-    # a fresh entry, leaving the old one behind as garbage that
-    # eviction/demotion sweeps pop and skip.  Each access therefore costs
-    # a few deque appends, never a structural splice.  Stamps are unique
-    # per (item, transition): seeds are negative, stream transitions use
-    # the access index, and one access re-stamps an item at most once — so
-    # object identity and value equality agree, letting the final sweep
-    # separate live from stale entries vectorised.  ``deque`` beats the
-    # previous lazily-consumed list-iterator scheme by ~1.5x on the pop
-    # side: ``popleft`` is a bound C method with no StopIteration /
-    # clear-and-rebuild bookkeeping, and consumed garbage is freed as it
-    # is popped instead of accumulating behind an iterator.
-    loc = [0] * num_dense          # 0 absent, 1 inactive, 2 active
-    stamp: List[int] = [-1] * num_dense
-    # Every item has one rounded size, so stored sizes are prefilled in
-    # bulk and admissions never write them.
-    pages_of = rep.tolist()
-    seeds = (-np.arange(1, num_dense + 1)).tolist()
-    # The queues are pre-seeded with the initially-resident members in one
-    # bulk copy each instead of per-member appends.
-    iq = deque(dense_in)
-    iqs = deque(seeds[d] for d in dense_in)
-    aq = deque(dense_act)
-    aqs = deque(seeds[d] for d in dense_act)
-    for members, member_pages, tag in (
-            (dense_in, init_in_pages.tolist(), 1),
-            (dense_act, init_act_pages.tolist(), 2)):
-        for d, p in zip(members, member_pages):
-            loc[d] = tag
-            stamp[d] = seeds[d]
-            pages_of[d] = p
-
-    miss_at: List[int] = []
-    miss_append = miss_at.append
-    iq_append = iq.append
-    iqs_append = iqs.append
-    aq_append = aq.append
-    aqs_append = aqs.append
-    # Bound pop methods, hoisted once: the eviction/demotion sweeps call
-    # these more than anything else in a thrashing replay.
-    iq_pop = iq.popleft
-    iqs_pop = iqs.popleft
-    aq_pop = aq.popleft
-    aqs_pop = aqs.popleft
-
-    # The eviction and demotion sweeps pop queue entries and let the (rare)
-    # exhaustion exception signal a truly empty queue — Python 3.11 try
-    # blocks are free unless they raise, while an explicit bound check
-    # would cost a len() call per popped entry.  A popped entry whose
-    # stamp is no longer the item's current stamp *object* is stale
-    # garbage from a later move and is skipped; a live victim's entry is
-    # consumed by the pop itself, so eviction needs no re-stamping.  The
-    # loop body touches nothing but the recency state itself; occupancy
-    # is tracked as *headroom* (``room``/``aroom``), which stays a small
-    # interned int in the thrashing steady state.
-    room = cap_pages - in_total - act_total   # pages before the next eviction
-    aroom = lim_pages - act_total             # pages before the next demotion
-    for t, d in enumerate(stream):
-        w = loc[d]
-        if not w:
-            # Miss: evict from the inactive front, then the active.
-            miss_append(t)
-            p = pages_of[d]
-            try:
-                while p > room:
-                    g = iq_pop()
-                    s = iqs_pop()
-                    if stamp[g] is not s:
-                        continue
-                    room += pages_of[g]
-                    loc[g] = 0
-            except IndexError:
-                while p > room:
-                    try:
-                        g = aq_pop()
-                        s = aqs_pop()
-                    except IndexError:
-                        break
-                    if stamp[g] is not s:
-                        continue
-                    aroom += pages_of[g]
-                    room += pages_of[g]
-                    loc[g] = 0
-            loc[d] = 1
-            stamp[d] = t
-            iq_append(d)
-            iqs_append(t)
-            room -= p
-        elif w == 2:
-            # Active hit: re-stamp to the active MRU end.
-            stamp[d] = t
-            aq_append(d)
-            aqs_append(t)
-        else:
-            # Inactive hit: promote, then demote while over target.
-            loc[d] = 2
-            stamp[d] = t
-            aq_append(d)
-            aqs_append(t)
-            aroom -= pages_of[d]
-            try:
-                while aroom < 0:
-                    g = aq_pop()
-                    s = aqs_pop()
-                    if stamp[g] is not s:
-                        continue
-                    loc[g] = 1
-                    stamp[g] = t
-                    iq_append(g)
-                    iqs_append(t)
-                    aroom += pages_of[g]
-            except IndexError:
-                pass  # active queue empty (unreachable while pages remain)
-    # Whatever the queues still hold after the replay is the tail the
-    # final live sweep filters (consumed garbage was freed by the pops).
-    tail_in, tail_ins = list(iq), list(iqs)
-    tail_act, tail_acts = list(aq), list(aqs)
-
-    hit_mask = np.ones(n, dtype=bool)
-    if miss_at:
-        hit_mask[np.asarray(miss_at, dtype=np.int64)] = False
-
-    stamp_arr = np.fromiter(stamp, np.int64, count=num_dense)
-    pages_arr = np.fromiter(pages_of, np.int64, count=num_dense)
-
-    def _collect(entries: List[int],
-                 entry_stamps: List[int]) -> Tuple[np.ndarray, np.ndarray]:
-        members = np.fromiter(entries, np.int64, count=len(entries))
-        stamps = np.fromiter(entry_stamps, np.int64, count=len(entry_stamps))
-        live = members[stamp_arr[members] == stamps]
-        return universe[live], pages_arr[live]
-
-    final_inactive = _collect(tail_in, tail_ins)
-    final_active = _collect(tail_act, tail_acts)
+    core = _native_core()
+    if core is None:
+        return None
+    hit_mask, misses, final_in, final_act = _replay(
+        core, np.ascontiguousarray(dense_stream), rep, dense_in_arr,
+        dense_act_arr, room=cap_pages - in_total - act_total,
+        aroom=lim_pages - act_total)
     # Epilogue algebra: every miss was admitted, hit bytes are the stream's
     # own (consistent) rounded sizes, and the eviction count is the
     # occupancy balance of the replay.
-    misses = len(miss_at)
     return SegmentedLRUResult(
         hit_mask=hit_mask,
         hits=n - misses,
         misses=misses,
         pressure_evictions=(misses + resident_ids.size
-                            - final_inactive[0].size - final_active[0].size),
+                            - final_in.size - final_act.size),
         hit_pages=int(stream_pages[hit_mask].sum()),
-        inactive=final_inactive,
-        active=final_active,
+        inactive=(universe[final_in], rep[final_in]),
+        active=(universe[final_act], rep[final_act]),
     )

@@ -913,20 +913,20 @@ def _raise_lowest_failure(failures: Dict[int, tuple],
 
 def _raise_lost_points(lost: Iterable[int],
                        indexed_points: List[Tuple[int, SweepPoint]],
-                       what: str, recovery: str) -> None:
+                       what: str, recovery: str, cause: str = "") -> None:
     """Raise the failure of work whose workers or hosts kept dying.
 
     Names the lowest *input-order* point still unfinished, like
     :func:`_raise_lowest_failure` does for points that raised, so callers
     handle both kinds of failure identically.  ``what`` names the dead
-    parts (``"workers"``, ``"hosts"``) and ``recovery`` the recovery
-    already spent on them.
+    parts (``"workers"``, ``"hosts"``), ``recovery`` the recovery already
+    spent on them and ``cause``, when given, the likely reason.
     """
     lost = sorted(lost)
     label = dict(indexed_points)[lost[0]].describe() if lost else ""
     where = f" (first lost point: {label})" if label else ""
     error = SweepPointError(
         f"sweep {what} kept dying: {len(lost)} point(s) lost after "
-        f"{recovery}{where}")
+        f"{recovery}{where}{'; ' + cause if cause else ''}")
     error.point_label = label
     raise error

@@ -39,7 +39,9 @@ that the pool
   results — per-point seeding makes every re-run byte-identical to the
   run that was lost — under a per-run respawn budget, past which the run
   raises the usual labelled :class:`~repro.exceptions.SweepPointError`
-  naming the lowest lost point;
+  naming the lowest lost point (and, when no worker finished a single
+  task, the likely cause: a script that starts a pool sweep without an
+  ``if __name__ == "__main__":`` guard);
 * delivers planned worker kills: a
   :class:`~repro.resilience.FaultInjector`'s kill schedule is consulted
   after every received result, and a due kill SIGKILLs one live worker
@@ -91,6 +93,13 @@ _WAIT_TICK_S = 1.0
 
 #: Seconds to wait for worker processes to exit before terminating them.
 _SHUTDOWN_GRACE_S = 5.0
+
+#: Likely cause named when a run loses every chunk: no worker finished a
+#: task, which is what spawned workers do when each re-runs an unguarded
+#: main script that starts a pool sweep itself.
+_NEVER_STARTED = (
+    "no worker finished a task; under the spawn start method a script "
+    "must start pool sweeps under an `if __name__ == \"__main__\":` guard")
 
 #: Errors that mean "the executor lost workers", not "the task raised".
 _BROKEN_ERRORS = (BrokenProcessPool, concurrent.futures.BrokenExecutor,
@@ -386,7 +395,9 @@ class PersistentPool:
         if lost:
             _raise_lost_points((task[1] for chunk in lost for task in chunk),
                                indexed_points, "workers",
-                               f"{respawns} pool respawn(s)")
+                               f"{respawns} pool respawn(s)",
+                               _NEVER_STARTED if len(lost) == len(chunks)
+                               else "")
         with self._cond:
             self.runs += 1
         if failures:

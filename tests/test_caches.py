@@ -1,12 +1,18 @@
 """Unit tests for the cache substrates: page cache, MinIO, partitioned."""
 
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cache import page_cache
+from repro.cache import page_cache, warm_kernel
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
@@ -230,6 +236,122 @@ class TestPageCacheBulkStream:
         assert kernel_results == [None]
         assert bulk.stats.rejected == scalar.stats.rejected == 1
         self._assert_same_state(bulk, scalar)
+
+
+class TestNativeCore:
+    """How the warm kernel's native core is built, loaded and done without."""
+
+    @staticmethod
+    def _unbuilt(monkeypatch, loader):
+        """This process as if its first replay were still to come, with
+        ``loader`` in place of the compile-and-load step."""
+        monkeypatch.setattr(warm_kernel, "_load_core", loader)
+        monkeypatch.setattr(warm_kernel, "_core", None)
+        monkeypatch.setattr(warm_kernel, "_core_tried", False)
+
+    def test_without_a_compiler_the_kernel_declines_and_the_cache_walks(
+            self, monkeypatch, tiny_dataset, kernel_results):
+        def no_compiler(directory=None):
+            raise FileNotFoundError(2, "No such file or directory", "cc")
+
+        self._unbuilt(monkeypatch, no_compiler)
+        capacity = tiny_dataset.total_bytes * 0.5
+        sampler = RandomSampler(len(tiny_dataset), seed=0)
+        streams = [np.concatenate([sampler.epoch(e) for e in epochs])
+                   for epochs in ((0, 1, 2), (3, 4))]
+        scalar, bulk = PageCache(capacity), PageCache(capacity)
+        empty = np.zeros(0, dtype=np.int64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for stream in streams:
+                sizes = tiny_dataset.item_sizes(stream)
+                assert warm_kernel.simulate_segmented_lru(
+                    stream, sizes, capacity_bytes=capacity,
+                    page_bytes=4096.0, active_limit_bytes=capacity / 2,
+                    inactive=(empty, empty), active=(empty, empty),
+                    inactive_bytes=0.0, active_bytes=0.0) is None
+                expected = scalar.walk(stream, sizes)
+                hits = bulk.bulk_stream_hits(stream, sizes)
+                assert hits.tolist() == expected.tolist()
+                TestPageCacheBulkStream._assert_same_state(bulk, scalar)
+                assert bulk.active_bytes == scalar.active_bytes
+        assert kernel_results == [None, None]
+        assert bulk.evictions > 0
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "No such file or directory" in str(runtime[0].message)
+        assert not warm_kernel.native_core_loaded()
+
+    def test_concurrent_first_replays_load_the_core_once(self, monkeypatch):
+        """Serve threads replay concurrently: one of them loads the core,
+        and the others wait for that outcome instead of loading again."""
+        calls = []
+
+        def slow_loader(directory=None):
+            calls.append(threading.get_ident())
+            time.sleep(0.05)
+            raise OSError("compiler gone")
+
+        self._unbuilt(monkeypatch, slow_loader)
+        seen = []
+        threads = [threading.Thread(
+            target=lambda: seen.append(warm_kernel._native_core()))
+            for _ in range(8)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1 and seen == [None] * 8
+        assert [str(w.message).count("compiler gone") for w in caught] == [1]
+
+    def test_processes_compiling_into_one_directory_at_once_both_load_it(
+            self, tmp_path):
+        """Two processes build the core into one empty directory at the
+        same moment; each renames a complete library into place, so both
+        load a working core and no partial file is left behind."""
+        go = tmp_path / "go"
+        library = tmp_path / "lib"
+        library.mkdir()
+        script = textwrap.dedent("""
+            import pathlib, sys, time
+            import numpy as np
+            from repro.cache import warm_kernel
+            library, go = map(pathlib.Path, sys.argv[1:])
+            deadline = time.monotonic() + 60.0
+            while not go.exists() and time.monotonic() < deadline:
+                time.sleep(0.002)
+            core = warm_kernel._load_core(library)
+            empty = np.zeros(0, dtype=np.int64)
+            hits, misses, inactive, active = warm_kernel._replay(
+                core, np.array([0, 1, 0, 2, 0]), np.ones(3, dtype=np.int64),
+                empty, empty, room=2, aroom=1)
+            print(hits.tolist(), misses, inactive.tolist(), active.tolist())
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent
+                                  / "src"))
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", script, str(library), str(go)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)]
+        try:
+            time.sleep(0.5)                 # both are past their imports
+            go.touch()
+            outputs = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait(10)
+        walk = PageCache(2 * 4096.0, active_target_fraction=0.5)
+        expected = walk.walk(np.array([0, 1, 0, 2, 0]), np.full(5, 4096.0))
+        assert expected.tolist() == [False, False, True, False, True]
+        for proc, (out, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err
+            assert out.strip() == f"{expected.tolist()} 3 [2] [0]"
+        assert [path.suffix for path in library.iterdir()] == [".so"]
 
 
 class TestReplayMemo:

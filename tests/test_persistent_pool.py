@@ -10,6 +10,12 @@ byte-identical to the serial executor, failures keep the labelled
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
@@ -126,3 +132,33 @@ class TestLifecycle:
         assert pool.run_points(runner, []) == []
         assert pool.runs == 0
         pool.close()
+
+    def test_workers_that_never_finish_a_task_name_the_missing_main_guard(
+            self, tmp_path):
+        """A script that starts a pool sweep at module level, without an
+        ``if __name__ == "__main__":`` guard: every spawned worker re-runs
+        it and dies bootstrapping, so no task ever finishes (2 workers, at
+        most 8 with the respawns).  The lost-points error says so and
+        names the guard."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            from repro.exceptions import SweepPointError
+            from repro.sim.harness import run_golden_grid
+            try:
+                run_golden_grid("fig9b_small", workers=2)
+            except SweepPointError as error:
+                print(error)
+        """))
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=240)
+        # Dying workers write their tracebacks to the shared stderr, so
+        # the parent reports the error on stdout, where nothing else goes.
+        message = proc.stdout.strip()
+        assert message.startswith("sweep workers kept dying"), (
+            proc.stdout + proc.stderr[-2000:])
+        assert "no worker finished a task" in message
+        assert 'if __name__ == "__main__":' in message

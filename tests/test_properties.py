@@ -6,8 +6,10 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,12 @@ from repro.cache import page_cache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
-from repro.cache.warm_kernel import WARM_KERNEL_ENV_VAR, simulate_segmented_lru
+from repro.cache.warm_kernel import (
+    WARM_KERNEL_ENV_VAR,
+    max_exact_page_multiple,
+    rounded_pages,
+    simulate_segmented_lru,
+)
 from repro.compute.model_zoo import RESNET18
 from repro.coordl.coordinated_prep import CoordinatedPrepPlan
 from repro.coordl.staging import StagingArea
@@ -74,6 +81,50 @@ def _kernel_replay(cache: PageCache, stream, sizes):
             mock.patch.dict(os.environ, {WARM_KERNEL_ENV_VAR: "1"}):
         copy.deepcopy(cache).bulk_stream_hits(stream, sizes)
     return results[0] if results else None
+
+
+#: Page sizes for the page-rounding property: powers of two (every
+#: configuration uses one), small odd significands, and sizes whose exact
+#: multiples run out after a few pages (0.1, a dense significand).
+ROUNDING_PAGE_SIZES = (4096.0, 1.0, 512.0, 3.0, 1000.0, 0.1,
+                       4096.0 * (1 + 2.0**-52))
+
+
+@st.composite
+def _page_rounding_inputs(draw):
+    """``(page, max_pages, sizes)``: sizes mixing exact page multiples and
+    their float neighbours, sub-page sizes, zero, negatives, ``nan``,
+    infinities, arbitrary floats and values near ``max_pages`` pages."""
+    page = draw(st.sampled_from(ROUNDING_PAGE_SIZES))
+    max_pages = max_exact_page_multiple(page)
+
+    def beside(multiple: float, side: int) -> float:
+        return (float(np.nextafter(multiple, side * math.inf)) if side
+                else multiple)
+
+    size = st.one_of(
+        st.tuples(st.integers(0, 2**20), st.sampled_from((-1, 0, 1))).map(
+            lambda pair: beside(pair[0] * page, pair[1])),
+        st.tuples(st.integers(-3, 3), st.sampled_from((-1, 0, 1))).map(
+            lambda pair: beside(float(max_pages + pair[0]) * page, pair[1])),
+        st.floats(0.0, page),
+        st.floats(-1e6, 0.0),
+        st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    sizes = draw(st.lists(size, max_size=40))
+    return page, max_pages, np.array(sizes, dtype=np.float64)
+
+
+def _exact_pages(size: float, page: float, max_pages: int):
+    """The integer ceiling ``PageCache._rounded`` means, in exact rational
+    arithmetic: at least one page (so one for ``-inf``); ``None`` for
+    ``nan`` and ``inf`` and from ``max_pages`` on."""
+    if math.isnan(size) or size == math.inf:
+        return None
+    pages = (1 if size == -math.inf
+             else max(1, math.ceil(Fraction(size) / Fraction(page))))
+    return pages if pages < max_pages else None
 
 
 def _size_consistent(cache: PageCache, stream, sizes) -> bool:
@@ -556,6 +607,28 @@ class TestMakespanProperties:
             assert bulk.evictions == scalar.evictions
             for field in ("hits", "misses", "insertions", "rejected"):
                 assert getattr(bulk.stats, field) == getattr(scalar.stats, field)
+
+    @given(inputs=_page_rounding_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_rounded_pages_is_the_exact_integer_ceiling(self, inputs):
+        """The float estimate only seeds the certified corrections: every
+        count equals the exact rational ceiling, and the whole call is
+        ``None`` when some size has no certifiable count.  A ``-inf``
+        size may also decline: its quotient gives the two corrections no
+        estimate to start from."""
+        page, max_pages, sizes = inputs
+        expected = [_exact_pages(size, page, max_pages)
+                    for size in sizes.tolist()]
+        with np.errstate(all="ignore"):     # nan, inf and overflow inputs
+            result = rounded_pages(sizes, page, max_pages)
+        if None in expected or max_pages <= 1:
+            # Below two certifiable pages not even an empty call certifies.
+            assert result is None
+        elif result is None:
+            assert (sizes == -math.inf).any()
+        else:
+            assert result is not None and result.dtype == np.int64
+            assert result.tolist() == expected
 
 
 # Replay memo -------------------------------------------------------------------

@@ -9,7 +9,10 @@ the texts joined as the report-cold benchmark joins them.  The fenced table
 blocks are digested by ``tables_digest`` from ``bench/workloads.py`` and
 compared with ``bench/expected_tables.sha256``.  The report runs twice: with
 the warm kernel, then with ``REPRO_WARM_KERNEL=0`` so every page-cache
-replay walks item by item.  Both must match the committed digest.
+replay walks item by item.  Both must match the committed digest, and the
+kernel-on leg fails unless the native replay core loaded: without a
+working C compiler every replay would walk, and that leg would only repeat
+the kernel-off one.
 
 Run as ``make tables-check`` (or ``PYTHONPATH=src python tools/tables_check.py``).
 """
@@ -27,7 +30,10 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import REPORT_SCALE, tables_digest  # noqa: E402
 
-from repro.cache.warm_kernel import WARM_KERNEL_ENV_VAR  # noqa: E402
+from repro.cache.warm_kernel import (  # noqa: E402
+    WARM_KERNEL_ENV_VAR,
+    native_core_loaded,
+)
 from repro.experiments import registry  # noqa: E402
 from repro.experiments.report_generator import generate  # noqa: E402
 
@@ -51,10 +57,11 @@ def main() -> int:
         os.environ[WARM_KERNEL_ENV_VAR] = setting
         began = time.perf_counter()
         digest = report_digest()
-        ok = digest == expected
-        failed |= not ok
-        print(f"tables-check {label}: {digest} "
-              f"{'ok' if ok else 'MISMATCH, expected ' + expected} "
+        verdict = "ok" if digest == expected else f"MISMATCH, expected {expected}"
+        if setting == "1" and not native_core_loaded():
+            verdict = "NATIVE CORE NOT LOADED (every replay walked)"
+        failed |= verdict != "ok"
+        print(f"tables-check {label}: {digest} {verdict} "
               f"({time.perf_counter() - began:.1f} s)")
     return 1 if failed else 0
 
