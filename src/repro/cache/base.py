@@ -72,7 +72,7 @@ class Cache(ABC):
 
         The per-item reference every bulk path reproduces exactly, and the
         path the bulk entries fall back to when they cannot apply a stream
-        analytically.  ``sizes`` is aligned with ``item_ids``.
+        in bulk.  ``sizes`` is aligned with ``item_ids``.
         """
         lookup, admit = self.lookup, self.admit
         hits = np.zeros(len(item_ids), dtype=bool)

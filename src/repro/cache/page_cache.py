@@ -40,6 +40,7 @@ and commit the kept result by reference.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -52,7 +53,6 @@ from repro.cache.base import Cache
 from repro.cache.warm_kernel import (
     SegmentedLRUResult,
     max_exact_page_multiple,
-    rounded_pages,
     simulate_segmented_lru,
     warm_kernel_enabled,
 )
@@ -243,7 +243,10 @@ class PageCache(Cache):
         """Items dropped through :meth:`evict` (fadvise-style invalidation)."""
         return self._explicit_evictions
 
-    def _rounded(self, size_bytes: float) -> float:
+    def _rounded(self, item_id: int, size_bytes: float) -> float:
+        if not math.isfinite(size_bytes):
+            raise ConfigurationError(
+                f"item {item_id} has a non-finite size: {size_bytes!r} bytes")
         pages = max(1, int(-(-size_bytes // self._page_bytes)))  # ceil division
         return pages * self._page_bytes
 
@@ -355,7 +358,7 @@ class PageCache(Cache):
         # the inactive tail first.
         if self._pages is not None:
             self._to_dicts()
-        size = self._rounded(size_bytes)
+        size = self._rounded(item_id, size_bytes)
         if size > self._capacity:
             self._stats.rejected += 1
             return False
@@ -369,132 +372,9 @@ class PageCache(Cache):
 
     def bulk_epoch_hits(self, item_ids: np.ndarray,
                         sizes: np.ndarray) -> np.ndarray:
-        """One single-pass epoch of distinct accesses, in bulk.
-
-        The *cold* trajectory (empty cache) is closed-form: distinct items
-        are never re-referenced within the epoch, so every access misses,
-        nothing is promoted to the active list, and FIFO byte eviction leaves
-        exactly the maximal suffix of the admitted stream whose rounded sizes
-        fit in the capacity; that suffix becomes the inactive list's arrays.
-        A *warm* page cache has no closed form — hits promote pages and
-        reshape both lists — so the warm branch replays the state machine
-        through :meth:`bulk_stream_hits`, which walks when the kernel
-        declines; a cold epoch whose page counts cannot be certified exact
-        walks too.  Either way the caller derives timings and I/O
-        accounting from the returned mask vectorised.
-        """
-        if len(self):
-            return self.bulk_stream_hits(item_ids, sizes)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        page = self._page_bytes
-        pages = rounded_pages(sizes, page, max_exact_page_multiple(page))
-        if pages is None:
-            return self.walk(item_ids, sizes)
-        rounded = pages * page
-        fits = rounded <= self._capacity
-
-        self._stats.misses += int(item_ids.size)
-        self._stats.rejected += int((~fits).sum())
-        inserted_ids = item_ids[fits]
-        inserted_pages = pages[fits]
-        inserted_sizes = rounded[fits]
-        self._stats.insertions += int(inserted_ids.size)
-
-        # FIFO byte eviction keeps the maximal suffix of the insertion order
-        # whose total fits; everything inserted before it was evicted.
-        suffix_bytes = np.cumsum(inserted_sizes[::-1])
-        keep = int(np.searchsorted(suffix_bytes, self._capacity, side="right"))
-        self._pressure_evictions += int(inserted_ids.size) - keep
-        if keep:
-            first = inserted_ids.size - keep
-            empty = np.zeros(0, dtype=np.int64)
-            self._pages = ((inserted_ids[first:], inserted_pages[first:]),
-                           (empty, empty))
-            self._inactive = self._active = None
-            self._inactive_bytes = float(inserted_sizes[first:].sum())
-        return np.zeros(item_ids.size, dtype=bool)
-
-    def bulk_saturating_hits(self, item_ids: np.ndarray,
-                             sizes: np.ndarray) -> Optional[np.ndarray]:
-        """A multi-pass access stream in bulk, when eviction is impossible.
-
-        Unlike :meth:`bulk_epoch_hits` the stream may revisit items (the
-        HP-search baseline interleaves several jobs' epochs over one shared
-        page cache).  The trajectory is analytic exactly when the cache can
-        never evict during the stream: every distinct accessed item fits in
-        the capacity alongside whatever resident bytes lie outside the
-        accessed set.  Then an access hits iff its item is already resident
-        or occurred earlier in the stream, every first-touch miss is
-        admitted, and the hit/miss/insertion counters and residency after
-        this call equal the per-item ``lookup`` + ``admit`` walk.
-        Residency and stored sizes are read off the lists' arrays, and the
-        first-touch misses are appended to the inactive list's arrays.
-
-        The active/inactive list *ordering* is not reproduced (promotions
-        are skipped): ordering is only observable through future evictions,
-        which the no-eviction precondition rules out for as long as later
-        accesses stay within ``item_ids``.  Callers must confine the cache
-        to this item universe afterwards (the HP-search scenario does — one
-        page cache per dataset and run).
-
-        Returns ``None`` without side effects when the no-eviction
-        precondition does not hold, or when a page count cannot be
-        certified exact; the caller then replays the stream through
-        :meth:`bulk_stream_hits`.
-        """
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        if item_ids.size == 0:
-            return np.zeros(0, dtype=bool)
-        page = self._page_bytes
-        pages = rounded_pages(sizes, page, max_exact_page_multiple(page))
-        if pages is None:
-            return None
-        rounded = pages * page
-        distinct, first_pos, inverse = np.unique(item_ids, return_index=True,
-                                                 return_inverse=True)
-        # Cheap decline for thrashing streams: the newly admitted bytes are
-        # at least the distinct rounded footprint minus what is already
-        # resident, so once that footprint alone exceeds the capacity (plus
-        # one page of float slack) the no-eviction precondition cannot hold
-        # and the per-distinct residency probe below would be wasted work.
-        if float(rounded[first_pos].sum()) > self._capacity + page:
-            return None
-        lists = self._resident_pages()
-        if lists is None:
-            return None
-        (in_ids, in_pages), (act_ids, act_pages) = lists
-        resident_ids = np.concatenate([in_ids, act_ids])
-        # ``distinct`` is sorted: each resident's position in it, if any.
-        at = np.searchsorted(distinct, resident_ids)
-        accessed = at < distinct.size
-        accessed[accessed] = distinct[at[accessed]] == resident_ids[accessed]
-        resident = np.zeros(distinct.size, dtype=bool)
-        resident[at[accessed]] = True
-        stored = rounded[first_pos]
-        stored[at[accessed]] = (np.concatenate([in_pages, act_pages])[accessed]
-                                * page)
-        new_rounded = rounded[first_pos[~resident]]
-        # No eviction can ever trigger iff everything admitted still fits on
-        # top of what is resident (re-admissions of resident items are no-ops,
-        # and each new item individually fits because the total does).
-        if self.used_bytes + float(new_rounded.sum()) > self._capacity:
-            return None
-
-        miss = np.zeros(item_ids.size, dtype=bool)
-        miss[first_pos[~resident]] = True
-        self._stats.misses += int(miss.sum())
-        self._stats.hits += int(item_ids.size - miss.sum())
-        per_access_stored = stored[inverse]
-        self._stats.hit_bytes += float(per_access_stored[~miss].sum())
-        self._stats.insertions += int((~resident).sum())
-        new_first = np.sort(first_pos[~resident])
-        self._pages = ((np.concatenate([in_ids, item_ids[new_first]]),
-                        np.concatenate([in_pages, pages[new_first]])),
-                       (act_ids, act_pages))
-        self._inactive_bytes += float(rounded[new_first].sum())
-        return ~miss
+        """One single-pass epoch of distinct accesses, in bulk: the epoch is
+        one stream like any other, replayed by :meth:`bulk_stream_hits`."""
+        return self.bulk_stream_hits(item_ids, sizes)
 
     def bulk_stream_hits(self, item_ids: np.ndarray,
                          sizes: np.ndarray) -> np.ndarray:

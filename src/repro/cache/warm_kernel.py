@@ -1,13 +1,11 @@
-"""Exact bulk kernel for the warm/thrashing segmented-LRU page cache.
+"""Exact bulk kernel for the segmented-LRU page cache.
 
 :meth:`repro.cache.page_cache.PageCache.lookup` / ``admit`` drive an
-OrderedDict state machine one access at a time.  The cold single-pass epoch
-and the no-eviction multi-pass stream have closed forms
-(:meth:`~repro.cache.page_cache.PageCache.bulk_epoch_hits` /
-``bulk_saturating_hits``), but the paper's headline baseline pathology —
-segmented-LRU *thrashing* under single-pass random access (Sec. 3.3.1,
-Figs. 3/9d) — lives exactly where neither applies: a warm cache smaller than
-the working set, where every access can promote, demote or evict.
+OrderedDict state machine one access at a time.  This kernel replays every
+bulk page-cache stream — cold epochs, fully-cached multi-pass streams and
+the paper's headline baseline pathology, segmented-LRU *thrashing* under
+single-pass random access (Sec. 3.3.1, Figs. 3/9d): a warm cache smaller
+than the working set, where every access can promote, demote or evict.
 
 That trajectory is inherently sequential (each admission's eviction victims
 depend on every earlier promotion), so no per-access-free closed form
@@ -63,9 +61,9 @@ and writes none back.
 The kernel is pure: it reads the cache's state and returns a
 :class:`SegmentedLRUResult` without touching the cache or writing into
 the arrays it was handed (a replay memo shares them between caches), so
-callers get the all-or-nothing side-effect contract of the other bulk
-paths for free.  The C code writes only arrays the kernel allocates for
-the call.
+a replay is all or nothing: a declined one leaves the cache as it was,
+and the caller walks instead.  The C code writes only arrays the kernel
+allocates for the call.
 """
 
 from __future__ import annotations
@@ -371,8 +369,11 @@ def rounded_pages(sizes: np.ndarray, page_bytes: float,
     page`` (clamped to one page).  The float quotient's ceiling is only an
     estimate, so it is corrected against those exact product comparisons;
     ``None`` when a count cannot be certified below ``max_pages`` (where
-    products stop being exact).
+    products stop being exact) or a size is not finite (which
+    ``_rounded`` rejects).
     """
+    if not np.isfinite(sizes).all():
+        return None
     pages = np.ceil(sizes / page_bytes)
     pages = np.where(np.isfinite(pages), pages, float(max_pages))
     np.clip(pages, 1.0, float(max_pages), out=pages)

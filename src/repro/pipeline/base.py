@@ -145,15 +145,15 @@ class DataLoader:
 
     def batch_time_arrays(self, epoch_index: int) -> Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorised epoch fetch path, when the cache trajectory is analytic.
+        """Vectorised epoch fetch path for a single-pass epoch.
 
         Returns ``(fetch_s, cached_fetch_s, prep_s, batch_sizes)`` — one entry
         per minibatch — after applying exactly the side effects the per-batch
         :meth:`fetch_batch` loop would have applied (cache mutations and
         counters, loader and store I/O accounting including the disk
-        timeline).  Warm page-cache epochs qualify too: epochs 2+ replay
-        the segmented-LRU bulk kernel inside
-        :meth:`repro.cache.page_cache.PageCache.bulk_epoch_hits`.  Returns
+        timeline).  The cache applies the whole epoch through
+        :meth:`~repro.cache.base.Cache.bulk_epoch_hits`; a page cache, cold
+        or warm, replays it with the segmented-LRU bulk kernel.  Returns
         ``None``, without side effects, when the epoch must be simulated
         batch by batch because it revisits an item.
         """

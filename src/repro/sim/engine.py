@@ -33,11 +33,10 @@ Python interpreter:
 * :meth:`PipelineSimulator.collect_batch_times` asks the loader for whole
   per-batch time *arrays* (:meth:`repro.pipeline.base.DataLoader.batch_time_arrays`)
   whenever the cache can apply the epoch in bulk — a MinIO cache in any
-  state, a cold page cache's closed form, and warm/thrashing page caches
-  through the segmented-LRU bulk kernel
-  (:mod:`repro.cache.warm_kernel`) — and only falls back to the per-batch
-  ``fetch_batch`` loop for custom fetch policies, repeated items or a
-  declined kernel.
+  state, and a page cache in any state, cold, warm or thrashing, through
+  the segmented-LRU bulk kernel (:mod:`repro.cache.warm_kernel`) — and
+  only falls back to the per-batch ``fetch_batch`` loop for custom fetch
+  policies or repeated items.
 """
 
 from __future__ import annotations

@@ -35,8 +35,11 @@ trace must come back bit for bit.
 All simulations here are analytic/vectorised (the cache masks and byte
 sums are exact, never sampled), so results are independent of the
 runner's ``fast_path`` toggle except where they delegate to
-:class:`~repro.sim.hp_search.HPSearchScenario` (which honours it with
-bit-identical results either way).
+:class:`~repro.sim.hp_search.HPSearchScenario`, which honours it.  Its
+page-cache side (``hp-multitenant``) is bit-identical either way.  Its
+MinIO side (``coordl-crash``) is not: the fast path sums an epoch's miss
+bytes pairwise where the reference adds them one at a time, so disk bytes
+can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -153,8 +156,9 @@ class FailureScenario:
             the detector's replacement picking.  The sweep runner passes
             its :meth:`~repro.sim.sweep.SweepRunner.point_seed`.
         fast_path: Forwarded to the delegated
-            :class:`~repro.sim.hp_search.HPSearchScenario` paths (exact
-            either way); the scenarios' own epoch math is always analytic.
+            :class:`~repro.sim.hp_search.HPSearchScenario` paths (see the
+            module docstring for where they differ); the scenarios' own
+            epoch math is always analytic.
     """
 
     def __init__(self, model: ModelSpec, dataset: SyntheticDataset,

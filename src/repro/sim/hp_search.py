@@ -117,9 +117,12 @@ class HPSearchScenario:
             exceed the server's GPU count).
         cache_bytes: Override the server's cache budget.
         seed: Seed for the per-job access streams.
-        fast_path: Allow the vectorised/analytic epoch simulations (exact;
-            disable to force the per-item reference paths, e.g. in
-            equivalence tests and benchmarks).
+        fast_path: Allow the bulk epoch replays (disable to force the
+            per-item reference paths, e.g. in equivalence tests and
+            benchmarks).  The page-cache side is bit-identical either
+            way.  The MinIO side sums its miss bytes pairwise where the
+            reference adds them one at a time, so its disk bytes can
+            differ from the reference's in the last bits.
     """
 
     def __init__(self, model: ModelSpec, dataset: SyntheticDataset,
@@ -139,7 +142,6 @@ class HPSearchScenario:
         self._gpus_per_job = gpus_per_job
         self._seed = seed
         self._fast_path = fast_path
-        self._rounded_totals: dict = {}
 
     # -- the epoch model ---------------------------------------------------
 
@@ -235,21 +237,11 @@ class HPSearchScenario:
         head = head.transpose(1, 0, 2).reshape(-1)
         return np.concatenate([head, orders[:, full:].reshape(-1)])
 
-    def _page_rounded_total(self, cache: PageCache) -> float:
-        """Page-rounded byte footprint of the whole dataset (memoised)."""
-        page = cache.page_bytes
-        cached = self._rounded_totals.get(page)
-        if cached is None:
-            sizes = self._dataset.item_sizes(np.arange(len(self._dataset)))
-            cached = float((np.maximum(np.ceil(sizes / page), 1.0) * page).sum())
-            self._rounded_totals[page] = cached
-        return cached
-
     def _simulate_shared_page_cache_epoch(self, cache: PageCache, epoch: int) -> float:
         """Interleave the jobs' access streams; return disk bytes for the epoch.
 
         Per-item reference path, kept as the executable specification the
-        bulk paths of :meth:`_shared_page_cache_epoch` are tested against.
+        bulk replay of :meth:`_shared_page_cache_epoch` is tested against.
         """
         num_items = len(self._dataset)
         orders = []
@@ -273,32 +265,18 @@ class HPSearchScenario:
     def _shared_page_cache_epoch(self, cache: PageCache, epoch: int) -> float:
         """One interleaved epoch over the shared page cache (fast when allowed).
 
-        When the cache can never evict during the stream
-        (:meth:`~repro.cache.page_cache.PageCache.bulk_saturating_hits` —
-        the fully-cached Table 7 regime) the trajectory is closed-form;
-        otherwise — the *thrashing* regime of a cache below the working
-        set, the dali side of Fig. 9d — the whole interleaved stream goes
-        through the page cache's replay entry
-        (:meth:`~repro.cache.page_cache.PageCache.bulk_stream_hits`).
-        Either yields the identical cache mutations, counters and disk
-        bytes as the per-item reference (the miss bytes are reduced with a
-        sequential ``cumsum``, matching the reference's left-to-right
-        accumulation bit for bit).
+        The whole interleaved stream goes through the page cache's replay
+        entry (:meth:`~repro.cache.page_cache.PageCache.bulk_stream_hits`)
+        in every regime, from thrashing (a cache below the working set, the
+        dali side of Fig. 9d) to fully cached (Table 7).  It yields the
+        identical cache mutations, counters and disk bytes as the per-item
+        reference: the miss bytes are reduced with a sequential ``cumsum``,
+        matching the reference's left-to-right accumulation bit for bit.
         """
         if not self._fast_path:
             return self._simulate_shared_page_cache_epoch(cache, epoch)
         order = self._interleaved_order(epoch)
         sizes = self._dataset.item_sizes(order)
-        # The interleaved stream touches every dataset item, so when the
-        # page-rounded dataset footprint exceeds the capacity the
-        # no-eviction precondition provably cannot hold (newly admitted
-        # bytes are at least the footprint minus what is resident) and the
-        # saturating probe — a sort plus a per-distinct residency scan —
-        # would be wasted work on every thrashing epoch.
-        if self._page_rounded_total(cache) <= cache.capacity_bytes + cache.page_bytes:
-            hits = cache.bulk_saturating_hits(order, sizes)
-            if hits is not None:
-                return float(sizes[~hits].sum())
         miss_sizes = sizes[~cache.bulk_stream_hits(order, sizes)]
         return float(np.cumsum(miss_sizes)[-1]) if miss_sizes.size else 0.0
 

@@ -1,6 +1,8 @@
 """Unit tests for the cache substrates: page cache, MinIO, partitioned."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -130,6 +132,22 @@ class TestPageCache:
         cache.admit(3, 4096.0)
         assert cache.pressure_evictions == 1
         assert 1 not in cache and 2 in cache and 3 in cache
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["admit", "walk", "bulk_stream_hits",
+                                       "bulk_epoch_hits"])
+    # 1 + 2**-51 has exact multiples only up to 3 pages, so a one-page
+    # cache still replays through the kernel.
+    @pytest.mark.parametrize("page", [4096.0, 1 + 2.0**-51])
+    def test_non_finite_sizes_are_rejected_naming_the_item(self, entry, size,
+                                                           page):
+        cache = PageCache(1.5 * page, page_bytes=page)
+        with pytest.raises(ConfigurationError,
+                           match=f"item 7 .* {re.escape(repr(size))} bytes"):
+            if entry == "admit":
+                cache.admit(7, size)
+            else:
+                getattr(cache, entry)(np.array([5, 7]), np.array([page, size]))
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cache.page_cache import PageCache
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.coordl.partitioned_loader import PartitionedCoorDLLoader
@@ -18,8 +19,9 @@ from repro.datasets.catalog import get_dataset_spec
 from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import Sampler
 from repro.sim.distributed import DistributedTraining
+from repro.sim.harness import snapshot_diff
 from repro.sim.hp_search import HPSearchScenario
-from repro.sim.sweep import SweepRunner
+from repro.sim.sweep import SweepPoint, SweepRunner
 
 SCALE = 1 / 500.0
 
@@ -166,26 +168,47 @@ class TestFallbackBoundary:
 
 
 class TestHPSearchFastPathEquivalence:
-    """Analytic interleaving vs the per-item shared-page-cache reference."""
+    """Bulk replays vs the per-item shared-page-cache and MinIO references."""
 
     @pytest.mark.parametrize("fraction", [1.5, 0.6, 0.15])
     def test_baseline_and_coordl_agree(self, dataset, fraction):
+        """The page-cache side equals the reference bit for bit, epoch by
+        epoch, from fully cached (1.5) to thrashing; the MinIO side sums
+        its miss bytes pairwise, so it agrees to round-off."""
         server = config_ssd_v100(cache_bytes=dataset.total_bytes * fraction)
-        results = {}
+        results, disk_bytes = {}, {}
         for fast in (False, True):
             scenario = HPSearchScenario(ALEXNET, dataset, server, num_jobs=4,
                                         gpus_per_job=1, seed=0, fast_path=fast)
             results[fast] = (scenario.run_baseline(), scenario.run_coordl())
-        for slow, fast in zip(results[False], results[True]):
-            assert fast.epoch_time_s == pytest.approx(slow.epoch_time_s, rel=1e-9)
-            assert fast.disk_bytes_per_epoch == pytest.approx(
-                slow.disk_bytes_per_epoch, rel=1e-9)
-            assert fast.cache_miss_ratio == pytest.approx(
-                slow.cache_miss_ratio, abs=1e-12)
-            assert fast.per_job_throughput == pytest.approx(
-                slow.per_job_throughput, rel=1e-9)
-            assert (fast.prep_bound, fast.fetch_bound, fast.gpu_bound) == (
-                slow.prep_bound, slow.fetch_bound, slow.gpu_bound)
+            cache = PageCache(server.cache_bytes)
+            disk_bytes[fast] = [scenario.run_epoch(cache, epoch).disk_bytes
+                                for epoch in range(3)]
+        assert disk_bytes[True] == disk_bytes[False]
+        assert results[True][0] == results[False][0]
+        slow, fast = results[False][1], results[True][1]
+        assert fast.epoch_time_s == pytest.approx(slow.epoch_time_s, rel=1e-9)
+        assert fast.disk_bytes_per_epoch == pytest.approx(
+            slow.disk_bytes_per_epoch, rel=1e-9)
+        assert fast.cache_miss_ratio == pytest.approx(
+            slow.cache_miss_ratio, abs=1e-12)
+        assert fast.per_job_throughput == pytest.approx(
+            slow.per_job_throughput, rel=1e-9)
+        assert (fast.prep_bound, fast.fetch_bound, fast.gpu_bound) == (
+            slow.prep_bound, slow.fetch_bound, slow.gpu_bound)
+
+    def test_fully_cached_multitenant_matches_the_reference_bytes(self):
+        """``hp-multitenant`` with a page cache larger than the dataset: the
+        snapshot with the bulk replay equals the per-item reference's."""
+        points = [SweepPoint(model=RESNET18, loader="hp-multitenant",
+                             dataset="openimages", cache_fraction=1.5,
+                             num_jobs=2, tenants=tenants)
+                  for tenants in (1, 2)]
+        reference, fast = (
+            SweepRunner(config_ssd_v100, scale=1 / 800, seed=0,
+                        fast_path=fast_path).run(points, workers=0).snapshot()
+            for fast_path in (False, True))
+        assert snapshot_diff(reference, fast) == []
 
     def test_interleaved_order_matches_reference_nesting(self, dataset):
         """The bulk-built interleaving equals the nested lockstep loops."""
