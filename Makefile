@@ -54,8 +54,9 @@ bench-parallel:
 ## in repro.sim.POINT_KINDS is documented in docs/API.md, and that every
 ## documented constant's literal value matches the exported one.  Also the
 ## reverse: every repro.<name> in docs/ARCHITECTURE.md and docs/API.md must
-## resolve, and every key type in an ARCHITECTURE.md module row must be an
-## attribute of that row's module.
+## resolve, every key type in an ARCHITECTURE.md module row must be an
+## attribute of that row's module, and every name= keyword in an API.md
+## class/function signature must be a parameter of that callable.
 docs-check:
 	$(PYTHON) tools/docs_check.py
 

@@ -34,18 +34,18 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
 PAIRS = 3
 
 
-def _fig9b_sweep(fast_path: bool) -> Tuple[float, Dict[tuple, List[float]]]:
+def _fig9b_sweep() -> Tuple[float, Dict[tuple, List[float]]]:
     """Run the Fig. 9(b) grid; return (elapsed seconds, per-point epoch times)."""
-    runner = SweepRunner(config_hdd_1080ti, scale=SWEEP_SCALE, seed=0,
-                         fast_path=fast_path)
+    runner = SweepRunner(config_hdd_1080ti, scale=SWEEP_SCALE, seed=0)
     points = SweepRunner.grid(models=list(DEFAULT_HDD_MODELS),
                               loaders=["dist-baseline", "dist-coordl"],
                               cache_fractions=(0.65,), num_servers=2,
                               num_epochs=2)
     start = time.perf_counter()
-    # workers=0 pins the serial executor: this benchmark isolates the
-    # vectorised-vs-reference ratio, even when REPRO_SWEEP_WORKERS is set.
-    sweep = runner.run(points, workers=0)
+    # workers=0 pins the serial executor and store=False bypasses any
+    # ambient store: this benchmark isolates the vectorised-vs-reference
+    # ratio, and the reference leg must simulate in this process.
+    sweep = runner.run(points, workers=0, store=False)
     elapsed = time.perf_counter() - start
     epoch_times = {
         (record.point.model.name, record.point.loader):
@@ -55,12 +55,17 @@ def _fig9b_sweep(fast_path: bool) -> Tuple[float, Dict[tuple, List[float]]]:
     return elapsed, epoch_times
 
 
-def test_vectorized_fig9b_sweep_is_3x_faster_and_exact(bench_report):
+def test_vectorized_fig9b_sweep_is_3x_faster_and_exact(bench_report,
+                                                        reference_paths):
     slow_elapsed = fast_elapsed = float("inf")
     for _ in range(PAIRS):
-        elapsed, slow_times = _fig9b_sweep(fast_path=False)
+        with reference_paths() as calls:
+            elapsed, slow_times = _fig9b_sweep()
+        # Both servers walk every epoch of every point.
+        assert calls["batch_walks"] == 2 * sum(
+            len(times) for times in slow_times.values())
         slow_elapsed = min(slow_elapsed, elapsed)
-        elapsed, fast_times = _fig9b_sweep(fast_path=True)
+        elapsed, fast_times = _fig9b_sweep()
         fast_elapsed = min(fast_elapsed, elapsed)
 
     assert set(fast_times) == set(slow_times)

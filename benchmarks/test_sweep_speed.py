@@ -89,18 +89,18 @@ MIN_WARM_GRID_SPEEDUP = float(
 MIN_STORE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_STORE_SPEEDUP", "5.0"))
 
 
-def _fig3_sweep(fast_path: bool) -> Tuple[float, Dict[tuple, List[float]]]:
+def _fig3_sweep() -> Tuple[float, Dict[tuple, List[float]]]:
     """Run the Fig. 3 grid; return (elapsed seconds, per-point epoch times)."""
-    runner = SweepRunner(config_ssd_v100, scale=SWEEP_SCALE, seed=0,
-                         fast_path=fast_path)
+    runner = SweepRunner(config_ssd_v100, scale=SWEEP_SCALE, seed=0)
     points = SweepRunner.grid(models=[RESNET18],
                               loaders=["dali-shuffle", "coordl"],
                               cache_fractions=DEFAULT_FRACTIONS,
                               dataset="openimages", num_epochs=2)
     start = time.perf_counter()
-    # workers=0 pins the serial executor: this benchmark isolates the
-    # vectorised-vs-reference ratio, even when REPRO_SWEEP_WORKERS is set.
-    sweep = runner.run(points, workers=0)
+    # workers=0 pins the serial executor and store=False bypasses any
+    # ambient store: this benchmark isolates the vectorised-vs-reference
+    # ratio, and the reference leg must simulate in this process.
+    sweep = runner.run(points, workers=0, store=False)
     elapsed = time.perf_counter() - start
     epoch_times = {
         (record.point.loader, record.point.cache_fraction):
@@ -110,15 +110,18 @@ def _fig3_sweep(fast_path: bool) -> Tuple[float, Dict[tuple, List[float]]]:
     return elapsed, epoch_times
 
 
-def test_vectorized_fig3_sweep_is_3x_faster_and_exact(benchmark, bench_report):
+def test_vectorized_fig3_sweep_is_3x_faster_and_exact(benchmark, bench_report,
+                                                       reference_paths):
     slow_elapsed = float("inf")
-    for _ in range(REPEATS):
-        elapsed, slow_times = _fig3_sweep(fast_path=False)
-        slow_elapsed = min(slow_elapsed, elapsed)
+    with reference_paths() as calls:
+        for _ in range(REPEATS):
+            elapsed, slow_times = _fig3_sweep()
+            slow_elapsed = min(slow_elapsed, elapsed)
+    epochs = sum(len(times) for times in slow_times.values())
+    assert calls["batch_walks"] == REPEATS * epochs
 
-    fast_runs = [_fig3_sweep(fast_path=True) for _ in range(REPEATS - 1)]
-    fast_times = benchmark.pedantic(
-        lambda: _fig3_sweep(fast_path=True), rounds=1, iterations=1)[1]
+    fast_runs = [_fig3_sweep() for _ in range(REPEATS - 1)]
+    fast_times = benchmark.pedantic(_fig3_sweep, rounds=1, iterations=1)[1]
     fast_elapsed = min([r[0] for r in fast_runs]
                        + [benchmark.stats.stats.min])
 
@@ -154,12 +157,12 @@ def _fig9d_dali_points() -> List[SweepPoint]:
                             cache_fractions=(0.65,), num_jobs=8)
 
 
-def _timed_points(points: List[SweepPoint], fast_path: bool):
-    """Run one grid serially; return (elapsed s, byte-exact snapshot)."""
-    runner = SweepRunner(config_ssd_v100, scale=SWEEP_SCALE, seed=0,
-                         fast_path=fast_path)
+def _timed_points(points: List[SweepPoint]):
+    """Run one grid serially with no store; return (elapsed s, byte-exact
+    snapshot)."""
+    runner = SweepRunner(config_ssd_v100, scale=SWEEP_SCALE, seed=0)
     start = time.perf_counter()
-    sweep = runner.run(points, workers=0)
+    sweep = runner.run(points, workers=0, store=False)
     return time.perf_counter() - start, sweep.snapshot()
 
 
@@ -175,17 +178,22 @@ def _epoch_times(snapshot: Dict) -> List[float]:
 
 
 def test_warm_kernel_fig3_and_fig9d_thrashing_3x_and_exact(
-        benchmark, bench_report, monkeypatch):
+        benchmark, bench_report, monkeypatch, reference_paths):
     """The segmented-LRU warm-kernel gate (see the module docstring)."""
     grids = {"fig3_warm": _warm_fig3_points(),
              "fig9d_dali": _fig9d_dali_points()}
-    reference = {name: min((_timed_points(points, fast_path=False)
-                            for _ in range(REPEATS)), key=lambda r: r[0])
-                 for name, points in grids.items()}
+    with reference_paths() as calls:
+        reference = {name: min((_timed_points(points)
+                                for _ in range(REPEATS)), key=lambda r: r[0])
+                     for name, points in grids.items()}
+    # Every training epoch walked, and every HP-search point ran its
+    # warm-up and measured epochs on the per-item page cache.
+    assert calls == {
+        "batch_walks": REPEATS * sum(p.num_epochs for p in grids["fig3_warm"]),
+        "page_cache_epochs": REPEATS * 2 * len(grids["fig9d_dali"])}
 
     def _kernel_runs():
-        return {name: _timed_points(points, fast_path=True)
-                for name, points in grids.items()}
+        return {name: _timed_points(points) for name, points in grids.items()}
 
     warm_runs = [_kernel_runs() for _ in range(REPEATS - 1)]
     warm_runs.append(benchmark.pedantic(_kernel_runs, rounds=1, iterations=1))
@@ -209,8 +217,7 @@ def test_warm_kernel_fig3_and_fig9d_thrashing_3x_and_exact(
     # stack is byte-identical: same epoch times, I/O counters/timeline
     # digests and cache stats, for both grids.
     monkeypatch.setenv(WARM_KERNEL_ENV_VAR, "0")
-    kernel_off = {name: _timed_points(points, fast_path=True)
-                  for name, points in grids.items()}
+    kernel_off = {name: _timed_points(points) for name, points in grids.items()}
     monkeypatch.delenv(WARM_KERNEL_ENV_VAR)
     for name in grids:
         diffs = snapshot_diff(kernel_off[name][1], fast[name][1])

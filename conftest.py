@@ -1,4 +1,5 @@
-"""Session-wide watchdog for every test directory (tests/, benchmarks/, bench/).
+"""Session-wide watchdog and shared fixtures for every test directory
+(tests/, benchmarks/, bench/).
 
 A test that stalls — a pool waiting on a dead worker, a socket nobody will
 answer — must fail the run with every thread's stack, not eat the CI
@@ -7,10 +8,16 @@ budget.  Each test (setup, call and teardown) runs under a
 stacks to the terminal and exits the session with an error.  The timer is
 armed once more for interpreter exit, which joins leftover executor
 threads.
+
+The :func:`reference_paths` fixture swaps the simulator's bulk epoch paths
+for their per-item references, for the equivalence tests and the speed
+gates that compare the two.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import faulthandler
 import os
 import sys
@@ -45,3 +52,47 @@ def pytest_runtest_protocol(item: pytest.Item, nextitem):
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def reference_paths():
+    """A context manager that runs the per-item reference paths.
+
+    Inside it, ``DataLoader.batch_time_arrays`` and
+    ``PartitionedCoorDLLoader.batch_time_arrays`` decline, so
+    ``PipelineSimulator.collect_batch_times`` walks every epoch batch by
+    batch, and ``HPSearchScenario``'s bulk page-cache and MinIO epochs are
+    their ``_simulate_*`` references.  It yields a ``Counter`` of the
+    reference calls made inside it: ``batch_walks`` (epochs walked),
+    ``page_cache_epochs`` and ``minio_epochs``.  Only in-process points
+    see the swap, so callers pass ``workers=0, store=False``.
+    """
+    from repro.coordl.partitioned_loader import PartitionedCoorDLLoader
+    from repro.pipeline.base import DataLoader
+    from repro.sim.hp_search import HPSearchScenario
+
+    @contextlib.contextmanager
+    def forced():
+        calls = collections.Counter()
+
+        def walk(self, epoch_index):
+            calls["batch_walks"] += 1
+            return None
+
+        def counted(name, reference):
+            def run(self, cache, epoch):
+                calls[name] += 1
+                return reference(self, cache, epoch)
+            return run
+
+        with pytest.MonkeyPatch.context() as patch:
+            for loader in (DataLoader, PartitionedCoorDLLoader):
+                patch.setattr(loader, "batch_time_arrays", walk)
+            patch.setattr(HPSearchScenario, "_shared_page_cache_epoch", counted(
+                "page_cache_epochs",
+                HPSearchScenario._simulate_shared_page_cache_epoch))
+            patch.setattr(HPSearchScenario, "_minio_epoch", counted(
+                "minio_epochs", HPSearchScenario._simulate_minio_epoch))
+            yield calls
+
+    return forced

@@ -26,7 +26,7 @@ Frame types (every frame is a JSON object with a ``"type"`` key):
 
 Payload shapes are **reused from the serve layer**
 (:mod:`repro.serve.protocol`): the runner spec travels as the whitelisted
-``module:qualname`` factory token plus four scalars, points by model zoo
+``module:qualname`` factory token plus three scalars, points by model zoo
 name, and records as ``SweepRecord.snapshot(include_timeline=True)`` — the
 byte-exact wire form the store and the HTTP daemon already use, with each
 disk timeline as base64 of its little-endian float64 columns.  The same
@@ -53,8 +53,10 @@ from repro.sim.sweep import SweepRunner
 
 #: Version tag exchanged in ``hello`` frames; bumped on breaking protocol
 #: changes so a stale agent fails loudly instead of misparsing.  Version 2
-#: carries each record's disk timelines as base64 float64 columns.
-DIST_PROTOCOL_VERSION = 2
+#: carries each record's disk timelines as base64 float64 columns; version 3
+#: carries the runner spec as the factory token plus scale, seed and queue
+#: depth.
+DIST_PROTOCOL_VERSION = 3
 
 #: Environment variable supplying the default worker-host list of the
 #: sweep-running CLI commands (``run-experiment`` / ``report`` / ``serve``)
@@ -128,9 +130,9 @@ def spec_to_wire(spec: tuple) -> Dict[str, Any]:
     serve layer's rendering), which also validates driver-side that the
     factory is resolvable and whitelisted before anything hits the network.
     """
-    server_factory, scale, seed, queue_depth, fast_path = spec
+    server_factory, scale, seed, queue_depth = spec
     runner = SweepRunner(server_factory, scale=scale, seed=seed,
-                         queue_depth=queue_depth, fast_path=fast_path)
+                         queue_depth=queue_depth)
     wire = runner_to_wire(runner)
     # Round-trip through the whitelist check now: a driver must fail this
     # loudly at submit time, not discover it as a remote protocol error.

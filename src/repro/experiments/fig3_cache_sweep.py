@@ -6,7 +6,7 @@ fetch stall caused by page-cache thrashing.  We obtain the ideal split from a
 MinIO (CoorDL) run and the thrashing surcharge from the DALI-shuffle run at
 the same cache size.  The sweep over cache fractions x loaders runs through
 :class:`~repro.sim.sweep.SweepRunner` (shared dataset/sampler, vectorised
-epoch fast path).
+epoch arrays).
 """
 
 from __future__ import annotations

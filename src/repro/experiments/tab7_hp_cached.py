@@ -5,8 +5,9 @@ redundant pre-processing: each job only gets 3 of the 24 cores.  CoorDL's
 coordinated prep removes the redundancy and speeds the jobs up by 1.2-1.9x,
 the exact factor depending on how far each model's GPU ingestion rate exceeds
 a 3-core prep pipeline.  The per-model baseline/CoorDL grid runs through
-:class:`~repro.sim.sweep.SweepRunner`'s HP-search points (the fully-cached
-regime is the analytic page-cache fast path).
+:class:`~repro.sim.sweep.SweepRunner`'s HP-search points (the page cache
+holds 1.2x the dataset, and the jobs' interleaved stream replays through
+the same segmented-LRU kernel as in every other regime).
 """
 
 from __future__ import annotations

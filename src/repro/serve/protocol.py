@@ -6,8 +6,9 @@ defined here so the two sides (and the tests) cannot drift:
 
 * a **runner spec** names the :class:`~repro.sim.sweep.SweepRunner`
   configuration a query runs under — the server factory by registry name
-  or ``module:qualname`` token, plus scale / seed / queue depth /
-  fast-path (:func:`runner_to_wire` / :func:`runner_from_wire`);
+  or ``module:qualname`` token, plus scale / seed / queue depth
+  (:func:`runner_to_wire` / :func:`runner_from_wire`; unknown fields are
+  rejected);
 * a **point** is one :class:`~repro.sim.sweep.SweepPoint` with the model
   by zoo name (:func:`point_to_wire` / :func:`point_from_wire`, defined in
   :mod:`repro.sim.sweep`) — the codec record snapshots use too.
@@ -48,8 +49,14 @@ ALLOWED_FACTORY_MODULES = ("repro.cluster.configs",)
 #: Version tag carried in every response envelope, bumped on breaking
 #: protocol changes so a stale client fails loudly instead of misparsing
 #: (:class:`~repro.serve.ServeClient` refuses any other version).  Version 2
-#: carries each record's disk timelines as base64 float64 columns.
-PROTOCOL_VERSION = 2
+#: carries each record's disk timelines as base64 float64 columns; version 3
+#: carries the runner spec as the factory token plus scale, seed and queue
+#: depth.
+PROTOCOL_VERSION = 3
+
+#: The fields of a wire runner spec: :func:`runner_to_wire` emits all of
+#: them, and :func:`runner_from_wire` rejects any other.
+_RUNNER_FIELDS = frozenset({"server_factory", "scale", "seed", "queue_depth"})
 
 #: Header carried by 503 responses (admission rejection, draining): how
 #: many seconds the client should wait before retrying.  The client's
@@ -70,13 +77,12 @@ def runner_to_wire(runner: SweepRunner) -> Dict[str, Any]:
     either — the same closures/lambdas the store rejects.
     """
     factory_token = runner._factory_identity()
-    server_factory, scale, seed, queue_depth, fast_path = runner.spec()
+    server_factory, scale, seed, queue_depth = runner.spec()
     return {
         "server_factory": factory_token,
         "scale": float(scale),
         "seed": int(seed),
         "queue_depth": int(queue_depth),
-        "fast_path": bool(fast_path),
     }
 
 
@@ -99,16 +105,21 @@ def _resolve_factory(token: str) -> Callable[..., ServerConfig]:
 
 def runner_from_wire(data: Dict[str, Any]) -> SweepRunner:
     """Build the runner a wire spec describes (inverse of
-    :func:`runner_to_wire`)."""
+    :func:`runner_to_wire`; unknown fields are rejected, so a misspelt
+    field cannot silently fall back to its default)."""
     if not isinstance(data, dict):
         raise ConfigurationError("runner spec must be a JSON object")
+    unknown = set(data) - _RUNNER_FIELDS
+    if unknown:
+        raise ConfigurationError(
+            f"unknown runner spec fields {sorted(unknown)}; known: "
+            f"{sorted(_RUNNER_FIELDS)}")
     try:
         factory = _resolve_factory(str(data["server_factory"]))
         return SweepRunner(factory,
                            scale=float(data.get("scale", 1.0)),
                            seed=int(data.get("seed", 0)),
-                           queue_depth=int(data.get("queue_depth", 4)),
-                           fast_path=bool(data.get("fast_path", True)))
+                           queue_depth=int(data.get("queue_depth", 4)))
     except KeyError as exc:
         raise ConfigurationError(f"runner spec is missing {exc}") from None
 

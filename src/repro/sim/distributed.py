@@ -100,14 +100,11 @@ class DistributedTraining:
         servers: Participating servers (assumed homogeneous, as in the paper).
         num_epochs: Epochs to simulate (first is warm-up).
         queue_depth: Prefetch queue depth.
-        fast_path: Allow the per-server vectorised epoch collection (exact;
-            disable to force the per-item reference path, e.g. in
-            equivalence tests and benchmarks).
     """
 
     def __init__(self, model: ModelSpec, dataset: SyntheticDataset,
                  servers: List[ServerConfig], num_epochs: int = 3,
-                 queue_depth: int = 4, fast_path: bool = True) -> None:
+                 queue_depth: int = 4) -> None:
         if len(servers) < 2:
             raise ConfigurationError("distributed training needs at least two servers")
         if num_epochs < 2:
@@ -117,12 +114,10 @@ class DistributedTraining:
         self._servers = servers
         self._num_epochs = num_epochs
         self._queue_depth = queue_depth
-        self._fast_path = fast_path
 
     def _run(self, loaders: Sequence[DataLoader], name: str) -> DistributedResult:
         simulators = [
-            PipelineSimulator(self._model, server.gpu, queue_depth=self._queue_depth,
-                              fast_path=self._fast_path)
+            PipelineSimulator(self._model, server.gpu, queue_depth=self._queue_depth)
             for server in self._servers
         ]
         epochs: List[DistributedEpoch] = []
@@ -167,8 +162,7 @@ def _run_point(method: Callable[..., DistributedResult], point: Any,
     # sweeps are reproducible and ranks agree on each epoch's permutation.
     training = DistributedTraining(
         point.model, context.dataset, [context.server] * point.num_servers,
-        num_epochs=point.num_epochs, queue_depth=context.queue_depth,
-        fast_path=context.fast_path)
+        num_epochs=point.num_epochs, queue_depth=context.queue_depth)
     return named(method(training, gpu_prep=bool(point.gpu_prep),
                         seed=context.seed))
 

@@ -106,8 +106,13 @@ def pipeline_makespan_reference(stage_times: Sequence[Sequence[float]],
 
 
 def pipeline_makespan(stage_times: Sequence[Sequence[float]],
-                      queue_depth: int = 4, kernel: str = "auto") -> float:
+                      queue_depth: int = 4) -> float:
     """Makespan of an N-stage pipeline with a bounded prefetch queue.
+
+    The kernel is chosen by problem size: the numpy kernel processes
+    ``queue_depth``-long batch chunks with O(1) vector operations each, so
+    it wins when the stage-time matrix is large or the queue is deep,
+    while tiny epochs are cheaper in the per-batch reference loop.
 
     Args:
         stage_times: One sequence of per-batch durations per stage, ordered
@@ -121,26 +126,17 @@ def pipeline_makespan(stage_times: Sequence[Sequence[float]],
             ``queue_depth`` batches are ever fetched-but-unconsumed.  Depth 1
             serialises fetch against consumption; a depth of ``num_batches``
             or more never throttles the producer (unbounded prefetch).
-        kernel: ``"numpy"`` forces the vectorised kernel, ``"scalar"`` the
-            per-batch reference loop, ``"auto"`` (default) picks by problem
-            size: the numpy kernel processes ``queue_depth``-long batch
-            chunks with O(1) vector operations each, so it wins when the
-            stage-time matrix is large or the queue is deep, while tiny
-            epochs are cheaper in the plain loop.
 
     Returns:
         Completion time of the last batch in the last stage.
     """
-    if kernel not in ("auto", "numpy", "scalar"):
-        raise ConfigurationError(f"unknown makespan kernel {kernel!r}")
     stages = _validated_stage_times(stage_times, queue_depth)
     num_stages = len(stages)
     num_batches = len(stages[0])
     if num_batches == 0:
         return 0.0
-    if kernel == "scalar" or (kernel == "auto"
-                              and num_stages * num_batches < _SCALAR_KERNEL_CUTOFF
-                              and queue_depth < num_batches):
+    if (num_stages * num_batches < _SCALAR_KERNEL_CUTOFF
+            and queue_depth < num_batches):
         return pipeline_makespan_reference(stages, queue_depth)
     return _makespan_numpy(np.asarray(stages, dtype=np.float64), queue_depth)
 
@@ -201,18 +197,13 @@ class PipelineSimulator:
         model: The DNN being trained (supplies the GPU ingestion rate).
         gpu: GPU type of the server.
         queue_depth: Prefetch queue size between the data pipeline and GPU.
-        fast_path: Allow the vectorised epoch collection when the loader's
-            cache trajectory is analytic (identical results up to float
-            round-off; disable to force the per-batch reference path, e.g.
-            in equivalence tests and benchmarks).
     """
 
-    def __init__(self, model: ModelSpec, gpu: GPUSpec, queue_depth: int = 4,
-                 fast_path: bool = True) -> None:
+    def __init__(self, model: ModelSpec, gpu: GPUSpec,
+                 queue_depth: int = 4) -> None:
         self._model = model
         self._gpu = gpu
         self._queue_depth = queue_depth
-        self._fast_path = fast_path
 
     @property
     def model(self) -> ModelSpec:
@@ -235,19 +226,18 @@ class PipelineSimulator:
 
         Fetching mutates the loader's cache, so the cache state after this
         call reflects having trained the epoch (warm cache for the next one).
-        Uses the loader's vectorised epoch arrays when available (same
-        mutations, no per-item Python loop) and the per-batch ``fetch_batch``
-        walk otherwise.
+        Uses the loader's vectorised epoch arrays when the loader offers
+        them (same mutations, no per-item Python loop) and the per-batch
+        ``fetch_batch`` walk, the executable specification, otherwise.
         """
-        if self._fast_path:
-            arrays = loader.batch_time_arrays(epoch_index)
-            if arrays is not None:
-                fetch_s, cached_fetch_s, prep_s, batch_sizes = arrays
-                rate = self._model.aggregate_gpu_rate(
-                    self._gpu, loader.num_gpus,
-                    gpu_prep_active=loader.uses_gpu_prep)
-                gpu_s = batch_sizes / rate
-                return BatchTimes(fetch_s, cached_fetch_s, prep_s, gpu_s, batch_sizes)
+        arrays = loader.batch_time_arrays(epoch_index)
+        if arrays is not None:
+            fetch_s, cached_fetch_s, prep_s, batch_sizes = arrays
+            rate = self._model.aggregate_gpu_rate(
+                self._gpu, loader.num_gpus,
+                gpu_prep_active=loader.uses_gpu_prep)
+            gpu_s = batch_sizes / rate
+            return BatchTimes(fetch_s, cached_fetch_s, prep_s, gpu_s, batch_sizes)
         fetch_s: List[float] = []
         cached_fetch_s: List[float] = []
         prep_s: List[float] = []

@@ -33,13 +33,13 @@ scenarios at workers=0/1/4 and through the result store, and the committed
 trace must come back bit for bit.
 
 All simulations here are analytic/vectorised (the cache masks and byte
-sums are exact, never sampled), so results are independent of the
-runner's ``fast_path`` toggle except where they delegate to
-:class:`~repro.sim.hp_search.HPSearchScenario`, which honours it.  Its
-page-cache side (``hp-multitenant``) is bit-identical either way.  Its
-MinIO side (``coordl-crash``) is not: the fast path sums an epoch's miss
-bytes pairwise where the reference adds them one at a time, so disk bytes
-can differ in the last bits.
+sums are exact, never sampled).  The crash and multi-tenant kinds price
+their epochs with :class:`~repro.sim.hp_search.HPSearchScenario`, whose
+bulk replays keep per-item references.  Its page-cache side
+(``hp-multitenant``) is bit-identical to its reference.  Its MinIO side
+(``coordl-crash``) is not: it sums an epoch's miss bytes pairwise where
+the reference adds them one at a time, so disk bytes can differ in the
+last bits.
 """
 
 from __future__ import annotations
@@ -155,20 +155,14 @@ class FailureScenario:
         seed: Scenario seed; drives the samplers, the shard assignment and
             the detector's replacement picking.  The sweep runner passes
             its :meth:`~repro.sim.sweep.SweepRunner.point_seed`.
-        fast_path: Forwarded to the delegated
-            :class:`~repro.sim.hp_search.HPSearchScenario` paths (see the
-            module docstring for where they differ); the scenarios' own
-            epoch math is always analytic.
     """
 
     def __init__(self, model: ModelSpec, dataset: SyntheticDataset,
-                 server: ServerConfig, *, seed: int = 0,
-                 fast_path: bool = True) -> None:
+                 server: ServerConfig, *, seed: int = 0) -> None:
         self._model = model
         self._dataset = dataset
         self._server = server
         self._seed = seed
-        self._fast_path = fast_path
 
     # -- shared rate-model helpers ------------------------------------------
 
@@ -176,7 +170,7 @@ class FailureScenario:
         """The HP-search epoch model the crash/multi-tenant kinds price with."""
         return HPSearchScenario(self._model, self._dataset, self._server,
                                 num_jobs=num_jobs, gpus_per_job=1,
-                                seed=self._seed, fast_path=self._fast_path)
+                                seed=self._seed)
 
     def _server_prep_rate(self) -> float:
         """CPU-only DALI prep rate of one whole server (distributed kinds)."""
@@ -433,7 +427,7 @@ def _scenario(point: Any, context: PointContext) -> FailureScenario:
     # The scenario seed doubles as the FailureDetector's replacement-picking
     # seed, so crash traces are a pure function of the point spec.
     return FailureScenario(point.model, context.dataset, context.server,
-                           seed=context.seed, fast_path=context.fast_path)
+                           seed=context.seed)
 
 
 def _check_crash(point: Any) -> None:

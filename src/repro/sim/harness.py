@@ -63,10 +63,10 @@ class GoldenGrid:
     server_factory: Callable[..., ServerConfig]
     points: Callable[[], List[SweepPoint]]
 
-    def build_runner(self, fast_path: bool = True) -> SweepRunner:
+    def build_runner(self) -> SweepRunner:
         """Fresh runner configured exactly as the committed snapshot was."""
         return SweepRunner(self.server_factory, scale=GOLDEN_SCALE,
-                           seed=GOLDEN_SEED, fast_path=fast_path)
+                           seed=GOLDEN_SEED)
 
 
 def _fig3_points() -> List[SweepPoint]:
@@ -160,12 +160,10 @@ GOLDEN_GRIDS: Dict[str, GoldenGrid] = {
     )
 }
 
-def run_golden_grid(name: str, workers: int = 0,
-                    fast_path: bool = True) -> Dict[str, Any]:
+def run_golden_grid(name: str, workers: int = 0) -> Dict[str, Any]:
     """Run one reference grid and return its byte-exact snapshot.
 
-    ``fast_path=False`` forces the per-item/per-batch reference paths; the
-    bulk warm kernel alone is toggled orthogonally through the
+    The bulk warm kernel is toggled through the
     :data:`~repro.cache.warm_kernel.WARM_KERNEL_ENV_VAR` environment
     variable (which spawned sweep workers inherit).
     """
@@ -174,7 +172,7 @@ def run_golden_grid(name: str, workers: int = 0,
     except KeyError:
         raise ConfigurationError(
             f"unknown golden grid {name!r}; known: {sorted(GOLDEN_GRIDS)}") from None
-    runner = grid.build_runner(fast_path=fast_path)
+    runner = grid.build_runner()
     return runner.run(grid.points(), workers=workers).snapshot()
 
 

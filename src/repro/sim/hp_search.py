@@ -108,6 +108,14 @@ class HPSearchScenario:
     ``cores / num_jobs``; coordinated prep sweeps the dataset once through
     a MinIO cache and preps once on every core and GPU.
 
+    Both epoch replays run in bulk.  Each keeps its per-item reference
+    (:meth:`_simulate_shared_page_cache_epoch`,
+    :meth:`_simulate_minio_epoch`) as the executable specification it is
+    tested against.  The page-cache side is bit-identical to its
+    reference.  The MinIO side sums its miss bytes pairwise where the
+    reference adds them one at a time, so its disk bytes can differ from
+    the reference's in the last bits.
+
     Args:
         model: Model trained by every job.
         dataset: Shared dataset.
@@ -117,18 +125,11 @@ class HPSearchScenario:
             exceed the server's GPU count).
         cache_bytes: Override the server's cache budget.
         seed: Seed for the per-job access streams.
-        fast_path: Allow the bulk epoch replays (disable to force the
-            per-item reference paths, e.g. in equivalence tests and
-            benchmarks).  The page-cache side is bit-identical either
-            way.  The MinIO side sums its miss bytes pairwise where the
-            reference adds them one at a time, so its disk bytes can
-            differ from the reference's in the last bits.
     """
 
     def __init__(self, model: ModelSpec, dataset: SyntheticDataset,
                  server: ServerConfig, num_jobs: int = 8, gpus_per_job: int = 1,
-                 cache_bytes: Optional[float] = None, seed: int = 0,
-                 fast_path: bool = True) -> None:
+                 cache_bytes: Optional[float] = None, seed: int = 0) -> None:
         if num_jobs <= 0 or gpus_per_job <= 0:
             raise ConfigurationError("jobs and GPUs per job must be positive")
         if num_jobs * gpus_per_job > server.num_gpus:
@@ -141,7 +142,6 @@ class HPSearchScenario:
         self._num_jobs = num_jobs
         self._gpus_per_job = gpus_per_job
         self._seed = seed
-        self._fast_path = fast_path
 
     # -- the epoch model ---------------------------------------------------
 
@@ -263,7 +263,7 @@ class HPSearchScenario:
         return disk_bytes
 
     def _shared_page_cache_epoch(self, cache: PageCache, epoch: int) -> float:
-        """One interleaved epoch over the shared page cache (fast when allowed).
+        """One interleaved epoch over the shared page cache, in bulk.
 
         The whole interleaved stream goes through the page cache's replay
         entry (:meth:`~repro.cache.page_cache.PageCache.bulk_stream_hits`)
@@ -273,8 +273,6 @@ class HPSearchScenario:
         reference: the miss bytes are reduced with a sequential ``cumsum``,
         matching the reference's left-to-right accumulation bit for bit.
         """
-        if not self._fast_path:
-            return self._simulate_shared_page_cache_epoch(cache, epoch)
         order = self._interleaved_order(epoch)
         sizes = self._dataset.item_sizes(order)
         miss_sizes = sizes[~cache.bulk_stream_hits(order, sizes)]
@@ -307,9 +305,7 @@ class HPSearchScenario:
         return disk_bytes
 
     def _minio_epoch(self, cache: MinIOCache, epoch: int) -> float:
-        """One coordinated sweep, vectorised when allowed (MinIO is analytic)."""
-        if not self._fast_path:
-            return self._simulate_minio_epoch(cache, epoch)
+        """One coordinated sweep, vectorised (MinIO is analytic)."""
         order = RandomSampler(len(self._dataset), seed=(self._seed, 0xC0)).epoch(epoch)
         sizes = self._dataset.item_sizes(order)
         return float(sizes[~cache.bulk_epoch_hits(order, sizes)].sum())
@@ -344,7 +340,7 @@ def _run_point(method: Callable[[HPSearchScenario], HPSearchResult],
     return named(method(HPSearchScenario(
         point.model, context.dataset, context.server,
         num_jobs=point.num_jobs, gpus_per_job=point.gpus_per_job,
-        seed=context.seed, fast_path=context.fast_path)))
+        seed=context.seed)))
 
 
 #: HP-search points: the scenario's steady-state result.

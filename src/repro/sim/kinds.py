@@ -24,14 +24,13 @@ from repro.exceptions import ConfigurationError
 class PointContext:
     """What the runner hands a kind's ``run`` besides the point: the
     point's dataset, its server (carrying the point's cache budget), its
-    :meth:`~repro.sim.sweep.SweepRunner.point_seed`, the runner's simulator
-    settings, and a getter of the runner's memoised sampler for them."""
+    :meth:`~repro.sim.sweep.SweepRunner.point_seed`, the runner's queue
+    depth, and a getter of the runner's memoised sampler for them."""
 
     dataset: SyntheticDataset
     server: ServerConfig
     seed: int
     queue_depth: int
-    fast_path: bool
     shared_sampler: Callable[[], Sampler]
 
 

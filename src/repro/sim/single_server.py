@@ -261,8 +261,7 @@ def _run_training_point(point: Any,
                           seed=context.seed, batch_size=point.batch_size,
                           sampler=sampler)
     simulator = PipelineSimulator(point.model, context.server.gpu,
-                                  queue_depth=context.queue_depth,
-                                  fast_path=context.fast_path)
+                                  queue_depth=context.queue_depth)
     return loader.name, TrainingRunStats(
         list(simulator.run_epochs(loader, point.num_epochs)))
 

@@ -5,7 +5,7 @@ sizes (Fig. 3), prep cores (Fig. 4), models (Figs. 6/9d), predictor
 validation points (Tab. 5).  :class:`SweepRunner` expands such a grid into
 :class:`SweepPoint`\\ s, **shares** dataset materialisation and per-epoch
 sampler permutations across all points of the same (dataset, seed) pair,
-runs every point through the simulator's vectorised fast path, and returns
+runs every point through the simulator's vectorised epoch paths, and returns
 a tidy :class:`SweepResult` the experiment modules reduce into their
 :class:`~repro.experiments.base.ExperimentResult` tables.
 
@@ -460,8 +460,6 @@ class SweepRunner:
             fractions would not be comparable); sampling/scenario seeds are
             derived from it per point via :meth:`point_seed`.
         queue_depth: Prefetch queue depth of the simulated pipeline.
-        fast_path: Allow the vectorised epoch collection (disable to force
-            the per-batch reference path, e.g. for benchmarking it).
         dataset_cache / sampler_cache: Optional externally-owned memo dicts
             for the shared substrates.  Datasets key by ``(name, seed,
             scale)`` and samplers by ``(dataset size, sampling seed)``, so
@@ -485,7 +483,6 @@ class SweepRunner:
 
     def __init__(self, server_factory: Callable[..., ServerConfig], *,
                  scale: float = 1.0, seed: int = 0, queue_depth: int = 4,
-                 fast_path: bool = True,
                  dataset_cache: Optional[Dict[Tuple[str, int, float],
                                               SyntheticDataset]] = None,
                  sampler_cache: Optional[Dict[Tuple[int, int],
@@ -494,7 +491,6 @@ class SweepRunner:
         self._scale = scale
         self._seed = seed
         self._queue_depth = queue_depth
-        self._fast_path = fast_path
         self._datasets = {} if dataset_cache is None else dataset_cache
         self._samplers = {} if sampler_cache is None else sampler_cache
         self._replays = ReplayMemo()
@@ -596,7 +592,7 @@ class SweepRunner:
         must be in it.
         """
         return (self._server_factory, self._scale, self._seed,
-                self._queue_depth, self._fast_path)
+                self._queue_depth)
 
     def point_spec(self, point: SweepPoint) -> Dict[str, Any]:
         """Canonical, JSON-stable identity of one (runner, point) pairing.
@@ -609,7 +605,7 @@ class SweepRunner:
 
         * the runner spec (server factory by qualified name — see
           :meth:`_factory_identity` for why that is safe — plus scale,
-          seed, queue depth and the ``fast_path`` toggle),
+          seed and queue depth),
         * the full point spec: all :class:`SweepPoint` fields, the model
           expanded to *every* :class:`ModelSpec` field — not just its name,
           so a custom spec reusing a zoo name can never share an address
@@ -637,7 +633,6 @@ class SweepRunner:
                 "scale": float(self._scale).hex(),
                 "seed": self._seed,
                 "queue_depth": self._queue_depth,
-                "fast_path": bool(self._fast_path),
             },
             "point": point_fields,
             "env": {"warm_kernel": warm_kernel_enabled()},
@@ -829,7 +824,7 @@ class SweepRunner:
             dataset, server = self._resolve(point)
             seed = self.point_seed(point)
             context = PointContext(
-                dataset, server, seed, self._queue_depth, self._fast_path,
+                dataset, server, seed, self._queue_depth,
                 lambda: self._shared_sampler(dataset, seed))
             loader_name, result = kind.run(point, context)
         return SweepRecord(point=point, dataset_name=dataset.spec.name,

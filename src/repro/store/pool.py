@@ -16,7 +16,7 @@ amortises all three:
   a dataset is materialised at most once per worker process no matter how
   many runs or runner configurations it serves.
 
-Tasks carry the pickled runner spec (a function reference plus four
+Tasks carry the pickled runner spec (a function reference plus three
 scalars), so the pool itself is configuration-free and one pool can serve
 arbitrarily many different runners.  Determinism is inherited from the
 per-point seeding discipline of :meth:`~repro.sim.sweep.SweepRunner.point_seed`:
@@ -123,9 +123,9 @@ def _worker_runner(spec: tuple) -> SweepRunner:
     """Rebuild (once per worker per spec) the runner for one task's spec."""
     runner = _WORKER_RUNNERS.get(spec)
     if runner is None:
-        server_factory, scale, seed, queue_depth, fast_path = spec
+        server_factory, scale, seed, queue_depth = spec
         runner = SweepRunner(server_factory, scale=scale, seed=seed,
-                             queue_depth=queue_depth, fast_path=fast_path,
+                             queue_depth=queue_depth,
                              dataset_cache=_SHARED_DATASETS,
                              sampler_cache=_SHARED_SAMPLERS)
         _WORKER_RUNNERS[spec] = runner

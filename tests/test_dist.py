@@ -97,15 +97,17 @@ def two_agents():
         yield first, second
 
 
-def _chunk_frames(agent: DistWorker, points) -> list:
-    """Drive one ``run_chunk`` by hand; every frame up to ``chunk_done``."""
+def _chunk_frames(agent: DistWorker, points, spec=None) -> list:
+    """Drive one ``run_chunk`` by hand; every frame up to ``chunk_done``.
+
+    ``spec`` is the wire runner spec (default: :func:`_runner`'s)."""
     sock = socket.create_connection(agent.address, timeout=60)
     try:
         send_frame(sock, {"type": "hello", "protocol": DIST_PROTOCOL_VERSION})
         assert recv_frame(sock)["type"] == "hello"
         send_frame(sock, {
             "type": "run_chunk", "id": 7,
-            "spec": spec_to_wire(_runner().spec()),
+            "spec": spec or spec_to_wire(_runner().spec()),
             "points": [[index, point_to_wire(point)]
                        for index, point in enumerate(points)]})
         frames = [recv_frame(sock)]
@@ -171,7 +173,7 @@ class TestFrameProtocol:
             right.close()
 
     def test_spec_wire_form_round_trips(self):
-        spec = _runner(seed=3, queue_depth=8, fast_path=False).spec()
+        spec = _runner(seed=3, queue_depth=8).spec()
         wire = spec_to_wire(spec)
         assert spec_from_wire(json.loads(json.dumps(wire))) == spec
 
@@ -181,7 +183,7 @@ class TestFrameProtocol:
             raise AssertionError("must not be invoked")
 
         with pytest.raises(ConfigurationError):
-            spec_to_wire((rogue_factory, SCALE, 0, 4, True))
+            spec_to_wire((rogue_factory, SCALE, 0, 4))
 
 
 class TestHostParsing:
@@ -416,6 +418,20 @@ class TestFailureProtocol:
         assert [frame["index"] for frame in errors] == [0, 1]
         assert "64 jobs" in errors[0]["error"]
         assert "48 jobs" in errors[1]["error"]
+
+    @pytest.mark.parametrize("field, value", [("fast_path", False),
+                                              ("sead", 3)])
+    def test_unknown_runner_spec_field_fails_the_chunk_by_name(self, agent,
+                                                               field, value):
+        """A stale or misspelt spec field is refused, not defaulted."""
+        spec = dict(spec_to_wire(_runner().spec()), **{field: value})
+        frames = _chunk_frames(agent, _grid()[:2], spec=spec)
+        errors = [frame for frame in frames if frame["type"] == "point_error"]
+        assert [frame["index"] for frame in errors] == [0, 1]
+        for frame in errors:
+            assert f"unknown runner spec fields ['{field}']" in frame["error"]
+        assert frames[-1] == {"type": "chunk_done", "id": 7, "ok": 0,
+                              "failed": 2}
 
 
 class TestFaultPlanHostKills:

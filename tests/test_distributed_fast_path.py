@@ -62,23 +62,22 @@ class TestDistributedFastPathEquivalence:
     """The bulk partitioned/distributed epochs must match the per-item walk."""
 
     @pytest.mark.parametrize("fraction", [0.2, 0.65, 1.1])
-    def test_coordl_fast_and_slow_paths_agree(self, dataset, fraction):
-        servers = _servers(dataset, fraction)
-        results = {}
-        for fast in (False, True):
-            training = DistributedTraining(RESNET18, dataset, servers,
-                                           num_epochs=3, fast_path=fast)
-            results[fast] = training.run_coordl(seed=0)
-        _assert_epochs_equal(results[False], results[True])
+    def test_coordl_fast_and_slow_paths_agree(self, dataset, fraction,
+                                              reference_paths):
+        training = DistributedTraining(RESNET18, dataset,
+                                       _servers(dataset, fraction), num_epochs=3)
+        with reference_paths() as calls:
+            slow = training.run_coordl(seed=0)
+        assert calls["batch_walks"] == 6
+        _assert_epochs_equal(slow, training.run_coordl(seed=0))
 
-    def test_baseline_fast_and_slow_paths_agree(self, dataset):
-        servers = _servers(dataset, 0.5)
-        results = {}
-        for fast in (False, True):
-            training = DistributedTraining(RESNET18, dataset, servers,
-                                           num_epochs=3, fast_path=fast)
-            results[fast] = training.run_baseline(seed=0)
-        _assert_epochs_equal(results[False], results[True])
+    def test_baseline_fast_and_slow_paths_agree(self, dataset, reference_paths):
+        training = DistributedTraining(RESNET18, dataset,
+                                       _servers(dataset, 0.5), num_epochs=3)
+        with reference_paths() as calls:
+            slow = training.run_baseline(seed=0)
+        assert calls["batch_walks"] == 6
+        _assert_epochs_equal(slow, training.run_baseline(seed=0))
 
     def test_agreement_on_partial_final_batches(self, dataset):
         """Shard length % batch size != 0: the short batch is simulated once.
@@ -156,7 +155,7 @@ class TestFallbackBoundary:
         audited = AuditedLoader.build_group(dataset, servers, batch_size=16, seed=0)
         for rank in (0, 1):
             for loaders in (reference, audited):
-                sim = PipelineSimulator(RESNET18, servers[rank].gpu, fast_path=True)
+                sim = PipelineSimulator(RESNET18, servers[rank].gpu)
                 sim.run_epoch(loaders[rank], 0)
             ref, aud = reference[rank], audited[rank]
             assert aud.io.disk_requests == ref.io.disk_requests
@@ -171,19 +170,26 @@ class TestHPSearchFastPathEquivalence:
     """Bulk replays vs the per-item shared-page-cache and MinIO references."""
 
     @pytest.mark.parametrize("fraction", [1.5, 0.6, 0.15])
-    def test_baseline_and_coordl_agree(self, dataset, fraction):
+    def test_baseline_and_coordl_agree(self, dataset, fraction,
+                                       reference_paths):
         """The page-cache side equals the reference bit for bit, epoch by
         epoch, from fully cached (1.5) to thrashing; the MinIO side sums
         its miss bytes pairwise, so it agrees to round-off."""
         server = config_ssd_v100(cache_bytes=dataset.total_bytes * fraction)
-        results, disk_bytes = {}, {}
-        for fast in (False, True):
-            scenario = HPSearchScenario(ALEXNET, dataset, server, num_jobs=4,
-                                        gpus_per_job=1, seed=0, fast_path=fast)
-            results[fast] = (scenario.run_baseline(), scenario.run_coordl())
+        scenario = HPSearchScenario(ALEXNET, dataset, server, num_jobs=4,
+                                    gpus_per_job=1, seed=0)
+
+        def run():
             cache = PageCache(server.cache_bytes)
-            disk_bytes[fast] = [scenario.run_epoch(cache, epoch).disk_bytes
-                                for epoch in range(3)]
+            return ((scenario.run_baseline(), scenario.run_coordl()),
+                    [scenario.run_epoch(cache, epoch).disk_bytes
+                     for epoch in range(3)])
+
+        results, disk_bytes = {}, {}
+        with reference_paths() as calls:
+            results[False], disk_bytes[False] = run()
+        assert calls == {"page_cache_epochs": 5, "minio_epochs": 2}
+        results[True], disk_bytes[True] = run()
         assert disk_bytes[True] == disk_bytes[False]
         assert results[True][0] == results[False][0]
         slow, fast = results[False][1], results[True][1]
@@ -197,18 +203,24 @@ class TestHPSearchFastPathEquivalence:
         assert (fast.prep_bound, fast.fetch_bound, fast.gpu_bound) == (
             slow.prep_bound, slow.fetch_bound, slow.gpu_bound)
 
-    def test_fully_cached_multitenant_matches_the_reference_bytes(self):
+    def test_fully_cached_multitenant_matches_the_reference_bytes(
+            self, reference_paths):
         """``hp-multitenant`` with a page cache larger than the dataset: the
         snapshot with the bulk replay equals the per-item reference's."""
         points = [SweepPoint(model=RESNET18, loader="hp-multitenant",
                              dataset="openimages", cache_fraction=1.5,
                              num_jobs=2, tenants=tenants)
                   for tenants in (1, 2)]
-        reference, fast = (
-            SweepRunner(config_ssd_v100, scale=1 / 800, seed=0,
-                        fast_path=fast_path).run(points, workers=0).snapshot()
-            for fast_path in (False, True))
-        assert snapshot_diff(reference, fast) == []
+
+        def snapshot():
+            return SweepRunner(config_ssd_v100, scale=1 / 800, seed=0).run(
+                points, workers=0, store=False).snapshot()
+
+        with reference_paths() as calls:
+            reference = snapshot()
+        # Each point runs its default two epochs.
+        assert calls == {"page_cache_epochs": 4}
+        assert snapshot_diff(reference, snapshot()) == []
 
     def test_interleaved_order_matches_reference_nesting(self, dataset):
         """The bulk-built interleaving equals the nested lockstep loops."""

@@ -109,6 +109,26 @@ def test_constant_rows_compare_literal_values():
     assert "repro.store.STORE_SCHEMA_VERSION is 2; docs/API.md says '2'" in stale
 
 
+def test_signature_keywords_must_be_parameters():
+    rows = ("| `PipelineSimulator` | class | "
+            "`PipelineSimulator(model, gpu, queue_depth=4, fast_path=True)` "
+            "| epochs |\n"
+            "| `SweepRunner.run` | function | `runner.run(points, workers=0, "
+            "shards=2)`; `a == b` is no keyword | sweeps |\n"
+            "| `HPSearchScenario.run_epoch` | function | "
+            "`run_epoch(cache, epoch, coordinated=True)` | fine |\n"
+            "| `SweepRunner.grid` | function | `grid(models, anything=1)` "
+            "| takes **common |\n"
+            "| `DataLoader` | class | `DataLoader(..., name=\"a\\|b\")` "
+            "| escaped pipe |\n"
+            "| `NoSuchRunner` | class | `NoSuchRunner(x=1)` | gone |\n")
+    assert docs_check.keyword_mismatches(rows) == [
+        "PipelineSimulator takes no fast_path=",
+        "SweepRunner.run takes no shards=",
+        "NoSuchRunner: documented as a class or function, but no checked "
+        "surface exports a callable by that name"]
+
+
 def _edit(doc: str, old: str, new: str):
     def apply(docs: dict) -> None:
         assert old in docs[doc], f"{old!r} no longer in docs/{doc}"
@@ -136,11 +156,16 @@ DRIFTS = {
         _edit("API.md", "hp-multitenant", "hp-multi-tenant"),
         "sweep-point kinds in repro.sim.POINT_KINDS missing",
         "hp-multitenant"),
+    "stale-keyword": (
+        _edit("API.md", "`pipeline_makespan(stage_times, queue_depth=4)`",
+              "`pipeline_makespan(stage_times, queue_depth=4, kernel=\"auto\")`"),
+        "keywords in docs/API.md signatures that their callable does not take",
+        "pipeline_makespan takes no kernel="),
     "stale-constant": (
-        _edit("API.md", "| `PROTOCOL_VERSION` | constant | `2` |",
-              "| `PROTOCOL_VERSION` | constant | `1` |"),
+        _edit("API.md", "| `PROTOCOL_VERSION` | constant | `3` |",
+              "| `PROTOCOL_VERSION` | constant | `2` |"),
         "documented constant values out of date",
-        "PROTOCOL_VERSION is 2; docs/API.md says 1"),
+        "PROTOCOL_VERSION is 3; docs/API.md says 2"),
 }
 
 

@@ -90,7 +90,7 @@ def test_warm_kernel_off_reproduces_golden_snapshot(name, workers, monkeypatch):
         f"from the committed snapshot (first differences: {diffs})")
 
 
-def test_fig9d_dali_side_reproduces_golden_without_fast_path():
+def test_fig9d_dali_side_reproduces_golden_without_fast_path(reference_paths):
     """The fully per-item reference stack agrees on the thrashing side.
 
     Training points are compared through the vectorised stack only (their
@@ -98,10 +98,15 @@ def test_fig9d_dali_side_reproduces_golden_without_fast_path():
     points (their analytic epoch sums bytes pairwise).  The page-cache
     baseline points, however, reduce the warm kernel's walk with the same
     left-to-right accumulation the reference uses, so the Fig. 9(d) dali
-    side must be byte-identical even against ``fast_path=False``.
+    side must be byte-identical even on the per-item reference paths.
     """
     expected = load_golden("fig9d_small", GOLDEN_DIR)
-    actual = run_golden_grid("fig9d_small", fast_path=False)
+    grid = GOLDEN_GRIDS["fig9d_small"]
+    with reference_paths() as calls:
+        actual = grid.build_runner().run(grid.points(), workers=0,
+                                         store=False).snapshot()
+    # Two hp-baseline and two hp-coordl points, two epochs each.
+    assert calls == {"page_cache_epochs": 4, "minio_epochs": 4}
     compared = 0
     for exp_record, act_record in zip(expected["records"], actual["records"]):
         if exp_record["point"]["loader"] == "hp-baseline":

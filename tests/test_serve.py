@@ -49,9 +49,14 @@ from repro.serve import (
     runner_from_wire,
     runner_to_wire,
 )
+from repro.serve import protocol as serve_protocol
 from repro.sim.harness import GOLDEN_GRIDS, load_golden, snapshot_diff
 from repro.sim.sweep import SweepPoint, SweepRecord, SweepRunner
 from repro.store import SweepStore, store_key
+
+#: Runner-spec fields no version of the protocol accepts: a misspelling,
+#: and the path selector protocol version 2 carried.
+UNKNOWN_RUNNER_FIELDS = [("fast_path", False), ("sead", 3)]
 
 SCALE = 1 / 500.0
 
@@ -103,7 +108,7 @@ def _count_simulations(monkeypatch):
 
 class TestProtocol:
     def test_runner_round_trip(self):
-        runner = _runner(seed=3, queue_depth=8, fast_path=False)
+        runner = _runner(seed=3, queue_depth=8)
         rebuilt = runner_from_wire(json.loads(json.dumps(
             runner_to_wire(runner))))
         assert rebuilt.spec() == runner.spec()
@@ -118,6 +123,19 @@ class TestProtocol:
         wire["rm_rf"] = "/"
         with pytest.raises(ConfigurationError, match="unknown point fields"):
             point_from_wire(wire)
+
+    @pytest.mark.parametrize("field, value", UNKNOWN_RUNNER_FIELDS)
+    def test_unknown_runner_field_rejected(self, field, value):
+        """An unknown field fails by name instead of falling back to a
+        default (a misspelt ``seed`` used to run at seed 0)."""
+        wire = {"server_factory": "repro.cluster.configs:config_ssd_v100",
+                field: value}
+        with pytest.raises(ConfigurationError,
+                           match=rf"unknown runner spec fields \['{field}'\]"):
+            runner_from_wire(wire)
+
+    def test_runner_wire_carries_exactly_the_accepted_fields(self):
+        assert set(runner_to_wire(_runner())) == serve_protocol._RUNNER_FIELDS
 
     def test_non_catalog_factory_rejected(self):
         wire = runner_to_wire(_runner())
@@ -183,6 +201,15 @@ class TestEndpoints:
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/v1/whatif", {"runner": "not-a-dict"})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("field, value", UNKNOWN_RUNNER_FIELDS)
+    def test_unknown_runner_field_is_400(self, client, field, value):
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", "/v1/whatif", {
+                "runner": dict(runner_to_wire(_runner()), **{field: value}),
+                "points": [point_to_wire(point) for point in _points()]})
+        assert excinfo.value.status == 400
+        assert f"unknown runner spec fields ['{field}']" in str(excinfo.value)
 
     def test_experiment_endpoint(self, client):
         payload = client.experiment("fig8")

@@ -136,7 +136,7 @@ class TestKeyDerivation:
 
     @pytest.mark.parametrize("override", [
         dict(seed=1), dict(scale=SCALE / 2), dict(queue_depth=8),
-        dict(fast_path=False), dict(server_factory=config_hdd_1080ti),
+        dict(server_factory=config_hdd_1080ti),
     ])
     def test_runner_spec_participates(self, override):
         point = _points()[0]

@@ -197,16 +197,19 @@ class TestFastPathEquivalence:
     """The vectorised epoch collection must be bit-faithful to the loop."""
 
     @pytest.mark.parametrize("kind", ["coordl", "dali-shuffle", "pytorch"])
-    def test_fast_and_slow_paths_agree(self, kind):
-        runner_args = dict(scale=SCALE, seed=0)
-        sweeps = {}
-        for fast in (False, True):
-            runner = SweepRunner(config_ssd_v100, fast_path=fast, **runner_args)
-            sweeps[fast] = runner.run(SweepRunner.grid(
-                models=[RESNET18], loaders=[kind], cache_fractions=(0.5,),
-                dataset="openimages", num_epochs=3))
-        slow = sweeps[False].records[0].run
-        fast = sweeps[True].records[0].run
+    def test_fast_and_slow_paths_agree(self, kind, reference_paths):
+        points = SweepRunner.grid(
+            models=[RESNET18], loaders=[kind], cache_fractions=(0.5,),
+            dataset="openimages", num_epochs=3)
+
+        def sweep():
+            runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+            return runner.run(points, workers=0, store=False)
+
+        with reference_paths() as calls:
+            slow = sweep().records[0].run
+        assert calls["batch_walks"] == 3
+        fast = sweep().records[0].run
         for slow_epoch, fast_epoch in zip(slow.epochs, fast.epochs):
             assert fast_epoch.epoch_time_s == pytest.approx(
                 slow_epoch.epoch_time_s, abs=1e-9)
@@ -230,14 +233,19 @@ class TestFastPathEquivalence:
                 assert np.allclose([b for _, b in slow_tl], [b for _, b in fast_tl],
                                    rtol=1e-12)
 
-    def test_fast_path_declines_shared_caches_with_history(self):
+    def test_fast_path_declines_shared_caches_with_history(
+            self, reference_paths):
         """A warm page cache shared across loaders still simulates exactly."""
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         dataset = runner.dataset("openimages")
         server = config_ssd_v100(cache_bytes=dataset.total_bytes * 0.5)
-        results = {}
-        for fast in (False, True):
+
+        def epoch_times():
             loader = build_loader("dali-shuffle", dataset, server, RESNET18, seed=0)
-            sim = PipelineSimulator(RESNET18, server.gpu, fast_path=fast)
-            results[fast] = [e.epoch_time_s for e in sim.run_epochs(loader, 3)]
-        assert results[True] == pytest.approx(results[False], abs=1e-9)
+            sim = PipelineSimulator(RESNET18, server.gpu)
+            return [e.epoch_time_s for e in sim.run_epochs(loader, 3)]
+
+        with reference_paths() as calls:
+            slow = epoch_times()
+        assert calls["batch_walks"] == 3
+        assert epoch_times() == pytest.approx(slow, abs=1e-9)

@@ -152,7 +152,7 @@ class TestWorkerFallback:
         assert _snapshot(points, workers=2) == _snapshot(points, workers=0)
 
     def test_fallback_in_child_does_not_corrupt_io_accounting(
-            self, monkeypatch):
+            self, monkeypatch, reference_paths):
         """Pooled fast-path I/O totals equal the per-batch reference walk.
 
         Catches double-counted or dropped aggregated I/O stats when a point
@@ -161,10 +161,12 @@ class TestWorkerFallback:
         monkeypatch.setattr("os.cpu_count", lambda: 2)  # force a real pool
         points = self._fallback_points()
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
-        (pooled,) = runner.run(points, workers=2).records
-        reference_runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0,
-                                       fast_path=False)
-        (reference,) = reference_runner.run(points, workers=0).records
+        (pooled,) = runner.run(points, workers=2, store=False).records
+        reference_runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+        with reference_paths() as calls:
+            (reference,) = reference_runner.run(points, workers=0,
+                                                store=False).records
+        assert calls["batch_walks"] == 3
         for fast_epoch, slow_epoch in zip(pooled.run.epochs,
                                           reference.run.epochs):
             assert fast_epoch.io.disk_requests == slow_epoch.io.disk_requests

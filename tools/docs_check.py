@@ -28,11 +28,16 @@ The docs are checked against the code as well: every dotted
 resolve to a module or attribute, and every backticked name in the "Key
 types" column of an ARCHITECTURE.md module row must be an attribute of
 that row's module, so a deleted or moved name cannot linger in the docs.
+Every ``name=`` keyword in the signature cell of an API.md ``class`` or
+``function`` row (``| `Name` | class | `Name(a, b=1)` |``, ``Class.method``
+names included) must be a parameter of that callable, so a removed
+parameter cannot linger in a documented signature.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -137,6 +142,50 @@ def key_type_mismatches(architecture: str) -> list[str]:
     return problems
 
 
+#: One documented callable: ``| `Name` | class | signature cell |`` (or
+#: ``function``); the cell may hold escaped pipes.
+CALLABLE_ROW = re.compile(r"^\| `([\w.]+)` \| (?:class|function) \| "
+                          r"((?:\\\||[^|])*)\|", re.MULTILINE)
+
+#: A ``name=`` keyword in a code span (not part of ``==``, ``<=`` or ``!=``).
+KEYWORD = re.compile(r"(?<![=!<>\w])(\w+)=(?!=)")
+
+
+def exported(name: str):
+    """The object a ``Name`` or ``Class.method`` row names: its head
+    exported by a checked surface, the rest looked up as attributes;
+    ``None`` when nothing matches."""
+    head, *attrs = name.split(".")
+    for _, module in CHECKED_SURFACES:
+        if head in module.__all__:
+            target = getattr(module, head)
+            for attr in attrs:
+                target = getattr(target, attr, None)
+            return target
+    return None
+
+
+def keyword_mismatches(text: str) -> list[str]:
+    """Keywords in API.md signature cells that their callable does not take."""
+    problems = []
+    for name, cell in CALLABLE_ROW.findall(text):
+        target = exported(name)
+        try:
+            parameters = inspect.signature(target).parameters
+        except (TypeError, ValueError):
+            problems.append(f"{name}: documented as a class or function, but "
+                            f"no checked surface exports a callable by that "
+                            f"name")
+            continue
+        if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+            continue
+        keywords = {keyword for span in re.findall(r"`([^`]+)`", cell)
+                    for keyword in KEYWORD.findall(span)}
+        problems.extend(f"{name} takes no {keyword}=" for keyword
+                        in sorted(keywords - set(parameters)))
+    return problems
+
+
 def main() -> int:
     api_doc = REPO_ROOT / "docs" / "API.md"
     if not api_doc.exists():
@@ -171,7 +220,9 @@ def main() -> int:
             ("repro.<name> references in the docs that name nothing",
              unresolved_names(docs)),
             ("key types in docs/ARCHITECTURE.md missing from their row's "
-             "module", key_type_mismatches(docs["ARCHITECTURE.md"]))):
+             "module", key_type_mismatches(docs["ARCHITECTURE.md"])),
+            ("keywords in docs/API.md signatures that their callable does "
+             "not take", keyword_mismatches(text))):
         if problems:
             failed = True
             print(f"docs-check: {heading}:", file=sys.stderr)
@@ -183,7 +234,8 @@ def main() -> int:
     print(f"docs-check: all {total} public symbols across "
           f"{len(CHECKED_SURFACES)} surfaces and all "
           f"{len(repro.sim.POINT_KINDS)} sweep-point kinds documented in "
-          f"docs/API.md, documented constant values match, and all "
+          f"docs/API.md, documented constant values match, every "
+          f"documented signature keyword is a parameter, and all "
           f"{references} repro.<name> references in "
           f"{' and '.join(RESOLVED_DOCS)} resolve")
     return 0
