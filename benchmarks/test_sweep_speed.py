@@ -366,28 +366,26 @@ def test_warm_kernel_core_per_access_cost(benchmark, bench_report):
     Informational (no speedup gate — absolute ns/access is machine-bound;
     the regression gate for the kernel is the warm-grid benchmark above):
     a synthetic 40,000-access thrashing stream (ten passes over 4,000
-    items, a cache of 60% of their pages) is replayed through
-    :func:`simulate_segmented_lru`, prologue and epilogue included, and
-    the best of four replays' per-access wall clock lands in
-    ``BENCH_sweep.json`` (so a first replay that compiles the native core
-    does not count).  On a 2-core x86_64 VM under CPython 3.11 the C core
-    over linked lists measured ~72 ns/access, where the Python loop over
-    lazily-invalidated deques it replaced measured ~676.
+    items of 20–79 pages, a cache of 60% of their pages) is replayed
+    through :func:`simulate_segmented_lru` as page counts, prologue and
+    epilogue included, and the best of four replays' per-access wall
+    clock lands in ``BENCH_sweep.json`` (so a first replay that compiles
+    the native core does not count).  On a 2-core x86_64 VM under CPython
+    3.11 the C core over linked lists measures ~27–41 ns/access, where the
+    Python loop over lazily-invalidated deques it replaced measured ~676.
     """
     rng = np.random.default_rng(0)
     num_items = 4000
-    page = 4096.0
     item_pages = rng.integers(20, 80, num_items)
     stream = np.concatenate([rng.permutation(num_items) for _ in range(10)])
-    sizes = (item_pages * page)[stream]
-    capacity = float(int(item_pages.sum() * 0.6) * page)
+    capacity_pages = int(item_pages.sum() * 0.6)
     empty = (np.zeros(0, dtype=np.int64),) * 2   # a cold cache's lists
 
     def replay():
         return simulate_segmented_lru(
-            stream, sizes, capacity_bytes=capacity, page_bytes=page,
-            active_limit_bytes=capacity / 2, inactive=empty, active=empty,
-            inactive_bytes=0.0, active_bytes=0.0)
+            stream, item_pages[stream], capacity_pages=capacity_pages,
+            active_limit_pages=capacity_pages // 2, inactive=empty,
+            active=empty)
 
     best = float("inf")
     for _ in range(3):

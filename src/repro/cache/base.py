@@ -27,8 +27,10 @@ class Cache(ABC):
     """
 
     def __init__(self, capacity_bytes: float) -> None:
-        if capacity_bytes < 0:
-            raise ConfigurationError("cache capacity cannot be negative")
+        if not capacity_bytes >= 0:
+            raise ConfigurationError(
+                f"cache capacity must be a non-negative number, not "
+                f"{capacity_bytes!r}")
         self._capacity = float(capacity_bytes)
         self._stats = CacheStats()
 

@@ -52,7 +52,6 @@ import numpy as np
 from repro.cache.base import Cache
 from repro.cache.warm_kernel import (
     SegmentedLRUResult,
-    max_exact_page_multiple,
     simulate_segmented_lru,
     warm_kernel_enabled,
 )
@@ -72,16 +71,17 @@ class ReplayMemo:
     :meth:`PageCache.bulk_stream_hits` consults the memo active in the
     calling context (see :meth:`activated`) before replaying a stream
     through :func:`~repro.cache.warm_kernel.simulate_segmented_lru`.  The
-    key is a BLAKE2 digest of every kernel input — the stream's ids and
-    sizes, capacity, page size and active-list limit, both resident lists
-    in order as ``(item_ids, page_counts)`` arrays, both occupancies and
-    the prior hit bytes — and the kernel is pure, so a hit is the very
-    result a replay would compute.  Kept arrays are made read-only, since
-    every hit hands out the same objects and the caches it commits to
-    hold them as their state.  Least-recently-used entries are evicted so the
-    kept arrays stay within :data:`REPLAY_MEMO_BUDGET_BYTES` (read at
-    construction); a result larger than the budget is returned but not
-    kept.  ``hits`` and ``misses`` count lookups.
+    key is a BLAKE2 digest of everything a replay reads — the stream's ids
+    and sizes, the page size, both budgets in pages, and both resident
+    lists in order as ``(item_ids, page_counts)`` arrays — and rounding
+    and the kernel are pure, so a hit is the very result a replay would
+    compute.  Kept arrays are made
+    read-only, since every hit hands out the same objects and the caches
+    it commits to hold them as their state.  Least-recently-used entries
+    are evicted so the kept arrays stay within
+    :data:`REPLAY_MEMO_BUDGET_BYTES` (read at construction); a result
+    larger than the budget is returned but not kept.  ``hits`` and
+    ``misses`` count lookups.
     """
 
     def __init__(self) -> None:
@@ -145,24 +145,16 @@ ResidentPages = Tuple[Tuple[np.ndarray, np.ndarray],
                       Tuple[np.ndarray, np.ndarray]]
 
 
-def _exact_page_counts(stored: np.ndarray, page_bytes: float,
-                       max_pages: int) -> Optional[np.ndarray]:
-    """Integer page counts of resident stored sizes; ``None`` unless exact."""
-    counts = stored / page_bytes
-    rounded = np.rint(counts)
-    if (counts != rounded).any():
-        return None
-    if rounded.size and (float(rounded.min()) < 1.0
-                         or float(rounded.max()) >= max_pages):
-        return None
-    pages = rounded.astype(np.int64)
-    if (pages.astype(np.float64) * page_bytes != stored).any():
-        return None
-    return pages
-
-
 class PageCache(Cache):
     """Server-wide page cache shared by all training processes.
+
+    Pages are the one unit: every item occupies a whole number of pages,
+    and the occupancies and both budgets (the capacity and the active
+    list's target) are integer page counts.  Byte figures — ``used_bytes``,
+    ``active_bytes``, ``inactive_bytes``, :meth:`resident_lists` and
+    ``stats.hit_bytes`` — are ``pages * page_bytes``.  A page size that is
+    a power of two divides every float exactly, and the capacity stays
+    below 2**53 pages, so every such product is exact.
 
     The two lists live in one of two forms.  The bulk paths keep them as
     the warm kernel's ``(item_ids, page_counts)`` arrays, so replays chain
@@ -175,9 +167,11 @@ class PageCache(Cache):
 
     Args:
         capacity_bytes: DRAM available for caching training data (the paper's
-            servers dedicate ~400 of 500 GiB to the dataset cache).
-        page_bytes: Allocation granularity.  Items are rounded up to whole
-            pages, matching the kernel's 4 KiB pages.
+            servers dedicate ~400 of 500 GiB to the dataset cache).  Must
+            be below 2**53 pages.
+        page_bytes: Allocation granularity: a power of two of at least one
+            byte, as Linux allocates 4 KiB pages or 2 MiB huge pages.
+            Items are rounded up to whole pages.
         active_target_fraction: Maximum share of the capacity the active
             (protected) list may occupy before pages are demoted; Linux
             balances the two lists around roughly half the cache.
@@ -186,19 +180,28 @@ class PageCache(Cache):
     def __init__(self, capacity_bytes: float, page_bytes: float = 4096.0,
                  active_target_fraction: float = 0.5) -> None:
         super().__init__(capacity_bytes)
-        if page_bytes <= 0:
-            raise ConfigurationError("page size must be positive")
+        if not (math.isfinite(page_bytes) and page_bytes >= 1
+                and math.frexp(page_bytes)[0] == 0.5):
+            raise ConfigurationError(
+                f"page size must be a power of two of at least one byte, "
+                f"not {page_bytes!r}")
         if not 0.0 <= active_target_fraction <= 1.0:
             raise ConfigurationError("active-list target must be in [0, 1]")
-        self._page_bytes = page_bytes
-        self._active_target = active_target_fraction
-        # Item -> stored bytes, front to end; ``None`` while ``_pages``
+        self._page_bytes = float(page_bytes)
+        if not self._capacity < 2.0**53 * self._page_bytes:
+            raise ConfigurationError(
+                f"page-cache capacity must be below 2**53 pages, not "
+                f"{self._capacity!r} bytes")
+        self._capacity_pages = int(self._capacity // self._page_bytes)
+        self._active_limit_pages = int(
+            self._capacity * active_target_fraction // self._page_bytes)
+        # Item -> page count, front to end; ``None`` while ``_pages``
         # holds the lists.
-        self._inactive: Optional["OrderedDict[int, float]"] = OrderedDict()
-        self._active: Optional["OrderedDict[int, float]"] = OrderedDict()
+        self._inactive: Optional["OrderedDict[int, int]"] = OrderedDict()
+        self._active: Optional["OrderedDict[int, int]"] = OrderedDict()
         self._pages: Optional[ResidentPages] = None
-        self._inactive_bytes = 0.0
-        self._active_bytes = 0.0
+        self._inactive_pages = 0
+        self._active_pages = 0
         self._pressure_evictions = 0
         self._explicit_evictions = 0
 
@@ -211,17 +214,17 @@ class PageCache(Cache):
 
     @property
     def used_bytes(self) -> float:
-        return self._inactive_bytes + self._active_bytes
+        return (self._inactive_pages + self._active_pages) * self._page_bytes
 
     @property
     def active_bytes(self) -> float:
         """Bytes on the protected (active) list."""
-        return self._active_bytes
+        return self._active_pages * self._page_bytes
 
     @property
     def inactive_bytes(self) -> float:
         """Bytes on the streaming (inactive) list."""
-        return self._inactive_bytes
+        return self._inactive_pages * self._page_bytes
 
     @property
     def evictions(self) -> int:
@@ -243,24 +246,35 @@ class PageCache(Cache):
         """Items dropped through :meth:`evict` (fadvise-style invalidation)."""
         return self._explicit_evictions
 
-    def _rounded(self, item_id: int, size_bytes: float) -> float:
+    def _rounded(self, item_id: int, size_bytes: float) -> int:
+        """Whole pages an item of ``size_bytes`` occupies: at least one."""
         if not math.isfinite(size_bytes):
             raise ConfigurationError(
                 f"item {item_id} has a non-finite size: {size_bytes!r} bytes")
-        pages = max(1, int(-(-size_bytes // self._page_bytes)))  # ceil division
-        return pages * self._page_bytes
+        return max(1, int(-(-size_bytes // self._page_bytes)))  # ceil division
+
+    def _rounded_stream(self, sizes: np.ndarray) -> Optional[np.ndarray]:
+        """:meth:`_rounded` over a whole stream, as int64 page counts;
+        ``None`` when a size is not finite.  A count over the capacity is
+        clipped to one page past it: the kernel declines it all the same."""
+        if not np.isfinite(sizes).all():
+            return None
+        pages = np.ceil(sizes / self._page_bytes)
+        np.clip(pages, 1.0, self._capacity_pages + 1.0, out=pages)
+        return pages.astype(np.int64)
 
     def resident_lists(self) -> Tuple[List[Tuple[int, float]],
                                       List[Tuple[int, float]]]:
         """``(inactive, active)``, each front (next to evict or demote) to
         end as ``(item_id, stored_bytes)`` pairs; reads either form of the
         state without converting it."""
-        if self._pages is None:
-            return list(self._inactive.items()), list(self._active.items())
         page = self._page_bytes
-        inactive, active = (list(zip(ids.tolist(), (pages * page).tolist()))
-                            for ids, pages in self._pages)
-        return inactive, active
+        if self._pages is None:
+            return tuple([(item, pages * page)
+                          for item, pages in members.items()]
+                         for members in (self._inactive, self._active))
+        return tuple(list(zip(ids.tolist(), (pages * page).tolist()))
+                     for ids, pages in self._pages)
 
     def __len__(self) -> int:
         if self._pages is None:
@@ -269,27 +283,19 @@ class PageCache(Cache):
 
     def _to_dicts(self) -> None:
         """Rebuild the OrderedDicts from the kernel's arrays; drop those."""
-        self._inactive, self._active = map(OrderedDict, self.resident_lists())
+        self._inactive, self._active = (
+            OrderedDict(zip(ids.tolist(), pages.tolist()))
+            for ids, pages in self._pages)
         self._pages = None
 
-    def _resident_pages(self) -> Optional[ResidentPages]:
+    def _resident_pages(self) -> ResidentPages:
         """The lists in the kernel's form: what the kernel replays from and
-        what the replay key hashes; ``None`` unless every stored size is an
-        exact page multiple.  A dict state is converted (and certified)
-        here, once."""
+        what the replay key hashes.  A dict state is converted here, once."""
         if self._pages is None:
-            page = self._page_bytes
-            max_pages = max_exact_page_multiple(page)
-            lists = []
-            for members in (self._inactive, self._active):
-                pages = _exact_page_counts(
-                    np.fromiter(members.values(), np.float64,
-                                count=len(members)), page, max_pages)
-                if pages is None:
-                    return None
-                lists.append((np.fromiter(members.keys(), np.int64,
-                                          count=len(members)), pages))
-            self._pages = (lists[0], lists[1])
+            self._pages = tuple(
+                (np.fromiter(members.keys(), np.int64, count=len(members)),
+                 np.fromiter(members.values(), np.int64, count=len(members)))
+                for members in (self._inactive, self._active))
             self._inactive = self._active = None
         return self._pages
 
@@ -306,30 +312,30 @@ class PageCache(Cache):
     # -- list mechanics ------------------------------------------------------
 
     def _promote(self, item_id: int) -> None:
-        size = self._inactive.pop(item_id)
-        self._inactive_bytes -= size
-        self._active[item_id] = size
-        self._active_bytes += size
+        pages = self._inactive.pop(item_id)
+        self._inactive_pages -= pages
+        self._active[item_id] = pages
+        self._active_pages += pages
         self._rebalance()
 
     def _rebalance(self) -> None:
         """Demote cold active pages when the active list exceeds its target."""
-        limit = self._capacity * self._active_target
-        while self._active and self._active_bytes > limit:
-            item_id, size = self._active.popitem(last=False)
-            self._active_bytes -= size
-            self._inactive[item_id] = size
-            self._inactive_bytes += size
+        while self._active and self._active_pages > self._active_limit_pages:
+            item_id, pages = self._active.popitem(last=False)
+            self._active_pages -= pages
+            self._inactive[item_id] = pages
+            self._inactive_pages += pages
 
-    def _evict_until(self, needed_bytes: float) -> None:
-        while self.used_bytes + needed_bytes > self._capacity:
+    def _evict_until(self, needed_pages: int) -> None:
+        while (self._inactive_pages + self._active_pages + needed_pages
+               > self._capacity_pages):
             if self._inactive:
-                _item, size = self._inactive.popitem(last=False)
-                self._inactive_bytes -= size
+                _item, pages = self._inactive.popitem(last=False)
+                self._inactive_pages -= pages
             elif self._active:
                 # Inactive list exhausted: reclaim presses on the active list.
-                _item, size = self._active.popitem(last=False)
-                self._active_bytes -= size
+                _item, pages = self._active.popitem(last=False)
+                self._active_pages -= pages
             else:
                 break
             self._pressure_evictions += 1
@@ -340,13 +346,13 @@ class PageCache(Cache):
         if self._pages is not None:
             self._to_dicts()
         if item_id in self._active:
-            size = self._active[item_id]
+            pages = self._active[item_id]
             self._active.move_to_end(item_id)
-            self._stats.record_hit(size)
+            self._stats.record_hit(pages * self._page_bytes)
             return True
         if item_id in self._inactive:
-            size = self._inactive[item_id]
-            self._stats.record_hit(size)
+            pages = self._inactive[item_id]
+            self._stats.record_hit(pages * self._page_bytes)
             # Second reference while resident: promote to the active list.
             self._promote(item_id)
             return True
@@ -358,15 +364,15 @@ class PageCache(Cache):
         # the inactive tail first.
         if self._pages is not None:
             self._to_dicts()
-        size = self._rounded(item_id, size_bytes)
-        if size > self._capacity:
+        pages = self._rounded(item_id, size_bytes)
+        if pages > self._capacity_pages:
             self._stats.rejected += 1
             return False
         if item_id in self._inactive or item_id in self._active:
             return True
-        self._evict_until(size)
-        self._inactive[item_id] = size
-        self._inactive_bytes += size
+        self._evict_until(pages)
+        self._inactive[item_id] = pages
+        self._inactive_pages += pages
         self._stats.insertions += 1
         return True
 
@@ -385,21 +391,23 @@ class PageCache(Cache):
         shared page cache, Table 3's jobs interleave record files) and the
         cache may start warm, below the working set, and evicting on every
         admission — the segmented-LRU thrashing regime of Sec. 3.3.1.  The
-        whole stream is replayed through
-        :func:`repro.cache.warm_kernel.simulate_segmented_lru`, which
-        reproduces the per-item ``lookup`` + ``admit`` walk bit for bit:
-        hit mask, every stats counter (including ``hit_bytes``), the
-        pressure-eviction count, byte occupancies and the exact order of
-        both lists (observable through future evictions and demotions).
-        The kernel reads and returns the lists as arrays, and the cache
-        keeps them in that form.
+        stream's sizes are rounded to whole pages here, in one vectorised
+        step that equals :meth:`_rounded` per item, and the page counts
+        are replayed through
+        :func:`repro.cache.warm_kernel.simulate_segmented_lru`.  That
+        integer replay reproduces the per-item ``lookup`` + ``admit`` walk
+        exactly: hit mask, every stats counter (``hit_bytes`` is the hit
+        pages times the page size), the pressure-eviction count, the
+        occupancies and the exact order of both lists (observable through
+        future evictions and demotions).  The kernel reads and returns the
+        lists as arrays, and the cache keeps them in that form.
 
         Every miss is admitted, as the kernel page cache does — callers
         with an admission *policy* must walk item by item.  When the kernel
-        is disabled (``REPRO_WARM_KERNEL=0``) or declines the stream
-        (uncertifiable page arithmetic, an item whose rounded size varies
-        or exceeds the capacity, no working C compiler for its native
-        core), this entry applies :meth:`walk` instead.
+        is disabled (``REPRO_WARM_KERNEL=0``) or declines the stream (a
+        non-finite size, an item whose page count varies or exceeds the
+        capacity, no working C compiler for its native core), this entry
+        applies :meth:`walk` instead.
 
         When a :class:`ReplayMemo` is active (a
         :class:`~repro.sim.sweep.SweepRunner` running a point), a stream
@@ -413,54 +421,49 @@ class PageCache(Cache):
             return self.walk(item_ids, sizes)
         ids = np.asarray(item_ids, dtype=np.int64)
         size_arr = np.asarray(sizes, dtype=np.float64)
-        lists = (self._resident_pages()
-                 if ids.ndim == 1 and ids.shape == size_arr.shape else None)
-        if lists is None:
+        if ids.ndim != 1 or ids.shape != size_arr.shape:
             return self.walk(item_ids, sizes)
+        lists = self._resident_pages()
         memo = _ACTIVE_REPLAY_MEMO.get()
         key = None if memo is None else self._replay_key(ids, size_arr, lists)
         result = None if key is None else memo.get(key)
         if result is None:
-            result = simulate_segmented_lru(
-                ids, size_arr,
-                capacity_bytes=self._capacity,
-                page_bytes=self._page_bytes,
-                active_limit_bytes=self._capacity * self._active_target,
-                inactive=lists[0], active=lists[1],
-                inactive_bytes=self._inactive_bytes,
-                active_bytes=self._active_bytes,
-                prior_hit_bytes=self._stats.hit_bytes)
+            pages = self._rounded_stream(size_arr)
+            result = None if pages is None else simulate_segmented_lru(
+                ids, pages,
+                capacity_pages=self._capacity_pages,
+                active_limit_pages=self._active_limit_pages,
+                inactive=lists[0], active=lists[1])
             if result is None:
                 return self.walk(item_ids, sizes)
             if key is not None:
                 memo.put(key, result)
-        page = self._page_bytes
         self._pages = (result.inactive, result.active)
-        self._inactive_bytes = float(int(result.inactive[1].sum())) * page
-        self._active_bytes = float(int(result.active[1].sum())) * page
+        self._inactive_pages = int(result.inactive[1].sum())
+        self._active_pages = int(result.active[1].sum())
         self._pressure_evictions += result.pressure_evictions
         self._stats.hits += result.hits
         self._stats.misses += result.misses
         self._stats.insertions += result.misses  # every miss was admitted
-        self._stats.hit_bytes += float(result.hit_pages) * page
+        self._stats.hit_bytes += result.hit_pages * self._page_bytes
         return result.hit_mask
 
     def _replay_key(self, ids: np.ndarray, size_arr: np.ndarray,
                     lists: ResidentPages) -> bytes:
-        """BLAKE2 digest of every kernel input of one replay from this state.
+        """BLAKE2 digest of everything one replay from this state reads.
 
-        Arrays enter as the kernel reads them (int64 ids, float64 sizes,
-        the lists' int64 ids and page counts), scalars by ``repr`` (exact
-        for floats), and the lengths up front delimit the variable-length
+        That is the kernel's inputs, with the stream's sizes and the page
+        size in place of the page counts they round to, so a memo hit skips
+        the rounding too.  Arrays enter as int64 ids, float64 sizes and the
+        lists' int64 ids and page counts, scalars by ``repr`` (exact for
+        floats), and the lengths up front delimit the variable-length
         parts.
         """
         (in_ids, in_pages), (act_ids, act_pages) = lists
         digest = hashlib.blake2b(digest_size=16)
         digest.update(repr((
-            ids.size, in_ids.size, act_ids.size, self._capacity,
-            self._page_bytes, self._capacity * self._active_target,
-            self._inactive_bytes, self._active_bytes,
-            self._stats.hit_bytes)).encode())
+            ids.size, in_ids.size, act_ids.size, self._page_bytes,
+            self._capacity_pages, self._active_limit_pages)).encode())
         for array in (ids, size_arr, in_ids, in_pages, act_ids, act_pages):
             digest.update(np.ascontiguousarray(array))
         return digest.digest()
@@ -474,9 +477,9 @@ class PageCache(Cache):
         if self._pages is not None:
             self._to_dicts()
         if item_id in self._inactive:
-            self._inactive_bytes -= self._inactive.pop(item_id)
+            self._inactive_pages -= self._inactive.pop(item_id)
         elif item_id in self._active:
-            self._active_bytes -= self._active.pop(item_id)
+            self._active_pages -= self._active.pop(item_id)
         else:
             return False
         self._explicit_evictions += 1
@@ -487,5 +490,5 @@ class PageCache(Cache):
         self._pages = None
         self._inactive = OrderedDict()
         self._active = OrderedDict()
-        self._inactive_bytes = 0.0
-        self._active_bytes = 0.0
+        self._inactive_pages = 0
+        self._active_pages = 0

@@ -10,53 +10,45 @@ than the working set, where every access can promote, demote or evict.
 That trajectory is inherently sequential (each admission's eviction victims
 depend on every earlier promotion), so no per-access-free closed form
 exists.  What *is* removable is all the per-access interpreter work the
-OrderedDict walk pays: hashing, dict mutation, float page rounding, byte
-arithmetic and stats-object updates.  This kernel replays the identical
-state machine as
+OrderedDict walk pays: hashing, dict mutation, page arithmetic and
+stats-object updates.  This kernel replays the identical state machine as
 
-* a **vectorised prologue** — page rounding (exact ceiling division
-  mirroring ``PageCache._rounded``), dense id mapping, page-count
-  prefills, the initial lists linked into arrays and the float-exactness
-  guards, all as numpy array operations; then
+* a **vectorised prologue** — the int64 headroom bound, dense id mapping,
+  page-count prefills and the initial lists linked into arrays, all as
+  numpy array operations; then
 * a **native core** — one C loop (:data:`_CORE_SOURCE`) over two intrusive
   doubly linked lists: ``prev``/``next`` int64 arrays indexed by dense id,
   each list's head, tail and length, and an int8 location per item.  All
-  byte accounting is whole-page integer headroom, so an access costs a
-  few array writes.  The loop fills the hit mask and counts misses, and a
+  accounting is whole-page integer headroom, so an access costs a few
+  array writes.  The loop fills the hit mask and counts misses, and a
   second C function walks each final list out front to end; then
-* a **vectorised epilogue** — hit bytes and the insertion/eviction
-  counters follow from the hit mask, the stream's rounded sizes and the
+* a **vectorised epilogue** — hit pages and the insertion/eviction
+  counters follow from the hit mask, the stream's page counts and the
   final list lengths.
 
-The core is compiled on the first replay that passes the guards, never at
-import, with the compiler CPython was built with (``cc`` when that is
-unknown or not installed), and loaded with :mod:`ctypes`.  The shared
-library is kept in this module's ``__pycache__`` directory, named by a
-digest of the C source, the compiler command and the platform, so later
+The core is compiled on the first replay that gets past the prologue,
+never at import, with the compiler CPython was built with (``cc`` when
+that is unknown or not installed), and loaded with :mod:`ctypes`.  The
+shared library is kept in this module's ``__pycache__`` directory, named by
+a digest of the C source, the compiler command and the platform, so later
 processes load it without compiling; when that directory is not ours to
 write, each process compiles into a private temporary directory.  The
 outcome is kept per process.  When no compiler works the kernel declines
 every replay — callers walk item by item, several times slower — and one
 ``RuntimeWarning`` per process names the cause.
 
-Exactness rests on one invariant: every byte quantity the reference walk
-ever holds is an integer multiple of ``page_bytes``, and every such multiple
-that can occur is exactly representable as a float.  Under that invariant
-(checked by the guards below; the kernel declines with ``None`` when it
-cannot be proven) integer page counts and the reference's accumulated floats
-are in exact bijection, so the hit mask, every stats counter including
-``hit_bytes``, the eviction count, the byte totals and the *order* of both
-lists — observable through future evictions and demotions — equal the
-per-item walk bit for bit.  The walk itself stays in
-:class:`~repro.cache.page_cache.PageCache` as the executable specification;
-``tests/test_properties.py`` property-tests the equivalence.
-
-State enters and leaves as arrays: both lists, front to end, as
-``(item_ids, page_counts)`` int64 arrays.
-:class:`~repro.cache.page_cache.PageCache` keeps its lists in that form
-between bulk calls and certifies a per-item state's stored sizes as exact
-page multiples when it converts one, so the kernel reads no OrderedDict
-and writes none back.
+The replay is pure integer arithmetic: the stream arrives as whole-page
+counts, both budgets as page counts, and the lists as ``(item_ids,
+page_counts)`` arrays.  The walk counts the same integers (page rounding
+lives in :class:`~repro.cache.page_cache.PageCache`, once per item and
+once per stream), so the hit mask, the hit pages, the eviction count and
+the *order* of both lists — observable through future evictions and
+demotions — equal the per-item walk's exactly.  The walk itself stays in
+:class:`~repro.cache.page_cache.PageCache` as the executable
+specification; ``tests/test_properties.py`` property-tests the
+equivalence.  ``PageCache`` keeps its lists in the kernel's array form
+between bulk calls, so the kernel reads no OrderedDict and writes none
+back.
 
 The kernel is pure: it reads the cache's state and returns a
 :class:`SegmentedLRUResult` without touching the cache or writing into
@@ -71,7 +63,6 @@ from __future__ import annotations
 import atexit
 import ctypes
 import hashlib
-import math
 import os
 import platform
 import shlex
@@ -342,82 +333,13 @@ def _replay(core: ctypes.CDLL, stream: np.ndarray, pages_of: np.ndarray,
     return hit_mask, misses, finals[0], finals[1]
 
 
-def max_exact_page_multiple(page_bytes: float) -> int:
-    """Largest ``B`` such that ``k * page_bytes`` is exact for all ``k <= B``.
-
-    ``k * page_bytes`` is exactly representable iff ``k`` times the odd part
-    of the page size's significand still fits in the 53-bit mantissa.  For
-    the kernel's 4 KiB pages (odd part 1) that is ``2**53`` — far beyond any
-    realisable cache — while degenerate page sizes yield small bounds and
-    make the kernel decline instead of silently rounding.
-    """
-    if not math.isfinite(page_bytes) or page_bytes <= 0:
-        return 0
-    mantissa, _exp = math.frexp(page_bytes)
-    significand = int(mantissa * (1 << 53))
-    while significand % 2 == 0:
-        significand //= 2
-    return (1 << 53) // significand
-
-
-def rounded_pages(sizes: np.ndarray, page_bytes: float,
-                  max_pages: int) -> Optional[np.ndarray]:
-    """Exact whole-page counts: ``ceil(size / page_bytes)``, at least one page.
-
-    Mirrors ``PageCache._rounded`` in the real-number sense: the correct
-    count ``p`` is the unique integer with ``(p - 1) * page < size <= p *
-    page`` (clamped to one page).  The float quotient's ceiling is only an
-    estimate, so it is corrected against those exact product comparisons;
-    ``None`` when a count cannot be certified below ``max_pages`` (where
-    products stop being exact) or a size is not finite (which
-    ``_rounded`` rejects).
-    """
-    if not np.isfinite(sizes).all():
-        return None
-    pages = np.ceil(sizes / page_bytes)
-    pages = np.where(np.isfinite(pages), pages, float(max_pages))
-    np.clip(pages, 1.0, float(max_pages), out=pages)
-    for _ in range(2):
-        pages += sizes > pages * page_bytes
-        pages -= (pages > 1.0) & (sizes <= (pages - 1.0) * page_bytes)
-    if float(pages.max(initial=1.0)) >= max_pages:
-        return None
-    bad = (sizes > pages * page_bytes) | ((pages > 1.0)
-                                          & (sizes <= (pages - 1.0) * page_bytes))
-    if bad.any():
-        return None
-    return pages.astype(np.int64)
-
-
-def pages_within(budget_bytes: float, page_bytes: float,
-                 max_pages: int) -> Optional[int]:
-    """Largest integer ``k`` with ``k * page_bytes <= budget_bytes``.
-
-    This is the exact integer image of every float comparison the reference
-    walk makes against ``budget_bytes`` (capacity or active-list limit),
-    because all byte occupancies are exact page multiples.  ``None`` when
-    the boundary cannot be certified below ``max_pages``.
-    """
-    if not math.isfinite(budget_bytes) or budget_bytes < 0:
-        return None
-    k = int(budget_bytes // page_bytes)
-    k = max(0, min(k, max_pages))
-    while k + 1 < max_pages and (k + 1) * page_bytes <= budget_bytes:
-        k += 1
-    while k > 0 and k * page_bytes > budget_bytes:
-        k -= 1
-    if k + 1 >= max_pages or (k + 1) * page_bytes <= budget_bytes:
-        return None
-    return k
-
-
 @dataclass
 class SegmentedLRUResult:
     """Outcome of one bulk segmented-LRU replay (pure; caller commits).
 
     ``inactive`` / ``active`` are the final lists front-to-end as
-    ``(item_ids, page_counts)`` arrays; byte values are ``pages *
-    page_bytes`` (exact, per the kernel's representability guards).
+    ``(item_ids, page_counts)`` arrays; the caller's page size turns page
+    counts into bytes.
     """
 
     hit_mask: np.ndarray
@@ -430,69 +352,52 @@ class SegmentedLRUResult:
 
 
 def simulate_segmented_lru(
-        item_ids: Sequence[int], sizes: Sequence[float], *,
-        capacity_bytes: float, page_bytes: float, active_limit_bytes: float,
+        item_ids: Sequence[int], pages: Sequence[int], *,
+        capacity_pages: int, active_limit_pages: int,
         inactive: Tuple[np.ndarray, np.ndarray],
-        active: Tuple[np.ndarray, np.ndarray],
-        inactive_bytes: float, active_bytes: float,
-        prior_hit_bytes: float = 0.0) -> Optional[SegmentedLRUResult]:
+        active: Tuple[np.ndarray, np.ndarray]) -> Optional[SegmentedLRUResult]:
     """Replay a whole access stream through the segmented-LRU state machine.
 
-    ``inactive`` / ``active`` are the starting lists front to end as
-    ``(item_ids, page_counts)`` integer arrays, the form
+    A pure integer replay: ``pages`` holds each access's whole-page count,
+    ``capacity_pages`` and ``active_limit_pages`` are the cache's two
+    budgets, and ``inactive`` / ``active`` are the starting lists front to
+    end as ``(item_ids, page_counts)`` integer arrays, the form
     :class:`SegmentedLRUResult` returns them in; they are only read.  The
     stream may revisit items (interleaved multi-job epochs) and the cache
     may start in any warm state.  Returns ``None`` — never partially
-    evaluated state — when any float-exactness guard fails (including a
-    page count below one, or byte totals that are not the page counts'
-    exact image), when an item's rounded size differs between its
-    accesses or from its resident page count, when an item is larger
-    than the cache, or when the native core is unavailable; callers then
-    walk item by item.
+    evaluated state — when an item is larger than the cache, when an
+    item's page count differs between its accesses or from its resident
+    page count, when a page count is below one or a budget negative, when
+    a page total could leave int64, or when the native core is
+    unavailable; callers then walk item by item.
     """
     ids = np.asarray(item_ids, dtype=np.int64)
-    size_arr = np.asarray(sizes, dtype=np.float64)
-    if ids.shape != size_arr.shape or ids.ndim != 1:
+    stream_pages = np.asarray(pages, dtype=np.int64)
+    if ids.shape != stream_pages.shape or ids.ndim != 1:
         return None
-
-    max_pages = max_exact_page_multiple(page_bytes)
-    cap_pages = pages_within(capacity_bytes, page_bytes, max_pages)
-    lim_pages = pages_within(active_limit_bytes, page_bytes, max_pages)
-    if cap_pages is None or lim_pages is None:
-        return None
-    stream_pages = rounded_pages(size_arr, page_bytes, max_pages)
-    if stream_pages is None:
-        return None
-
-    # Initial state: positive page counts whose totals reproduce the
-    # cache's accumulated byte counters bit for bit.
     init_in_ids, init_in_pages = (np.asarray(a, dtype=np.int64)
                                   for a in inactive)
     init_act_ids, init_act_pages = (np.asarray(a, dtype=np.int64)
                                     for a in active)
-    if min(int(init_in_pages.min(initial=1)),
-           int(init_act_pages.min(initial=1))) < 1:
-        return None
-    in_total = int(init_in_pages.sum())
-    act_total = int(init_act_pages.sum())
-    if (float(in_total) * page_bytes != inactive_bytes
-            or float(act_total) * page_bytes != active_bytes):
-        return None
-    # Every page total the replay can reach (occupancy, and the cumulative
-    # hit bytes) must stay in the exactly-representable range.
-    hit_pages_bound = int(stream_pages.sum()) + in_total + act_total
-    prior_hit = prior_hit_bytes / page_bytes
-    if prior_hit != math.floor(prior_hit) or not math.isfinite(prior_hit):
-        return None
-    if (cap_pages + int(stream_pages.max(initial=1)) >= max_pages
-            or int(prior_hit) + hit_pages_bound >= max_pages):
+    n = ids.size
+    resident_ids = np.concatenate([init_in_ids, init_act_ids])
+    res_pages = np.concatenate([init_in_pages, init_act_pages])
+
+    # One int64 headroom bound: every page total the replay reaches (the
+    # occupancies, the core's room counters, the hit pages) is at most a
+    # budget plus one item's pages per access and per resident.
+    least = min(int(stream_pages.min(initial=1)),
+                int(res_pages.min(initial=1)))
+    most = max(int(stream_pages.max(initial=1)),
+               int(res_pages.max(initial=1)))
+    if (least < 1 or min(capacity_pages, active_limit_pages) < 0
+            or max(capacity_pages, active_limit_pages)
+            + most * (n + resident_ids.size + 1) >= 2**63):
         return None
 
     # Dense id space: the stream plus everything initially resident.  Real
     # epochs access dense ``0..num_items-1`` ids, so the common case maps
     # ids to themselves and skips the ``np.unique`` sort entirely.
-    n = ids.size
-    resident_ids = np.concatenate([init_in_ids, init_act_ids])
     lo = min(int(ids.min(initial=0)), int(resident_ids.min(initial=0)))
     hi = max(int(ids.max(initial=-1)), int(resident_ids.max(initial=-1)))
     if lo >= 0 and hi < n + resident_ids.size + 65536:
@@ -511,12 +416,12 @@ def simulate_segmented_lru(
 
     # The core defers all hit/eviction accounting to vectorised epilogue
     # algebra.  That is exact when no stream item is over-capacity (so
-    # every miss admits) and every item's rounded size is consistent —
-    # one value across its stream accesses, matching its resident stored
-    # size — so a hit's stored bytes can be read off the stream itself.
-    # Real datasets always satisfy this; any other stream is declined and
+    # every miss admits) and every item's page count is consistent — one
+    # value across its stream accesses, matching its resident page count
+    # — so a hit's pages can be read off the stream itself.  Real
+    # datasets always satisfy this; any other stream is declined and
     # walked item by item.
-    if n and int(stream_pages.max()) > cap_pages:
+    if n and int(stream_pages.max()) > capacity_pages:
         return None
     rep = np.zeros(num_dense, dtype=np.int64)
     rep[dense_stream] = stream_pages
@@ -526,22 +431,23 @@ def simulate_segmented_lru(
         appears = np.zeros(num_dense, dtype=bool)
         appears[dense_stream] = True
         res_dense = np.concatenate([dense_in_arr, dense_act_arr])
-        res_pages = np.concatenate([init_in_pages, init_act_pages])
         if not (~appears[res_dense] | (rep[res_dense] == res_pages)).all():
             return None
-        # Every item has one rounded size, so the page counts are
-        # prefilled in bulk and admissions never write them.
+        # Every item has one page count, so the counts are prefilled in
+        # bulk and admissions never write them.
         rep[res_dense] = res_pages
 
     core = _native_core()
     if core is None:
         return None
+    in_total = int(init_in_pages.sum())
+    act_total = int(init_act_pages.sum())
     hit_mask, misses, final_in, final_act = _replay(
         core, np.ascontiguousarray(dense_stream), rep, dense_in_arr,
-        dense_act_arr, room=cap_pages - in_total - act_total,
-        aroom=lim_pages - act_total)
-    # Epilogue algebra: every miss was admitted, hit bytes are the stream's
-    # own (consistent) rounded sizes, and the eviction count is the
+        dense_act_arr, room=capacity_pages - in_total - act_total,
+        aroom=active_limit_pages - act_total)
+    # Epilogue algebra: every miss was admitted, hit pages are the stream's
+    # own (consistent) page counts, and the eviction count is the
     # occupancy balance of the replay.
     return SegmentedLRUResult(
         hit_mask=hit_mask,

@@ -51,8 +51,10 @@ class ServerConfig:
             raise ConfigurationError("a server needs at least one CPU core")
         if self.vcpus < self.physical_cores:
             raise ConfigurationError("vCPUs cannot be fewer than physical cores")
-        if self.cache_bytes > self.dram_bytes:
-            raise ConfigurationError("cache budget exceeds DRAM")
+        if not 0 <= self.cache_bytes <= self.dram_bytes:
+            raise ConfigurationError(
+                f"cache budget must lie between 0 and the DRAM size, not "
+                f"{self.cache_bytes!r} bytes")
 
     @property
     def cores_per_gpu(self) -> float:

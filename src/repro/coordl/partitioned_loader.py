@@ -18,7 +18,6 @@ from repro.cluster.network import NetworkLink
 from repro.cluster.server import ServerConfig
 from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import BatchSampler, DistributedSampler
-from repro.exceptions import ConfigurationError
 from repro.pipeline.base import BatchFetchResult, DataLoader
 from repro.prep.pipeline import PrepPipeline
 from repro.storage.filestore import FileStore
@@ -47,9 +46,9 @@ class PartitionedCoorDLLoader(DataLoader):
     @classmethod
     def build_group(cls, dataset: SyntheticDataset, servers: List[ServerConfig],
                     batch_size: int, gpu_prep: bool = False, seed: int = 0,
-                    group: Optional[PartitionedCacheGroup] = None,
                     ) -> List["PartitionedCoorDLLoader"]:
-        """Build one loader per server, all sharing a partitioned cache group.
+        """Build one loader per server, all sharing a fresh partitioned
+        cache group populated from the servers' shards.
 
         Args:
             dataset: Dataset of the distributed job.
@@ -57,18 +56,10 @@ class PartitionedCoorDLLoader(DataLoader):
             batch_size: Per-server batch size (per-GPU batch x GPUs/server).
             gpu_prep: Offload prep to the GPUs.
             seed: Shared sampler/shard seed.
-            group: Reuse an existing (possibly already-warm) cache group
-                instead of building and populating a fresh one — the
-                elasticity scenarios hand surviving servers' caches across a
-                membership change this way.  Must have one cache per server.
         """
-        if group is None:
-            group = PartitionedCacheGroup(
-                dataset, [s.cache_bytes for s in servers], seed=seed)
-            group.populate_from_shards()
-        elif group.num_servers != len(servers):
-            raise ConfigurationError(
-                f"group has {group.num_servers} caches for {len(servers)} servers")
+        group = PartitionedCacheGroup(
+            dataset, [s.cache_bytes for s in servers], seed=seed)
+        group.populate_from_shards()
         loaders: List[PartitionedCoorDLLoader] = []
         for rank, server in enumerate(servers):
             prep = PrepPipeline.for_dataset(dataset, "dali")
@@ -142,14 +133,8 @@ class PartitionedCoorDLLoader(DataLoader):
         the side effects of the per-item :meth:`fetch_batch` loop (cache
         counters and admissions, directory updates, loader and store I/O
         accounting including the disk timeline).  Falls back (``None``,
-        without side effects) for subclass-customised fetch policies and
-        repeated-item epochs.
+        without side effects) for repeated-item epochs.
         """
-        cls = type(self)
-        if (cls.fetch_batch is not PartitionedCoorDLLoader.fetch_batch
-                or cls.cached_fetch_time is not DataLoader.cached_fetch_time
-                or cls.prep_batch_time is not DataLoader.prep_batch_time):
-            return None
         plan = self._single_pass_epoch(epoch_index)
         if plan is None:
             return None

@@ -136,9 +136,8 @@ class TestPageCache:
     @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", ["admit", "walk", "bulk_stream_hits",
                                        "bulk_epoch_hits"])
-    # 1 + 2**-51 has exact multiples only up to 3 pages, so a one-page
-    # cache still replays through the kernel.
-    @pytest.mark.parametrize("page", [4096.0, 1 + 2.0**-51])
+    # The default 4 KiB page and a 2 MiB huge page.
+    @pytest.mark.parametrize("page", [4096.0, 2.0**21])
     def test_non_finite_sizes_are_rejected_naming_the_item(self, entry, size,
                                                            page):
         cache = PageCache(1.5 * page, page_bytes=page)
@@ -150,12 +149,18 @@ class TestPageCache:
                 getattr(cache, entry)(np.array([5, 7]), np.array([page, size]))
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PageCache(-1.0)
-        with pytest.raises(ConfigurationError):
-            MinIOCache(-1.0)
-        with pytest.raises(ConfigurationError):
-            PageCache(100.0, page_bytes=0)
+        for capacity in (-1.0, math.nan):
+            with pytest.raises(ConfigurationError):
+                PageCache(capacity)
+            with pytest.raises(ConfigurationError):
+                MinIOCache(capacity)
+        with pytest.raises(ConfigurationError, match=r"2\*\*53 pages"):
+            PageCache(math.inf)
+        # A page is a power of two of at least one byte.
+        for page in (0, 3.0, 1000.0, 0.5, 1 + 2.0**-51, 4096 * (1 + 2.0**-52),
+                     math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="power of two"):
+                PageCache(100.0, page_bytes=page)
         with pytest.raises(ConfigurationError):
             PageCache(100.0, active_target_fraction=1.5)
 
@@ -221,27 +226,6 @@ class TestPageCacheBulkStream:
         assert kernel_results == []
         self._assert_same_state(bulk, scalar)
 
-    def test_unprovable_page_arithmetic_declines_without_side_effects(
-            self, kernel_results):
-        # A page size with a fully-dense significand certifies almost no
-        # exact multiples.  A resident's page count cannot be certified,
-        # so the page cache walks without handing its lists to the kernel;
-        # from an empty cache the kernel itself declines rather than guess.
-        page = 4096.0 * (1 + 2.0**-52)
-        stream = np.arange(64, dtype=np.int64)
-        sizes = np.full(64, 5000.0)
-        for warm, declined in ((True, []), (False, [None])):
-            scalar = PageCache(1e9, page_bytes=page)
-            bulk = PageCache(1e9, page_bytes=page)
-            if warm:
-                for cache in (scalar, bulk):
-                    cache.admit(1, 5000.0)
-            expected = scalar.walk(stream, sizes)
-            hits = bulk.bulk_stream_hits(stream, sizes)
-            assert hits.tolist() == expected.tolist()
-            assert kernel_results == declined
-            self._assert_same_state(bulk, scalar)
-
     def test_oversized_items_are_rejected_like_the_walk(self, kernel_results):
         """The kernel declines a stream with an item larger than the
         cache; the entry walks it, rejecting that item."""
@@ -254,6 +238,26 @@ class TestPageCacheBulkStream:
         assert kernel_results == [None]
         assert bulk.stats.rejected == scalar.stats.rejected == 1
         self._assert_same_state(bulk, scalar)
+
+
+    def test_page_totals_that_could_leave_int64_are_declined(self):
+        """The kernel's one headroom bound: a budget or page counts whose
+        totals could wrap the core's int64 arithmetic make it decline, as
+        does a page count below one."""
+        empty = (np.zeros(0, dtype=np.int64),) * 2
+        stream = np.arange(4, dtype=np.int64)
+
+        def replay(pages, capacity_pages):
+            return warm_kernel.simulate_segmented_lru(
+                stream, np.full(4, pages, dtype=np.int64),
+                capacity_pages=capacity_pages,
+                active_limit_pages=capacity_pages // 2,
+                inactive=empty, active=empty)
+
+        assert replay(1, 8) is not None
+        assert replay(1, 2**63 - 1) is None
+        assert replay(2**61, 2**62) is None
+        assert replay(0, 8) is None
 
 
 class TestNativeCore:
@@ -284,10 +288,10 @@ class TestNativeCore:
             for stream in streams:
                 sizes = tiny_dataset.item_sizes(stream)
                 assert warm_kernel.simulate_segmented_lru(
-                    stream, sizes, capacity_bytes=capacity,
-                    page_bytes=4096.0, active_limit_bytes=capacity / 2,
-                    inactive=(empty, empty), active=(empty, empty),
-                    inactive_bytes=0.0, active_bytes=0.0) is None
+                    stream, np.ceil(sizes / 4096.0).astype(np.int64),
+                    capacity_pages=int(capacity // 4096.0),
+                    active_limit_pages=int(capacity * 0.5 // 4096.0),
+                    inactive=(empty, empty), active=(empty, empty)) is None
                 expected = scalar.walk(stream, sizes)
                 hits = bulk.bulk_stream_hits(stream, sizes)
                 assert hits.tolist() == expected.tolist()

@@ -113,20 +113,6 @@ class TestDistributedFastPathEquivalence:
 class TestFallbackBoundary:
     """Mid-run fallbacks must apply I/O counters and timelines exactly once."""
 
-    def test_custom_fetch_policy_declines_without_side_effects(self, dataset):
-        class AuditedLoader(PartitionedCoorDLLoader):
-            def fetch_batch(self, batch, at_time=0.0):  # custom fetch policy
-                return super().fetch_batch(batch, at_time=at_time)
-
-        group = AuditedLoader.build_group(dataset, _servers(dataset, 0.6),
-                                          batch_size=16, seed=0)
-        loader = group[0]
-        assert loader.batch_time_arrays(0) is None
-        # Declining must leave no trace: no cache stats, no I/O accounting.
-        assert loader.cache.stats.accesses == 0
-        assert loader.io.disk_requests == 0
-        assert loader.store.stats.disk_requests == 0
-
     def test_repeated_item_epoch_declines_without_side_effects(self, dataset):
         class RepeatingSampler(Sampler):
             def epoch(self, epoch_index):
@@ -142,22 +128,23 @@ class TestFallbackBoundary:
         assert loader.cache.stats.accesses == 0
         assert loader.io.disk_requests == 0
 
-    def test_fallback_run_counts_io_exactly_once(self, dataset):
+    def test_fallback_run_counts_io_exactly_once(self, dataset,
+                                                 reference_paths):
         """A run forced down the per-item path books each read exactly once."""
-        class AuditedLoader(PartitionedCoorDLLoader):
-            def fetch_batch(self, batch, at_time=0.0):
-                return super().fetch_batch(batch, at_time=at_time)
-
         from repro.sim.engine import PipelineSimulator
         servers = _servers(dataset, 0.6)
-        reference = PartitionedCoorDLLoader.build_group(dataset, servers,
-                                                        batch_size=16, seed=0)
-        audited = AuditedLoader.build_group(dataset, servers, batch_size=16, seed=0)
+        bulk = PartitionedCoorDLLoader.build_group(dataset, servers,
+                                                   batch_size=16, seed=0)
+        walked = PartitionedCoorDLLoader.build_group(dataset, servers,
+                                                     batch_size=16, seed=0)
         for rank in (0, 1):
-            for loaders in (reference, audited):
-                sim = PipelineSimulator(RESNET18, servers[rank].gpu)
-                sim.run_epoch(loaders[rank], 0)
-            ref, aud = reference[rank], audited[rank]
+            PipelineSimulator(RESNET18, servers[rank].gpu).run_epoch(
+                bulk[rank], 0)
+            with reference_paths() as calls:
+                PipelineSimulator(RESNET18, servers[rank].gpu).run_epoch(
+                    walked[rank], 0)
+            assert calls["batch_walks"] == 1
+            ref, aud = bulk[rank], walked[rank]
             assert aud.io.disk_requests == ref.io.disk_requests
             assert aud.io.cache_requests == ref.io.cache_requests
             assert aud.io.remote_requests == ref.io.remote_requests

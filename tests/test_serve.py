@@ -361,6 +361,17 @@ class TestFaultInjection:
         assert (served[1].record.snapshot(include_timeline=True)
                 == expected.snapshot(include_timeline=True))
 
+    def test_nan_cache_budget_is_an_error_for_its_point(self, client):
+        """JSON carries ``NaN``; such a budget fails its own point with the
+        server's range check instead of returning a fully cached record."""
+        wire = {"model": "resnet18", "loader": "dali-shuffle",
+                "cache_fraction": float("nan"), "num_epochs": 2}
+        served = client.whatif(_runner(), [point_from_wire(wire),
+                                           _points()[0]])
+        assert served[0].status == "error" and served[0].record is None
+        assert "cache budget" in served[0].error
+        assert served[1].status == "ok"
+
     def test_truncated_store_entry_degrades_to_recomputation(
             self, client, daemon, monkeypatch):
         """Corrupting a stored entry between requests: the daemon re-simulates

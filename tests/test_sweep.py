@@ -1,13 +1,14 @@
 """Unit tests for the SweepRunner subsystem and the vectorised fast path."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from repro.cluster.configs import config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SweepPointError
 from repro.sim.engine import PipelineSimulator
 from repro.sim.harness import GOLDEN_GRIDS
 from repro.sim.single_server import build_loader
@@ -139,6 +140,18 @@ class TestSweepRunner:
         assert row["model"] == "resnet18"
         assert row["epoch_time_s"] > 0
         assert row["cache_miss_ratio"] >= 0
+
+    @pytest.mark.parametrize("budget", ["cache_fraction", "cache_bytes"])
+    def test_nan_cache_budget_fails_its_point(self, budget):
+        """A NaN budget passes no comparison, so it must fail the server's
+        range check rather than simulate a fully cached job."""
+        point = SweepPoint(model=RESNET18, loader="dali-shuffle",
+                           dataset="openimages", num_epochs=2,
+                           **{budget: math.nan})
+        runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+        with pytest.raises(SweepPointError, match="cache budget") as excinfo:
+            runner.run([point], workers=0, store=False)
+        assert isinstance(excinfo.value.__cause__, ConfigurationError)
 
     def test_hp_search_points(self):
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)

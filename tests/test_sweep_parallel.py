@@ -129,42 +129,40 @@ class TestParallelExecution:
         assert runner.point_seed(a) != other.point_seed(a)
 
 
-class TestWorkerFallback:
-    """Fast-path fallback must behave identically inside a worker process."""
+class TestPooledBulkEpochs:
+    """Bulk epochs run inside a worker process exactly as in process."""
 
-    def _fallback_points(self):
-        # A half-size page cache goes warm after the first epoch, at which
-        # point DALI-shuffle's loader declines the vectorised epoch arrays
-        # and the engine falls back to the per-batch fetch walk — here,
-        # inside the child process.
+    def _pooled_grid(self):
+        # A half-size page cache goes warm after the first epoch and
+        # thrashes from then on.  DALI-shuffle's loader still prices every
+        # epoch as bulk arrays (the page cache replays each stream).  A
+        # one-point grid runs in-process by design, so a second point keeps
+        # the warm one inside an actual worker process.
         return [SweepPoint(model=RESNET18, loader="dali-shuffle",
                            dataset="openimages", cache_fraction=0.5,
-                           num_epochs=3)]
+                           num_epochs=3),
+                SweepPoint(model=RESNET18, loader="coordl",
+                           dataset="openimages", cache_fraction=0.5)]
 
-    def test_fallback_in_child_matches_serial_bytes(self, monkeypatch):
+    def test_pooled_bulk_epochs_match_serial_bytes(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)  # force a real pool
-        points = self._fallback_points()
-        # A one-point grid runs in-process by design, so pad with a second
-        # point to keep the fallback inside an actual worker process.
-        points = points + [SweepPoint(model=RESNET18, loader="coordl",
-                                      dataset="openimages",
-                                      cache_fraction=0.5)]
+        points = self._pooled_grid()
         assert _snapshot(points, workers=2) == _snapshot(points, workers=0)
 
-    def test_fallback_in_child_does_not_corrupt_io_accounting(
+    def test_pooled_bulk_epochs_match_the_serial_per_batch_reference(
             self, monkeypatch, reference_paths):
-        """Pooled fast-path I/O totals equal the per-batch reference walk.
+        """Pooled bulk I/O totals equal the serial per-batch reference walk.
 
-        Catches double-counted or dropped aggregated I/O stats when a point
-        declines the vectorised path mid-run in a worker.
+        Catches double-counted or dropped aggregated I/O stats when a
+        worker applies whole epochs in bulk.
         """
         monkeypatch.setattr("os.cpu_count", lambda: 2)  # force a real pool
-        points = self._fallback_points()
+        grid = self._pooled_grid()
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
-        (pooled,) = runner.run(points, workers=2, store=False).records
+        pooled = runner.run(grid, workers=2, store=False).records[0]
         reference_runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         with reference_paths() as calls:
-            (reference,) = reference_runner.run(points, workers=0,
+            (reference,) = reference_runner.run(grid[:1], workers=0,
                                                 store=False).records
         assert calls["batch_walks"] == 3
         for fast_epoch, slow_epoch in zip(pooled.run.epochs,
