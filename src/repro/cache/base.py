@@ -9,12 +9,31 @@ hits and how many bytes move.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from repro.cache.stats import CacheStats
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
+
+
+def access_stream(item_ids: np.ndarray,
+                  sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(item_ids, sizes)`` as 1-D int64 and float64 arrays of one length.
+
+    Every stream entry checks its input here before any side effect: a
+    size array that does not line up with the ids raises
+    :class:`~repro.exceptions.SimulationError` naming both lengths,
+    rather than dropping accesses or booking some before failing.
+    """
+    ids = np.asarray(item_ids, dtype=np.int64)
+    size_arr = np.asarray(sizes, dtype=np.float64)
+    if ids.ndim != 1 or size_arr.ndim != 1 or ids.size != size_arr.size:
+        raise SimulationError(
+            f"an access stream needs one size per item id, got {ids.size} "
+            f"item ids and {size_arr.size} sizes (shapes {ids.shape} and "
+            f"{size_arr.shape})")
+    return ids, size_arr
 
 
 class Cache(ABC):
@@ -74,12 +93,14 @@ class Cache(ABC):
 
         The per-item reference every bulk path reproduces exactly, and the
         path the bulk entries fall back to when they cannot apply a stream
-        in bulk.  ``sizes`` is aligned with ``item_ids``.
+        in bulk.  ``sizes`` is aligned with ``item_ids``
+        (:func:`access_stream`).
         """
+        ids, size_arr = access_stream(item_ids, sizes)
         lookup, admit = self.lookup, self.admit
-        hits = np.zeros(len(item_ids), dtype=bool)
-        for i, (item_id, size) in enumerate(zip(np.asarray(item_ids).tolist(),
-                                                np.asarray(sizes).tolist())):
+        hits = np.zeros(ids.size, dtype=bool)
+        for i, (item_id, size) in enumerate(zip(ids.tolist(),
+                                                size_arr.tolist())):
             if lookup(item_id):
                 hits[i] = True
             else:

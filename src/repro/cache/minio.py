@@ -14,22 +14,35 @@ paper makes about its simplicity.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.cache.base import Cache
+from repro.cache.base import Cache, access_stream
+from repro.exceptions import ConfigurationError, SimulationError
+
+
+def _bad_size(item_id: int, size_bytes: float) -> ConfigurationError:
+    return ConfigurationError(
+        f"item {item_id} has a negative or non-finite size: "
+        f"{size_bytes!r} bytes")
 
 
 class MinIOCache(Cache):
-    """Insert-while-space, never-evict cache specialised for DNN training."""
+    """Insert-while-space, never-evict cache specialised for DNN training.
+
+    Item sizes must be finite and non-negative: every entry raises
+    :class:`~repro.exceptions.ConfigurationError` naming the item before
+    it changes anything.
+    """
 
     def __init__(self, capacity_bytes: float) -> None:
         super().__init__(capacity_bytes)
         self._entries: Dict[int, float] = {}
         self._used = 0.0
-        # Memoised membership table for the vectorised epoch path; rebuilt
-        # lazily after any per-item admission invalidates it.
+        # Memoised membership table for the vectorised epoch path; the
+        # bulk admissions set it in place, the per-item calls drop it.
         self._member_table: Optional[np.ndarray] = None
 
     @property
@@ -51,6 +64,8 @@ class MinIOCache(Cache):
         return True
 
     def admit(self, item_id: int, size_bytes: float) -> bool:
+        if not 0.0 <= size_bytes < math.inf:
+            raise _bad_size(item_id, size_bytes)
         if item_id in self._entries:
             return True
         if self._used + size_bytes > self._capacity:
@@ -83,6 +98,85 @@ class MinIOCache(Cache):
         item_ids = np.asarray(item_ids, dtype=np.int64)
         return self._membership_table(int(item_ids.max(initial=0)))[item_ids]
 
+    @staticmethod
+    def _check_sizes(item_ids: np.ndarray, sizes: np.ndarray) -> None:
+        """Raise for the first negative or non-finite size (NaN fails both
+        comparisons)."""
+        bad = ~((sizes >= 0.0) & (sizes < math.inf))
+        if bad.any():
+            first = int(bad.argmax())
+            raise _bad_size(int(item_ids[first]), float(sizes[first]))
+
+    def _admit_in_order(self, item_ids: np.ndarray, sizes: np.ndarray,
+                        stop_at_rejection: bool) -> np.ndarray:
+        """Offer each item to :meth:`admit` in order, in bulk; the mask of
+        the items resident afterwards.
+
+        The admissions, ``used_bytes``, counters and the entries' order
+        equal per-item ``admit`` calls that either go on past a rejection
+        or, with ``stop_at_rejection``, stop at the first one.  A resident
+        item counts as admitted and takes no capacity.
+
+        Exactness: ``running = cumsum([used, *fresh sizes])`` adds left to
+        right, so while every item so far was admitted, ``running[i + 1]``
+        is the very ``used + size`` that :meth:`admit` tests for item
+        ``i``.  The first failing test ends the admitted prefix.  From
+        there ``used`` only grows, and float addition is monotone, so a
+        later item whose ``used + size`` already exceeds the capacity at
+        that point is rejected whatever is admitted before it.  Only the
+        few tail items that fit then are walked with the exact test.  This
+        needs finite, non-negative sizes, which the callers check.
+        """
+        resident = self.contains_array(item_ids)
+        capacity = self._capacity
+        running = np.cumsum(np.concatenate(
+            ([self._used], np.where(resident, 0.0, sizes))))
+        fits = (running[1:] <= capacity) | resident
+        prefix = item_ids.size if fits.all() else int(fits.argmin())
+        admitted = np.zeros(item_ids.size, dtype=bool)
+        admitted[:prefix] = True
+        used = float(running[prefix])
+        if stop_at_rejection:
+            # Only the first rejected item was offered.
+            rejected = int(prefix < item_ids.size)
+        else:
+            # Past the prefix: resident items (an epoch offers only misses,
+            # so there are none) and the exact walk over the items that fit
+            # at the rejection point.
+            tail = slice(prefix + 1, None)
+            admitted[tail] = resident[tail]
+            candidates = prefix + 1 + np.flatnonzero(
+                ~resident[tail] & (used + sizes[tail] <= capacity))
+            for index, size in zip(candidates.tolist(),
+                                   sizes[candidates].tolist()):
+                if used + size <= capacity:
+                    admitted[index] = True
+                    used += size
+            rejected = int((~admitted).sum())
+        fresh = admitted & ~resident
+        fresh_ids = item_ids[fresh]
+        self._entries.update(zip(fresh_ids.tolist(), sizes[fresh].tolist()))
+        self._used = used
+        self._stats.insertions += fresh_ids.size
+        self._stats.rejected += rejected
+        # contains_array above built the table over every id of the stream.
+        self._member_table[fresh_ids] = True
+        return admitted
+
+    def admit_prefix(self, item_ids: np.ndarray, sizes: np.ndarray) -> int:
+        """Offer items in order up to the first rejection; how many leading
+        items are resident afterwards.
+
+        Equal to per-item :meth:`admit` calls that stop at the first
+        rejection (the rejected item is counted, later ones are not
+        offered); an already resident item counts as admitted and takes no
+        capacity.  The partitioned cache's epoch-0 population uses it.
+        """
+        item_ids, sizes = access_stream(item_ids, sizes)
+        self._check_sizes(item_ids, sizes)
+        return int(self._admit_in_order(item_ids, sizes,
+                                        stop_at_rejection=True).sum())
+
     def bulk_epoch_hits(self, item_ids: np.ndarray, sizes: np.ndarray,
                         admit: Optional[np.ndarray] = None) -> np.ndarray:
         """One whole epoch of distinct accesses, vectorised.
@@ -91,9 +185,14 @@ class MinIOCache(Cache):
         never evicts, so an access hits iff the item was resident when the
         epoch started (an item admitted mid-epoch is not re-requested within
         the same epoch), and admissions are the greedy insert-while-space
-        scan over the missed items in access order.  The mask, counters and
-        cache contents after this call are identical to per-item ``lookup`` +
-        ``admit`` calls over the same access stream.
+        scan over the missed items in access order
+        (:meth:`_admit_in_order`, a prefix sum plus an exact walk over the
+        few items that still fit after the first rejection).  The mask,
+        the hit, miss, insertion and rejection counts and the cache
+        contents (entries in order, ``used_bytes``) after this call are
+        identical to per-item ``lookup`` + ``admit`` calls over the same
+        access stream; ``stats.hit_bytes`` is one pairwise sum of the hit
+        sizes, so it can differ from theirs in the last bits.
 
         Args:
             item_ids: Pairwise-distinct access stream.
@@ -103,9 +202,20 @@ class MinIOCache(Cache):
                 are still counted as misses but are never ``admit``-ed (the
                 partitioned loader uses this: remote-cache hits avoid the
                 local miss path's admission).  ``None`` offers every miss.
+
+        Raises:
+            SimulationError: ``sizes`` or ``admit`` does not line up with
+                ``item_ids``.
+            ConfigurationError: a size is negative or not finite.
         """
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.float64)
+        item_ids, sizes = access_stream(item_ids, sizes)
+        if admit is not None:
+            admit = np.asarray(admit, dtype=bool)
+            if admit.shape != item_ids.shape:
+                raise SimulationError(
+                    f"an admission mask needs one entry per item id, got "
+                    f"{item_ids.size} item ids and {admit.size} mask entries")
+        self._check_sizes(item_ids, sizes)
         table = self._membership_table(int(item_ids.max(initial=0)))
         hits = table[item_ids]
 
@@ -114,35 +224,9 @@ class MinIOCache(Cache):
         misses = ~hits
         self._stats.misses += int(misses.sum())
 
-        offered = misses if admit is None else misses & np.asarray(admit, dtype=bool)
-        miss_sizes = sizes[offered]
-        if miss_sizes.size:
-            # Greedy admission scan over the missed items in access order.
-            # The suffix-minimum lets the scan stop as soon as nothing that
-            # is still to come can possibly fit (O(1) on a full cache).
-            suffix_min = np.minimum.accumulate(miss_sizes[::-1])[::-1].tolist()
-            miss_ids = item_ids[offered].tolist()
-            size_list = miss_sizes.tolist()
-            capacity = self._capacity
-            used = self._used
-            admitted = 0
-            rejected = 0
-            for i, size in enumerate(size_list):
-                # Same expression shape as admit()'s test so the early stop
-                # is float-identical to rejecting each remaining item.
-                if used + suffix_min[i] > capacity:
-                    rejected += len(size_list) - i
-                    break
-                if used + size <= capacity:
-                    self._entries[miss_ids[i]] = size
-                    table[miss_ids[i]] = True
-                    used += size
-                    admitted += 1
-                else:
-                    rejected += 1
-            self._used = used
-            self._stats.insertions += admitted
-            self._stats.rejected += rejected
+        offered = misses if admit is None else misses & admit
+        self._admit_in_order(item_ids[offered], sizes[offered],
+                             stop_at_rejection=False)
         return hits
 
     @property

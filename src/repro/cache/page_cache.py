@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.base import Cache
+from repro.cache.base import Cache, access_stream
 from repro.cache.warm_kernel import (
     SegmentedLRUResult,
     simulate_segmented_lru,
@@ -415,14 +415,13 @@ class PageCache(Cache):
         the memoised result is committed instead, by reference, with the
         same hit mask, counters, byte totals and list order.  The returned
         mask is then read-only.  With no active memo every call runs the
-        kernel.
+        kernel.  Sizes that do not line up with the ids raise
+        :class:`~repro.exceptions.SimulationError` before anything changes
+        (:func:`~repro.cache.base.access_stream`).
         """
+        ids, size_arr = access_stream(item_ids, sizes)
         if not warm_kernel_enabled():
-            return self.walk(item_ids, sizes)
-        ids = np.asarray(item_ids, dtype=np.int64)
-        size_arr = np.asarray(sizes, dtype=np.float64)
-        if ids.ndim != 1 or ids.shape != size_arr.shape:
-            return self.walk(item_ids, sizes)
+            return self.walk(ids, size_arr)
         lists = self._resident_pages()
         memo = _ACTIVE_REPLAY_MEMO.get()
         key = None if memo is None else self._replay_key(ids, size_arr, lists)
@@ -435,7 +434,7 @@ class PageCache(Cache):
                 active_limit_pages=self._active_limit_pages,
                 inactive=lists[0], active=lists[1])
             if result is None:
-                return self.walk(item_ids, sizes)
+                return self.walk(ids, size_arr)
             if key is not None:
                 memo.put(key, result)
         self._pages = (result.inactive, result.active)

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache.base import access_stream
 from repro.cache.minio import MinIOCache
 from repro.datasets.dataset import SyntheticDataset
 from repro.exceptions import ConfigurationError
@@ -105,15 +106,14 @@ class PartitionedCacheGroup:
 
         Called by the distributed simulator after the first epoch;  in the
         live system this happens as a side effect of the first epoch's reads.
+        Each server admits its shard in order until MinIO first rejects an
+        item (:meth:`~repro.cache.minio.MinIOCache.admit_prefix`); the rest
+        of the shard stays on disk.
         """
         for server, shard in enumerate(self._shards):
-            for item in shard:
-                item = int(item)
-                size = self._dataset.item_size(item)
-                if self._caches[server].admit(item, size):
-                    self._owners[item] = server
-                else:
-                    break  # MinIO is full; remaining shard items stay on disk
+            admitted = self._caches[server].admit_prefix(
+                shard, self._dataset.item_sizes(shard))
+            self._owners[shard[:admitted]] = server
 
     def owner_of(self, item_id: int) -> Optional[int]:
         """Server whose cache holds the item, or None if uncached everywhere."""
@@ -167,8 +167,7 @@ class PartitionedCacheGroup:
         """
         if not 0 <= server < self.num_servers:
             raise ConfigurationError(f"server {server} out of range")
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.float64)
+        item_ids, sizes = access_stream(item_ids, sizes)
         cache = self._caches[server]
         local = cache.contains_array(item_ids)
         owners = self._owners[item_ids]

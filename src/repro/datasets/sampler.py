@@ -21,7 +21,8 @@ invariant: every item appears exactly once per epoch.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+import threading
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class RandomSampler(Sampler):
 
     def epoch(self, epoch_index: int) -> np.ndarray:
         rng = np.random.default_rng((self._seed, epoch_index))
-        return rng.permutation(self._num_items).astype(np.int64)
+        return rng.permutation(self._num_items).astype(np.int64, copy=False)
 
 
 class ShuffleBufferSampler(Sampler):
@@ -167,7 +168,7 @@ class DistributedSampler(Sampler):
         # All ranks share the seed, so they agree on the epoch's permutation
         # and therefore on the (disjoint) shard boundaries.
         rng = np.random.default_rng((self._seed, epoch_index, 0xD157))
-        return rng.permutation(self._num_items).astype(np.int64)
+        return rng.permutation(self._num_items).astype(np.int64, copy=False)
 
     def epoch(self, epoch_index: int) -> np.ndarray:
         perm = self._global_permutation(epoch_index)
@@ -181,13 +182,17 @@ class CachingSampler(Sampler):
     Parameter sweeps re-simulate the same (dataset, seed) pair under many
     configurations; every loader would otherwise redraw the identical
     per-epoch permutation.  The wrapper delegates to the inner sampler and
-    caches each epoch's order.  Callers must treat the returned arrays as
-    read-only (all library code does).
+    keeps each epoch's order, read-only: every caller gets the same array,
+    so one that wrote into it would change the others' streams, and fails
+    instead.  Given a :class:`SamplerMemo`, it keeps an order only while
+    the memo's budget has room, and otherwise hands out a fresh draw.
     """
 
-    def __init__(self, inner: Sampler) -> None:
+    def __init__(self, inner: Sampler,
+                 memo: Optional["SamplerMemo"] = None) -> None:
         super().__init__(inner.num_items, seed=inner._seed)
         self._inner = inner
+        self._memo = memo
         self._orders: dict = {}
 
     @property
@@ -203,8 +208,66 @@ class CachingSampler(Sampler):
         order = self._orders.get(epoch_index)
         if order is None:
             order = self._inner.epoch(epoch_index)
-            self._orders[epoch_index] = order
+            if self._memo is None or self._memo.reserve(order.nbytes):
+                order.setflags(write=False)
+                self._orders[epoch_index] = order
         return order
+
+
+#: Byte budget of one :class:`SamplerMemo`: the epoch orders its samplers
+#: keep never exceed it.
+SAMPLER_MEMO_BUDGET_BYTES = 128 * 2**20
+
+
+class SamplerMemo:
+    """Memoised random samplers by ``(dataset size, seed)``, whose kept
+    epoch orders share one byte budget.
+
+    A :class:`~repro.sim.sweep.SweepRunner` hands every point its memo's
+    samplers, so points that walk one dataset with one seed draw each
+    permutation once.  The orders are kept insert-while-space within
+    :data:`SAMPLER_MEMO_BUDGET_BYTES` (read at construction) and never
+    evicted: a sweep revisits the same permutations cyclically, point
+    after point, which is the access pattern MinIO is built for
+    (Sec. 4.1) and under which an LRU memo would thrash once the orders
+    outgrow the budget.  An order past the budget is drawn on every call.
+    Thread-safe, since dist agents share a runner across connections.
+    """
+
+    def __init__(self) -> None:
+        self._budget = SAMPLER_MEMO_BUDGET_BYTES
+        self._samplers: Dict[Tuple[int, Any], CachingSampler] = {}
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the epoch orders currently kept."""
+        return self._bytes
+
+    def __len__(self) -> int:
+        return len(self._samplers)
+
+    def sampler(self, num_items: int, seed: Any) -> CachingSampler:
+        """The memoised :class:`RandomSampler` of ``num_items`` items and
+        ``seed`` (any seed ``numpy.random.default_rng`` takes, such as an
+        int or a tuple of ints)."""
+        key = (num_items, seed)
+        with self._lock:
+            sampler = self._samplers.get(key)
+            if sampler is None:
+                sampler = CachingSampler(RandomSampler(num_items, seed=seed),
+                                         memo=self)
+                self._samplers[key] = sampler
+        return sampler
+
+    def reserve(self, nbytes: int) -> bool:
+        """Charge ``nbytes`` of kept orders to the budget if they fit."""
+        with self._lock:
+            if self._bytes + nbytes > self._budget:
+                return False
+            self._bytes += nbytes
+            return True
 
 
 class BatchSampler:

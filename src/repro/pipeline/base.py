@@ -209,12 +209,9 @@ class DataLoader:
         fetch_s = np.add.reduceat(item_times, starts)
         batch_bytes = np.add.reduceat(sizes, starts)
         cached_fetch_s = self._dram.read_times_array(batch_bytes)
-        prep_s = np.fromiter(
-            (self._workers.prep_time_for_batch(
-                self._prep, float(nbytes), int(n),
-                num_gpus_for_offload=self._num_gpus)
-             for nbytes, n in zip(batch_bytes, batch_sizes)),
-            dtype=np.float64, count=len(batches))
+        prep_s = self._workers.prep_time_for_batch(
+            self._prep, batch_bytes, batch_sizes,
+            num_gpus_for_offload=self._num_gpus)
         return fetch_s, cached_fetch_s, prep_s, batch_sizes
 
     def cached_fetch_time(self, batch: np.ndarray) -> float:

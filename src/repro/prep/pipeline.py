@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.prep.transforms import Transform, expansion_factor, pipeline_for_task
@@ -18,10 +18,11 @@ GPU_OFFLOAD_EFFICIENCY = 0.25
 
 @dataclass(frozen=True)
 class PrepCost:
-    """CPU/GPU split of the cost of prepping one sample."""
+    """CPU/GPU split of the cost of prepping one sample (elementwise
+    arrays for an array of sample sizes)."""
 
-    cpu_core_seconds: float
-    gpu_seconds: float
+    cpu_core_seconds: Any
+    gpu_seconds: Any
 
     def total(self) -> float:
         """Sum of CPU and GPU work (used only for reporting)."""
@@ -80,11 +81,13 @@ class PrepPipeline:
         """
         return any(stage.stochastic for stage in self._stages)
 
-    def sample_cost(self, raw_bytes: float, gpu_offload: bool = False) -> PrepCost:
+    def sample_cost(self, raw_bytes: Any, gpu_offload: bool = False) -> PrepCost:
         """Cost of prepping one sample of the given raw size.
 
         Args:
-            raw_bytes: Encoded on-disk size of the sample.
+            raw_bytes: Encoded on-disk size of the sample, or an array of
+                sizes: each cost is then an array (or ``0.0`` where no
+                stage contributes), summed stage by stage as for one size.
             gpu_offload: Whether offloadable stages run on the GPU (DALI's
                 GPU-prep mode).
         """

@@ -16,6 +16,9 @@ the GPU.  The paper makes three empirical points this model captures:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.prep.pipeline import PrepPipeline
@@ -54,33 +57,44 @@ class WorkerPool:
         """Core-equivalents of the pool (hyperthreads discounted)."""
         return self.physical_cores + self.hyperthreads * self.hyperthread_efficiency
 
-    def prep_rate(self, pipeline: PrepPipeline, mean_raw_bytes: float,
-                  num_gpus_for_offload: int = 0) -> float:
+    def prep_rate(self, pipeline: PrepPipeline, mean_raw_bytes: Any,
+                  num_gpus_for_offload: int = 0) -> Any:
         """Steady-state prep throughput in samples/second.
 
         Args:
             pipeline: Pre-processing pipeline describing per-sample cost.
-            mean_raw_bytes: Average raw item size of the dataset.
+            mean_raw_bytes: Average raw item size of the dataset, or an
+                array of them: the rates are then elementwise, each
+                computed as for one size.
             num_gpus_for_offload: GPUs whose spare cycles run offloaded
                 stages (only used when ``gpu_offload`` is set).
         """
         cost = pipeline.sample_cost(mean_raw_bytes, gpu_offload=self.gpu_offload)
         cpu_rate = safe_div(self.effective_cores, cost.cpu_core_seconds,
                             default=float("inf"))
-        if not self.gpu_offload or cost.gpu_seconds == 0.0:
+        if not self.gpu_offload:
             return cpu_rate
         gpus = max(1, num_gpus_for_offload)
         gpu_rate = safe_div(gpus * self.gpu_decode_rate_scale, cost.gpu_seconds,
                             default=float("inf"))
         # CPU stages and GPU stages run as a two-stage pipeline per sample:
-        # throughput is limited by the slower of the two stages.
+        # throughput is limited by the slower of the two stages.  A sample
+        # with no GPU work has an infinite GPU rate, so keeps its CPU rate.
+        if isinstance(cpu_rate, np.ndarray) or isinstance(gpu_rate, np.ndarray):
+            return np.minimum(cpu_rate, gpu_rate)
         return min(cpu_rate, gpu_rate)
 
-    def prep_time_for_batch(self, pipeline: PrepPipeline, batch_raw_bytes: float,
-                            batch_size: int, num_gpus_for_offload: int = 0) -> float:
-        """Wall-clock seconds to prep one minibatch of the given total size."""
-        if batch_size <= 0:
-            return 0.0
-        mean_bytes = batch_raw_bytes / batch_size
+    def prep_time_for_batch(self, pipeline: PrepPipeline, batch_raw_bytes: Any,
+                            batch_size: Any, num_gpus_for_offload: int = 0) -> Any:
+        """Wall-clock seconds to prep one minibatch of the given total size.
+
+        Elementwise over arrays of batch bytes and sizes: one call prices a
+        whole epoch's batches with the float operations, in the order, of
+        one call per batch.  A batch of no items takes no time.
+        """
+        mean_bytes = safe_div(batch_raw_bytes, batch_size)
         rate = self.prep_rate(pipeline, mean_bytes, num_gpus_for_offload)
-        return safe_div(batch_size, rate)
+        times = safe_div(batch_size, rate)
+        if isinstance(times, np.ndarray):
+            return np.where(np.asarray(batch_size) > 0, times, 0.0)
+        return times if batch_size > 0 else 0.0

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from repro.coordl.failure import (
     TimeoutReport,
 )
 from repro.datasets.dataset import SyntheticDataset
-from repro.datasets.sampler import DistributedSampler
+from repro.datasets.sampler import DistributedSampler, Sampler
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.prep.pipeline import PrepPipeline
 from repro.sim.hp_search import HPSearchScenario
@@ -155,14 +155,19 @@ class FailureScenario:
         seed: Scenario seed; drives the samplers, the shard assignment and
             the detector's replacement picking.  The sweep runner passes
             its :meth:`~repro.sim.sweep.SweepRunner.point_seed`.
+        sampler: The random-sampler getter the crash and multi-tenant
+            kinds' HP-search epoch model draws its jobs' permutations
+            through (see :class:`~repro.sim.hp_search.HPSearchScenario`).
     """
 
     def __init__(self, model: ModelSpec, dataset: SyntheticDataset,
-                 server: ServerConfig, *, seed: int = 0) -> None:
+                 server: ServerConfig, *, seed: int = 0,
+                 sampler: Optional[Callable[[Any], Sampler]] = None) -> None:
         self._model = model
         self._dataset = dataset
         self._server = server
         self._seed = seed
+        self._sampler = sampler
 
     # -- shared rate-model helpers ------------------------------------------
 
@@ -170,7 +175,7 @@ class FailureScenario:
         """The HP-search epoch model the crash/multi-tenant kinds price with."""
         return HPSearchScenario(self._model, self._dataset, self._server,
                                 num_jobs=num_jobs, gpus_per_job=1,
-                                seed=self._seed)
+                                seed=self._seed, sampler=self._sampler)
 
     def _server_prep_rate(self) -> float:
         """CPU-only DALI prep rate of one whole server (distributed kinds)."""
@@ -427,7 +432,7 @@ def _scenario(point: Any, context: PointContext) -> FailureScenario:
     # The scenario seed doubles as the FailureDetector's replacement-picking
     # seed, so crash traces are a pure function of the point spec.
     return FailureScenario(point.model, context.dataset, context.server,
-                           seed=context.seed)
+                           seed=context.seed, sampler=context.sampler)
 
 
 def _check_crash(point: Any) -> None:

@@ -34,7 +34,7 @@ from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec
 from repro.coordl.coordinated_prep import CoordinatedEpochRunner, CoordinatedPrepPlan
 from repro.datasets.dataset import SyntheticDataset
-from repro.datasets.sampler import RandomSampler
+from repro.datasets.sampler import RandomSampler, Sampler
 from repro.exceptions import ConfigurationError
 from repro.prep.pipeline import PrepPipeline
 from repro.sim.kinds import (PointContext, PointFamily, PointKind,
@@ -116,6 +116,10 @@ class HPSearchScenario:
     reference adds them one at a time, so its disk bytes can differ from
     the reference's in the last bits.
 
+    The bulk replays draw each job's permutation through ``sampler``; the
+    references always draw their own, so comparing the two also checks
+    the permutations a shared sampler hands out.
+
     Args:
         model: Model trained by every job.
         dataset: Shared dataset.
@@ -125,11 +129,19 @@ class HPSearchScenario:
             exceed the server's GPU count).
         cache_bytes: Override the server's cache budget.
         seed: Seed for the per-job access streams.
+        sampler: ``sampler(job_seed)``, the random sampler over
+            ``dataset`` for one job's seed (``(seed, job)``, or
+            ``(seed, 0xC0)`` for the coordinated sweep).  A
+            :class:`~repro.sim.sweep.SweepRunner` passes its memoised
+            samplers (:class:`~repro.sim.kinds.PointContext`), so every
+            point of a grid draws each permutation once; ``None`` draws a
+            fresh :class:`~repro.datasets.sampler.RandomSampler` per call.
     """
 
     def __init__(self, model: ModelSpec, dataset: SyntheticDataset,
                  server: ServerConfig, num_jobs: int = 8, gpus_per_job: int = 1,
-                 cache_bytes: Optional[float] = None, seed: int = 0) -> None:
+                 cache_bytes: Optional[float] = None, seed: int = 0,
+                 sampler: Optional[Callable[[Any], Sampler]] = None) -> None:
         if num_jobs <= 0 or gpus_per_job <= 0:
             raise ConfigurationError("jobs and GPUs per job must be positive")
         if num_jobs * gpus_per_job > server.num_gpus:
@@ -142,6 +154,7 @@ class HPSearchScenario:
         self._num_jobs = num_jobs
         self._gpus_per_job = gpus_per_job
         self._seed = seed
+        self._sampler = sampler or partial(RandomSampler, len(dataset))
 
     # -- the epoch model ---------------------------------------------------
 
@@ -227,10 +240,8 @@ class HPSearchScenario:
         with the ragged final slice per job appended in job order.
         """
         num_items = len(self._dataset)
-        orders = np.stack([
-            RandomSampler(num_items, seed=(self._seed, job)).epoch(epoch)
-            for job in range(self._num_jobs)
-        ])
+        orders = np.stack([self._sampler((self._seed, job)).epoch(epoch)
+                           for job in range(self._num_jobs)])
         batch = self.batch_size
         full = (num_items // batch) * batch
         head = orders[:, :full].reshape(self._num_jobs, -1, batch)
@@ -306,7 +317,7 @@ class HPSearchScenario:
 
     def _minio_epoch(self, cache: MinIOCache, epoch: int) -> float:
         """One coordinated sweep, vectorised (MinIO is analytic)."""
-        order = RandomSampler(len(self._dataset), seed=(self._seed, 0xC0)).epoch(epoch)
+        order = self._sampler((self._seed, 0xC0)).epoch(epoch)
         sizes = self._dataset.item_sizes(order)
         return float(sizes[~cache.bulk_epoch_hits(order, sizes)].sum())
 
@@ -340,7 +351,7 @@ def _run_point(method: Callable[[HPSearchScenario], HPSearchResult],
     return named(method(HPSearchScenario(
         point.model, context.dataset, context.server,
         num_jobs=point.num_jobs, gpus_per_job=point.gpus_per_job,
-        seed=context.seed)))
+        seed=context.seed, sampler=context.sampler)))
 
 
 #: HP-search points: the scenario's steady-state result.

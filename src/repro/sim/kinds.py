@@ -25,13 +25,15 @@ class PointContext:
     """What the runner hands a kind's ``run`` besides the point: the
     point's dataset, its server (carrying the point's cache budget), its
     :meth:`~repro.sim.sweep.SweepRunner.point_seed`, the runner's queue
-    depth, and a getter of the runner's memoised sampler for them."""
+    depth, and ``sampler(seed)``, the runner's memoised random sampler
+    over the dataset for a given seed (``seed`` itself, or a scenario's
+    per-job seed), whose epoch orders are read-only."""
 
     dataset: SyntheticDataset
     server: ServerConfig
     seed: int
     queue_depth: int
-    shared_sampler: Callable[[], Sampler]
+    sampler: Callable[[Any], Sampler]
 
 
 @dataclass(frozen=True)

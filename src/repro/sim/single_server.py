@@ -254,7 +254,7 @@ def _run_training_point(point: Any,
     # order is what matters there); every other kind shares the memoised
     # random permutations of its per-point seed.
     sampler = (None if LOADER_RECIPES[point.loader].storage_order
-               else context.shared_sampler())
+               else context.sampler(context.seed))
     loader = build_loader(point.loader, context.dataset, context.server,
                           point.model, num_gpus=point.num_gpus,
                           cores=point.cores, gpu_prep=point.gpu_prep,

@@ -48,6 +48,7 @@ import itertools
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Tuple)
 
@@ -60,7 +61,7 @@ from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec, get_model
 from repro.datasets.catalog import get_dataset_spec
 from repro.datasets.dataset import SyntheticDataset
-from repro.datasets.sampler import CachingSampler, RandomSampler, Sampler
+from repro.datasets.sampler import Sampler, SamplerMemo
 from repro.exceptions import ConfigurationError, SweepPointError
 from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.sim.distributed import (DISTRIBUTED_POINT_KINDS, DistributedEpoch,
@@ -460,14 +461,16 @@ class SweepRunner:
             fractions would not be comparable); sampling/scenario seeds are
             derived from it per point via :meth:`point_seed`.
         queue_depth: Prefetch queue depth of the simulated pipeline.
-        dataset_cache / sampler_cache: Optional externally-owned memo dicts
-            for the shared substrates.  Datasets key by ``(name, seed,
-            scale)`` and samplers by ``(dataset size, sampling seed)``, so
-            one process-wide dict can be shared safely across runners —
-            which is how :class:`repro.store.PersistentPool` workers avoid
-            rematerialising datasets across successive ``run()`` calls and
-            runner configurations.  ``None`` keeps a private per-runner
-            cache (the default, and the previous behaviour).
+        dataset_cache / sampler_cache: Optional externally-owned memos
+            for the shared substrates: a dict of datasets keyed by ``(name,
+            seed, scale)`` and a :class:`~repro.datasets.sampler.SamplerMemo`
+            keyed by ``(dataset size, sampling seed)``.  Both keys name
+            everything that defines the contents, so one process-wide memo
+            can be shared safely across runners — which is how
+            :class:`repro.store.PersistentPool` workers avoid
+            rematerialising datasets and permutations across successive
+            ``run()`` calls and runner configurations.  ``None`` keeps a
+            private per-runner memo (the default).
 
     Besides those two memos every runner owns a
     :class:`~repro.cache.page_cache.ReplayMemo`, active only while
@@ -485,14 +488,13 @@ class SweepRunner:
                  scale: float = 1.0, seed: int = 0, queue_depth: int = 4,
                  dataset_cache: Optional[Dict[Tuple[str, int, float],
                                               SyntheticDataset]] = None,
-                 sampler_cache: Optional[Dict[Tuple[int, int],
-                                              Sampler]] = None) -> None:
+                 sampler_cache: Optional[SamplerMemo] = None) -> None:
         self._server_factory = server_factory
         self._scale = scale
         self._seed = seed
         self._queue_depth = queue_depth
         self._datasets = {} if dataset_cache is None else dataset_cache
-        self._samplers = {} if sampler_cache is None else sampler_cache
+        self._samplers = SamplerMemo() if sampler_cache is None else sampler_cache
         self._replays = ReplayMemo()
 
     @staticmethod
@@ -555,20 +557,16 @@ class SweepRunner:
         return int.from_bytes(digest.digest(), "big")
 
     def _shared_sampler(self, dataset: SyntheticDataset,
-                        seed: Optional[int] = None) -> Sampler:
+                        seed: Any = None) -> Sampler:
         """One memoised random sampler per (dataset size, seed) pair.
 
         Points of a grid that hash to the same :meth:`point_seed` (and any
         caller using the runner-seed default) share the memoised per-epoch
-        permutations instead of redrawing them.
+        permutations instead of redrawing them; so do the HP-search jobs'
+        per-job seeds, which do not depend on the model.
         """
-        if seed is None:
-            seed = self._seed
-        sampler = self._samplers.get((len(dataset), seed))
-        if sampler is None:
-            sampler = CachingSampler(RandomSampler(len(dataset), seed=seed))
-            self._samplers[(len(dataset), seed)] = sampler
-        return sampler
+        return self._samplers.sampler(
+            len(dataset), self._seed if seed is None else seed)
 
     def _resolve(self, point: SweepPoint) -> tuple:
         dataset = self.dataset(point.dataset or point.model.default_dataset)
@@ -825,7 +823,7 @@ class SweepRunner:
             seed = self.point_seed(point)
             context = PointContext(
                 dataset, server, seed, self._queue_depth,
-                lambda: self._shared_sampler(dataset, seed))
+                partial(self._shared_sampler, dataset))
             loader_name, result = kind.run(point, context)
         return SweepRecord(point=point, dataset_name=dataset.spec.name,
                            loader_name=loader_name,

@@ -74,6 +74,7 @@ import traceback
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.datasets.sampler import SamplerMemo
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.resilience.faults import FaultInjector, active_injector
 from repro.sim.sweep import (
@@ -109,14 +110,14 @@ _BROKEN_ERRORS = (BrokenProcessPool, concurrent.futures.BrokenExecutor,
 #
 # Module-level on purpose: spawned workers import this module fresh, and the
 # caches live for the worker's (= the pool's) lifetime.  Sharing the dataset
-# and sampler dicts across every runner spec a worker serves is safe because
+# and sampler memos across every runner spec a worker serves is safe because
 # both are keyed by everything that defines their contents — (name, seed,
 # scale) and (size, seed) — which is exactly why SweepRunner accepts
 # externally-owned caches.
 
 _WORKER_RUNNERS: Dict[tuple, SweepRunner] = {}
 _SHARED_DATASETS: Dict[tuple, object] = {}
-_SHARED_SAMPLERS: Dict[tuple, object] = {}
+_SHARED_SAMPLERS = SamplerMemo()
 
 
 def _worker_runner(spec: tuple) -> SweepRunner:

@@ -10,6 +10,10 @@ helpers keep conversions explicit and readable at call sites, e.g.::
 
 from __future__ import annotations
 
+from typing import Any
+
+import numpy as np
+
 KB = 1_000
 MB = 1_000_000
 GB = 1_000_000_000
@@ -86,13 +90,18 @@ def to_hours(seconds: float) -> float:
     return seconds / 3600.0
 
 
-def safe_div(numerator: float, denominator: float, default: float = 0.0) -> float:
+def safe_div(numerator: Any, denominator: Any, default: float = 0.0) -> Any:
     """Divide, returning ``default`` when the denominator is zero.
 
     Rate arithmetic frequently divides by measured quantities that can be zero
     (e.g. "bytes read from disk" when everything was cached); this keeps those
-    call sites short and intention-revealing.
+    call sites short and intention-revealing.  A numpy array denominator
+    divides elementwise, each zero giving ``default``.
     """
+    if isinstance(denominator, np.ndarray):
+        return np.divide(numerator, denominator,
+                         out=np.full(denominator.shape, default),
+                         where=denominator != 0)
     if denominator == 0:
         return default
     return numerator / denominator

@@ -1,5 +1,6 @@
 """Unit tests for the cache substrates: page cache, MinIO, partitioned."""
 
+import dataclasses
 import math
 import os
 import re
@@ -18,8 +19,11 @@ from repro.cache import page_cache, warm_kernel
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
+from repro.cache.stats import CacheStats
+from repro.datasets.catalog import DatasetSpec
+from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import RandomSampler
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 
 
 @pytest.fixture
@@ -133,20 +137,33 @@ class TestPageCache:
         assert cache.pressure_evictions == 1
         assert 1 not in cache and 2 in cache and 3 in cache
 
-    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("entry", ["admit", "walk", "bulk_stream_hits",
-                                       "bulk_epoch_hits"])
-    # The default 4 KiB page and a 2 MiB huge page.
-    @pytest.mark.parametrize("page", [4096.0, 2.0**21])
-    def test_non_finite_sizes_are_rejected_naming_the_item(self, entry, size,
-                                                           page):
-        cache = PageCache(1.5 * page, page_bytes=page)
+    @pytest.mark.parametrize("cache_kind, page, entry, size", [
+        # The page cache at the default 4 KiB page and a 2 MiB huge page.
+        *[pytest.param("page", page, entry, size,
+                       id=f"{page!r}-{entry}-{size!r}")
+          for page in (4096.0, 2.0**21)
+          for entry in ("admit", "walk", "bulk_stream_hits", "bulk_epoch_hits")
+          for size in (math.nan, math.inf, -math.inf)],
+        # MinIO counts bytes, so a negative size is an error there too.
+        *[pytest.param("minio", 4096.0, entry, size,
+                       id=f"minio-{entry}-{size!r}")
+          for entry in ("admit", "walk", "bulk_epoch_hits", "admit_prefix")
+          for size in (math.nan, math.inf, -math.inf, -5000.0)],
+    ])
+    def test_non_finite_sizes_are_rejected_naming_the_item(self, cache_kind,
+                                                           page, entry, size):
+        cache = (PageCache(1.5 * page, page_bytes=page) if cache_kind == "page"
+                 else MinIOCache(1.5 * page))
         with pytest.raises(ConfigurationError,
                            match=f"item 7 .* {re.escape(repr(size))} bytes"):
             if entry == "admit":
                 cache.admit(7, size)
             else:
                 getattr(cache, entry)(np.array([5, 7]), np.array([page, size]))
+        if cache_kind == "minio" and entry != "walk":
+            # Checked before any side effect (the walk admits item 5 first).
+            assert cache.used_bytes == 0.0 and not list(cache.cached_items())
+            assert cache.stats == CacheStats()
 
     def test_invalid_parameters_rejected(self):
         for capacity in (-1.0, math.nan):
@@ -163,6 +180,63 @@ class TestPageCache:
                 PageCache(100.0, page_bytes=page)
         with pytest.raises(ConfigurationError):
             PageCache(100.0, active_target_fraction=1.5)
+
+
+def _warm_caches():
+    """A warm page cache, MinIO cache and partitioned group, each holding
+    items 0-3 and with non-zero counters."""
+    page, minio = PageCache(8 * 4096.0), MinIOCache(8 * 4096.0)
+    for cache in (page, minio):
+        cache.walk(np.array([0, 1, 2, 3, 0]), np.full(5, 4096.0))
+    spec = DatasetSpec("warm", "image_classification", 12, 4096.0)
+    group = PartitionedCacheGroup(SyntheticDataset(spec, seed=0),
+                                  [0.5 * 12 * 4096.0] * 2, seed=0)
+    group.populate_from_shards()
+    return page, minio, group
+
+
+def _cache_state(cache):
+    lists = (cache.resident_lists() if isinstance(cache, PageCache)
+             else list(cache.cached_items()))
+    return lists, cache.used_bytes, dataclasses.astuple(cache.stats)
+
+
+class TestStreamAlignment:
+    """Every stream entry checks its ids and sizes line up before it
+    changes anything, and names both lengths."""
+
+    IDS, SIZES = np.arange(3), np.array([4096.0])
+
+    @pytest.mark.parametrize("entry", [
+        "page.walk", "page.bulk_stream_hits", "page.bulk_epoch_hits",
+        "minio.walk", "minio.bulk_epoch_hits", "minio.admit_prefix",
+        "group.bulk_epoch_lookup"])
+    def test_mismatched_lengths_raise_before_any_side_effect(self, entry):
+        page, minio, group = _warm_caches()
+        owner, method = entry.split(".")
+        target = {"page": page, "minio": minio, "group": group}[owner]
+        args = ((0,) if owner == "group" else ()) + (self.IDS, self.SIZES)
+        states = [_cache_state(c) for c in (page, minio, *group.caches)]
+        owners = [group.owner_of(i) for i in range(12)]
+        with pytest.raises(SimulationError, match=r"3 item ids and 1 sizes"):
+            getattr(target, method)(*args)
+        assert [_cache_state(c) for c in (page, minio, *group.caches)] == states
+        assert [group.owner_of(i) for i in range(12)] == owners
+
+    def test_two_dimensional_streams_are_rejected(self):
+        page, minio, _group = _warm_caches()
+        for cache in (page, minio):
+            with pytest.raises(SimulationError, match="shapes"):
+                cache.walk(np.zeros((2, 2), dtype=np.int64),
+                           np.full((2, 2), 4096.0))
+
+    def test_minio_admission_mask_must_line_up(self):
+        _page, minio, _group = _warm_caches()
+        state = _cache_state(minio)
+        with pytest.raises(SimulationError, match="3 item ids and 2 mask"):
+            minio.bulk_epoch_hits(np.arange(4, 7), np.full(3, 4096.0),
+                                  admit=np.array([True, False]))
+        assert _cache_state(minio) == state
 
 
 class TestCacheWalk:
@@ -567,6 +641,17 @@ class TestMinIOCache:
         assert not cache.is_full
         cache.admit(1, 10.0)
         assert cache.is_full
+
+    def test_admit_prefix_stops_at_the_first_rejection(self):
+        cache = MinIOCache(25.0)
+        cache.admit(4, 5.0)
+        # 4 is resident (admitted, no capacity), 2 does not fit, and 3 --
+        # which would fit -- is never offered.
+        assert cache.admit_prefix(np.array([1, 4, 5, 2, 3]),
+                                  np.array([10.0, 5.0, 5.0, 10.0, 1.0])) == 3
+        assert list(cache.cached_items()) == [4, 1, 5]
+        assert cache.used_bytes == 20.0
+        assert (cache.stats.insertions, cache.stats.rejected) == (3, 1)
 
 
 class TestPartitionedCacheGroup:

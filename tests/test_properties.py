@@ -35,6 +35,8 @@ from repro.datasets.sampler import (
     verify_epoch_invariant,
 )
 from repro.pipeline.stats import EpochStats, TrainingRunStats
+from repro.prep.pipeline import PrepPipeline
+from repro.prep.workers import WorkerPool
 from repro.sim.engine import (_makespan_numpy, pipeline_makespan,
                                pipeline_makespan_reference)
 from repro.sim.sweep import SweepPoint, SweepRecord
@@ -265,6 +267,39 @@ class TestCacheProperties:
         assert minio.stats.misses <= page.stats.misses
 
 
+# Prep pricing -------------------------------------------------------------------
+
+class TestPrepPricingProperties:
+    @given(seed=seeds, num_batches=st.integers(1, 60),
+           task=st.sampled_from(["image_classification", "object_detection",
+                                 "audio_classification"]),
+           library=st.sampled_from(["dali", "pytorch"]),
+           gpu_offload=st.booleans(), cores=st.floats(0.25, 48.0),
+           hyperthreads=st.floats(0.0, 48.0), num_gpus=st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_array_pricing_equals_per_batch_pricing_bit_for_bit(
+            self, seed, num_batches, task, library, gpu_offload, cores,
+            hyperthreads, num_gpus):
+        """One call over arrays of batch bytes and sizes prices every batch
+        exactly as one ``prep_time_for_batch`` call per batch, empty
+        batches included, CPU-only or with GPU offload."""
+        rng = np.random.default_rng(seed)
+        batch_sizes = rng.integers(0, 512, size=num_batches)
+        batch_bytes = batch_sizes * rng.lognormal(11.0, 1.0, size=num_batches)
+        pool = WorkerPool(physical_cores=cores, hyperthreads=hyperthreads,
+                          gpu_offload=gpu_offload)
+        pipeline = PrepPipeline.for_task(task, library)
+        priced = pool.prep_time_for_batch(pipeline, batch_bytes, batch_sizes,
+                                          num_gpus_for_offload=num_gpus)
+        per_batch = [pool.prep_time_for_batch(pipeline, nbytes, n,
+                                              num_gpus_for_offload=num_gpus)
+                     for nbytes, n in zip(batch_bytes.tolist(),
+                                          batch_sizes.tolist())]
+        assert all(type(time) is float for time in per_batch)
+        assert [time.hex() for time in priced.tolist()] == [
+            time.hex() for time in per_batch]
+
+
 # Coordinated prep -------------------------------------------------------------
 
 class TestCoordinationProperties:
@@ -335,31 +370,77 @@ class TestMakespanProperties:
 
     @given(num_items=st.integers(1, 400), seed=seeds,
            capacity=st.floats(min_value=0.0, max_value=5e6),
+           slack=st.one_of(st.none(), st.floats(0.0, 1.0)),
+           warm=st.floats(0.0, 1.0),
+           admit_p=st.one_of(st.none(), st.floats(0.0, 1.0)),
            repeats=st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_minio_bulk_epoch_matches_per_item_lookups(self, num_items, seed,
-                                                       capacity, repeats):
-        """Vectorised MinIO epochs equal per-item lookup+admit, epoch by epoch."""
+                                                       capacity, slack, warm,
+                                                       admit_p, repeats):
+        """Vectorised MinIO epochs equal per-item lookup+admit, epoch by
+        epoch: hit masks, entries in admission order, ``used_bytes`` and
+        counters, from a warm start, with or without an admission mask.
+        ``slack`` puts the capacity within one item of the stream total,
+        where items after the first rejection still fit."""
         spec = DatasetSpec("bulk", "image_classification", num_items, 10_000.0,
                            item_size_cv=0.4)
         dataset = SyntheticDataset(spec, seed=seed)
+        rng = np.random.default_rng(seed)
+        all_sizes = dataset.item_sizes(np.arange(num_items))
+        if slack is not None:
+            capacity = dataset.total_bytes - slack * float(all_sizes.max())
         scalar, bulk = MinIOCache(capacity), MinIOCache(capacity)
+        for item in rng.permutation(num_items)[:int(warm * num_items)].tolist():
+            for cache in (scalar, bulk):
+                cache.admit(item, dataset.item_size(item))
         sampler = RandomSampler(num_items, seed=seed)
         for epoch in range(repeats):
             order = sampler.epoch(epoch)
             sizes = dataset.item_sizes(order)
+            mask = None if admit_p is None else rng.random(num_items) < admit_p
             scalar_hits = []
-            for item, size in zip(order.tolist(), sizes.tolist()):
+            for i, (item, size) in enumerate(zip(order.tolist(), sizes.tolist())):
                 hit = scalar.lookup(item)
                 scalar_hits.append(hit)
-                if not hit:
+                if not hit and (mask is None or mask[i]):
                     scalar.admit(item, size)
-            bulk_hits = bulk.bulk_epoch_hits(order, sizes)
+            bulk_hits = bulk.bulk_epoch_hits(order, sizes, admit=mask)
             assert bulk_hits.tolist() == scalar_hits
-            assert sorted(bulk.cached_items()) == sorted(scalar.cached_items())
-            assert bulk.used_bytes == pytest.approx(scalar.used_bytes)
+            assert list(bulk.cached_items()) == list(scalar.cached_items())
+            assert bulk.used_bytes == scalar.used_bytes
             for field in ("hits", "misses", "insertions", "evictions", "rejected"):
                 assert getattr(bulk.stats, field) == getattr(scalar.stats, field)
+            # The residency table the bulk path sets in place stays exact.
+            assert bulk.contains_array(np.arange(num_items)).tolist() == [
+                item in scalar for item in range(num_items)]
+
+    @given(num_items=st.integers(1, 300), seed=seeds,
+           fill=st.floats(0.0, 1.2), warm=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_minio_admit_prefix_matches_admits_until_the_first_rejection(
+            self, num_items, seed, fill, warm):
+        """``admit_prefix`` equals per-item ``admit`` calls that stop at the
+        first rejection; resident items count as admitted."""
+        spec = DatasetSpec("prefix", "image_classification", num_items,
+                           10_000.0, item_size_cv=0.4)
+        dataset = SyntheticDataset(spec, seed=seed)
+        rng = np.random.default_rng(seed)
+        scalar = MinIOCache(dataset.total_bytes * fill)
+        bulk = MinIOCache(dataset.total_bytes * fill)
+        for item in rng.permutation(num_items)[:int(warm * num_items)].tolist():
+            for cache in (scalar, bulk):
+                cache.admit(item, dataset.item_size(item))
+        order = rng.permutation(num_items)
+        admitted = 0
+        for item in order.tolist():
+            if not scalar.admit(item, dataset.item_size(item)):
+                break
+            admitted += 1
+        assert bulk.admit_prefix(order, dataset.item_sizes(order)) == admitted
+        assert list(bulk.cached_items()) == list(scalar.cached_items())
+        assert bulk.used_bytes == scalar.used_bytes
+        assert bulk.stats == scalar.stats
 
     @given(num_items=st.integers(2, 200), num_servers=st.integers(1, 4),
            fraction=st.floats(min_value=0.05, max_value=1.3),
@@ -368,7 +449,9 @@ class TestMakespanProperties:
     @settings(max_examples=40, deadline=None)
     def test_partitioned_bulk_epoch_matches_per_item_lookups(
             self, num_items, num_servers, fraction, skew, seed, epochs):
-        """Bulk partitioned epochs equal per-item lookup+admit_local, rank by rank.
+        """Bulk partitioned population and epochs equal their per-item
+        references (each server admitting its shard one item at a time
+        until MinIO first rejects; then lookup+admit_local), rank by rank.
 
         ``fraction`` sweeps miss-heavy (tiny caches) through remote-hit-heavy
         (aggregate coverage) regimes; ``skew`` unbalances the per-server
@@ -382,8 +465,27 @@ class TestMakespanProperties:
         capacities = [budget * (skew if s % 2 else 1.0) for s in range(num_servers)]
         scalar = PartitionedCacheGroup(dataset, capacities, seed=seed)
         bulk = PartitionedCacheGroup(dataset, capacities, seed=seed)
-        scalar.populate_from_shards()
+
+        def assert_same_state():
+            for ref_cache, bulk_cache in zip(scalar.caches, bulk.caches):
+                assert list(bulk_cache.cached_items()) == list(
+                    ref_cache.cached_items())
+                assert bulk_cache.used_bytes == ref_cache.used_bytes
+                for field in ("hits", "misses", "insertions", "evictions",
+                              "rejected"):
+                    assert getattr(bulk_cache.stats, field) == getattr(
+                        ref_cache.stats, field)
+            assert [bulk.owner_of(i) for i in range(num_items)] == [
+                scalar.owner_of(i) for i in range(num_items)]
+
+        # Every owner starts unset and the shards are disjoint, so
+        # admit_local's directory update is the population's.
+        for server in range(num_servers):
+            for item in scalar.shard(server).tolist():
+                if not scalar.admit_local(server, item):
+                    break
         bulk.populate_from_shards()
+        assert_same_state()
         for epoch in range(epochs):
             for rank in range(num_servers):
                 order = DistributedSampler(num_items, num_servers, rank,
@@ -400,17 +502,7 @@ class TestMakespanProperties:
                                           for s in sources]
                 assert remote.tolist() == [s is LookupSource.REMOTE_CACHE
                                            for s in sources]
-                for server in range(num_servers):
-                    ref_cache, bulk_cache = scalar.caches[server], bulk.caches[server]
-                    assert sorted(bulk_cache.cached_items()) == sorted(
-                        ref_cache.cached_items())
-                    assert bulk_cache.used_bytes == pytest.approx(ref_cache.used_bytes)
-                    for field in ("hits", "misses", "insertions", "evictions",
-                                  "rejected"):
-                        assert getattr(bulk_cache.stats, field) == getattr(
-                            ref_cache.stats, field)
-                assert all(bulk.owner_of(i) == scalar.owner_of(i)
-                           for i in range(num_items))
+                assert_same_state()
 
     @given(num_items=st.integers(1, 80), seed=seeds,
            capacity_fraction=st.floats(0.05, 3.0),

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.datasets import sampler as sampler_module
 from repro.datasets.sampler import (
     BatchSampler,
     CachingSampler,
     DistributedSampler,
     RandomSampler,
+    SamplerMemo,
     SequentialSampler,
     ShuffleBufferSampler,
     verify_epoch_invariant,
@@ -133,6 +135,38 @@ class TestBatchSampler:
         assert RandomSampler(17, seed=0).epoch_length == 17
         caching = CachingSampler(DistributedSampler(10, 3, 2, seed=0))
         assert caching.epoch_length == len(caching.epoch(0))
+
+
+class TestSamplerMemo:
+    def test_kept_orders_are_shared_and_read_only(self):
+        caching = CachingSampler(RandomSampler(20, seed=1))
+        order = caching.epoch(0)
+        assert caching.epoch(0) is order
+        assert order.tolist() == RandomSampler(20, seed=1).epoch(0).tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = order[1]
+
+    def test_one_sampler_per_size_and_seed(self):
+        memo = SamplerMemo()
+        assert memo.sampler(10, (3, 0)) is memo.sampler(10, (3, 0))
+        assert memo.sampler(10, (3, 1)) is not memo.sampler(10, (3, 0))
+        assert memo.sampler(11, (3, 0)) is not memo.sampler(10, (3, 0))
+        assert len(memo) == 3
+
+    def test_keeps_orders_while_space_and_never_evicts(self, monkeypatch):
+        # Room for two 10-item int64 orders.
+        monkeypatch.setattr(sampler_module, "SAMPLER_MEMO_BUDGET_BYTES", 160)
+        memo = SamplerMemo()
+        first, second, third = (memo.sampler(10, seed) for seed in (0, 1, 2))
+        kept = [first.epoch(0), second.epoch(0)]
+        assert memo.nbytes == 160
+        # Over budget: a fresh, writable draw each call, equal to the
+        # order a kept one would have been.
+        late = third.epoch(0)
+        assert late.flags.writeable and third.epoch(0) is not late
+        assert late.tolist() == RandomSampler(10, seed=2).epoch(0).tolist()
+        assert first.epoch(0) is kept[0] and second.epoch(0) is kept[1]
+        assert memo.nbytes == 160
 
 
 class TestEpochInvariantHelper:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster.configs import config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
+from repro.datasets.sampler import RandomSampler
 from repro.exceptions import ConfigurationError, SweepPointError
 from repro.sim.engine import PipelineSimulator
 from repro.sim.harness import GOLDEN_GRIDS
@@ -119,6 +120,28 @@ class TestSweepRunner:
         assert runner.dataset("openimages") is runner.dataset("openimages")
         d = runner.dataset("openimages")
         assert runner._shared_sampler(d) is runner._shared_sampler(d)
+
+    def test_hp_grid_draws_each_job_permutation_once(self, monkeypatch):
+        """Two models' hp-baseline and hp-coordl points in one runner draw
+        every (seed, job, epoch) permutation once: the streams do not
+        depend on the model."""
+        draws = []
+        epoch = RandomSampler.epoch
+
+        def counted(sampler, epoch_index):
+            draws.append((sampler._seed, epoch_index))
+            return epoch(sampler, epoch_index)
+
+        monkeypatch.setattr(RandomSampler, "epoch", counted)
+        runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+        sweep = runner.run(SweepRunner.grid(
+            models=[RESNET18, ALEXNET], loaders=["hp-baseline", "hp-coordl"],
+            cache_fractions=[0.5], dataset="openimages", num_jobs=3),
+            workers=0, store=False)
+        assert len(sweep) == 4
+        seed = runner.point_seed(sweep.records[0].point)
+        expected = {((seed, job), e) for job in (0, 1, 2, 0xC0) for e in (0, 1)}
+        assert sorted(draws) == sorted(expected)
 
     def test_filter_and_one(self):
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
