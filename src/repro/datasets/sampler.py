@@ -22,7 +22,7 @@ invariant: every item appears exactly once per epoch.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -182,18 +182,17 @@ class CachingSampler(Sampler):
     Parameter sweeps re-simulate the same (dataset, seed) pair under many
     configurations; every loader would otherwise redraw the identical
     per-epoch permutation.  The wrapper delegates to the inner sampler and
-    keeps each epoch's order, read-only: every caller gets the same array,
-    so one that wrote into it would change the others' streams, and fails
-    instead.  Given a :class:`SamplerMemo`, it keeps an order only while
-    the memo's budget has room, and otherwise hands out a fresh draw.
+    keeps each epoch's order, read-only, while ``memo``'s budget has room:
+    every caller gets the same array, so one that wrote into it would
+    change the others' streams, and fails instead.  An order past the
+    budget is drawn afresh on every call.
     """
 
-    def __init__(self, inner: Sampler,
-                 memo: Optional["SamplerMemo"] = None) -> None:
+    def __init__(self, inner: Sampler, memo: "SamplerMemo") -> None:
         super().__init__(inner.num_items, seed=inner._seed)
         self._inner = inner
         self._memo = memo
-        self._orders: dict = {}
+        self._orders: Dict[int, np.ndarray] = {}
 
     @property
     def inner(self) -> Sampler:
@@ -207,10 +206,8 @@ class CachingSampler(Sampler):
     def epoch(self, epoch_index: int) -> np.ndarray:
         order = self._orders.get(epoch_index)
         if order is None:
-            order = self._inner.epoch(epoch_index)
-            if self._memo is None or self._memo.reserve(order.nbytes):
-                order.setflags(write=False)
-                self._orders[epoch_index] = order
+            order = self._memo.keep(self._orders, epoch_index,
+                                    self._inner.epoch(epoch_index))
         return order
 
 
@@ -240,11 +237,6 @@ class SamplerMemo:
         self._bytes = 0
         self._lock = threading.Lock()
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the epoch orders currently kept."""
-        return self._bytes
-
     def __len__(self) -> int:
         return len(self._samplers)
 
@@ -257,17 +249,25 @@ class SamplerMemo:
             sampler = self._samplers.get(key)
             if sampler is None:
                 sampler = CachingSampler(RandomSampler(num_items, seed=seed),
-                                         memo=self)
+                                         self)
                 self._samplers[key] = sampler
         return sampler
 
-    def reserve(self, nbytes: int) -> bool:
-        """Charge ``nbytes`` of kept orders to the budget if they fit."""
+    def keep(self, orders: Dict[int, np.ndarray], epoch_index: int,
+             order: np.ndarray) -> np.ndarray:
+        """The order to hand out for one epoch of a :class:`CachingSampler`
+        whose kept orders are ``orders``: the one already kept (another
+        thread may have drawn the same epoch meanwhile), else ``order``,
+        kept read-only and charged to the budget if it fits."""
         with self._lock:
-            if self._bytes + nbytes > self._budget:
-                return False
-            self._bytes += nbytes
-            return True
+            kept = orders.get(epoch_index)
+            if kept is not None:
+                return kept
+            if self._bytes + order.nbytes <= self._budget:
+                order.setflags(write=False)
+                orders[epoch_index] = order
+                self._bytes += order.nbytes
+        return order
 
 
 class BatchSampler:

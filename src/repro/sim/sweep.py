@@ -61,7 +61,7 @@ from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec, get_model
 from repro.datasets.catalog import get_dataset_spec
 from repro.datasets.dataset import SyntheticDataset
-from repro.datasets.sampler import Sampler, SamplerMemo
+from repro.datasets.sampler import SamplerMemo
 from repro.exceptions import ConfigurationError, SweepPointError
 from repro.pipeline.stats import EpochStats, TrainingRunStats
 from repro.sim.distributed import (DISTRIBUTED_POINT_KINDS, DistributedEpoch,
@@ -556,18 +556,6 @@ class SweepRunner:
         digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8)
         return int.from_bytes(digest.digest(), "big")
 
-    def _shared_sampler(self, dataset: SyntheticDataset,
-                        seed: Any = None) -> Sampler:
-        """One memoised random sampler per (dataset size, seed) pair.
-
-        Points of a grid that hash to the same :meth:`point_seed` (and any
-        caller using the runner-seed default) share the memoised per-epoch
-        permutations instead of redrawing them; so do the HP-search jobs'
-        per-job seeds, which do not depend on the model.
-        """
-        return self._samplers.sampler(
-            len(dataset), self._seed if seed is None else seed)
-
     def _resolve(self, point: SweepPoint) -> tuple:
         dataset = self.dataset(point.dataset or point.model.default_dataset)
         cache_bytes = point.cache_bytes
@@ -823,7 +811,7 @@ class SweepRunner:
             seed = self.point_seed(point)
             context = PointContext(
                 dataset, server, seed, self._queue_depth,
-                partial(self._shared_sampler, dataset))
+                partial(self._samplers.sampler, len(dataset)))
             loader_name, result = kind.run(point, context)
         return SweepRecord(point=point, dataset_name=dataset.spec.name,
                            loader_name=loader_name,

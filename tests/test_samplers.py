@@ -1,5 +1,7 @@
 """Unit tests for the epoch samplers and batch sampler."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -133,13 +135,14 @@ class TestBatchSampler:
 
     def test_epoch_length_of_whole_dataset_samplers(self):
         assert RandomSampler(17, seed=0).epoch_length == 17
-        caching = CachingSampler(DistributedSampler(10, 3, 2, seed=0))
+        caching = CachingSampler(DistributedSampler(10, 3, 2, seed=0),
+                                 SamplerMemo())
         assert caching.epoch_length == len(caching.epoch(0))
 
 
 class TestSamplerMemo:
     def test_kept_orders_are_shared_and_read_only(self):
-        caching = CachingSampler(RandomSampler(20, seed=1))
+        caching = CachingSampler(RandomSampler(20, seed=1), SamplerMemo())
         order = caching.epoch(0)
         assert caching.epoch(0) is order
         assert order.tolist() == RandomSampler(20, seed=1).epoch(0).tolist()
@@ -159,14 +162,44 @@ class TestSamplerMemo:
         memo = SamplerMemo()
         first, second, third = (memo.sampler(10, seed) for seed in (0, 1, 2))
         kept = [first.epoch(0), second.epoch(0)]
-        assert memo.nbytes == 160
         # Over budget: a fresh, writable draw each call, equal to the
         # order a kept one would have been.
         late = third.epoch(0)
         assert late.flags.writeable and third.epoch(0) is not late
         assert late.tolist() == RandomSampler(10, seed=2).epoch(0).tolist()
         assert first.epoch(0) is kept[0] and second.epoch(0) is kept[1]
-        assert memo.nbytes == 160
+        assert not kept[0].flags.writeable and not kept[1].flags.writeable
+
+    def test_racing_draws_of_one_epoch_keep_and_charge_one_order(
+            self, monkeypatch):
+        """Two threads that draw the same epoch at once both get the one
+        kept order, and it is charged to the budget once."""
+        # Room for two 10-item int64 orders.
+        monkeypatch.setattr(sampler_module, "SAMPLER_MEMO_BUDGET_BYTES", 160)
+        memo = SamplerMemo()
+        both_drawing = threading.Barrier(2)
+
+        class RacingSampler(RandomSampler):
+            def epoch(self, epoch_index):
+                both_drawing.wait(timeout=10)
+                return super().epoch(epoch_index)
+
+        racing = CachingSampler(RacingSampler(10, seed=0), memo)
+        orders = [None, None]
+
+        def draw(slot):
+            orders[slot] = racing.epoch(0)
+
+        threads = [threading.Thread(target=draw, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert orders[0] is orders[1] is racing.epoch(0)
+        # The race charged one order, so a second one still fits.
+        other = memo.sampler(10, 1)
+        assert other.epoch(0) is other.epoch(0)
 
 
 class TestEpochInvariantHelper:

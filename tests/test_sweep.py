@@ -119,7 +119,8 @@ class TestSweepRunner:
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         assert runner.dataset("openimages") is runner.dataset("openimages")
         d = runner.dataset("openimages")
-        assert runner._shared_sampler(d) is runner._shared_sampler(d)
+        assert (runner._samplers.sampler(len(d), 0)
+                is runner._samplers.sampler(len(d), 0))
 
     def test_hp_grid_draws_each_job_permutation_once(self, monkeypatch):
         """Two models' hp-baseline and hp-coordl points in one runner draw
