@@ -29,12 +29,31 @@ def _bad_size(item_id: int, size_bytes: float) -> ConfigurationError:
         f"{size_bytes!r} bytes")
 
 
+def _check_ids(item_ids: np.ndarray, distinct: bool) -> None:
+    """Raise :class:`~repro.exceptions.SimulationError` naming the first
+    negative id and, with ``distinct``, the first id in stream order that
+    occurs twice.  O(n) with no sort: a min and one bool scatter."""
+    if item_ids.min(initial=0) < 0:
+        first = int(item_ids[(item_ids < 0).argmax()])
+        raise SimulationError(
+            f"item ids must be non-negative, got item {first}")
+    if distinct:
+        seen = np.zeros(int(item_ids.max(initial=-1)) + 1, dtype=bool)
+        seen[item_ids] = True
+        if np.count_nonzero(seen) != item_ids.size:
+            repeated = np.bincount(item_ids)[item_ids] > 1
+            first = int(item_ids[repeated.argmax()])
+            raise SimulationError(f"a bulk admission needs pairwise-distinct "
+                                  f"item ids; item {first} occurs twice")
+
+
 class MinIOCache(Cache):
     """Insert-while-space, never-evict cache specialised for DNN training.
 
     Item sizes must be finite and non-negative: every entry raises
     :class:`~repro.exceptions.ConfigurationError` naming the item before
-    it changes anything.
+    it changes anything.  The bulk entries take non-negative ids, and the
+    two that admit distinct ones, or raise :class:`SimulationError` alike.
     """
 
     def __init__(self, capacity_bytes: float) -> None:
@@ -96,6 +115,7 @@ class MinIOCache(Cache):
     def contains_array(self, item_ids: np.ndarray) -> np.ndarray:
         """Residency mask for many ids at once (no stats side effects)."""
         item_ids = np.asarray(item_ids, dtype=np.int64)
+        _check_ids(item_ids, distinct=False)
         return self._membership_table(int(item_ids.max(initial=0)))[item_ids]
 
     @staticmethod
@@ -173,6 +193,7 @@ class MinIOCache(Cache):
         capacity.  The partitioned cache's epoch-0 population uses it.
         """
         item_ids, sizes = access_stream(item_ids, sizes)
+        _check_ids(item_ids, distinct=True)
         self._check_sizes(item_ids, sizes)
         return int(self._admit_in_order(item_ids, sizes,
                                         stop_at_rejection=True).sum())
@@ -188,14 +209,13 @@ class MinIOCache(Cache):
         scan over the missed items in access order
         (:meth:`_admit_in_order`, a prefix sum plus an exact walk over the
         few items that still fit after the first rejection).  The mask,
-        the hit, miss, insertion and rejection counts and the cache
-        contents (entries in order, ``used_bytes``) after this call are
-        identical to per-item ``lookup`` + ``admit`` calls over the same
-        access stream; ``stats.hit_bytes`` is one pairwise sum of the hit
-        sizes, so it can differ from theirs in the last bits.
+        every counter (``hit_bytes`` adds the hit sizes left to right, as
+        ``lookup`` does) and the cache contents (entries in order,
+        ``used_bytes``) after this call are identical to per-item
+        ``lookup`` + ``admit`` calls over the same access stream.
 
         Args:
-            item_ids: Pairwise-distinct access stream.
+            item_ids: Pairwise-distinct, non-negative access stream.
             sizes: Item byte sizes, aligned with ``item_ids``.
             admit: Optional boolean mask marking which accesses may be
                 offered for admission after a miss.  Misses outside the mask
@@ -205,10 +225,11 @@ class MinIOCache(Cache):
 
         Raises:
             SimulationError: ``sizes`` or ``admit`` does not line up with
-                ``item_ids``.
+                ``item_ids``, or an id is negative or repeated.
             ConfigurationError: a size is negative or not finite.
         """
         item_ids, sizes = access_stream(item_ids, sizes)
+        _check_ids(item_ids, distinct=True)
         if admit is not None:
             admit = np.asarray(admit, dtype=bool)
             if admit.shape != item_ids.shape:
@@ -220,7 +241,8 @@ class MinIOCache(Cache):
         hits = table[item_ids]
 
         self._stats.hits += int(hits.sum())
-        self._stats.hit_bytes += float(sizes[hits].sum())
+        self._stats.hit_bytes = float(np.cumsum(np.concatenate(
+            ([self._stats.hit_bytes], sizes[hits])))[-1])
         misses = ~hits
         self._stats.misses += int(misses.sum())
 

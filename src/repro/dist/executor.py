@@ -62,7 +62,7 @@ from repro.dist.protocol import (
     send_frame,
     spec_to_wire,
 )
-from repro.resilience.faults import FaultInjector, active_injector
+from repro.resilience.faults import active_injector
 from repro.serve.protocol import point_to_wire
 from repro.sim.sweep import (
     SweepPoint,
@@ -72,7 +72,7 @@ from repro.sim.sweep import (
     _raise_lowest_failure,
 )
 
-#: Default bound on chunk reassignments after host death, per
+#: Bound on chunk reassignments after host death, per
 #: :meth:`DistExecutor.run_points` call — the distributed analogue of the
 #: supervised pool's respawn budget.
 DEFAULT_MAX_REASSIGNS = 3
@@ -133,18 +133,14 @@ class DistExecutor:
             sequence of ``"host:port"`` strings / ``(host, port)`` pairs.
         chunksize: Default points per dispatched chunk (about four chunks
             per host when ``None`` — the local pool's split).
-        max_reassigns: Chunk requeues allowed per :meth:`run_points` call
-            after host deaths before the run escalates to
-            :class:`~repro.exceptions.SweepPointError`.
-        steal_delay_s: Idle grace period before an idle host steals an
-            outstanding chunk.
-        fault_injector: Optional :class:`~repro.resilience.FaultInjector`
-            whose ``host_kills`` schedule this executor delivers; defaults
-            to the process-wide injector (``REPRO_FAULT_PLAN``).
         kill_hook: Callable delivering one host-death fault (the chaos
             harness passes :meth:`~repro.dist.LocalWorkerFleet.kill_one`).
             Without a hook, ``host_kills`` entries are inert — the driver
             cannot kill arbitrary remote machines.
+
+    :data:`DEFAULT_MAX_REASSIGNS`, :data:`DEFAULT_STEAL_DELAY_S` and the
+    ``host_kills`` schedule of :func:`~repro.resilience.active_injector`
+    are read at construction.
 
     The executor is the serve daemon's ``pool`` drop-in: it exposes the
     same ``workers`` / ``respawns`` / ``reruns`` health surface
@@ -164,24 +160,16 @@ class DistExecutor:
     """
 
     def __init__(self, hosts: HostsArg, chunksize: Optional[int] = None,
-                 max_reassigns: int = DEFAULT_MAX_REASSIGNS,
-                 steal_delay_s: float = DEFAULT_STEAL_DELAY_S,
-                 fault_injector: Optional[FaultInjector] = None,
                  kill_hook: Optional[Callable[[], Any]] = None) -> None:
         if chunksize is not None and chunksize < 1:
             raise ConfigurationError("chunksize must be at least 1")
-        if max_reassigns < 0:
-            raise ConfigurationError("max_reassigns must be >= 0")
-        if steal_delay_s < 0:
-            raise ConfigurationError("steal_delay_s must be >= 0")
         self._hosts = [
             _Host(f"{host}:{port}", (host, port))
             for host, port in self._parse(hosts)]
         self._chunksize = chunksize
-        self._max_reassigns = max_reassigns
-        self._steal_delay_s = steal_delay_s
-        self._injector = (fault_injector if fault_injector is not None
-                          else active_injector())
+        self._max_reassigns = DEFAULT_MAX_REASSIGNS
+        self._steal_delay_s = DEFAULT_STEAL_DELAY_S
+        self._injector = active_injector()
         self._kill_hook = kill_hook
         self._run_lock = threading.Lock()
         self._cond = threading.Condition()

@@ -66,6 +66,9 @@ from repro.store.pool import PersistentPool, _worker_runner
 #: host:0`` (kernel-assigned port) stays usable from scripts.
 LISTENING_PREFIX = "repro-dist-worker listening on "
 
+#: Seconds a spawned agent gets to announce its address.
+_STARTUP_TIMEOUT_S = 30.0
+
 
 class DistWorker:
     """One sweep worker agent: listen, rebuild substrates, stream records.
@@ -287,8 +290,7 @@ class LocalWorkerFleet:
     a :class:`~repro.dist.DistExecutor` takes.
     """
 
-    def __init__(self, count: int, workers: int = 0,
-                 startup_timeout_s: float = 30.0) -> None:
+    def __init__(self, count: int, workers: int = 0) -> None:
         if count < 1:
             raise ConfigurationError("a fleet needs >= 1 agents")
         self._procs: List[subprocess.Popen] = []
@@ -305,16 +307,15 @@ class LocalWorkerFleet:
                     stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                     env=env, text=True)
                 self._procs.append(proc)
-                self.endpoints.append(
-                    self._read_endpoint(proc, startup_timeout_s))
+                self.endpoints.append(self._read_endpoint(proc))
         except Exception:
             self.close()
             raise
 
     @staticmethod
-    def _read_endpoint(proc: subprocess.Popen, timeout_s: float) -> str:
+    def _read_endpoint(proc: subprocess.Popen) -> str:
         """Parse the agent's flushed listening line off its stdout."""
-        deadline_timer = threading.Timer(timeout_s, proc.kill)
+        deadline_timer = threading.Timer(_STARTUP_TIMEOUT_S, proc.kill)
         deadline_timer.start()
         try:
             assert proc.stdout is not None

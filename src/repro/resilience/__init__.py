@@ -4,8 +4,8 @@ Two small layers, composable and individually inert when unused:
 
 * :mod:`repro.resilience.faults` — :class:`FaultPlan` (a declarative,
   JSON-round-trippable chaos schedule) and :class:`FaultInjector` (its
-  thread-safe, counter-driven runtime), activated per-object via kwargs or
-  process-wide via the ``REPRO_FAULT_PLAN`` environment variable;
+  thread-safe, counter-driven runtime), activated process-wide by
+  :func:`install_plan` or the ``REPRO_FAULT_PLAN`` environment variable;
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` /
   :func:`call_with_retry` / :func:`is_transient`, the store's
   retry-with-backoff for transient backend errors.
@@ -38,7 +38,6 @@ from repro.resilience.faults import (
     install_plan,
 )
 from repro.resilience.retry import (
-    NO_RETRY,
     RetryPolicy,
     call_with_retry,
     is_transient,
@@ -46,7 +45,6 @@ from repro.resilience.retry import (
 
 __all__ = [
     "FAULT_PLAN_ENV_VAR",
-    "NO_RETRY",
     "FaultCounters",
     "FaultInjector",
     "FaultPlan",

@@ -10,18 +10,17 @@ schedule with no randomness at injection time (the plan's ``seed`` exists so
 *generators* of plans — hypothesis, CI sweeps — can be seeded; the injector
 itself is a pure counter machine).
 
-Activation is opt-in and zero-cost when off:
+Activation is process-wide, opt-in and zero-cost when off; every fault
+site reads :func:`active_injector` once, when it is constructed:
 
-* **kwargs** — ``SweepStore(..., fault_injector=...)``,
-  ``PersistentPool(..., fault_injector=...)`` and
-  ``ServeDaemon(..., fault_injector=...)`` take an injector directly
-  (how the chaos tests wire one injector through a whole stack);
+* **installed** — :func:`install_plan` until :func:`clear_installed` (how
+  the chaos tests and gates wire one injector through a whole stack);
 * **environment** — ``REPRO_FAULT_PLAN`` holds either inline JSON or a path
   to a JSON file; :func:`active_injector` parses it once per process and
   hands every fault site the same shared injector (how ``make chaos-check``
   runs the ordinary gates under a committed plan without touching their
-  code).  When the variable is unset, every fault site sees ``None`` and
-  the hot path costs one attribute test.
+  code).  An installed plan beats it.  With neither, every fault site sees
+  ``None`` and the hot path costs one attribute test.
 
 Faults are injected *parent-side only*: the injector never crosses a
 process boundary (worker kills are delivered by the parent via SIGKILL), so

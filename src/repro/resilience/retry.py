@@ -67,10 +67,6 @@ class RetryPolicy:
             delay *= self.multiplier
 
 
-#: Retrying disabled: a single attempt, no sleeps.
-NO_RETRY = RetryPolicy(max_attempts=1)
-
-
 def is_transient(exc: BaseException) -> bool:
     """True for errors worth retrying; everything else fails fast."""
     if isinstance(exc, TransientFaultError):
@@ -85,11 +81,10 @@ def is_transient(exc: BaseException) -> bool:
 
 def call_with_retry(fn: Callable[[], object], *,
                     policy: RetryPolicy = RetryPolicy(),
-                    classify: Callable[[BaseException], bool] = is_transient,
                     on_retry: Optional[Callable[[BaseException], None]]
                     = None,
                     sleep: Callable[[float], None] = time.sleep) -> object:
-    """Call ``fn`` retrying transient failures under ``policy``.
+    """Call ``fn`` retrying :func:`is_transient` failures under ``policy``.
 
     ``on_retry`` fires once per retry *before* the backoff sleep (the store
     counts its retries there).  The last transient error propagates
@@ -102,7 +97,7 @@ def call_with_retry(fn: Callable[[], object], *,
         try:
             return fn()
         except BaseException as exc:  # noqa: BLE001 — classified below
-            if not classify(exc):
+            if not is_transient(exc):
                 raise
             try:
                 delay = next(delays)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.resilience.faults import FaultInjector, active_injector
+from repro.resilience.faults import active_injector
 from repro.sim.sweep import SweepPoint, SweepRecord, SweepRunner
 from repro.store import PersistentPool, SweepStore, store_key
 
@@ -170,12 +170,9 @@ class CoalescingBatcher:
         max_attempts: Simulation attempts per point before its future
             carries the error (see :data:`DEFAULT_MAX_ATTEMPTS`);
             ``ServeDaemon(point_retries=N)`` configures it as ``N + 1``.
-        fault_injector: Optional
-            :class:`~repro.resilience.FaultInjector` whose batch-stall
-            schedule fires before each batch ``run()`` attempt; defaults
-            to the process-wide injector (``REPRO_FAULT_PLAN``), which
-            is ``None`` — no injection, no overhead — in normal
-            operation.
+
+    The batch-stall schedule of :func:`~repro.resilience.active_injector`
+    (read at construction) fires before each batch ``run()`` attempt.
 
     Counters (for ``/v1/stats`` and the tests): ``submitted_requests``,
     ``submitted_points``, ``attached_points`` (dedup against an in-flight
@@ -186,8 +183,7 @@ class CoalescingBatcher:
     def __init__(self, store: Optional[SweepStore] = None,
                  pool: Optional[PersistentPool] = None,
                  window_s: float = DEFAULT_WINDOW_S,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 fault_injector: Optional[FaultInjector] = None) -> None:
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> None:
         if window_s < 0:
             raise ConfigurationError("window_s must be >= 0")
         if max_attempts < 1:
@@ -196,8 +192,7 @@ class CoalescingBatcher:
         self._pool = pool
         self._window_s = window_s
         self._max_attempts = max_attempts
-        self._injector = (fault_injector if fault_injector is not None
-                          else active_injector())
+        self._injector = active_injector()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._inflight: Dict[str, PointFuture] = {}

@@ -65,7 +65,7 @@ from repro.serve.protocol import (
     record_to_wire,
     runner_from_wire,
 )
-from repro.resilience.faults import FaultInjector, active_injector
+from repro.resilience.faults import active_injector
 from repro.store import PersistentPool, StoreArg, resolve_store
 
 #: Default per-request deadline when a query does not carry one.  Generous
@@ -142,9 +142,9 @@ class ServeDaemon:
         max_inflight: Admission limit on concurrently-running sweep
             POSTs (``/v1/whatif`` / ``/v1/experiment`` / ``/v1/report``);
             excess requests get ``503`` + ``Retry-After``.
-        fault_injector: Explicit :class:`~repro.resilience.FaultInjector`
-            threaded through the store, pool and batcher; defaults to the
-            process-wide plan (:func:`~repro.resilience.active_injector`).
+
+    The daemon keeps the :func:`~repro.resilience.active_injector` of its
+    construction for the ``faults`` block of ``/v1/health``.
 
     Use as a context manager, or :meth:`start` / :meth:`close` explicitly.
     :meth:`serve_forever` blocks (the CLI's ``repro serve``);
@@ -157,8 +157,7 @@ class ServeDaemon:
                  window_s: float = DEFAULT_WINDOW_S,
                  point_retries: int = DEFAULT_MAX_ATTEMPTS - 1,
                  default_deadline_s: float = DEFAULT_DEADLINE_S,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
-                 fault_injector: Optional[FaultInjector] = None) -> None:
+                 max_inflight: int = DEFAULT_MAX_INFLIGHT) -> None:
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
         if hosts is not None and workers:
@@ -169,20 +168,17 @@ class ServeDaemon:
             raise ConfigurationError("point_retries must be >= 0")
         if max_inflight < 1:
             raise ConfigurationError("max_inflight must be >= 1")
-        self._injector = (fault_injector if fault_injector is not None
-                          else active_injector())
-        self._store = resolve_store(store, fault_injector=self._injector)
+        self._injector = active_injector()
+        self._store = resolve_store(store)
         if hosts is not None:
             from repro.dist import DistExecutor  # local: import cycle
 
-            self._pool = DistExecutor(hosts, fault_injector=self._injector)
+            self._pool = DistExecutor(hosts)
         else:
-            self._pool = (PersistentPool(workers,
-                                         fault_injector=self._injector)
-                          if workers else None)
+            self._pool = PersistentPool(workers) if workers else None
         self._batcher = CoalescingBatcher(
             store=self._store, pool=self._pool, window_s=window_s,
-            max_attempts=point_retries + 1, fault_injector=self._injector)
+            max_attempts=point_retries + 1)
         self._default_deadline_s = default_deadline_s
         self._max_inflight = max_inflight
         self._started = time.monotonic()

@@ -81,20 +81,19 @@ class TimeToAccuracyResult:
 
 
 def time_to_accuracy(loader_name: str, epoch_time_s: float,
-                     curve: AccuracyCurve, target_accuracy: float,
-                     sample_epochs: int | None = None) -> TimeToAccuracyResult:
-    """Combine an epoch-time measurement with the accuracy curve.
+                     curve: AccuracyCurve,
+                     target_accuracy: float) -> TimeToAccuracyResult:
+    """Combine an epoch-time measurement with the accuracy curve (the
+    trajectory samples every epoch up to the epochs needed).
 
     Args:
         loader_name: Label for the configuration ("dali", "coordl").
         epoch_time_s: Simulated steady-state epoch duration.
         curve: Accuracy-vs-epoch model (identical across configurations).
         target_accuracy: Accuracy defining "time to accuracy".
-        sample_epochs: Number of (time, accuracy) samples to include in the
-            trajectory (defaults to the epochs needed, rounded up).
     """
     epochs_needed = curve.epochs_to_accuracy(target_accuracy)
-    horizon = sample_epochs if sample_epochs is not None else int(math.ceil(epochs_needed))
+    horizon = int(math.ceil(epochs_needed))
     trajectory = [
         (epoch * epoch_time_s, curve.accuracy_at_epoch(epoch))
         for epoch in range(horizon + 1)

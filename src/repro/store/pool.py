@@ -76,7 +76,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.datasets.sampler import SamplerMemo
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.resilience.faults import FaultInjector, active_injector
+from repro.resilience.faults import active_injector
 from repro.sim.sweep import (
     SweepPoint,
     SweepRecord,
@@ -86,7 +86,7 @@ from repro.sim.sweep import (
     clamp_workers,
 )
 
-#: Default pool rebuilds allowed per ``run_points`` call before escalating.
+#: Pool rebuilds allowed per ``run_points`` call before escalating.
 DEFAULT_MAX_RESPAWNS = 3
 
 #: Seconds between checks on the workers while a run waits for results.
@@ -185,8 +185,7 @@ def _signal_all(processes: list, method: str) -> None:
 
 
 def _shutdown_executor(executor: concurrent.futures.ProcessPoolExecutor,
-                       *, force: bool,
-                       grace_s: float = _SHUTDOWN_GRACE_S) -> None:
+                       *, force: bool) -> None:
     """Shut ``executor`` down without risking an unbounded hang.
 
     A SIGKILLed worker can die holding the shared call-queue reader lock,
@@ -207,7 +206,7 @@ def _shutdown_executor(executor: concurrent.futures.ProcessPoolExecutor,
     if force:
         _signal_all(processes, "terminate")
     executor.shutdown(wait=False, cancel_futures=force)
-    deadline = time.monotonic() + (0.0 if force else grace_s)
+    deadline = time.monotonic() + (0.0 if force else _SHUTDOWN_GRACE_S)
     for proc in processes:
         proc.join(max(0.0, deadline - time.monotonic()))
     _signal_all([proc for proc in processes if proc.is_alive()], "terminate")
@@ -225,7 +224,7 @@ def _shutdown_executor(executor: concurrent.futures.ProcessPoolExecutor,
         # interpreter exit, which joins it.
         results._writer.close()
     if manager is not None:
-        manager.join(grace_s)
+        manager.join(_SHUTDOWN_GRACE_S)
 
 
 class PersistentPool:
@@ -238,14 +237,11 @@ class PersistentPool:
             on the first run and kept until :meth:`close`.
         chunksize: Default points per pickled task (per run: about four
             chunks per worker when ``None``).
-        max_respawns: Pool rebuilds allowed per :meth:`run_points` call
-            when workers die, before the run escalates to
-            :class:`~repro.exceptions.SweepPointError`.
-        fault_injector: Optional
-            :class:`~repro.resilience.FaultInjector` whose worker-kill
-            schedule this pool delivers; defaults to the process-wide
-            injector (``REPRO_FAULT_PLAN``), which is ``None`` — no
-            injection, no overhead — in normal operation.
+
+    Dying workers cost up to :data:`DEFAULT_MAX_RESPAWNS` rebuilds per
+    :meth:`run_points` call; the pool delivers the worker-kill schedule of
+    :func:`~repro.resilience.active_injector`.  Both are read at
+    construction.
 
     Attributes:
         runs: Completed :meth:`run_points` calls.
@@ -270,20 +266,15 @@ class PersistentPool:
     exactly one of them.
     """
 
-    def __init__(self, workers: int, chunksize: Optional[int] = None,
-                 max_respawns: int = DEFAULT_MAX_RESPAWNS,
-                 fault_injector: Optional[FaultInjector] = None) -> None:
+    def __init__(self, workers: int, chunksize: Optional[int] = None) -> None:
         if workers < 1:
             raise ConfigurationError("a persistent pool needs >= 1 workers")
         if chunksize is not None and chunksize < 1:
             raise ConfigurationError("chunksize must be at least 1")
-        if max_respawns < 0:
-            raise ConfigurationError("max_respawns must be >= 0")
         self._workers = clamp_workers(workers)
         self._chunksize = chunksize
-        self._max_respawns = max_respawns
-        self._injector = (fault_injector if fault_injector is not None
-                          else active_injector())
+        self._max_respawns = DEFAULT_MAX_RESPAWNS
+        self._injector = active_injector()
         self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = \
             None
         self._cond = threading.Condition()

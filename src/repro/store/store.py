@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Union
 
 from repro.exceptions import ConfigurationError
-from repro.resilience.faults import FaultInjector, active_injector
+from repro.resilience.faults import active_injector
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.sim.sweep import SweepPoint, SweepRecord, SweepRunner
 from repro.store.backend import (
@@ -90,6 +90,10 @@ __all__ = [
 #: passed.  A directory path or a ``sqlite://PATH`` URI; unset or empty
 #: means "no store".
 STORE_ENV_VAR = "REPRO_SWEEP_STORE"
+
+#: Retry policy of every :class:`SweepStore`'s backend calls (three
+#: retries over ~35 ms).
+STORE_RETRY_POLICY = RetryPolicy()
 
 #: Top-level ``repro`` packages and modules :func:`source_digest` leaves
 #: out: the service layers around the simulator, whose code moves no
@@ -357,17 +361,12 @@ class SweepStore:
             (:func:`merge_store_traces`) and checked as one — the
             multi-host fabric's consistency proof.  Empty (the default)
             for single-writer traces.
-        retry_policy: :class:`~repro.resilience.RetryPolicy` applied to
-            every backend get/put: transient errors (SQLite lock/busy
-            contention, ``EAGAIN``-family ``OSError``, injected transient
-            faults) are retried with deterministic backoff and counted in
-            ``retries``.  Defaults to the standard policy;
-            :data:`~repro.resilience.NO_RETRY` disables retrying.
-        fault_injector: Optional
-            :class:`~repro.resilience.FaultInjector` whose store-fault
-            schedule fires inside the retry wrapper; defaults to the
-            process-wide injector (``REPRO_FAULT_PLAN``), which is
-            ``None`` — no injection, no overhead — in normal operation.
+
+    Backend gets/puts run under :data:`STORE_RETRY_POLICY` (transient
+    errors retried with deterministic backoff, counted in ``retries``),
+    with the store-fault schedule of
+    :func:`~repro.resilience.active_injector` firing inside; both are read
+    at construction.
 
     Counters ``hits`` / ``misses`` / ``puts`` / ``invalid`` /
     ``redundant_puts`` accumulate per instance (lock-guarded, so one
@@ -396,20 +395,15 @@ class SweepStore:
     MODES = ("ok", "read-only", "no-store")
 
     def __init__(self, location: Union[str, os.PathLike, StoreBackend],
-                 trace: bool = False,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 fault_injector: Optional[FaultInjector] = None,
-                 trace_writer: str = "") -> None:
+                 trace: bool = False, trace_writer: str = "") -> None:
         if isinstance(location, StoreBackend):
             self._backend = location
         else:
             self._backend = open_backend(location)
         self._trace_writer = trace_writer
         self._lock = threading.Lock()
-        self._retry_policy = (retry_policy if retry_policy is not None
-                              else RetryPolicy())
-        self._injector = (fault_injector if fault_injector is not None
-                          else active_injector())
+        self._retry_policy = STORE_RETRY_POLICY
+        self._injector = active_injector()
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -691,9 +685,7 @@ def migrate_store(source: "StoreArg", dest: "StoreArg") -> int:
 StoreArg = Union["SweepStore", StoreBackend, str, os.PathLike, None, bool]
 
 
-def resolve_store(store: StoreArg,
-                  fault_injector: Optional[FaultInjector] = None
-                  ) -> Optional[SweepStore]:
+def resolve_store(store: StoreArg) -> Optional[SweepStore]:
     """Normalise a user-facing ``store=`` argument to an open store.
 
     * :class:`SweepStore` — returned as-is;
@@ -702,21 +694,16 @@ def resolve_store(store: StoreArg,
     * ``None`` — the :data:`STORE_ENV_VAR` environment default (no store
       when unset/empty);
     * ``False`` — explicitly no store, even when the variable is set.
-
-    ``fault_injector`` is forwarded to any :class:`SweepStore` this call
-    constructs (an already-open store keeps its own), which is how the
-    serve daemon threads one injector through a store it opens itself.
     """
     if isinstance(store, SweepStore):
         return store
     if store is None:
         env = os.environ.get(STORE_ENV_VAR, "").strip()
-        return (SweepStore(env, fault_injector=fault_injector) if env
-                else None)
+        return SweepStore(env) if env else None
     if store is False:
         return None
     if isinstance(store, (str, os.PathLike, StoreBackend)):
-        return SweepStore(store, fault_injector=fault_injector)
+        return SweepStore(store)
     raise ConfigurationError(
         f"store must be a SweepStore, a StoreBackend, a path, a sqlite:// "
         f"URI, None or False, not {type(store).__name__}")

@@ -12,6 +12,15 @@ import pytest
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.datasets.catalog import DatasetSpec
 from repro.datasets.dataset import SyntheticDataset
+from repro.resilience import clear_installed
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_fault_plan():
+    """Clear any fault plan a test installed, pass or fail, so it cannot
+    reach the stores and pools the next test builds."""
+    yield
+    clear_installed()
 
 
 @pytest.fixture

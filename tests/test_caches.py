@@ -239,6 +239,54 @@ class TestStreamAlignment:
         assert _cache_state(minio) == state
 
 
+class TestMinIOBulkIds:
+    """MinIO's bulk entries reject negative ids, and the two that admit
+    also repeated ids, naming the first one before any side effect.  A
+    negative id would alias a resident item's slot of the residency table;
+    a repeated one would be booked and admitted twice."""
+
+    @staticmethod
+    def _cache_holding_5() -> MinIOCache:
+        cache = MinIOCache(1e6)
+        cache.walk(np.array([5, 5]), np.array([10.0, 10.0]))
+        return cache
+
+    @pytest.mark.parametrize("entry, ids, match", [
+        ("bulk_epoch_hits", [-1], "non-negative, got item -1"),
+        ("bulk_epoch_hits", [4, -2, -1], "non-negative, got item -2"),
+        ("admit_prefix", [-1], "non-negative, got item -1"),
+        ("contains_array", [5, -1], "non-negative, got item -1"),
+        ("bulk_epoch_hits", [1, 1], "item 1 occurs twice"),
+        ("bulk_epoch_hits", [5, 2, 3, 2, 5], "item 5 occurs twice"),
+        ("admit_prefix", [1, 1], "item 1 occurs twice"),
+    ])
+    def test_bad_ids_raise_before_any_side_effect(self, entry, ids, match):
+        for cache in (self._cache_holding_5(), _warm_caches()[1]):
+            state = _cache_state(cache)
+            item_ids = np.array(ids)
+            with pytest.raises(SimulationError, match=match):
+                if entry == "contains_array":
+                    cache.contains_array(item_ids)
+                else:
+                    getattr(cache, entry)(item_ids,
+                                          np.full(item_ids.size, 10.0))
+            assert _cache_state(cache) == state
+
+    def test_the_walk_takes_what_the_bulk_entries_refuse(self):
+        """The per-item walk, the reference, misses a negative id and hits
+        the second access of a repeated one."""
+        cache = self._cache_holding_5()
+        assert cache.walk(np.array([-1]), np.array([10.0])).tolist() == [False]
+        assert cache.walk(np.array([1, 1]),
+                          np.array([10.0, 10.0])).tolist() == [False, True]
+        assert cache.used_bytes == 30.0
+
+    def test_contains_array_takes_repeated_ids(self):
+        cache = self._cache_holding_5()
+        assert cache.contains_array(np.array([5, 1, 5])).tolist() == [
+            True, False, True]
+
+
 class TestCacheWalk:
     """`Cache.walk`, the per-item reference every bulk path reproduces."""
 

@@ -58,7 +58,8 @@ from repro.dist import (
     spec_from_wire,
     spec_to_wire,
 )
-from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.dist import executor as executor_module
+from repro.resilience.faults import FaultInjector, FaultPlan, install_plan
 from repro.serve.protocol import point_to_wire
 from repro.sim.sweep import SweepPoint, SweepRunner
 from repro.store import SweepStore
@@ -211,10 +212,6 @@ class TestExecutorValidation:
             DistExecutor([])
         with pytest.raises(ConfigurationError):
             DistExecutor("h:1", chunksize=0)
-        with pytest.raises(ConfigurationError):
-            DistExecutor("h:1", max_reassigns=-1)
-        with pytest.raises(ConfigurationError):
-            DistExecutor("h:1", steal_delay_s=-0.1)
 
     def test_accepts_every_host_list_form(self):
         for hosts in ("a:1,b:2", ["a:1", "b:2"], [("a", 1), ("b", 2)]):
@@ -309,15 +306,16 @@ class TestByteIdentity:
                                             store=False).snapshot()
         assert distributed == serial
 
-    def test_stolen_chunks_stay_byte_identical(self, two_agents):
+    def test_stolen_chunks_stay_byte_identical(self, two_agents,
+                                               monkeypatch):
         """One chunk, two hosts: the idle host steals the whole chunk and
         the duplicate deliveries are deduped by input index."""
+        monkeypatch.setattr(executor_module, "DEFAULT_STEAL_DELAY_S", 0.0)
         first, second = two_agents
         points = _grid()
         serial = _serial_snapshot(points)
         with DistExecutor([first.endpoint, second.endpoint],
-                          chunksize=len(points),
-                          steal_delay_s=0.0) as executor:
+                          chunksize=len(points)) as executor:
             distributed = _runner().run(points, pool=executor,
                                         store=False).snapshot()
             assert distributed == serial
@@ -459,10 +457,9 @@ class TestHostDeath:
         byte-identical — host death costs time, never bytes."""
         points = _grid()
         serial = _serial_snapshot(points)
-        injector = FaultInjector(FaultPlan(host_kills=(1,)))
+        injector = install_plan(FaultPlan(host_kills=(1,)))
         with LocalWorkerFleet(2) as fleet:
             with DistExecutor(fleet.endpoints, chunksize=1,
-                              fault_injector=injector,
                               kill_hook=fleet.kill_one) as executor:
                 distributed = _runner().run(points, pool=executor,
                                             store=False).snapshot()
@@ -476,10 +473,9 @@ class TestHostDeath:
         is left to fail over, yet the run reports the death and stops
         offering the dead agent's slot."""
         points = _grid()[:1]
-        injector = FaultInjector(FaultPlan(host_kills=(1,)))
+        injector = install_plan(FaultPlan(host_kills=(1,)))
         with LocalWorkerFleet(2) as fleet:
             with DistExecutor(fleet.endpoints, chunksize=1,
-                              fault_injector=injector,
                               kill_hook=fleet.kill_one) as executor:
                 distributed = _runner().run(points, pool=executor,
                                             store=False).snapshot()

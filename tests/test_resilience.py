@@ -64,7 +64,6 @@ from repro.exceptions import (
 )
 from repro.resilience import (
     FAULT_PLAN_ENV_VAR,
-    NO_RETRY,
     FaultInjector,
     FaultPlan,
     KillSchedule,
@@ -81,18 +80,12 @@ from repro.serve import DEFAULT_MAX_ATTEMPTS, ServeClient, ServeDaemon, ServeErr
 from repro.sim.harness import GOLDEN_GRIDS, load_golden, snapshot_diff
 from repro.sim.sweep import SweepPoint, SweepRunner, clamp_workers
 from repro.store import PersistentPool, SweepStore, verify_store_trace
+from repro.store import pool as pool_module
+from repro.store import store as store_module
 
 SCALE = 1 / 500.0
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    """No test may leak a process-wide injector into its neighbours."""
-    clear_installed()
-    yield
-    clear_installed()
 
 
 def _runner() -> SweepRunner:
@@ -271,7 +264,8 @@ class TestRetry:
             raise TransientFaultError("blip")
 
         with pytest.raises(TransientFaultError):
-            call_with_retry(always, policy=NO_RETRY, sleep=lambda _s: None)
+            call_with_retry(always, policy=RetryPolicy(max_attempts=1),
+                            sleep=lambda _s: None)
         assert len(attempts) == 1
 
     def test_backoff_delays_are_deterministic_and_capped(self):
@@ -312,9 +306,8 @@ def _executor_threads() -> set:
 class TestSupervisedPoolRecovery:
     def test_killed_worker_is_respawned_and_results_stay_exact(self):
         serial = _runner().run(_grid(), workers=0, store=False).snapshot()
-        injector = FaultInjector(FaultPlan(worker_kills=(2,)))
-        with PersistentPool(2, chunksize=1,
-                            fault_injector=injector) as pool:
+        injector = install_plan(FaultPlan(worker_kills=(2,)))
+        with PersistentPool(2, chunksize=1) as pool:
             chaotic = _runner().run(_grid(), pool=pool,
                                     store=False).snapshot()
         assert chaotic == serial
@@ -323,9 +316,9 @@ class TestSupervisedPoolRecovery:
         assert pool.reruns >= 1
 
     def test_pool_remains_usable_after_recovery(self):
-        injector = FaultInjector(FaultPlan(worker_kills=(1,)))
+        install_plan(FaultPlan(worker_kills=(1,)))
         points = _grid(2)
-        with PersistentPool(1, chunksize=1, fault_injector=injector) as pool:
+        with PersistentPool(1, chunksize=1) as pool:
             first = _runner().run(points, pool=pool, store=False).snapshot()
             respawns_after_first = pool.respawns
             # The kill schedule restarts per run but the pool's budget is
@@ -336,22 +329,25 @@ class TestSupervisedPoolRecovery:
         assert respawns_after_first >= 1
         assert pool.respawns >= respawns_after_first
 
-    def test_exhausted_respawn_budget_escalates_to_sweep_point_error(self):
-        injector = FaultInjector(FaultPlan(worker_kills=(1,)))
-        with PersistentPool(2, chunksize=1, max_respawns=0,
-                            fault_injector=injector) as pool:
+    def test_exhausted_respawn_budget_escalates_to_sweep_point_error(
+            self, monkeypatch):
+        monkeypatch.setattr(pool_module, "DEFAULT_MAX_RESPAWNS", 0)
+        injector = install_plan(FaultPlan(worker_kills=(1,)))
+        with PersistentPool(2, chunksize=1) as pool:
             with pytest.raises(SweepPointError, match="kept dying"):
                 _runner().run(_grid(), pool=pool, store=False)
         assert injector.snapshot()["worker_kills"] == 1
 
-    def test_worker_killed_mid_result_neither_hangs_the_run_nor_exit(self):
+    def test_worker_killed_mid_result_neither_hangs_the_run_nor_exit(
+            self, monkeypatch):
         """The executor's management thread blocks for good reading the
         torn result, so it never reports the death: the pool's own worker
         check must, and shutdown must unblock that thread, which interpreter
         exit would otherwise join forever."""
+        monkeypatch.setattr(pool_module, "DEFAULT_MAX_RESPAWNS", 0)
         before = _executor_threads()
         runner = SweepRunner(_torn_result_server, scale=SCALE, seed=0)
-        with PersistentPool(1, chunksize=1, max_respawns=0) as pool:
+        with PersistentPool(1, chunksize=1) as pool:
             with pytest.raises(SweepPointError, match="kept dying"):
                 runner.run([_point(0.4), _point(0.6)], pool=pool,
                            store=False)
@@ -359,12 +355,6 @@ class TestSupervisedPoolRecovery:
         for thread in leftover:
             thread.join(10.0)
         assert not any(thread.is_alive() for thread in leftover)
-
-    def test_pool_rejects_bad_respawn_budget(self):
-        with pytest.raises(ConfigurationError):
-            PersistentPool(2, max_respawns=-1)
-        with pytest.raises(ConfigurationError):
-            PersistentPool(0)
 
 
 # -- golden grids under chaos -------------------------------------------------
@@ -477,7 +467,6 @@ class TestHypothesisChaosPlans:
             assert verify_store_trace(store.trace_events) == []
             assert store.mode in SweepStore.MODES
         finally:
-            clear_installed()
             shutil.rmtree(root, ignore_errors=True)
 
     @given(kills=st.lists(st.integers(min_value=1, max_value=8),
@@ -486,15 +475,11 @@ class TestHypothesisChaosPlans:
     def test_any_kill_schedule_keeps_the_grid_byte_identical(self, kills):
         expected = load_golden("fig3_small", GOLDEN_DIR)
         grid = GOLDEN_GRIDS["fig3_small"]
-        injector = FaultInjector(FaultPlan(worker_kills=tuple(kills)))
-        try:
-            with PersistentPool(2, chunksize=1,
-                                fault_injector=injector) as pool:
-                actual = grid.build_runner().run(grid.points(), pool=pool,
-                                                 store=False).snapshot()
-            assert not snapshot_diff(expected, actual)
-        finally:
-            clear_installed()
+        install_plan(FaultPlan(worker_kills=tuple(kills)))
+        with PersistentPool(2, chunksize=1) as pool:
+            actual = grid.build_runner().run(grid.points(), pool=pool,
+                                             store=False).snapshot()
+        assert not snapshot_diff(expected, actual)
 
 
 # -- store degradation ladder -------------------------------------------------
@@ -504,10 +489,9 @@ class TestStoreDegradation:
     @pytest.mark.parametrize("backend", ["json", "sqlite"])
     def test_permanent_put_failure_degrades_to_read_only(self, backend,
                                                          tmp_path):
-        injector = FaultInjector(FaultPlan(store_faults=(
+        install_plan(FaultPlan(store_faults=(
             StoreFault(op="put", at=1, kind="permanent"),)))
-        store = SweepStore(_store_location(backend, tmp_path), trace=True,
-                           fault_injector=injector)
+        store = SweepStore(_store_location(backend, tmp_path), trace=True)
         runner, point = _runner(), _point()
         record = runner.run([point], store=False).records[0]
         key = store.key_for(runner, point)
@@ -528,12 +512,12 @@ class TestStoreDegradation:
 
     @pytest.mark.parametrize("backend", ["json", "sqlite"])
     def test_exhausted_get_retries_degrade_to_no_store(self, backend,
-                                                       tmp_path):
-        policy = RetryPolicy(max_attempts=3, backoff_s=0.0)
-        injector = FaultInjector(FaultPlan(store_faults=(
+                                                       tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "STORE_RETRY_POLICY",
+                            RetryPolicy(max_attempts=3, backoff_s=0.0))
+        injector = install_plan(FaultPlan(store_faults=(
             StoreFault(op="get", at=1, kind="transient", times=10),)))
-        store = SweepStore(_store_location(backend, tmp_path), trace=True,
-                           retry_policy=policy, fault_injector=injector)
+        store = SweepStore(_store_location(backend, tmp_path), trace=True)
         runner, point = _runner(), _point()
         key = store.key_for(runner, point)
 
@@ -551,10 +535,9 @@ class TestStoreDegradation:
 
     def test_transient_faults_within_budget_leave_the_store_healthy(
             self, tmp_path):
-        injector = FaultInjector(FaultPlan(store_faults=(
+        install_plan(FaultPlan(store_faults=(
             StoreFault(op="any", at=1, kind="transient"),)))
-        store = SweepStore(tmp_path / "store", trace=True,
-                           fault_injector=injector)
+        store = SweepStore(tmp_path / "store", trace=True)
         runner, point = _runner(), _point()
         record = runner.run([point], store=False).records[0]
         key = store.key_for(runner, point)
@@ -570,9 +553,9 @@ class TestStoreDegradation:
     def test_degraded_runner_run_still_matches_serial(self, tmp_path):
         """A store degraded from the first put changes timings, never bytes."""
         serial = _runner().run(_grid(2), store=False).snapshot()
-        injector = FaultInjector(FaultPlan(store_faults=(
+        install_plan(FaultPlan(store_faults=(
             StoreFault(op="put", at=1, kind="permanent"),)))
-        store = SweepStore(tmp_path / "store", fault_injector=injector)
+        store = SweepStore(tmp_path / "store")
         degraded = _runner().run(_grid(2), store=store).snapshot()
         assert degraded == serial
         assert store.mode == "read-only"
@@ -599,10 +582,10 @@ class TestServeDaemonResilience:
             ServeDaemon(port=0, store=False, max_inflight=0)
 
     def test_over_capacity_requests_get_503_with_retry_after(self, tmp_path):
-        injector = FaultInjector(FaultPlan(serve_stalls=(
+        install_plan(FaultPlan(serve_stalls=(
             ServeStall(at=1, stall_s=1.0),)))
-        with ServeDaemon(port=0, store=tmp_path / "store", max_inflight=1,
-                         fault_injector=injector) as daemon:
+        with ServeDaemon(port=0, store=tmp_path / "store",
+                         max_inflight=1) as daemon:
             runner, points = _runner(), [_point()]
             first_results = []
 
@@ -649,10 +632,9 @@ class TestServeDaemonResilience:
             assert results[0].status == "ok"
 
     def test_close_drains_inflight_requests(self, tmp_path):
-        injector = FaultInjector(FaultPlan(serve_stalls=(
+        install_plan(FaultPlan(serve_stalls=(
             ServeStall(at=1, stall_s=0.5),)))
-        daemon = ServeDaemon(port=0, store=tmp_path / "store",
-                             fault_injector=injector).start()
+        daemon = ServeDaemon(port=0, store=tmp_path / "store").start()
         results = []
 
         def query():
@@ -670,10 +652,9 @@ class TestServeDaemonResilience:
 
     def test_health_reports_store_degradation_and_fault_counters(
             self, tmp_path):
-        injector = FaultInjector(FaultPlan(store_faults=(
+        install_plan(FaultPlan(store_faults=(
             StoreFault(op="put", at=1, kind="permanent"),)))
-        with ServeDaemon(port=0, store=tmp_path / "store",
-                         fault_injector=injector) as daemon:
+        with ServeDaemon(port=0, store=tmp_path / "store") as daemon:
             client = ServeClient(daemon.url)
             results = client.whatif(_runner(), [_point()])
             assert results[0].status == "ok"  # degraded store, healthy answer

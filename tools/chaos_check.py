@@ -43,7 +43,11 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.resilience import FaultInjector, FaultPlan  # noqa: E402
+from repro.resilience import (  # noqa: E402
+    FaultPlan,
+    clear_installed,
+    install_plan,
+)
 from repro.sim.harness import (  # noqa: E402
     GOLDEN_GRIDS,
     load_golden,
@@ -84,15 +88,18 @@ def run_grid_under_chaos(name: str, location: str, backend: str,
                          plan: FaultPlan) -> dict:
     """One golden grid under the plan, through a supervised pool."""
     grid = GOLDEN_GRIDS[name]
-    injector = FaultInjector(plan)
-    store = SweepStore(location, trace=True, fault_injector=injector)
-    start = time.perf_counter()
-    with PersistentPool(POOL_WORKERS, chunksize=1,
-                        fault_injector=injector) as pool:
-        actual = grid.build_runner().run(grid.points(), pool=pool,
-                                         store=store).snapshot()
-        respawns, reruns = pool.respawns, pool.reruns
-    elapsed = time.perf_counter() - start
+    # A fresh injector per grid, adopted by the store and the pool.
+    injector = install_plan(plan)
+    try:
+        store = SweepStore(location, trace=True)
+        start = time.perf_counter()
+        with PersistentPool(POOL_WORKERS, chunksize=1) as pool:
+            actual = grid.build_runner().run(grid.points(), pool=pool,
+                                             store=store).snapshot()
+            respawns, reruns = pool.respawns, pool.reruns
+        elapsed = time.perf_counter() - start
+    finally:
+        clear_installed()
     counters = injector.snapshot()
 
     diffs = snapshot_diff(load_golden(name, GOLDEN_DIR), actual)
@@ -134,9 +141,12 @@ def run_serve_probe(location: str, plan: FaultPlan) -> dict:
     from repro.serve import ServeClient, ServeDaemon
 
     grid = GOLDEN_GRIDS["fig3_small"]
-    injector = FaultInjector(plan)
-    with ServeDaemon(port=0, store=location,
-                     fault_injector=injector) as daemon:
+    install_plan(plan)
+    try:
+        daemon = ServeDaemon(port=0, store=location)
+    finally:
+        clear_installed()
+    with daemon:
         client = ServeClient(daemon.url)
         results = client.whatif(grid.build_runner(), grid.points())
         bad = [r.status for r in results if r.status != "ok"]

@@ -48,7 +48,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.dist import DistExecutor, LocalWorkerFleet  # noqa: E402
-from repro.resilience import FaultInjector, FaultPlan  # noqa: E402
+from repro.resilience import (  # noqa: E402
+    FaultPlan,
+    clear_installed,
+    install_plan,
+)
 from repro.sim.harness import (  # noqa: E402
     GOLDEN_GRIDS,
     load_golden,
@@ -153,12 +157,15 @@ def run_fault_pass(grid_names, scratch: pathlib.Path,
     """Every grid with one agent SIGKILLed mid-sweep, still byte-identical."""
     grids = {}
     for name in grid_names:
-        injector = FaultInjector(FAULT_PLAN)
         # A fresh two-agent fleet per grid: every grid murders one.
         with checked_fleet(2, orphans) as fleet:
-            with DistExecutor(fleet.endpoints, chunksize=1,
-                              fault_injector=injector,
-                              kill_hook=fleet.kill_one) as executor:
+            injector = install_plan(FAULT_PLAN)
+            try:
+                executor = DistExecutor(fleet.endpoints, chunksize=1,
+                                        kill_hook=fleet.kill_one)
+            finally:
+                clear_installed()
+            with executor:
                 root = scratch / "fault" / name
                 root.mkdir(parents=True, exist_ok=True)
                 result = run_grid(name, executor,
