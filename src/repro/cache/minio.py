@@ -75,11 +75,10 @@ class MinIOCache(Cache):
         return list(self._entries.keys())
 
     def lookup(self, item_id: int) -> bool:
-        size = self._entries.get(item_id)
-        if size is None:
+        if item_id not in self._entries:
             self._stats.record_miss()
             return False
-        self._stats.record_hit(size)
+        self._stats.record_hit()
         return True
 
     def admit(self, item_id: int, size_bytes: float) -> bool:
@@ -209,8 +208,7 @@ class MinIOCache(Cache):
         scan over the missed items in access order
         (:meth:`_admit_in_order`, a prefix sum plus an exact walk over the
         few items that still fit after the first rejection).  The mask,
-        every counter (``hit_bytes`` adds the hit sizes left to right, as
-        ``lookup`` does) and the cache contents (entries in order,
+        every counter and the cache contents (entries in order,
         ``used_bytes``) after this call are identical to per-item
         ``lookup`` + ``admit`` calls over the same access stream.
 
@@ -241,8 +239,6 @@ class MinIOCache(Cache):
         hits = table[item_ids]
 
         self._stats.hits += int(hits.sum())
-        self._stats.hit_bytes = float(np.cumsum(np.concatenate(
-            ([self._stats.hit_bytes], sizes[hits])))[-1])
         misses = ~hits
         self._stats.misses += int(misses.sum())
 

@@ -151,10 +151,10 @@ class PageCache(Cache):
     Pages are the one unit: every item occupies a whole number of pages,
     and the occupancies and both budgets (the capacity and the active
     list's target) are integer page counts.  Byte figures — ``used_bytes``,
-    ``active_bytes``, ``inactive_bytes``, :meth:`resident_lists` and
-    ``stats.hit_bytes`` — are ``pages * page_bytes``.  A page size that is
-    a power of two divides every float exactly, and the capacity stays
-    below 2**53 pages, so every such product is exact.
+    ``active_bytes``, ``inactive_bytes`` and :meth:`resident_lists` — are
+    ``pages * page_bytes``.  A page size that is a power of two divides
+    every float exactly, and the capacity stays below 2**53 pages, so
+    every such product is exact.
 
     The two lists live in one of two forms.  The bulk paths keep them as
     the warm kernel's ``(item_ids, page_counts)`` arrays, so replays chain
@@ -346,13 +346,11 @@ class PageCache(Cache):
         if self._pages is not None:
             self._to_dicts()
         if item_id in self._active:
-            pages = self._active[item_id]
             self._active.move_to_end(item_id)
-            self._stats.record_hit(pages * self._page_bytes)
+            self._stats.record_hit()
             return True
         if item_id in self._inactive:
-            pages = self._inactive[item_id]
-            self._stats.record_hit(pages * self._page_bytes)
+            self._stats.record_hit()
             # Second reference while resident: promote to the active list.
             self._promote(item_id)
             return True
@@ -396,11 +394,11 @@ class PageCache(Cache):
         are replayed through
         :func:`repro.cache.warm_kernel.simulate_segmented_lru`.  That
         integer replay reproduces the per-item ``lookup`` + ``admit`` walk
-        exactly: hit mask, every stats counter (``hit_bytes`` is the hit
-        pages times the page size), the pressure-eviction count, the
-        occupancies and the exact order of both lists (observable through
-        future evictions and demotions).  The kernel reads and returns the
-        lists as arrays, and the cache keeps them in that form.
+        exactly: hit mask, every stats counter, the pressure-eviction
+        count, the occupancies and the exact order of both lists
+        (observable through future evictions and demotions).  The kernel
+        reads and returns the lists as arrays, and the cache keeps them in
+        that form.
 
         Every miss is admitted, as the kernel page cache does — callers
         with an admission *policy* must walk item by item.  When the kernel
@@ -444,7 +442,6 @@ class PageCache(Cache):
         self._stats.hits += result.hits
         self._stats.misses += result.misses
         self._stats.insertions += result.misses  # every miss was admitted
-        self._stats.hit_bytes += result.hit_pages * self._page_bytes
         return result.hit_mask
 
     def _replay_key(self, ids: np.ndarray, size_arr: np.ndarray,

@@ -1,4 +1,4 @@
-"""Hit/miss/eviction counters shared by every cache implementation."""
+"""Hit/miss/admission counters shared by every cache implementation."""
 
 from __future__ import annotations
 
@@ -7,15 +7,16 @@ from dataclasses import dataclass
 
 @dataclass
 class CacheStats:
-    """Counters accumulated by a cache across lookups and admissions."""
+    """Counters accumulated by a cache across lookups and admissions.
+
+    Bytes are booked once, by the loader's
+    :class:`~repro.storage.iostats.IOStats`; a cache counts events only.
+    """
 
     hits: int = 0
     misses: int = 0
     insertions: int = 0
-    evictions: int = 0
     rejected: int = 0
-    hit_bytes: float = 0.0
-    miss_bytes: float = 0.0
 
     @property
     def accesses(self) -> int:
@@ -36,12 +37,10 @@ class CacheStats:
             return 0.0
         return self.misses / self.accesses
 
-    def record_hit(self, nbytes: float = 0.0) -> None:
-        """Account a hit (optionally with the item's size)."""
+    def record_hit(self) -> None:
+        """Account a hit."""
         self.hits += 1
-        self.hit_bytes += nbytes
 
-    def record_miss(self, nbytes: float = 0.0) -> None:
-        """Account a miss (optionally with the item's size)."""
+    def record_miss(self) -> None:
+        """Account a miss."""
         self.misses += 1
-        self.miss_bytes += nbytes

@@ -22,9 +22,8 @@ stats-object updates.  This kernel replays the identical state machine as
   accounting is whole-page integer headroom, so an access costs a few
   array writes.  The loop fills the hit mask and counts misses, and a
   second C function walks each final list out front to end; then
-* a **vectorised epilogue** — hit pages and the insertion/eviction
-  counters follow from the hit mask, the stream's page counts and the
-  final list lengths.
+* a **vectorised epilogue** — the insertion/eviction counters follow
+  from the hit mask and the final list lengths.
 
 The core is compiled on the first replay that gets past the prologue,
 never at import, with the compiler CPython was built with (``cc`` when
@@ -41,9 +40,9 @@ The replay is pure integer arithmetic: the stream arrives as whole-page
 counts, both budgets as page counts, and the lists as ``(item_ids,
 page_counts)`` arrays.  The walk counts the same integers (page rounding
 lives in :class:`~repro.cache.page_cache.PageCache`, once per item and
-once per stream), so the hit mask, the hit pages, the eviction count and
-the *order* of both lists — observable through future evictions and
-demotions — equal the per-item walk's exactly.  The walk itself stays in
+once per stream), so the hit mask, the eviction count and the *order*
+of both lists — observable through future evictions and demotions —
+equal the per-item walk's exactly.  The walk itself stays in
 :class:`~repro.cache.page_cache.PageCache` as the executable
 specification; ``tests/test_properties.py`` property-tests the
 equivalence.  ``PageCache`` keeps its lists in the kernel's array form
@@ -346,7 +345,6 @@ class SegmentedLRUResult:
     hits: int
     misses: int
     pressure_evictions: int
-    hit_pages: int
     inactive: Tuple[np.ndarray, np.ndarray]
     active: Tuple[np.ndarray, np.ndarray]
 
@@ -384,8 +382,8 @@ def simulate_segmented_lru(
     res_pages = np.concatenate([init_in_pages, init_act_pages])
 
     # One int64 headroom bound: every page total the replay reaches (the
-    # occupancies, the core's room counters, the hit pages) is at most a
-    # budget plus one item's pages per access and per resident.
+    # occupancies and the core's room counters) is at most a budget plus
+    # one item's pages per access and per resident.
     least = min(int(stream_pages.min(initial=1)),
                 int(res_pages.min(initial=1)))
     most = max(int(stream_pages.max(initial=1)),
@@ -418,9 +416,8 @@ def simulate_segmented_lru(
     # algebra.  That is exact when no stream item is over-capacity (so
     # every miss admits) and every item's page count is consistent — one
     # value across its stream accesses, matching its resident page count
-    # — so a hit's pages can be read off the stream itself.  Real
-    # datasets always satisfy this; any other stream is declined and
-    # walked item by item.
+    # — so the counts can be prefilled once.  Real datasets always
+    # satisfy this; any other stream is declined and walked item by item.
     if n and int(stream_pages.max()) > capacity_pages:
         return None
     rep = np.zeros(num_dense, dtype=np.int64)
@@ -446,16 +443,14 @@ def simulate_segmented_lru(
         core, np.ascontiguousarray(dense_stream), rep, dense_in_arr,
         dense_act_arr, room=capacity_pages - in_total - act_total,
         aroom=active_limit_pages - act_total)
-    # Epilogue algebra: every miss was admitted, hit pages are the stream's
-    # own (consistent) page counts, and the eviction count is the
-    # occupancy balance of the replay.
+    # Epilogue algebra: every miss was admitted, and the eviction count is
+    # the occupancy balance of the replay.
     return SegmentedLRUResult(
         hit_mask=hit_mask,
         hits=n - misses,
         misses=misses,
         pressure_evictions=(misses + resident_ids.size
                             - final_in.size - final_act.size),
-        hit_pages=int(stream_pages[hit_mask].sum()),
         inactive=(universe[final_in], rep[final_in]),
         active=(universe[final_act], rep[final_act]),
     )

@@ -18,9 +18,8 @@ from repro.cluster.network import NetworkLink
 from repro.cluster.server import ServerConfig
 from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import BatchSampler, DistributedSampler
-from repro.pipeline.base import BatchFetchResult, DataLoader
+from repro.pipeline.base import DataLoader
 from repro.prep.pipeline import PrepPipeline
-from repro.storage.filestore import FileStore
 
 
 class PartitionedCoorDLLoader(DataLoader):
@@ -68,7 +67,7 @@ class PartitionedCoorDLLoader(DataLoader):
                                          rank=rank, seed=seed)
             loaders.append(cls(
                 dataset=dataset,
-                store=FileStore(dataset, server.storage),
+                storage=server.storage,
                 cache=group.caches[rank],
                 batch_sampler=BatchSampler(sampler, batch_size),
                 prep=prep,
@@ -81,44 +80,29 @@ class PartitionedCoorDLLoader(DataLoader):
             ))
         return loaders
 
-    def fetch_batch(self, batch: np.ndarray, at_time: float = 0.0) -> BatchFetchResult:
-        """Fetch one minibatch: local MinIO, then remote cache, then storage."""
+    def fetch_batch(self, batch: np.ndarray, at_time: float = 0.0) -> float:
+        """Fetch one minibatch: local MinIO, then remote cache, then storage.
+
+        Returns the fetch duration in seconds.
+        """
         duration = 0.0
-        hits = 0
-        misses = 0
-        disk_bytes = 0.0
-        cache_bytes = 0.0
-        remote_bytes = 0.0
         for raw_id in batch:
             item_id = int(raw_id)
             lookup = self._group.lookup(self._rank, item_id)
             size = lookup.size_bytes
             if lookup.source is LookupSource.LOCAL_CACHE:
-                hits += 1
-                cache_bytes += size
                 duration += self._dram.read_time(size)
                 self._io.record_cache(size)
             elif lookup.source is LookupSource.REMOTE_CACHE:
                 # A remote-cache hit avoids the fetch stall but is not a local
                 # cache hit; count it separately.
-                misses += 1
-                remote_bytes += size
                 duration += self._network.transfer_time(size)
                 self._io.record_remote(size)
             else:
-                misses += 1
-                disk_bytes += size
-                duration += self._store.read_bytes(size, at_time=at_time + duration)
+                duration += self._storage.read_time(size)
                 self._io.record_disk(size, at_time=at_time + duration)
                 self._group.admit_local(self._rank, item_id)
-        return BatchFetchResult(
-            duration_s=duration,
-            hits=hits,
-            misses=misses,
-            disk_bytes=disk_bytes,
-            cache_bytes=cache_bytes,
-            remote_bytes=remote_bytes,
-        )
+        return duration
 
     def batch_time_arrays(self, epoch_index: int) -> Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -131,9 +115,9 @@ class PartitionedCoorDLLoader(DataLoader):
         :meth:`~repro.cache.partitioned.PartitionedCacheGroup.bulk_epoch_lookup`
         call and charged to DRAM / network / storage in bulk, with exactly
         the side effects of the per-item :meth:`fetch_batch` loop (cache
-        counters and admissions, directory updates, loader and store I/O
-        accounting including the disk timeline).  Falls back (``None``,
-        without side effects) for repeated-item epochs.
+        counters and admissions, directory updates, I/O accounting
+        including the disk timeline).  Falls back (``None``, without side
+        effects) for repeated-item epochs.
         """
         plan = self._single_pass_epoch(epoch_index)
         if plan is None:
@@ -146,15 +130,11 @@ class PartitionedCoorDLLoader(DataLoader):
         item_times = np.empty(order.size, dtype=np.float64)
         item_times[local] = self._dram.read_times_array(sizes[local])
         item_times[remote] = self._network.transfer_times_array(sizes[remote])
-        item_times[storage] = self._store.bulk_read_times(sizes[storage])
+        item_times[storage] = self._storage.read_times_array(sizes[storage])
         clock = np.cumsum(item_times)
         if storage.any():
-            miss_sizes = sizes[storage]
-            # Store timeline at read start, loader timeline at completion,
-            # exactly as in the per-item path above.
-            self._store.record_bulk(miss_sizes,
-                                    at_times=clock[storage] - item_times[storage])
-            self._io.record_disk_bulk(miss_sizes, at_times=clock[storage])
+            # Timeline samples at read completion, as in the per-item path.
+            self._io.record_disk_bulk(sizes[storage], at_times=clock[storage])
         if local.any():
             self._io.record_cache_bulk(float(sizes[local].sum()), int(local.sum()))
         if remote.any():

@@ -2,7 +2,7 @@
 
 :class:`DistExecutor` implements the executor contract
 :meth:`repro.sim.sweep.SweepRunner.run` dispatches on — ``run_points(runner,
-indexed_points, chunksize, on_record)``, shared with
+indexed_points, on_record)``, shared with
 :class:`~repro.sim.sweep.SerialExecutor` and
 :class:`~repro.store.PersistentPool` — so ``runner.run(points,
 pool=DistExecutor([...]))`` fans a grid out across machines with the
@@ -131,8 +131,8 @@ class DistExecutor:
     Args:
         hosts: Worker agents as a ``"host:port,host:port"`` string or a
             sequence of ``"host:port"`` strings / ``(host, port)`` pairs.
-        chunksize: Default points per dispatched chunk (about four chunks
-            per host when ``None`` — the local pool's split).
+        chunksize: Points per dispatched chunk (about four chunks per
+            host when ``None`` — the local pool's split).
         kill_hook: Callable delivering one host-death fault (the chaos
             harness passes :meth:`~repro.dist.LocalWorkerFleet.kill_one`).
             Without a hook, ``host_kills`` entries are inert — the driver
@@ -306,7 +306,6 @@ class DistExecutor:
 
     def run_points(self, runner: SweepRunner,
                    indexed_points: List[Tuple[int, SweepPoint]],
-                   chunksize: Optional[int] = None,
                    on_record: Optional[Callable[[int, SweepRecord], None]]
                    = None) -> List[Tuple[int, SweepRecord]]:
         """Run indexed points across the fabric; return (index, record)s
@@ -327,22 +326,17 @@ class DistExecutor:
             return []
         with self._run_lock:
             return self._run_locked(runner.spec(), list(indexed_points),
-                                    chunksize, on_record)
+                                    on_record)
 
-    def _run_locked(self, spec, indexed_points, chunksize, on_record):
+    def _run_locked(self, spec, indexed_points, on_record):
         wire_spec = spec_to_wire(spec)
         live = [host for host in self._hosts if self._connect(host)]
         if not live:
             raise HostLostError(
                 f"no worker agent reachable (tried "
                 f"{[h.endpoint for h in self._hosts]})")
-        if chunksize is None:
-            chunksize = self._chunksize
-        if chunksize is None:
-            chunksize = max(1, math.ceil(len(indexed_points)
-                                         / (len(live) * 4)))
-        elif chunksize < 1:
-            raise ConfigurationError("chunksize must be at least 1")
+        chunksize = self._chunksize or max(
+            1, math.ceil(len(indexed_points) / (len(live) * 4)))
         chunks = [_Chunk(i, indexed_points[start:start + chunksize])
                   for i, start in enumerate(
                       range(0, len(indexed_points), chunksize))]

@@ -26,7 +26,6 @@ from repro.prep.workers import WorkerPool
 from repro.sim.engine import PipelineSimulator
 from repro.sim.single_server import build_loader, effective_batch_size
 from repro.sim.sweep import SweepPoint, SweepRunner
-from repro.storage.filestore import FileStore
 from repro.store import PersistentPool, StoreArg
 
 
@@ -58,7 +57,7 @@ def run_fig12(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
             # the hyper-threaded pool.
             loader = DataLoader(
                 dataset=dataset,
-                store=FileStore(dataset, server.storage),
+                storage=server.storage,
                 cache=PageCache(server.cache_bytes),
                 batch_sampler=BatchSampler(RandomSampler(len(dataset), seed=seed),
                                            batch_size),

@@ -6,12 +6,11 @@ DALI-shuffle, CoorDL and Py-CoorDL) is a :class:`DataLoader` assembled by
 library, a cache policy and an access order.
 """
 
-from repro.pipeline.base import BatchFetchResult, DataLoader
+from repro.pipeline.base import DataLoader
 from repro.pipeline.stats import EpochStats, TrainingRunStats
 
 __all__ = [
     "DataLoader",
-    "BatchFetchResult",
     "EpochStats",
     "TrainingRunStats",
 ]

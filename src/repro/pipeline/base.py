@@ -14,7 +14,6 @@ timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -24,29 +23,16 @@ from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import BatchSampler
 from repro.prep.pipeline import PrepPipeline
 from repro.prep.workers import WorkerPool
-from repro.storage.device import dram
-from repro.storage.filestore import FileStore
+from repro.storage.device import StorageDevice, dram
 from repro.storage.iostats import IOStats
 
 
-@dataclass
-class BatchFetchResult:
-    """Outcome of fetching one minibatch."""
-
-    duration_s: float
-    hits: int
-    misses: int
-    disk_bytes: float
-    cache_bytes: float
-    remote_bytes: float = 0.0
-
-
 class DataLoader:
-    """Cache-mediated fetch + CPU/GPU prep over a file store.
+    """Cache-mediated fetch + CPU/GPU prep over a storage device.
 
     Args:
         dataset: Dataset being trained on.
-        store: File store (dataset + storage device) serving cache misses.
+        storage: Storage device serving cache misses.
         cache: Cache the fetch path goes through.
         batch_sampler: Per-epoch batch order.
         prep: Pre-processing pipeline (cost model).
@@ -55,16 +41,19 @@ class DataLoader:
             prep offload capacity).
         name: Loader name results are reported under.
 
-    Cache hits are charged at DRAM speed and misses at the store's
-    random-read rate.
+    Cache hits are charged at DRAM speed and misses at the device's
+    random-read rate: the loaders read one small file per sample, far from
+    the large transfers sequential bandwidth needs.  Every read is booked
+    once, in :attr:`io`.
     """
 
-    def __init__(self, dataset: SyntheticDataset, store: FileStore, cache: Cache,
-                 batch_sampler: BatchSampler, prep: PrepPipeline, workers: WorkerPool,
-                 num_gpus: int = 1, name: str = "loader") -> None:
+    def __init__(self, dataset: SyntheticDataset, storage: StorageDevice,
+                 cache: Cache, batch_sampler: BatchSampler, prep: PrepPipeline,
+                 workers: WorkerPool, num_gpus: int = 1,
+                 name: str = "loader") -> None:
         self.name = name
         self._dataset = dataset
-        self._store = store
+        self._storage = storage
         self._cache = cache
         self._batch_sampler = batch_sampler
         self._prep = prep
@@ -79,11 +68,6 @@ class DataLoader:
     def cache(self) -> Cache:
         """Cache the fetch path goes through."""
         return self._cache
-
-    @property
-    def store(self) -> FileStore:
-        """Backing file store."""
-        return self._store
 
     @property
     def batch_sampler(self) -> BatchSampler:
@@ -110,38 +94,24 @@ class DataLoader:
 
     # -- fetch / prep ------------------------------------------------------
 
-    def fetch_batch(self, batch: np.ndarray, at_time: float = 0.0) -> BatchFetchResult:
+    def fetch_batch(self, batch: np.ndarray, at_time: float = 0.0) -> float:
         """Fetch one minibatch through the cache, charging device times.
 
         Mutates the cache (recency updates, admissions) and the I/O
-        accounting; returns the wall-clock duration of the fetch.
+        accounting; returns the wall-clock duration of the fetch in seconds.
         """
         duration = 0.0
-        hits = 0
-        misses = 0
-        disk_bytes = 0.0
-        cache_bytes = 0.0
         for raw_id in batch:
             item_id = int(raw_id)
             size = self._dataset.item_size(item_id)
             if self._cache.lookup(item_id):
-                hits += 1
-                cache_bytes += size
                 duration += self._dram.read_time(size)
                 self._io.record_cache(size)
             else:
-                misses += 1
-                disk_bytes += size
-                duration += self._store.read_bytes(size, at_time=at_time + duration)
+                duration += self._storage.read_time(size)
                 self._io.record_disk(size, at_time=at_time + duration)
                 self._cache.admit(item_id, size)
-        return BatchFetchResult(
-            duration_s=duration,
-            hits=hits,
-            misses=misses,
-            disk_bytes=disk_bytes,
-            cache_bytes=cache_bytes,
-        )
+        return duration
 
     def batch_time_arrays(self, epoch_index: int) -> Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -150,8 +120,7 @@ class DataLoader:
         Returns ``(fetch_s, cached_fetch_s, prep_s, batch_sizes)`` — one entry
         per minibatch — after applying exactly the side effects the per-batch
         :meth:`fetch_batch` loop would have applied (cache mutations and
-        counters, loader and store I/O accounting including the disk
-        timeline).  The cache applies the whole epoch through
+        counters, I/O accounting including the disk timeline).  The cache applies the whole epoch through
         :meth:`~repro.cache.base.Cache.bulk_epoch_hits`; a page cache, cold
         or warm, replays it with the segmented-LRU bulk kernel.  Returns
         ``None``, without side effects, when the epoch must be simulated
@@ -169,16 +138,13 @@ class DataLoader:
         item_times = np.where(
             hits,
             self._dram.read_times_array(sizes),
-            self._store.bulk_read_times(sizes))
+            self._storage.read_times_array(sizes))
         clock = np.cumsum(item_times)
         misses = ~hits
         if misses.any():
-            miss_sizes = sizes[misses]
-            # The store sees each read at its start time, the loader's
-            # timeline samples it at completion (as in the per-item path).
-            self._store.record_bulk(miss_sizes,
-                                    at_times=clock[misses] - item_times[misses])
-            self._io.record_disk_bulk(miss_sizes, at_times=clock[misses])
+            # The timeline samples each read at its completion, as in the
+            # per-item path.
+            self._io.record_disk_bulk(sizes[misses], at_times=clock[misses])
         if hits.any():
             self._io.record_cache_bulk(float(sizes[hits].sum()), int(hits.sum()))
         return self._epoch_arrays(batches, item_times, sizes)

@@ -245,13 +245,13 @@ class PipelineSimulator:
         batch_sizes: List[int] = []
         clock = 0.0
         for batch in loader.batches(epoch_index):
-            result = loader.fetch_batch(batch, at_time=clock)
-            fetch_s.append(result.duration_s)
+            duration = loader.fetch_batch(batch, at_time=clock)
+            fetch_s.append(duration)
             cached_fetch_s.append(loader.cached_fetch_time(batch))
             prep_s.append(loader.prep_batch_time(batch))
             gpu_s.append(self.gpu_batch_time(loader, len(batch)))
             batch_sizes.append(len(batch))
-            clock += result.duration_s
+            clock += duration
         return BatchTimes(fetch_s, cached_fetch_s, prep_s, gpu_s, batch_sizes)
 
     def run_epoch(self, loader: DataLoader, epoch_index: int) -> EpochStats:

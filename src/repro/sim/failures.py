@@ -17,7 +17,8 @@ module simulates four of them on top of the existing substrates:
   PartitionedCacheGroup`) between epochs.  Joiners arrive cold and warm
   through misses; leavers drop their cached bytes, which survivors
   re-fetch from storage.  An empty schedule is exactly the static
-  membership run (:meth:`FailureScenario.run_static` — property-tested).
+  membership run: it equals :meth:`FailureScenario.run_straggler` with no
+  slowdowns bit for bit (property-tested).
 * **straggler** (:meth:`FailureScenario.run_straggler`) — static
   membership, but per-server fetch-side slowdown factors skew the
   network/disk rates; the lockstep epoch is bound by the slowest rank.
@@ -47,8 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache
@@ -311,15 +310,6 @@ class FailureScenario:
             remote_bytes=remote_total,
             cache_miss_ratio=safe_div(misses, num_items),
             active=len(active))
-
-    def run_static(self, num_servers: int,
-                   num_epochs: int) -> FailureScenarioResult:
-        """Fixed-membership partitioned run (the elastic kind's baseline).
-
-        Exactly what :meth:`run_elastic` degenerates to when the schedule
-        is empty — asserted bit for bit by the property tests.
-        """
-        return self.run_elastic(num_servers, (), num_epochs)
 
     def run_elastic(self, num_servers: int,
                     membership_schedule: Sequence[Tuple[int, int]],

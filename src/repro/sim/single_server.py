@@ -26,7 +26,6 @@ from repro.prep.pipeline import PrepPipeline
 from repro.sim.engine import PipelineSimulator
 from repro.sim.kinds import (PointContext, PointFamily, PointKind,
                              dataclass_codec)
-from repro.storage.filestore import FileStore
 
 #: Prep libraries that can offload decode and augmentation to the GPUs:
 #: DALI's nvJPEG path can; Pillow, the PyTorch DataLoader's, cannot.
@@ -177,7 +176,7 @@ def build_loader(kind: str, dataset: SyntheticDataset, server: ServerConfig,
         sampler = RandomSampler(len(dataset), seed=seed)
     return DataLoader(
         dataset=dataset,
-        store=FileStore(dataset, server.storage),
+        storage=server.storage,
         cache=recipe.cache(server.cache_bytes),
         batch_sampler=BatchSampler(sampler, batch_size),
         prep=PrepPipeline.for_dataset(dataset, recipe.library),

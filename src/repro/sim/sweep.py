@@ -660,7 +660,7 @@ class SweepRunner:
     # -- execution ----------------------------------------------------------
 
     def run(self, points: Iterable[SweepPoint], workers: Optional[int] = None,
-            chunksize: Optional[int] = None, store: "StoreArg" = None,
+            store: "StoreArg" = None,
             pool: Optional["PersistentPool"] = None,
             on_record: Optional[Callable[[int, SweepRecord], None]] = None,
             ) -> SweepResult:
@@ -678,8 +678,6 @@ class SweepRunner:
                 (oversubscribing a small machine degrades toward serial
                 speed, it never helps).  Results are byte-identical for
                 every value.
-            chunksize: Points pickled to a worker per task (default: grid
-                split into about four chunks per worker).
             store: Content-addressed result store
                 (:class:`repro.store.SweepStore`, or a directory path).
                 Points whose key is already stored are rehydrated instead
@@ -723,8 +721,6 @@ class SweepRunner:
 
         points = list(points)
         workers = self._resolve_workers(workers)
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError("chunksize must be at least 1")
         records: List[Optional[SweepRecord]] = [None] * len(points)
         sweep_store = resolve_store(store)
         if sweep_store is not None:
@@ -785,8 +781,7 @@ class SweepRunner:
                 executor = one_shot = PersistentPool(min(workers,
                                                          len(to_run)))
             try:
-                executor.run_points(self, to_run, chunksize,
-                                    on_record=commit)
+                executor.run_points(self, to_run, on_record=commit)
             finally:
                 if one_shot is not None:
                     one_shot.close(drain=False)
@@ -822,24 +817,22 @@ class SerialExecutor:
     """The in-process executor: every point on the calling thread.
 
     It implements the executor contract every ``SweepRunner.run`` dispatch
-    goes through — ``run_points(runner, indexed_points, chunksize=None,
-    on_record=None)``: run every point, stream each success through
-    ``on_record``, then raise the lowest failing input index as a labelled
-    :class:`SweepPointError` (:func:`_raise_lowest_failure`).
+    goes through — ``run_points(runner, indexed_points, on_record=None)``:
+    run every point, stream each success through ``on_record``, then raise
+    the lowest failing input index as a labelled :class:`SweepPointError`
+    (:func:`_raise_lowest_failure`).
     :class:`repro.store.PersistentPool` and
     :class:`repro.dist.DistExecutor` implement the same contract across
     processes and hosts.
 
     Points run through ``runner._run_point`` looked up on the caller's
     runner, so they share that runner's dataset and sampler memos, and
-    the only per-point overhead is the call itself.  ``chunksize`` has no
-    meaning in-process and is ignored.  Stateless, hence thread-safe:
-    :data:`SERIAL_EXECUTOR` is the one shared instance.
+    the only per-point overhead is the call itself.  Stateless, hence
+    thread-safe: :data:`SERIAL_EXECUTOR` is the one shared instance.
     """
 
     def run_points(self, runner: SweepRunner,
                    indexed_points: List[Tuple[int, SweepPoint]],
-                   chunksize: Optional[int] = None,
                    on_record: Optional[Callable[[int, SweepRecord], None]]
                    = None) -> List[Tuple[int, SweepRecord]]:
         ran: List[Tuple[int, SweepRecord]] = []

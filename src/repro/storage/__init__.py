@@ -1,7 +1,6 @@
-"""Storage substrate: device models, file store, and I/O accounting."""
+"""Storage substrate: device models and I/O accounting."""
 
 from repro.storage.device import StorageDevice, dram, hdd, sata_ssd
-from repro.storage.filestore import FileStore
 from repro.storage.iostats import IOStats
 
-__all__ = ["StorageDevice", "FileStore", "IOStats", "sata_ssd", "hdd", "dram"]
+__all__ = ["StorageDevice", "IOStats", "sata_ssd", "hdd", "dram"]

@@ -1,33 +1,29 @@
 """I/O accounting.
 
-Every read performed against a :class:`~repro.storage.filestore.FileStore`
-is recorded here: bytes and requests by source (storage, cache, remote), plus
-an optional time-series of (virtual time, cumulative disk bytes) samples used
-to reproduce the disk-I/O-over-time plots (Fig. 11).
+A loader books every item read here, once: bytes and requests by source
+(storage, local cache, remote cache), plus a time series of (virtual time,
+cumulative disk bytes) samples used to reproduce the disk-I/O-over-time
+plots (Fig. 11).  It is the one ledger of a simulated read: the epoch
+statistics, the snapshots and every experiment read these counters.
 
-The timeline is materialised lazily: the vectorised fetch path records whole
-epochs as numpy array chunks, and the per-sample ``(time, bytes)`` tuples are
-only built when :attr:`IOStats.timeline` is actually read (the Fig. 11
-experiment and :meth:`IOStats.merged_with`; most sweeps never look).
-:attr:`IOStats.timeline_columns` reads and installs the same samples as two
-float64 columns without building a tuple.  The snapshot codec
-(:meth:`IOStats.snapshot` / :meth:`IOStats.from_snapshot`) goes through it,
-so a store hit, a store put or a wire hop handles each timeline as two
-arrays, never sample by sample.
-
-Recording is single-threaded (it happens inside one simulation), but
-*reading* is not: concurrent store writers snapshot the same finished
-record from several threads (``repro.store``'s write-once puts race by
-design).  Samples and pending chunks therefore live in one tuple attribute
-that materialisation replaces atomically — concurrent readers either
-re-merge to the identical list or see the final state, never a partially
-materialised or double-extended timeline.
+The timeline is kept in one form, a list of ``(times, cumulative)`` chunks
+in recording order: the vectorised fetch path appends one float64 array
+pair per epoch, and the per-item path one pair of 1-tuples per read.
+:attr:`IOStats.timeline_columns` joins them into two float64 columns, and
+:attr:`IOStats.timeline` derives ``(time, bytes)`` tuples from those.
+Reading never mutates the chunks, so concurrent readers (the store's
+write-once puts snapshot one finished record from several threads) always
+see the same samples.  The snapshot codec (:meth:`IOStats.snapshot` /
+:meth:`IOStats.from_snapshot`) goes through the columns, so a store hit, a
+store put or a wire hop handles each timeline as two arrays, never sample
+by sample.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
+from itertools import chain, groupby
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +35,22 @@ _COUNTERS = ("disk_bytes", "disk_requests", "cache_bytes", "cache_requests",
              "remote_bytes", "remote_requests")
 
 
+def _column(parts: Sequence[Sequence[float]]) -> np.ndarray:
+    """One timeline column: its chunks joined into a new float64 array.
+
+    Array chunks join as they are; each run of per-read 1-tuples becomes
+    one array in a single ``fromiter`` pass, far cheaper than converting
+    the tuples one by one.
+    """
+    pieces: List[np.ndarray] = []
+    for kind, run in groupby(parts, type):
+        if kind is tuple:
+            pieces.append(np.fromiter(chain.from_iterable(run), np.float64))
+        else:
+            pieces.extend(run)
+    return np.concatenate(pieces) if pieces else np.empty(0)
+
+
 class IOStats:
     """Counters for one loader / one epoch / one server (caller's choice).
 
@@ -46,10 +58,9 @@ class IOStats:
         disk_bytes / disk_requests: Reads served by the storage device.
         cache_bytes / cache_requests: Reads served from the local DRAM cache.
         remote_bytes / remote_requests: Reads served from a remote server.
-        timeline: ``(virtual time, cumulative disk bytes)`` samples, one per
-            disk read recorded with a timestamp (lazily materialised).
-        timeline_columns: The same samples as ``(times, cumulative disk
-            bytes)`` float64 arrays (no tuples built).
+        timeline_columns: ``(times, cumulative disk bytes)`` float64 arrays,
+            one sample per disk read recorded with a timestamp.
+        timeline: The same samples as ``(time, bytes)`` tuples (derived).
     """
 
     def __init__(self, disk_bytes: float = 0.0, disk_requests: int = 0,
@@ -61,11 +72,9 @@ class IOStats:
         self.cache_requests = cache_requests
         self.remote_bytes = remote_bytes
         self.remote_requests = remote_requests
-        # (materialised samples, pending array chunks) — always read and
-        # replaced as one tuple so concurrent timeline reads are coherent.
-        self._timeline_state: Tuple[List[Tuple[float, float]],
-                                    List[Tuple[np.ndarray, np.ndarray]]] = (
-            [], [])
+        # (times, cumulative disk bytes) chunks in recording order; a chunk
+        # is never changed once appended.
+        self._chunks: List[Tuple[Sequence[float], Sequence[float]]] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IOStats(disk_bytes={self.disk_bytes}, "
@@ -75,60 +84,33 @@ class IOStats:
 
     @property
     def timeline(self) -> List[Tuple[float, float]]:
-        """Per-read ``(time, cumulative disk bytes)`` samples, materialised.
-
-        Safe under concurrent readers: the merge builds a fresh list from
-        one coherent ``(samples, chunks)`` snapshot and publishes it in a
-        single attribute assignment.  Racing readers repeat the identical
-        merge; none ever extends a list another reader already returned.
-        """
-        samples, chunks = self._timeline_state
-        if chunks:
-            merged = list(samples)
-            for times, cumulative in chunks:
-                merged.extend(zip(times.tolist(), cumulative.tolist()))
-            self._timeline_state = (merged, [])
-            return merged
-        return samples
-
-    @timeline.setter
-    def timeline(self, samples: Sequence[Tuple[float, float]]) -> None:
-        self._timeline_state = (list(samples), [])
+        """Per-read ``(time, cumulative disk bytes)`` samples, as a new list."""
+        times, cumulative = self.timeline_columns
+        return list(zip(times.tolist(), cumulative.tolist()))
 
     @property
     def timeline_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The timeline as ``(times, cumulative disk bytes)`` float64 arrays.
-
-        Same samples, same order and same bits as :attr:`timeline`, read
-        without building a tuple or materialising pending chunks.
-        """
-        samples, chunks = self._timeline_state
-        if samples:
-            pairs = np.array(samples, dtype=np.float64)
-            chunks = [(pairs[:, 0], pairs[:, 1])] + chunks
-        if not chunks:
-            return np.empty(0), np.empty(0)
-        return (np.concatenate([times for times, _ in chunks]),
-                np.concatenate([cumulative for _, cumulative in chunks]))
+        """The timeline as ``(times, cumulative disk bytes)`` float64 arrays."""
+        chunks = self._chunks
+        return (_column([times for times, _ in chunks]),
+                _column([cumulative for _, cumulative in chunks]))
 
     @timeline_columns.setter
     def timeline_columns(self, columns: Tuple[np.ndarray, np.ndarray]) -> None:
-        """Install the timeline as one pending chunk (tuples built on read)."""
+        """Replace the timeline with the given columns (one chunk)."""
         times, cumulative = (np.asarray(c, dtype=np.float64) for c in columns)
         if times.shape != cumulative.shape or times.ndim != 1:
             raise ValueError("timeline columns must be two equal-length "
                              "1-D arrays")
-        self._timeline_state = ([], [(times, cumulative)] if times.size
-                                else [])
+        self._chunks = [(times, cumulative)] if times.size else []
 
     def record_disk(self, nbytes: float, at_time: float | None = None) -> None:
         """Account one read served by the storage device."""
         self.disk_bytes += nbytes
         self.disk_requests += 1
         if at_time is not None:
-            # Materialises pending chunks first so samples stay in order
-            # (recording is single-threaded; see module docstring).
-            self.timeline.append((at_time, self.disk_bytes))
+            # 1-tuples, not arrays: the per-item walk appends one per read.
+            self._chunks.append(((at_time,), (self.disk_bytes,)))
 
     def record_disk_bulk(self, sizes: Sequence[float],
                          at_times: Optional[Sequence[float]] = None) -> None:
@@ -136,17 +118,12 @@ class IOStats:
 
         Equivalent to calling :meth:`record_disk` once per entry of ``sizes``
         (zipped with ``at_times`` when given), including the per-read
-        cumulative-byte samples of :attr:`timeline` — but the samples stay as
-        array chunks until the timeline is read.
+        cumulative-byte samples of the timeline, which land as one chunk.
         """
         sizes = np.asarray(sizes, dtype=np.float64)
         if at_times is not None:
-            cumulative = self.disk_bytes + np.cumsum(sizes)
-            samples, chunks = self._timeline_state
-            self._timeline_state = (
-                samples,
-                chunks + [(np.asarray(at_times, dtype=np.float64),
-                           cumulative)])
+            self._chunks.append((np.asarray(at_times, dtype=np.float64),
+                                 self.disk_bytes + np.cumsum(sizes)))
         self.disk_bytes += float(sizes.sum())
         self.disk_requests += int(sizes.size)
 
@@ -194,40 +171,13 @@ class IOStats:
 
     def copy(self) -> "IOStats":
         """Snapshot of the counters (timeline chunks shared, not re-built)."""
-        snapshot = IOStats(
-            disk_bytes=self.disk_bytes,
-            disk_requests=self.disk_requests,
-            cache_bytes=self.cache_bytes,
-            cache_requests=self.cache_requests,
-            remote_bytes=self.remote_bytes,
-            remote_requests=self.remote_requests,
-        )
-        samples, chunks = self._timeline_state
-        snapshot._timeline_state = (list(samples), list(chunks))
+        snapshot = IOStats(*(getattr(self, name) for name in _COUNTERS))
+        snapshot._chunks = list(self._chunks)
         return snapshot
-
-    def merged_with(self, other: "IOStats") -> "IOStats":
-        """Return the element-wise sum of two counters (timelines concatenated)."""
-        merged = IOStats(
-            disk_bytes=self.disk_bytes + other.disk_bytes,
-            disk_requests=self.disk_requests + other.disk_requests,
-            cache_bytes=self.cache_bytes + other.cache_bytes,
-            cache_requests=self.cache_requests + other.cache_requests,
-            remote_bytes=self.remote_bytes + other.remote_bytes,
-            remote_requests=self.remote_requests + other.remote_requests,
-        )
-        merged.timeline = sorted(self.timeline + other.timeline)
-        return merged
 
     def reset(self) -> None:
         """Zero all counters (e.g. between warm-up and measured epochs)."""
-        self.disk_bytes = 0.0
-        self.disk_requests = 0
-        self.cache_bytes = 0.0
-        self.cache_requests = 0
-        self.remote_bytes = 0.0
-        self.remote_requests = 0
-        self._timeline_state = ([], [])
+        self.__init__()
 
     def snapshot(self, include_timeline: bool = False) -> Dict[str, Any]:
         """Canonical byte-exact form of the counters (floats as ``float.hex``).

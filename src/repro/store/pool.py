@@ -235,8 +235,8 @@ class PersistentPool:
             are clamped to it — oversubscribing a small machine only adds
             spawn cost and contention).  The processes are spawned lazily
             on the first run and kept until :meth:`close`.
-        chunksize: Default points per pickled task (per run: about four
-            chunks per worker when ``None``).
+        chunksize: Points per pickled task (per run: about four chunks
+            per worker when ``None``).
 
     Dying workers cost up to :data:`DEFAULT_MAX_RESPAWNS` rebuilds per
     :meth:`run_points` call; the pool delivers the worker-kill schedule of
@@ -334,7 +334,6 @@ class PersistentPool:
 
     def run_points(self, runner: SweepRunner,
                    indexed_points: List[Tuple[int, SweepPoint]],
-                   chunksize: Optional[int] = None,
                    on_record: Optional[Callable[[int, SweepRecord], None]]
                    = None) -> List[Tuple[int, SweepRecord]]:
         """Simulate indexed points of ``runner``; return (index, record)s.
@@ -352,13 +351,8 @@ class PersistentPool:
         """
         if not indexed_points:
             return []
-        if chunksize is None:
-            chunksize = self._chunksize
-        if chunksize is None:
-            chunksize = max(1, math.ceil(len(indexed_points)
-                                         / (self._workers * 4)))
-        elif chunksize < 1:
-            raise ConfigurationError("chunksize must be at least 1")
+        chunksize = self._chunksize or max(
+            1, math.ceil(len(indexed_points) / (self._workers * 4)))
         spec = runner.spec()
         tasks = [(spec, index, point) for index, point in indexed_points]
         chunks = [tasks[start:start + chunksize]

@@ -199,7 +199,6 @@ class TestCacheProperties:
             if not hit and cache.admit(item, size):
                 admitted.add(item)
             assert cache.used_bytes <= capacity + 1e-9
-        assert cache.stats.evictions == 0
         # Everything admitted is still resident (the MinIO invariant).
         for item in admitted:
             assert item in cache
@@ -409,7 +408,7 @@ class TestMakespanProperties:
             assert bulk_hits.tolist() == scalar_hits
             assert list(bulk.cached_items()) == list(scalar.cached_items())
             assert bulk.used_bytes == scalar.used_bytes
-            # Every counter, hit_bytes included, bit for bit.
+            # Every counter.
             assert bulk.stats == scalar.stats
             # The residency table the bulk path sets in place stays exact.
             assert bulk.contains_array(np.arange(num_items)).tolist() == [
@@ -471,10 +470,7 @@ class TestMakespanProperties:
                 assert list(bulk_cache.cached_items()) == list(
                     ref_cache.cached_items())
                 assert bulk_cache.used_bytes == ref_cache.used_bytes
-                for field in ("hits", "misses", "insertions", "evictions",
-                              "rejected"):
-                    assert getattr(bulk_cache.stats, field) == getattr(
-                        ref_cache.stats, field)
+                assert bulk_cache.stats == ref_cache.stats
             assert [bulk.owner_of(i) for i in range(num_items)] == [
                 scalar.owner_of(i) for i in range(num_items)]
 
@@ -529,8 +525,7 @@ class TestMakespanProperties:
         size per item, matching its resident size, none over capacity) must
         run the kernel; any other stream must make the kernel decline with
         no side effects, so the entry walks.  Either way the hit mask,
-        every stats counter (including exact ``hit_bytes``), the split
-        eviction counters, the byte occupancies and the *order* of both
+        every stats counter, the split eviction counters, the byte occupancies and the *order* of both
         lists — what future evictions observe — must all be equal.
         """
         page = float(2 ** page_pow)
@@ -572,9 +567,7 @@ class TestMakespanProperties:
         assert bulk.evictions == scalar.evictions
         assert bulk.pressure_evictions == scalar.pressure_evictions
         assert bulk.explicit_evictions == scalar.explicit_evictions
-        for field in ("hits", "misses", "insertions", "rejected",
-                      "hit_bytes", "miss_bytes"):
-            assert getattr(bulk.stats, field) == getattr(scalar.stats, field)
+        assert bulk.stats == scalar.stats
         # Ordering-observable future evictions: keep streaming until the
         # caches churn again and re-compare the hit masks.
         tail = rng.permutation(num_items).astype(np.int64)
@@ -665,14 +658,14 @@ class TestMakespanProperties:
 # Replay memo -------------------------------------------------------------------
 
 #: One-input changes to a replay: each kernel input must miss the memo and
-#: replay; the prior hit bytes, which are no kernel input, must hit it.
-REPLAY_CHANGES = ("size", "capacity", "order", "stored", "prior_hit_bytes")
+#: replay.
+REPLAY_CHANGES = ("size", "capacity", "order", "stored")
 
 
 def _cache_copy(cache: PageCache, active_target: float,
                 capacity: float | None = None, lists=None) -> PageCache:
     """A fresh page cache holding ``lists`` (default: ``cache``'s
-    resident lists) and ``cache``'s hit bytes, optionally resized; built
+    resident lists) and zeroed counters, optionally resized; built
     through per-item calls, so its lists are OrderedDicts."""
     inactive, active = cache.resident_lists() if lists is None else lists
     twin = PageCache(cache.capacity_bytes if capacity is None else capacity,
@@ -685,7 +678,6 @@ def _cache_copy(cache: PageCache, active_target: float,
         twin.admit(item, stored)
     assert twin.resident_lists() == (inactive, active)
     twin.reset_stats()
-    twin.stats.hit_bytes = cache.stats.hit_bytes
     return twin
 
 
@@ -704,9 +696,8 @@ class TestReplayMemoProperties:
             passes, warm_fraction):
         """Under an active memo, replaying one input twice runs the kernel
         once and leaves the cache exactly as an unmemoised replay does;
-        changing any single kernel input misses the memo and replays, while
-        a cache that differs only in its prior hit bytes hits it and still
-        ends as an unmemoised replay does.  A stream the kernel declines (an
+        changing any single kernel input misses the memo and replays.  A
+        stream the kernel declines (an
         item over capacity, or a size or stored-size change that makes an
         item's page count inconsistent) is walked on every call and never
         kept."""
@@ -723,7 +714,6 @@ class TestReplayMemoProperties:
         for item in warm.tolist()[::3]:
             base.lookup(item)               # promote a third to active
         base.reset_stats()
-        base.stats.hit_bytes = page * int(rng.integers(0, 4))
         stream = np.concatenate([rng.permutation(num_items)
                                  for _ in range(passes)]).astype(np.int64)
         sizes = item_sizes[stream]
@@ -744,9 +734,10 @@ class TestReplayMemoProperties:
         elif change == "order":
             members[0], members[1] = members[1], members[0]
             changed = _cache_copy(base, active_target, lists=lists)
-        elif change == "stored":
-            # One resident's stored size grows by a page and another's
-            # shrinks by one, so the occupancies (also keyed) stay put.
+        else:
+            # "stored": one resident's stored size grows by a page and
+            # another's shrinks by one, so the occupancies (also keyed)
+            # stay put.
             donors = [i for i, (_item, stored) in enumerate(members)
                       if stored >= 2 * page]
             assume(donors)
@@ -755,8 +746,6 @@ class TestReplayMemoProperties:
             for i, delta in ((donor, -page), (receiver, page)):
                 members[i] = (members[i][0], members[i][1] + delta)
             changed = _cache_copy(base, active_target, lists=lists)
-        else:
-            changed.stats.hit_bytes += page
 
         plain = _cache_copy(base, active_target)
         expected = _replay_state(plain, plain.bulk_stream_hits(stream, sizes))
@@ -781,8 +770,7 @@ class TestReplayMemoProperties:
                 assert (memo.hits, memo.misses, len(memo)) == (0, 2, 0)
             calls = kernel.call_count
             hits = changed.bulk_stream_hits(stream, changed_sizes)
-            memo_hit = replayable and change == "prior_hit_bytes"
-            assert kernel.call_count == calls + (not memo_hit)
+            assert kernel.call_count == calls + 1
             assert _replay_state(changed, hits) == expected_changed
 
 
@@ -905,8 +893,8 @@ class TestSnapshotCodecProperties:
                              dataset="openimages"),
             dataset_name="openimages", loader_name="coordl", run=run)
 
-        # Encoded while the recorded chunks are still pending, and passed
-        # through JSON text as the store and both wire protocols pass it.
+        # Encoded straight from the recorded chunks, and passed through
+        # JSON text as the store and both wire protocols pass it.
         full = json.loads(json.dumps(record.snapshot(include_timeline=True)))
         digest = record.snapshot()["epochs"][0]["io"]["timeline_digest"]
 

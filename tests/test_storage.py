@@ -1,4 +1,4 @@
-"""Unit tests for storage devices, the file store, and I/O accounting."""
+"""Unit tests for storage devices and I/O accounting."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro import units
 from repro.exceptions import ConfigurationError
 from repro.storage.device import StorageDevice, dram, hdd, sata_ssd
-from repro.storage.filestore import FileStore
 from repro.storage.iostats import IOStats
 
 
@@ -43,6 +42,12 @@ class TestStorageDevice:
         with pytest.raises(ConfigurationError):
             sata_ssd().read_time(-1)
 
+    def test_read_times_array_equals_per_read_read_time(self, tiny_dataset):
+        disk = hdd()
+        sizes = tiny_dataset.item_sizes(np.arange(8))
+        assert disk.read_times_array(sizes).tolist() == [
+            disk.read_time(size) for size in sizes.tolist()]
+
 
 class TestIOStats:
     def test_counters_accumulate_by_source(self):
@@ -67,22 +72,31 @@ class TestIOStats:
         assert stats.cache_hit_ratio == pytest.approx(0.5)
         assert stats.miss_ratio == pytest.approx(0.5)
 
-    def test_merge_and_reset(self):
-        a, b = IOStats(), IOStats()
-        a.record_disk(10.0, at_time=0.5)
-        b.record_cache(5.0)
-        merged = a.merged_with(b)
-        assert merged.disk_bytes == 10.0
-        assert merged.cache_bytes == 5.0
-        a.reset()
-        assert a.disk_bytes == 0.0
-        assert a.timeline == []
+    def test_reset(self):
+        stats = IOStats()
+        stats.record_disk(10.0, at_time=0.5)
+        stats.record_cache(5.0)
+        stats.reset()
+        assert stats.disk_bytes == 0.0
+        assert stats.total_requests == 0
+        assert stats.timeline == []
 
-    def test_bulk_timeline_materialises_lazily_and_in_order(self):
+    def test_bulk_and_per_read_samples_keep_recording_order(self):
         stats = IOStats()
         stats.record_disk_bulk([10.0, 20.0], at_times=[0.1, 0.2])
         stats.record_disk(5.0, at_time=0.3)
         assert stats.timeline == [(0.1, 10.0), (0.2, 30.0), (0.3, 35.0)]
+        times, cumulative = stats.timeline_columns
+        assert times.tolist() == [0.1, 0.2, 0.3]
+        assert cumulative.tolist() == [10.0, 30.0, 35.0]
+
+    def test_timeline_is_derived_on_every_read(self):
+        stats = IOStats()
+        stats.record_disk(5.0, at_time=0.3)
+        stats.timeline.append((9.0, 9.0))
+        assert stats.timeline == [(0.3, 5.0)]
+        with pytest.raises(AttributeError):
+            stats.timeline = []
 
     def test_concurrent_timeline_reads_materialise_once(self):
         """Regression: concurrent store writers snapshot the same finished
@@ -116,40 +130,3 @@ class TestIOStats:
             assert all(len(r) == expected_len for r in results)
             assert all(r == results[0] for r in results)
             assert len(stats.timeline) == expected_len
-
-
-class TestFileStore:
-    def test_reads_account_bytes_and_return_durations(self, tiny_dataset):
-        store = FileStore(tiny_dataset, sata_ssd())
-        duration = store.read_item(0)
-        assert duration > 0
-        assert store.stats.disk_bytes == pytest.approx(tiny_dataset.item_size(0))
-        assert store.stats.disk_requests == 1
-
-    def test_reads_are_charged_at_the_random_read_rate(self, tiny_dataset):
-        """One small file per sample never reaches sequential bandwidth,
-        DALI-seq's storage-order scan included."""
-        disk = hdd()
-        store = FileStore(tiny_dataset, disk)
-        size = tiny_dataset.item_size(0)
-        assert store.read_item(0) == disk.read_time(size, sequential=False)
-        assert store.read_item(0) > disk.read_time(size, sequential=True)
-        assert store.read_bytes(size) == store.read_item(0)
-
-    def test_bulk_read_times_match_single_reads_and_record_nothing(
-            self, tiny_dataset):
-        store = FileStore(tiny_dataset, hdd())
-        sizes = tiny_dataset.item_sizes(np.arange(8))
-        times = store.bulk_read_times(sizes)
-        assert store.stats.disk_requests == 0
-        store.record_bulk(sizes.tolist())
-        assert store.stats.disk_requests == 8
-        assert store.stats.disk_bytes == pytest.approx(sizes.sum())
-        assert times.tolist() == pytest.approx(
-            [store.read_item(i) for i in range(8)], rel=1e-12)
-
-    def test_reset_stats(self, tiny_dataset):
-        store = FileStore(tiny_dataset, sata_ssd())
-        store.read_item(1)
-        store.reset_stats()
-        assert store.stats.disk_requests == 0

@@ -472,9 +472,10 @@ class TestCorruptionAndInvalidation:
         snapshot = entry if sqlite else entry["record"]
         record = SweepRecord.from_snapshot(snapshot)
         index = next(i for i, epoch in enumerate(record.run.epochs)
-                     if epoch.io.timeline)
+                     if epoch.io.disk_requests)
         io = record.run.epochs[index].io
-        io.timeline = io.timeline[:-1]
+        times, cumulative = io.timeline_columns
+        io.timeline_columns = (times[:-1], cumulative[:-1])
         snapshot["epochs"][index]["io"]["timeline"] = record.snapshot(
             include_timeline=True)["epochs"][index]["io"]["timeline"]
         data = json.dumps(entry, sort_keys=True,

@@ -63,7 +63,8 @@ class TestParallelExecution:
         monkeypatch.setattr("os.cpu_count", lambda: 2)  # force a real pool
         points = _mixed_grid()
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
-        chunked = runner.run(points, workers=2, chunksize=1).snapshot()
+        with PersistentPool(2, chunksize=1) as pool:
+            chunked = runner.run(points, pool=pool).snapshot()
         assert chunked == _snapshot(points, workers=0)
 
     def test_single_point_grid_never_spawns_a_pool(self, monkeypatch):
@@ -101,14 +102,12 @@ class TestParallelExecution:
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         assert len(runner.run(_mixed_grid()[:2], workers=0)) == 2
 
-    def test_rejects_bad_worker_and_chunk_settings(self, monkeypatch):
+    def test_rejects_bad_worker_settings(self, monkeypatch):
         runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
         point = SweepPoint(model=RESNET18, loader="coordl",
                            dataset="openimages", cache_fraction=0.5)
         with pytest.raises(ConfigurationError):
             runner.run([point], workers=-1)
-        with pytest.raises(ConfigurationError):
-            runner.run([point, point], workers=2, chunksize=0)
         monkeypatch.setenv(WORKERS_ENV_VAR, "two")
         with pytest.raises(ConfigurationError):
             runner.run([point])

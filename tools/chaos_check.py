@@ -8,6 +8,10 @@ supervised worker pool — and enforces the resilience contract:
 * the plan's faults actually fire: at least one worker is SIGKILLed and
   at least two transient store errors are injected *per grid* (a gate
   that injects nothing proves nothing);
+* a kill interrupts work: over each backend's pass the pool respawns at
+  least once and re-runs at least one point (a kill that lands after a
+  grid has drained leaves both at zero and proves nothing about
+  recovery);
 * every grid completes **byte-identical** to its committed
   ``tests/golden`` snapshot despite the murdered workers and failing
   store — recovery re-runs are exact, retries are absorbed, and the
@@ -114,8 +118,8 @@ def run_grid_under_chaos(name: str, location: str, backend: str,
             f"contract under faults: {violations}")
     if counters["worker_kills"] < 1:
         raise AssertionError(
-            f"[{backend}] {name}: the plan delivered no worker kill — "
-            f"the supervised-pool path was not exercised")
+            f"[{backend}] {name}: the plan delivered no worker kill to "
+            f"this grid's pool")
     if counters["transient_store_faults"] < 2:
         raise AssertionError(
             f"[{backend}] {name}: expected >= 2 injected transient store "
@@ -231,6 +235,15 @@ def main() -> int:
     }
     REPORT_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")
+    for backend, result in per_backend.items():
+        totals = result["totals"]
+        if totals["respawns"] < 1 or totals["reruns"] < 1:
+            raise AssertionError(
+                f"[{backend}] no worker kill interrupted work: "
+                f"{totals['worker_kills']} kill(s) gave {totals['respawns']} "
+                f"respawns and {totals['reruns']} re-run points, so the "
+                f"kill -> respawn -> re-run path did not run "
+                f"(counters in {REPORT_PATH.name})")
     for backend, result in per_backend.items():
         totals = result["totals"]
         print(f"chaos-check[{backend}]: {len(grid_names)} golden grids "
