@@ -13,6 +13,7 @@ from repro.coordl.partitioned_loader import PartitionedCoorDLLoader
 from repro.exceptions import ConfigurationError
 from repro.sim.single_server import (LOADER_KINDS, LOADER_RECIPES, best_prep,
                                      build_loader)
+from repro.storage.device import dram
 
 
 def _loader(kind, dataset, server, model=RESNET18, **kwargs):
@@ -90,6 +91,38 @@ class TestPyTorchDataLoader:
             assert loader.io.disk_requests == 1
             assert duration == disk.read_time(size, sequential=False)
             assert duration > disk.read_time(size, sequential=True)
+
+    def test_fetch_returns_summed_device_times_and_samples_completions(
+            self, tiny_dataset, ssd_server):
+        """A fetch's duration sums each read's device time in batch order,
+        and each miss lands on the disk timeline at its completion."""
+        loader = _loader("pytorch", tiny_dataset, ssd_server)
+        disk, ram = ssd_server.storage, dram()
+        s0, s1, s2 = (tiny_dataset.item_size(i) for i in range(3))
+        assert loader.fetch_batch(np.array([0, 1])) == (
+            disk.read_time(s0) + disk.read_time(s1))
+        # Item 1 is now a DRAM hit; item 2 is a miss read after it.
+        duration = loader.fetch_batch(np.array([1, 2]), at_time=5.0)
+        assert duration == ram.read_time(s1) + disk.read_time(s2)
+        assert loader.io.timeline == [
+            (disk.read_time(s0), s0),
+            (disk.read_time(s0) + disk.read_time(s1), s0 + s1),
+            (5.0 + duration, s0 + s1 + s2)]
+        assert (loader.io.disk_bytes, loader.io.cache_bytes) == (
+            s0 + s1 + s2, s1)
+
+    def test_reset_io_starts_a_new_ledger_and_keeps_the_cache(
+            self, tiny_dataset, ssd_server):
+        loader = _loader("pytorch", tiny_dataset, ssd_server)
+        batch = loader.batches(0)[0]
+        loader.fetch_batch(batch)
+        loader.reset_io()
+        assert loader.io.total_requests == 0
+        assert loader.io.timeline == []
+        # The cache stays warm: the refetch is all hits in the new ledger.
+        loader.fetch_batch(batch)
+        assert loader.io.cache_requests == len(batch)
+        assert loader.io.disk_requests == 0
 
 
 class TestDALI:

@@ -658,14 +658,14 @@ class TestMakespanProperties:
 # Replay memo -------------------------------------------------------------------
 
 #: One-input changes to a replay: each kernel input must miss the memo and
-#: replay.
-REPLAY_CHANGES = ("size", "capacity", "order", "stored")
+#: replay; the prior hit count, which is no kernel input, must hit it.
+REPLAY_CHANGES = ("size", "capacity", "order", "stored", "prior_hits")
 
 
 def _cache_copy(cache: PageCache, active_target: float,
                 capacity: float | None = None, lists=None) -> PageCache:
     """A fresh page cache holding ``lists`` (default: ``cache``'s
-    resident lists) and zeroed counters, optionally resized; built
+    resident lists) and ``cache``'s hit count, optionally resized; built
     through per-item calls, so its lists are OrderedDicts."""
     inactive, active = cache.resident_lists() if lists is None else lists
     twin = PageCache(cache.capacity_bytes if capacity is None else capacity,
@@ -678,6 +678,7 @@ def _cache_copy(cache: PageCache, active_target: float,
         twin.admit(item, stored)
     assert twin.resident_lists() == (inactive, active)
     twin.reset_stats()
+    twin.stats.hits = cache.stats.hits
     return twin
 
 
@@ -696,8 +697,9 @@ class TestReplayMemoProperties:
             passes, warm_fraction):
         """Under an active memo, replaying one input twice runs the kernel
         once and leaves the cache exactly as an unmemoised replay does;
-        changing any single kernel input misses the memo and replays.  A
-        stream the kernel declines (an
+        changing any single kernel input misses the memo and replays, while
+        a cache that differs only in its prior hit count hits it and still
+        ends as an unmemoised replay does.  A stream the kernel declines (an
         item over capacity, or a size or stored-size change that makes an
         item's page count inconsistent) is walked on every call and never
         kept."""
@@ -714,6 +716,7 @@ class TestReplayMemoProperties:
         for item in warm.tolist()[::3]:
             base.lookup(item)               # promote a third to active
         base.reset_stats()
+        base.stats.hits = int(rng.integers(0, 4))
         stream = np.concatenate([rng.permutation(num_items)
                                  for _ in range(passes)]).astype(np.int64)
         sizes = item_sizes[stream]
@@ -734,10 +737,9 @@ class TestReplayMemoProperties:
         elif change == "order":
             members[0], members[1] = members[1], members[0]
             changed = _cache_copy(base, active_target, lists=lists)
-        else:
-            # "stored": one resident's stored size grows by a page and
-            # another's shrinks by one, so the occupancies (also keyed)
-            # stay put.
+        elif change == "stored":
+            # One resident's stored size grows by a page and another's
+            # shrinks by one, so the occupancies (also keyed) stay put.
             donors = [i for i, (_item, stored) in enumerate(members)
                       if stored >= 2 * page]
             assume(donors)
@@ -746,6 +748,8 @@ class TestReplayMemoProperties:
             for i, delta in ((donor, -page), (receiver, page)):
                 members[i] = (members[i][0], members[i][1] + delta)
             changed = _cache_copy(base, active_target, lists=lists)
+        else:
+            changed.stats.hits += 1
 
         plain = _cache_copy(base, active_target)
         expected = _replay_state(plain, plain.bulk_stream_hits(stream, sizes))
@@ -770,7 +774,8 @@ class TestReplayMemoProperties:
                 assert (memo.hits, memo.misses, len(memo)) == (0, 2, 0)
             calls = kernel.call_count
             hits = changed.bulk_stream_hits(stream, changed_sizes)
-            assert kernel.call_count == calls + 1
+            memo_hit = replayable and change == "prior_hits"
+            assert kernel.call_count == calls + (not memo_hit)
             assert _replay_state(changed, hits) == expected_changed
 
 
