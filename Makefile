@@ -95,13 +95,13 @@ serve-check:
 	$(PYTHON) -m pytest -x -q tests/test_serve.py tests/test_store_concurrency.py
 	$(PYTHON) tools/store_check.py --serve
 
-## Failure & elasticity scenario gate: the detector/scenario unit and
-## property tests, the failure golden grids at workers=0/1/4 and through
-## both store backends, then the two failure grids served twice over HTTP
-## (warm pass must be pure store reads, byte-identical to tests/golden).
+## Failure & elasticity scenario gate: the scenario unit and property
+## tests, the failure golden grids at workers=0/1/4 and through both store
+## backends, then the two failure grids served twice over HTTP (warm pass
+## must be pure store reads, byte-identical to tests/golden).
 failure-check:
-	$(PYTHON) -m pytest -x -q tests/test_failure.py \
-	    tests/test_failure_scenarios.py tests/test_golden_sweeps.py
+	$(PYTHON) -m pytest -x -q tests/test_failure_scenarios.py \
+	    tests/test_golden_sweeps.py
 	$(PYTHON) tools/store_check.py --serve \
 	    --grids fig_crash_small fig_elastic_small
 

@@ -7,8 +7,9 @@ server with a partial cache.  Shows:
 
 * the read amplification and prep redundancy of uncoordinated loaders,
 * the coordinated-prep + MinIO numbers (one fetch/prep sweep per epoch),
-* the cross-job staging machinery in action, including recovery when the HP
-  scheduler kills a job mid-epoch.
+* recovery when a job crashes mid-epoch, run as a ``coordl-crash`` sweep
+  point: when the crash is detected, which survivor takes over the dead
+  job's prep shard, and the stall each epoch pays.
 
 Run with ``python examples/hp_search_campaign.py``.
 """
@@ -17,11 +18,8 @@ from __future__ import annotations
 
 from repro.cluster import config_ssd_v100
 from repro.compute import RESNET18
-from repro.coordl import (CoordinatedEpochRunner, CoordinatedPrepPlan,
-                          FailureDetector, StagingArea)
 from repro.datasets import SyntheticDataset, get_dataset_spec
-from repro.prep.pipeline import PrepPipeline
-from repro.sim import HPSearchScenario
+from repro.sim import HPSearchScenario, SweepPoint, SweepRunner
 from repro.units import speedup
 
 SCALE = 1.0 / 100.0
@@ -55,35 +53,22 @@ def main() -> None:
     print(f"\nread amplification of the uncoordinated baseline: {amp:.1f}x the dataset")
     print(f"CoorDL speedup: {speedup(baseline.epoch_time_s, coordl.epoch_time_s):.2f}x\n")
 
-    # --- 2. Coordination machinery, including a job failure ----------------
-    # One plan assigns each minibatch a producer job; the jobs share the
-    # staging area, and a consumer that waits ten iterations (1 s each)
-    # for a batch asks the failure detector about its producer.
-    plan = CoordinatedPrepPlan(dataset, NUM_JOBS, batch_size=256)
-    staging = StagingArea(NUM_JOBS, batch_timeout_s=10.0)
-    detector = FailureDetector(NUM_JOBS, iteration_time_s=1.0)
-    runner = CoordinatedEpochRunner(plan, PrepPipeline.for_dataset(dataset), dataset,
-                                    staging=staging, failure_detector=detector)
-    print(f"coordinated epoch plan: {plan.total_batches()} minibatches, "
-          f"{plan.unique_item_fetches():,} unique item fetches "
-          f"(vs {NUM_JOBS * len(dataset):,} uncoordinated)")
-
-    # Walk a few batches, then pretend the HP scheduler killed job 3 and the
-    # remaining jobs hit a batch it owed.
-    for assignment in plan.assignments[:4]:
-        runner.produce_batch(assignment)
-        for job in range(NUM_JOBS):
-            runner.consume_batch(job, assignment.batch_id)
-    detector.mark_dead(3)
-    victim = plan.batches_for_producer(3)[1]
-    recovered = runner.consume_batch(0, victim.batch_id,
-                                     waited_s=detector.timeout_s + 1.0)
-    event = detector.events[-1]
-    print(f"job 3 killed mid-epoch -> detected at batch {event.missing_batch_id}, "
-          f"its shard reassigned to job {event.reassigned_to} "
-          f"(consumer retries: {'pending' if not recovered else 'done'})")
-    print(f"staging area currently holds {staging.staged_batches} batches, "
-          f"peak {staging.peak_bytes / 1e9:.2f} GB")
+    # --- 2. A job crash mid-training ---------------------------------------
+    # Job 3 dies in epoch 1.  The survivors wait ten iterations for the
+    # batch it owed, then a seeded survivor re-preps its shard; its slice
+    # of the MinIO cache is lost and re-read from storage.
+    runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+    point = SweepPoint(model=model, loader="coordl-crash", dataset="openimages",
+                       cache_fraction=CACHE_FRACTION, num_epochs=3,
+                       num_jobs=NUM_JOBS, crash_schedule=((1, 3),))
+    crash = runner.run([point], workers=0, store=False).records[0].failure
+    for event in crash.events:
+        print(f"job {event.failed_job} crashed: detected at "
+              f"{event.detected_at:.2f} s, its shard reassigned to job "
+              f"{event.reassigned_to}")
+    for epoch, stats in enumerate(crash.epochs):
+        print(f"epoch {epoch}: {stats.epoch_time_s:6.2f} s, "
+              f"stall {stats.stall_s:5.2f} s, {stats.active} jobs active")
 
 
 if __name__ == "__main__":

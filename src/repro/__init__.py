@@ -8,7 +8,8 @@ The library has three layers:
   GPU/model rate models (:mod:`repro.compute`) and server/cluster
   configurations (:mod:`repro.cluster`);
 * **contributions** — the CoorDL coordinated data loader
-  (:mod:`repro.coordl`: MinIO cache, partitioned caching, coordinated prep)
+  (:mod:`repro.coordl`: MinIO cache and partitioned caching; coordinated
+  prep is priced by the HP-search driver)
   and the DS-Analyzer profiler/predictor (:mod:`repro.dsanalyzer`).  The
   single-server loader kinds, CoorDL and the DALI / native-PyTorch
   baselines alike, are one :class:`~repro.pipeline.DataLoader` class built

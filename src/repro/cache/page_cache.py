@@ -202,8 +202,6 @@ class PageCache(Cache):
         self._pages: Optional[ResidentPages] = None
         self._inactive_pages = 0
         self._active_pages = 0
-        self._pressure_evictions = 0
-        self._explicit_evictions = 0
 
     # -- bookkeeping helpers -------------------------------------------------
 
@@ -225,26 +223,6 @@ class PageCache(Cache):
     def inactive_bytes(self) -> float:
         """Bytes on the streaming (inactive) list."""
         return self._inactive_pages * self._page_bytes
-
-    @property
-    def evictions(self) -> int:
-        """Items evicted by capacity pressure so far (thrashing indicator).
-
-        Explicit ``evict()`` drops (``posix_fadvise(DONTNEED)`` — a policy
-        *choice*, not thrashing) are counted separately in
-        :attr:`explicit_evictions`.
-        """
-        return self._pressure_evictions
-
-    @property
-    def pressure_evictions(self) -> int:
-        """Items evicted because an admission needed room (= ``evictions``)."""
-        return self._pressure_evictions
-
-    @property
-    def explicit_evictions(self) -> int:
-        """Items dropped through :meth:`evict` (fadvise-style invalidation)."""
-        return self._explicit_evictions
 
     def _rounded(self, item_id: int, size_bytes: float) -> int:
         """Whole pages an item of ``size_bytes`` occupies: at least one."""
@@ -338,7 +316,6 @@ class PageCache(Cache):
                 self._active_pages -= pages
             else:
                 break
-            self._pressure_evictions += 1
 
     # -- Cache interface -----------------------------------------------------
 
@@ -394,11 +371,10 @@ class PageCache(Cache):
         are replayed through
         :func:`repro.cache.warm_kernel.simulate_segmented_lru`.  That
         integer replay reproduces the per-item ``lookup`` + ``admit`` walk
-        exactly: hit mask, every stats counter, the pressure-eviction
-        count, the occupancies and the exact order of both lists
-        (observable through future evictions and demotions).  The kernel
-        reads and returns the lists as arrays, and the cache keeps them in
-        that form.
+        exactly: hit mask, every stats counter, the occupancies and the
+        exact order of both lists (observable through future evictions and
+        demotions).  The kernel reads and returns the lists as arrays, and
+        the cache keeps them in that form.
 
         Every miss is admitted, as the kernel page cache does — callers
         with an admission *policy* must walk item by item.  When the kernel
@@ -438,7 +414,6 @@ class PageCache(Cache):
         self._pages = (result.inactive, result.active)
         self._inactive_pages = int(result.inactive[1].sum())
         self._active_pages = int(result.active[1].sum())
-        self._pressure_evictions += result.pressure_evictions
         self._stats.hits += result.hits
         self._stats.misses += result.misses
         self._stats.insertions += result.misses  # every miss was admitted
@@ -465,11 +440,7 @@ class PageCache(Cache):
         return digest.digest()
 
     def evict(self, item_id: int) -> bool:
-        """Drop one item (posix_fadvise(DONTNEED)); True if it was present.
-
-        Counted in :attr:`explicit_evictions`, not in the pressure-driven
-        :attr:`evictions` thrashing indicator.
-        """
+        """Drop one item (posix_fadvise(DONTNEED)); True if it was present."""
         if self._pages is not None:
             self._to_dicts()
         if item_id in self._inactive:
@@ -478,7 +449,6 @@ class PageCache(Cache):
             self._active_pages -= self._active.pop(item_id)
         else:
             return False
-        self._explicit_evictions += 1
         return True
 
     def clear(self) -> None:

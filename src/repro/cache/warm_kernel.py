@@ -22,8 +22,8 @@ stats-object updates.  This kernel replays the identical state machine as
   accounting is whole-page integer headroom, so an access costs a few
   array writes.  The loop fills the hit mask and counts misses, and a
   second C function walks each final list out front to end; then
-* a **vectorised epilogue** — the insertion/eviction counters follow
-  from the hit mask and the final list lengths.
+* a **vectorised epilogue** — the hit and insertion counters follow
+  from the hit mask.
 
 The core is compiled on the first replay that gets past the prologue,
 never at import, with the compiler CPython was built with (``cc`` when
@@ -40,9 +40,9 @@ The replay is pure integer arithmetic: the stream arrives as whole-page
 counts, both budgets as page counts, and the lists as ``(item_ids,
 page_counts)`` arrays.  The walk counts the same integers (page rounding
 lives in :class:`~repro.cache.page_cache.PageCache`, once per item and
-once per stream), so the hit mask, the eviction count and the *order*
-of both lists — observable through future evictions and demotions —
-equal the per-item walk's exactly.  The walk itself stays in
+once per stream), so the hit mask and the *order* of both lists —
+observable through future evictions and demotions — equal the per-item
+walk's exactly.  The walk itself stays in
 :class:`~repro.cache.page_cache.PageCache` as the executable
 specification; ``tests/test_properties.py`` property-tests the
 equivalence.  ``PageCache`` keeps its lists in the kernel's array form
@@ -344,7 +344,6 @@ class SegmentedLRUResult:
     hit_mask: np.ndarray
     hits: int
     misses: int
-    pressure_evictions: int
     inactive: Tuple[np.ndarray, np.ndarray]
     active: Tuple[np.ndarray, np.ndarray]
 
@@ -412,7 +411,7 @@ def simulate_segmented_lru(
         dense_in_arr = dense[n:n + init_in_ids.size]
         dense_act_arr = dense[n + init_in_ids.size:]
 
-    # The core defers all hit/eviction accounting to vectorised epilogue
+    # The core defers the hit accounting to vectorised epilogue
     # algebra.  That is exact when no stream item is over-capacity (so
     # every miss admits) and every item's page count is consistent — one
     # value across its stream accesses, matching its resident page count
@@ -443,14 +442,11 @@ def simulate_segmented_lru(
         core, np.ascontiguousarray(dense_stream), rep, dense_in_arr,
         dense_act_arr, room=capacity_pages - in_total - act_total,
         aroom=active_limit_pages - act_total)
-    # Epilogue algebra: every miss was admitted, and the eviction count is
-    # the occupancy balance of the replay.
+    # Epilogue algebra: every miss was admitted.
     return SegmentedLRUResult(
         hit_mask=hit_mask,
         hits=n - misses,
         misses=misses,
-        pressure_evictions=(misses + resident_ids.size
-                            - final_in.size - final_act.size),
         inactive=(universe[final_in], rep[final_in]),
         active=(universe[final_act], rep[final_act]),
     )

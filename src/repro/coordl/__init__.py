@@ -3,36 +3,13 @@
 CoorDL's single-server loader is DALI with the page cache swapped for the
 MinIO cache (:class:`repro.cache.minio.MinIOCache`); it is the ``coordl``
 row of :data:`repro.sim.single_server.LOADER_RECIPES`.  This package holds
-what changes more than the cache: the partitioned loader of distributed
-jobs, coordinated prep for HP search with its staging area, and failure
-handling.
+the loader that changes more than the cache: the partitioned loader of
+distributed jobs.  Coordinated prep for HP search (Sec. 4.3) and its
+staging memory are priced by :class:`repro.sim.hp_search.HPSearchScenario`,
+crash detection and shard reassignment (Sec. 4.4) by
+:meth:`repro.sim.failures.FailureScenario.run_crash`.
 """
 
-from repro.coordl.coordinated_prep import (
-    BatchAssignment,
-    CoordinatedEpochRunner,
-    CoordinatedPrepPlan,
-)
-from repro.coordl.failure import (
-    FailureDetector,
-    FailureEvent,
-    JobState,
-    RecoveryAction,
-    TimeoutReport,
-)
 from repro.coordl.partitioned_loader import PartitionedCoorDLLoader
-from repro.coordl.staging import StagedBatch, StagingArea
 
-__all__ = [
-    "PartitionedCoorDLLoader",
-    "CoordinatedPrepPlan",
-    "CoordinatedEpochRunner",
-    "BatchAssignment",
-    "StagingArea",
-    "StagedBatch",
-    "FailureDetector",
-    "FailureEvent",
-    "TimeoutReport",
-    "JobState",
-    "RecoveryAction",
-]
+__all__ = ["PartitionedCoorDLLoader"]

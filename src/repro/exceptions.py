@@ -20,14 +20,6 @@ class UnknownItemError(ReproError):
     """A dataset item id was requested that does not exist in the dataset."""
 
 
-class StagingTimeoutError(ReproError):
-    """A job timed out waiting for a minibatch in the cross-job staging area."""
-
-
-class JobFailedError(ReproError):
-    """A coordinated-prep job died and could not be recovered."""
-
-
 class SimulationError(ReproError):
     """The simulation engine reached an inconsistent state."""
 

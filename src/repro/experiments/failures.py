@@ -8,8 +8,9 @@ dead and its pending minibatch reassigned) but never quantifies what a crash
 answer that and three neighbouring questions:
 
 * ``fig_crash`` — CoorDL workers crashing mid-training: detection stalls
-  (``timeout = 10 x iteration time``) plus the cache re-warm I/O for the
-  dead worker's slice of the shared MinIO cache;
+  (:data:`~repro.sim.failures.DETECTION_TIMEOUT_ITERATIONS` iterations per
+  crash), the dead worker's shard re-prepped by a seeded survivor, and the
+  cache re-warm I/O for its slice of the shared MinIO cache;
 * ``fig_elastic`` — servers joining/leaving a partitioned-cache group:
   joiners warm organically through the miss path, leavers drop their cached
   bytes and survivors re-fetch them from storage;
@@ -23,7 +24,7 @@ Every scenario runs as first-class sweep points (kinds
 ``coordl-crash`` / ``coordl-elastic`` / ``coordl-straggler`` /
 ``hp-multitenant``), so process parallelism, the content-addressed store,
 the serve layer and the golden harness all apply unchanged, and each record
-carries its deterministic :class:`~repro.coordl.failure.FailureEvent` trace.
+carries its deterministic :class:`~repro.sim.failures.FailureEvent` trace.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from repro.sim.distributed import (DISTRIBUTED_KINDS, DistributedEpoch,
 from repro.sim.failures import (
     FAILURE_KINDS,
     FailureEpoch,
+    FailureEvent,
     FailureScenario,
     FailureScenarioResult,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "FailureScenario",
     "FailureScenarioResult",
     "FailureEpoch",
+    "FailureEvent",
     "SingleServerTraining",
     "SingleServerResult",
     "build_loader",

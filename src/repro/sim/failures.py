@@ -7,11 +7,12 @@ buy DRAM or faster disks?" also need the unhappy paths priced in, so this
 module simulates four of them on top of the existing substrates:
 
 * **crash** (:meth:`FailureScenario.run_crash`) — coordinated HP-search
-  prep where scheduled jobs die mid-epoch.  :class:`~repro.coordl.failure.
-  FailureDetector` runs the paper's timeout/report/reassign protocol
-  (Sec. 4.4); the epoch pays the detection latency, the re-prep of the
-  dead job's shard, and the re-warm of the MinIO slice the crashed worker
-  took down with it.
+  prep where scheduled jobs die mid-epoch.  Survivors wait
+  :data:`DETECTION_TIMEOUT_ITERATIONS` iterations for the dead job's
+  batch before the driver hands its shard to a survivor
+  (:func:`pick_replacement`, Sec. 4.4); the epoch pays the detection
+  latency, the re-prep of the dead job's shard, and the re-warm of the
+  MinIO slice the crashed worker took down with it.
 * **elastic** (:meth:`FailureScenario.run_elastic`) — servers join or
   leave a CoorDL partition (:class:`~repro.cache.partitioned.
   PartitionedCacheGroup`) between epochs.  Joiners arrive cold and warm
@@ -27,8 +28,8 @@ module simulates four of them on top of the existing substrates:
   cores, compounding the thrashing of Sec. 3.3.
 
 Every run returns a :class:`FailureScenarioResult`: per-epoch figures plus
-a deterministic :class:`~repro.coordl.failure.FailureEvent` trace.  The
-trace folds into :meth:`repro.sim.sweep.SweepRecord.snapshot` byte-exactly
+a deterministic :class:`FailureEvent` trace.  The trace folds into
+:meth:`repro.sim.sweep.SweepRecord.snapshot` byte-exactly
 — the PRAM-style trace-checking discipline: the golden harness replays the
 scenarios at workers=0/1/4 and through the result store, and the committed
 trace must come back bit for bit.
@@ -45,6 +46,7 @@ last bits.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,12 +56,6 @@ from repro.cache.page_cache import PageCache
 from repro.cache.partitioned import PartitionedCacheGroup
 from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec
-from repro.coordl.failure import (
-    FailureDetector,
-    FailureEvent,
-    RecoveryAction,
-    TimeoutReport,
-)
 from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import DistributedSampler, Sampler
 from repro.exceptions import ConfigurationError, SimulationError
@@ -72,10 +68,29 @@ from repro.storage.device import dram
 from repro.units import safe_div
 
 __all__ = [
+    "FailureEvent",
     "FailureEpoch",
     "FailureScenarioResult",
     "FailureScenario",
 ]
+
+
+@dataclass
+class FailureEvent:
+    """One event of a failure/elasticity trace.
+
+    ``kind`` is ``"crash"`` (a job died: ``reassigned_to`` is the survivor
+    that took over its shard, ``missing_batch_id`` the batch that timed
+    out), ``"join"``, ``"leave"`` or ``"straggler"``.  Fields a kind does
+    not use carry the ``-1`` sentinel (e.g. a ``join`` event has no failed
+    job and no missing batch).
+    """
+
+    failed_job: int
+    detected_at: float
+    reassigned_to: int
+    missing_batch_id: int
+    kind: str = "crash"
 
 
 @dataclass
@@ -110,7 +125,7 @@ class FailureScenarioResult:
     """Multi-epoch outcome of one failure/elasticity configuration.
 
     ``events`` is the deterministic trace: crash events carry the
-    detector's reassignment, join/leave/straggler events describe the
+    seeded reassignment, join/leave/straggler events describe the
     membership/skew change with ``-1`` sentinels in the fields that do not
     apply.  The trace is part of the byte-identical snapshot contract.
     """
@@ -142,6 +157,29 @@ class FailureScenarioResult:
         return sum(1 for e in self.epochs if e.stall_s > 0 or e.rewarm_bytes > 0)
 
 
+#: Iterations a consumer waits for a staged minibatch before it reports
+#: the batch's producer as failed (CoorDL uses 10x the iteration time,
+#: Sec. 4.4).
+DETECTION_TIMEOUT_ITERATIONS = 10
+
+
+def pick_replacement(seed: int, failed_job: int, event_count: int,
+                     survivors: Sequence[int]) -> int:
+    """The survivor that takes over ``failed_job``'s prep shard.
+
+    A BLAKE2 digest of ``(seed, failed_job, event_count)`` indexes the
+    sorted ``survivors`` (which must not be empty): a pure function of the
+    scenario seed and the crash history, never ambient RNG, so a crash
+    trace is byte-identical in any process and at any worker count, and
+    successive crashes spread over the survivors instead of loading the
+    lowest-numbered one.
+    """
+    candidates = sorted(survivors)
+    key = repr((seed, failed_job, event_count)).encode("utf-8")
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return candidates[int.from_bytes(digest, "big") % len(candidates)]
+
+
 class FailureScenario:
     """Simulate the four unhappy-path scenarios on one configuration.
 
@@ -152,7 +190,7 @@ class FailureScenario:
             elastic/straggler kinds; its ``cache_bytes`` is the per-server
             budget there, the shared budget for crash/multi-tenant).
         seed: Scenario seed; drives the samplers, the shard assignment and
-            the detector's replacement picking.  The sweep runner passes
+            the crash kind's replacement picking.  The sweep runner passes
             its :meth:`~repro.sim.sweep.SweepRunner.point_seed`.
         sampler: The random-sampler getter the crash and multi-tenant
             kinds' HP-search epoch model draws its jobs' permutations
@@ -196,21 +234,22 @@ class FailureScenario:
 
         ``crash_schedule`` is ``(epoch, job)`` pairs (processed in sorted
         order, so any permutation of the schedule yields a bit-identical
-        result).  A crash at epoch ``e`` costs that epoch the detector's
-        timeout (10x the iteration time), the re-prep of the dead job's
-        prep shard, and the MinIO slice the crashed worker hosted — those
-        items are evicted and re-read from storage by later epochs.
+        result).  A crash at epoch ``e`` costs that epoch a detection
+        timeout (:data:`DETECTION_TIMEOUT_ITERATIONS` iterations, one after
+        another when several jobs die in the same epoch), the re-prep of
+        the dead job's prep shard by the survivor :func:`pick_replacement`
+        names, and the MinIO slice the crashed worker hosted — those items
+        are evicted and re-read from storage by later epochs.
         """
         hp = self._hp(num_jobs)
         schedule = sorted((int(e), int(j)) for e, j in crash_schedule)
         num_items = len(self._dataset)
         batch = hp.batch_size
         prep_rate = hp.prep_rate(coordinated=True)
-        iteration_time = safe_div(batch, hp.gpu_rate_per_job)
-        crashed: set = set()
-        detector = FailureDetector(
-            num_jobs, iteration_time_s=iteration_time,
-            liveness_probe=lambda job: job not in crashed, seed=self._seed)
+        timeout = (DETECTION_TIMEOUT_ITERATIONS
+                   * safe_div(batch, hp.gpu_rate_per_job))
+        missing_batch = max(1, num_items // batch) // 2
+        dead: set = set()
         cache = MinIOCache(self._server.cache_bytes)
         result = FailureScenarioResult(loader_name="coordl-crash",
                                        samples_per_epoch=num_items)
@@ -223,23 +262,19 @@ class FailureScenario:
             crash_time = elapsed + 0.5 * base
             for order, (_, job) in enumerate(
                     (e, j) for e, j in schedule if e == epoch):
-                crashed.add(job)
-                alive = sorted(detector.alive_jobs() - {job})
-                if not alive:
+                dead.add(job)
+                survivors = [j for j in range(num_jobs) if j not in dead]
+                if not survivors:
                     raise SimulationError(
                         "crash schedule killed every coordinated-prep job")
                 # Detection is serialised: each crash is noticed one full
                 # timeout after the previous one was handled.
-                detected = crash_time + detector.timeout_s * (order + 1)
-                report = TimeoutReport(
-                    reporting_job=alive[0],
-                    missing_batch_id=max(1, num_items // batch) // 2,
-                    suspected_producer=job,
-                    reported_at=detected)
-                action = detector.report_timeout(report)
-                if action is not RecoveryAction.RESPAWN:  # pragma: no cover
-                    raise SimulationError(
-                        f"crashed job {job} produced {action}, not RESPAWN")
+                result.events.append(FailureEvent(
+                    failed_job=job,
+                    detected_at=crash_time + timeout * (order + 1),
+                    reassigned_to=pick_replacement(
+                        self._seed, job, len(result.events), survivors),
+                    missing_batch_id=missing_batch))
                 # The crashed worker hosted a 1/num_jobs slice of the shared
                 # MinIO cache: those entries die with it and must be
                 # re-fetched from storage by the epochs that follow.
@@ -247,16 +282,15 @@ class FailureScenario:
                     if item % num_jobs == job:
                         rewarm += cache.evict(item)
                 # The replacement re-preps the orphaned shard's sweep.
-                stall += detector.timeout_s
+                stall += timeout
                 stall += safe_div(num_items / num_jobs, prep_rate)
             epoch_time = base + stall
             result.epochs.append(FailureEpoch(
                 epoch_time_s=epoch_time, disk_bytes=healthy.disk_bytes,
                 rewarm_bytes=rewarm, stall_s=stall,
                 cache_miss_ratio=healthy.miss_ratio,
-                active=len(detector.alive_jobs())))
+                active=num_jobs - len(dead)))
             elapsed += epoch_time
-        result.events = detector.events
         return result
 
     # -- coordl-elastic / coordl-straggler ----------------------------------
@@ -419,7 +453,7 @@ class FailureScenario:
 
 
 def _scenario(point: Any, context: PointContext) -> FailureScenario:
-    # The scenario seed doubles as the FailureDetector's replacement-picking
+    # The scenario seed doubles as the crash kind's replacement-picking
     # seed, so crash traces are a pure function of the point spec.
     return FailureScenario(point.model, context.dataset, context.server,
                            seed=context.seed, sampler=context.sampler)

@@ -17,6 +17,12 @@ The scenario is simulated in two parts:
 * a rate model that converts disk traffic, prep work and GPU work into the
   epoch time — the epoch is bound by the slowest of the shared disk, the
   per-job (or shared) prep sweep, and the per-job GPU ingestion.
+
+CoorDL's staging area adds one figure, its peak memory (Fig. 20): the jobs
+consume every staged minibatch in lockstep before the next is produced, so
+the area holds one prepared minibatch at a time and its peak is the
+largest.  Crash recovery on top of this epoch model lives in
+:meth:`repro.sim.failures.FailureScenario.run_crash`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache
 from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec
-from repro.coordl.coordinated_prep import CoordinatedEpochRunner, CoordinatedPrepPlan
 from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import RandomSampler, Sampler
 from repro.exceptions import ConfigurationError
@@ -322,13 +327,23 @@ class HPSearchScenario:
         return float(sizes[~cache.bulk_epoch_hits(order, sizes)].sum())
 
     def _staging_peak_bytes(self) -> float:
-        """Peak staging-area memory for one coordinated epoch."""
-        plan = CoordinatedPrepPlan(self._dataset, self._num_jobs, self.batch_size,
-                                   epoch=0, seed=self._seed)
-        runner = CoordinatedEpochRunner(plan, PrepPipeline.for_dataset(self._dataset),
-                                        self._dataset)
-        runner.run_epoch_in_lockstep()
-        return runner.staging.peak_bytes
+        """Peak staging-area memory of one coordinated epoch (Fig. 20).
+
+        Each prepared minibatch is staged once and shared by every job, and
+        in lockstep every job consumes it before the next one is produced,
+        so the area never holds two batches: its peak is the largest
+        prepared minibatch.  The batches are ``batch_size`` slices of the epoch
+        permutation drawn from ``(seed, 0, 0xC00D)``, each summed left to
+        right (a sequential ``cumsum``, the same float as ``sum`` over its
+        items).
+        """
+        order = np.random.default_rng((self._seed, 0, 0xC00D)).permutation(
+            len(self._dataset))
+        prepared = PrepPipeline.for_dataset(self._dataset).prepared_bytes(
+            self._dataset.item_sizes(order))
+        batch = self.batch_size
+        return max(float(np.cumsum(prepared[start:start + batch])[-1])
+                   for start in range(0, prepared.size, batch))
 
     def run_coordl(self) -> HPSearchResult:
         """Simulate coordinated HP search (MinIO cache + coordinated prep)."""

@@ -175,10 +175,6 @@ class IOStats:
         snapshot._chunks = list(self._chunks)
         return snapshot
 
-    def reset(self) -> None:
-        """Zero all counters (e.g. between warm-up and measured epochs)."""
-        self.__init__()
-
     def snapshot(self, include_timeline: bool = False) -> Dict[str, Any]:
         """Canonical byte-exact form of the counters (floats as ``float.hex``).
 

@@ -61,7 +61,6 @@ class TestPageCache:
             cache.admit(item, 4096.0)
         cache.admit(4, 4096.0)              # evicts 1, the oldest page
         assert list(cache.cached_items()) == [2, 3, 4]
-        assert cache.pressure_evictions == 1
         assert cache.lookup(2)              # promoted: 3 is now the oldest
         cache.admit(5, 4096.0)
         assert 2 in cache and 3 not in cache
@@ -90,7 +89,7 @@ class TestPageCache:
                 if not cache.lookup(item):
                     cache.admit(item, tiny_dataset.item_size(item))
         assert cache.stats.hit_ratio < capacity_fraction
-        assert cache.evictions > 0
+        assert cache.stats.insertions > len(cache)   # admissions evicted
 
     def test_sequential_scan_is_pathological(self, tiny_dataset):
         cache = PageCache(tiny_dataset.total_bytes * 0.5)
@@ -111,22 +110,6 @@ class TestPageCache:
         cache.clear()
         assert cache.used_bytes == 0.0
 
-    def test_explicit_evictions_counted_separately_from_pressure(self):
-        """fadvise(DONTNEED) drops are policy, not thrashing (split counters)."""
-        cache = PageCache(2 * 4096.0)
-        cache.admit(1, 4096.0)
-        assert cache.evict(1)
-        assert not cache.evict(99)          # absent: no count
-        assert cache.explicit_evictions == 1
-        assert cache.pressure_evictions == 0
-        assert cache.evictions == 0         # the thrashing indicator
-        # Now fill past capacity: pressure evictions only.
-        for item in (2, 3, 4):
-            cache.admit(item, 4096.0)
-        assert cache.pressure_evictions == 1
-        assert cache.evictions == 1
-        assert cache.explicit_evictions == 1
-
     def test_pressure_eviction_can_press_on_active_list(self):
         """With a full active target, reclaim falls through to active pages."""
         cache = PageCache(2 * 4096.0, active_target_fraction=1.0)
@@ -134,7 +117,6 @@ class TestPageCache:
             cache.admit(item, 4096.0)
             cache.lookup(item)              # promote: whole cache is active
         cache.admit(3, 4096.0)
-        assert cache.pressure_evictions == 1
         assert 1 not in cache and 2 in cache and 3 in cache
 
     @pytest.mark.parametrize("cache_kind, page, entry, size", [
@@ -315,7 +297,6 @@ class TestPageCacheBulkStream:
     def _assert_same_state(bulk, scalar):
         assert bulk.resident_lists() == scalar.resident_lists()
         assert bulk.used_bytes == scalar.used_bytes
-        assert bulk.evictions == scalar.evictions
         assert bulk.stats == scalar.stats
 
     def test_thrashing_stream_matches_walk_bit_for_bit(self, tiny_dataset,
@@ -331,7 +312,7 @@ class TestPageCacheBulkStream:
         assert hits.tolist() == expected.tolist()
         self._assert_same_state(bulk, scalar)
         assert bulk.active_bytes == scalar.active_bytes
-        assert bulk.evictions > 0
+        assert bulk.stats.insertions > len(bulk)
 
     def test_env_kill_switch_declines_without_side_effects(
             self, monkeypatch, kernel_results):
@@ -420,7 +401,7 @@ class TestNativeCore:
                 TestPageCacheBulkStream._assert_same_state(bulk, scalar)
                 assert bulk.active_bytes == scalar.active_bytes
         assert kernel_results == [None, None]
-        assert bulk.evictions > 0
+        assert bulk.stats.insertions > len(bulk)
         runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
         assert "No such file or directory" in str(runtime[0].message)

@@ -1,5 +1,6 @@
 """Unit tests for the dataset catalog and synthetic datasets."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -90,6 +91,10 @@ class TestSyntheticDataset:
     def test_items_size_rejects_bad_ids(self, tiny_dataset):
         with pytest.raises(UnknownItemError):
             tiny_dataset.items_size([0, 10_000])
+        for bad in (len(tiny_dataset), -1):
+            with pytest.raises(UnknownItemError):
+                tiny_dataset.item_sizes(np.array([0, bad]))
+        assert tiny_dataset.item_sizes(np.array([], dtype=np.int64)).size == 0
 
     def test_cache_capacity_for_fraction(self, tiny_dataset):
         assert tiny_dataset.cache_capacity_for_fraction(0.5) == pytest.approx(

@@ -6,16 +6,19 @@ Three properties from the determinism contract are pinned with hypothesis:
 * **crash-schedule permutation invariance** — any ordering of the same
   ``(epoch, job)`` pairs yields a bit-identical scenario (and the same
   sweep point / store key);
-* **detector-state-machine legality** — over random report sequences the
-  driver never reassigns to a dead or crashed job, never revives a dead
-  one, and appends exactly one event per confirmed failure;
+* **crash-recovery legality** — over random valid crash schedules the
+  trace holds one event per crash in ``(epoch, job)`` order, each
+  replacement is the seeded pick among the jobs still alive, and the
+  active count falls by one per crash;
 * **elastic ≡ static when the schedule is empty** — an empty membership
   schedule (and a no-op schedule entry) reproduce the static-membership
   epochs bit for bit, cross-checked against the independent straggler
   path with uniform factors.
 
-Plus direct coverage of the four kinds through :class:`SweepRunner`:
-serial ≡ workers=N byte-identity and snapshot round-trips.
+Plus the cost and timing of a crash epoch, the re-warm debt it leaves,
+the seeded replacement pick itself, and direct coverage of the four kinds
+through :class:`SweepRunner`: serial ≡ workers=N byte-identity and
+snapshot round-trips.
 """
 
 from __future__ import annotations
@@ -24,15 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compute.model_zoo import RESNET18
-from repro.coordl.failure import (
-    FailureDetector,
-    JobState,
-    RecoveryAction,
-    TimeoutReport,
-)
-from repro.exceptions import ConfigurationError
-from repro.sim.failures import FailureScenario
+from repro.cache.minio import MinIOCache
+from repro.compute.model_zoo import ALEXNET, RESNET18, RESNET50
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.sim.failures import FailureEvent, FailureScenario, pick_replacement
 from repro.sim.hp_search import HPSearchScenario
 from repro.sim.sweep import SweepPoint, SweepRunner
 
@@ -97,55 +95,278 @@ class TestCrashPermutationInvariance:
                 == spec_runner.point_spec(make(permuted)))
 
 
-# -- property 2: detector state-machine legality ----------------------------
+# -- property 2: crash-recovery legality ------------------------------------
 
-class TestDetectorLegality:
-    @given(seed=st.integers(0, 2**16),
-           ops=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)),
-                        min_size=1, max_size=20))
-    @settings(max_examples=60, deadline=None)
-    def test_random_report_sequences_keep_the_invariants(self, seed, ops):
-        """ops: (job, action) with action 0=healthy report, 1=crash+report,
-        2=stale report.  At every step: a RESPAWN's replacement is alive and
-        not the victim, dead jobs stay dead, one event per confirmed crash."""
-        crashed: set = set()
-        detector = FailureDetector(6, 1.0, seed=seed,
-                                   liveness_probe=lambda j: j not in crashed)
-        confirmed = 0
-        for step, (job, op) in enumerate(ops):
-            if len(crashed) >= 5 and op == 1:
-                op = 0  # keep at least one survivor
-            if op == 1:
-                crashed.add(job)
-            was_dead = detector.state(job) is JobState.DEAD
-            report = TimeoutReport(reporting_job=0, missing_batch_id=step,
-                                   suspected_producer=job,
-                                   reported_at=float(step))
-            if job in crashed and op != 2:
-                action = detector.report_timeout(report)
-                assert action is RecoveryAction.RESPAWN
-                if not was_dead:
-                    confirmed += 1
-                event = detector.events[-1]
-                assert event.failed_job == job
-                assert event.reassigned_to != job
-                assert event.reassigned_to in detector.alive_jobs()
-                assert detector.state(job) is JobState.DEAD
-            elif op == 2:
-                assert detector.report_timeout(
-                    report, batch_is_now_staged=True) is RecoveryAction.NONE
-            else:
-                action = detector.report_timeout(report)
-                assert action is RecoveryAction.RETRY
-                assert detector.state(job) is JobState.RUNNING
-            # Dead jobs never come back.
-            assert crashed == {j for j in range(6)
-                               if detector.state(j) is JobState.DEAD}
-        assert len(detector.reports) == len(ops)
-        # Exactly one event per job transition to DEAD via a report (repeat
-        # reports about an already-dead producer re-emit a reassignment, so
-        # the trace can only grow).
-        assert len(detector.events) >= confirmed
+class TestCrashRecovery:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_valid_schedules_keep_the_invariants(self, spec_runner,
+                                                        data):
+        """One event per crash, in ``(epoch, job)`` order; each names as
+        replacement the seeded pick among the jobs that had not crashed by
+        then (never the failed job); ``active`` falls by one per crash."""
+        from repro.cluster.configs import config_ssd_v100
+        num_jobs = data.draw(st.integers(2, 6), label="num_jobs")
+        num_epochs = data.draw(st.integers(1, 3), label="num_epochs")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        jobs = data.draw(st.lists(st.integers(0, num_jobs - 1), unique=True,
+                                  max_size=num_jobs - 1), label="jobs")
+        schedule = [(data.draw(st.integers(0, num_epochs - 1)), job)
+                    for job in jobs]
+        result = FailureScenario(
+            RESNET18, spec_runner.dataset("openimages"), config_ssd_v100(),
+            seed=seed).run_crash(num_jobs, schedule, num_epochs)
+        assert [(e.kind, e.failed_job) for e in result.events] == [
+            ("crash", job) for _, job in sorted(schedule)]
+        dead: set = set()
+        for count, event in enumerate(result.events):
+            dead.add(event.failed_job)
+            survivors = [j for j in range(num_jobs) if j not in dead]
+            assert event.reassigned_to in survivors
+            assert event.reassigned_to == pick_replacement(
+                seed, event.failed_job, count, survivors)
+        for epoch, stats in enumerate(result.epochs):
+            crashed = sum(1 for crash_epoch, _ in schedule
+                          if crash_epoch <= epoch)
+            assert stats.active == num_jobs - crashed
+
+    @pytest.mark.parametrize("crashes", [1, 2, 3])
+    def test_a_crash_epoch_stalls_for_timeouts_and_shard_repreps(
+            self, spec_runner, crashes):
+        """``k`` crashes in one epoch cost it ``k`` detection timeouts of
+        10 iterations each (Sec. 4.4), detected one timeout apart, plus
+        ``k`` re-preps of a dead job's ``1/num_jobs`` shard; the epochs
+        around it pay no stall."""
+        from repro.cluster.configs import config_ssd_v100
+        num_jobs = 4
+        dataset = spec_runner.dataset("openimages")
+        scenario = FailureScenario(RESNET18, dataset, config_ssd_v100(),
+                                   seed=17)
+        healthy = scenario.run_crash(num_jobs, (), 3)
+        crashed = scenario.run_crash(
+            num_jobs, [(1, job) for job in range(crashes)], 3)
+        hp = HPSearchScenario(RESNET18, dataset, config_ssd_v100(),
+                              num_jobs=num_jobs, seed=17)
+        timeout = 10 * hp.batch_size / hp.gpu_rate_per_job
+        reprep = len(dataset) / num_jobs / hp.prep_rate(coordinated=True)
+        epoch = crashed.epochs[1]
+        assert epoch.stall_s == pytest.approx(crashes * (timeout + reprep),
+                                              rel=1e-12)
+        assert epoch.epoch_time_s == (healthy.epochs[1].epoch_time_s
+                                      + epoch.stall_s)
+        assert crashed.epochs[0].stall_s == crashed.epochs[2].stall_s == 0.0
+        detected = [event.detected_at for event in crashed.events]
+        assert [later - earlier for earlier, later
+                in zip(detected, detected[1:])] == pytest.approx(
+                    [timeout] * (crashes - 1), rel=1e-9)
+
+    @pytest.mark.parametrize("crash_epoch", [0, 1, 2])
+    def test_a_mid_epoch_crash_is_detected_within_its_epoch(
+            self, scenario, spec_runner, crash_epoch):
+        """The job dies halfway through its epoch's healthy time and the
+        survivors notice one detection timeout later, before the epoch
+        that pays the stall is over; the epochs before it are healthy."""
+        from repro.cluster.configs import config_ssd_v100
+        healthy = scenario.run_crash(4, (), 3)
+        crashed = scenario.run_crash(4, [(crash_epoch, 2)], 3)
+        hp = HPSearchScenario(RESNET18, spec_runner.dataset("openimages"),
+                              config_ssd_v100(), num_jobs=4, seed=17)
+        timeout = 10 * hp.batch_size / hp.gpu_rate_per_job
+        assert crashed.epochs[:crash_epoch] == healthy.epochs[:crash_epoch]
+        start = sum(e.epoch_time_s for e in crashed.epochs[:crash_epoch])
+        (event,) = crashed.events
+        assert event.detected_at == pytest.approx(
+            start + 0.5 * healthy.epochs[crash_epoch].epoch_time_s + timeout,
+            rel=1e-12)
+        assert start < event.detected_at <= (
+            start + crashed.epochs[crash_epoch].epoch_time_s)
+
+    @pytest.mark.parametrize("model", [ALEXNET, RESNET18, RESNET50],
+                             ids=lambda model: model.name)
+    def test_the_timeout_is_ten_of_the_models_iterations(self, spec_runner,
+                                                         model):
+        """Survivors wait 10 of their own iterations (Sec. 4.4), so a
+        model that ingests a minibatch more slowly waits longer."""
+        from repro.cluster.configs import config_ssd_v100
+        dataset = spec_runner.dataset("openimages")
+        scenario = FailureScenario(model, dataset, config_ssd_v100(), seed=5)
+        healthy = scenario.run_crash(4, (), 1)
+        crashed = scenario.run_crash(4, [(0, 1)], 1)
+        hp = HPSearchScenario(model, dataset, config_ssd_v100(), num_jobs=4,
+                              seed=5)
+        iteration = hp.batch_size / hp.gpu_rate_per_job
+        crash_time = 0.5 * healthy.epochs[0].epoch_time_s
+        assert crashed.events[0].detected_at - crash_time == pytest.approx(
+            10 * iteration, rel=1e-9)
+
+    @pytest.mark.parametrize("dataset_name", [
+        "openimages", "imagenet-1k", "openimages-detection"])
+    def test_the_missing_batch_is_the_epochs_middle_minibatch(
+            self, spec_runner, dataset_name):
+        """A crash lands halfway through the epoch, so every event names
+        the middle one of the epoch's minibatches as the one that timed
+        out."""
+        from repro.cluster.configs import config_ssd_v100
+        dataset = spec_runner.dataset(dataset_name)
+        hp = HPSearchScenario(RESNET18, dataset, config_ssd_v100(),
+                              num_jobs=3, seed=9)
+        result = FailureScenario(RESNET18, dataset, config_ssd_v100(),
+                                 seed=9).run_crash(3, [(0, 0), (1, 2)], 2)
+        batches = len(dataset) // hp.batch_size
+        assert batches >= 2
+        assert [e.missing_batch_id for e in result.events] == [batches // 2] * 2
+
+    @pytest.mark.parametrize("job", range(4))
+    def test_the_dead_jobs_cache_slice_is_re_read_the_next_epoch(
+            self, spec_runner, job):
+        """The crashed worker's slice of the shared MinIO cache dies with
+        it.  The crash epoch books those bytes as re-warm debt, and the
+        next epoch repays them through storage on top of the healthy
+        run's misses."""
+        from repro.cluster.configs import config_ssd_v100
+        dataset = spec_runner.dataset("openimages")
+        server = config_ssd_v100(cache_bytes=dataset.total_bytes * 0.5)
+        scenario = FailureScenario(RESNET18, dataset, server, seed=17)
+        healthy = scenario.run_crash(4, (), 3)
+        crashed = scenario.run_crash(4, [(1, job)], 3)
+        debt = crashed.epochs[1].rewarm_bytes
+        assert 0.0 < debt < server.cache_bytes
+        assert crashed.total_rewarm_bytes == debt
+        assert crashed.epochs[0] == healthy.epochs[0]
+        assert crashed.epochs[1].disk_bytes == healthy.epochs[1].disk_bytes
+        assert crashed.epochs[2].disk_bytes == pytest.approx(
+            healthy.epochs[2].disk_bytes + debt, rel=1e-12)
+
+    def test_an_empty_schedule_prices_the_coordinated_epochs(self,
+                                                             spec_runner):
+        """Without crashes every epoch is the coordinated HP-search epoch
+        over one persistent MinIO cache: no stall, no debt, no event."""
+        from repro.cluster.configs import config_ssd_v100
+        dataset = spec_runner.dataset("openimages")
+        server = config_ssd_v100(cache_bytes=dataset.total_bytes * 0.5)
+        result = FailureScenario(RESNET18, dataset, server,
+                                 seed=17).run_crash(4, (), 3)
+        hp = HPSearchScenario(RESNET18, dataset, server, num_jobs=4, seed=17)
+        cache = MinIOCache(server.cache_bytes)
+        for epoch, stats in enumerate(result.epochs):
+            priced = hp.run_epoch(cache, epoch, coordinated=True)
+            assert (stats.epoch_time_s, stats.disk_bytes,
+                    stats.cache_miss_ratio) == (
+                        priced.time_s, priced.disk_bytes, priced.miss_ratio)
+            assert (stats.stall_s, stats.rewarm_bytes, stats.active) == (
+                0.0, 0.0, 4)
+        assert result.events == []
+        assert result.degraded_epochs == 0
+
+    @pytest.mark.parametrize("schedule, crash_epochs", [
+        pytest.param(((0, 1),), [0], id="one-crash"),
+        pytest.param(((0, 1), (0, 2)), [0], id="two-in-one-epoch"),
+        pytest.param(((0, 1), (2, 2)), [0, 2], id="two-epochs-apart"),
+    ])
+    def test_the_degraded_epochs_are_the_crash_epochs(self, scenario,
+                                                      schedule, crash_epochs):
+        result = scenario.run_crash(4, schedule, 3)
+        assert [epoch for epoch, stats in enumerate(result.epochs)
+                if stats.stall_s > 0] == crash_epochs
+        assert result.degraded_epochs == len(crash_epochs)
+
+    def test_a_schedule_that_kills_every_job_is_refused(self, scenario):
+        """A crashed job's shard needs a survivor to take it over."""
+        with pytest.raises(SimulationError):
+            scenario.run_crash(2, ((0, 0), (1, 1)), 2)
+
+    @pytest.mark.parametrize("schedule", [
+        pytest.param(((3, 0),), id="epoch-past-the-run"),
+        pytest.param(((-1, 0),), id="negative-epoch"),
+        pytest.param(((0, -1),), id="negative-job"),
+        pytest.param(((0, 1), (2, 1)), id="job-crashes-twice"),
+    ])
+    def test_the_sweep_kind_refuses_an_impossible_schedule(self, schedule):
+        """A ``coordl-crash`` point is checked before it runs: each crash
+        falls inside the run, names a job that exists, and dead jobs stay
+        dead."""
+        with pytest.raises(ConfigurationError):
+            SweepPoint(model=RESNET18, loader="coordl-crash",
+                       dataset="openimages", cache_fraction=0.5, num_epochs=3,
+                       num_jobs=4, crash_schedule=schedule)
+
+    @pytest.mark.parametrize("schedule", [
+        pytest.param((), id="healthy"),
+        pytest.param(((1, 1),), id="one-crash"),
+        pytest.param(((0, 1), (2, 2)), id="two-crashes"),
+    ])
+    def test_the_crash_metrics_sum_the_trace(self, spec_runner, schedule):
+        """A ``coordl-crash`` row counts the trace's events and sums its
+        epochs' disk and re-warm bytes."""
+        point = SweepPoint(model=RESNET18, loader="coordl-crash",
+                           dataset="openimages", cache_fraction=0.5,
+                           num_epochs=3, num_jobs=4, crash_schedule=schedule)
+        record = spec_runner.run([point]).records[0]
+        row = record.row()
+        assert row["events"] == len(record.failure.events) == len(schedule)
+        assert row["disk_bytes"] == record.failure.total_disk_bytes
+        assert row["rewarm_bytes"] == record.failure.total_rewarm_bytes
+        assert (row["rewarm_bytes"] > 0) == bool(schedule)
+        assert row["epoch_time_s"] == record.failure.steady_epoch_time_s
+
+
+class TestReplacementPicking:
+    """:func:`pick_replacement`, the seeded survivor choice behind every
+    crash event: the byte-identity of crash traces relies on it."""
+
+    def test_picks_are_reproducible_and_consume_the_seed(self):
+        def picks(seed):
+            return [pick_replacement(seed, 4, count, [0, 1, 2, 3, 5])
+                    for count in range(6)]
+
+        assert picks(7) == picks(7)
+        assert picks(8) == picks(8)
+        assert len({tuple(picks(seed)) for seed in range(4)}) > 1
+
+    def test_pick_varies_with_the_event_count(self):
+        """The digest keys on the event count, so successive crashes are
+        not all handed to one survivor (such as the lowest)."""
+        picks = {pick_replacement(2, 7, count, range(7)) for count in range(8)}
+        assert len(picks) > 1
+
+    def test_survivors_are_indexed_in_sorted_order(self):
+        for count in range(5):
+            assert (pick_replacement(3, 1, count, [5, 0, 3, 2])
+                    == pick_replacement(3, 1, count, [0, 2, 3, 5]))
+
+    def test_never_names_a_dead_or_excluded_job(self):
+        """Across a cascade of crashes the pick is always a survivor."""
+        for seed in (0, 1, 12345):
+            alive = {0, 1, 2, 3, 4}
+            for count, victim in enumerate((3, 0, 4, 2)):
+                alive.discard(victim)
+                replacement = pick_replacement(seed, victim, count, alive)
+                assert replacement in alive and replacement != victim
+
+    def test_the_last_survivor_takes_every_shard(self):
+        for seed in (0, 7):
+            for count in range(6):
+                assert pick_replacement(seed, 1, count, [4]) == 4
+
+    def test_successive_picks_reach_every_survivor(self):
+        """Re-prep work spreads over the survivors instead of piling on
+        one of them."""
+        survivors = [0, 2, 5, 6]
+        picks = {pick_replacement(11, 3, count, survivors)
+                 for count in range(64)}
+        assert picks == set(survivors)
+
+
+class TestFailureEventKinds:
+    def test_default_kind_is_crash(self):
+        event = FailureEvent(failed_job=1, detected_at=0.5,
+                             reassigned_to=0, missing_batch_id=3)
+        assert event.kind == "crash"
+
+    def test_sentinel_fields_for_membership_events(self):
+        join = FailureEvent(failed_job=-1, detected_at=1.0,
+                            reassigned_to=2, missing_batch_id=-1, kind="join")
+        assert join.failed_job == -1 and join.missing_batch_id == -1
 
 
 # -- property 3: elastic ≡ static under an empty schedule -------------------

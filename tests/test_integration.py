@@ -6,14 +6,12 @@ import pytest
 
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, BERT_LARGE, RESNET18, RESNET50
-from repro.coordl import (CoordinatedEpochRunner, CoordinatedPrepPlan,
-                          FailureDetector, PartitionedCoorDLLoader, StagingArea)
+from repro.coordl import PartitionedCoorDLLoader
 from repro.datasets.catalog import DatasetSpec
 from repro.datasets.dataset import SyntheticDataset
 from repro.dsanalyzer.predictor import Bottleneck, DataStallPredictor
 from repro.dsanalyzer.profiler import DSAnalyzerProfiler
 from repro.dsanalyzer.whatif import optimal_cache_fraction
-from repro.prep.pipeline import PrepPipeline
 from repro.sim.distributed import DistributedTraining
 from repro.sim.engine import PipelineSimulator
 from repro.sim.hp_search import HPSearchScenario
@@ -90,17 +88,22 @@ class TestEndToEndDistributed:
 class TestEndToEndHPSearch:
     def test_hp_search_workflow(self, dataset):
         server = config_ssd_v100(cache_bytes=dataset.total_bytes * 0.5)
-        plan = CoordinatedPrepPlan(dataset, num_jobs=4, batch_size=64)
-        runner = CoordinatedEpochRunner(
-            plan, PrepPipeline.for_dataset(dataset), dataset,
-            staging=StagingArea(4, batch_timeout_s=10.0),
-            failure_detector=FailureDetector(4, iteration_time_s=1.0))
-        consumed = runner.run_epoch_in_lockstep()
-        assert all(len(batches) == plan.total_batches()
-                   for batches in consumed.values())
         scenario = HPSearchScenario(ALEXNET, dataset, server, num_jobs=4,
                                     gpus_per_job=2)
         assert scenario.speedup() >= 1.0
+
+    def test_coordination_lives_in_the_simulator(self):
+        """Coordinated prep and crash recovery are priced by the scenarios;
+        ``repro.coordl`` keeps only the distributed loader, at its module
+        path, and the crash trace's event type sits beside ``run_crash``."""
+        import repro.coordl
+        import repro.sim
+        from repro.coordl import partitioned_loader
+        from repro.sim import failures
+        assert repro.coordl.__all__ == ["PartitionedCoorDLLoader"]
+        assert (PartitionedCoorDLLoader
+                is partitioned_loader.PartitionedCoorDLLoader)
+        assert repro.sim.FailureEvent is failures.FailureEvent
 
     def test_speedup_ordering_between_storage_types(self, dataset):
         """HP-search gains are larger on slow storage (paper Sec. 5.3)."""

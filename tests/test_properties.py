@@ -23,8 +23,6 @@ from repro.cache.page_cache import PageCache, ReplayMemo
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
 from repro.cache.warm_kernel import WARM_KERNEL_ENV_VAR, simulate_segmented_lru
 from repro.compute.model_zoo import RESNET18
-from repro.coordl.coordinated_prep import CoordinatedPrepPlan
-from repro.coordl.staging import StagingArea
 from repro.datasets.catalog import DatasetSpec
 from repro.datasets.dataset import SyntheticDataset
 from repro.datasets.sampler import (
@@ -58,7 +56,7 @@ def _replay_state(cache: PageCache, hits) -> tuple:
     """Everything a replay leaves behind: mask, list order, counters."""
     return (None if hits is None else hits.tolist(), cache.resident_lists(),
             cache.inactive_bytes, cache.active_bytes,
-            cache.pressure_evictions, dataclasses.astuple(cache.stats))
+            dataclasses.astuple(cache.stats))
 
 
 def _kernel_replay(cache: PageCache, stream, sizes):
@@ -299,33 +297,32 @@ class TestPrepPricingProperties:
             time.hex() for time in per_batch]
 
 
-# Coordinated prep -------------------------------------------------------------
+# Coordinated staging -----------------------------------------------------------
 
-class TestCoordinationProperties:
-    @given(num_items=st.integers(4, 200), num_jobs=st.integers(1, 8),
-           batch=st.integers(1, 32), epoch=st.integers(0, 3), seed=seeds)
-    @settings(max_examples=50, deadline=None)
-    def test_plan_always_covers_dataset_exactly_once(self, num_items, num_jobs, batch,
-                                                     epoch, seed):
-        spec = DatasetSpec("plan", "image_classification", num_items, 10_000.0)
+class TestStagingPeakProperties:
+    @given(num_items=st.integers(1, 3_000), gpus_per_job=st.integers(1, 2),
+           seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_peak_is_one_batch_of_the_prepared_dataset(self, num_items,
+                                                       gpus_per_job, seed):
+        """Every staged minibatch holds ``batch_size`` of the epoch's items
+        (the last one may hold fewer), so the peak is at least the mean
+        batch and at most the ``batch_size`` largest prepared items."""
+        from repro.cluster.configs import config_ssd_v100
+        from repro.sim.hp_search import HPSearchScenario
+        spec = DatasetSpec("staging", "image_classification", num_items,
+                           110_000.0)
         dataset = SyntheticDataset(spec, seed=0)
-        plan = CoordinatedPrepPlan(dataset, num_jobs, batch, epoch=epoch, seed=seed)
-        assert plan.covers_dataset_exactly_once()
-        assert plan.unique_item_fetches() == num_items
-
-    @given(num_jobs=st.integers(1, 6), num_batches=st.integers(1, 30),
-           bytes_per_batch=st.floats(1.0, 1e6))
-    @settings(max_examples=50, deadline=None)
-    def test_staging_area_is_empty_after_full_consumption(self, num_jobs, num_batches,
-                                                          bytes_per_batch):
-        staging = StagingArea(num_jobs)
-        for batch_id in range(num_batches):
-            staging.stage(batch_id, 0, batch_id % num_jobs, [batch_id], bytes_per_batch)
-            for job in range(num_jobs):
-                staging.consume(job, batch_id)
-        assert staging.staged_batches == 0
-        assert staging.current_bytes == pytest.approx(0.0, abs=1e-6)
-        assert staging.consumptions == num_jobs * num_batches
+        scenario = HPSearchScenario(RESNET18, dataset, config_ssd_v100(),
+                                    num_jobs=2, gpus_per_job=gpus_per_job,
+                                    seed=seed)
+        prepared = PrepPipeline.for_dataset(dataset).prepared_bytes(
+            dataset.item_sizes(np.arange(num_items)))
+        batch = scenario.batch_size
+        batches = -(-num_items // batch)
+        peak = scenario.run_coordl().staging_peak_bytes
+        assert prepared.sum() / batches <= peak * (1 + 1e-12)
+        assert peak <= np.sort(prepared)[-batch:].sum() * (1 + 1e-12)
 
 
 # Pipeline makespan -------------------------------------------------------------
@@ -525,7 +522,7 @@ class TestMakespanProperties:
         size per item, matching its resident size, none over capacity) must
         run the kernel; any other stream must make the kernel decline with
         no side effects, so the entry walks.  Either way the hit mask,
-        every stats counter, the split eviction counters, the byte occupancies and the *order* of both
+        every stats counter, the byte occupancies and the *order* of both
         lists — what future evictions observe — must all be equal.
         """
         page = float(2 ** page_pow)
@@ -564,9 +561,6 @@ class TestMakespanProperties:
         assert bulk.used_bytes == scalar.used_bytes
         assert bulk.active_bytes == scalar.active_bytes
         assert bulk.inactive_bytes == scalar.inactive_bytes
-        assert bulk.evictions == scalar.evictions
-        assert bulk.pressure_evictions == scalar.pressure_evictions
-        assert bulk.explicit_evictions == scalar.explicit_evictions
         assert bulk.stats == scalar.stats
         # Ordering-observable future evictions: keep streaming until the
         # caches churn again and re-compare the hit masks.
@@ -632,7 +626,6 @@ class TestMakespanProperties:
             assert list(bulk.cached_items()) == list(scalar.cached_items())
             assert bulk.used_bytes == pytest.approx(scalar.used_bytes)
             assert bulk.active_bytes == pytest.approx(scalar.active_bytes)
-            assert bulk.evictions == scalar.evictions
             for field in ("hits", "misses", "insertions", "rejected"):
                 assert getattr(bulk.stats, field) == getattr(scalar.stats, field)
 
@@ -849,8 +842,7 @@ class TestPageCacheStateForms:
                 result = _page_cache_step(cache, step, step_seed, item_sizes,
                                           memo if memoised else None,
                                           walk_only)
-                trace.append((step, result, _replay_state(cache, None),
-                              cache.explicit_evictions))
+                trace.append((step, result, _replay_state(cache, None)))
             return trace
 
         expected = run(walk_only=True, memo=None)

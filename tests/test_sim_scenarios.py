@@ -1,13 +1,18 @@
 """Tests for the scenario drivers: single-server, distributed, HP search, accuracy."""
 
+import numpy as np
 import pytest
 
+from repro.cache.minio import MinIOCache
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
-from repro.compute.model_zoo import ALEXNET, AUDIO_M5, RESNET18, RESNET50
+from repro.compute.model_zoo import (ALEXNET, AUDIO_M5, RESNET18, RESNET50,
+                                     SSD_RES18)
+from repro.datasets import DatasetSpec, SyntheticDataset, get_dataset_spec
 from repro.exceptions import ConfigurationError
 from repro.sim.accuracy import AccuracyCurve, resnet50_imagenet_curve, time_to_accuracy
 from repro.sim.distributed import DistributedTraining
 from repro.pipeline.stats import EpochStats
+from repro.prep.pipeline import PrepPipeline
 from repro.sim.distributed import (
     DistributedEpoch,
     DistributedResult,
@@ -141,6 +146,84 @@ class TestHPSearchScenario:
         # The baseline reads (several times) more bytes from disk per epoch.
         assert baseline.disk_bytes_per_epoch > 3 * coordl.disk_bytes_per_epoch
         assert coordl.staging_peak_bytes > 0
+
+    @pytest.mark.parametrize("dataset_name, model, server_config", [
+        pytest.param("openimages", RESNET18, config_ssd_v100,
+                     id="openimages"),
+        pytest.param("imagenet-1k", RESNET50, config_hdd_1080ti,
+                     id="imagenet-1k"),
+        pytest.param("openimages-detection", SSD_RES18, config_ssd_v100,
+                     id="openimages-detection"),
+    ])
+    @pytest.mark.parametrize("num_jobs, seed", [(1, 0), (4, 7), (8, 12345)])
+    def test_staging_peak_is_the_largest_prepared_minibatch(
+            self, dataset_name, model, server_config, num_jobs, seed):
+        """In lockstep every job consumes a staged minibatch before the
+        next is produced, so the staging area's peak is its largest
+        prepared minibatch: the left-to-right item sum of one
+        ``batch_size`` slice of the ``(seed, 0, 0xC00D)`` permutation, bit
+        for bit.  It stays far below the prepared dataset (Sec. 5.5)."""
+        dataset = SyntheticDataset(get_dataset_spec(dataset_name),
+                                   scale=1.0 / 200.0)
+        server = server_config(cache_bytes=dataset.total_bytes * 0.5)
+        scenario = HPSearchScenario(model, dataset, server,
+                                    num_jobs=num_jobs, seed=seed)
+        prep = PrepPipeline.for_dataset(dataset)
+        prepared = [prep.prepared_bytes(dataset.item_size(int(item)))
+                    for item in np.random.default_rng(
+                        (seed, 0, 0xC00D)).permutation(len(dataset))]
+        batch = scenario.batch_size
+        largest = max(sum(prepared[start:start + batch])
+                      for start in range(0, len(prepared), batch))
+        peak = scenario.run_coordl().staging_peak_bytes
+        assert peak == largest
+        assert peak < 0.1 * sum(prepared)
+
+    def test_a_dataset_smaller_than_one_batch_is_staged_whole(self,
+                                                                ssd_server):
+        """With fewer items than one minibatch the epoch is one staged
+        batch, so the peak is the whole prepared dataset."""
+        spec = DatasetSpec("one-batch", "image_classification", 100, 110_000.0)
+        dataset = SyntheticDataset(spec, seed=0)
+        scenario = HPSearchScenario(RESNET18, dataset, ssd_server, num_jobs=2,
+                                    seed=4)
+        assert scenario.batch_size > len(dataset)
+        prep = PrepPipeline.for_dataset(dataset)
+        order = np.random.default_rng((4, 0, 0xC00D)).permutation(len(dataset))
+        assert scenario.run_coordl().staging_peak_bytes == sum(
+            prep.prepared_bytes(dataset.item_size(int(item))) for item in order)
+
+    @pytest.mark.parametrize("num_jobs", [1, 4, 8])
+    def test_a_cold_coordinated_epoch_reads_every_item_once(
+            self, small_dataset, ssd_server, num_jobs):
+        """Coordinated prep sweeps the dataset once for all jobs
+        (Sec. 4.3): from a cold cache, one epoch misses every item exactly
+        once, whatever the job count."""
+        scenario = HPSearchScenario(RESNET18, small_dataset, ssd_server,
+                                    num_jobs=num_jobs, seed=3)
+        cold = scenario.run_epoch(MinIOCache(ssd_server.cache_bytes), 0,
+                                  coordinated=True)
+        assert cold.miss_ratio == 1.0
+        assert cold.disk_bytes == pytest.approx(small_dataset.total_bytes,
+                                                rel=1e-12)
+
+    def test_coordinated_traffic_and_staging_do_not_grow_with_the_job_count(
+            self, small_dataset, ssd_server):
+        """The jobs share one sweep and one staged copy of each minibatch,
+        so CoorDL's disk bytes and staging peak stay put as jobs are
+        added, while the uncoordinated jobs read ever more from disk."""
+        cache_bytes = small_dataset.total_bytes * 0.5
+        scenarios = [HPSearchScenario(RESNET18, small_dataset, ssd_server,
+                                      num_jobs=jobs, cache_bytes=cache_bytes,
+                                      seed=3)
+                     for jobs in (1, 2, 4, 8)]
+        coordl = [scenario.run_coordl() for scenario in scenarios]
+        assert len({result.disk_bytes_per_epoch for result in coordl}) == 1
+        assert len({result.staging_peak_bytes for result in coordl}) == 1
+        baseline = [scenario.run_baseline().disk_bytes_per_epoch
+                    for scenario in scenarios]
+        assert all(fewer < more for fewer, more
+                   in zip(baseline, baseline[1:]))
 
     def test_pytorch_baseline_is_slowest_and_coordl_fastest(self, small_dataset,
                                                              ssd_server):

@@ -72,15 +72,6 @@ class TestIOStats:
         assert stats.cache_hit_ratio == pytest.approx(0.5)
         assert stats.miss_ratio == pytest.approx(0.5)
 
-    def test_reset(self):
-        stats = IOStats()
-        stats.record_disk(10.0, at_time=0.5)
-        stats.record_cache(5.0)
-        stats.reset()
-        assert stats.disk_bytes == 0.0
-        assert stats.total_requests == 0
-        assert stats.timeline == []
-
     def test_bulk_and_per_read_samples_keep_recording_order(self):
         stats = IOStats()
         stats.record_disk_bulk([10.0, 20.0], at_times=[0.1, 0.2])
