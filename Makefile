@@ -119,13 +119,13 @@ chaos-check:
 	$(PYTHON) tools/chaos_check.py
 
 ## Distributed-fabric gate: the protocol/executor/agent test suite, then
-## every committed golden grid replayed through a DistExecutor over real
-## `python -m repro dist worker` subprocesses at hosts=1/2 x local
-## workers=0/1/2 — byte-identical at every topology — and once more per
-## grid with one agent SIGKILLed mid-sweep under a host_kills fault plan
-## (chunks reassigned; zero lost or duplicated records per the store
-## trace checker).  Topology timings and steal/reassignment counters land
-## in BENCH_dist.json (repo root).
+## every committed golden grid replayed through a DistExecutor over one
+## and over two real `python -m repro dist worker` subprocesses —
+## byte-identical at both — and once more per grid with one agent
+## SIGKILLed mid-sweep under a host_kills fault plan (chunks reassigned;
+## zero lost or duplicated records per the store trace checker; no agent
+## descendant left running).  Topology timings and steal/reassignment
+## counters land in BENCH_dist.json (repo root).
 dist-check:
 	$(PYTHON) -m pytest -x -q tests/test_dist.py
 	$(PYTHON) tools/dist_check.py

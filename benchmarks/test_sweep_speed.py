@@ -29,9 +29,10 @@ has 4 cores.
 
 The store benchmark stands in for a warm ``report`` run: it executes
 three real sweep-backed experiment modules end to end against a cold
-content-addressed store, then again against the warm store, asserts the
+content-addressed store, then again against the warm store, three
+alternating pairs, each cold pass into a fresh store.  It asserts every
 warm pass simulated nothing (all store hits) yet produced identical
-tables, and gates the warm run at >= 5x over the cold one.
+tables, and gates the best warm pass at >= 5x over the best cold one.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ MIN_WARM_GRID_SPEEDUP = float(
 #: show over the cold run that populated the store (env-overridable for
 #: noisy CI runners, like the other gates).
 MIN_STORE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_STORE_SPEEDUP", "5.0"))
+
+#: Cold/warm pairs of the store gate, run alternately; each side keeps its
+#: best pass, as the Fig. 9(b) gate does.
+STORE_PAIRS = 3
 
 
 def _fig3_sweep() -> Tuple[float, Dict[tuple, List[float]]]:
@@ -321,40 +326,53 @@ def test_store_warm_report_run_is_5x_and_identical(benchmark, bench_report,
                                                    tmp_path):
     """A warm store turns the experiment slice into near-pure store reads.
 
-    Cold pass: every sweep point simulates and is written to the store.
-    Warm pass: every point must be served from the store (zero
-    simulations, asserted through the store counters), the resulting
-    tables must be **identical** (the rehydrated records are bit-exact,
-    so every derived table value matches), and the whole slice must run
-    at least :data:`MIN_STORE_SPEEDUP` times faster.
+    :data:`STORE_PAIRS` cold/warm pairs run alternately.  Cold pass: every
+    sweep point simulates and is written to a fresh store directory.  Warm
+    pass: every point must be served from that store (zero simulations,
+    asserted through the store counters) and the resulting tables must be
+    **identical** (the rehydrated records are bit-exact, so every derived
+    table value matches).  The best warm pass must run at least
+    :data:`MIN_STORE_SPEEDUP` times faster than the best cold pass.
     """
-    directory = tmp_path / "sweep-store"
+    cold_passes: List[Tuple[float, SweepStore, List[dict]]] = []
+    warm_passes: List[Tuple[SweepStore, List[dict]]] = []
 
-    cold_store = SweepStore(directory)
-    start = time.perf_counter()
-    cold_tables = _report_slice(cold_store)
-    cold_elapsed = time.perf_counter() - start
-    assert cold_store.hits == 0 and cold_store.puts == cold_store.misses > 0
+    def cold_pass():
+        directory = tmp_path / f"sweep-store-{len(cold_passes)}"
+        store = SweepStore(directory)
+        start = time.perf_counter()
+        tables = _report_slice(store)
+        cold_passes.append((time.perf_counter() - start, store, tables))
+        return (SweepStore(directory),), {}
 
-    warm_store = SweepStore(directory)
-    warm_tables = benchmark.pedantic(
-        lambda: _report_slice(warm_store), rounds=1, iterations=1)
+    def warm_pass(store: SweepStore) -> None:
+        warm_passes.append((store, _report_slice(store)))
+
+    # The cold pass is the untimed setup of each timed warm round.
+    benchmark.pedantic(warm_pass, setup=cold_pass, rounds=STORE_PAIRS,
+                       iterations=1)
     warm_elapsed = benchmark.stats.stats.min
+    cold_elapsed = min(elapsed for elapsed, _, _ in cold_passes)
 
-    assert warm_store.misses == 0, (
-        f"warm report run simulated {warm_store.misses} points "
-        "(expected all store hits)")
-    assert warm_store.hits == cold_store.puts
-    assert warm_tables == cold_tables, (
-        "store-rehydrated experiment tables diverged from the cold run")
+    assert len(cold_passes) == len(warm_passes) == STORE_PAIRS
+    for (_, cold_store, cold_tables), (warm_store, warm_tables) in zip(
+            cold_passes, warm_passes):
+        assert cold_store.hits == 0 and cold_store.puts == cold_store.misses > 0
+        assert warm_store.misses == 0, (
+            f"warm report run simulated {warm_store.misses} points "
+            "(expected all store hits)")
+        assert warm_store.hits == cold_store.puts
+        assert warm_tables == cold_tables, (
+            "store-rehydrated experiment tables diverged from the cold run")
 
+    points = cold_passes[0][1].puts
     speedup = cold_elapsed / warm_elapsed
-    bench_report.record("store_warm_report", points=cold_store.puts,
+    bench_report.record("store_warm_report", points=points,
                         reference_s=cold_elapsed, fast_s=warm_elapsed,
-                        store_entries=warm_store.stats().entries)
-    print(f"\nstore-backed report slice: cold {cold_elapsed * 1e3:.0f} ms, "
-          f"warm {warm_elapsed * 1e3:.0f} ms -> {speedup:.2f}x "
-          f"({cold_store.puts} points, all hits on the warm pass)")
+                        store_entries=warm_passes[0][0].stats().entries)
+    print(f"\nstore-backed report slice, best of {STORE_PAIRS}: cold "
+          f"{cold_elapsed * 1e3:.0f} ms, warm {warm_elapsed * 1e3:.0f} ms -> "
+          f"{speedup:.2f}x ({points} points, all hits on the warm passes)")
     assert speedup >= MIN_STORE_SPEEDUP, (
         f"warm store-backed run only {speedup:.2f}x faster "
         f"(need {MIN_STORE_SPEEDUP}x)")

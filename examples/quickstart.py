@@ -18,7 +18,8 @@ from repro.cluster import config_ssd_v100
 from repro.compute import RESNET18
 from repro.datasets import SyntheticDataset, get_dataset_spec
 from repro.dsanalyzer import DataStallPredictor, DSAnalyzerProfiler, summarize
-from repro.sim import SingleServerTraining
+from repro.pipeline.stats import TrainingRunStats
+from repro.sim import PipelineSimulator, build_loader
 from repro.units import speedup
 
 #: Fraction of the real OpenImages corpus to simulate (keeps the run < 1 min).
@@ -44,19 +45,22 @@ def main() -> None:
     print()
 
     # --- 2. Simulate training with DALI and with CoorDL --------------------
-    training = SingleServerTraining(model, dataset, server, num_epochs=3)
-    results = {kind: training.run(kind) for kind in ("dali-shuffle", "coordl")}
+    # Three epochs each: a cold-cache warm-up, then two measured epochs.
+    simulator = PipelineSimulator(model, server.gpu)
+    runs = {kind: TrainingRunStats(simulator.run_epochs(
+                build_loader(kind, dataset, server, model), 3))
+            for kind in ("dali-shuffle", "coordl")}
 
     print(f"{'loader':<14}{'epoch (s)':>12}{'fetch stall':>14}{'prep stall':>13}"
           f"{'disk GB':>10}{'miss %':>9}")
-    for kind, result in results.items():
-        epoch = result.run.steady_epoch()
+    for kind, run in runs.items():
+        epoch = run.steady_epoch()
         print(f"{kind:<14}{epoch.epoch_time_s:>12.1f}"
               f"{epoch.fetch_stall_fraction:>13.0%}{epoch.prep_stall_fraction:>12.0%}"
               f"{epoch.io.disk_bytes / 1e9:>10.2f}{epoch.cache_miss_ratio:>8.0%}")
 
-    gain = speedup(results["dali-shuffle"].steady_epoch_time_s,
-                   results["coordl"].steady_epoch_time_s)
+    gain = speedup(runs["dali-shuffle"].mean_epoch_time(),
+                   runs["coordl"].mean_epoch_time())
     print(f"\nCoorDL (MinIO cache) speedup over DALI: {gain:.2f}x")
 
 

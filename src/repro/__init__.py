@@ -14,8 +14,8 @@ The library has three layers:
   single-server loader kinds, CoorDL and the DALI / native-PyTorch
   baselines alike, are one :class:`~repro.pipeline.DataLoader` class built
   from a recipe table by :func:`~repro.sim.single_server.build_loader`;
-* **scenarios** — the pipelined epoch simulator and the single-server,
-  distributed-training and HP-search drivers (:mod:`repro.sim`), plus one
+* **scenarios** — the pipelined epoch simulator and the distributed-training,
+  HP-search and failure drivers (:mod:`repro.sim`), plus one
   module per paper figure/table in :mod:`repro.experiments`, all memoisable
   through the content-addressed sweep result store and persistent worker
   pool (:mod:`repro.store`).
@@ -31,7 +31,6 @@ from repro.sim import (
     DistributedTraining,
     HPSearchScenario,
     PipelineSimulator,
-    SingleServerTraining,
     SweepPoint,
     SweepResult,
     SweepRunner,
@@ -56,7 +55,6 @@ __all__ = [
     "DSAnalyzerProfiler",
     "DataStallPredictor",
     "PipelineSimulator",
-    "SingleServerTraining",
     "DistributedTraining",
     "HPSearchScenario",
     "SweepRunner",

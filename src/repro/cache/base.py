@@ -1,7 +1,7 @@
 """Cache interface.
 
 All caches in this library share a minimal byte-budgeted interface: look up an
-item, admit an item, and report occupancy.  Caches store item *ids* and
+item, admit an item, and report the bytes in use.  Caches store item *ids* and
 *sizes*, never payloads — the simulation only needs to know whether a request
 hits and how many bytes move.
 """
@@ -121,17 +121,6 @@ class Cache(ABC):
 
     def __len__(self) -> int:
         return sum(1 for _ in self.cached_items())
-
-    @property
-    def free_bytes(self) -> float:
-        """Remaining byte budget."""
-        return max(0.0, self._capacity - self.used_bytes)
-
-    def occupancy(self) -> float:
-        """Fraction of the byte budget in use."""
-        if self._capacity == 0:
-            return 0.0
-        return self.used_bytes / self._capacity
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters without touching contents."""

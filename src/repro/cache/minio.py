@@ -247,11 +247,6 @@ class MinIOCache(Cache):
                              stop_at_rejection=False)
         return hits
 
-    @property
-    def is_full(self) -> bool:
-        """True when no further item of typical size can be admitted."""
-        return self.free_bytes <= 0.0
-
     def item_size(self, item_id: int) -> float:
         """Size of a cached item (0.0 when not cached)."""
         return self._entries.get(item_id, 0.0)

@@ -219,10 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="bind address; port 0 picks a free one "
                              "(default 127.0.0.1:0; the bound address is "
                              "printed on stdout)")
-    worker.add_argument("--workers", type=int, default=0,
-                        help="local fan-out per chunk: 0/1 executes serially "
-                             "on the connection thread, N>=2 through an "
-                             "agent-owned process pool (default 0)")
     return parser
 
 
@@ -405,7 +401,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
     # argparse enforces dist_command == "worker" (the only subcommand)
     ((host, port),) = parse_hosts(args.listen)
-    agent = DistWorker(host, port, workers=max(0, args.workers))
+    agent = DistWorker(host, port)
     print(f"{LISTENING_PREFIX}{agent.endpoint}", flush=True)
     _unwind_on_sigterm()
     agent.serve_forever()
@@ -416,11 +412,12 @@ def _unwind_on_sigterm() -> None:
     """Make SIGTERM unwind a serving loop the way Ctrl-C does.
 
     The loop's ``finally: close()`` then runs, so a daemon drains its
-    in-flight requests and an agent stops its pool's workers, instead of
-    the default action killing the process and orphaning them.  The
-    handler only raises: calling ``close()`` from it would wait for the
-    ``serve_forever`` frame it interrupted.  Later SIGTERMs are ignored
-    so they cannot cut that cleanup short.
+    in-flight requests and stops its pool's workers, and an agent closes
+    its listener, instead of the default action killing the process and
+    orphaning the daemon's pool.  The handler only raises: calling
+    ``close()`` from it would wait for the ``serve_forever`` frame it
+    interrupted.  Later SIGTERMs are ignored so they cannot cut that
+    cleanup short.
     """
     def interrupt(signum, frame):
         signal.signal(signal.SIGTERM, signal.SIG_IGN)

@@ -22,7 +22,7 @@ invariant: every item appears exactly once per epoch.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +57,6 @@ class Sampler:
     def epoch(self, epoch_index: int) -> np.ndarray:
         """Return the item-id order for one epoch as an int64 array."""
         raise NotImplementedError
-
-    def epochs(self, num_epochs: int) -> Iterator[np.ndarray]:
-        """Yield the orders for ``num_epochs`` consecutive epochs."""
-        for e in range(num_epochs):
-            yield self.epoch(e)
 
 
 class SequentialSampler(Sampler):
@@ -324,9 +319,9 @@ class BatchSampler:
 def verify_epoch_invariant(order: Sequence[int], num_items: int) -> bool:
     """Check that an epoch order touches every item exactly once.
 
-    Used by tests and by the coordinated-prep correctness checks: CoorDL must
-    not change the sampling semantics (Sec. 4, "The data sampling and
-    randomization is unmodified").
+    The sampler tests hold every sampler, sharded and batched ones
+    included, to this: CoorDL must not change the sampling semantics
+    (Sec. 4, "The data sampling and randomization is unmodified").
     """
     arr = np.asarray(order, dtype=np.int64)
     if arr.size != num_items:

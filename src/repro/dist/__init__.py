@@ -7,10 +7,10 @@ cluster compute fabric, stdlib-only:
   --listen HOST:PORT``.  Speaks the length-prefixed JSON frame protocol
   of :mod:`repro.dist.protocol`, rebuilds simulation substrates from the
   wire runner spec through the same per-worker dataset/sampler caches
-  :class:`~repro.store.PersistentPool` workers use, executes point
-  chunks (serially, or through an agent-local pool when started with
-  ``--workers N``), and streams byte-exact ``SweepRecord`` snapshots
-  back as they finish.
+  :class:`~repro.store.PersistentPool` workers use, executes each point
+  chunk serially on its connection thread, and streams byte-exact
+  ``SweepRecord`` snapshots back as they finish.  One agent is one
+  execution slot: a host that wants N cores runs N agents.
 * :class:`DistExecutor` — the driver-side scheduler.  A drop-in for the
   ``pool=`` argument of :meth:`~repro.sim.sweep.SweepRunner.run` (and of
   the serve daemon): partitions store *misses* into chunks, assigns them
@@ -24,7 +24,7 @@ cluster compute fabric, stdlib-only:
 The scale-out contract is the repo-wide determinism contract, extended:
 because per-point seeding is scheduling-independent and the store is
 write-once, a grid's results are **byte-identical at any topology** —
-hosts=1/2 × workers=0/1/2 replay the committed golden grids exactly
+one and two agents replay the committed golden grids exactly
 (``make dist-check``), duplicate steals collapse to one delivery, and
 the merged multi-writer store trace still passes
 :func:`~repro.store.verify_store_trace`.
@@ -43,8 +43,6 @@ from repro.dist.protocol import (
     recv_frame,
     resolve_hosts,
     send_frame,
-    spec_from_wire,
-    spec_to_wire,
 )
 from repro.dist.worker import (
     LISTENING_PREFIX,
@@ -66,6 +64,4 @@ __all__ = [
     "recv_frame",
     "resolve_hosts",
     "send_frame",
-    "spec_from_wire",
-    "spec_to_wire",
 ]

@@ -31,7 +31,7 @@ labour mirrors the local pool exactly:
   point.
 
 Results are reassembled in input order and are byte-identical at any
-topology — the golden grids are replayed at hosts=1/2 × workers=0/1/2 by
+topology — the golden grids are replayed at hosts=1/2 by
 ``tools/dist_check.py`` to pin exactly that.
 
 Fault injection: a :class:`~repro.resilience.FaultPlan` ``host_kills``
@@ -60,10 +60,9 @@ from repro.dist.protocol import (
     parse_hosts,
     recv_frame,
     send_frame,
-    spec_to_wire,
 )
 from repro.resilience.faults import active_injector
-from repro.serve.protocol import point_to_wire
+from repro.serve.protocol import point_to_wire, runner_from_wire, runner_to_wire
 from repro.sim.sweep import (
     SweepPoint,
     SweepRecord,
@@ -113,16 +112,13 @@ def _peer_closed(sock: socket.socket) -> bool:
 class _Host:
     """Driver-side state of one worker agent connection."""
 
-    __slots__ = ("endpoint", "address", "sock", "alive", "agent_workers",
-                 "agent_pid")
+    __slots__ = ("endpoint", "address", "sock", "alive")
 
     def __init__(self, endpoint: str, address: Tuple[str, int]) -> None:
         self.endpoint = endpoint
         self.address = address
         self.sock: Optional[socket.socket] = None
         self.alive = False
-        self.agent_workers = 0
-        self.agent_pid: Optional[int] = None
 
 
 class DistExecutor:
@@ -205,13 +201,10 @@ class DistExecutor:
 
     @property
     def workers(self) -> int:
-        """Remote execution slots: the sum of connected agents' local
-        fan-out (at least one slot per agent), or the host count before
-        any connection has been made."""
-        connected = [host for host in self._hosts if host.alive]
-        if not connected:
-            return len(self._hosts)
-        return sum(max(1, host.agent_workers) for host in connected)
+        """Remote execution slots, one per agent: the connected agents, or
+        the configured host count before any connection has been made."""
+        return (sum(host.alive for host in self._hosts)
+                or len(self._hosts))
 
     @property
     def respawns(self) -> int:
@@ -253,8 +246,6 @@ class DistExecutor:
             return False
         host.sock = sock
         host.alive = True
-        host.agent_workers = int(reply.get("workers", 0) or 0)
-        host.agent_pid = reply.get("pid")
         return True
 
     def _drop(self, host: _Host) -> None:
@@ -320,16 +311,21 @@ class DistExecutor:
         failing input index as a labelled
         :class:`~repro.exceptions.SweepPointError`; a run that loses
         hosts beyond the reassignment budget (or loses every host) raises
-        the same way, naming the lowest point still outstanding.
+        the same way, naming the lowest point still outstanding.  A runner
+        whose factory the agents would refuse (a closure, or a module
+        outside :data:`~repro.serve.protocol.ALLOWED_FACTORY_MODULES`)
+        raises :class:`~repro.exceptions.ConfigurationError` before any
+        agent is dialled.
         """
         if not indexed_points:
             return []
+        wire_spec = runner_to_wire(runner)
+        runner_from_wire(wire_spec)  # the agents' whitelist check, here
         with self._run_lock:
-            return self._run_locked(runner.spec(), list(indexed_points),
+            return self._run_locked(wire_spec, list(indexed_points),
                                     on_record)
 
-    def _run_locked(self, spec, indexed_points, on_record):
-        wire_spec = spec_to_wire(spec)
+    def _run_locked(self, wire_spec, indexed_points, on_record):
         live = [host for host in self._hosts if self._connect(host)]
         if not live:
             raise HostLostError(

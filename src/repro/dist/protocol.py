@@ -4,16 +4,13 @@ Driver (:class:`~repro.dist.DistExecutor`) and worker agents
 (:class:`~repro.dist.DistWorker`) speak length-prefixed JSON frames over a
 plain TCP socket: a 4-byte big-endian payload length followed by the frame
 as canonical UTF-8 JSON.  Framing lives here (:func:`send_frame` /
-:func:`recv_frame`) together with the spec wire forms, so the two sides —
-and the tests — cannot drift.
+:func:`recv_frame`), so the two sides — and the tests — cannot drift.
 
 Frame types (every frame is a JSON object with a ``"type"`` key):
 
 ======================  =========  =========================================
 ``hello``               both ways  handshake; carries ``protocol`` (checked
-                                   against :data:`DIST_PROTOCOL_VERSION`),
-                                   and from the worker ``pid``/``workers``
-``ping`` / ``pong``     both ways  liveness probe
+                                   against :data:`DIST_PROTOCOL_VERSION`)
 ``run_chunk``           to worker  ``id``, ``spec`` (wire runner spec) and
                                    ``points`` (``[[index, point], ...]``)
 ``record``              to driver  one finished point: ``id``, ``index``
@@ -22,18 +19,24 @@ Frame types (every frame is a JSON object with a ``"type"`` key):
                                    ``error`` text and worker ``traceback``
 ``chunk_done``          to driver  chunk barrier: ``id``, ``ok``/``failed``
 ``shutdown`` / ``bye``  both ways  orderly connection teardown
+``error``               to driver  a refused ``hello`` or an unknown frame
+                                   type; the agent then closes the
+                                   connection
 ======================  =========  =========================================
 
 Payload shapes are **reused from the serve layer**
 (:mod:`repro.serve.protocol`): the runner spec travels as the whitelisted
-``module:qualname`` factory token plus three scalars, points by model zoo
-name, and records as ``SweepRecord.snapshot(include_timeline=True)`` — the
+``module:qualname`` factory token plus three scalars
+(:func:`~repro.serve.protocol.runner_to_wire`), points by model zoo name,
+and records as ``SweepRecord.snapshot(include_timeline=True)`` — the
 byte-exact wire form the store and the HTTP daemon already use, with each
 disk timeline as base64 of its little-endian float64 columns.  The same
 security posture applies: a worker agent resolves factory tokens only from
-:data:`repro.serve.protocol.ALLOWED_FACTORY_MODULES`, because the token is
+:data:`repro.serve.protocol.ALLOWED_FACTORY_MODULES`
+(:func:`~repro.serve.protocol.runner_from_wire`), because the token is
 imported and *called* — accepting arbitrary tokens from the network would
-be remote code execution by configuration.
+be remote code execution by configuration.  The driver runs the same check
+before it sends any frame.
 """
 
 from __future__ import annotations
@@ -45,11 +48,6 @@ import struct
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.serve.protocol import (
-    runner_from_wire,
-    runner_to_wire,
-)
-from repro.sim.sweep import SweepRunner
 
 #: Version tag exchanged in ``hello`` frames; bumped on breaking protocol
 #: changes so a stale agent fails loudly instead of misparsing.  Version 2
@@ -119,36 +117,6 @@ def recv_frame(sock: socket.socket) -> Dict[str, Any]:
     if not isinstance(frame, dict) or "type" not in frame:
         raise ConnectionError("peer sent a frame without a 'type'")
     return frame
-
-
-def spec_to_wire(spec: tuple) -> Dict[str, Any]:
-    """Wire form of one picklable runner spec tuple.
-
-    ``spec`` is :meth:`~repro.sim.sweep.SweepRunner.spec` output — the same
-    tuple :class:`~repro.store.PersistentPool` pickles to its workers.  The
-    factory function is replaced by its ``module:qualname`` token (the
-    serve layer's rendering), which also validates driver-side that the
-    factory is resolvable and whitelisted before anything hits the network.
-    """
-    server_factory, scale, seed, queue_depth = spec
-    runner = SweepRunner(server_factory, scale=scale, seed=seed,
-                         queue_depth=queue_depth)
-    wire = runner_to_wire(runner)
-    # Round-trip through the whitelist check now: a driver must fail this
-    # loudly at submit time, not discover it as a remote protocol error.
-    runner_from_wire(wire)
-    return wire
-
-
-def spec_from_wire(data: Dict[str, Any]) -> tuple:
-    """Rebuild the picklable spec tuple a wire runner spec describes.
-
-    Factory resolution goes through the serve layer's whitelist
-    (:data:`~repro.serve.protocol.ALLOWED_FACTORY_MODULES`); the returned
-    tuple feeds the same per-worker runner/dataset/sampler caches
-    :class:`~repro.store.PersistentPool` workers use.
-    """
-    return runner_from_wire(data).spec()
 
 
 def parse_hosts(text: str) -> List[Tuple[str, int]]:

@@ -2,26 +2,25 @@
 
 A :class:`DistWorker` is one long-running agent process (``repro dist
 worker --listen HOST:PORT``): it accepts driver connections, rebuilds
-sweep substrates from the runner specs it receives, executes point chunks
-and streams byte-exact :meth:`~repro.sim.sweep.SweepRecord.snapshot`
+sweep runners from the wire runner specs it receives, executes point
+chunks and streams byte-exact :meth:`~repro.sim.sweep.SweepRecord.snapshot`
 frames back as each point completes.
 
-Substrate reuse is the :class:`~repro.store.PersistentPool` discipline,
-literally: a wire spec is converted back to the picklable spec tuple and
-handed to :func:`repro.store.pool._worker_runner`, so an agent keeps one
-rebuilt :class:`~repro.sim.sweep.SweepRunner` per spec and shares the
-module-level dataset/sampler memo dicts across every runner configuration
-it ever serves — a dataset is materialised at most once per agent (or, at
-``--workers N``, once per pool worker) no matter how many drivers or grids
-connect.
+Substrate reuse is the :class:`~repro.store.PersistentPool` worker's: a
+wire spec is rebuilt through the serve layer's whitelist into a runner
+whose spec tuple keys :func:`repro.store.pool._worker_runner`, so an agent
+keeps one rebuilt :class:`~repro.sim.sweep.SweepRunner` per spec and
+shares the module-level dataset/sampler memo dicts across every runner
+configuration it ever serves — a dataset is materialised at most once per
+agent no matter how many drivers or grids connect.
 
-Every chunk is one ``run_points`` call on the agent's executor: the serial
-executor on the connection thread at ``workers<=1``, or, at
-``workers>=2``, an agent-owned supervised :class:`PersistentPool`, so one
-agent fans a chunk out over local processes and inherits the kill/respawn
-recovery contract.  Either way results are byte-identical: per-point
-seeding (:meth:`~repro.sim.sweep.SweepRunner.point_seed`) is independent
-of scheduling, worker count and host placement.
+Every chunk is one ``run_points`` call on
+:data:`~repro.sim.sweep.SERIAL_EXECUTOR`, on the connection thread.  An
+agent is one execution slot: a host that wants N cores runs N agents,
+which the driver already chunks, steals across and fails over.  Results
+are byte-identical wherever a point runs: per-point seeding
+(:meth:`~repro.sim.sweep.SweepRunner.point_seed`) is independent of
+scheduling and host placement.
 
 Failures never tear the connection down: every point that raises travels
 back as its own ``point_error`` frame (its message + traceback), and the
@@ -51,15 +50,10 @@ import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, SweepPointError
-from repro.dist.protocol import (
-    DIST_PROTOCOL_VERSION,
-    recv_frame,
-    send_frame,
-    spec_from_wire,
-)
-from repro.sim.sweep import SERIAL_EXECUTOR, clamp_workers
-from repro.serve.protocol import point_from_wire
-from repro.store.pool import PersistentPool, _worker_runner
+from repro.dist.protocol import DIST_PROTOCOL_VERSION, recv_frame, send_frame
+from repro.sim.sweep import SERIAL_EXECUTOR
+from repro.serve.protocol import point_from_wire, runner_from_wire
+from repro.store.pool import _worker_runner
 
 #: Stdout line an agent prints (flushed) once its socket is bound; the
 #: fleet spawner parses the address out of it, which is how ``--listen
@@ -71,31 +65,18 @@ _STARTUP_TIMEOUT_S = 30.0
 
 
 class DistWorker:
-    """One sweep worker agent: listen, rebuild substrates, stream records.
+    """One sweep worker agent: listen, rebuild runners, stream records.
 
     Args:
         host / port: Bind address; ``port=0`` picks a free port (readable
             from :attr:`address` after construction).
-        workers: Local fan-out per chunk.  ``0``/``1`` executes points
-            serially on the connection thread; ``N>=2`` runs chunks
-            through an agent-owned supervised
-            :class:`~repro.store.PersistentPool` (clamped to the core
-            count, like every worker knob), whose processes spawn on the
-            first chunk.
 
     Use :meth:`serve_forever` from the CLI, or :meth:`start` /
     :meth:`close` (also a context manager) from tests, which serve on a
     background accept thread.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 workers: int = 0) -> None:
-        if workers < 0:
-            raise ConfigurationError("workers must be >= 0")
-        self._workers = clamp_workers(workers) if workers else 0
-        self._pool = (PersistentPool(self._workers)
-                      if self._workers >= 2 else None)
-        self._executor = SERIAL_EXECUTOR if self._pool is None else self._pool
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._listener = socket.create_server((host, port))
         self._closed = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
@@ -114,11 +95,6 @@ class DistWorker:
         """The ``host:port`` string drivers pass in their host lists."""
         host, port = self.address
         return f"{host}:{port}"
-
-    @property
-    def workers(self) -> int:
-        """Local fan-out (0 = serial on the connection thread)."""
-        return self._workers
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -141,7 +117,7 @@ class DistWorker:
             self.close()
 
     def close(self) -> None:
-        """Stop accepting and release the pool (idempotent)."""
+        """Stop accepting connections (idempotent)."""
         if self._closed.is_set():
             return
         self._closed.set()
@@ -155,8 +131,6 @@ class DistWorker:
             self._listener.close()
         except OSError:
             pass
-        if self._pool is not None:
-            self._pool.close(drain=False)
         if self._accept_thread is not None:
             self._accept_thread.join(5.0)
             self._accept_thread = None
@@ -199,11 +173,7 @@ class DistWorker:
                                      f"{DIST_PROTOCOL_VERSION}"})
                         return
                     send_frame(conn, {"type": "hello",
-                                      "protocol": DIST_PROTOCOL_VERSION,
-                                      "pid": os.getpid(),
-                                      "workers": self._workers})
-                elif kind == "ping":
-                    send_frame(conn, {"type": "pong"})
+                                      "protocol": DIST_PROTOCOL_VERSION})
                 elif kind == "run_chunk":
                     self._run_chunk(conn, frame)
                 elif kind == "shutdown":
@@ -226,7 +196,7 @@ class DistWorker:
     def _run_chunk(self, conn: socket.socket, frame: Dict[str, Any]) -> None:
         chunk_id = frame.get("id")
         try:
-            spec = spec_from_wire(frame.get("spec"))
+            spec = runner_from_wire(frame.get("spec")).spec()
             tasks = [(int(index), point_from_wire(wire))
                      for index, wire in frame.get("points", [])]
             if not tasks:
@@ -245,37 +215,30 @@ class DistWorker:
                               "ok": 0, "failed": max(1, len(indices))})
             return
 
-        delivered = set()
-
         def stream(index: int, record) -> None:
-            delivered.add(index)
             send_frame(conn, {
                 "type": "record", "id": chunk_id, "index": index,
                 "snapshot": record.snapshot(include_timeline=True)})
 
+        failures: Dict[int, tuple] = {}
         try:
-            self._executor.run_points(_worker_runner(spec), tasks,
-                                      on_record=stream)
+            SERIAL_EXECUTOR.run_points(_worker_runner(spec), tasks,
+                                       on_record=stream)
         except SweepPointError as error:
-            # Every success is already streamed, so the undelivered
-            # indices are exactly the failed (or lost) ones; each reports
-            # its own exception, and lost points the run's error.
-            for index, _point in tasks:
-                if index in delivered:
-                    continue
-                exc, text = error.failures.get(
-                    index, (error, error.child_traceback))
+            # Every success is already streamed; each failed point reports
+            # its own exception, in task order.
+            failures = error.failures
+            for index, (exc, _) in failures.items():
                 send_frame(conn, {
                     "type": "point_error", "id": chunk_id, "index": index,
                     "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": text or "".join(
-                        traceback.format_exception(exc))})
-        ok = len(delivered)
+                    "traceback": "".join(traceback.format_exception(exc))})
+        ok = len(tasks) - len(failures)
         with self._stats_lock:
             self.chunks_served += 1
             self.points_served += ok
         send_frame(conn, {"type": "chunk_done", "id": chunk_id,
-                          "ok": ok, "failed": len(tasks) - ok})
+                          "ok": ok, "failed": len(failures)})
 
 
 class LocalWorkerFleet:
@@ -290,7 +253,7 @@ class LocalWorkerFleet:
     a :class:`~repro.dist.DistExecutor` takes.
     """
 
-    def __init__(self, count: int, workers: int = 0) -> None:
+    def __init__(self, count: int) -> None:
         if count < 1:
             raise ConfigurationError("a fleet needs >= 1 agents")
         self._procs: List[subprocess.Popen] = []
@@ -303,7 +266,7 @@ class LocalWorkerFleet:
             for _ in range(count):
                 proc = subprocess.Popen(
                     [sys.executable, "-m", "repro", "dist", "worker",
-                     "--listen", "127.0.0.1:0", "--workers", str(workers)],
+                     "--listen", "127.0.0.1:0"],
                     stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                     env=env, text=True)
                 self._procs.append(proc)
@@ -336,8 +299,8 @@ class LocalWorkerFleet:
 
         Read from the ppid fields of ``/proc/*/stat`` (Linux; empty
         elsewhere).  Taken before :meth:`close`, it is what a leak check
-        waits on with :meth:`survivors`: an agent's pool workers and its
-        resource tracker must exit with it.
+        waits on with :meth:`survivors`: an agent runs its chunks in
+        process, so anything it did start must exit with it.
         """
         parents: Dict[int, int] = {}
         for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):

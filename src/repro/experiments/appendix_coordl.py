@@ -18,8 +18,9 @@ from typing import List, Optional, Sequence
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, IMAGE_MODELS, RESNET18, RESNET50, ModelSpec
 from repro.experiments.base import ExperimentResult, SWEEP_SCALE, scaled_dataset
+from repro.sim.engine import PipelineSimulator
 from repro.sim.hp_search import HPSearchScenario
-from repro.sim.single_server import SingleServerTraining
+from repro.sim.single_server import build_loader
 from repro.sim.sweep import SweepPoint, SweepRunner
 from repro.units import safe_div, speedup
 from repro.store import PersistentPool, StoreArg
@@ -98,9 +99,6 @@ def run_fig19_20(scale: float = SWEEP_SCALE, cache_fraction: float = 0.65,
     dataset = scaled_dataset("openimages", scale, seed)
     server = config_ssd_v100(cache_bytes=dataset.total_bytes * cache_fraction)
 
-    # CPU utilisation proxy (Fig. 19): fraction of the epoch the prep workers
-    # are doing useful work rather than blocked behind storage.
-    training = SingleServerTraining(RESNET18, dataset, server, num_epochs=2)
     result = ExperimentResult(
         experiment_id="fig19_20",
         title="Figs. 19/20 — CPU utilisation and coordinated-prep memory overhead",
@@ -109,8 +107,14 @@ def run_fig19_20(scale: float = SWEEP_SCALE, cache_fraction: float = 0.65,
                "paper: CoorDL uses ~5 GB of staging memory, repaid by shrinking the "
                "cache budget by the same amount"],
     )
-    dali_epoch = training.run("dali-shuffle", seed=seed).run.steady_epoch()
-    coordl_epoch = training.run("coordl", seed=seed).run.steady_epoch()
+    # CPU utilisation proxy (Fig. 19): fraction of the steady-state epoch
+    # the prep workers are doing useful work rather than blocked behind
+    # storage (epoch 0 warms the cache).
+    simulator = PipelineSimulator(RESNET18, server.gpu)
+    dali_epoch, coordl_epoch = (
+        simulator.run_epochs(
+            build_loader(kind, dataset, server, RESNET18, seed=seed), 2)[-1]
+        for kind in ("dali-shuffle", "coordl"))
     dali_cpu_util = safe_div(dali_epoch.prep_limited_time_s - dali_epoch.gpu_time_s
                              + dali_epoch.gpu_time_s, dali_epoch.epoch_time_s)
     coordl_cpu_util = safe_div(coordl_epoch.prep_limited_time_s - coordl_epoch.gpu_time_s

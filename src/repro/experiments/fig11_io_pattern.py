@@ -15,7 +15,8 @@ from typing import List, Tuple
 from repro.cluster.configs import config_ssd_v100
 from repro.compute.model_zoo import RESNET18
 from repro.experiments.base import DEFAULT_SCALE, ExperimentResult, scaled_dataset
-from repro.sim.single_server import SingleServerTraining
+from repro.sim.engine import PipelineSimulator
+from repro.sim.single_server import build_loader
 
 
 def _bucketed_timeline(timeline: List[Tuple[float, float]], epoch_time: float,
@@ -40,9 +41,12 @@ def run(scale: float = DEFAULT_SCALE, cache_fraction: float = 0.65,
     """Reproduce the cumulative disk-I/O timeline of Fig. 11."""
     dataset = scaled_dataset(dataset_name, scale, seed)
     server = config_ssd_v100(cache_bytes=dataset.total_bytes * cache_fraction)
-    training = SingleServerTraining(RESNET18, dataset, server, num_epochs=2)
-    dali = training.run("dali-shuffle", seed=seed).run.steady_epoch()
-    coordl = training.run("coordl", seed=seed).run.steady_epoch()
+    simulator = PipelineSimulator(RESNET18, server.gpu)
+    # Epoch 0 warms the cache; epoch 1 is the steady-state epoch plotted.
+    dali, coordl = (
+        simulator.run_epochs(
+            build_loader(kind, dataset, server, RESNET18, seed=seed), 2)[-1]
+        for kind in ("dali-shuffle", "coordl"))
 
     horizon = max(dali.epoch_time_s, coordl.epoch_time_s)
     dali_series = _bucketed_timeline(dali.io.timeline, horizon, buckets)

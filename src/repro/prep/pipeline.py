@@ -24,10 +24,6 @@ class PrepCost:
     cpu_core_seconds: Any
     gpu_seconds: Any
 
-    def total(self) -> float:
-        """Sum of CPU and GPU work (used only for reporting)."""
-        return self.cpu_core_seconds + self.gpu_seconds
-
 
 class PrepPipeline:
     """An ordered list of transforms applied to every sample.

@@ -26,8 +26,6 @@ from repro.sim.hp_search import (HP_SEARCH_KINDS, HPSearchEpoch,
 from repro.sim.single_server import (
     LOADER_KINDS,
     LOADER_RECIPES,
-    SingleServerResult,
-    SingleServerTraining,
     best_prep,
     build_loader,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "FailureScenarioResult",
     "FailureEpoch",
     "FailureEvent",
-    "SingleServerTraining",
-    "SingleServerResult",
     "build_loader",
     "best_prep",
     "LOADER_KINDS",

@@ -13,16 +13,16 @@ module simulates four of them on top of the existing substrates:
   (:func:`pick_replacement`, Sec. 4.4); the epoch pays the detection
   latency, the re-prep of the dead job's shard, and the re-warm of the
   MinIO slice the crashed worker took down with it.
-* **elastic** (:meth:`FailureScenario.run_elastic`) — servers join or
-  leave a CoorDL partition (:class:`~repro.cache.partitioned.
-  PartitionedCacheGroup`) between epochs.  Joiners arrive cold and warm
-  through misses; leavers drop their cached bytes, which survivors
-  re-fetch from storage.  An empty schedule is exactly the static
-  membership run: it equals :meth:`FailureScenario.run_straggler` with no
-  slowdowns bit for bit (property-tested).
-* **straggler** (:meth:`FailureScenario.run_straggler`) — static
-  membership, but per-server fetch-side slowdown factors skew the
-  network/disk rates; the lockstep epoch is bound by the slowest rank.
+* **elastic** (:meth:`FailureScenario.run_partitioned` with a membership
+  schedule) — servers join or leave a CoorDL partition
+  (:class:`~repro.cache.partitioned.PartitionedCacheGroup`) between
+  epochs.  Joiners arrive cold and warm through misses; leavers drop
+  their cached bytes, which survivors re-fetch from storage.  An empty
+  schedule is the static membership run.
+* **straggler** (:meth:`FailureScenario.run_partitioned` with straggler
+  factors) — static membership, but per-server fetch-side slowdown
+  factors skew the network/disk rates; the lockstep epoch is bound by
+  the slowest rank.
 * **multi-tenant** (:meth:`FailureScenario.run_multitenant`) — several
   uncoordinated HP campaigns share one server's page cache and split its
   cores, compounding the thrashing of Sec. 3.3.
@@ -305,8 +305,9 @@ class FailureScenario:
         permutation, classifies it against the group (local DRAM / remote
         cache / storage) with exact side effects, and converts the byte
         sums into a fetch time; the epoch is bound by the slowest rank.
-        ``factors`` multiplies each rank's network+storage time (the
-        straggler skew; all-ones for healthy epochs).
+        ``factors[server]`` multiplies that server's network+storage time
+        (the straggler skew); servers past the end of ``factors`` are
+        healthy (1.0).
         """
         dram_bw = dram().random_read_bw
         net = self._server.network
@@ -330,8 +331,8 @@ class FailureScenario:
                            + remote_bytes / net.effective_bandwidth)
             disk_time = (int(storage_mask.sum()) * storage.request_overhead_s
                          + disk_bytes / storage.random_read_bw)
-            fetch = (local_bytes / dram_bw
-                     + factors[rank] * (remote_time + disk_time))
+            factor = factors[server_idx] if server_idx < len(factors) else 1.0
+            fetch = local_bytes / dram_bw + factor * (remote_time + disk_time)
             shard = len(order)
             rank_time = max(fetch, safe_div(shard, prep_rate),
                             safe_div(shard, gpu_rate))
@@ -345,10 +346,12 @@ class FailureScenario:
             cache_miss_ratio=safe_div(misses, num_items),
             active=len(active))
 
-    def run_elastic(self, num_servers: int,
-                    membership_schedule: Sequence[Tuple[int, int]],
-                    num_epochs: int) -> FailureScenarioResult:
-        """Servers join/leave a CoorDL partition between epochs.
+    def run_partitioned(self, loader_name: str, num_servers: int,
+                        membership_schedule: Sequence[Tuple[int, int]],
+                        straggler_factors: Sequence[float],
+                        num_epochs: int) -> FailureScenarioResult:
+        """A CoorDL partition over lockstep epochs (the ``coordl-elastic``
+        and ``coordl-straggler`` kinds; ``loader_name`` names the result).
 
         ``membership_schedule`` is ``(epoch, server_count)`` pairs: at the
         start of that epoch the active set grows or shrinks to the given
@@ -357,7 +360,18 @@ class FailureScenario:
         leavers are the most recently added active servers, and their
         cached bytes are dropped from the partition
         (:meth:`~repro.cache.partitioned.PartitionedCacheGroup.deactivate_server`).
+
+        ``straggler_factors[i]`` multiplies server ``i``'s network and
+        storage time (1.0 = healthy).  Servers past the end of the tuple,
+        joiners included, are healthy, so ``(4.0,)`` means "server 0
+        fetches 4x slower".  Because the epoch is lockstep, one straggler
+        bounds the whole job.  An empty schedule with no factors is the
+        static membership run.
         """
+        factors = [float(f) for f in straggler_factors]
+        if len(factors) > num_servers:
+            raise ConfigurationError(
+                f"{len(factors)} straggler factors for {num_servers} servers")
         schedule = sorted((int(e), int(n)) for e, n in membership_schedule)
         cache_budget = self._server.cache_bytes
         group = PartitionedCacheGroup(
@@ -366,8 +380,13 @@ class FailureScenario:
         active = list(range(num_servers))
         prep_rate = self._server_prep_rate()
         gpu_rate = self._server_gpu_rate()
-        result = FailureScenarioResult(loader_name="coordl-elastic",
+        result = FailureScenarioResult(loader_name=loader_name,
                                        samples_per_epoch=len(self._dataset))
+        for server, factor in enumerate(factors):
+            if factor != 1.0:
+                result.events.append(FailureEvent(
+                    kind="straggler", failed_job=server, detected_at=0.0,
+                    reassigned_to=-1, missing_batch_id=-1))
         elapsed = 0.0
         for epoch in range(num_epochs):
             rewarm = 0.0
@@ -387,44 +406,10 @@ class FailureScenario:
                         kind="leave", failed_job=departed, detected_at=elapsed,
                         reassigned_to=-1, missing_batch_id=-1))
             stats = self._partitioned_epoch(group, active, epoch, prep_rate,
-                                            gpu_rate, [1.0] * len(active))
+                                            gpu_rate, factors)
             stats.rewarm_bytes = rewarm
             result.epochs.append(stats)
             elapsed += stats.epoch_time_s
-        return result
-
-    def run_straggler(self, num_servers: int,
-                      straggler_factors: Sequence[float],
-                      num_epochs: int) -> FailureScenarioResult:
-        """Static partitioned membership with skewed per-server I/O rates.
-
-        ``straggler_factors[i]`` multiplies server ``i``'s network and
-        storage time (1.0 = healthy); a shorter tuple is padded with 1.0,
-        so ``(4.0,)`` means "server 0 fetches 4x slower".  Because the
-        epoch is lockstep, one straggler bounds the whole job.
-        """
-        factors = [float(f) for f in straggler_factors]
-        if len(factors) > num_servers:
-            raise ConfigurationError(
-                f"{len(factors)} straggler factors for {num_servers} servers")
-        factors += [1.0] * (num_servers - len(factors))
-        group = PartitionedCacheGroup(
-            self._dataset, [self._server.cache_bytes] * num_servers,
-            seed=self._seed)
-        group.populate_from_shards()
-        active = list(range(num_servers))
-        prep_rate = self._server_prep_rate()
-        gpu_rate = self._server_gpu_rate()
-        result = FailureScenarioResult(loader_name="coordl-straggler",
-                                       samples_per_epoch=len(self._dataset))
-        for server, factor in enumerate(factors):
-            if factor != 1.0:
-                result.events.append(FailureEvent(
-                    kind="straggler", failed_job=server, detected_at=0.0,
-                    reassigned_to=-1, missing_batch_id=-1))
-        for epoch in range(num_epochs):
-            result.epochs.append(self._partitioned_epoch(
-                group, active, epoch, prep_rate, gpu_rate, factors))
         return result
 
     # -- hp-multitenant ------------------------------------------------------
@@ -457,6 +442,15 @@ def _scenario(point: Any, context: PointContext) -> FailureScenario:
     # seed, so crash traces are a pure function of the point spec.
     return FailureScenario(point.model, context.dataset, context.server,
                            seed=context.seed, sampler=context.sampler)
+
+
+def _run_partitioned(point: Any, context: PointContext) -> Tuple[str, Any]:
+    # Each partitioned kind leaves the other's field at its default: a
+    # straggler point's membership schedule is empty, an elastic point
+    # has no straggler factors.
+    return named(_scenario(point, context).run_partitioned(
+        point.loader, point.num_servers, point.membership_schedule,
+        point.straggler_factors, point.num_epochs))
 
 
 def _check_crash(point: Any) -> None:
@@ -526,14 +520,10 @@ FAILURE_POINT_KINDS = {
         _check_crash),
     "coordl-elastic": PointKind(
         FAILURE_FAMILY, ("num_servers", "membership_schedule"),
-        lambda point, context: named(_scenario(point, context).run_elastic(
-            point.num_servers, point.membership_schedule, point.num_epochs)),
-        _check_elastic),
+        _run_partitioned, _check_elastic),
     "coordl-straggler": PointKind(
         FAILURE_FAMILY, ("num_servers", "straggler_factors"),
-        lambda point, context: named(_scenario(point, context).run_straggler(
-            point.num_servers, point.straggler_factors, point.num_epochs)),
-        _check_straggler),
+        _run_partitioned, _check_straggler),
     "hp-multitenant": PointKind(
         FAILURE_FAMILY, ("num_jobs", "tenants"),
         lambda point, context: named(_scenario(point, context).run_multitenant(

@@ -353,12 +353,6 @@ class HPSearchScenario:
         return self._result("coordl", self.run_epoch(cache, 1, coordinated=True),
                             staging_peak_bytes=self._staging_peak_bytes())
 
-    def speedup(self) -> float:
-        """CoorDL speedup over the uncoordinated baseline (epoch-time ratio)."""
-        baseline = self.run_baseline()
-        coordl = self.run_coordl()
-        return safe_div(baseline.epoch_time_s, coordl.epoch_time_s)
-
 
 def _run_point(method: Callable[[HPSearchScenario], HPSearchResult],
                point: Any, context: PointContext) -> Tuple[str, HPSearchResult]:

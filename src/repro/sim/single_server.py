@@ -1,9 +1,10 @@
-"""Single-server training scenario driver.
+"""Single-server training: the loader recipes and the training point kinds.
 
-Wires a model + dataset + server + loader choice into the pipelined epoch
-simulator and runs the paper's measurement protocol (warm-up epoch followed by
-measured epochs, Sec. 3.1).  This is the workhorse behind Figs. 2–6, 9(a),
-11, 13, 14 and Table 6.
+:func:`build_loader` wires a model + dataset + server + loader choice into
+one :class:`~repro.pipeline.DataLoader`; a training point runs it through
+the pipelined epoch simulator under the paper's measurement protocol
+(warm-up epoch followed by measured epochs, Sec. 3.1).  This is the
+workhorse behind Figs. 2–6, 9(a), 11, 13, 14 and Table 6.
 """
 
 from __future__ import annotations
@@ -184,67 +185,6 @@ def build_loader(kind: str, dataset: SyntheticDataset, server: ServerConfig,
         num_gpus=gpus,
         name=(recipe.gpu_name or recipe.name) if gpu_prep else recipe.name,
     )
-
-
-@dataclass
-class SingleServerResult:
-    """Outcome of one single-server training simulation."""
-
-    loader_name: str
-    run: TrainingRunStats
-
-    @property
-    def steady_epoch_time_s(self) -> float:
-        """Mean steady-state epoch time (first epoch ignored)."""
-        return self.run.mean_epoch_time()
-
-    @property
-    def steady_throughput(self) -> float:
-        """Mean steady-state throughput in samples/second."""
-        return self.run.mean_throughput()
-
-
-class SingleServerTraining:
-    """Run a single-server training job for a few epochs and collect stats.
-
-    Args:
-        model: DNN to train.
-        dataset: Dataset to train on.
-        server: Server configuration.
-        num_epochs: Total epochs to simulate (first is cold-cache warm-up).
-        queue_depth: Prefetch queue depth of the pipeline.
-    """
-
-    def __init__(self, model: ModelSpec, dataset: SyntheticDataset,
-                 server: ServerConfig, num_epochs: int = 3,
-                 queue_depth: int = 4) -> None:
-        if num_epochs < 2:
-            raise ConfigurationError(
-                "need at least two epochs (warm-up + one measured epoch)")
-        self._model = model
-        self._dataset = dataset
-        self._server = server
-        self._num_epochs = num_epochs
-        self._queue_depth = queue_depth
-
-    def run_with_loader(self, loader: DataLoader) -> SingleServerResult:
-        """Simulate the configured number of epochs with a ready-made loader."""
-        simulator = PipelineSimulator(self._model, self._server.gpu,
-                                      queue_depth=self._queue_depth)
-        run = TrainingRunStats()
-        for stats in simulator.run_epochs(loader, self._num_epochs):
-            run.add(stats)
-        return SingleServerResult(loader_name=loader.name, run=run)
-
-    def run(self, loader_kind: str, num_gpus: Optional[int] = None,
-            cores: Optional[float] = None, cache_bytes: Optional[float] = None,
-            gpu_prep: Optional[bool] = None, seed: int = 0,
-            batch_size: Optional[int] = None) -> SingleServerResult:
-        """Build a loader of the given kind and simulate the training run."""
-        loader = build_loader(loader_kind, self._dataset, self._server, self._model,
-                              num_gpus=num_gpus, cores=cores, cache_bytes=cache_bytes,
-                              gpu_prep=gpu_prep, seed=seed, batch_size=batch_size)
-        return self.run_with_loader(loader)
 
 
 def _run_training_point(point: Any,

@@ -60,21 +60,6 @@ def Gbps(n: float) -> float:
     return n * GB / 8.0
 
 
-def to_GiB(n_bytes: float) -> float:
-    """Convert bytes to binary gigabytes (for reporting)."""
-    return n_bytes / GIB
-
-
-def to_GB(n_bytes: float) -> float:
-    """Convert bytes to decimal gigabytes (for reporting)."""
-    return n_bytes / GB
-
-
-def to_MBps(rate_bytes_per_s: float) -> float:
-    """Convert bytes/second to MB/s (for reporting)."""
-    return rate_bytes_per_s / MB
-
-
 def hours(n: float) -> float:
     """Convert hours to seconds."""
     return n * 3600.0

@@ -664,11 +664,13 @@ class TestMinIOCache:
         assert cache.item_size(1) == 10.0
         assert cache.item_size(2) == 0.0
 
-    def test_is_full_property(self):
+    def test_a_cache_filled_to_capacity_rejects_the_next_item(self):
         cache = MinIOCache(10.0)
-        assert not cache.is_full
-        cache.admit(1, 10.0)
-        assert cache.is_full
+        assert cache.admit(1, 10.0)
+        assert cache.used_bytes == cache.capacity_bytes
+        assert not cache.admit(2, 0.5)
+        assert cache.stats.rejected == 1
+        assert list(cache.cached_items()) == [1]
 
     def test_admit_prefix_stops_at_the_first_rejection(self):
         cache = MinIOCache(25.0)

@@ -42,6 +42,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fly-to-the-moon"])
 
+    def test_dist_worker_takes_no_local_fan_out(self):
+        """One agent is one execution slot; more cores run more agents."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dist", "worker", "--workers", "2"])
+        assert excinfo.value.code == 2
+
     def test_unknown_experiment_raises_library_error(self):
         from repro.exceptions import ConfigurationError
         with pytest.raises(ConfigurationError):

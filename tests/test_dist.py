@@ -5,11 +5,12 @@ The scale-out contract this PR is pinned by:
 * **frame protocol** — length-prefixed JSON round-trips over a real
   socket pair, oversized/unparsable/typeless frames are refused, the
   runner spec's wire form goes through the serve layer's factory
-  whitelist *driver-side* (the RCE-by-configuration guard), and
-  ``host:port`` list parsing fails loudly on malformed input;
+  whitelist *driver-side* (the RCE-by-configuration guard), an agent
+  answers ``hello`` with its protocol alone and refuses unknown frames,
+  and ``host:port`` list parsing fails loudly on malformed input;
 * **byte identity at any topology** — a grid fanned out over 1 or 2
-  in-process worker agents (serial or pooled inside each agent) is
-  byte-identical to the serial run, work-stealing included;
+  in-process worker agents is byte-identical to the serial run,
+  work-stealing included;
 * **the driver keeps the store** — store hits are resolved before
   dispatch (nothing framed onto the wire for them) and streamed records
   are written back into the shared store by the driver's commit hook;
@@ -28,8 +29,6 @@ The scale-out contract this PR is pinned by:
 from __future__ import annotations
 
 import json
-import os
-import pathlib
 import socket
 import struct
 import threading
@@ -55,12 +54,10 @@ from repro.dist import (
     recv_frame,
     resolve_hosts,
     send_frame,
-    spec_from_wire,
-    spec_to_wire,
 )
 from repro.dist import executor as executor_module
 from repro.resilience.faults import FaultInjector, FaultPlan, install_plan
-from repro.serve.protocol import point_to_wire
+from repro.serve.protocol import point_to_wire, runner_from_wire, runner_to_wire
 from repro.sim.sweep import SweepPoint, SweepRunner
 from repro.store import SweepStore
 
@@ -83,6 +80,11 @@ def _grid(cache_fractions=(0.4, 0.8)):
 
 def _serial_snapshot(points):
     return _runner().run(points, workers=0, store=False).snapshot()
+
+
+def _uncatalogued_factory():  # pragma: no cover - never called
+    """A module-level factory outside ``ALLOWED_FACTORY_MODULES``."""
+    raise AssertionError("must not be invoked")
 
 
 @pytest.fixture
@@ -108,7 +110,7 @@ def _chunk_frames(agent: DistWorker, points, spec=None) -> list:
         assert recv_frame(sock)["type"] == "hello"
         send_frame(sock, {
             "type": "run_chunk", "id": 7,
-            "spec": spec or spec_to_wire(_runner().spec()),
+            "spec": spec or runner_to_wire(_runner()),
             "points": [[index, point_to_wire(point)]
                        for index, point in enumerate(points)]})
         frames = [recv_frame(sock)]
@@ -132,7 +134,7 @@ class TestFrameProtocol:
     def test_frames_round_trip_over_a_socket(self):
         left, right = socket.socketpair()
         try:
-            frames = [{"type": "ping"},
+            frames = [{"type": "hello", "protocol": DIST_PROTOCOL_VERSION},
                       {"type": "record", "id": 3, "index": 7,
                        "snapshot": {"nested": [1, 2.5, "x"]}}]
             for frame in frames:
@@ -173,18 +175,56 @@ class TestFrameProtocol:
             left.close()
             right.close()
 
-    def test_spec_wire_form_round_trips(self):
-        spec = _runner(seed=3, queue_depth=8).spec()
-        wire = spec_to_wire(spec)
-        assert spec_from_wire(json.loads(json.dumps(wire))) == spec
+    def test_runner_wire_form_round_trips(self):
+        runner = _runner(seed=3, queue_depth=8)
+        wire = json.loads(json.dumps(runner_to_wire(runner)))
+        assert runner_from_wire(wire).spec() == runner.spec()
 
-    def test_non_catalog_factory_fails_driver_side(self):
-        """The whitelist check runs at submit time, before any network."""
-        def rogue_factory():  # pragma: no cover - never called
-            raise AssertionError("must not be invoked")
+    def test_driver_frames_keep_their_bytes(self):
+        """The driver sends the bare ``hello`` and, as a chunk's spec,
+        ``runner_to_wire`` of the runner it was handed."""
+        runner = _runner(seed=5, queue_depth=6)
+        points = _grid()[:2]
+        snapshots = runner.run(points, workers=0, store=False).records
+        listener = socket.create_server(("127.0.0.1", 0))
+        received = []
 
-        with pytest.raises(ConfigurationError):
-            spec_to_wire((rogue_factory, SCALE, 0, 4))
+        def scripted_agent():
+            conn, _address = listener.accept()
+            with conn:
+                received.append(recv_frame(conn))                # hello
+                send_frame(conn, {"type": "hello",
+                                  "protocol": DIST_PROTOCOL_VERSION})
+                chunk = recv_frame(conn)
+                received.append(chunk)
+                for index, _wire in chunk["points"]:
+                    send_frame(conn, {
+                        "type": "record", "id": chunk["id"], "index": index,
+                        "snapshot": snapshots[index].snapshot(
+                            include_timeline=True)})
+                send_frame(conn, {"type": "chunk_done", "id": chunk["id"],
+                                  "ok": len(points), "failed": 0})
+                received.append(recv_frame(conn))                # shutdown
+                send_frame(conn, {"type": "bye"})
+
+        thread = threading.Thread(target=scripted_agent, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()
+        try:
+            with DistExecutor([f"{host}:{port}"],
+                              chunksize=len(points)) as executor:
+                executor.run_points(runner, list(enumerate(points)))
+        finally:
+            listener.close()
+            thread.join(10)
+        assert not thread.is_alive()
+        hello, chunk, shutdown = received
+        assert hello == {"type": "hello", "protocol": DIST_PROTOCOL_VERSION}
+        assert chunk == {"type": "run_chunk", "id": 0,
+                         "spec": runner_to_wire(runner),
+                         "points": [[index, point_to_wire(point)]
+                                    for index, point in enumerate(points)]}
+        assert shutdown == {"type": "shutdown"}
 
 
 class TestHostParsing:
@@ -213,6 +253,13 @@ class TestExecutorValidation:
         with pytest.raises(ConfigurationError):
             DistExecutor("h:1", chunksize=0)
 
+    def test_workers_counts_one_slot_per_connected_agent(self,
+                                                          two_agents):
+        first, second = two_agents
+        with DistExecutor([first.endpoint, second.endpoint]) as executor:
+            executor.run_points(_runner(), list(enumerate(_grid())))
+            assert executor.workers == 2
+
     def test_accepts_every_host_list_form(self):
         for hosts in ("a:1,b:2", ["a:1", "b:2"], [("a", 1), ("b", 2)]):
             executor = DistExecutor(hosts)
@@ -229,12 +276,26 @@ class TestExecutorValidation:
         with pytest.raises(HostLostError, match="no worker agent reachable"):
             executor.run_points(_runner(), list(enumerate(_grid())))
 
+    @pytest.mark.parametrize("kind", ["closure", "uncatalogued"])
+    def test_unservable_factory_fails_before_any_agent_is_dialled(self,
+                                                                 kind):
+        """The agents' whitelist check runs driver-side, at submit time:
+        a closure cannot be named, and a module-level factory outside
+        ``ALLOWED_FACTORY_MODULES`` would be refused by every agent."""
+        def closure_factory():  # pragma: no cover - never called
+            raise AssertionError("must not be invoked")
+
+        factory = (closure_factory if kind == "closure"
+                   else _uncatalogued_factory)
+        # Nothing listens there: dialling first would raise HostLostError.
+        executor = DistExecutor(f"127.0.0.1:{_free_port()}")
+        with pytest.raises(ConfigurationError):
+            executor.run_points(_runner(server_factory=factory),
+                                list(enumerate(_grid())))
+        assert executor.runs == 0
+
 
 class TestWorkerAgent:
-    def test_rejects_negative_workers(self):
-        with pytest.raises(ConfigurationError):
-            DistWorker(workers=-1)
-
     def test_hello_protocol_mismatch_is_refused(self, agent):
         sock = socket.create_connection(agent.address, timeout=5)
         try:
@@ -254,19 +315,31 @@ class TestWorkerAgent:
         assert time.monotonic() - began < 1.0
         assert not accept_thread.is_alive()
 
-    def test_ping_pong_and_orderly_shutdown(self, agent):
+    def test_hello_carries_only_the_protocol_and_shutdown_is_orderly(
+            self, agent):
         sock = socket.create_connection(agent.address, timeout=5)
         try:
             send_frame(sock, {"type": "hello",
                               "protocol": DIST_PROTOCOL_VERSION})
-            hello = recv_frame(sock)
-            assert hello["type"] == "hello"
-            assert hello["protocol"] == DIST_PROTOCOL_VERSION
-            assert isinstance(hello["pid"], int)
-            send_frame(sock, {"type": "ping"})
-            assert recv_frame(sock)["type"] == "pong"
+            assert recv_frame(sock) == {"type": "hello",
+                                        "protocol": DIST_PROTOCOL_VERSION}
             send_frame(sock, {"type": "shutdown"})
-            assert recv_frame(sock)["type"] == "bye"
+            assert recv_frame(sock) == {"type": "bye"}
+        finally:
+            sock.close()
+
+    def test_unknown_frame_gets_an_error_and_the_connection_closes(
+            self, agent):
+        sock = socket.create_connection(agent.address, timeout=5)
+        try:
+            send_frame(sock, {"type": "hello",
+                              "protocol": DIST_PROTOCOL_VERSION})
+            recv_frame(sock)
+            send_frame(sock, {"type": "ping"})
+            assert recv_frame(sock) == {"type": "error",
+                                        "error": "unknown frame 'ping'"}
+            with pytest.raises(ConnectionError):
+                recv_frame(sock)
         finally:
             sock.close()
 
@@ -294,17 +367,6 @@ class TestByteIdentity:
         assert distributed == serial
         # Four single-point chunks over two agents: both served some.
         assert first.chunks_served + second.chunks_served >= len(points)
-
-    def test_pooled_agent_matches_serial(self):
-        """An agent fanning chunks over its own local pool changes nothing."""
-        points = _grid()
-        serial = _serial_snapshot(points)
-        with DistWorker(workers=2) as agent:
-            with DistExecutor([agent.endpoint],
-                              chunksize=len(points)) as executor:
-                distributed = _runner().run(points, pool=executor,
-                                            store=False).snapshot()
-        assert distributed == serial
 
     def test_stolen_chunks_stay_byte_identical(self, two_agents,
                                                monkeypatch):
@@ -394,35 +456,27 @@ class TestFailureProtocol:
                     on_record=lambda i, r: delivered.append(i))
         assert delivered == [0]
 
-    def test_each_failing_point_reports_its_own_error_at_any_fan_out(
-            self, monkeypatch):
-        """A serial and a pooled agent send the same frames for a chunk
-        of two points failing differently: each index its own error text
-        and a traceback."""
-        monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real local pool
+    def test_each_failing_point_reports_its_own_error(self, agent):
+        """A chunk of two points failing differently: each index gets its
+        own error text and a traceback, then the chunk barrier."""
         points = [SweepPoint(model=ALEXNET, loader="hp-baseline", num_jobs=n,
                              label=f"overcommitted-{n}") for n in (64, 48)]
-        reports = {}
-        for workers in (0, 2):
-            with DistWorker(workers=workers) as agent:
-                frames = _chunk_frames(agent, points)
-            for frame in frames:
-                if frame["type"] == "point_error":
-                    assert frame.pop("traceback")
-            reports[workers] = frames
-        assert reports[0] == reports[2]
-        errors = [frame for frame in reports[0]
-                  if frame["type"] == "point_error"]
+        frames = _chunk_frames(agent, points)
+        errors = frames[:-1]
+        assert [frame["type"] for frame in errors] == ["point_error"] * 2
         assert [frame["index"] for frame in errors] == [0, 1]
         assert "64 jobs" in errors[0]["error"]
         assert "48 jobs" in errors[1]["error"]
+        assert all(frame["traceback"] for frame in errors)
+        assert frames[-1] == {"type": "chunk_done", "id": 7, "ok": 0,
+                              "failed": 2}
 
     @pytest.mark.parametrize("field, value", [("fast_path", False),
                                               ("sead", 3)])
     def test_unknown_runner_spec_field_fails_the_chunk_by_name(self, agent,
                                                                field, value):
         """A stale or misspelt spec field is refused, not defaulted."""
-        spec = dict(spec_to_wire(_runner().spec()), **{field: value})
+        spec = dict(runner_to_wire(_runner()), **{field: value})
         frames = _chunk_frames(agent, _grid()[:2], spec=spec)
         errors = [frame for frame in frames if frame["type"] == "point_error"]
         assert [frame["index"] for frame in errors] == [0, 1]
@@ -520,25 +574,6 @@ class TestHostDeath:
             listener.close()
             thread.join(10)
         assert not thread.is_alive()
-
-
-class TestAgentShutdown:
-    @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists()
-                        or (os.cpu_count() or 1) < 2,
-                        reason="needs /proc and two cores for an agent pool")
-    def test_sigterm_stops_a_pooled_agents_processes(self):
-        """SIGTERM (what ``LocalWorkerFleet.close`` sends) unwinds the
-        agent like Ctrl-C, so its pool closes: no spawn worker or resource
-        tracker outlives it."""
-        points = _grid()[:2]
-        with LocalWorkerFleet(1, workers=2) as fleet:
-            with DistExecutor(fleet.endpoints) as executor:
-                distributed = _runner().run(points, pool=executor,
-                                            store=False).snapshot()
-            assert distributed == _serial_snapshot(points)
-            descendants = fleet.descendant_pids()
-            assert descendants, "the agent's pool never spawned"
-        assert LocalWorkerFleet.survivors(descendants) == []
 
 
 class TestServeIntegration:

@@ -12,8 +12,8 @@ Three properties from the determinism contract are pinned with hypothesis:
   active count falls by one per crash;
 * **elastic ≡ static when the schedule is empty** — an empty membership
   schedule (and a no-op schedule entry) reproduce the static-membership
-  epochs bit for bit, cross-checked against the independent straggler
-  path with uniform factors.
+  epochs bit for bit, and so does a straggler run whose every factor is
+  1.0.
 
 Plus the cost and timing of a crash epoch, the re-warm debt it leaves,
 the seeded replacement pick itself, and direct coverage of the four kinds
@@ -376,16 +376,34 @@ class TestElasticStaticEquivalence:
     @settings(max_examples=8, deadline=None)
     def test_empty_schedule_is_the_static_run(self, scenario, num_servers,
                                               num_epochs):
-        elastic = scenario.run_elastic(num_servers, (), num_epochs)
+        elastic = scenario.run_partitioned("coordl-elastic", num_servers,
+                                           (), (), num_epochs)
         assert elastic.events == []
-        # Cross-check against the *independent* straggler epoch path with
-        # uniform factors — two code paths, one bit-exact answer.
-        uniform = scenario.run_straggler(num_servers, (), num_epochs)
+        # A straggler run whose every factor is 1.0 is healthy: a unit
+        # factor prices like no factor, bit for bit.
+        uniform = scenario.run_partitioned("coordl-straggler", num_servers,
+                                           (), (1.0,) * num_servers,
+                                           num_epochs)
+        assert uniform.events == []
         assert _epoch_tuples(elastic) == _epoch_tuples(uniform)
 
+    def test_a_joiner_fetches_at_full_speed(self, scenario):
+        """Straggler factors are indexed by server: a server that joins
+        past the end of the tuple is healthy, so a unit factor for every
+        original server prices like no factors at all."""
+        schedule = ((1, 3),)
+        plain = scenario.run_partitioned("coordl-elastic", 2, schedule, (), 3)
+        unit = scenario.run_partitioned("coordl-elastic", 2, schedule,
+                                        (1.0, 1.0), 3)
+        assert _epoch_tuples(plain) == _epoch_tuples(unit)
+        assert [event.kind for event in unit.events] == ["join"]
+        with pytest.raises(ConfigurationError, match="3 straggler factors"):
+            scenario.run_partitioned("coordl-straggler", 2, (),
+                                     (1.0, 2.0, 3.0), 2)
+
     def test_noop_membership_entry_changes_nothing(self, scenario):
-        static = scenario.run_elastic(3, (), 3)
-        noop = scenario.run_elastic(3, ((1, 3),), 3)
+        static = scenario.run_partitioned("coordl-elastic", 3, (), (), 3)
+        noop = scenario.run_partitioned("coordl-elastic", 3, ((1, 3),), (), 3)
         assert _epoch_tuples(static) == _epoch_tuples(noop)
         assert noop.events == []
 

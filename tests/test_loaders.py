@@ -89,8 +89,8 @@ class TestPyTorchDataLoader:
             loader = _loader(kind, tiny_dataset, hdd_server)
             duration = loader.fetch_batch(np.array([0]))
             assert loader.io.disk_requests == 1
-            assert duration == disk.read_time(size, sequential=False)
-            assert duration > disk.read_time(size, sequential=True)
+            assert duration == (disk.request_overhead_s
+                                + size / disk.random_read_bw)
 
     def test_fetch_returns_summed_device_times_and_samples_completions(
             self, tiny_dataset, ssd_server):

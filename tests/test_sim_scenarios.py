@@ -18,14 +18,27 @@ from repro.sim.distributed import (
     DistributedResult,
     DistributedTraining,
 )
+from repro.sim.engine import PipelineSimulator
 from repro.sim.hp_search import HPSearchScenario
 from repro.sim.single_server import (
     LOADER_KINDS,
     MIN_BATCHES_PER_EPOCH,
-    SingleServerTraining,
     build_loader,
     effective_batch_size,
 )
+from repro.units import speedup
+
+
+def _coordl_speedup(scenario):
+    """CoorDL's epoch-time speedup over the uncoordinated baseline."""
+    return speedup(scenario.run_baseline().epoch_time_s,
+                   scenario.run_coordl().epoch_time_s)
+
+
+def _steady_epoch(model, dataset, server, kind):
+    """The measured epoch of a warm-up + one measured epoch run."""
+    loader = build_loader(kind, dataset, server, model)
+    return PipelineSimulator(model, server.gpu).run_epochs(loader, 2)[-1]
 
 
 class TestSingleServerTraining:
@@ -46,21 +59,15 @@ class TestSingleServerTraining:
     def test_coordl_at_least_as_fast_as_dali_when_partially_cached(self, small_dataset,
                                                                    ssd_server):
         server = ssd_server.with_cache_bytes(small_dataset.total_bytes * 0.5)
-        training = SingleServerTraining(RESNET18, small_dataset, server, num_epochs=2)
-        dali = training.run("dali-shuffle").steady_epoch_time_s
-        coordl = training.run("coordl").steady_epoch_time_s
-        assert coordl <= dali * 1.01
+        dali = _steady_epoch(RESNET18, small_dataset, server, "dali-shuffle")
+        coordl = _steady_epoch(RESNET18, small_dataset, server, "coordl")
+        assert coordl.epoch_time_s <= dali.epoch_time_s * 1.01
 
     def test_coordl_reduces_disk_io_to_capacity_misses(self, small_dataset, ssd_server):
         fraction = 0.6
         server = ssd_server.with_cache_bytes(small_dataset.total_bytes * fraction)
-        training = SingleServerTraining(RESNET18, small_dataset, server, num_epochs=2)
-        epoch = training.run("coordl").run.steady_epoch()
+        epoch = _steady_epoch(RESNET18, small_dataset, server, "coordl")
         assert epoch.cache_miss_ratio == pytest.approx(1 - fraction, abs=0.08)
-
-    def test_requires_warmup_plus_measured_epoch(self, small_dataset, ssd_server):
-        with pytest.raises(ConfigurationError):
-            SingleServerTraining(RESNET18, small_dataset, ssd_server, num_epochs=1)
 
     def test_batch_size_clamped_to_keep_batches_per_epoch(self, small_dataset,
                                                           tiny_dataset):
@@ -74,8 +81,7 @@ class TestSingleServerTraining:
 
     def test_fully_cached_run_has_no_fetch_stall(self, small_dataset, ssd_server):
         server = ssd_server.with_cache_bytes(small_dataset.total_bytes * 1.5)
-        training = SingleServerTraining(RESNET50, small_dataset, server, num_epochs=2)
-        epoch = training.run("coordl").run.steady_epoch()
+        epoch = _steady_epoch(RESNET50, small_dataset, server, "coordl")
         assert epoch.fetch_stall_fraction < 0.02
 
 
@@ -135,7 +141,7 @@ class TestHPSearchScenario:
         scenario = HPSearchScenario(ALEXNET, small_dataset, ssd_server, num_jobs=8,
                                     gpus_per_job=1,
                                     cache_bytes=small_dataset.total_bytes * 0.5)
-        assert scenario.speedup() > 1.2
+        assert _coordl_speedup(scenario) > 1.2
 
     def test_coordinated_prep_removes_redundant_fetches(self, small_dataset, ssd_server):
         scenario = HPSearchScenario(ALEXNET, small_dataset, ssd_server, num_jobs=8,
@@ -275,7 +281,7 @@ class TestHPSearchScenario:
                                     cache_bytes=fma.total_bytes * 0.45)
         baseline = scenario.run_baseline()
         assert baseline.fetch_bound
-        assert scenario.speedup() > 2.0
+        assert _coordl_speedup(scenario) > 2.0
 
 
 class TestAccuracyModel:

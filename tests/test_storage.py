@@ -15,12 +15,6 @@ class TestStorageDevice:
         assert ssd.read_time(units.MBps(530)) == pytest.approx(1.0, rel=0.01)
         assert ssd.read_time(0.0) == pytest.approx(ssd.request_overhead_s)
 
-    def test_sequential_reads_use_sequential_bandwidth(self):
-        disk = hdd()
-        random_t = disk.read_time(10e6, sequential=False)
-        seq_t = disk.read_time(10e6, sequential=True)
-        assert seq_t < random_t
-
     def test_effective_rate_below_nominal_for_small_requests(self):
         disk = hdd()
         # An 8 ms seek dominates a 100 KB read: effective rate << 15 MB/s.
@@ -33,14 +27,26 @@ class TestStorageDevice:
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
-            StorageDevice("bad", random_read_bw=0, sequential_read_bw=1)
+            StorageDevice("bad", random_read_bw=0)
         with pytest.raises(ConfigurationError):
-            StorageDevice("bad", random_read_bw=1, sequential_read_bw=1,
-                          request_overhead_s=-1)
+            StorageDevice("bad", random_read_bw=1, request_overhead_s=-1)
 
     def test_negative_read_rejected(self):
         with pytest.raises(ConfigurationError):
             sata_ssd().read_time(-1)
+        with pytest.raises(ConfigurationError):
+            sata_ssd().read_times_array(np.array([4096.0, -1.0]))
+
+    @pytest.mark.parametrize("device", [sata_ssd(), hdd(), dram()],
+                             ids=lambda device: device.name)
+    def test_every_read_is_priced_at_the_random_read_rate(self, device):
+        """Small and large reads alike: one overhead plus the bytes at the
+        random-read bandwidth (no read reaches a sequential rate)."""
+        for nbytes in (0.0, 4096.0, 10e6):
+            expected = device.request_overhead_s + nbytes / device.random_read_bw
+            assert device.read_time(nbytes) == expected
+            assert device.effective_rate(nbytes) == (
+                nbytes / expected if expected else 0.0)
 
     def test_read_times_array_equals_per_read_read_time(self, tiny_dataset):
         disk = hdd()

@@ -23,12 +23,6 @@ def test_gbps_converts_bits_to_bytes():
     assert units.Gbps(40) == pytest.approx(5e9)
 
 
-def test_round_trip_reporting_helpers():
-    assert units.to_GiB(units.GiB(500)) == pytest.approx(500)
-    assert units.to_GB(3e9) == pytest.approx(3.0)
-    assert units.to_MBps(units.MBps(15)) == pytest.approx(15)
-
-
 def test_time_helpers():
     assert units.hours(2) == 7200
     assert units.minutes(3) == 180

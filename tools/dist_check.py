@@ -5,10 +5,10 @@ Replays every committed golden grid through a :class:`DistExecutor` over
 real ``python -m repro dist worker`` subprocesses and enforces the
 scale-out contract:
 
-* **byte identity at every topology** — each grid is replayed at
-  hosts=1/2 with per-agent local fan-out workers=0/1/2, and every run
-  must match the committed ``tests/golden`` snapshot byte for byte
-  (the distributed run is the serial run, just elsewhere);
+* **byte identity at every topology** — each grid is replayed over one
+  and over two agents, and every run must match the committed
+  ``tests/golden`` snapshot byte for byte (the distributed run is the
+  serial run, just elsewhere);
 * **the driver keeps the store** — each run writes through a fresh
   ``sqlite://`` store whose recorded read/write trace must satisfy the
   write-once contract (``verify_store_trace``), with exactly one put per
@@ -21,9 +21,8 @@ scale-out contract:
   least one chunk must be reassigned somewhere across the pass (a gate
   that kills nothing mid-flight proves nothing);
 * **stopped agents leave nothing running** — every agent's descendants
-  (pool workers, resource trackers) are recorded before its fleet
-  closes, and each must have exited (zombies count as exited) within
-  ``ORPHAN_WAIT_S`` of the close.
+  are recorded before its fleet closes, and each must have exited
+  (zombies count as exited) within ``ORPHAN_WAIT_S`` of the close.
 
 Per-topology timings, steal/reassignment counters and delivered-fault
 counts land in ``BENCH_dist.json`` at the repository root (the CI
@@ -66,9 +65,8 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 #: Where the fabric counters land (repo root, uploaded as a CI artifact).
 REPORT_PATH = REPO_ROOT / "BENCH_dist.json"
 
-#: The acceptance topologies: (agent count, per-agent local fan-out).
-TOPOLOGIES = tuple((hosts, workers)
-                   for hosts in (1, 2) for workers in (0, 1, 2))
+#: The acceptance topologies: agent counts.
+TOPOLOGIES = (1, 2)
 
 #: The fault pass's schedule: SIGKILL one agent after the first delivered
 #: record of every grid.
@@ -79,13 +77,13 @@ ORPHAN_WAIT_S = 10.0
 
 
 @contextlib.contextmanager
-def checked_fleet(count: int, orphans: list, workers: int = 0):
+def checked_fleet(count: int, orphans: list):
     """A ``LocalWorkerFleet`` whose agents' descendants must exit with it.
 
     Descendants still running ``ORPHAN_WAIT_S`` after the close are
     appended to ``orphans``.
     """
-    with LocalWorkerFleet(count, workers=workers) as fleet:
+    with LocalWorkerFleet(count) as fleet:
         try:
             yield fleet
         finally:
@@ -126,12 +124,12 @@ def run_grid(name: str, executor: DistExecutor, location: str,
 
 def run_clean_pass(grid_names, scratch: pathlib.Path,
                    orphans: list) -> dict:
-    """Every grid at every (hosts, workers) topology, byte-identical."""
+    """Every grid at every agent count, byte-identical."""
     results = {}
-    for hosts, workers in TOPOLOGIES:
-        key = f"hosts={hosts},workers={workers}"
+    for hosts in TOPOLOGIES:
+        key = f"hosts={hosts}"
         grids = {}
-        with checked_fleet(hosts, orphans, workers=workers) as fleet:
+        with checked_fleet(hosts, orphans) as fleet:
             with DistExecutor(fleet.endpoints, chunksize=1) as executor:
                 for name in grid_names:
                     root = scratch / "clean" / key / name
@@ -235,7 +233,7 @@ def main() -> int:
     payload = {
         "schema": "repro-dist-gate/1",
         "grids": list(grid_names),
-        "topologies": [f"hosts={h},workers={w}" for h, w in TOPOLOGIES],
+        "topologies": [f"hosts={hosts}" for hosts in TOPOLOGIES],
         "clean": clean,
         "host_death": fault,
         "orphans": len(orphans),
@@ -264,8 +262,7 @@ def main() -> int:
               f"process(es) still running {ORPHAN_WAIT_S:.0f} s after their "
               f"fleet closed (pids {sorted(orphans)})", file=sys.stderr)
         return 1
-    print("dist-check: every agent's pool workers and resource tracker "
-          "exited with it")
+    print("dist-check: no agent left a process running")
     return 0
 
 
