@@ -29,7 +29,10 @@ variable supplies the default store directory.  The sweep-running commands
 (``run-experiment``/``report``/``serve``) also accept ``--hosts a:p,b:p``
 (default: ``REPRO_SWEEP_HOSTS``) to run misses on remote worker agents
 through a :class:`repro.dist.DistExecutor` instead of local processes —
-results are byte-identical either way.
+results are byte-identical either way.  ``run-experiment`` and ``report``
+run every sweep on one executor: the hosts, or one pool of ``--workers N``
+(default ``REPRO_SWEEP_WORKERS``; below 2, serial); ``--workers N``
+(N >= 1) with hosts is rejected.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments import registry
 from repro.experiments.base import SWEEP_SCALE
 from repro.experiments.report_generator import generate
+from repro.sim.sweep import sweep_executor
 from repro.store import STORE_ENV_VAR, StoreArg, SweepStore, resolve_store
 
 
@@ -73,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float, default=SWEEP_SCALE,
                      help="dataset scale fraction (default 1/100)")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the experiment's sweep grid "
-                          "(default: REPRO_SWEEP_WORKERS or serial; results "
-                          "are identical for every value)")
+                     help="one worker pool of N processes for every sweep "
+                          "(below 2: serial; default: REPRO_SWEEP_WORKERS; "
+                          "results are identical for every value)")
     _add_store_flags(run)
     _add_hosts_flag(run)
 
@@ -94,7 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("-o", "--output", default="EXPERIMENTS.md")
     report.add_argument("--scale", type=float, default=SWEEP_SCALE)
     report.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the sweep-backed experiments")
+                        help="one worker pool of N processes for every "
+                             "sweep (below 2: serial; default: "
+                             "REPRO_SWEEP_WORKERS)")
     _add_store_flags(report)
     _add_hosts_flag(report)
 
@@ -253,14 +259,23 @@ def _add_hosts_flag(parser: argparse.ArgumentParser) -> None:
                              f"(default: ${HOSTS_ENV_VAR} when set)")
 
 
-def _dist_executor(args: argparse.Namespace):
-    """Build a :class:`DistExecutor` from ``--hosts``/env, or ``None``."""
+def _command_executor(args: argparse.Namespace):
+    """The context manager yielding a command's one executor, and the
+    fan-out flag the user passed (``"--hosts"``, ``"--workers"`` or
+    ``None``).  ``--workers N`` (N >= 1) with hosts is rejected, as
+    ``repro serve`` rejects it, before any pool is built or agent dialled.
+    """
     from repro.dist import DistExecutor, resolve_hosts
 
-    hosts = resolve_hosts(getattr(args, "hosts", None))
+    hosts = resolve_hosts(args.hosts)
     if hosts is None:
-        return None
-    return DistExecutor(hosts)
+        flag = None if args.workers is None else "--workers"
+        return sweep_executor(args.workers), flag
+    if args.workers:
+        raise ConfigurationError(
+            "pass --hosts (remote worker agents) or --workers (a local "
+            "pool), not both")
+    return DistExecutor(hosts), "--hosts"
 
 
 def _cmd_list_experiments() -> int:
@@ -269,29 +284,27 @@ def _cmd_list_experiments() -> int:
     return 0
 
 
-#: What ``run-experiment`` tells the user when an experiment does not take
-#: a setting they passed (``scale`` is dropped silently).
-_IGNORED_SETTING_WARNINGS = {
-    "workers": "parallelise; ignoring --workers",
-    "store": "memoise; ignoring --store/--no-store",
-    "pool": "distribute; ignoring --hosts",
+#: What ``run-experiment`` tells the user when an experiment has no sweep
+#: grid for a flag they passed (``scale`` is dropped silently).
+_IGNORED_FLAG_WARNINGS = {
+    "--store": "memoise; ignoring --store/--no-store",
+    "--workers": "parallelise; ignoring --workers",
+    "--hosts": "distribute; ignoring --hosts",
 }
 
 
-def _cmd_run_experiment(experiment_id: str, scale: float,
-                        workers: Optional[int], store: StoreArg,
-                        executor=None) -> int:
-    kwargs, ignored = registry.experiment_kwargs(
-        experiment_id, scale=scale, workers=workers, store=store, pool=executor)
-    for name in ignored:
-        if name in _IGNORED_SETTING_WARNINGS:
-            print(f"{experiment_id} has no sweep grid to "
-                  f"{_IGNORED_SETTING_WARNINGS[name]}", file=sys.stderr)
-    try:
-        result = registry.run_experiment(experiment_id, **kwargs)
-    finally:
-        if executor is not None:
-            executor.close()
+def _cmd_run_experiment(args: argparse.Namespace) -> int:
+    executor, fan_out = _command_executor(args)
+    with executor as pool:
+        kwargs, ignored = registry.experiment_kwargs(
+            args.experiment_id, scale=args.scale, store=_store_arg(args),
+            pool=pool)
+        for name in ignored:
+            flag = fan_out if name == "pool" else f"--{name}"
+            if flag in _IGNORED_FLAG_WARNINGS:
+                print(f"{args.experiment_id} has no sweep grid to "
+                      f"{_IGNORED_FLAG_WARNINGS[flag]}", file=sys.stderr)
+        result = registry.run_experiment(args.experiment_id, **kwargs)
     print(result.format_table())
     return 0
 
@@ -309,14 +322,11 @@ def _cmd_profile(model_name: str, dataset_name: str, server_name: str,
     return 0
 
 
-def _cmd_report(output: str, scale: float, workers: Optional[int],
-                store: StoreArg, executor=None) -> int:
-    try:
-        generate(output, scale, workers=workers, store=store, pool=executor)
-    finally:
-        if executor is not None:
-            executor.close()
-    print(f"wrote {output}")
+def _cmd_report(args: argparse.Namespace) -> int:
+    executor, _fan_out = _command_executor(args)
+    with executor as pool:
+        generate(args.output, args.scale, store=_store_arg(args), pool=pool)
+    print(f"wrote {args.output}")
     return 0
 
 
@@ -508,14 +518,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "list-experiments":
         return _cmd_list_experiments()
     if args.command == "run-experiment":
-        return _cmd_run_experiment(args.experiment_id, args.scale, args.workers,
-                                   _store_arg(args), _dist_executor(args))
+        return _cmd_run_experiment(args)
     if args.command == "profile":
         return _cmd_profile(args.model, args.dataset, args.server,
                             args.cache, args.scale, args.gpu_prep)
     if args.command == "report":
-        return _cmd_report(args.output, args.scale, args.workers,
-                           _store_arg(args), _dist_executor(args))
+        return _cmd_report(args)
     if args.command == "store":
         return _cmd_store(args)
     if args.command == "serve":

@@ -80,7 +80,9 @@ DEFAULT_MAX_REASSIGNS = 3
 #: outstanding chunk from a busier host.
 DEFAULT_STEAL_DELAY_S = 0.05
 
-#: Seconds allowed for the TCP connect + hello handshake per host.
+#: Seconds allowed for the TCP connect + hello handshake per host, and for
+#: the ``bye`` that answers a ``shutdown``.  Chunk frames have no bound: a
+#: chunk may legitimately run for minutes.
 CONNECT_TIMEOUT_S = 10.0
 
 HostsArg = Union[str, Sequence[Union[str, Tuple[str, int]]]]
@@ -225,9 +227,10 @@ class DistExecutor:
             host.alive = True
             return True
         try:
+            # Bounded until the hello reply: a listener that queues the
+            # connection and never answers costs CONNECT_TIMEOUT_S.
             sock = socket.create_connection(host.address,
                                             timeout=CONNECT_TIMEOUT_S)
-            sock.settimeout(None)
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:  # pragma: no cover - platform-dependent
@@ -240,6 +243,7 @@ class DistExecutor:
                 raise ConnectionError(
                     f"agent {host.endpoint} answered {reply.get('type')!r} "
                     f"(protocol {reply.get('protocol')!r})")
+            sock.settimeout(None)
         except (OSError, ConnectionError):
             host.sock = None
             host.alive = False
@@ -281,6 +285,7 @@ class DistExecutor:
         for host in self._hosts:
             if host.sock is not None and polite:
                 try:
+                    host.sock.settimeout(CONNECT_TIMEOUT_S)
                     send_frame(host.sock, {"type": "shutdown"})
                     recv_frame(host.sock)  # bye
                 except (OSError, ConnectionError):

@@ -77,9 +77,7 @@ def run_fig12(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
 
 
 def run_fig13(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
-              models: Sequence[ModelSpec] = IMAGE_MODELS, seed: int = 0,
-              workers: Optional[int] = None,
-              store: StoreArg = None,
+              models: Sequence[ModelSpec] = IMAGE_MODELS, seed: int = 0, store: StoreArg = None,
               pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Fig. 13 — native PyTorch DL vs DALI-CPU vs DALI-GPU epoch times (cached)."""
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
@@ -91,7 +89,7 @@ def run_fig13(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
         for model in models
         for loader, gpu_prep in (("pytorch", None), ("dali-shuffle", False),
                                  ("dali-shuffle", True))
-    ], workers=workers, store=store, pool=pool)
+    ], store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig13",
         title="Fig. 13 — epoch time: PyTorch DL vs DALI (CPU prep) vs DALI (GPU prep)",

@@ -28,16 +28,14 @@ from repro.store import PersistentPool, StoreArg
 
 def run_fig17(scale: float = SWEEP_SCALE, num_jobs: int = 8,
               cache_fraction: float = 0.35,
-              models: Sequence[ModelSpec] = IMAGE_MODELS, seed: int = 0,
-              workers: Optional[int] = None,
-              store: StoreArg = None,
+              models: Sequence[ModelSpec] = IMAGE_MODELS, seed: int = 0, store: StoreArg = None,
               pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Fig. 17 — HP search speedups with the ImageNet-22K dataset."""
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
     sweep = runner.run(SweepRunner.grid(
         models=list(models), loaders=["hp-baseline", "hp-coordl"],
         cache_fractions=[cache_fraction], dataset="imagenet-22k",
-        num_jobs=num_jobs, gpus_per_job=1), workers=workers, store=store, pool=pool)
+        num_jobs=num_jobs, gpus_per_job=1), store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig17",
         title="Fig. 17 — 8-job HP search on ImageNet-22K (Config-SSD-V100)",
@@ -58,9 +56,7 @@ def run_fig17(scale: float = SWEEP_SCALE, num_jobs: int = 8,
 
 
 def run_fig18(scale: float = SWEEP_SCALE, cache_fraction_per_server: float = 0.65,
-              node_counts: Sequence[int] = (2, 3, 4), seed: int = 0,
-              workers: Optional[int] = None,
-              store: StoreArg = None,
+              node_counts: Sequence[int] = (2, 3, 4), seed: int = 0, store: StoreArg = None,
               pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Fig. 18 — partitioned caching as the job spans 2-4 HDD servers."""
     runner = SweepRunner(config_hdd_1080ti, scale=scale, seed=seed)
@@ -69,7 +65,7 @@ def run_fig18(scale: float = SWEEP_SCALE, cache_fraction_per_server: float = 0.6
                    cache_fraction=cache_fraction_per_server, num_servers=nodes)
         for nodes in node_counts
         for kind in ("dist-baseline", "dist-coordl")
-    ], workers=workers, store=store, pool=pool)
+    ], store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig18",
         title="Fig. 18 — ResNet50/OpenImages distributed scaling (HDD servers)",
@@ -137,7 +133,6 @@ def run_fig19_20(scale: float = SWEEP_SCALE, cache_fraction: float = 0.65,
 
 def _pycoordl_rows(dataset_name: str, server_factory, cache_fractions: Sequence[float],
                    scale: float, seed: int,
-                   workers: Optional[int] = None,
                    store: StoreArg = None,
                    pool: Optional[PersistentPool] = None) -> List[dict]:
     """Rows for Fig. 21: PyTorch DL vs Py-CoorDL (MinIO policy) per cache size."""
@@ -146,7 +141,7 @@ def _pycoordl_rows(dataset_name: str, server_factory, cache_fractions: Sequence[
     sweep = runner.run(SweepRunner.grid(
         models=[RESNET18], loaders=["pytorch", "pycoordl"],
         cache_fractions=list(cache_fractions), dataset=dataset_name),
-        workers=workers, store=store, pool=pool)
+        store=store, pool=pool)
     storage_name = server_factory().storage.name
     rows: List[dict] = []
     for fraction in cache_fractions:
@@ -164,8 +159,7 @@ def _pycoordl_rows(dataset_name: str, server_factory, cache_fractions: Sequence[
 
 def run_fig21(scale: float = SWEEP_SCALE,
               cache_fractions: Sequence[float] = (0.4, 0.6, 0.75),
-              seed: int = 0, workers: Optional[int] = None,
-              store: StoreArg = None,
+              seed: int = 0, store: StoreArg = None,
               pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Fig. 21 — Py-CoorDL's MinIO policy in the native PyTorch DataLoader."""
     result = ExperimentResult(
@@ -176,10 +170,10 @@ def run_fig21(scale: float = SWEEP_SCALE,
                "the bottleneck there"],
     )
     for row in _pycoordl_rows("imagenet-1k", config_hdd_1080ti, cache_fractions,
-                              scale, seed, workers, store, pool):
+                              scale, seed, store, pool):
         result.add_row(**row)
     for row in _pycoordl_rows("imagenet-1k", config_ssd_v100, cache_fractions,
-                              scale, seed, workers, store, pool):
+                              scale, seed, store, pool):
         result.add_row(**row)
     return result
 

@@ -68,8 +68,7 @@ def _schedule_label(schedule: Tuple[Tuple[int, int], ...]) -> str:
 def run_crash(scale: float = SWEEP_SCALE, num_jobs: int = 4,
               cache_fraction: float = 0.65,
               schedules: Sequence[Tuple[Tuple[int, int], ...]] = DEFAULT_CRASH_SCHEDULES,
-              num_epochs: int = 4, seed: int = 0,
-              workers: Optional[int] = None, store: StoreArg = None,
+              num_epochs: int = 4, seed: int = 0, store: StoreArg = None,
               pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Worker crashes mid-training: detection stall + cache re-warm cost."""
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
@@ -80,7 +79,7 @@ def run_crash(scale: float = SWEEP_SCALE, num_jobs: int = 4,
                    label=_schedule_label(tuple(schedule)))
         for schedule in schedules
     ]
-    sweep = runner.run(points, workers=workers, store=store, pool=pool)
+    sweep = runner.run(points, store=store, pool=pool)
     baseline = sweep.one(label=_schedule_label(())).failure
     result = ExperimentResult(
         experiment_id="fig_crash",
@@ -108,8 +107,7 @@ def run_crash(scale: float = SWEEP_SCALE, num_jobs: int = 4,
 
 def run_elastic(scale: float = SWEEP_SCALE, cache_fraction: float = 0.5,
                 memberships: Sequence[Tuple[int, Tuple[Tuple[int, int], ...]]] = DEFAULT_MEMBERSHIP,
-                num_epochs: int = 4, seed: int = 0,
-                workers: Optional[int] = None, store: StoreArg = None,
+                num_epochs: int = 4, seed: int = 0, store: StoreArg = None,
                 pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Servers joining/leaving a CoorDL partition mid-training."""
     runner = SweepRunner(config_hdd_1080ti, scale=scale, seed=seed)
@@ -122,7 +120,7 @@ def run_elastic(scale: float = SWEEP_SCALE, cache_fraction: float = 0.5,
             cache_fraction=cache_fraction, num_epochs=num_epochs,
             num_servers=num_servers, membership_schedule=tuple(schedule),
             label=label))
-    sweep = runner.run(points, workers=workers, store=store, pool=pool)
+    sweep = runner.run(points, store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig_elastic",
         title="What-if — elastic CoorDL partition membership (HDD servers)",
@@ -147,8 +145,7 @@ def run_elastic(scale: float = SWEEP_SCALE, cache_fraction: float = 0.5,
 def run_straggler(scale: float = SWEEP_SCALE, num_servers: int = 2,
                   cache_fraction: float = 0.5,
                   factor_sets: Sequence[Tuple[float, ...]] = DEFAULT_STRAGGLER_FACTORS,
-                  num_epochs: int = 3, seed: int = 0,
-                  workers: Optional[int] = None, store: StoreArg = None,
+                  num_epochs: int = 3, seed: int = 0, store: StoreArg = None,
                   pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Skewed per-server network/disk rates bounding the epoch."""
     runner = SweepRunner(config_hdd_1080ti, scale=scale, seed=seed)
@@ -161,7 +158,7 @@ def run_straggler(scale: float = SWEEP_SCALE, num_servers: int = 2,
                          "x".join(f"{f:g}" for f in factors))
         for factors in factor_sets
     ]
-    sweep = runner.run(points, workers=workers, store=store, pool=pool)
+    sweep = runner.run(points, store=store, pool=pool)
     baseline = sweep.one(label="uniform").failure
     result = ExperimentResult(
         experiment_id="fig_straggler",
@@ -185,8 +182,7 @@ def run_straggler(scale: float = SWEEP_SCALE, num_servers: int = 2,
 def run_multitenant(scale: float = SWEEP_SCALE, num_jobs: int = 2,
                     cache_fraction: float = 0.65,
                     tenants: Sequence[int] = DEFAULT_TENANTS,
-                    num_epochs: int = 3, seed: int = 0,
-                    workers: Optional[int] = None, store: StoreArg = None,
+                    num_epochs: int = 3, seed: int = 0, store: StoreArg = None,
                     pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """HP campaigns competing for one shared page cache."""
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
@@ -197,7 +193,7 @@ def run_multitenant(scale: float = SWEEP_SCALE, num_jobs: int = 2,
                    tenants=count, label=f"tenants-{count}")
         for count in tenants
     ]
-    sweep = runner.run(points, workers=workers, store=store, pool=pool)
+    sweep = runner.run(points, store=store, pool=pool)
     baseline = sweep.one(tenants=min(tenants)).failure
     result = ExperimentResult(
         experiment_id="fig_multitenant",

@@ -27,8 +27,7 @@ DEFAULT_FRACTIONS = (0.0, 0.2, 0.4, 0.55, 0.7, 0.85, 1.0)
 def run(scale: float = SWEEP_SCALE, model: ModelSpec = ALEXNET,
         dataset_name: str = "imagenet-1k",
         fractions: Sequence[float] = DEFAULT_FRACTIONS,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the cache-size what-if sweep of Fig. 16."""
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
@@ -40,7 +39,7 @@ def run(scale: float = SWEEP_SCALE, model: ModelSpec = ALEXNET,
     # The empirical curve is a plain cache-fraction sweep of the simulator.
     sweep = runner.run(SweepRunner.grid(
         models=[model], loaders=["coordl"], cache_fractions=fractions,
-        dataset=dataset_name, gpu_prep=False), workers=workers, store=store, pool=pool)
+        dataset=dataset_name, gpu_prep=False), store=store, pool=pool)
 
     result = ExperimentResult(
         experiment_id="fig16",

@@ -20,8 +20,7 @@ from repro.store import PersistentPool, StoreArg
 
 def run(scale: float = SWEEP_SCALE, cache_fraction: float = 0.35,
         models: Optional[Sequence[ModelSpec]] = None, num_epochs: int = 2,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the per-model fetch-stall percentages of Fig. 2."""
     chosen = list(models) if models is not None else list(ALL_STALL_MODELS)
@@ -29,7 +28,7 @@ def run(scale: float = SWEEP_SCALE, cache_fraction: float = 0.35,
     sweep = runner.run(SweepRunner.grid(
         models=chosen, loaders=["dali-shuffle"],
         cache_fractions=[cache_fraction], num_epochs=num_epochs),
-        workers=workers, store=store, pool=pool)
+        store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig2",
         title=f"Fig. 2 — fetch stalls with {cache_fraction:.0%} of the dataset cached "

@@ -24,15 +24,14 @@ DEFAULT_FRACTIONS = (0.25, 0.35, 0.5, 0.65, 0.8, 1.0)
 
 def run(scale: float = SWEEP_SCALE, fractions: Sequence[float] = DEFAULT_FRACTIONS,
         dataset_name: str = "openimages", num_epochs: int = 2,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the epoch-time split vs cache size for ResNet18."""
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
     sweep = runner.run(SweepRunner.grid(
         models=[RESNET18], loaders=["dali-shuffle", "coordl"],
         cache_fractions=fractions, dataset=dataset_name, num_epochs=num_epochs),
-        workers=workers, store=store, pool=pool)
+        store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig3",
         title="Fig. 3 — ResNet18 epoch split vs cache size (compute / ideal fetch "

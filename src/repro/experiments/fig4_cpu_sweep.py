@@ -31,8 +31,7 @@ FULLY_CACHED_FRACTION = 1.2
 def run(scale: float = SWEEP_SCALE, models: Optional[Sequence[ModelSpec]] = None,
         cores_per_gpu: Sequence[int] = DEFAULT_CORES_PER_GPU,
         dataset_name: str = "imagenet-1k", num_gpus: int = 1,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the throughput-vs-cores sweep and the cores-needed summary."""
     chosen = list(models) if models is not None else list(DEFAULT_MODELS)
@@ -46,7 +45,7 @@ def run(scale: float = SWEEP_SCALE, models: Optional[Sequence[ModelSpec]] = None
                    gpu_prep=False, label=f"{cores}")
         for model in chosen for cores in cores_per_gpu
     ]
-    sweep = runner.run(points, workers=workers, store=store, pool=pool)
+    sweep = runner.run(points, store=store, pool=pool)
 
     result = ExperimentResult(
         experiment_id="fig4",

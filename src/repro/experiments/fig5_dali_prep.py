@@ -21,9 +21,7 @@ from repro.store import PersistentPool, StoreArg
 
 
 def run(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
-        cores_per_gpu: int = 3, seed: int = 0,
-        workers: Optional[int] = None,
-        store: StoreArg = None,
+        cores_per_gpu: int = 3, seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the prep-stall comparison of DALI CPU vs GPU prep."""
     result = ExperimentResult(
@@ -41,7 +39,7 @@ def run(scale: float = SWEEP_SCALE, dataset_name: str = "imagenet-1k",
             SweepPoint(model=RESNET18, loader="dali-shuffle", dataset=dataset_name,
                        cache_fraction=1.2, cores=cores, gpu_prep=gpu_prep)
             for gpu_prep in (False, True)
-        ], workers=workers, store=store, pool=pool)
+        ], store=store, pool=pool)
         for gpu_prep in (False, True):
             epoch = sweep.one(gpu_prep=gpu_prep).steady
             result.add_row(

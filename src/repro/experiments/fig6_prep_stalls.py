@@ -18,9 +18,7 @@ from repro.store import PersistentPool, StoreArg
 
 
 def run(scale: float = SWEEP_SCALE, models: Optional[Sequence[ModelSpec]] = None,
-        cores_per_gpu: int = 3, seed: int = 0,
-        workers: Optional[int] = None,
-        store: StoreArg = None,
+        cores_per_gpu: int = 3, seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the per-model prep-stall percentages of Fig. 6."""
     chosen = list(models) if models is not None else list(ALL_STALL_MODELS)
@@ -29,7 +27,7 @@ def run(scale: float = SWEEP_SCALE, models: Optional[Sequence[ModelSpec]] = None
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
     sweep = runner.run(SweepRunner.grid(
         models=chosen, loaders=["dali-shuffle"], cache_fractions=[1.2],
-        cores=[cores]), workers=workers, store=store, pool=pool)
+        cores=[cores]), store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig6",
         title="Fig. 6 — prep stall as % of epoch time (8 GPUs, 3 cores/GPU, cached)",

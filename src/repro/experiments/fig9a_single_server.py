@@ -22,9 +22,7 @@ from repro.store import PersistentPool, StoreArg
 
 def run(scale: float = SWEEP_SCALE, cache_fraction: float = 0.65,
         models: Optional[Sequence[ModelSpec]] = None, server_name: str = "ssd-v100",
-        num_epochs: int = 2, seed: int = 0,
-        workers: Optional[int] = None,
-        store: StoreArg = None,
+        num_epochs: int = 2, seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the single-server speedup bars of Fig. 9(a)."""
     chosen = list(models) if models is not None else list(ALL_STALL_MODELS)
@@ -33,7 +31,7 @@ def run(scale: float = SWEEP_SCALE, cache_fraction: float = 0.65,
     sweep = runner.run(SweepRunner.grid(
         models=chosen, loaders=["dali-seq", "dali-shuffle", "coordl"],
         cache_fractions=[cache_fraction], num_epochs=num_epochs),
-        workers=workers, store=store, pool=pool)
+        store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig9a",
         title=f"Fig. 9(a) — single-server training speedup vs DALI ({factory().name}, "

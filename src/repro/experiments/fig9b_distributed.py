@@ -29,8 +29,7 @@ DEFAULT_SSD_MODELS = (SHUFFLENET_V2, AUDIO_M5, ALEXNET)
 def run(scale: float = SWEEP_SCALE, num_servers: int = 2,
         cache_fraction_per_server: float = 0.65, server_name: str = "hdd-1080ti",
         models: Optional[Sequence[ModelSpec]] = None, num_epochs: int = 2,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the distributed-training speedups of Fig. 9(b)/(c)."""
     if server_name == "hdd-1080ti":
@@ -43,7 +42,7 @@ def run(scale: float = SWEEP_SCALE, num_servers: int = 2,
     sweep = runner.run(SweepRunner.grid(
         models=chosen, loaders=["dist-baseline", "dist-coordl"],
         cache_fractions=[cache_fraction_per_server], num_servers=num_servers,
-        num_epochs=num_epochs), workers=workers, store=store, pool=pool)
+        num_epochs=num_epochs), store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig9b",
         title=f"Fig. 9(b/c) — {num_servers}-server distributed training: CoorDL vs DALI "

@@ -23,8 +23,7 @@ from repro.store import PersistentPool, StoreArg
 
 def run(scale: float = SWEEP_SCALE, num_jobs: int = 8, cache_fraction: float = 0.65,
         server_name: str = "ssd-v100", models: Optional[Sequence[ModelSpec]] = None,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the per-model HP-search speedups of Fig. 9(d)."""
     chosen = list(models) if models is not None else list(ALL_STALL_MODELS)
@@ -33,7 +32,7 @@ def run(scale: float = SWEEP_SCALE, num_jobs: int = 8, cache_fraction: float = 0
     sweep = runner.run(SweepRunner.grid(
         models=chosen, loaders=["hp-baseline", "hp-coordl"],
         cache_fractions=[cache_fraction], num_jobs=num_jobs, gpus_per_job=1),
-        workers=workers, store=store, pool=pool)
+        store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig9d",
         title=f"Fig. 9(d) — {num_jobs}-job HP search: CoorDL vs DALI ({factory().name})",

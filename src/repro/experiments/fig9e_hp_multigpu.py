@@ -27,8 +27,7 @@ DEFAULT_CONFIGS: Tuple[Tuple[int, int], ...] = ((8, 1), (4, 2), (2, 4), (1, 8))
 def run(scale: float = SWEEP_SCALE, model: ModelSpec = ALEXNET,
         dataset_name: str = "openimages", cache_fraction: float = 0.65,
         job_configs: Sequence[Tuple[int, int]] = DEFAULT_CONFIGS,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the job-shape sweep of Fig. 9(e)."""
     points: List[SweepPoint] = []
@@ -47,7 +46,7 @@ def run(scale: float = SWEEP_SCALE, model: ModelSpec = ALEXNET,
                            num_jobs=num_jobs, gpus_per_job=gpus_per_job)
                 for kind in ("hp-baseline", "hp-coordl"))
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
-    sweep = runner.run(points, workers=workers, store=store, pool=pool)
+    sweep = runner.run(points, store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="fig9e",
         title="Fig. 9(e) — HP search with multi-GPU jobs (AlexNet/OpenImages, "

@@ -95,12 +95,12 @@ def experiment_kwargs(experiment_id: str, **settings: Any
     """Split run settings into what an experiment takes and what it does not.
 
     ``settings`` are the knobs a caller may thread into any experiment
-    (``scale``, ``workers``, ``store``, ``pool``); ``None`` means unset.
-    Returns the keyword arguments for :func:`run_experiment` — the set
-    settings the experiment's ``run`` callable takes — and the names of
-    the set settings it does not take, in argument order.  Toy experiments
-    like ``fig8`` take neither ``scale`` nor ``workers``; experiments
-    without a sweep grid take no ``workers``, ``store`` or ``pool``.
+    (``scale``, ``store``, and ``pool``: the command's one executor);
+    ``None`` means unset.  Returns the keyword arguments for
+    :func:`run_experiment` — the set settings the experiment's ``run``
+    callable takes — and the names of the set settings it does not take,
+    in argument order.  Toy experiments like ``fig8`` take no ``scale``;
+    experiments without a sweep grid take no ``store`` or ``pool``.
     """
     parameters = inspect.signature(get_experiment(experiment_id)).parameters
     kwargs: Dict[str, Any] = {}

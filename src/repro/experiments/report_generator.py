@@ -19,6 +19,7 @@ from typing import Dict, Sequence
 from repro.exceptions import ConfigurationError
 from repro.experiments import registry
 from repro.experiments.base import SWEEP_SCALE
+from repro.sim.sweep import sweep_executor
 from repro.store import PersistentPool, StoreArg
 
 #: What the paper reports for each experiment, quoted/condensed from the text.
@@ -136,16 +137,19 @@ def generate(output_path: str = "EXPERIMENTS.md", scale: float = SWEEP_SCALE,
              only: "Sequence[str] | None" = None) -> str:
     """Run every experiment and write the markdown report; returns the text.
 
-    ``workers`` fans each sweep-backed experiment's grid out over that many
-    processes (byte-identical results; experiments without a sweep grid
-    ignore it).  ``store`` memoises every sweep point in a content-addressed
-    result store (a :class:`repro.store.SweepStore` or directory path;
-    ``None`` reads ``REPRO_SWEEP_STORE``, ``False`` disables): a warm
-    second ``generate`` reduces to near-pure store reads.  ``pool`` hands
-    the sweep-backed experiments an already-spawned
-    :class:`~repro.store.PersistentPool` (the serve daemon shares its pool
-    this way).  ``only`` restricts the report to the named experiment ids,
-    in registry order.
+    Every sweep-backed experiment runs on one executor
+    (:func:`repro.sim.sweep.sweep_executor`): ``pool`` when given, used as
+    is and left open (the serve daemon's pool, a
+    :class:`repro.dist.DistExecutor`); else one
+    :class:`~repro.store.PersistentPool` of ``workers`` processes (``None``
+    reads ``REPRO_SWEEP_WORKERS``; below two, serial) for the whole
+    report, closed before returning.  Results are byte-identical on every
+    executor.  ``store``
+    memoises every sweep point in a content-addressed result store (a
+    :class:`repro.store.SweepStore` or directory path; ``None`` reads
+    ``REPRO_SWEEP_STORE``, ``False`` disables): a warm second ``generate``
+    reduces to near-pure store reads.  ``only`` restricts the report to
+    the named experiment ids, in registry order.
     """
     if only is not None:
         known = set(registry.experiment_ids())
@@ -168,28 +172,23 @@ def generate(output_path: str = "EXPERIMENTS.md", scale: float = SWEEP_SCALE,
         "dataset size where the column name says so.",
         "",
     ]
-    for experiment_id in wanted:
-        start = time.time()
-        kwargs, _ignored = registry.experiment_kwargs(
-            experiment_id, scale=scale, workers=workers, store=store, pool=pool)
-        result = registry.run_experiment(experiment_id, **kwargs)
-        elapsed = time.time() - start
-        lines.append(f"## {result.title}")
-        lines.append("")
-        lines.append(f"**Paper:** {PAPER_EXPECTATIONS.get(experiment_id, '(n/a)')}")
-        lines.append("")
-        lines.append("**Measured:**")
-        lines.append("")
-        lines.append("```")
-        lines.append(result.format_table())
-        lines.append("```")
-        lines.append("")
-        if experiment_id in KNOWN_DEVIATIONS:
-            lines.append(f"**Deviation:** {KNOWN_DEVIATIONS[experiment_id]}")
-            lines.append("")
-        lines.append(f"*(regenerated in {elapsed:.1f} s; rerun alone with "
-                     f"`python -m repro run-experiment {experiment_id}`)*")
-        lines.append("")
+    with sweep_executor(workers, pool) as executor:
+        for experiment_id in wanted:
+            start = time.time()
+            kwargs, _ignored = registry.experiment_kwargs(
+                experiment_id, scale=scale, store=store, pool=executor)
+            result = registry.run_experiment(experiment_id, **kwargs)
+            elapsed = time.time() - start
+            paper = PAPER_EXPECTATIONS.get(experiment_id, "(n/a)")
+            lines += [f"## {result.title}", "", f"**Paper:** {paper}", "",
+                      "**Measured:**", "", "```", result.format_table(),
+                      "```", ""]
+            if experiment_id in KNOWN_DEVIATIONS:
+                lines += [f"**Deviation:** {KNOWN_DEVIATIONS[experiment_id]}",
+                          ""]
+            lines += [f"*(regenerated in {elapsed:.1f} s; rerun alone with "
+                      f"`python -m repro run-experiment {experiment_id}`)*",
+                      ""]
     text = "\n".join(lines)
     with open(output_path, "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -28,8 +28,7 @@ DEFAULT_FRACTIONS = (0.25, 0.35, 0.5)
 def run(scale: float = DEFAULT_SCALE, model: ModelSpec = ALEXNET,
         dataset_name: str = "imagenet-1k",
         fractions: Sequence[float] = DEFAULT_FRACTIONS,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the predicted-vs-empirical comparison of Table 5."""
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
@@ -38,7 +37,7 @@ def run(scale: float = DEFAULT_SCALE, model: ModelSpec = ALEXNET,
     predictor = DataStallPredictor(profiler.profile())
     sweep = runner.run(SweepRunner.grid(
         models=[model], loaders=["coordl"], cache_fractions=fractions,
-        dataset=dataset_name, gpu_prep=False), workers=workers, store=store, pool=pool)
+        dataset=dataset_name, gpu_prep=False), store=store, pool=pool)
 
     result = ExperimentResult(
         experiment_id="tab5",

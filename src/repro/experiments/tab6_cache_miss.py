@@ -21,15 +21,14 @@ from repro.store import PersistentPool, StoreArg
 
 def run(scale: float = DEFAULT_SCALE, model: ModelSpec = SHUFFLENET_V2,
         dataset_name: str = "openimages", cache_fraction: float = 0.65,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the miss-rate / disk-I/O comparison of Table 6."""
     runner = SweepRunner(config_ssd_v100, scale=scale, seed=seed)
     sweep = runner.run(SweepRunner.grid(
         models=[model], loaders=["dali-seq", "dali-shuffle", "coordl"],
         cache_fractions=[cache_fraction], dataset=dataset_name),
-        workers=workers, store=store, pool=pool)
+        store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="tab6",
         title=f"Table 6 — cache miss %% and disk I/O ({model.name}/{dataset_name}, "

@@ -25,8 +25,7 @@ from repro.store import PersistentPool, StoreArg
 def run(scale: float = SWEEP_SCALE, num_jobs: int = 8,
         dataset_name: str = "imagenet-1k",
         models: Optional[Sequence[ModelSpec]] = None,
-        seed: int = 0, workers: Optional[int] = None,
-        store: StoreArg = None,
+        seed: int = 0, store: StoreArg = None,
         pool: Optional[PersistentPool] = None) -> ExperimentResult:
     """Reproduce the fully-cached HP-search speedups of Table 7."""
     chosen = list(models) if models is not None else list(IMAGE_MODELS)
@@ -35,7 +34,7 @@ def run(scale: float = SWEEP_SCALE, num_jobs: int = 8,
     sweep = runner.run(SweepRunner.grid(
         models=chosen, loaders=["hp-baseline", "hp-coordl"],
         cache_fractions=[1.2], dataset=dataset_name,
-        num_jobs=num_jobs, gpus_per_job=1), workers=workers, store=store, pool=pool)
+        num_jobs=num_jobs, gpus_per_job=1), store=store, pool=pool)
     result = ExperimentResult(
         experiment_id="tab7",
         title=f"Table 7 — {num_jobs}-job HP search with the dataset fully cached "

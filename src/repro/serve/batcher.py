@@ -23,10 +23,10 @@ the in-memory, in-flight counterpart of that dedup:
   a later, unrelated fast one (no head-of-line blocking across batches) —
   dedup against in-flight futures keeps concurrent batches disjoint;
 * a batch failure (a crashed worker, a failing point) fails only the
-  points that never completed, and those are **retried** up to
-  ``max_attempts`` times before their futures carry the error — a
-  transient crash degrades to recomputation, and a waiter is always
-  released (never a hung request).
+  points that never completed, and those are **retried**, together in
+  one run, up to ``max_attempts`` times before each future carries its
+  own point's error — a transient crash degrades to recomputation, and a
+  waiter is always released (never a hung request).
 
 Requests get a :class:`QueryTicket`; :meth:`QueryTicket.wait` enforces the
 per-request deadline, returning each point's :class:`PointOutcome` in the
@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.resilience.faults import active_injector
-from repro.sim.sweep import SweepPoint, SweepRecord, SweepRunner
+from repro.sim.sweep import SweepPoint, SweepRecord, SweepRunner, point_error
 from repro.store import PersistentPool, SweepStore, store_key
 
 #: Default coalescing window: how long the dispatcher holds freshly
@@ -322,47 +322,33 @@ class CoalescingBatcher:
 
     def _run_batch(self, runner: SweepRunner,
                    entries: List[Tuple[SweepPoint, PointFuture]]) -> None:
-        remaining = list(entries)
-        error: Optional[BaseException] = None
-        # Batched attempts (all but the last): the whole remainder through
-        # one run() call.  Retrying only what never resolved means a
-        # crashed worker degrades to recomputation of its points alone.
-        for attempt in range(max(1, self._max_attempts - 1)):
-            if not remaining:
-                break
+        # Every attempt runs what is still unresolved through one run()
+        # call, so a crashed worker degrades to recomputation of its
+        # points alone.
+        for attempt in range(self._max_attempts):
             if attempt:
+                entries = [(point, future) for point, future in entries
+                           if not future.done]
+                if not entries:
+                    return
                 with self._lock:
-                    self.point_retries += len(remaining)
-            error = self._run_entries(runner, remaining)
-            remaining = [(point, future) for point, future in remaining
-                         if not future.done]
+                    self.point_retries += len(entries)
+            error = self._run_entries(runner, entries)
             if error is None:
-                break
-        # Final attempt, point by point: a deterministically-failing point
-        # must fail with its own error, not the lowest failing point's
-        # error that a shared run raises.
-        if remaining and self._max_attempts > 1:
-            for entry in remaining:
-                point, future = entry
-                if future.done:
-                    continue
-                with self._lock:
-                    self.point_retries += 1
-                point_error = self._run_entries(runner, [entry])
-                if point_error is not None and not future.done:
-                    future.fail(point_error)
-                    with self._lock:
-                        self._inflight.pop(future.key, None)
-            remaining = [(point, future) for point, future in remaining
-                         if not future.done]
-        # Exhausted attempts (or closed mid-way): release every waiter.
-        if remaining:
-            failure = error or ConfigurationError(
-                "batch ended without resolving every point")
-            for _, future in remaining:
-                future.fail(failure)
-                with self._lock:
-                    self._inflight.pop(future.key, None)
+                return  # a clean run resolved every point
+        # Attempts exhausted: release every waiter.  A point that raised
+        # fails with its own labelled error (the run's error names only
+        # the lowest failing point); lost points share the run's error.
+        failures = getattr(error, "failures", None) or {}
+        for index, (point, future) in enumerate(entries):
+            if future.done:
+                continue
+            if index in failures:
+                future.fail(point_error(point, *failures[index]))
+            else:
+                future.fail(error)
+            with self._lock:
+                self._inflight.pop(future.key, None)
 
     # -- stats / lifecycle ---------------------------------------------------
 

@@ -47,6 +47,7 @@ import hashlib
 import itertools
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
@@ -101,6 +102,50 @@ def clamp_workers(workers: int) -> int:
     if workers <= 0:
         return workers
     return min(workers, os.cpu_count() or 1)
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Resolve a requested worker count: ``None`` reads
+    :data:`WORKERS_ENV_VAR` (unset: ``0``), negatives are rejected, and
+    the count is clamped to the cores (:func:`clamp_workers`)."""
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
+        try:
+            workers = int(raw) if raw else 0
+        except ValueError:
+            raise ConfigurationError(
+                f"{WORKERS_ENV_VAR}={raw!r} is not an integer") from None
+    if workers < 0:
+        raise ConfigurationError("workers must be >= 0")
+    return clamp_workers(workers)
+
+
+@contextmanager
+def sweep_executor(workers: Optional[int] = None,
+                   pool: Any = None) -> Iterator[Any]:
+    """Yield the one executor a sweep, or a whole command, runs on.
+
+    A caller's executor (``pool``) is yielded as is and never closed.
+    Otherwise, when :func:`resolve_workers` gives two or more, one
+    :class:`repro.store.PersistentPool` is opened and closed on exit,
+    even on error; fewer yield :data:`SERIAL_EXECUTOR`, since a
+    one-worker spawn pool pays the spawn and substrate-rebuild cost for
+    no parallelism.
+    """
+    if pool is not None:
+        yield pool
+        return
+    workers = resolve_workers(workers)
+    if workers <= 1:
+        yield SERIAL_EXECUTOR
+        return
+    from repro.store.pool import PersistentPool  # import cycle
+
+    pool = PersistentPool(workers)
+    try:
+        yield pool
+    finally:
+        pool.close(drain=False)
 
 
 @dataclass(frozen=True)
@@ -720,7 +765,7 @@ class SweepRunner:
         )
 
         points = list(points)
-        workers = self._resolve_workers(workers)
+        workers = resolve_workers(workers)
         records: List[Optional[SweepRecord]] = [None] * len(points)
         sweep_store = resolve_store(store)
         if sweep_store is not None:
@@ -768,36 +813,9 @@ class SweepRunner:
                 on_record(index, record)
 
         if to_run:
-            executor = pool
-            one_shot = None
-            if executor is None and (workers <= 1 or len(to_run) <= 1):
-                # workers<=1 degrades to the serial executor outright: a
-                # clamped-to-1 spawn pool still pays the full spawn +
-                # substrate-rebuild cost for zero parallelism.
-                executor = SERIAL_EXECUTOR
-            elif executor is None:
-                from repro.store.pool import PersistentPool  # import cycle
-
-                executor = one_shot = PersistentPool(min(workers,
-                                                         len(to_run)))
-            try:
+            with sweep_executor(min(workers, len(to_run)), pool) as executor:
                 executor.run_points(self, to_run, on_record=commit)
-            finally:
-                if one_shot is not None:
-                    one_shot.close(drain=False)
         return SweepResult(records)  # type: ignore[arg-type]  # all slots filled
-
-    def _resolve_workers(self, workers: Optional[int]) -> int:
-        if workers is None:
-            raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-            try:
-                workers = int(raw) if raw else 0
-            except ValueError:
-                raise ConfigurationError(
-                    f"{WORKERS_ENV_VAR}={raw!r} is not an integer") from None
-        if workers < 0:
-            raise ConfigurationError("workers must be >= 0")
-        return clamp_workers(workers)
 
     def _run_point(self, point: SweepPoint) -> SweepRecord:
         kind = POINT_KINDS[point.loader]
@@ -855,9 +873,10 @@ class SerialExecutor:
 SERIAL_EXECUTOR = SerialExecutor()
 
 
-def _point_error(point: SweepPoint, original: BaseException,
-                 child_traceback: Optional[str] = None) -> SweepPointError:
-    """Build the labelled sweep failure raised to the caller."""
+def point_error(point: SweepPoint, original: BaseException,
+                child_traceback: Optional[str] = None) -> SweepPointError:
+    """Build the labelled sweep failure of one point: its label, where it
+    ran, and the original exception's type and message."""
     where = "in worker process" if child_traceback else "in process"
     error = SweepPointError(
         f"sweep point [{point.describe()}] failed {where}: "
@@ -880,7 +899,7 @@ def _raise_lowest_failure(failures: Dict[int, tuple],
     """
     index = min(failures)
     exc, child_traceback = failures[index]
-    error = _point_error(dict(indexed_points)[index], exc, child_traceback)
+    error = point_error(dict(indexed_points)[index], exc, child_traceback)
     error.failures = failures
     raise error from exc
 

@@ -21,8 +21,10 @@ scalars), so the pool itself is configuration-free and one pool can serve
 arbitrarily many different runners.  Determinism is inherited from the
 per-point seeding discipline of :meth:`~repro.sim.sweep.SweepRunner.point_seed`:
 results are byte-identical to the serial executor, whichever worker
-simulates which point in whichever order.  ``SweepRunner.run`` also builds
-a one-shot pool per call when asked for ``workers>=2`` without ``pool=``.
+simulates which point in whichever order.  A command (``generate``,
+``repro run-experiment``/``report``) opens one pool for all of its
+experiments, and a bare ``SweepRunner.run(workers>=2)`` one per call
+(both through :func:`~repro.sim.sweep.sweep_executor`).
 
 The pool is *supervised*.  ``multiprocessing.Pool`` silently loses the
 tasks of a SIGKILLed worker and waits for them forever;

@@ -24,6 +24,28 @@ def _no_leaked_fault_plan():
 
 
 @pytest.fixture
+def built_pools(monkeypatch):
+    """Every :class:`repro.store.PersistentPool` built while the test runs,
+    in order; each counts its ``close`` calls in ``closes``."""
+    import repro.store.pool as pool_module
+
+    built = []
+
+    class RecordingPool(pool_module.PersistentPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.closes = 0
+            built.append(self)
+
+        def close(self, drain: bool = True) -> None:
+            self.closes += 1
+            super().close(drain)
+
+    monkeypatch.setattr(pool_module, "PersistentPool", RecordingPool)
+    return built
+
+
+@pytest.fixture
 def tiny_spec() -> DatasetSpec:
     """A 200-item image dataset with ImageNet-like item sizes."""
     return DatasetSpec(

@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.dist import HOSTS_ENV_VAR
+from repro.exceptions import ConfigurationError
 from repro.experiments import registry
+from repro.sim.sweep import WORKERS_ENV_VAR
 from repro.store import STORE_ENV_VAR, SweepStore
+
+#: The per-experiment timing line of a report.
+TIMING_LINE = re.compile(r"^\*\(regenerated in .*\)\*$", re.MULTILINE)
 
 
 class TestCLI:
@@ -146,3 +154,77 @@ class TestCLIStore:
         monkeypatch.delenv(STORE_ENV_VAR, raising=False)
         with pytest.raises(ConfigurationError):
             main(["store", "stats"])
+
+
+class TestCLIFanOut:
+    """``--workers`` and ``--hosts`` decide one executor per command."""
+
+    @pytest.fixture
+    def no_dialling(self, monkeypatch):
+        """Fail the test if any command dials a worker agent."""
+        from repro.dist import executor as executor_module
+
+        def refuse(*args, **kwargs):  # pragma: no cover - a failure path
+            raise AssertionError("a worker agent was dialled")
+
+        monkeypatch.setattr(executor_module.socket, "create_connection",
+                            refuse)
+
+    def test_report_workers_two_writes_the_serial_tables(
+            self, tmp_path, monkeypatch, built_pools):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)  # survive the clamp
+        texts = []
+        for workers in ("2", "0"):
+            output = tmp_path / f"report-{workers}.md"
+            assert main(["report", "-o", str(output), "--workers", workers,
+                         "--no-store", "--scale", "0.002"]) == 0
+            texts.append(TIMING_LINE.sub("", output.read_text()))
+        assert texts[0] == texts[1]
+        (pool,) = built_pools
+        assert pool.closes == 1
+
+    def test_run_experiment_workers_zero_beats_the_environment(
+            self, monkeypatch, built_pools, capsys):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        assert main(["run-experiment", "fig3", "--workers", "0",
+                     "--scale", "0.002", "--no-store"]) == 0
+        assert "ResNet18" in capsys.readouterr().out
+        assert built_pools == []
+
+    @pytest.mark.parametrize("command", [
+        ["run-experiment", "fig3"], ["report", "-o", "unwritten.md"]])
+    @pytest.mark.parametrize("hosts_from", ["flag", "environment"])
+    def test_workers_with_hosts_is_rejected_before_any_fan_out(
+            self, monkeypatch, tmp_path, built_pools, no_dialling, command,
+            hosts_from):
+        monkeypatch.chdir(tmp_path)
+        args = command + ["--workers", "2", "--scale", "0.002", "--no-store"]
+        if hosts_from == "flag":
+            args += ["--hosts", "127.0.0.1:1"]
+        else:
+            monkeypatch.setenv(HOSTS_ENV_VAR, "127.0.0.1:1")
+        with pytest.raises(ConfigurationError, match="not both"):
+            main(args)
+        assert built_pools == []
+        assert not (tmp_path / "unwritten.md").exists()
+
+    @pytest.mark.parametrize("flags, ignored", [
+        (["--workers", "2"], "parallelise; ignoring --workers"),
+        (["--hosts", "127.0.0.1:1"], "distribute; ignoring --hosts"),
+        (["--workers", "0", "--hosts", "127.0.0.1:1"],
+         "distribute; ignoring --hosts"),
+    ])
+    def test_experiment_without_a_grid_warns_and_spawns_nothing(
+            self, monkeypatch, no_dialling, capsys, flags, ignored):
+        import repro.store.pool as pool_module
+
+        def refuse(method):  # pragma: no cover - a failure path
+            raise AssertionError("a worker process was spawned")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(pool_module.multiprocessing, "get_context",
+                            refuse)
+        assert main(["run-experiment", "fig8"] + flags) == 0
+        assert f"fig8 has no sweep grid to {ignored}" in (
+            capsys.readouterr().err)

@@ -295,6 +295,82 @@ class TestExecutorValidation:
         assert executor.runs == 0
 
 
+def _bounded(call, timeout_s: float = 10.0) -> dict:
+    """Run ``call`` on a thread joined with a bound: an unbounded wait
+    fails the test instead of hanging the suite.  Returns ``{"error":
+    exc}`` or ``{"value": result}``."""
+    outcome: dict = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # handed to the asserting thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"still blocked after {timeout_s} s"
+    return outcome
+
+
+class TestHandshakeBounds:
+    """The hello exchange and the ``bye`` wait are bounded by
+    ``CONNECT_TIMEOUT_S``; only chunk frames may take minutes."""
+
+    def test_a_listener_that_never_accepts_is_a_lost_host(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(executor_module, "CONNECT_TIMEOUT_S", 0.5)
+        # The kernel queues the connection, so connect() succeeds, but
+        # nothing ever answers the hello.
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()
+        executor = DistExecutor(f"{host}:{port}")
+        try:
+            outcome = _bounded(lambda: executor.run_points(
+                _runner(), list(enumerate(_grid()[:1]))))
+        finally:
+            listener.close()
+        assert isinstance(outcome.get("error"), HostLostError)
+
+    def test_close_does_not_wait_forever_for_bye(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "CONNECT_TIMEOUT_S", 0.5)
+        listener = socket.create_server(("127.0.0.1", 0))
+        released = threading.Event()
+        shutdowns = []
+
+        def silent_agent():
+            conn, _address = listener.accept()
+            with conn:
+                recv_frame(conn)                                 # hello
+                send_frame(conn, {"type": "hello",
+                                  "protocol": DIST_PROTOCOL_VERSION})
+                chunk = recv_frame(conn)
+                for index, _wire in chunk["points"]:
+                    send_frame(conn, {
+                        "type": "point_error", "id": chunk["id"],
+                        "index": index, "error": "scripted",
+                        "traceback": ""})
+                send_frame(conn, {"type": "chunk_done", "id": chunk["id"],
+                                  "ok": 0, "failed": len(chunk["points"])})
+                shutdowns.append(recv_frame(conn))    # never answered
+                released.wait(30)
+
+        thread = threading.Thread(target=silent_agent, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()
+        executor = DistExecutor(f"{host}:{port}")
+        try:
+            with pytest.raises(SweepPointError):
+                executor.run_points(_runner(), list(enumerate(_grid()[:1])))
+            assert "error" not in _bounded(executor.close)
+        finally:
+            released.set()
+            listener.close()
+            thread.join(10)
+        assert shutdowns == [{"type": "shutdown"}]
+
+
 class TestWorkerAgent:
     def test_hello_protocol_mismatch_is_refused(self, agent):
         sock = socket.create_connection(agent.address, timeout=5)

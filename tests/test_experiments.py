@@ -7,11 +7,15 @@ where the crossovers are.  The full-size runs live in ``benchmarks/``.
 
 from __future__ import annotations
 
+import inspect
+import os
 import re
 
 import numpy as np
 import pytest
 
+from repro.cluster.configs import config_ssd_v100
+from repro.compute.model_zoo import RESNET18
 from repro.exceptions import ConfigurationError
 from repro.experiments import registry
 from repro.experiments import report_generator
@@ -21,6 +25,7 @@ from repro.experiments.base import (
     relative,
     scaled_dataset,
 )
+from repro.sim.sweep import WORKERS_ENV_VAR, SweepRunner
 
 #: Scale used by the fast test runs of the heavier experiments.
 TEST_SCALE = 1.0 / 400.0
@@ -344,3 +349,82 @@ class TestReport:
         for row in registry.run_experiment("tab6", scale=SWEEP_SCALE).rows:
             assert f"{row['cache_miss_pct']:.1f}%" in tab6_note
             assert f"{row['disk_io_gb']:.0f} GB" in tab6_note
+
+
+class TestOneExecutorPerCommand:
+    """A command decides once where its sweeps run: every experiment takes
+    an executor (``pool``), and only ``generate`` takes a worker count."""
+
+    SCALE = 0.002
+
+    def _strip(self, text: str) -> str:
+        return TestReport.TIMING_LINE.sub("", text)
+
+    def test_no_experiment_takes_a_worker_count(self):
+        for experiment_id in registry.experiment_ids():
+            parameters = inspect.signature(
+                registry.get_experiment(experiment_id)).parameters
+            assert "workers" not in parameters, experiment_id
+            if "pool" in parameters:
+                assert "store" in parameters, experiment_id
+
+    def test_a_pooled_report_spawns_one_pool_and_closes_it(
+            self, tmp_path, monkeypatch, built_pools):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)  # survive the clamp
+        pooled = report_generator.generate(
+            str(tmp_path / "pooled.md"), scale=self.SCALE, workers=2,
+            store=False)
+        (pool,) = built_pools
+        assert pool.closes == 1
+        assert pool.pids_seen, "no sweep ran in the pool"
+        for pid in pool.pids_seen:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # no worker is left running
+        serial = report_generator.generate(
+            str(tmp_path / "serial.md"), scale=self.SCALE, workers=0,
+            store=False)
+        assert len(built_pools) == 1
+        assert self._strip(pooled) == self._strip(serial)
+
+    def test_a_failing_report_still_closes_its_pool(self, tmp_path,
+                                                    monkeypatch, built_pools):
+        def fail(experiment_id, **kwargs):
+            raise RuntimeError(f"{experiment_id} failed")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(registry, "run_experiment", fail)
+        with pytest.raises(RuntimeError, match="fig3 failed"):
+            report_generator.generate(str(tmp_path / "report.md"),
+                                      scale=self.SCALE, workers=2,
+                                      store=False, only=["fig3"])
+        (pool,) = built_pools
+        assert pool.closes == 1
+
+    def test_workers_zero_beats_the_environment(self, tmp_path, monkeypatch,
+                                                built_pools):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        report_generator.generate(str(tmp_path / "report.md"),
+                                  scale=self.SCALE, workers=0, store=False,
+                                  only=["fig3", "fig8"])
+        assert built_pools == []
+
+    def test_a_supplied_pool_outlives_the_report(self, tmp_path, monkeypatch,
+                                                 built_pools):
+        import repro.store.pool as pool_module
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        pool = pool_module.PersistentPool(2)
+        try:
+            report_generator.generate(str(tmp_path / "report.md"),
+                                      scale=self.SCALE, workers=2, pool=pool,
+                                      store=False, only=["fig3"])
+            assert built_pools == [pool] and pool.closes == 0
+            runner = SweepRunner(config_ssd_v100, scale=self.SCALE, seed=0)
+            points = SweepRunner.grid(models=[RESNET18],
+                                      loaders=["coordl", "dali-shuffle"],
+                                      cache_fractions=(0.5,))
+            assert (runner.run(points, pool=pool, store=False).snapshot()
+                    == runner.run(points, workers=0, store=False).snapshot())
+        finally:
+            pool.close()

@@ -361,6 +361,42 @@ class TestFaultInjection:
         assert (served[1].record.snapshot(include_timeline=True)
                 == expected.snapshot(include_timeline=True))
 
+    @pytest.mark.parametrize("point_retries", [0, 1])
+    def test_each_failing_point_is_served_its_own_error(self, monkeypatch,
+                                                        point_retries):
+        """Failing points share every batched attempt, yet each is served
+        its own label and exception, after ``point_retries + 1`` runs."""
+        original = SweepRunner._run_point
+        healthy = _points()[0]
+        poison_a, poison_b = (
+            SweepPoint(model=RESNET18, loader="coordl", dataset="openimages",
+                       cache_fraction=fraction, label=label)
+            for fraction, label in ((0.4, "poison-a"), (0.6, "poison-b")))
+        exceptions = {"poison-a": OSError, "poison-b": ValueError}
+        runs = {label: 0 for label in exceptions}
+
+        def failing(self, point):
+            if point.label in exceptions:
+                runs[point.label] += 1
+                raise exceptions[point.label](f"{point.label} always crashes")
+            return original(self, point)
+
+        monkeypatch.setattr(SweepRunner, "_run_point", failing)
+        with ServeDaemon(port=0, store=False,
+                         point_retries=point_retries) as daemon:
+            served = ServeClient(daemon.url).whatif(
+                _runner(), [poison_a, healthy, poison_b])
+        assert [r.status for r in served] == ["error", "ok", "error"]
+        for outcome, label in ((served[0], "poison-a"),
+                               (served[2], "poison-b")):
+            name = exceptions[label].__name__
+            assert f"sweep point [{label}] failed" in outcome.error
+            assert f"{name}: {label} always crashes" in outcome.error
+        assert "poison-b" not in served[0].error
+        assert "poison-a" not in served[2].error
+        assert runs == {"poison-a": point_retries + 1,
+                        "poison-b": point_retries + 1}
+
     def test_nan_cache_budget_is_an_error_for_its_point(self, client):
         """JSON carries ``NaN``; such a budget fails its own point with the
         server's range check instead of returning a fully cached record."""

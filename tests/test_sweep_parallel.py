@@ -23,6 +23,7 @@ from repro.sim.sweep import (
     WORKERS_ENV_VAR,
     SweepPoint,
     SweepRunner,
+    resolve_workers,
 )
 from repro.store import PersistentPool, SweepStore
 
@@ -185,20 +186,17 @@ class TestWorkerClamp:
 
     def test_resolve_workers_clamps_to_one_core(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 1)
-        runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
-        assert runner._resolve_workers(8) == 1
-        assert runner._resolve_workers(1) == 1
+        assert resolve_workers(8) == 1
+        assert resolve_workers(1) == 1
 
     def test_serial_stays_serial_under_clamp(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 1)
-        runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
-        assert runner._resolve_workers(0) == 0
+        assert resolve_workers(0) == 0
 
     def test_clamp_respects_larger_machines(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 16)
-        runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
-        assert runner._resolve_workers(8) == 8
-        assert runner._resolve_workers(32) == 16
+        assert resolve_workers(8) == 8
+        assert resolve_workers(32) == 16
 
     def test_persistent_pool_clamps_to_one_core(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 1)
@@ -209,8 +207,7 @@ class TestWorkerClamp:
     def test_env_var_workers_are_clamped_too(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 1)
         monkeypatch.setenv(WORKERS_ENV_VAR, "8")
-        runner = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
-        assert runner._resolve_workers(None) == 1
+        assert resolve_workers(None) == 1
 
     def test_workers_one_degrades_to_serial(self, monkeypatch):
         """A one-worker 'pool' never spawns: workers<=1 (requested or
